@@ -13,8 +13,11 @@ use gls_locks::{MutexLock, RawLock};
 
 use crate::bucket::{Bucket, EMPTY_KEY, ENTRIES_PER_BUCKET};
 
-/// Default number of buckets in a fresh table (a power of two).
-const DEFAULT_BUCKETS: usize = 64;
+/// Default number of buckets in a fresh table (a power of two), and the
+/// least a capacity request gets. Model builds have no floor: every slot
+/// read is a scheduling point there, and a model that walks a whole table
+/// (the GLS sweep) asks for the smallest one.
+const DEFAULT_BUCKETS: usize = if cfg!(gls_model) { 1 } else { 64 };
 
 /// Maximum number of overflow buckets chained to one primary bucket before an
 /// insert forces a resize instead.
@@ -23,10 +26,16 @@ const MAX_CHAIN: usize = 2;
 /// Resize when the element count exceeds this fraction of slot capacity.
 const RESIZE_OCCUPANCY: f64 = 0.66;
 
-/// Fibonacci multiplicative hash of an address.
+/// Fibonacci multiplicative hash of an address, with the high half folded
+/// down: the low bits of the product depend on nothing but the low bits of
+/// the key, which aligned addresses do not have, and the table masks the
+/// low bits. (Folding spreads runs of equally spaced addresses — heap
+/// objects, array elements — more evenly than the top bits alone do for
+/// some spacings, 64 bytes among them.)
 #[inline]
 fn hash(key: usize) -> usize {
-    key.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    let product = (key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (product ^ (product >> 33)) as usize
 }
 
 struct Table {
@@ -288,9 +297,24 @@ impl Clht {
 
     /// Calls `f` for every key/value pair (racy snapshot; concurrent updates
     /// may or may not be observed).
-    pub fn for_each(&self, mut f: impl FnMut(usize, usize)) {
+    pub fn for_each(&self, f: impl FnMut(usize, usize)) {
+        self.for_each_in_buckets(0, usize::MAX, f);
+    }
+
+    /// [`for_each`](Self::for_each) restricted to the chains of up to
+    /// `count` primary buckets starting at index `first`, so a caller can
+    /// walk the table a slice at a time. Returns the number of primary
+    /// buckets of the table walked; a range past it visits nothing. A
+    /// resize between two calls moves keys to other indices, so a sliced
+    /// walk across one may see a key twice or not at all.
+    pub fn for_each_in_buckets(
+        &self,
+        first: usize,
+        count: usize,
+        mut f: impl FnMut(usize, usize),
+    ) -> usize {
         let table = self.current();
-        for bucket in table.buckets.iter() {
+        for bucket in table.buckets.iter().skip(first).take(count) {
             let mut current: &Bucket = bucket;
             loop {
                 current.for_each(&mut f);
@@ -302,6 +326,7 @@ impl Clht {
                 current = unsafe { &*next };
             }
         }
+        table.buckets.len()
     }
 
     /// Current table statistics.
@@ -538,6 +563,33 @@ mod tests {
         }
     }
 
+    /// Lock addresses are aligned, so their low bits carry no entropy; the
+    /// bucket index must not be taken from the low bits of the hash.
+    #[test]
+    fn strided_keys_fill_the_table_instead_of_growing_it() {
+        for stride in [64usize, 4096] {
+            let t = Clht::new();
+            for i in 1..=10_000usize {
+                t.put_if_absent(i * stride, || i);
+            }
+            let stats = t.stats();
+            assert_eq!(stats.elements, 10_000);
+            assert!(
+                stats.occupancy >= 0.15,
+                "stride {stride}: occupancy {} in {} buckets",
+                stats.occupancy,
+                stats.buckets
+            );
+            // 64 → 8 192 buckets is 7 doublings; a chain-triggered
+            // doubling or two on top is the hash's normal variance.
+            assert!(
+                stats.expansions <= 9,
+                "stride {stride}: {} expansions",
+                stats.expansions
+            );
+        }
+    }
+
     #[test]
     fn for_each_sees_every_entry() {
         let t = Clht::new();
@@ -552,6 +604,29 @@ mod tests {
         for k in 1..=100 {
             assert_eq!(seen[&k], k + 1000);
         }
+    }
+
+    #[test]
+    fn bucket_slices_cover_the_table_exactly_once() {
+        let t = Clht::new();
+        for k in 1..=300 {
+            t.put_if_absent(k * 64, || k);
+        }
+        let mut seen = Vec::new();
+        let mut first = 0;
+        loop {
+            let buckets = t.for_each_in_buckets(first, 7, |k, _| seen.push(k));
+            first += 7;
+            if first >= buckets {
+                break;
+            }
+        }
+        seen.sort_unstable();
+        assert_eq!(seen, (1..=300).map(|k| k * 64).collect::<Vec<_>>());
+        assert_eq!(
+            t.for_each_in_buckets(first, 7, |_, _| panic!("past the end")),
+            t.stats().buckets
+        );
     }
 
     #[test]

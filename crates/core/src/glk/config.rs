@@ -94,10 +94,12 @@ impl PopulationMembership {
 
     /// Joins `density` (at most once until the matching leave).
     pub(crate) fn enter(&self, density: &BlockingDensity) {
-        if self
-            .counted
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
+        // The load keeps the common no-op (already counted) read-only.
+        if !self.counted.load(Ordering::Acquire)
+            && self
+                .counted
+                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
         {
             density.enter();
         }
@@ -105,10 +107,13 @@ impl PopulationMembership {
 
     /// Leaves `density` (at most once per enter).
     pub(crate) fn leave(&self, density: &BlockingDensity) {
-        if self
-            .counted
-            .compare_exchange(true, false, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
+        // The load keeps the common no-op (not counted: every free of a
+        // spinning lock) read-only.
+        if self.counted.load(Ordering::Acquire)
+            && self
+                .counted
+                .compare_exchange(true, false, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
         {
             density.leave();
         }

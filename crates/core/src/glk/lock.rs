@@ -568,11 +568,23 @@ impl GlkLock {
         self.leave_population();
     }
 
-    /// Called when this lock's GLS entry is resurrected: if it retired in
-    /// mutex mode it rejoins the blocking population.
+    /// Called when this lock's GLS entry serves an address again: if it
+    /// retired in mutex mode it rejoins the blocking population.
     pub(crate) fn note_resurrected(&self) {
         if self.mode() == GlkMode::Mutex {
             self.enter_population();
+        }
+    }
+
+    /// Called when this lock's GLS entry is recycled for another address:
+    /// forgets the statistics and the transition log of the old one.
+    pub(crate) fn reset_telemetry(&self) {
+        self.stats.reset();
+        if self.config.record_transitions {
+            self.transitions
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .clear();
         }
     }
 

@@ -441,12 +441,18 @@ impl GlkRwLock {
         self.leave_population();
     }
 
-    /// Called when this lock's GLS entry is resurrected: a lock that
-    /// retired in blocking mode rejoins the population.
+    /// Called when this lock's GLS entry serves an address again: a lock
+    /// that retired in blocking mode rejoins the population.
     pub(crate) fn note_resurrected(&self) {
         if self.mode() == GlkRwMode::Blocking {
             self.enter_population();
         }
+    }
+
+    /// Called when this lock's GLS entry is recycled for another address:
+    /// forgets the statistics of the old one.
+    pub(crate) fn reset_telemetry(&self) {
+        self.stats.reset();
     }
 
     /// The mode the lock currently operates in.

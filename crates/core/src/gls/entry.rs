@@ -1,6 +1,6 @@
 //! The per-address lock object stored in the GLS hash table.
 
-use gls_sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use gls_sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use gls_locks::{
@@ -221,8 +221,9 @@ impl AlgorithmLock {
         }
     }
 
-    /// Tells adaptive locks their entry was resurrected: a lock retired in
-    /// a blocking mode rejoins the population.
+    /// Tells adaptive locks their entry serves an address again (a
+    /// resurrection, or a pooled entry handed to a new address): a lock
+    /// retired in a blocking mode rejoins the population.
     pub(crate) fn note_resurrected(&self) {
         match self {
             AlgorithmLock::Glk(l) => l.note_resurrected(),
@@ -230,25 +231,71 @@ impl AlgorithmLock {
             _ => {}
         }
     }
+
+    /// Forgets what adaptive locks recorded for the address they served
+    /// (statistics, transition log) before the entry is recycled. The mode
+    /// itself is kept: the next address re-adapts it like any other lock.
+    fn reset_telemetry(&self) {
+        match self {
+            AlgorithmLock::Glk(l) => l.reset_telemetry(),
+            AlgorithmLock::Rw(l) => l.reset_telemetry(),
+            _ => {}
+        }
+    }
+}
+
+/// Lifecycle state of a [`LockEntry`], kept in the low bits of its epoch
+/// word; the bits above count transitions, so **every** transition makes
+/// the word strictly larger and a value a thread-cache slot stored can
+/// never come back. `free` takes LIVE to RETIRED; a sweep pass takes
+/// RETIRED to AGED and AGED to CLAIMED; a `lock` takes either kind of
+/// tombstone back to LIVE; a claimed entry goes back to RETIRED (somebody
+/// holds it) or into the pool, and from there to LIVE for its next address.
+mod state {
+    pub(super) const MASK: u64 = 3;
+    /// Mapped in the table and serving its address.
+    pub(super) const LIVE: u64 = 0;
+    /// Freed, still mapped (a tombstone), touched since the last sweep pass.
+    pub(super) const RETIRED: u64 = 1;
+    /// A tombstone one sweep pass found untouched; the next pass claims it.
+    pub(super) const AGED: u64 = 2;
+    /// Owned by the sweeper (being proven idle) or parked in the pool.
+    pub(super) const CLAIMED: u64 = 3;
+}
+
+/// What [`LockEntry::make_live`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Liveness {
+    /// The entry is live for the address.
+    Live,
+    /// The entry was a tombstone of the address and this call resurrected it.
+    Resurrected,
+    /// The sweeper holds the entry; it will either put it back as a
+    /// tombstone or unmap it, shortly.
+    Claimed,
+    /// The entry no longer belongs to the address (it was recycled).
+    Recycled,
 }
 
 /// A lock object plus the metadata GLS keeps about it (ownership for the
 /// debug mode, latency/queuing statistics for the profiler).
 // repr(C): the declaration order is the layout. `addr`, `epoch` and the
 // head of `lock` (discriminant + lock word) share the entry's first
-// cacheline, so a cached hit's epoch validation touches memory the
-// immediately following lock operation pulls in anyway.
+// cacheline, so a cached hit's epoch validation and the identity check
+// after an acquisition touch memory the lock operation pulls in anyway.
 #[repr(C)]
 #[derive(Debug)]
 pub(crate) struct LockEntry {
-    /// The address this entry was created for.
-    pub(crate) addr: usize,
-    /// Liveness epoch: even while the entry is live (mapped in the table),
-    /// odd while it is retired (freed, parked in the service's retired set).
-    /// `free` bumps it to odd, resurrection bumps it back to even, so every
-    /// free *or* free-and-recreate of this address changes the value a
-    /// per-thread cache slot stored — the cached mapping for this one
-    /// address self-invalidates, and no other address is touched.
+    /// The address this entry currently serves; 0 while it sits in the
+    /// pool. Entry memory is type-stable (recycled for other addresses,
+    /// returned to the allocator only when the service drops), so a thread
+    /// that reached the entry through a stale pointer re-checks this after
+    /// acquiring the lock. Written only while the entry is `CLAIMED`.
+    addr: AtomicUsize,
+    /// Lifecycle word: [`state`] in the low two bits, a transition count
+    /// above. Every free, resurrection, sweep step and reuse changes the
+    /// value a per-thread cache slot stored — the cached mapping for this
+    /// one address self-invalidates, and no other address is touched.
     epoch: AtomicU64,
     /// Cycle stamp of the in-flight acquisition (0 = none; profile mode).
     /// Deliberately *not* sharded: it is written once per acquisition by
@@ -280,11 +327,12 @@ pub(crate) struct LockEntry {
 }
 
 impl LockEntry {
-    pub(crate) fn new(addr: usize, lock: AlgorithmLock) -> Self {
+    /// A fresh entry, not yet serving an address (see [`Self::revive`]).
+    pub(crate) fn new(lock: AlgorithmLock) -> Self {
         Self {
-            addr,
+            addr: AtomicUsize::new(0),
             lock,
-            epoch: AtomicU64::new(0),
+            epoch: AtomicU64::new(state::CLAIMED),
             acquired_at: AtomicU64::new(0),
             owner: AtomicU32::new(0),
             readers: OnceLock::new(),
@@ -310,28 +358,126 @@ impl LockEntry {
         stamp
     }
 
-    /// The entry's current liveness epoch (see the field docs).
+    /// The address this entry serves right now (0 while pooled). While a
+    /// thread holds the entry's lock and reads its own address here, the
+    /// entry is mapped for that address and stays so until the release:
+    /// the sweeper unmaps only entries whose lock it holds exclusively.
+    #[inline]
+    pub(crate) fn addr(&self) -> usize {
+        self.addr.load(Ordering::Relaxed)
+    }
+
+    /// The entry's current lifecycle word (see the field docs).
     #[inline]
     pub(crate) fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Whether an epoch value denotes a live (non-retired) entry.
+    /// Whether an epoch value denotes a live (not freed) entry.
     #[inline]
     pub(crate) fn epoch_is_live(epoch: u64) -> bool {
-        epoch.is_multiple_of(2)
+        epoch & state::MASK == state::LIVE
     }
 
-    /// Marks the entry retired (called by `free` after unmapping it).
-    pub(crate) fn retire(&self) {
-        debug_assert!(Self::epoch_is_live(self.epoch.load(Ordering::Relaxed)));
-        self.epoch.fetch_add(1, Ordering::Release);
+    /// Whether the entry is live for `addr` right now.
+    #[inline]
+    pub(crate) fn is_live_for(&self, addr: usize) -> bool {
+        Self::epoch_is_live(self.epoch()) && self.addr() == addr
     }
 
-    /// Marks a retired entry live again (called on resurrection, before the
-    /// entry is re-published in the table).
-    pub(crate) fn resurrect(&self) {
-        debug_assert!(!Self::epoch_is_live(self.epoch.load(Ordering::Relaxed)));
+    /// `free`: turns the live entry of `addr` into a tombstone, in place.
+    /// The CAS winner is the unique claimant of this live cycle; a racing
+    /// free (or a stale pointer to a recycled entry) reports `false`.
+    pub(crate) fn retire(&self, addr: usize) -> bool {
+        let epoch = self.epoch();
+        // The epoch load is an acquire of the store that made the entry
+        // live, so the address read is that generation's or newer; if it is
+        // newer, the epoch moved on as well and the CAS fails.
+        Self::epoch_is_live(epoch)
+            && self.addr() == addr
+            && self
+                .epoch
+                .compare_exchange(epoch, epoch + 1, Ordering::AcqRel, Ordering::Relaxed)
+                .is_ok()
+    }
+
+    /// Makes sure the entry serves `addr`: a live entry is left alone, a
+    /// tombstone is resurrected with one CAS. The first creation's
+    /// algorithm survives the cycle, as with `put_if_absent` generally.
+    #[inline]
+    pub(crate) fn make_live(&self, addr: usize) -> Liveness {
+        loop {
+            let epoch = self.epoch();
+            if self.addr() != addr {
+                return Liveness::Recycled;
+            }
+            match epoch & state::MASK {
+                state::LIVE => return Liveness::Live,
+                state::CLAIMED => return Liveness::Claimed,
+                // Next multiple of four: live again, and larger than any
+                // value this entry's word ever held.
+                _ => {
+                    let live = (epoch | state::MASK) + 1;
+                    if self
+                        .epoch
+                        .compare_exchange(epoch, live, Ordering::AcqRel, Ordering::Relaxed)
+                        .is_ok()
+                    {
+                        return Liveness::Resurrected;
+                    }
+                }
+            }
+        }
+    }
+
+    /// One sweep step on this entry: a fresh tombstone ages, an aged one is
+    /// claimed (returns `true`; the caller now owns the entry and must
+    /// [`recycle`](Self::recycle) or [`unclaim`](Self::unclaim) it).
+    /// Anything else — live, claimed, resurrected meanwhile — is left alone.
+    pub(crate) fn age(&self) -> bool {
+        let epoch = self.epoch();
+        let tombstone = matches!(epoch & state::MASK, state::RETIRED | state::AGED);
+        tombstone
+            && self
+                .epoch
+                .compare_exchange(epoch, epoch + 1, Ordering::AcqRel, Ordering::Relaxed)
+                .is_ok()
+            && epoch & state::MASK == state::AGED
+    }
+
+    /// Puts a claimed entry back as a fresh tombstone (the idle proof
+    /// failed: somebody holds or waits for the lock).
+    pub(crate) fn unclaim(&self) {
+        debug_assert_eq!(self.epoch() & state::MASK, state::CLAIMED);
+        self.epoch.fetch_add(2, Ordering::AcqRel);
+    }
+
+    /// Wipes everything the entry recorded for the address it served and
+    /// detaches it from that address. Called by the sweeper on a claimed
+    /// entry while it holds the entry's lock exclusively, so a thread that
+    /// still reaches the entry through a stale pointer acquires after this
+    /// and sees the address gone.
+    pub(crate) fn recycle(&self) {
+        debug_assert_eq!(self.epoch() & state::MASK, state::CLAIMED);
+        self.addr.store(0, Ordering::Relaxed);
+        self.acquired_at.store(0, Ordering::Relaxed);
+        self.clear_owner();
+        if let Some(readers) = self.readers.get() {
+            readers.clear();
+        }
+        if let Some(profile) = self.profile.get() {
+            profile.reset();
+        }
+        self.stats.reset();
+        self.lock.reset_telemetry();
+    }
+
+    /// Puts a fresh or pooled entry to work for `addr`. The caller owns
+    /// the entry (nothing maps it) and publishes it in the table next.
+    pub(crate) fn revive(&self, addr: usize) {
+        debug_assert_eq!(self.epoch() & state::MASK, state::CLAIMED);
+        self.addr.store(addr, Ordering::Relaxed);
+        // Release: whoever observes the live epoch observes the address.
         self.epoch.fetch_add(1, Ordering::Release);
     }
 
@@ -446,6 +592,12 @@ mod tests {
         AlgorithmLock::new(kind, &GlkConfig::default(), &MonitorHandle::Global)
     }
 
+    fn live_entry(addr: usize, kind: LockKind) -> LockEntry {
+        let entry = LockEntry::new(make(kind));
+        entry.revive(addr);
+        entry
+    }
+
     #[test]
     fn every_kind_constructs_and_locks() {
         for kind in LockKind::ALL {
@@ -476,7 +628,7 @@ mod tests {
 
     #[test]
     fn entry_ownership_tracking() {
-        let entry = LockEntry::new(0x1000, make(LockKind::Ticket));
+        let entry = live_entry(0x1000, LockKind::Ticket);
         assert_eq!(entry.owner(), None);
         let me = ThreadId::current();
         entry.set_owner(me);
@@ -526,7 +678,7 @@ mod tests {
 
     #[test]
     fn entry_reader_tracking() {
-        let entry = LockEntry::new(0x3000, make(LockKind::Rw));
+        let entry = live_entry(0x3000, LockKind::Rw);
         let me = ThreadId::current();
         assert!(entry.holders().is_empty());
         entry.add_reader(me);
@@ -544,23 +696,57 @@ mod tests {
 
     #[test]
     fn entry_epoch_tracks_retire_and_resurrect() {
-        let entry = LockEntry::new(0x2000, make(LockKind::Mutex));
+        let entry = live_entry(0x2000, LockKind::Mutex);
         let born = entry.epoch();
         assert!(LockEntry::epoch_is_live(born));
-        entry.retire();
+        assert!(entry.retire(0x2000));
+        assert!(!entry.retire(0x2000), "one free claims a live cycle");
         assert!(!LockEntry::epoch_is_live(entry.epoch()));
-        entry.resurrect();
+        assert_eq!(entry.make_live(0x2000), Liveness::Resurrected);
+        assert_eq!(entry.make_live(0x2000), Liveness::Live);
+        assert_eq!(entry.make_live(0x2008), Liveness::Recycled);
         assert!(LockEntry::epoch_is_live(entry.epoch()));
-        assert_ne!(
-            entry.epoch(),
-            born,
+        assert!(
+            entry.epoch() > born,
             "a free/recreate cycle must change the epoch a cache slot stored"
         );
     }
 
     #[test]
+    fn sweep_steps_give_a_tombstone_a_second_chance() {
+        let entry = live_entry(0x2000, LockKind::Ticket);
+        assert!(!entry.age(), "live entries are not swept");
+        assert!(entry.retire(0x2000));
+        assert!(!entry.age(), "the first pass only ages a tombstone");
+        // Touched between two passes: the tombstone is fresh again.
+        assert_eq!(entry.make_live(0x2000), Liveness::Resurrected);
+        assert!(entry.retire(0x2000));
+        assert!(!entry.age());
+        assert!(entry.age(), "the second untouched pass claims it");
+        assert_eq!(entry.make_live(0x2000), Liveness::Claimed);
+        assert!(!entry.retire(0x2000));
+        // A failed idle proof puts it back with both chances restored.
+        entry.unclaim();
+        assert!(!entry.age());
+        assert!(entry.age());
+        let claimed = entry.epoch();
+        entry.stats.record_acquisition();
+        entry.set_owner(ThreadId::current());
+        entry.recycle();
+        assert_eq!(entry.addr(), 0);
+        assert_eq!(entry.owner(), None);
+        assert_eq!(entry.profile_totals().acquisitions, 0);
+        entry.revive(0x3000);
+        assert!(entry.is_live_for(0x3000));
+        assert!(
+            entry.epoch() > claimed,
+            "epochs stay monotonic across reuse"
+        );
+    }
+
+    #[test]
     fn entry_profile_totals_merge_shards_and_base_stats() {
-        let entry = LockEntry::new(0x2000, make(LockKind::Mutex));
+        let entry = live_entry(0x2000, LockKind::Mutex);
         assert_eq!(entry.profile_totals().acquisitions, 0);
         let slot = entry.profile_slot();
         slot.record_acquisition();

@@ -76,6 +76,16 @@ impl HolderSet {
             .unwrap_or(false)
     }
 
+    /// Forgets every recorded hold (the entry is being recycled).
+    pub(crate) fn clear(&self) {
+        for shard in &self.shards {
+            shard
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .clear();
+        }
+    }
+
     /// All recorded holds, one entry per hold (racy; the deadlock walk
     /// tolerates and re-validates stale observations).
     pub(crate) fn snapshot(&self) -> Vec<ThreadId> {

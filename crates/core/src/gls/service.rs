@@ -1,13 +1,12 @@
 //! The GLS service: mapping arbitrary addresses to lock objects.
 
-use gls_sync::atomic::{AtomicU64, Ordering};
-use gls_sync::sync::Mutex as StdMutex;
-use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use gls_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use gls_sync::sync::{Mutex as StdMutex, MutexGuard};
+use std::sync::{Arc, OnceLock, PoisonError};
 use std::time::Duration;
 
 use gls_clht::{Clht, ClhtStats};
-use gls_locks::LockKind;
+use gls_locks::{CachePadded, LockKind, SpinWait};
 use gls_runtime::{cycles, ThreadId};
 
 use crate::error::GlsError;
@@ -17,7 +16,7 @@ use super::cache;
 use super::condvar::{GlsCondvar, WaitOutcome};
 use super::config::{GlsConfig, GlsMode};
 use super::debug::{DeadlockTrail, DebugState};
-use super::entry::{AlgorithmLock, LockEntry};
+use super::entry::{AlgorithmLock, Liveness, LockEntry};
 use super::profiler::{LockProfile, ProfileReport};
 use super::sampler;
 use super::telemetry::{
@@ -78,48 +77,54 @@ pub struct GlsService {
     table: Clht,
     config: GlsConfig,
     debug: DebugState,
-    /// Entries removed via `free`, kept allocated until the service is
-    /// dropped so concurrent (buggy) users can never observe freed memory,
-    /// and resurrected as-is when the same address is re-created so
-    /// lock/free churn does not leak. The map doubles as the
-    /// **pending-free marker**: `free` publishes the entry here *before*
-    /// removing it from the table (and a resurrecting create clears the
-    /// stale marker only *after* re-publishing the entry in the table), so
-    /// a release path that misses the table is deterministically guaranteed
-    /// to find the entry here — there is no remove→park window and the
-    /// release paths never sleep. Invalidation of per-thread cache slots is
-    /// *precise*: `free` bumps only the freed entry's epoch (see
-    /// `LockEntry::epoch`), so no other address's cached mapping is
-    /// disturbed anywhere in the process.
-    retired: StdMutex<RetiredSet>,
+    /// What reclaims freed entries. `free` itself only retires an entry
+    /// *in place* — one CAS on its epoch word, no table update, no shared
+    /// counter — so a racing holder's release and a re-creating `lock`
+    /// reach the same allocation through the ordinary table lookup. On a
+    /// line of its own: creates write it, while everything above is read
+    /// by every lock and unlock.
+    reclaim: CachePadded<Reclaim>,
 }
 
-/// A pending-free marker / parked allocation: the entry pointer plus the
-/// (live, even) epoch the claiming `free` observed. The epoch stamp lets a
-/// resurrecting create distinguish its own stale marker (strictly older
-/// than the resurrected epoch) from a fresh marker published by the *next*
-/// free of the same address.
-#[derive(Debug, Clone, Copy)]
-struct PendingFree {
-    ptr: usize,
-    epoch: u64,
+/// The state of the sweep that unmaps freed entries and of the pool it
+/// fills (see [`GlsService::sweep_slice`]).
+#[derive(Debug)]
+struct Reclaim {
+    /// Number of mapped entries (live and freed) at which the next sweep
+    /// pass starts; 0 while one runs, and then every create sweeps a slice
+    /// of the table. Set at the end of each pass to the count that pass
+    /// left plus an eighth of the table's buckets, so reclamation costs
+    /// O(1) per create and resident entries stay O(live + recently freed).
+    sweep_at: AtomicUsize,
+    /// First table bucket the running pass has not handed out yet.
+    sweep_cursor: AtomicUsize,
+    /// Entries the sweep unmapped, by [`LockKind`], reused by the next
+    /// create of that kind. Entry memory is type-stable — it goes back to
+    /// the allocator only when the service drops — because thread-cache
+    /// slots outlive any quiescent point and are validated by dereference.
+    pool: StdMutex<Pool>,
+    /// Number of entries in `pool`, so a create skips the mutex while the
+    /// pool is empty.
+    pooled: AtomicUsize,
 }
 
-/// The parked allocations of freed addresses.
-#[derive(Debug, Default)]
-struct RetiredSet {
-    /// addr → pending-free record, one per freed (or mid-free) address;
-    /// `entry_for` resurrects from here, keyed lookups so free/recreate
-    /// churn over many addresses stays O(1) per operation.
-    parked: HashMap<usize, PendingFree>,
-    /// Defensive holding pen for allocations displaced from `parked`.
-    /// With the pending-free protocol the per-address allocation is stable
-    /// (a create always resurrects the parked entry — the marker is
-    /// published before the address is ever unmapped — so no duplicate
-    /// allocation can arise); entries land here only if that invariant is
-    /// ever violated, and are reclaimed when the service drops.
-    displaced: Vec<usize>,
-}
+/// Pooled entry pointers, indexed by `LockKind as usize`.
+type Pool = [Vec<usize>; LockKind::ALL.len()];
+
+/// Entries a service may map before its first sweep pass, and the least
+/// growth between two passes. A freed entry survives one to two periods
+/// untouched, so this is also the size of the set of freed-and-re-created
+/// addresses the service is sure to keep resurrecting in place (one CAS)
+/// instead of re-creating, and a third of the freed entries a program that
+/// never repeats an address keeps resident (tombstones of two periods
+/// plus the pool of one).
+const MIN_SWEEP_PERIOD: usize = 4096;
+
+/// Table buckets one create sweeps while a pass is running. A pass starts
+/// every `max(MIN_SWEEP_PERIOD, buckets / 8)` entries of growth, so at 16
+/// buckets per create it is over within half of that: the sweeping is done
+/// by the creates themselves and keeps up with them whatever their rate.
+const SWEEP_SLICE: usize = 16;
 
 impl Default for GlsService {
     fn default() -> Self {
@@ -149,7 +154,12 @@ impl GlsService {
             table: Clht::with_capacity(config.initial_capacity),
             config,
             debug: DebugState::new(),
-            retired: StdMutex::new(RetiredSet::default()),
+            reclaim: CachePadded::new(Reclaim {
+                sweep_at: AtomicUsize::new(MIN_SWEEP_PERIOD),
+                sweep_cursor: AtomicUsize::new(0),
+                pool: StdMutex::default(),
+                pooled: AtomicUsize::new(0),
+            }),
         }
     }
 
@@ -478,7 +488,7 @@ impl GlsService {
         // mutex it promised to release.
         if self.config.mode == GlsMode::Debug {
             let me = ThreadId::current();
-            match self.find_entry(addr).and_then(|e| e.owner()) {
+            match self.mapped_entry(addr).and_then(|e| e.owner()) {
                 Some(owner) if owner == me => {}
                 Some(owner) => {
                     let issue = GlsError::WrongOwner {
@@ -524,16 +534,16 @@ impl GlsService {
 
     /// [`GlsService::notify_one`] for a raw address.
     pub fn notify_one_addr(&self, cv: &GlsCondvar, addr: usize) -> bool {
-        match self.find_entry(addr).and_then(|e| e.park_addr()) {
+        match self.mapped_entry(addr).and_then(|e| e.park_addr()) {
             // SAFETY: the park address belongs to this entry's futex word;
-            // entry allocations are never reclaimed while the service
-            // lives (see `entry_ref`), so the word outlives the call. The
+            // entry memory is type-stable while the service lives (see
+            // `entry_ref`), so the word outlives the call. The
             // revalidation (under the bucket locks) re-resolves the park
             // address so a waiter is never requeued onto a word the mutex
             // stopped parking under (backend migration, mode change).
             Some(target) => unsafe {
                 cv.notify_one_requeue(target, || {
-                    self.find_entry(addr).and_then(|e| e.park_addr()) == Some(target)
+                    self.mapped_entry(addr).and_then(|e| e.park_addr()) == Some(target)
                 })
             },
             None => cv.notify_one(),
@@ -551,13 +561,13 @@ impl GlsService {
 
     /// [`GlsService::notify_all`] for a raw address.
     pub fn notify_all_addr(&self, cv: &GlsCondvar, addr: usize) -> usize {
-        match self.find_entry(addr).and_then(|e| e.park_addr()) {
+        match self.mapped_entry(addr).and_then(|e| e.park_addr()) {
             // SAFETY: as in `notify_one_addr` — the futex word lives as
             // long as the service, and the revalidation closes the stale
             // -address race.
             Some(target) => unsafe {
                 cv.notify_all_requeue(target, || {
-                    self.find_entry(addr).and_then(|e| e.park_addr()) == Some(target)
+                    self.mapped_entry(addr).and_then(|e| e.park_addr()) == Some(target)
                 })
             },
             None => cv.notify_all(),
@@ -576,78 +586,140 @@ impl GlsService {
 
     /// [`GlsService::free`] for a raw address.
     ///
-    /// The free runs the **pending-free protocol**: the entry is published
-    /// in the retired map (the pending-free marker) and its epoch is
-    /// retired *before* the address is unmapped from the table, all under
-    /// the retired mutex. The epoch-parity check under that mutex makes
-    /// one free the unique claimant per live cycle (a concurrent free of
-    /// the same address observes the odd epoch and reports `false`), and
-    /// the marker-before-remove order means a release path that misses the
-    /// table always finds the entry in the marker map — deterministically,
-    /// with no remove→park window and no sleeps anywhere (see
-    /// `entry_for_release`).
+    /// The entry is retired **in place**: one CAS on its epoch word turns
+    /// it into a tombstone that stays mapped in the table, and the CAS
+    /// winner is the unique claimant of this live cycle (a concurrent free
+    /// of the same address reports `false`). Because nothing is unmapped, a
+    /// holder caught by the racing free still finds the entry for its
+    /// `unlock`, and a re-creating `lock` resurrects the same allocation
+    /// with one CAS — a release is never stranded and mutual exclusion
+    /// survives the free by construction. The epoch change invalidates
+    /// exactly the per-thread cache slots holding this mapping; every other
+    /// address's cached mapping stays hot. Tombstones are reclaimed by the
+    /// sweep that later creates run between them (see `sweep_slice`).
     pub fn free_addr(&self, addr: usize) -> bool {
-        let Some(ptr) = self.table.get(addr) else {
+        let Some(entry) = self.table.get(addr).map(Self::entry_ref) else {
             return false;
         };
-        let entry = Self::entry_ref(ptr);
-        {
-            let Ok(mut retired) = self.retired.lock() else {
-                return false;
-            };
-            let epoch = entry.epoch();
-            if !LockEntry::epoch_is_live(epoch) {
-                // A concurrent free already claimed this cycle (and does —
-                // or did — the table removal).
-                return false;
-            }
-            // Precise invalidation: bump only *this* entry's epoch. Any
-            // per-thread cache slot holding this mapping fails its next
-            // epoch validation and drops itself; cached mappings for every
-            // other address — on every thread — stay hot. The allocation
-            // itself is never reclaimed (or reinitialized) while the
-            // service lives: it is parked here and resurrected as-is if
-            // the same address is re-created (see `entry_for`), so racing
-            // users never observe freed or repurposed memory, and a holder
-            // caught by a racing free still releases through the marker.
-            entry.retire();
-            if let Some(previous) = retired.parked.insert(addr, PendingFree { ptr, epoch }) {
-                if previous.ptr != ptr {
-                    // Defensive only: per-address allocations are stable
-                    // under the pending-free protocol, so a previous marker
-                    // can only name the same pointer (re-stamped epoch).
-                    retired.displaced.push(previous.ptr);
-                }
-            }
+        if !entry.retire(addr) {
+            return false;
         }
         // A retired lock serves no traffic: drop it from the live
         // blocking-lock population the Auto backend heuristic reads
         // (re-entered on resurrection; CAS-guarded against a racing
         // holder's adaptation).
         entry.lock.note_retired();
-        // The claimant's removal cannot miss: every other free of this
-        // cycle bailed on the odd epoch above, and a re-create cannot run
-        // until the address is unmapped (`put_if_absent` holds the bucket
-        // lock across its existence check and insert).
-        let removed = self.table.remove(addr);
-        debug_assert_eq!(removed, Some(ptr), "pending-free claimant lost its removal");
         true
     }
 
-    /// Number of retired (freed, not yet resurrected) lock entries parked in
-    /// the service: one per freed address that has not been re-created.
-    /// Lock/free churn over a working set of addresses therefore stays
-    /// bounded by that working set instead of growing per free.
-    pub fn retired_count(&self) -> usize {
-        self.retired
-            .lock()
-            .map(|r| r.parked.len() + r.displaced.len())
-            .unwrap_or(0)
+    /// Called by a create that mapped a new entry: starts a sweep pass
+    /// when the table has grown by a period since the last one, and does
+    /// this create's share of the running pass — the next [`SWEEP_SLICE`]
+    /// buckets. No thread, timer or lock: passes are made of the creates
+    /// that need the entries back, and a create that stalls mid-slice
+    /// holds nobody up. (A slice finished late, or handed out across a
+    /// table resize, can age a tombstone twice in a row; that costs a
+    /// re-create its resurrection, never correctness.)
+    fn sweep_slice(&self) {
+        let reclaim = &*self.reclaim;
+        let due = reclaim.sweep_at.load(Ordering::Relaxed);
+        if self.table.len() < due {
+            return;
+        }
+        if due != 0 {
+            // Latch the pass: it runs to its end even though it shrinks
+            // the very count that started it. (A CAS, so that a thread
+            // arriving late cannot latch the pass after this one.)
+            let _ = reclaim
+                .sweep_at
+                .compare_exchange(due, 0, Ordering::Relaxed, Ordering::Relaxed);
+        }
+        let first = reclaim
+            .sweep_cursor
+            .fetch_add(SWEEP_SLICE, Ordering::Relaxed);
+        let buckets = self.sweep(first, SWEEP_SLICE, true);
+        if first + SWEEP_SLICE >= buckets {
+            // Every bucket of this pass has been handed out, to this create
+            // or to earlier ones: whoever notices ends the pass, without
+            // waiting for the slices still being swept.
+            let period = (buckets / 8).max(MIN_SWEEP_PERIOD);
+            reclaim
+                .sweep_at
+                .store(self.table.len() + period, Ordering::Relaxed);
+            reclaim.sweep_cursor.store(0, Ordering::Relaxed);
+        }
     }
 
-    /// Number of lock objects currently managed by the service.
+    /// The second-chance sweep over `count` table buckets from `first`
+    /// (returns the table's bucket count). A tombstone not resurrected
+    /// since the previous visit is claimed through its epoch word, proven
+    /// idle, unmapped, wiped and pooled for the next create of its kind;
+    /// one touched since then only ages. Slices may run concurrently, and
+    /// nothing here blocks on a lock a user may hold.
+    fn sweep(&self, first: usize, count: usize, prove_idle: bool) -> usize {
+        let mut reclaimed = Vec::new();
+        let buckets = self.table.for_each_in_buckets(first, count, |_, ptr| {
+            let entry = Self::entry_ref(ptr);
+            if !entry.age() {
+                return;
+            }
+            // Claimed: the epoch word keeps lockers, freers and other
+            // sweepers off the entry; only a holder that arrived earlier
+            // (or through a stale pointer) can still be on its lock. The
+            // exclusive try-lock with nobody queued proves there is none,
+            // and whoever acquires after the release below finds the
+            // address gone and retries (`acquired_for`).
+            let idle = !prove_idle || (entry.lock.queue_length() == 0 && entry.lock.try_lock());
+            if !idle {
+                entry.unclaim();
+                return;
+            }
+            let removed = self.table.remove(entry.addr());
+            debug_assert_eq!(removed, Some(ptr), "a claimed tombstone is mapped");
+            entry.recycle();
+            if prove_idle {
+                entry.lock.unlock();
+            }
+            reclaimed.push(ptr);
+        });
+        if !reclaimed.is_empty() {
+            let mut pool = self.pool();
+            self.reclaim
+                .pooled
+                .fetch_add(reclaimed.len(), Ordering::Relaxed);
+            for ptr in reclaimed {
+                pool[Self::entry_ref(ptr).lock.kind() as usize].push(ptr);
+            }
+        }
+        buckets
+    }
+
+    /// Number of freed lock entries still resident in the service:
+    /// tombstones (freed, not yet re-created or swept) plus the pool of
+    /// swept entries awaiting reuse. Bounded by the recently freed
+    /// addresses, not by the addresses ever locked. Walks the table.
+    pub fn retired_count(&self) -> usize {
+        self.census().1 + self.reclaim.pooled.load(Ordering::Relaxed)
+    }
+
+    /// Number of lock objects currently managed by the service. Walks the
+    /// table: `free` keeps no shared count, so that frees of different
+    /// addresses share no cache line.
     pub fn lock_count(&self) -> usize {
-        self.table.len()
+        self.census().0
+    }
+
+    /// `(live entries, tombstones)` in the table (racy snapshot).
+    fn census(&self) -> (usize, usize) {
+        let (mut live, mut tombstones) = (0, 0);
+        self.table.for_each(|_, ptr| {
+            if LockEntry::epoch_is_live(Self::entry_ref(ptr).epoch()) {
+                live += 1;
+            } else {
+                tombstones += 1;
+            }
+        });
+        (live, tombstones)
     }
 
     /// Number of this service's locks currently operating in a blocking
@@ -679,22 +751,37 @@ impl GlsService {
         self.debug.clear_issues();
     }
 
-    /// Statistics of the underlying address → lock table.
+    /// Statistics of the underlying address → lock table. `elements`
+    /// counts live locks; `occupancy` is physical, so freed entries that
+    /// are still mapped occupy their slots.
     pub fn table_stats(&self) -> ClhtStats {
-        self.table.stats()
+        ClhtStats {
+            elements: self.lock_count(),
+            ..self.table.stats()
+        }
+    }
+
+    /// Calls `f` for every live entry (racy snapshot, like the table walk
+    /// underneath; tombstones are skipped).
+    fn for_each_live(&self, mut f: impl FnMut(&LockEntry)) {
+        self.table.for_each(|addr, ptr| {
+            let entry = Self::entry_ref(ptr);
+            if entry.is_live_for(addr) {
+                f(entry);
+            }
+        });
     }
 
     /// Builds a profiler report over every lock object (meaningful when the
     /// service runs in [`GlsMode::Profile`]).
     pub fn profile_report(&self) -> ProfileReport {
         let mut locks = Vec::new();
-        self.table.for_each(|_, ptr| {
-            let entry = Self::entry_ref(ptr);
+        self.for_each_live(|entry| {
             // Fold the per-thread stat shards (profile mode) and the base
             // stats (debug mode) into one profile per lock.
             let totals = entry.profile_totals();
             locks.push(LockProfile {
-                addr: entry.addr,
+                addr: entry.addr(),
                 algorithm: entry.lock.kind(),
                 acquisitions: totals.acquisitions,
                 avg_queue: totals.avg_queue(),
@@ -709,12 +796,11 @@ impl GlsService {
     /// populated when the GLK configuration enables transition recording).
     pub fn glk_transitions(&self) -> Vec<(usize, Vec<ModeTransition>)> {
         let mut out = Vec::new();
-        self.table.for_each(|addr, ptr| {
-            let entry = Self::entry_ref(ptr);
+        self.for_each_live(|entry| {
             if let Some(glk) = entry.lock.as_glk() {
                 let transitions = glk.transitions();
                 if !transitions.is_empty() {
-                    out.push((addr, transitions));
+                    out.push((entry.addr(), transitions));
                 }
             }
         });
@@ -737,13 +823,12 @@ impl GlsService {
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
         let mut locks = Vec::new();
         let mut glk_transitions = 0;
-        self.table.for_each(|_, ptr| {
-            let entry = Self::entry_ref(ptr);
+        self.for_each_live(|entry| {
             let totals = entry.profile_totals();
             let transitions = entry.lock.transition_count();
             glk_transitions += transitions;
             locks.push(LockTelemetry {
-                addr: entry.addr,
+                addr: entry.addr(),
                 algorithm: entry.lock.kind(),
                 acquisitions: totals.acquisitions,
                 avg_queue: totals.avg_queue(),
@@ -765,11 +850,12 @@ impl GlsService {
             .iter()
             .filter(|i| matches!(i, GlsError::Deadlock { .. }))
             .count() as u64;
+        let (live, tombstones) = self.census();
         TelemetrySnapshot {
             mode: self.config.mode,
             sampling_budget: self.config.sampling_budget,
-            lock_count: self.lock_count(),
-            retired_count: self.retired_count(),
+            lock_count: live,
+            retired_count: tombstones + self.reclaim.pooled.load(Ordering::Relaxed),
             locks,
             cache: cache::aggregated_cache_stats(),
             parking_lot: gls_locks::ParkingLot::global().stats(),
@@ -810,21 +896,26 @@ impl GlsService {
     // ------------------------------------------------------------------
 
     fn entry_ref<'a>(ptr: usize) -> &'a LockEntry {
-        // SAFETY: entry allocations are only reclaimed when the service is
-        // dropped — free() retires the entry and entry_for() resurrects it
-        // untouched for the same address; neither deallocates or rewrites —
-        // so any pointer obtained from the table or the cache stays valid
-        // for the service lifetime, which outlives every `&self` borrow
-        // handing it out.
+        // Entry memory is type-stable: an allocation is created by
+        // `spare_entry`, moves between the table and the pool — free()
+        // retires it in place, the sweep recycles it for another address,
+        // neither deallocates — and is freed only when the service drops.
+        // Whether it is still the entry *of the address it was looked up
+        // for* is checked separately: by epoch on a cache hit, by `addr()`
+        // after acquiring.
+        // SAFETY: by the above, any pointer obtained from the table, the
+        // pool or a thread cache is a valid `LockEntry` for the service
+        // lifetime, which outlives every `&self` borrow handing it out.
         unsafe { &*(ptr as *const LockEntry) }
     }
 
     /// Probes the calling thread's lock cache for `addr`. A candidate slot
-    /// is validated against the entry's **own** liveness epoch, read at hit
-    /// time: the token travels with the entry, so there is no window in
-    /// which a racing `free` can slip between a stale validity check and
-    /// the cached deref. The whole hit path is load → compare → deref →
-    /// load → compare — no atomic read-modify-write, no shared store.
+    /// is validated against the entry's **own** epoch word, read at hit
+    /// time: the token travels with the entry, so a free, a resurrection
+    /// or a reuse for another address all invalidate the slot. The whole
+    /// hit path is load → compare → deref → load → compare — no atomic
+    /// read-modify-write, no shared store. (A recycling that slips in
+    /// after the validation is caught by the check after the acquisition.)
     #[inline]
     fn cache_probe(&self, addr: usize) -> Option<&LockEntry> {
         if !self.config.lock_cache {
@@ -837,266 +928,300 @@ impl GlsService {
     }
 
     /// Caches `addr → entry`, stamping the epoch observed *after* the entry
-    /// was obtained from the table. If the entry was retired in the
-    /// meantime (odd epoch), nothing is cached: a slot must never hold a
+    /// was obtained from the table. Nothing is cached unless that epoch is
+    /// live and the entry still serves `addr`: a slot must never hold a
     /// mapping that was already stale when it was stored.
     #[inline]
-    fn cache_insert(&self, addr: usize, ptr: usize) {
+    fn cache_insert(&self, addr: usize, entry: &LockEntry) {
         if !self.config.lock_cache {
             return;
         }
-        let epoch = Self::entry_ref(ptr).epoch();
-        if LockEntry::epoch_is_live(epoch) {
-            cache::store(self.id, addr, ptr, epoch);
+        let epoch = entry.epoch();
+        if LockEntry::epoch_is_live(epoch) && entry.addr() == addr {
+            cache::store(self.id, addr, entry as *const LockEntry as usize, epoch);
         }
     }
 
-    /// Finds the entry for `addr` without creating it.
+    /// Finds the entry mapped for `addr` — live or a tombstone — without
+    /// creating or resurrecting it. This is what a release resolves
+    /// through: a `free` racing with a lock holder leaves the entry mapped
+    /// (and the sweep never unmaps a held one), so the holder's release
+    /// lands on the entry it acquired.
     #[inline]
-    fn find_entry(&self, addr: usize) -> Option<&LockEntry> {
+    fn mapped_entry(&self, addr: usize) -> Option<&LockEntry> {
         if let Some(entry) = self.cache_probe(addr) {
             return Some(entry);
         }
-        let ptr = self.table.get(addr)?;
-        self.cache_insert(addr, ptr);
-        Some(Self::entry_ref(ptr))
-    }
-
-    /// Finds the pending-free / retired entry for `addr`, if one is
-    /// published. Used by the release paths so a `free` racing with a lock
-    /// holder can never strand the holder: its release still lands on the
-    /// marked entry.
-    fn pending_entry(&self, addr: usize) -> Option<&LockEntry> {
-        self.retired
-            .lock()
-            .ok()
-            .and_then(|retired| retired.parked.get(&addr).map(|pending| pending.ptr))
-            .map(Self::entry_ref)
-    }
-
-    /// Resolves `addr` for a release: the live entry, or the one a racing
-    /// (or completed) `free` published as a pending-free marker. The
-    /// marker protocol makes this **deterministic and sleep-free**: a free
-    /// publishes the marker *before* unmapping the table entry, and a
-    /// resurrecting create clears the stale marker only *after*
-    /// re-publishing the entry — so at every instant a created-and-not
-    /// -freed-forever address is findable in the table or in the marker
-    /// map. A table miss followed by a marker miss can therefore only mean
-    /// "genuinely uninitialized" or "resurrected between the two probes";
-    /// the final table re-check distinguishes them, and each loop
-    /// iteration requires another full free+re-create cycle to have
-    /// interleaved — progress is bounded by the application's own churn,
-    /// never by the scheduler.
-    fn entry_for_release(&self, addr: usize) -> Option<&LockEntry> {
-        loop {
-            if let Some(entry) = self.find_entry(addr) {
-                return Some(entry);
-            }
-            if let Some(entry) = self.pending_entry(addr) {
-                return Some(entry);
-            }
-            // Genuinely uninitialized unless the entry was resurrected
-            // between the probes — then the table has it and the next
-            // iteration finds it.
-            self.table.get(addr)?;
+        let entry = Self::entry_ref(self.table.get(addr)?);
+        if entry.addr() != addr {
+            // Recycled between the table read and here: nothing the caller
+            // could hold is mapped for `addr`.
+            return None;
         }
+        self.cache_insert(addr, entry);
+        Some(entry)
     }
 
-    /// Finds or creates the entry for `addr` using algorithm `kind`.
+    /// Finds the live entry for `addr` without creating it.
+    #[inline]
+    fn find_entry(&self, addr: usize) -> Option<&LockEntry> {
+        self.mapped_entry(addr).filter(|e| e.is_live_for(addr))
+    }
+
+    /// Finds or creates the entry for `addr` using algorithm `kind`; a
+    /// tombstone of the address is resurrected as it is (the algorithm
+    /// chosen at first creation survives, as with `put_if_absent`
+    /// generally; debug mode flags kind mismatches).
     #[inline]
     fn entry_for(&self, addr: usize, kind: LockKind) -> &LockEntry {
         assert_ne!(addr, 0, "GLS does not accept NULL (address 0) as a lock");
         if let Some(entry) = self.cache_probe(addr) {
             return entry;
         }
-        let mut resurrected = false;
-        let ptr = self.table.put_if_absent(addr, || {
-            // Resurrect the retired entry for this address if one exists:
-            // the entry is reinserted *untouched* except for its liveness
-            // epoch (its allocation is never dropped or rewritten while the
-            // service lives, so even a racing user — or the deadlock
-            // detector's owner walk — holding a stale pointer only ever
-            // sees a valid entry for this address). This keeps lock/free
-            // churn at a bounded footprint: repeated cycles reuse the same
-            // allocation instead of leaking one per free. The marker is
-            // only *peeked*, not removed — it keeps covering releases that
-            // race this resurrection until the entry is back in the table;
-            // the stale marker is cleared after `put_if_absent` returns.
-            // Note the algorithm chosen at first creation is resurrected
-            // with it; as with `put_if_absent` generally, the first
-            // creation of an address wins and debug mode flags kind
-            // mismatches.
-            let recycled = self
-                .retired
-                .lock()
-                .ok()
-                .and_then(|retired| retired.parked.get(&addr).map(|pending| pending.ptr));
-            match recycled {
-                Some(ptr) => {
-                    // Back to even *before* the pointer is re-published, so
-                    // no thread can cache the entry mid-transition. The
-                    // factory runs at most once per key (under the table's
-                    // bucket lock), so resurrection cannot double-run.
-                    let entry = Self::entry_ref(ptr);
-                    entry.resurrect();
+        let mut wait = SpinWait::new();
+        loop {
+            let ptr = match self.table.get(addr) {
+                Some(ptr) => ptr,
+                None => self.create_entry(addr, kind),
+            };
+            let entry = Self::entry_ref(ptr);
+            match entry.make_live(addr) {
+                Liveness::Live => {}
+                Liveness::Resurrected => {
                     // A lock that retired in a blocking mode rejoins the
                     // live blocking population.
                     entry.lock.note_resurrected();
-                    resurrected = true;
-                    ptr
                 }
-                None => {
-                    let lock = AlgorithmLock::new(kind, &self.config.glk, &self.config.monitor);
-                    Box::into_raw(Box::new(LockEntry::new(addr, lock))) as usize
+                // The table read raced a recycling: look again.
+                Liveness::Recycled => continue,
+                // A sweep pass is deciding this tombstone's fate; either
+                // outcome (tombstone again, or unmapped) is a few
+                // instructions away on the sweeping thread.
+                Liveness::Claimed => {
+                    wait.spin();
+                    continue;
                 }
             }
-        });
-        if resurrected {
-            self.clear_stale_marker(addr, ptr);
+            self.cache_insert(addr, entry);
+            return entry;
         }
-        self.cache_insert(addr, ptr);
-        Self::entry_ref(ptr)
     }
 
-    /// After a resurrection re-published `ptr` in the table, clears the
-    /// now-stale pending-free marker — but only if it is *provably* stale:
-    /// same allocation, entry currently live, and the marker's epoch stamp
-    /// strictly older than the entry's (a fresh marker published by the
-    /// *next* free of this address carries the resurrected epoch or newer,
-    /// or finds the entry already retired again — both kept).
-    fn clear_stale_marker(&self, addr: usize, ptr: usize) {
-        if let Ok(mut retired) = self.retired.lock() {
-            let current = Self::entry_ref(ptr).epoch();
-            let stale = retired.parked.get(&addr).is_some_and(|pending| {
-                pending.ptr == ptr && LockEntry::epoch_is_live(current) && pending.epoch < current
-            });
-            if stale {
-                retired.parked.remove(&addr);
+    /// Maps a fresh or pooled entry of algorithm `kind` for `addr`, unless
+    /// another thread maps one first; returns whatever the table holds.
+    #[cold]
+    fn create_entry(&self, addr: usize, kind: LockKind) -> usize {
+        let (spare, pooled) = self.spare_entry(kind);
+        let mut used = false;
+        let ptr = self.table.put_if_absent(addr, || {
+            // Under the bucket lock, with `addr` unmapped: from here on
+            // the entry is reachable, so it is made live first.
+            let entry = Self::entry_ref(spare);
+            entry.revive(addr);
+            entry.lock.note_resurrected();
+            used = true;
+            spare
+        });
+        if used {
+            self.sweep_slice();
+        } else if pooled {
+            self.pool()[kind as usize].push(spare);
+            self.reclaim.pooled.fetch_add(1, Ordering::Relaxed);
+        } else {
+            // SAFETY: allocated by `spare_entry` just now with
+            // Box::into_raw and never published: nothing else can hold
+            // the pointer.
+            unsafe { drop(Box::from_raw(spare as *mut LockEntry)) };
+        }
+        ptr
+    }
+
+    /// An entry of algorithm `kind` nothing maps, and whether it came from
+    /// the pool (never one of another kind) or was freshly allocated.
+    fn spare_entry(&self, kind: LockKind) -> (usize, bool) {
+        if self.reclaim.pooled.load(Ordering::Relaxed) != 0 {
+            let mut pool = self.pool();
+            if let Some(ptr) = pool[kind as usize].pop() {
+                self.reclaim.pooled.fetch_sub(1, Ordering::Relaxed);
+                return (ptr, true);
             }
+        }
+        let lock = AlgorithmLock::new(kind, &self.config.glk, &self.config.monitor);
+        (
+            Box::into_raw(Box::new(LockEntry::new(lock))) as usize,
+            false,
+        )
+    }
+
+    /// The pool, whatever a thread that panicked while holding it left:
+    /// every push and pop leaves it valid.
+    fn pool(&self) -> MutexGuard<'_, Pool> {
+        self.reclaim
+            .pool
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The identity check after an acquisition: whether `entry`, whose
+    /// lock the caller now holds (`acquired`), is the entry of `addr`. It
+    /// is unless the sweep recycled it between the lookup and the
+    /// acquisition; then the hold is undone and the caller looks `addr` up
+    /// again. One load on the line the lock word already pulled in.
+    #[inline]
+    fn acquired_for(&self, entry: &LockEntry, addr: usize, acquired: bool, shared: bool) -> bool {
+        if entry.addr() == addr {
+            return true;
+        }
+        if acquired {
+            self.undo_acquire(entry, shared);
+        }
+        false
+    }
+
+    #[cold]
+    fn undo_acquire(&self, entry: &LockEntry, shared: bool) {
+        let debug = self.config.mode == GlsMode::Debug;
+        if shared {
+            if debug {
+                entry.remove_reader(ThreadId::current());
+            }
+            entry.lock.read_unlock();
+        } else {
+            if debug {
+                entry.clear_owner();
+            }
+            entry.take_acquired();
+            entry.lock.unlock();
         }
     }
 
     #[inline]
     fn lock_impl(&self, addr: usize, kind: LockKind) -> Result<(), GlsError> {
-        let entry = self.entry_for(addr, kind);
-        match self.config.mode {
-            GlsMode::Normal => {
-                entry.lock.lock();
-                Ok(())
-            }
-            GlsMode::Profile => {
-                // All statistics go to the calling thread's cache-padded
-                // shard: contended acquirers no longer serialize on a
-                // shared stat cacheline before even reaching the lock word.
-                let shards = entry.profile_shards();
-                let slot = shards.slot();
-                if sampler::should_sample(self.config.sampling_budget) {
-                    slot.record_queue_sample(entry.lock.queue_length());
-                    let start = cycles::now();
-                    entry.lock.lock();
-                    let acquired = cycles::now();
-                    let waited = acquired.wrapping_sub(start);
-                    slot.record_lock_latency(waited);
-                    shards.record_lock_latency_hist(waited);
-                    // Fresh stamp *after* the latency bookkeeping: the
-                    // critical-section measurement must not include the
-                    // recording work above, which is warm when every
-                    // acquisition is measured but cold (and several times
-                    // slower) at 1-in-N sampling — a systematic bias the
-                    // sampling-fidelity test catches.
-                    entry.stamp_acquired(cycles::now());
-                } else {
-                    // Unmeasured acquisition: no cycle reads, no queue
-                    // probe, no stamp (so the matching release also skips
-                    // its cycle read) — but the count stays exact.
-                    entry.lock.lock();
+        loop {
+            let entry = self.entry_for(addr, kind);
+            match self.config.mode {
+                GlsMode::Normal => entry.lock.lock(),
+                GlsMode::Profile => {
+                    // All statistics go to the calling thread's cache-padded
+                    // shard: contended acquirers no longer serialize on a
+                    // shared stat cacheline before even reaching the lock
+                    // word.
+                    let shards = entry.profile_shards();
+                    let slot = shards.slot();
+                    if sampler::should_sample(self.config.sampling_budget) {
+                        slot.record_queue_sample(entry.lock.queue_length());
+                        let start = cycles::now();
+                        entry.lock.lock();
+                        let acquired = cycles::now();
+                        let waited = acquired.wrapping_sub(start);
+                        slot.record_lock_latency(waited);
+                        shards.record_lock_latency_hist(waited);
+                        // Fresh stamp *after* the latency bookkeeping: the
+                        // critical-section measurement must not include the
+                        // recording work above, which is warm when every
+                        // acquisition is measured but cold (and several
+                        // times slower) at 1-in-N sampling — a systematic
+                        // bias the sampling-fidelity test catches.
+                        entry.stamp_acquired(cycles::now());
+                    } else {
+                        // Unmeasured acquisition: no cycle reads, no queue
+                        // probe, no stamp (so the matching release also
+                        // skips its cycle read) — but the count stays exact.
+                        entry.lock.lock();
+                    }
+                    slot.record_acquisition();
                 }
-                slot.record_acquisition();
-                Ok(())
+                GlsMode::Debug => self.debug_acquire(entry, addr, kind, false)?,
             }
-            GlsMode::Debug => self.debug_acquire(entry, addr, kind, false),
+            if self.acquired_for(entry, addr, true, false) {
+                return Ok(());
+            }
         }
     }
 
     fn read_lock_impl(&self, addr: usize) -> Result<(), GlsError> {
-        let entry = self.entry_for(addr, LockKind::Rw);
-        match self.config.mode {
-            GlsMode::Normal => {
-                entry.lock.read_lock();
-                Ok(())
-            }
-            GlsMode::Profile => {
-                let shards = entry.profile_shards();
-                let slot = shards.slot();
-                if sampler::should_sample(self.config.sampling_budget) {
-                    slot.record_queue_sample(entry.lock.queue_length());
-                    let start = cycles::now();
-                    entry.lock.read_lock();
-                    let acquired = cycles::now();
-                    let waited = acquired.wrapping_sub(start);
-                    slot.record_lock_latency(waited);
-                    shards.record_lock_latency_hist(waited);
-                    // No critical-section stamp: shared holders overlap, and
-                    // two readers may share a stat shard, so their sections
-                    // are not individually timed.
-                } else {
-                    entry.lock.read_lock();
+        loop {
+            let entry = self.entry_for(addr, LockKind::Rw);
+            match self.config.mode {
+                GlsMode::Normal => entry.lock.read_lock(),
+                GlsMode::Profile => {
+                    let shards = entry.profile_shards();
+                    let slot = shards.slot();
+                    if sampler::should_sample(self.config.sampling_budget) {
+                        slot.record_queue_sample(entry.lock.queue_length());
+                        let start = cycles::now();
+                        entry.lock.read_lock();
+                        let acquired = cycles::now();
+                        let waited = acquired.wrapping_sub(start);
+                        slot.record_lock_latency(waited);
+                        shards.record_lock_latency_hist(waited);
+                        // No critical-section stamp: shared holders overlap,
+                        // and two readers may share a stat shard, so their
+                        // sections are not individually timed.
+                    } else {
+                        entry.lock.read_lock();
+                    }
+                    slot.record_acquisition();
                 }
-                slot.record_acquisition();
-                Ok(())
+                GlsMode::Debug => self.debug_acquire(entry, addr, LockKind::Rw, true)?,
             }
-            GlsMode::Debug => self.debug_acquire(entry, addr, LockKind::Rw, true),
+            if self.acquired_for(entry, addr, true, true) {
+                return Ok(());
+            }
         }
     }
 
     fn try_read_lock_impl(&self, addr: usize) -> Result<bool, GlsError> {
-        let entry = self.entry_for(addr, LockKind::Rw);
-        match self.config.mode {
-            GlsMode::Normal => Ok(entry.lock.try_read_lock()),
-            GlsMode::Profile => {
-                let shards = entry.profile_shards();
-                let slot = shards.slot();
-                if sampler::should_sample(self.config.sampling_budget) {
-                    slot.record_queue_sample(entry.lock.queue_length());
-                    let start = cycles::now();
-                    let acquired = entry.lock.try_read_lock();
+        loop {
+            let entry = self.entry_for(addr, LockKind::Rw);
+            let acquired = match self.config.mode {
+                GlsMode::Normal => entry.lock.try_read_lock(),
+                GlsMode::Profile => {
+                    let shards = entry.profile_shards();
+                    let slot = shards.slot();
+                    let acquired = if sampler::should_sample(self.config.sampling_budget) {
+                        slot.record_queue_sample(entry.lock.queue_length());
+                        let start = cycles::now();
+                        let acquired = entry.lock.try_read_lock();
+                        if acquired {
+                            let waited = cycles::now().wrapping_sub(start);
+                            slot.record_lock_latency(waited);
+                            shards.record_lock_latency_hist(waited);
+                        }
+                        acquired
+                    } else {
+                        entry.lock.try_read_lock()
+                    };
                     if acquired {
-                        let now = cycles::now();
-                        let waited = now.wrapping_sub(start);
-                        slot.record_lock_latency(waited);
-                        shards.record_lock_latency_hist(waited);
                         slot.record_acquisition();
                     }
-                    Ok(acquired)
-                } else {
+                    acquired
+                }
+                GlsMode::Debug => {
+                    let me = ThreadId::current();
+                    if entry.owner() == Some(me) || entry.has_reader(me) {
+                        let issue = GlsError::DoubleLock { addr, thread: me };
+                        self.debug.record(issue.clone());
+                        return Err(issue);
+                    }
                     let acquired = entry.lock.try_read_lock();
                     if acquired {
-                        slot.record_acquisition();
+                        entry.add_reader(me);
+                        entry.stats.record_acquisition();
                     }
-                    Ok(acquired)
+                    acquired
                 }
-            }
-            GlsMode::Debug => {
-                let me = ThreadId::current();
-                if entry.owner() == Some(me) || entry.has_reader(me) {
-                    let issue = GlsError::DoubleLock { addr, thread: me };
-                    self.debug.record(issue.clone());
-                    return Err(issue);
-                }
-                let acquired = entry.lock.try_read_lock();
-                if acquired {
-                    entry.add_reader(me);
-                    entry.stats.record_acquisition();
-                }
-                Ok(acquired)
+            };
+            if self.acquired_for(entry, addr, acquired, true) {
+                return Ok(acquired);
             }
         }
     }
 
     fn read_unlock_impl(&self, addr: usize) -> Result<(), GlsError> {
-        // Same racing-free fallback as `unlock_impl`: a shared holder's
-        // release lands on the retired entry rather than stranding it.
-        let Some(entry) = self.entry_for_release(addr) else {
+        // As in `unlock_impl`: a shared holder caught by a racing free
+        // still finds its entry mapped.
+        let Some(entry) = self.mapped_entry(addr) else {
             let issue = GlsError::UninitializedLock { addr };
             if self.config.mode == GlsMode::Debug {
                 self.debug.record(issue.clone());
@@ -1278,65 +1403,70 @@ impl GlsService {
     /// the caller's cached entry). Returns every holder: the exclusive owner
     /// or, for rw entries, all shared readers.
     fn holders_of_uncached(&self, addr: usize) -> Vec<ThreadId> {
-        match self.table.get(addr) {
-            Some(ptr) => Self::entry_ref(ptr).holders(),
-            None => Vec::new(),
+        match self.table.get(addr).map(Self::entry_ref) {
+            // Tombstones included: a lock freed while held is still held.
+            Some(entry) if entry.addr() == addr => entry.holders(),
+            _ => Vec::new(),
         }
     }
 
     fn try_lock_impl(&self, addr: usize, kind: LockKind) -> Result<bool, GlsError> {
-        let entry = self.entry_for(addr, kind);
-        match self.config.mode {
-            GlsMode::Normal => Ok(entry.lock.try_lock()),
-            GlsMode::Profile => {
-                let shards = entry.profile_shards();
-                let slot = shards.slot();
-                if sampler::should_sample(self.config.sampling_budget) {
-                    slot.record_queue_sample(entry.lock.queue_length());
-                    let start = cycles::now();
-                    let acquired = entry.lock.try_lock();
+        loop {
+            let entry = self.entry_for(addr, kind);
+            let acquired = match self.config.mode {
+                GlsMode::Normal => entry.lock.try_lock(),
+                GlsMode::Profile => {
+                    let shards = entry.profile_shards();
+                    let slot = shards.slot();
+                    let acquired = if sampler::should_sample(self.config.sampling_budget) {
+                        slot.record_queue_sample(entry.lock.queue_length());
+                        let start = cycles::now();
+                        let acquired = entry.lock.try_lock();
+                        if acquired {
+                            let waited = cycles::now().wrapping_sub(start);
+                            slot.record_lock_latency(waited);
+                            shards.record_lock_latency_hist(waited);
+                            // Fresh stamp after the bookkeeping (see
+                            // lock_impl).
+                            entry.stamp_acquired(cycles::now());
+                        }
+                        acquired
+                    } else {
+                        entry.lock.try_lock()
+                    };
                     if acquired {
-                        let now = cycles::now();
-                        let waited = now.wrapping_sub(start);
-                        slot.record_lock_latency(waited);
-                        shards.record_lock_latency_hist(waited);
-                        // Fresh stamp after the bookkeeping (see lock_impl).
-                        entry.stamp_acquired(cycles::now());
                         slot.record_acquisition();
                     }
-                    Ok(acquired)
-                } else {
+                    acquired
+                }
+                GlsMode::Debug => {
+                    let me = ThreadId::current();
+                    if entry.owner() == Some(me) {
+                        let issue = GlsError::DoubleLock { addr, thread: me };
+                        self.debug.record(issue.clone());
+                        return Err(issue);
+                    }
                     let acquired = entry.lock.try_lock();
                     if acquired {
-                        slot.record_acquisition();
+                        entry.set_owner(me);
+                        entry.stats.record_acquisition();
                     }
-                    Ok(acquired)
+                    acquired
                 }
-            }
-            GlsMode::Debug => {
-                let me = ThreadId::current();
-                if entry.owner() == Some(me) {
-                    let issue = GlsError::DoubleLock { addr, thread: me };
-                    self.debug.record(issue.clone());
-                    return Err(issue);
-                }
-                let acquired = entry.lock.try_lock();
-                if acquired {
-                    entry.set_owner(me);
-                    entry.stats.record_acquisition();
-                }
-                Ok(acquired)
+            };
+            if self.acquired_for(entry, addr, acquired, false) {
+                return Ok(acquired);
             }
         }
     }
 
     #[inline]
     fn unlock_impl(&self, addr: usize, expected_kind: Option<LockKind>) -> Result<(), GlsError> {
-        // A `free` racing with a lock holder must never strand the holder:
-        // if the address is gone from the table but its entry is parked in
-        // the retired set, the release lands on the parked entry (debug
-        // mode still applies its ownership checks to it).
-        let Some(entry) = self.entry_for_release(addr) else {
+        // A `free` racing with a lock holder never strands the holder: the
+        // freed entry stays mapped as a tombstone (and the sweep leaves a
+        // held one alone), so the release lands on it (debug mode still
+        // applies its ownership checks).
+        let Some(entry) = self.mapped_entry(addr) else {
             let issue = GlsError::UninitializedLock { addr };
             if self.config.mode == GlsMode::Debug {
                 self.debug.record(issue.clone());
@@ -1391,24 +1521,37 @@ impl GlsService {
     }
 }
 
+/// Model-checker entry points: the explorer cannot free its way to the
+/// sweep threshold, so these run a pass on demand. Compiled only under
+/// `--cfg gls_model`.
+#[cfg(gls_model)]
+impl GlsService {
+    /// Runs one whole sweep pass now, as the creates of a service with
+    /// enough freed entries would between them. `prove_idle: false`
+    /// re-seeds the bug the idle proof exists for — a pass that unmaps and
+    /// recycles claimed tombstones without checking that nobody holds them
+    /// — so the model suite can prove the explorer finds it.
+    pub fn model_force_sweep(&self, prove_idle: bool) {
+        self.sweep(0, usize::MAX, prove_idle);
+    }
+}
+
 impl Drop for GlsService {
     fn drop(&mut self) {
-        // Reclaim every live entry and every retired entry. `&mut self`
-        // guarantees no concurrent access. A pending-free marker may name
-        // an entry that is *also* live in the table (the marker is
-        // published before the removal and cleared after a resurrection),
-        // so the pointer list must be deduplicated before freeing.
+        // Return every entry to the allocator: live ones and tombstones
+        // are mapped in the table, recycled ones sit in the pool, and no
+        // entry is in both. `&mut self` guarantees no concurrent access.
         let mut pointers = Vec::new();
         self.table.for_each(|_, ptr| pointers.push(ptr));
-        if let Ok(mut retired) = self.retired.lock() {
-            pointers.extend(retired.parked.drain().map(|(_, pending)| pending.ptr));
-            pointers.append(&mut retired.displaced);
-        }
-        pointers.sort_unstable();
-        pointers.dedup();
+        let pool = self
+            .reclaim
+            .pool
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        pointers.extend(pool.iter_mut().flat_map(|kind| kind.drain(..)));
         for ptr in pointers {
-            // SAFETY: entries were allocated with Box::into_raw and the
-            // dedup above guarantees each allocation is freed exactly once.
+            // SAFETY: entries were allocated with Box::into_raw, and each
+            // is reachable from exactly one place (see above).
             unsafe { drop(Box::from_raw(ptr as *mut LockEntry)) };
         }
     }
@@ -1802,8 +1945,10 @@ mod tests {
     #[test]
     fn repeated_lock_free_cycles_keep_retired_list_bounded() {
         let svc = GlsService::new();
-        // Churn over a 7-address working set: the retired list may hold at
-        // most one parked entry per address, never one per free.
+        // Churn over a 7-address working set: every free leaves its entry
+        // resident as a tombstone and every re-create resurrects that
+        // tombstone, so at most one freed entry per address is resident,
+        // never one per free.
         for round in 0..1_000usize {
             let addr = 0x9000 + (round % 7) * 8;
             svc.lock_addr(addr).unwrap();
@@ -1816,24 +1961,23 @@ mod tests {
             );
         }
         assert_eq!(svc.lock_count(), 0);
-        // Re-creating the working set drains the retired list entirely.
+        // Re-creating the working set resurrects every tombstone.
         for slot in 0..7usize {
             svc.lock_addr(0x9000 + slot * 8).unwrap();
             svc.unlock_addr(0x9000 + slot * 8).unwrap();
         }
-        assert_eq!(svc.retired_count(), 0, "all parked entries resurrected");
+        assert_eq!(svc.retired_count(), 0, "all freed entries resurrected");
         assert_eq!(svc.lock_count(), 7);
     }
 
     #[test]
     fn racing_free_never_strands_a_release() {
-        // Stress of the pending-free protocol: lockers hammer one address
-        // while a freer continuously free()s it. Every release must land —
-        // the marker is published before the table removal, so there is no
-        // window in which a holder's release can miss the entry — and the
-        // per-address allocation stays stable, so mutual exclusion holds
-        // across free/resurrect cycles (asserted by the non-atomic
-        // counter). No sleeps anywhere on the release path.
+        // Stress of the free path: lockers hammer one address while a freer
+        // continuously free()s it. Every release must land — a freed entry
+        // stays mapped, so there is no window in which a holder's release
+        // can miss it — and the address keeps one allocation, so mutual
+        // exclusion holds across free/resurrect cycles (asserted by the
+        // non-atomic counter). No sleeps anywhere on the release path.
         struct Shared(std::cell::UnsafeCell<u64>);
         // SAFETY: the cell is only touched while holding the lock under
         // test; that exclusion is exactly what the test verifies.
@@ -1841,15 +1985,23 @@ mod tests {
         let svc = Arc::new(GlsService::new());
         let shared = Arc::new(Shared(std::cell::UnsafeCell::new(0)));
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        // The lockers alone are done within a few scheduler ticks: halfway
+        // through they wait until the freer has got a free in.
+        let freed_once = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let freer = {
             let svc = Arc::clone(&svc);
             let stop = Arc::clone(&stop);
+            let freed_once = Arc::clone(&freed_once);
             std::thread::spawn(move || {
                 let mut frees = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     if svc.free_addr(0xF5EE) {
                         frees += 1;
+                        freed_once.store(true, Ordering::Relaxed);
                     }
+                    // Four threads spin here on what may be two contexts:
+                    // give the lockers the turn the ticket order needs.
+                    std::thread::yield_now();
                 }
                 frees
             })
@@ -1858,8 +2010,12 @@ mod tests {
             .map(|_| {
                 let svc = Arc::clone(&svc);
                 let shared = Arc::clone(&shared);
+                let freed_once = Arc::clone(&freed_once);
                 std::thread::spawn(move || {
-                    for _ in 0..20_000 {
+                    for i in 0..20_000 {
+                        while i == 10_000 && !freed_once.load(Ordering::Relaxed) {
+                            std::thread::yield_now();
+                        }
                         svc.lock_addr(0xF5EE).unwrap();
                         // SAFETY: written while holding the lock under test.
                         unsafe { *shared.0.get() += 1 };
@@ -1878,55 +2034,172 @@ mod tests {
         // SAFETY: all worker threads are joined; nothing races this read.
         assert_eq!(unsafe { *shared.0.get() }, 60_000);
         assert!(
-            svc.retired_count() <= 2,
-            "churn on one address keeps at most its one allocation parked \
+            svc.retired_count() <= 1,
+            "churn on one address keeps at most its one allocation resident \
              (found {})",
             svc.retired_count()
         );
     }
 
+    /// Two whole sweep passes: every untouched idle tombstone is reclaimed.
+    fn sweep_twice(svc: &GlsService) {
+        for _ in 0..2 {
+            svc.sweep(0, usize::MAX, true);
+        }
+    }
+
     #[test]
-    fn pending_free_marker_covers_the_unmap_window() {
-        // White-box: after free() returns, the entry must be reachable via
-        // the marker map even though the table no longer has it, and a
-        // re-create must clear the stale marker only after re-publishing.
+    fn freed_entry_stays_mapped_until_swept() {
+        // White-box: after free() returns, the address reads as gone but
+        // its entry is still mapped, so a release reaches it; a re-create
+        // resurrects that allocation; the sweep is what unmaps it.
         let svc = GlsService::new();
         svc.lock_addr(0xAB1E).unwrap();
         svc.unlock_addr(0xAB1E).unwrap();
         let live = svc.find_entry(0xAB1E).unwrap() as *const LockEntry;
         assert!(svc.free_addr(0xAB1E));
-        assert!(svc.find_entry(0xAB1E).is_none(), "unmapped from the table");
-        let pending = svc.pending_entry(0xAB1E).expect("marker present") as *const LockEntry;
-        assert_eq!(live, pending, "the marker names the same allocation");
-        // A release through the marker still works (normal mode).
+        assert!(svc.find_entry(0xAB1E).is_none(), "reads as freed");
+        assert_eq!((svc.lock_count(), svc.retired_count()), (0, 1));
+        let tombstone = svc.mapped_entry(0xAB1E).expect("still mapped") as *const LockEntry;
+        assert_eq!(live, tombstone, "the tombstone is the same allocation");
         svc.lock_addr(0xAB1E).unwrap(); // resurrects
-        assert_eq!(
-            svc.pending_entry(0xAB1E).map(|e| e as *const LockEntry),
-            None,
-            "resurrection cleared the stale marker"
-        );
         assert_eq!(
             svc.find_entry(0xAB1E).map(|e| e as *const LockEntry),
             Some(live),
             "resurrection reuses the allocation"
         );
+        assert_eq!((svc.lock_count(), svc.retired_count()), (1, 0));
+        // Freed while held: the release still lands, and the sweep leaves
+        // the held tombstone alone however often it passes.
+        assert!(svc.free_addr(0xAB1E));
+        sweep_twice(&svc);
+        sweep_twice(&svc);
+        assert_eq!(
+            svc.mapped_entry(0xAB1E).map(|e| e as *const LockEntry),
+            Some(live)
+        );
         svc.unlock_addr(0xAB1E).unwrap();
+        // Idle now: two passes unmap it and pool the allocation.
+        sweep_twice(&svc);
+        assert!(svc.mapped_entry(0xAB1E).is_none());
+        assert_eq!((svc.lock_count(), svc.retired_count()), (0, 1));
+        assert_eq!(
+            svc.unlock_addr(0xAB1E).unwrap_err().category(),
+            "uninitialized-lock"
+        );
+        // The next create of that kind takes it from the pool.
+        svc.lock_addr(0xCAFE).unwrap();
+        svc.unlock_addr(0xCAFE).unwrap();
+        assert_eq!(
+            svc.find_entry(0xCAFE).map(|e| e as *const LockEntry),
+            Some(live)
+        );
+        assert_eq!(svc.retired_count(), 0);
     }
 
     #[test]
     fn freed_address_resurrects_with_its_original_algorithm() {
-        // Resurrection reinserts the parked entry untouched, so the
-        // algorithm chosen at first creation survives a free/re-create
+        // Until the sweep reclaims it, a freed address keeps its entry, so
+        // the algorithm chosen at first creation survives a free/re-create
         // cycle (first creation wins, as with put_if_absent generally).
         let svc = GlsService::new();
         svc.lock_with(LockKind::Mcs, 0xA000).unwrap();
         svc.unlock_with(LockKind::Mcs, 0xA000).unwrap();
         assert!(svc.free_addr(0xA000));
         assert_eq!(svc.retired_count(), 1);
+        assert_eq!(
+            svc.algorithm_of(0xA000),
+            None,
+            "freed addresses read as gone"
+        );
         svc.lock_addr(0xA000).unwrap();
         svc.unlock_addr(0xA000).unwrap();
         assert_eq!(svc.algorithm_of(0xA000), Some(LockKind::Mcs));
-        assert_eq!(svc.retired_count(), 0, "parked entry was resurrected");
+        assert_eq!(svc.retired_count(), 0, "the tombstone was resurrected");
+        // Once swept, the address is created afresh with the kind asked
+        // for, and never from a pooled entry of another kind.
+        assert!(svc.free_addr(0xA000));
+        sweep_twice(&svc);
+        assert_eq!(svc.retired_count(), 1, "the MCS entry is pooled");
+        svc.lock_addr(0xA000).unwrap();
+        svc.unlock_addr(0xA000).unwrap();
+        assert_eq!(svc.algorithm_of(0xA000), Some(LockKind::Glk));
+        svc.lock_with(LockKind::Ticket, 0xA008).unwrap();
+        svc.unlock_with(LockKind::Ticket, 0xA008).unwrap();
+        assert_eq!(svc.algorithm_of(0xA008), Some(LockKind::Ticket));
+        assert_eq!(svc.retired_count(), 1, "the pooled MCS entry was not taken");
+        svc.lock_with(LockKind::Mcs, 0xA010).unwrap();
+        svc.unlock_with(LockKind::Mcs, 0xA010).unwrap();
+        assert_eq!(svc.retired_count(), 0, "an MCS create takes it");
+    }
+
+    #[test]
+    fn recycled_entry_starts_with_clean_telemetry() {
+        let svc = GlsService::with_config(GlsConfig::profile());
+        for _ in 0..10 {
+            svc.lock_addr(0xB000).unwrap();
+            gls_runtime::spin_cycles(200);
+            svc.unlock_addr(0xB000).unwrap();
+        }
+        let old = svc.find_entry(0xB000).unwrap() as *const LockEntry;
+        assert!(svc.free_addr(0xB000));
+        // A freed address is absent from every report.
+        assert!(svc.telemetry_snapshot().locks.is_empty());
+        assert!(svc.profile_report().locks.is_empty());
+        assert!(svc.glk_transitions().is_empty());
+        assert_eq!(svc.table_stats().elements, 0);
+        sweep_twice(&svc);
+        svc.lock_addr(0xB100).unwrap();
+        assert_eq!(
+            svc.find_entry(0xB100).map(|e| e as *const LockEntry),
+            Some(old),
+            "the new address got the recycled entry"
+        );
+        let snapshot = svc.telemetry_snapshot();
+        let [lock] = snapshot.locks.as_slice() else {
+            panic!("one live lock, got {:?}", snapshot.locks);
+        };
+        assert_eq!((lock.addr, lock.acquisitions), (0xB100, 1));
+        assert_eq!(lock.avg_cs_latency, 0.0, "no section of 0xB000 leaks in");
+        assert_eq!(lock.cs_latency.count, 0);
+        assert_eq!(lock.transitions, 0);
+        svc.unlock_addr(0xB100).unwrap();
+    }
+
+    #[test]
+    fn free_of_a_held_lock_keeps_excluding() {
+        // free() while another thread holds the lock: the holder's unlock
+        // is Ok, a concurrent lock() of the same address waits for it, and
+        // the sweep never recycles the entry from under the holder.
+        let svc = Arc::new(GlsService::new());
+        let addr = 0xD00D;
+        // Relaxed is enough: the lock under test orders the accesses, and
+        // that is the claim.
+        let in_section = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        svc.lock_addr(addr).unwrap();
+        in_section.store(true, Ordering::Relaxed);
+        assert!(svc.free_addr(addr));
+        let contender = {
+            let (svc, in_section) = (Arc::clone(&svc), Arc::clone(&in_section));
+            std::thread::spawn(move || {
+                svc.lock_addr(addr).unwrap();
+                let overlapped = in_section.load(Ordering::Relaxed);
+                svc.unlock_addr(addr).unwrap();
+                overlapped
+            })
+        };
+        // Let the contender resurrect the entry and queue behind us, then
+        // free again and sweep while it waits.
+        while svc.lock_count() == 0 {
+            std::thread::yield_now();
+        }
+        assert!(svc.free_addr(addr));
+        sweep_twice(&svc);
+        sweep_twice(&svc);
+        assert!(svc.mapped_entry(addr).is_some(), "held: never recycled");
+        in_section.store(false, Ordering::Relaxed);
+        svc.unlock_addr(addr).expect("the holder's release lands");
+        assert!(!contender.join().unwrap(), "the contender overlapped us");
     }
 
     #[test]

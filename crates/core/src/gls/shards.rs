@@ -75,6 +75,20 @@ impl ShardSlot {
         self.cs_latency_total.fetch_add(cycles, Ordering::Relaxed);
         self.cs_latency_samples.fetch_add(1, Ordering::Relaxed);
     }
+
+    fn reset(&self) {
+        for counter in [
+            &self.acquisitions,
+            &self.queue_total,
+            &self.queue_samples,
+            &self.lock_latency_total,
+            &self.lock_latency_samples,
+            &self.cs_latency_total,
+            &self.cs_latency_samples,
+        ] {
+            counter.store(0, Ordering::Relaxed);
+        }
+    }
 }
 
 /// One histogram shard: the latency distributions of an entry, recorded on
@@ -140,6 +154,19 @@ impl ProfileShards {
             shard.cs_latency.fold_into(&mut merged);
         }
         merged
+    }
+
+    /// Zeroes every counter and distribution in place (the entry is being
+    /// recycled for another address; the allocation is kept because stale
+    /// pointers to the entry may still reach it).
+    pub(crate) fn reset(&self) {
+        for slot in &self.slots {
+            slot.reset();
+        }
+        for shard in &self.hists {
+            shard.lock_latency.reset();
+            shard.cs_latency.reset();
+        }
     }
 
     /// Folds every shard into plain totals. Concurrent updates may or may

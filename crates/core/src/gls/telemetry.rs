@@ -142,7 +142,8 @@ pub struct TelemetrySnapshot {
     pub sampling_budget: Option<u64>,
     /// Live lock objects in the service's table.
     pub lock_count: usize,
-    /// Freed-but-parked (resurrectable) lock objects.
+    /// Freed lock objects still resident: tombstones (resurrectable) plus
+    /// the pool of swept entries awaiting reuse.
     pub retired_count: usize,
     /// Per-lock telemetry, most contended first (service-scoped).
     pub locks: Vec<LockTelemetry>,

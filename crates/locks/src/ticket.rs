@@ -45,12 +45,23 @@ impl TicketLock {
         Self::default()
     }
 
-    /// Returns `(ticket, owner)`; used by tests and by GLK's statistics.
+    /// Returns `(ticket, owner)` as they stood at one instant; used by
+    /// tests and by GLK's statistics. `owner` is read before and after
+    /// `ticket` and the pair is kept only if it did not move: a release
+    /// between two plain loads made `ticket - owner` wrap to 2³² − 1 (ticket
+    /// first) or count every ticket drawn while the sampler was descheduled
+    /// (owner first).
     pub fn counters(&self) -> (u32, u32) {
-        (
-            self.state.ticket.load(Ordering::Relaxed),
-            self.state.owner.load(Ordering::Relaxed),
-        )
+        // Acquire: keeps the three loads in program order.
+        let mut owner = self.state.owner.load(Ordering::Acquire);
+        loop {
+            let ticket = self.state.ticket.load(Ordering::Acquire);
+            let again = self.state.owner.load(Ordering::Acquire);
+            if again == owner {
+                return (ticket, owner);
+            }
+            owner = again;
+        }
     }
 }
 
@@ -161,6 +172,33 @@ mod tests {
     #[test]
     fn provides_mutual_exclusion() {
         crate::test_support::check_mutual_exclusion::<TicketLock>(8, 20_000);
+    }
+
+    #[test]
+    fn queue_length_never_exceeds_the_thread_count() {
+        // A sampler racing two lockers: a release between the sampler's
+        // two counter loads must not make `ticket - owner` wrap.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        const LOCKERS: u64 = 2;
+        let lock = Arc::new(TicketLock::new());
+        let stop = Arc::new(AtomicBool::new(false));
+        let lockers: Vec<_> = (0..LOCKERS)
+            .map(|_| {
+                let (lock, stop) = (Arc::clone(&lock), Arc::clone(&stop));
+                std::thread::spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        lock.lock();
+                        lock.unlock();
+                    }
+                })
+            })
+            .collect();
+        let worst = (0..2_000_000).map(|_| lock.queue_length()).max();
+        stop.store(true, Ordering::Relaxed);
+        for h in lockers {
+            h.join().unwrap();
+        }
+        assert!(worst <= Some(LOCKERS), "sampled a queue of {worst:?}");
     }
 
     #[test]

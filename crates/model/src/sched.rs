@@ -691,16 +691,25 @@ pub(crate) enum StepStatus {
 
 /// The universal scheduling point: called before every instrumented
 /// shared-memory operation.
+///
+/// Not while the thread unwinds, though: destructors run then (a service
+/// dropping walks its table), and an aborted execution answers a yield
+/// with the [`ModelAborted`] panic — a second panic, which aborts the
+/// process. An unwinding thread just runs its cleanup to the end.
 #[inline]
 pub fn yield_point() {
-    with_current(|s, tid| s.yield_here(tid));
+    if !std::thread::panicking() {
+        with_current(|s, tid| s.yield_here(tid));
+    }
 }
 
 /// Spin-hint scheduling point: yields like [`yield_point`] but draws on
 /// the spin budget, parking the thread once the budget is spent.
 #[inline]
 pub(crate) fn spin_hint() {
-    with_current(|s, tid| s.spin_hint(tid));
+    if !std::thread::panicking() {
+        with_current(|s, tid| s.spin_hint(tid));
+    }
 }
 
 pub(crate) fn block_on_lock(addr: usize) {

@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, Ordering as StdOrdering};
 use std::sync::Arc;
 
 use gls::glk::{AutoBlockingMutex, BlockingDensity};
-use gls::{GlsCondvar, GlsService, LockKind};
+use gls::{GlsCondvar, GlsConfig, GlsService, LockKind};
 use gls_locks::cohort::COHORT_BYPASS_LIMIT;
 use gls_locks::park::DEFAULT_PARK_TOKEN;
 use gls_locks::{
@@ -271,61 +271,166 @@ fn auto_backend_migration_loses_no_waiter() {
     );
 }
 
-/// Property 4 — the pending-free protocol never resurrects a stale entry
-/// and never strands a racing user. One thread locks/unlocks an address
-/// through the service while another frees it; the root then re-creates
-/// the address. Every interleaving must keep all operations well-defined
-/// (the racing locker either beats the free or re-creates the entry) and
-/// leave the service able to serve the address again.
-#[test]
-fn pending_free_never_resurrects_stale_entries() {
-    static SAW_MARKER_RELEASE: AtomicBool = AtomicBool::new(false);
-    Explorer::exhaustive().check("pending-free", || {
-        let service = Arc::new(GlsService::new());
-        let slot = Arc::new(0u8);
+/// What the freeing thread of [`entry_lifecycle`] does while the locker
+/// runs; the rest of free → sweep (age) → sweep (claim) happens before or
+/// after the race, on the root thread.
+#[derive(Clone, Copy, PartialEq)]
+enum Racing {
+    /// `free` and both sweeps.
+    FreeAndSweeps,
+    /// Only `free`.
+    Free,
+    /// Only the claiming sweep, of an address freed and aged beforehand.
+    Claim,
+}
+
+/// The entry-lifecycle scenario: everything that can happen to one
+/// address at once. A locker acquires (creating, resurrecting or waiting
+/// out a sweep, depending on where the freer stands), bumps a counter and
+/// releases; a freer frees the address and sweeps twice (age, then claim,
+/// prove idle, unmap, recycle — or, with `prove_idle` off, the seeded bug:
+/// recycle without looking). Every call must return `Ok`, the counter must
+/// see no race, and whatever entry ends up serving the address — or,
+/// recycled, the next address — must be left unlocked: a release that
+/// landed on another entry than the one acquired leaves that one held
+/// forever.
+fn entry_lifecycle(racing: Racing, prove_idle: bool) -> impl Fn() + Send + Sync + 'static {
+    move || {
+        // The smallest table: the sweeps walk all of it, and every slot
+        // they read is a scheduling point.
+        let service = Arc::new(GlsService::with_config(GlsConfig {
+            initial_capacity: 1,
+            ..GlsConfig::default()
+        }));
+        let sweep = move |service: &GlsService| service.model_force_sweep(prove_idle);
+        let counter = Arc::new(RacyCounter::new());
+        // Whether the locker is inside its critical section. A plain std
+        // atomic: bookkeeping for the coverage assertion, invisible to the
+        // explorer.
+        let holding = Arc::new(AtomicBool::new(false));
+        let slot = Arc::new([0u8; 2]);
         let addr = Arc::as_ptr(&slot) as usize;
         // Materialize the entry with an explicitly blocking algorithm:
-        // spin algorithms are not ported to the model facade.
+        // GLS service models pin entries to one protocol.
         service
             .lock_with(LockKind::Futex, addr)
             .expect("create entry");
         service.unlock_addr(addr).expect("release fresh entry");
+        if racing == Racing::Claim {
+            assert!(service.free_addr(addr));
+            sweep(&service);
+        }
         let locker = {
             let service = Arc::clone(&service);
+            let counter = Arc::clone(&counter);
+            let holding = Arc::clone(&holding);
             thread::spawn(move || {
                 service
                     .lock_with(LockKind::Futex, addr)
                     .expect("racing lock");
-                if service.lock_count() == 0 {
-                    // The free claimed the address while we hold its lock:
-                    // the unlock below must resolve through the pending-
-                    // free marker, not the table.
-                    SAW_MARKER_RELEASE.store(true, StdOrdering::Relaxed);
-                }
+                holding.store(true, StdOrdering::Relaxed);
+                counter.bump();
+                holding.store(false, StdOrdering::Relaxed);
                 service.unlock_addr(addr).expect("racing unlock");
             })
         };
         let freer = {
             let service = Arc::clone(&service);
             thread::spawn(move || {
-                // May observe the entry live or already gone; both are
-                // fine — what must never happen is a deadlock or a
-                // use-after-retire panic in the locker.
-                let _ = service.free_addr(addr);
+                // Finds the entry live (or resurrected by the locker);
+                // either way the sweeps must not take it from under the
+                // locker, whose unlock must still reach it.
+                if racing != Racing::Claim
+                    && service.free_addr(addr)
+                    && holding.load(StdOrdering::Relaxed)
+                {
+                    SAW_RELEASE_AFTER_FREE.store(true, StdOrdering::Relaxed);
+                }
+                if racing != Racing::Free {
+                    sweep(&service);
+                }
+                if racing == Racing::FreeAndSweeps {
+                    sweep(&service);
+                }
             })
         };
         locker.join().expect("locker panicked");
         freer.join().expect("freer panicked");
-        service
-            .lock_with(LockKind::Futex, addr)
-            .expect("address must be creatable after a free");
-        service.unlock_addr(addr).expect("release re-created entry");
+        if service.lock_count() == 0 && service.retired_count() == 1 {
+            SAW_RECYCLE.store(true, StdOrdering::Relaxed);
+        }
+        if racing == Racing::Free {
+            sweep(&service);
+            sweep(&service);
+        }
+        // Re-create (or keep using) the address, then the next one, which
+        // takes the recycled entry if the sweeps got that far.
+        for addr in [addr, addr + 1] {
+            assert_eq!(
+                service.try_lock_with(LockKind::Futex, addr),
+                Ok(true),
+                "a release landed on another entry than the one acquired"
+            );
+            counter.bump();
+            service.unlock_addr(addr).expect("final unlock");
+        }
+        assert_eq!(counter.get(), 3, "an increment was lost");
         drop(slot);
-    });
+    }
+}
+
+static SAW_RELEASE_AFTER_FREE: AtomicBool = AtomicBool::new(false);
+static SAW_RECYCLE: AtomicBool = AtomicBool::new(false);
+
+/// Property 4 — the entry lifecycle (free in place, resurrect, sweep,
+/// recycle) never strands a release and never lets two threads hold one
+/// address, on any interleaving of free, lock, unlock, re-create and
+/// sweep. The whole sequence racing the locker is explored with one
+/// preemption — a locker stalled anywhere while the entry is freed, aged,
+/// claimed and recycled under it, and every other way of pausing one side
+/// once — and each half of it (the free; the claiming sweep) with two,
+/// which is what fits the runtime budget.
+#[test]
+fn entry_lifecycle_keeps_exclusion_across_free_and_sweep() {
+    Explorer::exhaustive().preemption_bound(1).check(
+        "entry-lifecycle",
+        entry_lifecycle(Racing::FreeAndSweeps, true),
+    );
+    Explorer::exhaustive().check("entry-lifecycle-free", entry_lifecycle(Racing::Free, true));
+    Explorer::exhaustive().check(
+        "entry-lifecycle-claim",
+        entry_lifecycle(Racing::Claim, true),
+    );
     assert!(
-        SAW_MARKER_RELEASE.load(StdOrdering::Relaxed),
-        "no execution released through the pending-free marker — the \
-         scenario no longer exercises the unmap window"
+        SAW_RELEASE_AFTER_FREE.load(StdOrdering::Relaxed),
+        "no execution released a lock that was freed while held — the \
+         scenario no longer exercises the racing free"
+    );
+    assert!(
+        SAW_RECYCLE.load(StdOrdering::Relaxed),
+        "no execution swept the freed entry into the pool — the scenario \
+         no longer exercises reclamation"
+    );
+}
+
+/// Seeded bug — a sweeper that skips the idle proof recycles an entry
+/// somebody still holds: the holder's release then finds nothing mapped
+/// (or another entry), or the holder and a re-creating thread are both
+/// inside the critical section. The explorer must find it.
+#[test]
+fn rediscovers_the_sweep_without_idle_proof_bug() {
+    let failure = Explorer::exhaustive()
+        .find_failure(
+            "entry-lifecycle-no-idle-proof",
+            entry_lifecycle(Racing::FreeAndSweeps, false),
+        )
+        .expect("the explorer must catch a sweep that recycles a held entry");
+    assert!(
+        matches!(
+            failure.kind,
+            FailureKind::Race | FailureKind::Panic | FailureKind::Deadlock
+        ),
+        "expected lost mutual exclusion or a misdirected release, got: {failure}"
     );
 }
 

@@ -218,6 +218,21 @@ impl AtomicLatencyHistogram {
         self.count() == 0
     }
 
+    /// Clears all samples in place. A recorder racing the reset may leave
+    /// a partial sample behind (same tolerance as racing readers).
+    pub fn reset(&self) {
+        if self.is_empty() {
+            return;
+        }
+        for bucket in &self.buckets {
+            bucket.store(0, Ordering::Relaxed);
+        }
+        self.count.store(0, Ordering::Relaxed);
+        self.sum.store(0, Ordering::Relaxed);
+        self.min.store(u64::MAX, Ordering::Relaxed);
+        self.max.store(0, Ordering::Relaxed);
+    }
+
     /// Merges this histogram's current contents into `target`.
     pub fn fold_into(&self, target: &mut LatencyHistogram) {
         let count = self.count.load(Ordering::Relaxed);

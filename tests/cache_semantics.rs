@@ -107,7 +107,7 @@ fn free_and_recreate_elsewhere_invalidates_stale_mapping() {
     })
     .join()
     .unwrap();
-    assert_eq!(svc.retired_count(), 0, "the parked entry was resurrected");
+    assert_eq!(svc.retired_count(), 0, "the freed entry was resurrected");
     reset_thread_cache_stats();
     svc.lock_addr(addr).unwrap();
     svc.unlock_addr(addr).unwrap();
@@ -180,8 +180,8 @@ fn churn_on_other_addresses_never_disturbs_a_hot_mapping() {
 }
 
 /// A `free` racing with a lock holder must not strand the holder: its
-/// release lands on the retired (parked) entry instead of erroring, and the
-/// address remains usable afterwards.
+/// release lands on the freed entry (still mapped) instead of erroring, and
+/// the address remains usable afterwards.
 #[test]
 fn racing_free_cannot_strand_a_holder() {
     let svc = Arc::new(GlsService::new());
@@ -192,13 +192,15 @@ fn racing_free_cannot_strand_a_holder() {
     std::thread::spawn(move || assert!(svc2.free_addr(addr)))
         .join()
         .unwrap();
-    // Pre-PR this returned UninitializedLock and left the entry locked
-    // forever; now the release reaches the parked entry.
+    assert_eq!((svc.lock_count(), svc.retired_count()), (0, 1));
+    assert_eq!(svc.algorithm_of(addr), None, "freed: reads as gone");
+    // Originally this returned UninitializedLock and left the entry locked
+    // forever; the release has to reach the freed entry.
     svc.unlock_addr(addr).unwrap();
     // The resurrected entry is actually unlocked: a fresh create can take it.
     svc.lock_addr(addr).unwrap();
     svc.unlock_addr(addr).unwrap();
-    assert_eq!(svc.retired_count(), 0);
+    assert_eq!((svc.lock_count(), svc.retired_count()), (1, 0));
 }
 
 /// Disabling the lock cache sends every operation through the table and
@@ -392,9 +394,9 @@ mod churn_proptest {
             }
             let total: u64 = counters.iter().map(|c| c.load(Ordering::Relaxed)).sum();
             prop_assert_eq!(total, expected, "lost update ⇒ exclusion was bypassed");
-            // Churn never leaks more than its working set (plus the rare
-            // displaced duplicate from a create racing a free).
-            prop_assert!(svc.retired_count() <= CHURN_ADDRS.len() + 3);
+            // Churn never keeps more freed entries resident than its
+            // working set: every address has exactly one allocation.
+            prop_assert!(svc.retired_count() <= CHURN_ADDRS.len());
             // Every address still works after the churn settles.
             for &addr in CHURN_ADDRS.iter().chain(SHARED_ADDRS.iter()) {
                 svc.lock_addr(addr).unwrap();

@@ -39,7 +39,9 @@ fn four_thousand_contended_locks_grow_the_table() {
                 .expect("spawning a parker")
         })
         .collect();
-    while parked.load(Ordering::Relaxed) < LOCKS {
+    // `parked` counts validations, which run just before a waiter is
+    // queued and counted by the lot: wait for the lot's own count too.
+    while parked.load(Ordering::Relaxed) < LOCKS || lot.total_parked() < LOCKS {
         std::thread::yield_now();
     }
     assert_eq!(lot.total_parked(), LOCKS);

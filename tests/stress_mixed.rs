@@ -140,3 +140,44 @@ fn guards_can_be_held_across_nested_addresses() {
     }
     assert_eq!(svc.lock_count(), 2);
 }
+
+/// Locking objects as they come and go: 2 M never-repeated addresses
+/// through `lock`/`unlock`/`free` from 2 threads. `free` has to give
+/// entries back, or resident entries track the addresses ever locked.
+#[test]
+fn distinct_address_churn_keeps_resident_entries_bounded() {
+    const PER_THREAD: usize = 1_000_000;
+    // The service sweeps once 4 096 entries have been mapped since the last
+    // pass: tombstones of two such periods, the pool of one, and slack for
+    // the entries freed while a pass runs.
+    const BOUND: usize = 4 * 4_096;
+    let svc = Arc::new(GlsService::new());
+    let handles: Vec<_> = (0..2usize)
+        .map(|t| {
+            let svc = Arc::clone(&svc);
+            std::thread::spawn(move || {
+                let mut worst = 0;
+                for i in 0..PER_THREAD {
+                    let addr = ((t * PER_THREAD + i) << 6) + 64;
+                    svc.lock_addr(addr).unwrap();
+                    svc.unlock_addr(addr).unwrap();
+                    assert!(svc.free_addr(addr));
+                    if i % 16_384 == 0 {
+                        worst = worst.max(svc.lock_count() + svc.retired_count());
+                    }
+                }
+                worst
+            })
+        })
+        .collect();
+    for h in handles {
+        let worst = h.join().unwrap();
+        assert!(worst <= BOUND, "{worst} entries resident mid-churn");
+    }
+    assert_eq!(svc.lock_count(), 0);
+    assert!(svc.retired_count() <= BOUND);
+    // Sized by the resident entries, not by the 2 M addresses (which would
+    // take a million buckets).
+    let buckets = svc.table_stats().buckets;
+    assert!(buckets <= 4 * BOUND, "the table grew to {buckets} buckets");
+}
