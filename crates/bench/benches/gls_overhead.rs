@@ -32,7 +32,7 @@ fn gls_overhead(c: &mut Criterion) {
         // Warm up: create every lock object.
         for &a in &addrs {
             service.lock_with(LockKind::Ticket, a).unwrap();
-            service.unlock_addr(a).unwrap();
+            service.unlock(a).unwrap();
         }
         let mut next = 0usize;
         group.bench_with_input(
@@ -43,7 +43,7 @@ fn gls_overhead(c: &mut Criterion) {
                     let addr = addrs[next % addrs.len()];
                     next = next.wrapping_add(1);
                     service.lock_with(LockKind::Ticket, addr).unwrap();
-                    service.unlock_addr(addr).unwrap();
+                    service.unlock(addr).unwrap();
                 })
             },
         );
@@ -53,12 +53,12 @@ fn gls_overhead(c: &mut Criterion) {
     // cached fast path.
     let service = GlsService::new();
     let addr = 0xCAFE_BABE_usize;
-    service.lock_addr(addr).unwrap();
-    service.unlock_addr(addr).unwrap();
+    service.lock(addr).unwrap();
+    service.unlock(addr).unwrap();
     group.bench_function("GLS GLK, cached address", |b| {
         b.iter(|| {
-            service.lock_addr(addr).unwrap();
-            service.unlock_addr(addr).unwrap();
+            service.lock(addr).unwrap();
+            service.unlock(addr).unwrap();
         })
     });
 

@@ -157,8 +157,8 @@ fn run_private_point_once(flavor: Flavor, threads: usize, locks_per_thread: usiz
                 // Warm the table and the cache out of the measurement.
                 if let Some(svc) = &service {
                     for &a in &addrs {
-                        svc.lock_addr(a).unwrap();
-                        svc.unlock_addr(a).unwrap();
+                        svc.lock(a).unwrap();
+                        svc.unlock(a).unwrap();
                     }
                 }
                 reset_thread_cache_stats();
@@ -179,8 +179,8 @@ fn run_private_point_once(flavor: Flavor, threads: usize, locks_per_thread: usiz
                     }
                     Some(svc) => {
                         while !stop.load(Ordering::Relaxed) {
-                            svc.lock_addr(addrs[i]).unwrap();
-                            svc.unlock_addr(addrs[i]).unwrap();
+                            svc.lock(addrs[i]).unwrap();
+                            svc.unlock(addrs[i]).unwrap();
                             i += 1;
                             if i == locks_per_thread {
                                 i = 0;
@@ -273,9 +273,9 @@ fn run_shared_point(mode: SharedMode, threads: usize) -> SharedPoint {
                 barrier.wait();
                 let mut ops = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    service.lock_addr(SHARED_ADDR).unwrap();
+                    service.lock(SHARED_ADDR).unwrap();
                     spin_cycles(100);
-                    service.unlock_addr(SHARED_ADDR).unwrap();
+                    service.unlock(SHARED_ADDR).unwrap();
                     ops += 1;
                 }
                 ops

@@ -73,17 +73,17 @@ impl WaitOutcome {
 /// let waiter = {
 ///     let (service, ready) = (Arc::clone(&service), Arc::clone(&ready));
 ///     std::thread::spawn(move || {
-///         service.lock_addr(addr).unwrap();
+///         service.lock(addr).unwrap();
 ///         // Real code loops over a predicate here.
-///         service.wait_addr(&ready, addr).unwrap();
-///         service.unlock_addr(addr).unwrap();
+///         service.wait(&ready, addr).unwrap();
+///         service.unlock(addr).unwrap();
 ///     })
 /// };
 /// while ready.waiters() == 0 {
 ///     std::thread::yield_now();
 /// }
-/// service.lock_addr(addr).unwrap();
-/// service.unlock_addr(addr).unwrap();
+/// service.lock(addr).unwrap();
+/// service.unlock(addr).unwrap();
 /// ready.notify_one();
 /// waiter.join().unwrap();
 /// ```

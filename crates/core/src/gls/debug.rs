@@ -32,9 +32,12 @@ use std::time::{Duration, Instant};
 
 use gls_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
+use gls_runtime::flight::{self, FlightEventKind};
 use gls_runtime::thread_id::MAX_THREADS;
 use gls_runtime::{FlightEvent, ThreadId};
 
+use super::entry::Wait;
+use super::relock;
 use crate::error::GlsError;
 
 /// The flight-recorder trail dumped when the deadlock detector confirmed a
@@ -133,14 +136,12 @@ impl DebugState {
 
     /// Stores the flight-recorder trail of a just-confirmed deadlock.
     pub(crate) fn record_trail(&self, trail: DeadlockTrail) {
-        if let Ok(mut trails) = self.trails.lock() {
-            trails.push(trail);
-        }
+        relock(&self.trails).push(trail);
     }
 
     /// A snapshot of the trails dumped by confirmed deadlocks so far.
     pub(crate) fn trails(&self) -> Vec<DeadlockTrail> {
-        self.trails.lock().map(|t| t.clone()).unwrap_or_default()
+        relock(&self.trails).clone()
     }
 
     /// Total candidate cycles produced so far (the candidate-rate counter).
@@ -162,10 +163,9 @@ impl DebugState {
     ) -> Duration {
         let key = candidate.key();
         let now = Instant::now();
-        let Ok(mut confirmations) = self.confirmations.lock() else {
-            return grace;
-        };
-        let deadline = *confirmations.entry(key).or_insert_with(|| now + grace);
+        let deadline = *relock(&self.confirmations)
+            .entry(key)
+            .or_insert_with(|| now + grace);
         deadline.saturating_duration_since(now)
     }
 
@@ -174,9 +174,7 @@ impl DebugState {
     /// acquired meanwhile). A later re-detection of the same cycle starts a
     /// fresh grace period.
     pub(crate) fn finish_confirmation(&self, candidate: &CycleCandidate) {
-        if let Ok(mut confirmations) = self.confirmations.lock() {
-            confirmations.remove(&candidate.key());
-        }
+        relock(&self.confirmations).remove(&candidate.key());
     }
 
     /// Records that `thread` is waiting on `addr`.
@@ -199,27 +197,126 @@ impl DebugState {
         }
     }
 
-    fn epoch_of(&self, thread: ThreadId) -> u64 {
+    pub(crate) fn epoch_of(&self, thread: ThreadId) -> u64 {
         self.epochs[thread.as_usize()].load(Ordering::SeqCst)
     }
 
     /// Appends an issue to the log.
     pub(crate) fn record(&self, issue: GlsError) {
-        if let Ok(mut log) = self.issues.lock() {
-            log.push(issue);
-        }
+        relock(&self.issues).push(issue);
     }
 
     /// A snapshot of the issues detected so far.
     pub(crate) fn issues(&self) -> Vec<GlsError> {
-        self.issues.lock().map(|l| l.clone()).unwrap_or_default()
+        relock(&self.issues).clone()
     }
 
     /// Clears the issue log (tests and long-running services).
     pub(crate) fn clear_issues(&self) {
-        if let Ok(mut log) = self.issues.lock() {
-            log.clear();
+        relock(&self.issues).clear();
+    }
+
+    /// The contended half of a debug-mode acquisition. The caller has
+    /// published `me`'s waits-for edge on `addr` and failed one try;
+    /// `lock` tries or blocks on the underlying lock, `holders_of` resolves
+    /// a lock address to its current holders. Returns holding the lock, or
+    /// with a confirmed deadlock (recorded, `me`'s edge retracted).
+    ///
+    /// Deadlock detection piggybacks on the real blocking acquire instead of
+    /// polling `try_lock`, which would both destroy the FIFO admission order
+    /// of ticket/MCS/CLH entries and burn a hardware context:
+    ///
+    /// 1. walk the owner/waits-for graph. A candidate cycle is re-validated
+    ///    after `grace` ([`GlsConfig::deadlock_check_after`]) — real
+    ///    deadlocks are frozen, phantom cycles assembled from a non-atomic
+    ///    walk dissolve — and only a confirmed cycle is reported;
+    /// 2. with no cycle in sight, commit to the lock's own blocking acquire
+    ///    (queue entry, spin-then-yield or parking — whatever the algorithm
+    ///    does). A deadlock formed *later* must be closed by another thread
+    ///    publishing its own waits-for edge, and that thread's walk — every
+    ///    edge store and load is SeqCst — sees this thread's edge and
+    ///    reports the cycle, breaking it by not blocking.
+    ///
+    /// [`GlsConfig::deadlock_check_after`]: crate::GlsConfig::deadlock_check_after
+    pub(crate) fn acquire_contended(
+        &self,
+        me: ThreadId,
+        addr: usize,
+        grace: Duration,
+        lock: impl Fn(Wait) -> bool,
+        holders_of: impl Fn(usize) -> Vec<ThreadId>,
+    ) -> Result<(), GlsError> {
+        // Leave a trail for the flight recorder before (possibly) blocking,
+        // so a later confirmed deadlock can show which contended
+        // acquisitions led up to it.
+        flight::record(FlightEventKind::SlowPathAcquire, addr, 0);
+        loop {
+            let Some(candidate) = self.detect_deadlock(me, addr, &holders_of) else {
+                // No cycle in sight: hand over to the real blocking acquire
+                // of the underlying algorithm.
+                lock(Wait::Block);
+                return Ok(());
+            };
+            // Confirmations of the same cycle are coalesced onto one shared
+            // deadline: every participant (and every re-detection under
+            // adversarial churn) waits out at most the *remainder* of one
+            // grace period instead of stacking a fresh full period per
+            // candidate.
+            let wait = self.confirmation_wait(&candidate, grace);
+            if !wait.is_zero() {
+                // A wall-clock grace period is the detector's contract;
+                // nothing can signal it early.
+                std::thread::sleep(wait);
+            }
+            // The lock may have been released while we slept.
+            let acquired = lock(Wait::Try);
+            let deadlocked = !acquired && self.still_deadlocked(&candidate, &holders_of);
+            self.finish_confirmation(&candidate);
+            if acquired {
+                return Ok(());
+            }
+            if deadlocked {
+                self.clear_waiting(me);
+                return Err(self.report_deadlock(me, addr, candidate.cycle));
+            }
+            // Phantom cycle: something moved in the meantime; re-walk.
         }
+    }
+
+    /// Records a confirmed deadlock: dumps `me`'s flight-recorder trail —
+    /// the events leading up to a confirmed deadlock are exactly what an
+    /// operator needs to replay how it formed — and logs the issue.
+    fn report_deadlock(
+        &self,
+        me: ThreadId,
+        addr: usize,
+        cycle: Vec<(ThreadId, usize)>,
+    ) -> GlsError {
+        flight::record(FlightEventKind::DeadlockCandidate, addr, cycle.len() as u64);
+        let trail = DeadlockTrail {
+            thread: me,
+            cycle: cycle.clone(),
+            events: flight::drain(),
+        };
+        eprintln!(
+            "[GLS] confirmed deadlock ({} threads); dumping {} flight events of thread {}",
+            cycle.len().saturating_sub(1),
+            trail.events.len(),
+            me.as_u32(),
+        );
+        for event in &trail.events {
+            eprintln!(
+                "[GLS]   {} addr={:#x} info={} at={}",
+                event.kind.as_str(),
+                event.addr,
+                event.info,
+                event.at,
+            );
+        }
+        self.record_trail(trail);
+        let issue = GlsError::Deadlock { cycle };
+        self.record(issue.clone());
+        issue
     }
 
     /// Runs the deadlock-detection walk on behalf of `me`, which is about to
@@ -488,6 +585,45 @@ mod tests {
         assert_eq!(d.issues().len(), 2);
         d.clear_issues();
         assert!(d.issues().is_empty());
+    }
+
+    #[test]
+    fn poisoned_bookkeeping_still_records() {
+        fn poison<T: Send>(mutex: &StdMutex<T>) {
+            std::thread::scope(|s| {
+                let poisoner = s.spawn(|| {
+                    let _held = mutex.lock().unwrap();
+                    std::panic::resume_unwind(Box::new("poison"));
+                });
+                assert!(poisoner.join().is_err());
+            });
+            assert!(mutex.is_poisoned());
+        }
+        let d = DebugState::new();
+        poison(&d.issues);
+        poison(&d.trails);
+        poison(&d.confirmations);
+        d.record(GlsError::ReleaseFreeLock { addr: 0x1 });
+        assert_eq!(d.issues().len(), 1);
+        d.clear_issues();
+        assert!(d.issues().is_empty());
+        d.record_trail(DeadlockTrail {
+            thread: tid(1),
+            cycle: Vec::new(),
+            events: Vec::new(),
+        });
+        assert_eq!(d.trails().len(), 1);
+        // The shared confirmation deadline survives too: the second
+        // detector of a cycle waits out the remainder, not a fresh period.
+        let map = owners(&[(0xa, 1), (0xb, 0)]);
+        d.set_waiting(tid(0), 0xa);
+        d.set_waiting(tid(1), 0xb);
+        let candidate = d.detect_deadlock(tid(0), 0xa, lookup(&map)).unwrap();
+        let grace = Duration::from_secs(3600);
+        assert!(d.confirmation_wait(&candidate, grace) <= grace);
+        assert_eq!(relock(&d.confirmations).len(), 1);
+        d.finish_confirmation(&candidate);
+        assert!(relock(&d.confirmations).is_empty());
     }
 
     #[test]

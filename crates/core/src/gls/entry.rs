@@ -10,8 +10,27 @@ use gls_locks::{
 use gls_runtime::{LockStats, ThreadId};
 
 use super::holders::HolderSet;
-use super::shards::{ProfileShards, ProfileTotals, ShardSlot};
+use super::shards::{ProfileShards, ProfileTotals};
 use crate::glk::{GlkConfig, GlkLock, GlkRwLock, MonitorHandle};
+
+/// How an acquisition holds its entry. Entries that are not reader-writer
+/// locks serve [`Hold::Shared`] as an exclusive hold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Hold {
+    /// `lock` / `write_lock`.
+    Exclusive,
+    /// `read_lock`.
+    Shared,
+}
+
+/// Whether an acquisition waits for a taken lock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Wait {
+    /// `lock`: returns holding.
+    Block,
+    /// `try_lock`: gives up at once.
+    Try,
+}
 
 /// The concrete lock implementation behind a GLS entry.
 ///
@@ -130,30 +149,29 @@ impl AlgorithmLock {
         }
     }
 
-    /// Acquires shared access. Entries that are not reader-writer locks
-    /// degrade to exclusive access — safe, merely pessimistic.
-    pub(crate) fn read_lock(&self) {
-        match self {
-            AlgorithmLock::Rw(l) => l.read_lock(),
-            AlgorithmLock::FutexRw(l) => l.read_lock(),
-            _ => self.lock(),
+    /// The one acquisition call the service makes; `false` only for a
+    /// [`Wait::Try`] that found the lock taken. Entries that are not
+    /// reader-writer locks degrade a shared hold to an exclusive one —
+    /// safe, merely pessimistic.
+    #[inline]
+    pub(crate) fn acquire(&self, hold: Hold, wait: Wait) -> bool {
+        match (self, hold, wait) {
+            (AlgorithmLock::Rw(l), Hold::Shared, Wait::Block) => l.read_lock(),
+            (AlgorithmLock::FutexRw(l), Hold::Shared, Wait::Block) => l.read_lock(),
+            (AlgorithmLock::Rw(l), Hold::Shared, Wait::Try) => return l.try_read_lock(),
+            (AlgorithmLock::FutexRw(l), Hold::Shared, Wait::Try) => return l.try_read_lock(),
+            (_, _, Wait::Block) => self.lock(),
+            (_, _, Wait::Try) => return self.try_lock(),
         }
+        true
     }
 
-    /// Attempts to acquire shared access without waiting.
-    pub(crate) fn try_read_lock(&self) -> bool {
-        match self {
-            AlgorithmLock::Rw(l) => l.try_read_lock(),
-            AlgorithmLock::FutexRw(l) => l.try_read_lock(),
-            _ => self.try_lock(),
-        }
-    }
-
-    /// Releases shared access (exclusive access for non-rw entries).
-    pub(crate) fn read_unlock(&self) {
-        match self {
-            AlgorithmLock::Rw(l) => l.read_unlock(),
-            AlgorithmLock::FutexRw(l) => l.read_unlock(),
+    /// Releases what [`Self::acquire`] took.
+    #[inline]
+    pub(crate) fn release(&self, hold: Hold) {
+        match (self, hold) {
+            (AlgorithmLock::Rw(l), Hold::Shared) => l.read_unlock(),
+            (AlgorithmLock::FutexRw(l), Hold::Shared) => l.read_unlock(),
             _ => self.unlock(),
         }
     }
@@ -533,15 +551,6 @@ impl LockEntry {
         self.profile.get_or_init(|| Box::new(ProfileShards::new()))
     }
 
-    /// The calling thread's profile-stat slot, allocating the sharded set on
-    /// first use (the service goes through [`Self::profile_shards`] so it
-    /// can also reach the histograms; tests use this shorthand).
-    #[inline]
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn profile_slot(&self) -> &ShardSlot {
-        self.profile_shards().slot()
-    }
-
     /// Merged acquisition-latency distribution of measured acquisitions
     /// (empty if the entry never saw profiled traffic).
     pub(crate) fn lock_latency_histogram(&self) -> gls_runtime::LatencyHistogram {
@@ -641,14 +650,17 @@ mod tests {
     fn rw_entry_supports_shared_access() {
         let lock = make(LockKind::Rw);
         assert!(lock.is_rw());
-        lock.read_lock();
-        lock.read_lock();
+        lock.acquire(Hold::Shared, Wait::Block);
+        lock.acquire(Hold::Shared, Wait::Block);
         assert_eq!(lock.queue_length(), 2);
         assert!(!lock.try_lock(), "readers must exclude writers");
-        lock.read_unlock();
-        lock.read_unlock();
+        lock.release(Hold::Shared);
+        lock.release(Hold::Shared);
         assert!(lock.try_lock());
-        assert!(!lock.try_read_lock(), "writer must exclude readers");
+        assert!(
+            !lock.acquire(Hold::Shared, Wait::Try),
+            "writer must exclude readers"
+        );
         lock.unlock();
     }
 
@@ -656,14 +668,17 @@ mod tests {
     fn futex_rw_entry_supports_shared_access() {
         let lock = make(LockKind::FutexRw);
         assert!(lock.is_rw());
-        lock.read_lock();
-        lock.read_lock();
+        lock.acquire(Hold::Shared, Wait::Block);
+        lock.acquire(Hold::Shared, Wait::Block);
         assert_eq!(lock.queue_length(), 2);
         assert!(!lock.try_lock(), "readers must exclude writers");
-        lock.read_unlock();
-        lock.read_unlock();
+        lock.release(Hold::Shared);
+        lock.release(Hold::Shared);
         assert!(lock.try_lock());
-        assert!(!lock.try_read_lock(), "writer must exclude readers");
+        assert!(
+            !lock.acquire(Hold::Shared, Wait::Try),
+            "writer must exclude readers"
+        );
         lock.unlock();
     }
 
@@ -671,9 +686,12 @@ mod tests {
     fn non_rw_entries_degrade_shared_to_exclusive() {
         let lock = make(LockKind::Ticket);
         assert!(!lock.is_rw());
-        lock.read_lock();
-        assert!(!lock.try_read_lock(), "fallback shared access is exclusive");
-        lock.read_unlock();
+        lock.acquire(Hold::Shared, Wait::Block);
+        assert!(
+            !lock.acquire(Hold::Shared, Wait::Try),
+            "fallback shared access is exclusive"
+        );
+        lock.release(Hold::Shared);
     }
 
     #[test]
@@ -748,7 +766,7 @@ mod tests {
     fn entry_profile_totals_merge_shards_and_base_stats() {
         let entry = live_entry(0x2000, LockKind::Mutex);
         assert_eq!(entry.profile_totals().acquisitions, 0);
-        let slot = entry.profile_slot();
+        let slot = entry.profile_shards().slot();
         slot.record_acquisition();
         slot.record_lock_latency(40);
         slot.record_cs_latency(100);

@@ -18,6 +18,8 @@ use std::sync::Mutex;
 
 use gls_runtime::ThreadId;
 
+use super::relock;
+
 /// Number of shards; a power of two so shard selection is a mask. Sixteen
 /// shards cover the hardware concurrency of the paper's platforms. The set
 /// costs ~0.5 kB when empty (16 mutex-wrapped Vecs), which is why entries
@@ -48,41 +50,29 @@ impl HolderSet {
 
     /// Records one shared hold by `thread`.
     pub(crate) fn add(&self, thread: ThreadId) {
-        if let Ok(mut shard) = self.shard(thread).lock() {
-            shard.push(thread);
-        }
+        relock(self.shard(thread)).push(thread);
     }
 
     /// Removes one shared-hold record for `thread`; returns whether one
     /// existed.
     pub(crate) fn remove(&self, thread: ThreadId) -> bool {
-        match self.shard(thread).lock() {
-            Ok(mut shard) => match shard.iter().position(|&t| t == thread) {
-                Some(index) => {
-                    shard.swap_remove(index);
-                    true
-                }
-                None => false,
-            },
-            Err(_) => false,
+        let mut shard = relock(self.shard(thread));
+        let found = shard.iter().position(|&t| t == thread);
+        if let Some(index) = found {
+            shard.swap_remove(index);
         }
+        found.is_some()
     }
 
     /// Whether `thread` currently has at least one recorded hold.
     pub(crate) fn contains(&self, thread: ThreadId) -> bool {
-        self.shard(thread)
-            .lock()
-            .map(|shard| shard.contains(&thread))
-            .unwrap_or(false)
+        relock(self.shard(thread)).contains(&thread)
     }
 
     /// Forgets every recorded hold (the entry is being recycled).
     pub(crate) fn clear(&self) {
         for shard in &self.shards {
-            shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .clear();
+            relock(shard).clear();
         }
     }
 
@@ -91,9 +81,7 @@ impl HolderSet {
     pub(crate) fn snapshot(&self) -> Vec<ThreadId> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            if let Ok(shard) = shard.lock() {
-                out.extend_from_slice(&shard);
-            }
+            out.extend_from_slice(&relock(shard));
         }
         out
     }
@@ -140,6 +128,28 @@ mod tests {
             h.join().unwrap();
         }
         assert!(set.snapshot().is_empty());
+    }
+
+    #[test]
+    fn a_poisoned_shard_still_records_holders() {
+        let set = HolderSet::new();
+        let me = ThreadId::current();
+        // Poison the shard `me` hashes to: panic while holding it.
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _shard = set.shard(me).lock().unwrap();
+                std::panic::resume_unwind(Box::new("poison"));
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(set.shard(me).is_poisoned());
+        // A dropped record here is a holder the deadlock detector misses
+        // and a spurious `WrongOwner` on the matching `read_unlock`.
+        set.add(me);
+        assert!(set.contains(me));
+        assert_eq!(set.snapshot(), vec![me]);
+        assert!(set.remove(me));
+        assert!(!set.contains(me));
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! deadlocks) and a profiler mode that reports per-lock contention and
 //! latency through per-thread stat shards.
 
+mod addr;
 mod cache;
 mod condvar;
 mod config;
@@ -22,6 +23,20 @@ mod service;
 mod shards;
 mod telemetry;
 
+/// Locks debug-mode bookkeeping whatever a thread that panicked while
+/// holding it left: every update under these mutexes is one push, insert,
+/// remove or clear, so the data is valid at every step. (A skipped update
+/// would be worse: a holder record that is not written makes the matching
+/// `read_unlock` report a spurious `WrongOwner`.)
+// Raw std on purpose, like the bookkeeping it guards (see clippy.toml).
+#[allow(clippy::disallowed_types)]
+fn relock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+pub use addr::LockAddr;
 pub use cache::{
     aggregated_cache_stats, flush_thread_cache_stats, reset_thread_cache_stats, thread_cache_stats,
     CacheStats, CACHE_SETS, CACHE_WAYS,
@@ -32,7 +47,7 @@ pub use config::{GlsConfig, GlsMode};
 pub use debug::model as debug_model;
 pub use debug::DeadlockTrail;
 pub use profiler::{LockProfile, ProfileReport};
-pub use service::{GlsGuard, GlsReadGuard, GlsService, GlsWriteGuard};
+pub use service::{GlsGuard, GlsService};
 pub use telemetry::{
     DeadlockTelemetry, HistogramSummary, LockTelemetry, TelemetryPublisher, TelemetrySnapshot,
 };

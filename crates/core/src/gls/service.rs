@@ -12,11 +12,12 @@ use gls_runtime::{cycles, ThreadId};
 use crate::error::GlsError;
 use crate::glk::ModeTransition;
 
+use super::addr::LockAddr;
 use super::cache;
 use super::condvar::{GlsCondvar, WaitOutcome};
 use super::config::{GlsConfig, GlsMode};
 use super::debug::{DeadlockTrail, DebugState};
-use super::entry::{AlgorithmLock, Liveness, LockEntry};
+use super::entry::{AlgorithmLock, Hold, Liveness, LockEntry, Wait};
 use super::profiler::{LockProfile, ProfileReport};
 use super::sampler;
 use super::telemetry::{
@@ -37,10 +38,14 @@ static NEXT_SERVICE_ID: AtomicU64 = AtomicU64::new(1);
 ///
 /// # Interface summary (paper Table 1, extended with reader-writer locking)
 ///
+/// Every method names its lock by one parameter, `impl Into<`[`LockAddr`]`>`:
+/// `gls.lock(&x)` for the address of an object, `gls.lock(17usize)` for a
+/// plain value.
+///
 /// | Interface | Methods | Entry algorithm |
 /// |---|---|---|
 /// | Default | [`lock`](Self::lock), [`try_lock`](Self::try_lock), [`unlock`](Self::unlock), [`guard`](Self::guard) | GLK (adaptive) |
-/// | Explicit | [`lock_with`](Self::lock_with), [`try_lock_with`](Self::try_lock_with), [`unlock_with`](Self::unlock_with) | caller-chosen [`LockKind`] |
+/// | Explicit | [`lock_with`](Self::lock_with), [`try_lock_with`](Self::try_lock_with), [`unlock_with`](Self::unlock_with), [`guard_with`](Self::guard_with) | caller-chosen [`LockKind`] |
 /// | Reader-writer | [`read_lock`](Self::read_lock), [`write_lock`](Self::write_lock), [`try_read_lock`](Self::try_read_lock), [`try_write_lock`](Self::try_write_lock), [`read_unlock`](Self::read_unlock), [`write_unlock`](Self::write_unlock), [`read_guard`](Self::read_guard), [`write_guard`](Self::write_guard) | GLK-RW (adaptive rw) |
 /// | Condition variables | [`wait`](Self::wait), [`wait_timeout`](Self::wait_timeout) with a [`GlsCondvar`] | any mutex entry |
 /// | Management | [`free`](Self::free), [`lock_count`](Self::lock_count), [`issues`](Self::issues), [`profile_report`](Self::profile_report) | — |
@@ -65,11 +70,16 @@ static NEXT_SERVICE_ID: AtomicU64 = AtomicU64::new(1);
 /// // ... critical section protecting the balance ...
 /// service.unlock(&account_balance).unwrap();
 ///
-/// // Or, RAII style:
+/// // Or, RAII style (the same guard type serves `read_guard` and
+/// // `write_guard`):
 /// {
 ///     let _guard = service.guard(&account_balance).unwrap();
 ///     // critical section
 /// }
+///
+/// // Any value except 0 names a lock, like the paper's `gls_lock(17)`.
+/// service.lock(17usize).unwrap();
+/// service.unlock(17usize).unwrap();
 /// ```
 #[derive(Debug)]
 pub struct GlsService {
@@ -176,29 +186,25 @@ impl GlsService {
 
     /// Converts a reference into the address key GLS uses internally.
     pub fn address_of<T: ?Sized>(m: &T) -> usize {
-        m as *const T as *const () as usize
+        LockAddr::from(m).0
     }
 
     // ------------------------------------------------------------------
     // Default interface (gls_lock / gls_trylock / gls_unlock)
     // ------------------------------------------------------------------
 
-    /// Acquires the lock associated with the address of `m`, creating it on
-    /// first use with the service's default algorithm (GLK unless
-    /// reconfigured).
+    /// Acquires the lock associated with `m` — the address of an object
+    /// (`gls.lock(&x)`) or any non-zero value (`gls.lock(17usize)`) —
+    /// creating it on first use with the service's default algorithm (GLK
+    /// unless reconfigured).
     ///
     /// # Errors
     ///
     /// In debug mode, returns the detected issue (double locking, deadlock)
     /// without acquiring. In normal and profile mode this never fails.
-    pub fn lock<T: ?Sized>(&self, m: &T) -> Result<(), GlsError> {
-        self.lock_addr(Self::address_of(m))
-    }
-
-    /// [`GlsService::lock`] for a raw address (e.g. `gls_lock(17)`).
     #[inline]
-    pub fn lock_addr(&self, addr: usize) -> Result<(), GlsError> {
-        self.lock_impl(addr, self.config.default_kind)
+    pub fn lock(&self, m: impl Into<LockAddr>) -> Result<(), GlsError> {
+        self.lock_with(self.config.default_kind, m)
     }
 
     /// Attempts to acquire the lock associated with `m` without waiting.
@@ -206,13 +212,9 @@ impl GlsService {
     /// # Errors
     ///
     /// In debug mode, returns the detected issue (e.g. double locking).
-    pub fn try_lock<T: ?Sized>(&self, m: &T) -> Result<bool, GlsError> {
-        self.try_lock_addr(Self::address_of(m))
-    }
-
-    /// [`GlsService::try_lock`] for a raw address.
-    pub fn try_lock_addr(&self, addr: usize) -> Result<bool, GlsError> {
-        self.try_lock_impl(addr, self.config.default_kind)
+    #[inline]
+    pub fn try_lock(&self, m: impl Into<LockAddr>) -> Result<bool, GlsError> {
+        self.try_lock_with(self.config.default_kind, m)
     }
 
     /// Releases the lock associated with `m`.
@@ -222,14 +224,9 @@ impl GlsService {
     /// Returns [`GlsError::UninitializedLock`] if the address was never
     /// locked; in debug mode additionally detects releasing a free lock and
     /// releasing a lock owned by another thread.
-    pub fn unlock<T: ?Sized>(&self, m: &T) -> Result<(), GlsError> {
-        self.unlock_addr(Self::address_of(m))
-    }
-
-    /// [`GlsService::unlock`] for a raw address.
     #[inline]
-    pub fn unlock_addr(&self, addr: usize) -> Result<(), GlsError> {
-        self.unlock_impl(addr, None)
+    pub fn unlock(&self, m: impl Into<LockAddr>) -> Result<(), GlsError> {
+        self.release_mapped(m.into().0, Hold::Exclusive, None)
     }
 
     // ------------------------------------------------------------------
@@ -242,8 +239,10 @@ impl GlsService {
     /// # Errors
     ///
     /// Same as [`GlsService::lock`].
-    pub fn lock_with(&self, kind: LockKind, addr: usize) -> Result<(), GlsError> {
-        self.lock_impl(addr, kind)
+    #[inline]
+    pub fn lock_with(&self, kind: LockKind, addr: impl Into<LockAddr>) -> Result<(), GlsError> {
+        self.acquire(addr.into().0, kind, Hold::Exclusive, Wait::Block)
+            .map(drop)
     }
 
     /// Attempts to acquire the lock for `addr` using algorithm `kind`.
@@ -251,8 +250,14 @@ impl GlsService {
     /// # Errors
     ///
     /// Same as [`GlsService::try_lock`].
-    pub fn try_lock_with(&self, kind: LockKind, addr: usize) -> Result<bool, GlsError> {
-        self.try_lock_impl(addr, kind)
+    #[inline]
+    pub fn try_lock_with(
+        &self,
+        kind: LockKind,
+        addr: impl Into<LockAddr>,
+    ) -> Result<bool, GlsError> {
+        self.acquire(addr.into().0, kind, Hold::Exclusive, Wait::Try)
+            .map(|held| held.is_some())
     }
 
     /// Releases the lock for `addr`, checking (in debug mode) that it was
@@ -261,8 +266,9 @@ impl GlsService {
     /// # Errors
     ///
     /// Same as [`GlsService::unlock`].
-    pub fn unlock_with(&self, kind: LockKind, addr: usize) -> Result<(), GlsError> {
-        self.unlock_impl(addr, Some(kind))
+    #[inline]
+    pub fn unlock_with(&self, kind: LockKind, addr: impl Into<LockAddr>) -> Result<(), GlsError> {
+        self.release_mapped(addr.into().0, Hold::Exclusive, Some(kind))
     }
 
     // ------------------------------------------------------------------
@@ -275,17 +281,24 @@ impl GlsService {
     /// # Errors
     ///
     /// Same as [`GlsService::lock`].
-    pub fn guard<'a, T: ?Sized>(&'a self, m: &T) -> Result<GlsGuard<'a>, GlsError> {
-        self.guard_addr(Self::address_of(m))
+    #[inline]
+    pub fn guard(&self, m: impl Into<LockAddr>) -> Result<GlsGuard<'_>, GlsError> {
+        self.guard_with(self.config.default_kind, m)
     }
 
-    /// [`GlsService::guard`] for a raw address.
-    pub fn guard_addr(&self, addr: usize) -> Result<GlsGuard<'_>, GlsError> {
-        self.lock_addr(addr)?;
-        Ok(GlsGuard {
-            service: self,
-            addr,
-        })
+    /// [`GlsService::guard`] through the explicit interface: the lock is
+    /// created with algorithm `kind` if it does not exist yet.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`GlsService::lock`].
+    #[inline]
+    pub fn guard_with(
+        &self,
+        kind: LockKind,
+        addr: impl Into<LockAddr>,
+    ) -> Result<GlsGuard<'_>, GlsError> {
+        self.hold(addr.into().0, kind, Hold::Exclusive)
     }
 
     // ------------------------------------------------------------------
@@ -299,30 +312,23 @@ impl GlsService {
     ///
     /// In debug mode, returns the detected issue (double locking, deadlock)
     /// without acquiring. In normal and profile mode this never fails.
-    pub fn read_lock<T: ?Sized>(&self, m: &T) -> Result<(), GlsError> {
-        self.read_lock_addr(Self::address_of(m))
-    }
-
-    /// [`GlsService::read_lock`] for a raw address.
-    pub fn read_lock_addr(&self, addr: usize) -> Result<(), GlsError> {
-        self.read_lock_impl(addr)
+    #[inline]
+    pub fn read_lock(&self, m: impl Into<LockAddr>) -> Result<(), GlsError> {
+        self.acquire(m.into().0, LockKind::Rw, Hold::Shared, Wait::Block)
+            .map(drop)
     }
 
     /// Acquires exclusive (write) access to the lock associated with `m`,
-    /// creating an adaptive reader-writer entry on first use.
+    /// creating an adaptive reader-writer entry on first use. Exclusive
+    /// access on an rw entry *is* the classic lock operation, so the write
+    /// side is the explicit interface at [`LockKind::Rw`].
     ///
     /// # Errors
     ///
     /// Same as [`GlsService::read_lock`].
-    pub fn write_lock<T: ?Sized>(&self, m: &T) -> Result<(), GlsError> {
-        self.write_lock_addr(Self::address_of(m))
-    }
-
-    /// [`GlsService::write_lock`] for a raw address.
-    pub fn write_lock_addr(&self, addr: usize) -> Result<(), GlsError> {
-        // Exclusive access on an rw entry *is* the classic lock operation,
-        // so the write side reuses the whole lock/profile/debug machinery.
-        self.lock_impl(addr, LockKind::Rw)
+    #[inline]
+    pub fn write_lock(&self, m: impl Into<LockAddr>) -> Result<(), GlsError> {
+        self.lock_with(LockKind::Rw, m)
     }
 
     /// Attempts to acquire shared access without waiting.
@@ -330,13 +336,10 @@ impl GlsService {
     /// # Errors
     ///
     /// In debug mode, returns the detected issue (e.g. double locking).
-    pub fn try_read_lock<T: ?Sized>(&self, m: &T) -> Result<bool, GlsError> {
-        self.try_read_lock_addr(Self::address_of(m))
-    }
-
-    /// [`GlsService::try_read_lock`] for a raw address.
-    pub fn try_read_lock_addr(&self, addr: usize) -> Result<bool, GlsError> {
-        self.try_read_lock_impl(addr)
+    #[inline]
+    pub fn try_read_lock(&self, m: impl Into<LockAddr>) -> Result<bool, GlsError> {
+        self.acquire(m.into().0, LockKind::Rw, Hold::Shared, Wait::Try)
+            .map(|held| held.is_some())
     }
 
     /// Attempts to acquire exclusive access without waiting.
@@ -344,13 +347,9 @@ impl GlsService {
     /// # Errors
     ///
     /// Same as [`GlsService::try_read_lock`].
-    pub fn try_write_lock<T: ?Sized>(&self, m: &T) -> Result<bool, GlsError> {
-        self.try_write_lock_addr(Self::address_of(m))
-    }
-
-    /// [`GlsService::try_write_lock`] for a raw address.
-    pub fn try_write_lock_addr(&self, addr: usize) -> Result<bool, GlsError> {
-        self.try_lock_impl(addr, LockKind::Rw)
+    #[inline]
+    pub fn try_write_lock(&self, m: impl Into<LockAddr>) -> Result<bool, GlsError> {
+        self.try_lock_with(LockKind::Rw, m)
     }
 
     /// Releases shared access to the lock associated with `m`.
@@ -360,13 +359,9 @@ impl GlsService {
     /// Returns [`GlsError::UninitializedLock`] if the address was never
     /// locked; in debug mode additionally detects releasing shared access
     /// the calling thread does not hold.
-    pub fn read_unlock<T: ?Sized>(&self, m: &T) -> Result<(), GlsError> {
-        self.read_unlock_addr(Self::address_of(m))
-    }
-
-    /// [`GlsService::read_unlock`] for a raw address.
-    pub fn read_unlock_addr(&self, addr: usize) -> Result<(), GlsError> {
-        self.read_unlock_impl(addr)
+    #[inline]
+    pub fn read_unlock(&self, m: impl Into<LockAddr>) -> Result<(), GlsError> {
+        self.release_mapped(m.into().0, Hold::Shared, None)
     }
 
     /// Releases exclusive access to the lock associated with `m`.
@@ -374,13 +369,9 @@ impl GlsService {
     /// # Errors
     ///
     /// Same as [`GlsService::unlock`].
-    pub fn write_unlock<T: ?Sized>(&self, m: &T) -> Result<(), GlsError> {
-        self.write_unlock_addr(Self::address_of(m))
-    }
-
-    /// [`GlsService::write_unlock`] for a raw address.
-    pub fn write_unlock_addr(&self, addr: usize) -> Result<(), GlsError> {
-        self.unlock_impl(addr, None)
+    #[inline]
+    pub fn write_unlock(&self, m: impl Into<LockAddr>) -> Result<(), GlsError> {
+        self.unlock(m)
     }
 
     /// Acquires shared access to `m` and returns a guard releasing it on
@@ -389,17 +380,9 @@ impl GlsService {
     /// # Errors
     ///
     /// Same as [`GlsService::read_lock`].
-    pub fn read_guard<'a, T: ?Sized>(&'a self, m: &T) -> Result<GlsReadGuard<'a>, GlsError> {
-        self.read_guard_addr(Self::address_of(m))
-    }
-
-    /// [`GlsService::read_guard`] for a raw address.
-    pub fn read_guard_addr(&self, addr: usize) -> Result<GlsReadGuard<'_>, GlsError> {
-        self.read_lock_addr(addr)?;
-        Ok(GlsReadGuard {
-            service: self,
-            addr,
-        })
+    #[inline]
+    pub fn read_guard(&self, m: impl Into<LockAddr>) -> Result<GlsGuard<'_>, GlsError> {
+        self.hold(m.into().0, LockKind::Rw, Hold::Shared)
     }
 
     /// Acquires exclusive access to `m` and returns a guard releasing it on
@@ -408,17 +391,9 @@ impl GlsService {
     /// # Errors
     ///
     /// Same as [`GlsService::write_lock`].
-    pub fn write_guard<'a, T: ?Sized>(&'a self, m: &T) -> Result<GlsWriteGuard<'a>, GlsError> {
-        self.write_guard_addr(Self::address_of(m))
-    }
-
-    /// [`GlsService::write_guard`] for a raw address.
-    pub fn write_guard_addr(&self, addr: usize) -> Result<GlsWriteGuard<'_>, GlsError> {
-        self.write_lock_addr(addr)?;
-        Ok(GlsWriteGuard {
-            service: self,
-            addr,
-        })
+    #[inline]
+    pub fn write_guard(&self, m: impl Into<LockAddr>) -> Result<GlsGuard<'_>, GlsError> {
+        self.guard_with(LockKind::Rw, m)
     }
 
     // ------------------------------------------------------------------
@@ -443,13 +418,8 @@ impl GlsService {
     /// calling thread does not hold the mutex — waiting with a lock you do
     /// not own is the same class of bug as releasing one. Errors from the
     /// re-acquisition are propagated.
-    pub fn wait<T: ?Sized>(&self, cv: &GlsCondvar, m: &T) -> Result<(), GlsError> {
-        self.wait_addr(cv, Self::address_of(m))
-    }
-
-    /// [`GlsService::wait`] for a raw address.
-    pub fn wait_addr(&self, cv: &GlsCondvar, addr: usize) -> Result<(), GlsError> {
-        self.wait_impl(cv, addr, None).map(|_| ())
+    pub fn wait(&self, cv: &GlsCondvar, m: impl Into<LockAddr>) -> Result<(), GlsError> {
+        self.wait_on(cv, m.into().0, None).map(drop)
     }
 
     /// Like [`GlsService::wait`], but gives up after `timeout` and reports
@@ -458,26 +428,16 @@ impl GlsService {
     /// # Errors
     ///
     /// Same as [`GlsService::wait`].
-    pub fn wait_timeout<T: ?Sized>(
+    pub fn wait_timeout(
         &self,
         cv: &GlsCondvar,
-        m: &T,
+        m: impl Into<LockAddr>,
         timeout: Duration,
     ) -> Result<WaitOutcome, GlsError> {
-        self.wait_timeout_addr(cv, Self::address_of(m), timeout)
+        self.wait_on(cv, m.into().0, Some(timeout))
     }
 
-    /// [`GlsService::wait_timeout`] for a raw address.
-    pub fn wait_timeout_addr(
-        &self,
-        cv: &GlsCondvar,
-        addr: usize,
-        timeout: Duration,
-    ) -> Result<WaitOutcome, GlsError> {
-        self.wait_impl(cv, addr, Some(timeout))
-    }
-
-    fn wait_impl(
+    fn wait_on(
         &self,
         cv: &GlsCondvar,
         addr: usize,
@@ -487,23 +447,9 @@ impl GlsService {
         // unlock must not fail, or the thread would sleep still holding the
         // mutex it promised to release.
         if self.config.mode == GlsMode::Debug {
-            let me = ThreadId::current();
-            match self.mapped_entry(addr).and_then(|e| e.owner()) {
-                Some(owner) if owner == me => {}
-                Some(owner) => {
-                    let issue = GlsError::WrongOwner {
-                        addr,
-                        owner,
-                        caller: me,
-                    };
-                    self.debug.record(issue.clone());
-                    return Err(issue);
-                }
-                None => {
-                    let issue = GlsError::ReleaseFreeLock { addr };
-                    self.debug.record(issue.clone());
-                    return Err(issue);
-                }
+            let owner = self.mapped_entry(addr).and_then(|e| e.owner());
+            if owner != Some(ThreadId::current()) {
+                return Err(self.not_held(addr, owner));
             }
         }
         let mut relock_result = Ok(());
@@ -512,9 +458,9 @@ impl GlsService {
         // the mutex after this release is guaranteed to see the waiter.
         let outcome = cv.wait_with(
             || {
-                let _ = self.unlock_addr(addr);
+                let _ = self.unlock(addr);
             },
-            || relock_result = self.lock_addr(addr),
+            || relock_result = self.lock(addr),
             timeout,
         );
         relock_result.map(|()| outcome)
@@ -528,13 +474,9 @@ impl GlsService {
     /// per-lock blocking state (nothing to requeue onto) or a free mutex
     /// (the waiter can take it immediately). Returns whether a waiter was
     /// notified.
-    pub fn notify_one<T: ?Sized>(&self, cv: &GlsCondvar, m: &T) -> bool {
-        self.notify_one_addr(cv, Self::address_of(m))
-    }
-
-    /// [`GlsService::notify_one`] for a raw address.
-    pub fn notify_one_addr(&self, cv: &GlsCondvar, addr: usize) -> bool {
-        match self.mapped_entry(addr).and_then(|e| e.park_addr()) {
+    pub fn notify_one(&self, cv: &GlsCondvar, m: impl Into<LockAddr>) -> bool {
+        let addr = m.into().0;
+        match self.park_target(addr) {
             // SAFETY: the park address belongs to this entry's futex word;
             // entry memory is type-stable while the service lives (see
             // `entry_ref`), so the word outlives the call. The
@@ -542,12 +484,16 @@ impl GlsService {
             // address so a waiter is never requeued onto a word the mutex
             // stopped parking under (backend migration, mode change).
             Some(target) => unsafe {
-                cv.notify_one_requeue(target, || {
-                    self.mapped_entry(addr).and_then(|e| e.park_addr()) == Some(target)
-                })
+                cv.notify_one_requeue(target, || self.park_target(addr) == Some(target))
             },
             None => cv.notify_one(),
         }
+    }
+
+    /// The parking-lot address the mutex of `addr` parks its waiters under
+    /// right now, if it parks them there at all.
+    fn park_target(&self, addr: usize) -> Option<usize> {
+        self.mapped_entry(addr).and_then(|e| e.park_addr())
     }
 
     /// Notifies every waiter of `cv`, requeueing them onto the mutex
@@ -555,20 +501,14 @@ impl GlsService {
     /// broadcast: the mutex's successive releases wake them one at a time,
     /// with no thundering herd re-contending the mutex). Returns how many
     /// waiters were notified.
-    pub fn notify_all<T: ?Sized>(&self, cv: &GlsCondvar, m: &T) -> usize {
-        self.notify_all_addr(cv, Self::address_of(m))
-    }
-
-    /// [`GlsService::notify_all`] for a raw address.
-    pub fn notify_all_addr(&self, cv: &GlsCondvar, addr: usize) -> usize {
-        match self.mapped_entry(addr).and_then(|e| e.park_addr()) {
-            // SAFETY: as in `notify_one_addr` — the futex word lives as
-            // long as the service, and the revalidation closes the stale
-            // -address race.
+    pub fn notify_all(&self, cv: &GlsCondvar, m: impl Into<LockAddr>) -> usize {
+        let addr = m.into().0;
+        match self.park_target(addr) {
+            // SAFETY: as in `notify_one` — the futex word lives as long as
+            // the service, and the revalidation closes the stale-address
+            // race.
             Some(target) => unsafe {
-                cv.notify_all_requeue(target, || {
-                    self.mapped_entry(addr).and_then(|e| e.park_addr()) == Some(target)
-                })
+                cv.notify_all_requeue(target, || self.park_target(addr) == Some(target))
             },
             None => cv.notify_all(),
         }
@@ -580,11 +520,6 @@ impl GlsService {
 
     /// Removes the lock object for `m` from the service (`gls_free`).
     /// Returns `true` if a lock object existed.
-    pub fn free<T: ?Sized>(&self, m: &T) -> bool {
-        self.free_addr(Self::address_of(m))
-    }
-
-    /// [`GlsService::free`] for a raw address.
     ///
     /// The entry is retired **in place**: one CAS on its epoch word turns
     /// it into a tombstone that stays mapped in the table, and the CAS
@@ -597,7 +532,8 @@ impl GlsService {
     /// exactly the per-thread cache slots holding this mapping; every other
     /// address's cached mapping stays hot. Tombstones are reclaimed by the
     /// sweep that later creates run between them (see `sweep_slice`).
-    pub fn free_addr(&self, addr: usize) -> bool {
+    pub fn free(&self, m: impl Into<LockAddr>) -> bool {
+        let addr = m.into().0;
         let Some(entry) = self.table.get(addr).map(Self::entry_ref) else {
             return false;
         };
@@ -882,13 +818,13 @@ impl GlsService {
     }
 
     /// The lock algorithm currently associated with `addr`, if any.
-    pub fn algorithm_of(&self, addr: usize) -> Option<LockKind> {
-        self.find_entry(addr).map(|e| e.lock.kind())
+    pub fn algorithm_of(&self, addr: impl Into<LockAddr>) -> Option<LockKind> {
+        self.find_entry(addr.into().0).map(|e| e.lock.kind())
     }
 
     /// The thread currently recorded as owner of `addr` (debug mode only).
-    pub fn owner_of(&self, addr: usize) -> Option<ThreadId> {
-        self.find_entry(addr).and_then(|e| e.owner())
+    pub fn owner_of(&self, addr: impl Into<LockAddr>) -> Option<ThreadId> {
+        self.find_entry(addr.into().0).and_then(|e| e.owner())
     }
 
     // ------------------------------------------------------------------
@@ -972,7 +908,7 @@ impl GlsService {
     /// tombstone of the address is resurrected as it is (the algorithm
     /// chosen at first creation survives, as with `put_if_absent`
     /// generally; debug mode flags kind mismatches).
-    #[inline]
+    #[inline(always)]
     fn entry_for(&self, addr: usize, kind: LockKind) -> &LockEntry {
         assert_ne!(addr, 0, "GLS does not accept NULL (address 0) as a lock");
         if let Some(entry) = self.cache_probe(addr) {
@@ -1062,230 +998,254 @@ impl GlsService {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The identity check after an acquisition: whether `entry`, whose
-    /// lock the caller now holds (`acquired`), is the entry of `addr`. It
-    /// is unless the sweep recycled it between the lookup and the
-    /// acquisition; then the hold is undone and the caller looks `addr` up
-    /// again. One load on the line the lock word already pulled in.
-    #[inline]
-    fn acquired_for(&self, entry: &LockEntry, addr: usize, acquired: bool, shared: bool) -> bool {
-        if entry.addr() == addr {
-            return true;
-        }
-        if acquired {
-            self.undo_acquire(entry, shared);
-        }
-        false
-    }
-
+    /// Records `issue` in the debug-mode log and hands it back to return.
     #[cold]
-    fn undo_acquire(&self, entry: &LockEntry, shared: bool) {
-        let debug = self.config.mode == GlsMode::Debug;
-        if shared {
-            if debug {
-                entry.remove_reader(ThreadId::current());
-            }
-            entry.lock.read_unlock();
-        } else {
-            if debug {
-                entry.clear_owner();
-            }
-            entry.take_acquired();
-            entry.lock.unlock();
-        }
+    fn flag(&self, issue: GlsError) -> GlsError {
+        self.debug.record(issue.clone());
+        issue
     }
 
-    #[inline]
-    fn lock_impl(&self, addr: usize, kind: LockKind) -> Result<(), GlsError> {
+    /// The recorded issue for releasing, or waiting with, a lock the caller
+    /// does not hold: `holder` does, or nobody.
+    #[cold]
+    fn not_held(&self, addr: usize, holder: Option<ThreadId>) -> GlsError {
+        self.flag(match holder {
+            Some(owner) => GlsError::WrongOwner {
+                addr,
+                owner,
+                caller: ThreadId::current(),
+            },
+            None => GlsError::ReleaseFreeLock { addr },
+        })
+    }
+
+    /// Gives back a hold on an entry that turned out to be recycled.
+    #[cold]
+    fn undo_acquire(&self, entry: &LockEntry, hold: Hold) {
+        if self.config.mode == GlsMode::Debug {
+            match hold {
+                Hold::Shared => drop(entry.remove_reader(ThreadId::current())),
+                Hold::Exclusive => entry.clear_owner(),
+            }
+        }
+        // Whatever stamp is there is this acquisition's, or an orphan.
+        entry.take_acquired();
+        entry.lock.release(hold);
+    }
+
+    /// The one acquisition path, behind every `lock`, `try_lock`,
+    /// `read_lock`, `try_read_lock` and guard: look the entry up (creating
+    /// or resurrecting it with algorithm `kind`), acquire it the way the
+    /// service's mode asks, and look again if the entry turned out to be
+    /// recycled meanwhile. Returns the entry now held, or `None` for a
+    /// [`Wait::Try`] that found it taken. Always inlined, so that `hold` and
+    /// `wait` are constants in each public method (see the verify notes).
+    #[inline(always)]
+    fn acquire(
+        &self,
+        addr: usize,
+        kind: LockKind,
+        hold: Hold,
+        wait: Wait,
+    ) -> Result<Option<&LockEntry>, GlsError> {
         loop {
             let entry = self.entry_for(addr, kind);
-            match self.config.mode {
-                GlsMode::Normal => entry.lock.lock(),
+            let acquired = match self.config.mode {
+                GlsMode::Normal => entry.lock.acquire(hold, wait),
                 GlsMode::Profile => {
                     // All statistics go to the calling thread's cache-padded
-                    // shard: contended acquirers no longer serialize on a
+                    // shard: contended acquirers do not serialize on a
                     // shared stat cacheline before even reaching the lock
                     // word.
-                    let shards = entry.profile_shards();
-                    let slot = shards.slot();
-                    if sampler::should_sample(self.config.sampling_budget) {
-                        slot.record_queue_sample(entry.lock.queue_length());
-                        let start = cycles::now();
-                        entry.lock.lock();
-                        let acquired = cycles::now();
-                        let waited = acquired.wrapping_sub(start);
-                        slot.record_lock_latency(waited);
-                        shards.record_lock_latency_hist(waited);
-                        // Fresh stamp *after* the latency bookkeeping: the
-                        // critical-section measurement must not include the
-                        // recording work above, which is warm when every
-                        // acquisition is measured but cold (and several
-                        // times slower) at 1-in-N sampling — a systematic
-                        // bias the sampling-fidelity test catches.
-                        entry.stamp_acquired(cycles::now());
-                    } else {
-                        // Unmeasured acquisition: no cycle reads, no queue
-                        // probe, no stamp (so the matching release also
-                        // skips its cycle read) — but the count stays exact.
-                        entry.lock.lock();
-                    }
-                    slot.record_acquisition();
-                }
-                GlsMode::Debug => self.debug_acquire(entry, addr, kind, false)?,
-            }
-            if self.acquired_for(entry, addr, true, false) {
-                return Ok(());
-            }
-        }
-    }
-
-    fn read_lock_impl(&self, addr: usize) -> Result<(), GlsError> {
-        loop {
-            let entry = self.entry_for(addr, LockKind::Rw);
-            match self.config.mode {
-                GlsMode::Normal => entry.lock.read_lock(),
-                GlsMode::Profile => {
-                    let shards = entry.profile_shards();
-                    let slot = shards.slot();
-                    if sampler::should_sample(self.config.sampling_budget) {
-                        slot.record_queue_sample(entry.lock.queue_length());
-                        let start = cycles::now();
-                        entry.lock.read_lock();
-                        let acquired = cycles::now();
-                        let waited = acquired.wrapping_sub(start);
-                        slot.record_lock_latency(waited);
-                        shards.record_lock_latency_hist(waited);
-                        // No critical-section stamp: shared holders overlap,
-                        // and two readers may share a stat shard, so their
-                        // sections are not individually timed.
-                    } else {
-                        entry.lock.read_lock();
-                    }
-                    slot.record_acquisition();
-                }
-                GlsMode::Debug => self.debug_acquire(entry, addr, LockKind::Rw, true)?,
-            }
-            if self.acquired_for(entry, addr, true, true) {
-                return Ok(());
-            }
-        }
-    }
-
-    fn try_read_lock_impl(&self, addr: usize) -> Result<bool, GlsError> {
-        loop {
-            let entry = self.entry_for(addr, LockKind::Rw);
-            let acquired = match self.config.mode {
-                GlsMode::Normal => entry.lock.try_read_lock(),
-                GlsMode::Profile => {
                     let shards = entry.profile_shards();
                     let slot = shards.slot();
                     let acquired = if sampler::should_sample(self.config.sampling_budget) {
                         slot.record_queue_sample(entry.lock.queue_length());
                         let start = cycles::now();
-                        let acquired = entry.lock.try_read_lock();
+                        let acquired = entry.lock.acquire(hold, wait);
                         if acquired {
                             let waited = cycles::now().wrapping_sub(start);
                             slot.record_lock_latency(waited);
                             shards.record_lock_latency_hist(waited);
+                            // Fresh stamp *after* the latency bookkeeping:
+                            // the critical-section measurement must not
+                            // include the recording work above, which is
+                            // warm when every acquisition is measured but
+                            // cold (and several times slower) at 1-in-N
+                            // sampling — a systematic bias the
+                            // sampling-fidelity test catches. Shared holds
+                            // get no stamp: they overlap, and two readers
+                            // may share a stat shard, so their sections are
+                            // not individually timed.
+                            if hold == Hold::Exclusive {
+                                entry.stamp_acquired(cycles::now());
+                            }
                         }
                         acquired
                     } else {
-                        entry.lock.try_read_lock()
+                        // Unmeasured acquisition: no cycle reads, no queue
+                        // probe, no stamp (so the matching release also
+                        // skips its cycle read) — but the count stays exact.
+                        entry.lock.acquire(hold, wait)
                     };
                     if acquired {
                         slot.record_acquisition();
                     }
                     acquired
                 }
-                GlsMode::Debug => {
-                    let me = ThreadId::current();
-                    if entry.owner() == Some(me) || entry.has_reader(me) {
-                        let issue = GlsError::DoubleLock { addr, thread: me };
-                        self.debug.record(issue.clone());
-                        return Err(issue);
-                    }
-                    let acquired = entry.lock.try_read_lock();
-                    if acquired {
-                        entry.add_reader(me);
-                        entry.stats.record_acquisition();
-                    }
-                    acquired
-                }
+                GlsMode::Debug => self.debug_acquire(entry, addr, kind, hold, wait)?,
             };
-            if self.acquired_for(entry, addr, acquired, true) {
-                return Ok(acquired);
+            // The identity check: `entry` is the entry of `addr` unless
+            // the sweep recycled it between the lookup and the acquisition;
+            // then the hold is undone and `addr` looked up again. One load
+            // on the line the lock word already pulled in.
+            if entry.addr() == addr {
+                return Ok(acquired.then_some(entry));
+            }
+            if acquired {
+                self.undo_acquire(entry, hold);
             }
         }
     }
 
-    fn read_unlock_impl(&self, addr: usize) -> Result<(), GlsError> {
-        // As in `unlock_impl`: a shared holder caught by a racing free
-        // still finds its entry mapped.
+    /// A blocking acquisition wrapped in the guard that releases it.
+    #[inline]
+    fn hold(&self, addr: usize, kind: LockKind, hold: Hold) -> Result<GlsGuard<'_>, GlsError> {
+        let entry = self
+            .acquire(addr, kind, hold, Wait::Block)?
+            .expect("a blocking acquisition returns holding");
+        Ok(GlsGuard {
+            service: self,
+            entry,
+            hold,
+        })
+    }
+
+    /// A release by address. A `free` racing with a lock holder never
+    /// strands the holder: the freed entry stays mapped as a tombstone (and
+    /// the sweep leaves a held one alone), so the release lands on it.
+    #[inline(always)]
+    fn release_mapped(
+        &self,
+        addr: usize,
+        hold: Hold,
+        expected_kind: Option<LockKind>,
+    ) -> Result<(), GlsError> {
         let Some(entry) = self.mapped_entry(addr) else {
             let issue = GlsError::UninitializedLock { addr };
-            if self.config.mode == GlsMode::Debug {
-                self.debug.record(issue.clone());
-            }
-            return Err(issue);
+            return Err(match self.config.mode {
+                GlsMode::Debug => self.flag(issue),
+                _ => issue,
+            });
         };
-        if self.config.mode == GlsMode::Debug {
-            let me = ThreadId::current();
-            if !entry.remove_reader(me) {
-                // Non-rw entries degrade shared acquisitions to exclusive
-                // ones, recorded as ownership; release that instead.
-                if !entry.lock.is_rw() && entry.owner() == Some(me) {
-                    entry.clear_owner();
-                } else {
-                    let issue = match entry.holders().first() {
-                        Some(&holder) => GlsError::WrongOwner {
-                            addr,
-                            owner: holder,
-                            caller: me,
-                        },
-                        None => GlsError::ReleaseFreeLock { addr },
-                    };
-                    self.debug.record(issue.clone());
-                    return Err(issue);
+        self.release(entry, hold, expected_kind)
+    }
+
+    /// The one release path, behind every `unlock`, `read_unlock` and guard
+    /// drop: `entry` is what the caller's acquisition returned (or what its
+    /// address maps to), `hold` how it was acquired.
+    #[inline(always)]
+    fn release(
+        &self,
+        entry: &LockEntry,
+        hold: Hold,
+        expected_kind: Option<LockKind>,
+    ) -> Result<(), GlsError> {
+        match self.config.mode {
+            GlsMode::Debug => self.debug_release(entry, hold, expected_kind)?,
+            GlsMode::Profile if hold == Hold::Exclusive => {
+                // The stamp (exclusive holds only) is consumed from the entry,
+                // so cross-thread releases are timed correctly; the sample
+                // itself goes to the releasing thread's shard.
+                let acquired_at = entry.take_acquired();
+                if acquired_at != 0 {
+                    let held = cycles::now().wrapping_sub(acquired_at);
+                    let shards = entry.profile_shards();
+                    shards.slot().record_cs_latency(held);
+                    shards.record_cs_latency_hist(held);
                 }
             }
+            _ => {}
         }
-        entry.lock.read_unlock();
+        entry.lock.release(hold);
         Ok(())
     }
 
-    /// The debug-mode acquisition path, for exclusive (`shared == false`)
-    /// and shared (`shared == true`) requests alike.
-    ///
-    /// Deadlock detection piggybacks on the real blocking acquire instead of
-    /// polling `try_lock`, which would both destroy the FIFO admission order
-    /// of ticket/MCS/CLH entries and burn a hardware context:
-    ///
-    /// 1. publish the waits-for edge, then attempt a single `try_lock`;
-    /// 2. on contention, walk the owner/waits-for graph. A candidate cycle
-    ///    is re-validated after [`GlsConfig::deadlock_check_after`] — real
-    ///    deadlocks are frozen, phantom cycles assembled from a non-atomic
-    ///    walk dissolve — and only a confirmed cycle is reported;
-    /// 3. with no cycle in sight, commit to the lock's own blocking acquire
-    ///    (queue entry, spin-then-yield or parking — whatever the algorithm
-    ///    does). A deadlock formed *later* must be closed by another thread
-    ///    publishing its own waits-for edge, and that thread's walk — every
-    ///    edge store and load is SeqCst — sees this thread's edge and
-    ///    reports the cycle, breaking it by not blocking.
+    /// Debug mode's ownership checks on a release; clears the caller's
+    /// holder record when they pass.
+    #[cold]
+    fn debug_release(
+        &self,
+        entry: &LockEntry,
+        hold: Hold,
+        expected_kind: Option<LockKind>,
+    ) -> Result<(), GlsError> {
+        let me = ThreadId::current();
+        let addr = entry.addr();
+        if hold == Hold::Shared && entry.remove_reader(me) {
+            return Ok(());
+        }
+        // What is left to release is an exclusive hold, recorded as
+        // ownership. For a shared release that is the degraded hold of a
+        // non-rw entry taken through the exclusive interface; anything else
+        // the caller does not hold.
+        let (exclusive, holder) = match hold {
+            Hold::Exclusive => (true, entry.owner()),
+            Hold::Shared => (!entry.lock.is_rw(), entry.holders().first().copied()),
+        };
+        if !(exclusive && entry.owner() == Some(me)) {
+            return Err(self.not_held(addr, holder));
+        }
+        if let Some(requested) = expected_kind.filter(|&kind| kind != entry.lock.kind()) {
+            self.debug.record(GlsError::AlgorithmMismatch {
+                addr,
+                created: entry.lock.kind(),
+                requested,
+            });
+        }
+        entry.clear_owner();
+        Ok(())
+    }
+
+    /// The debug-mode acquisition path, for exclusive and shared requests
+    /// alike; returns whether the lock was acquired (always, unless `wait`
+    /// is [`Wait::Try`]). A blocking request publishes its waits-for edge,
+    /// tries once, and on contention waits under the deadlock detector
+    /// ([`DebugState::acquire_contended`]). A [`Wait::Try`] never waits, so
+    /// it publishes no edge (and checks no algorithm): it reports re-entry,
+    /// tries once, and records the hold if it got one.
     fn debug_acquire(
         &self,
         entry: &LockEntry,
         addr: usize,
         kind: LockKind,
-        shared: bool,
-    ) -> Result<(), GlsError> {
+        hold: Hold,
+        wait: Wait,
+    ) -> Result<bool, GlsError> {
         let me = ThreadId::current();
-        if entry.owner() == Some(me) || entry.has_reader(me) {
-            // Re-entry in any holder role is flagged: rw entries are
-            // writer-preferring, so even a recursive read can self-deadlock
-            // behind a writer that waits on the first read hold.
-            let issue = GlsError::DoubleLock { addr, thread: me };
-            self.debug.record(issue.clone());
-            return Err(issue);
+        // Re-entry in any holder role is flagged: rw entries are
+        // writer-preferring, so even a recursive read can self-deadlock
+        // behind a writer that waits on the first read hold. Only a reader's
+        // `try_write_lock` is let through, to fail: it probes for an upgrade
+        // and cannot wait.
+        let upgrade_probe = hold == Hold::Exclusive && wait == Wait::Try;
+        if entry.owner() == Some(me) || (!upgrade_probe && entry.has_reader(me)) {
+            return Err(self.flag(GlsError::DoubleLock { addr, thread: me }));
+        }
+        let lock = |wait| entry.lock.acquire(hold, wait);
+        let record_hold = || {
+            match hold {
+                Hold::Shared => entry.add_reader(me),
+                Hold::Exclusive => entry.set_owner(me),
+            }
+            entry.stats.record_acquisition();
+        };
+        if wait == Wait::Try {
+            let acquired = lock(Wait::Try);
+            if acquired {
+                record_hold();
+            }
+            return Ok(acquired);
         }
         if kind != entry.lock.kind() {
             self.debug.record(GlsError::AlgorithmMismatch {
@@ -1295,107 +1255,14 @@ impl GlsService {
             });
         }
         self.debug.set_waiting(me, addr);
-        let try_acquire = || {
-            if shared {
-                entry.lock.try_read_lock()
-            } else {
-                entry.lock.try_lock()
-            }
-        };
-        if !try_acquire() {
-            // Contended debug-mode acquire: leave a trail for the flight
-            // recorder before (possibly) blocking, so a later confirmed
-            // deadlock can show which contended acquisitions led up to it.
-            gls_runtime::flight::record(
-                gls_runtime::flight::FlightEventKind::SlowPathAcquire,
-                addr,
-                0,
-            );
-            loop {
-                let Some(candidate) = self
-                    .debug
-                    .detect_deadlock(me, addr, |a| self.holders_of_uncached(a))
-                else {
-                    // No cycle in sight: hand over to the real blocking
-                    // acquire of the underlying algorithm.
-                    if shared {
-                        entry.lock.read_lock();
-                    } else {
-                        entry.lock.lock();
-                    }
-                    break;
-                };
-                // Confirmations of the same cycle are coalesced onto one
-                // shared deadline: every participant (and every
-                // re-detection under adversarial churn) waits out at most
-                // the *remainder* of one grace period instead of stacking
-                // a fresh full period per candidate.
-                let wait = self
-                    .debug
-                    .confirmation_wait(&candidate, self.config.deadlock_check_after);
-                if !wait.is_zero() {
-                    // A wall-clock grace period is the detector's contract
-                    // (deadlock_check_after); nothing can signal it early.
-                    #[allow(clippy::disallowed_methods)]
-                    std::thread::sleep(wait);
-                }
-                // The lock may have been released while we slept.
-                if try_acquire() {
-                    self.debug.finish_confirmation(&candidate);
-                    break;
-                }
-                let deadlocked = self
-                    .debug
-                    .still_deadlocked(&candidate, |a| self.holders_of_uncached(a));
-                self.debug.finish_confirmation(&candidate);
-                if deadlocked {
-                    self.debug.clear_waiting(me);
-                    // Dump this thread's flight-recorder trail: the events
-                    // leading up to a confirmed deadlock are exactly the
-                    // trail an operator needs to replay how it formed.
-                    gls_runtime::flight::record(
-                        gls_runtime::flight::FlightEventKind::DeadlockCandidate,
-                        addr,
-                        candidate.cycle.len() as u64,
-                    );
-                    let trail = DeadlockTrail {
-                        thread: me,
-                        cycle: candidate.cycle.clone(),
-                        events: gls_runtime::flight::drain(),
-                    };
-                    eprintln!(
-                        "[GLS] confirmed deadlock ({} threads); dumping {} flight events of thread {}",
-                        candidate.cycle.len().saturating_sub(1),
-                        trail.events.len(),
-                        me.as_u32(),
-                    );
-                    for event in &trail.events {
-                        eprintln!(
-                            "[GLS]   {} addr={:#x} info={} at={}",
-                            event.kind.as_str(),
-                            event.addr,
-                            event.info,
-                            event.at,
-                        );
-                    }
-                    self.debug.record_trail(trail);
-                    let issue = GlsError::Deadlock {
-                        cycle: candidate.cycle,
-                    };
-                    self.debug.record(issue.clone());
-                    return Err(issue);
-                }
-                // Phantom cycle: something moved in the meantime; re-walk.
-            }
+        if !lock(Wait::Try) {
+            let grace = self.config.deadlock_check_after;
+            self.debug
+                .acquire_contended(me, addr, grace, lock, |a| self.holders_of_uncached(a))?;
         }
         self.debug.clear_waiting(me);
-        if shared {
-            entry.add_reader(me);
-        } else {
-            entry.set_owner(me);
-        }
-        entry.stats.record_acquisition();
-        Ok(())
+        record_hold();
+        Ok(true)
     }
 
     /// Holder lookup that bypasses the per-thread cache (the deadlock
@@ -1408,116 +1275,6 @@ impl GlsService {
             Some(entry) if entry.addr() == addr => entry.holders(),
             _ => Vec::new(),
         }
-    }
-
-    fn try_lock_impl(&self, addr: usize, kind: LockKind) -> Result<bool, GlsError> {
-        loop {
-            let entry = self.entry_for(addr, kind);
-            let acquired = match self.config.mode {
-                GlsMode::Normal => entry.lock.try_lock(),
-                GlsMode::Profile => {
-                    let shards = entry.profile_shards();
-                    let slot = shards.slot();
-                    let acquired = if sampler::should_sample(self.config.sampling_budget) {
-                        slot.record_queue_sample(entry.lock.queue_length());
-                        let start = cycles::now();
-                        let acquired = entry.lock.try_lock();
-                        if acquired {
-                            let waited = cycles::now().wrapping_sub(start);
-                            slot.record_lock_latency(waited);
-                            shards.record_lock_latency_hist(waited);
-                            // Fresh stamp after the bookkeeping (see
-                            // lock_impl).
-                            entry.stamp_acquired(cycles::now());
-                        }
-                        acquired
-                    } else {
-                        entry.lock.try_lock()
-                    };
-                    if acquired {
-                        slot.record_acquisition();
-                    }
-                    acquired
-                }
-                GlsMode::Debug => {
-                    let me = ThreadId::current();
-                    if entry.owner() == Some(me) {
-                        let issue = GlsError::DoubleLock { addr, thread: me };
-                        self.debug.record(issue.clone());
-                        return Err(issue);
-                    }
-                    let acquired = entry.lock.try_lock();
-                    if acquired {
-                        entry.set_owner(me);
-                        entry.stats.record_acquisition();
-                    }
-                    acquired
-                }
-            };
-            if self.acquired_for(entry, addr, acquired, false) {
-                return Ok(acquired);
-            }
-        }
-    }
-
-    #[inline]
-    fn unlock_impl(&self, addr: usize, expected_kind: Option<LockKind>) -> Result<(), GlsError> {
-        // A `free` racing with a lock holder never strands the holder: the
-        // freed entry stays mapped as a tombstone (and the sweep leaves a
-        // held one alone), so the release lands on it (debug mode still
-        // applies its ownership checks).
-        let Some(entry) = self.mapped_entry(addr) else {
-            let issue = GlsError::UninitializedLock { addr };
-            if self.config.mode == GlsMode::Debug {
-                self.debug.record(issue.clone());
-            }
-            return Err(issue);
-        };
-        if self.config.mode == GlsMode::Debug {
-            let me = ThreadId::current();
-            match entry.owner() {
-                None => {
-                    let issue = GlsError::ReleaseFreeLock { addr };
-                    self.debug.record(issue.clone());
-                    return Err(issue);
-                }
-                Some(owner) if owner != me => {
-                    let issue = GlsError::WrongOwner {
-                        addr,
-                        owner,
-                        caller: me,
-                    };
-                    self.debug.record(issue.clone());
-                    return Err(issue);
-                }
-                Some(_) => {}
-            }
-            if let Some(kind) = expected_kind {
-                if kind != entry.lock.kind() {
-                    self.debug.record(GlsError::AlgorithmMismatch {
-                        addr,
-                        created: entry.lock.kind(),
-                        requested: kind,
-                    });
-                }
-            }
-            entry.clear_owner();
-        }
-        if self.config.mode == GlsMode::Profile {
-            // The stamp is consumed from the entry (see `stamp_acquired`),
-            // so cross-thread releases are timed correctly; the sample
-            // itself goes to the releasing thread's shard.
-            let acquired_at = entry.take_acquired();
-            if acquired_at != 0 {
-                let now = cycles::now();
-                let held = now.wrapping_sub(acquired_at);
-                let shards = entry.profile_shards();
-                shards.slot().record_cs_latency(held);
-                shards.record_cs_latency_hist(held);
-            }
-        }
-        entry.lock.unlock();
-        Ok(())
     }
 }
 
@@ -1557,67 +1314,34 @@ impl Drop for GlsService {
     }
 }
 
-/// RAII guard returned by [`GlsService::guard`]; releases the lock on drop.
+/// RAII guard returned by [`GlsService::guard`], [`read_guard`] and
+/// [`write_guard`]; releases the hold on drop. It carries the entry it
+/// acquired: entry memory is type-stable and the sweep never recycles a
+/// held entry, so the drop needs no lookup and cannot miss.
+///
+/// [`read_guard`]: GlsService::read_guard
+/// [`write_guard`]: GlsService::write_guard
+#[must_use = "the lock is released when the guard drops"]
 #[derive(Debug)]
 pub struct GlsGuard<'a> {
     service: &'a GlsService,
-    addr: usize,
+    entry: &'a LockEntry,
+    hold: Hold,
 }
 
 impl GlsGuard<'_> {
     /// The address this guard protects.
     pub fn addr(&self) -> usize {
-        self.addr
+        self.entry.addr()
     }
 }
 
 impl Drop for GlsGuard<'_> {
+    #[inline]
     fn drop(&mut self) {
         // Releasing a lock we acquired cannot fail in normal mode; in debug
         // mode a failure would itself be recorded in the issue log.
-        let _ = self.service.unlock_addr(self.addr);
-    }
-}
-
-/// RAII guard for shared access, returned by [`GlsService::read_guard`];
-/// releases the read hold on drop.
-#[derive(Debug)]
-pub struct GlsReadGuard<'a> {
-    service: &'a GlsService,
-    addr: usize,
-}
-
-impl GlsReadGuard<'_> {
-    /// The address this guard protects.
-    pub fn addr(&self) -> usize {
-        self.addr
-    }
-}
-
-impl Drop for GlsReadGuard<'_> {
-    fn drop(&mut self) {
-        let _ = self.service.read_unlock_addr(self.addr);
-    }
-}
-
-/// RAII guard for exclusive access, returned by
-/// [`GlsService::write_guard`]; releases the write hold on drop.
-#[derive(Debug)]
-pub struct GlsWriteGuard<'a> {
-    service: &'a GlsService,
-    addr: usize,
-}
-
-impl GlsWriteGuard<'_> {
-    /// The address this guard protects.
-    pub fn addr(&self) -> usize {
-        self.addr
-    }
-}
-
-impl Drop for GlsWriteGuard<'_> {
-    fn drop(&mut self) {
-        let _ = self.service.write_unlock_addr(self.addr);
+        let _ = self.service.release(self.entry, self.hold, None);
     }
 }
 
@@ -1635,22 +1359,22 @@ mod tests {
     fn lock_unlock_arbitrary_values() {
         let svc = GlsService::new();
         // Any non-zero value works as a lock identity, like gls_lock(17).
-        svc.lock_addr(17).unwrap();
-        svc.unlock_addr(17).unwrap();
+        svc.lock(17).unwrap();
+        svc.unlock(17).unwrap();
         assert_eq!(svc.lock_count(), 1);
     }
 
     #[test]
     fn unlock_of_unknown_address_reports_uninitialized() {
         let svc = GlsService::new();
-        let err = svc.unlock_addr(0x1234).unwrap_err();
+        let err = svc.unlock(0x1234).unwrap_err();
         assert_eq!(err.category(), "uninitialized-lock");
     }
 
     #[test]
     #[should_panic(expected = "NULL")]
     fn null_address_is_rejected() {
-        GlsService::new().lock_addr(0).unwrap();
+        GlsService::new().lock(0).unwrap();
     }
 
     #[test]
@@ -1665,6 +1389,172 @@ mod tests {
         svc.unlock(&data).unwrap();
     }
 
+    const MODES: [GlsMode; 3] = [GlsMode::Normal, GlsMode::Profile, GlsMode::Debug];
+
+    /// What the one acquire path and the one release path must keep
+    /// different per (hold × wait × mode): the four acquisition functions
+    /// and two release functions they replaced differed in exactly this.
+    #[test]
+    fn acquire_and_release_keep_the_per_path_differences() {
+        for mode in MODES {
+            for hold in [Hold::Exclusive, Hold::Shared] {
+                for wait in [Wait::Block, Wait::Try] {
+                    let case = format!("{mode:?}/{hold:?}/{wait:?}");
+                    // Full measurement: every profiled acquisition is sampled.
+                    let svc = GlsService::with_config(GlsConfig::default().with_mode(mode));
+                    let addr = 0x7AB1E;
+                    let entry = svc
+                        .acquire(addr, LockKind::Rw, hold, wait)
+                        .unwrap()
+                        .expect("a free lock is acquired whichever way");
+                    // A failed try records neither a latency nor an
+                    // acquisition; in debug mode it reports no issue and
+                    // publishes no waits-for edge (the epoch counts those).
+                    std::thread::scope(|s| {
+                        s.spawn(|| {
+                            let me = ThreadId::current();
+                            let epoch = svc.debug.epoch_of(me);
+                            assert_eq!(svc.try_write_lock(addr), Ok(false), "{case}");
+                            assert_eq!(svc.debug.epoch_of(me), epoch, "{case}");
+                        });
+                    });
+                    assert!(svc.issues().is_empty(), "{case}: {:?}", svc.issues());
+                    let totals = entry.profile_totals();
+                    let profiled = u64::from(mode == GlsMode::Profile);
+                    assert_eq!(
+                        totals.acquisitions,
+                        u64::from(mode != GlsMode::Normal),
+                        "{case}"
+                    );
+                    assert_eq!(totals.lock_latency_samples, profiled, "{case}");
+                    // Debug mode reports re-entry through a try as well.
+                    if mode == GlsMode::Debug {
+                        let err = svc.try_read_lock(addr).unwrap_err();
+                        assert_eq!(err.category(), "double-lock", "{case}");
+                        svc.clear_issues();
+                    }
+                    // Shared acquisitions are never stamped, so only an
+                    // exclusive profiled section is timed.
+                    svc.release(entry, hold, None).unwrap();
+                    assert_eq!(
+                        entry.profile_totals().cs_latency_samples,
+                        if hold == Hold::Exclusive { profiled } else { 0 },
+                        "{case}"
+                    );
+                    assert_eq!(svc.try_write_lock(addr), Ok(true), "{case}: released");
+                    svc.write_unlock(addr).unwrap();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn read_unlock_of_a_non_rw_entry_releases_the_degraded_hold() {
+        for mode in MODES {
+            let svc = GlsService::with_config(GlsConfig::default().with_mode(mode));
+            svc.lock_with(LockKind::Ticket, 0x71C0).unwrap();
+            // Taken through the exclusive interface, released as shared.
+            svc.read_unlock(0x71C0).unwrap();
+            // Taken as shared, which a ticket lock serves exclusively.
+            svc.read_lock(0x71C0).unwrap();
+            assert_eq!(svc.algorithm_of(0x71C0), Some(LockKind::Ticket));
+            std::thread::scope(|s| {
+                s.spawn(|| assert_eq!(svc.try_read_lock(0x71C0), Ok(false), "{mode:?}"));
+            });
+            svc.read_unlock(0x71C0).unwrap();
+            assert_eq!(svc.try_lock(0x71C0), Ok(true), "{mode:?}");
+            svc.unlock(0x71C0).unwrap();
+            // Debug mode flags the mixed interfaces and nothing else.
+            assert!(
+                svc.issues()
+                    .iter()
+                    .all(|i| i.category() == "algorithm-mismatch"),
+                "{:?}",
+                svc.issues()
+            );
+        }
+    }
+
+    #[test]
+    fn unlock_with_records_the_algorithm_mismatch_and_releases() {
+        let svc = GlsService::with_config(GlsConfig::debug());
+        svc.lock_with(LockKind::Ticket, 0x77).unwrap();
+        svc.unlock_with(LockKind::Mcs, 0x77).unwrap();
+        match svc.issues().as_slice() {
+            [GlsError::AlgorithmMismatch {
+                addr: 0x77,
+                created: LockKind::Ticket,
+                requested: LockKind::Mcs,
+            }] => {}
+            issues => panic!("expected one algorithm mismatch, got {issues:?}"),
+        }
+        // A try checks no algorithm.
+        assert_eq!(svc.try_lock_with(LockKind::Mcs, 0x77), Ok(true));
+        svc.unlock(0x77).unwrap();
+        assert_eq!(svc.issues().len(), 1);
+    }
+
+    /// Acquires a guard through `acquire` and panics with it alive; returns
+    /// once the panic has unwound (`resume_unwind` skips the panic hook's
+    /// noise).
+    fn panic_while_holding<G>(acquire: impl FnOnce() -> G) {
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = acquire();
+            std::panic::resume_unwind(Box::new("inside the critical section"));
+        }));
+        assert!(unwound.is_err());
+    }
+
+    #[test]
+    fn a_panic_in_a_guarded_section_releases_the_lock() {
+        for mode in MODES {
+            let svc = GlsService::with_config(GlsConfig::default().with_mode(mode));
+            for (i, kind) in LockKind::ALL.into_iter().enumerate() {
+                let addr = 0x9A00 + i * 8;
+                // Created through the explicit interface and held by the
+                // default guard; then the explicit guard itself.
+                svc.lock_with(kind, addr).unwrap();
+                svc.unlock_with(kind, addr).unwrap();
+                assert_eq!(svc.algorithm_of(addr), Some(kind));
+                for explicit in [false, true] {
+                    panic_while_holding(|| match explicit {
+                        false => svc.guard(addr).unwrap(),
+                        true => svc.guard_with(kind, addr).unwrap(),
+                    });
+                    assert_eq!(svc.try_lock(addr), Ok(true), "{mode:?}/{kind}: released");
+                    svc.unlock(addr).unwrap();
+                }
+            }
+            let table = [0u64; 2];
+            panic_while_holding(|| svc.read_guard(&table).unwrap());
+            assert_eq!(
+                svc.try_write_lock(&table),
+                Ok(true),
+                "{mode:?}: read released"
+            );
+            svc.write_unlock(&table).unwrap();
+            panic_while_holding(|| svc.write_guard(&table).unwrap());
+            assert_eq!(
+                svc.try_read_lock(&table),
+                Ok(true),
+                "{mode:?}: write released"
+            );
+            svc.read_unlock(&table).unwrap();
+        }
+    }
+
+    #[test]
+    fn guard_reports_the_address_it_holds() {
+        let svc = GlsService::new();
+        let data = [0u8; 3];
+        let held = svc.read_guard(&data).unwrap();
+        assert_eq!(held.addr(), GlsService::address_of(&data));
+        assert_eq!(svc.guard(17usize).unwrap().addr(), 17);
+        // Carrying the entry must not cost the guard its thread-safety.
+        fn sendable<T: Send + Sync>(_: &T) {}
+        sendable(&held);
+    }
+
     #[test]
     fn explicit_interface_creates_requested_algorithm() {
         let svc = GlsService::new();
@@ -1675,23 +1565,23 @@ mod tests {
         svc.unlock_with(LockKind::Ticket, 0x20).unwrap();
         assert_eq!(svc.algorithm_of(0x20), Some(LockKind::Ticket));
         // The default interface creates GLK entries.
-        svc.lock_addr(0x30).unwrap();
-        svc.unlock_addr(0x30).unwrap();
+        svc.lock(0x30).unwrap();
+        svc.unlock(0x30).unwrap();
         assert_eq!(svc.algorithm_of(0x30), Some(LockKind::Glk));
     }
 
     #[test]
     fn free_removes_lock_object() {
         let svc = GlsService::new();
-        svc.lock_addr(0x40).unwrap();
-        svc.unlock_addr(0x40).unwrap();
+        svc.lock(0x40).unwrap();
+        svc.unlock(0x40).unwrap();
         assert_eq!(svc.lock_count(), 1);
-        assert!(svc.free_addr(0x40));
-        assert!(!svc.free_addr(0x40));
+        assert!(svc.free(0x40));
+        assert!(!svc.free(0x40));
         assert_eq!(svc.lock_count(), 0);
         // The address can be re-created afterwards.
-        svc.lock_addr(0x40).unwrap();
-        svc.unlock_addr(0x40).unwrap();
+        svc.lock(0x40).unwrap();
+        svc.unlock(0x40).unwrap();
         assert_eq!(svc.lock_count(), 1);
     }
 
@@ -1711,12 +1601,12 @@ mod tests {
                     for i in 0..5_000usize {
                         let slot = (t * 31 + i) % slots.len();
                         let addr = 0x1000 + slot;
-                        svc.lock_addr(addr).unwrap();
+                        svc.lock(addr).unwrap();
                         // Read-modify-write that would lose updates without
                         // mutual exclusion per address.
                         let v = slots[slot].load(Ordering::Relaxed);
                         slots[slot].store(v + 1, Ordering::Relaxed);
-                        svc.unlock_addr(addr).unwrap();
+                        svc.unlock(addr).unwrap();
                     }
                 })
             })
@@ -1747,13 +1637,13 @@ mod tests {
     #[test]
     fn debug_mode_detects_wrong_owner() {
         let svc = Arc::new(GlsService::with_config(GlsConfig::debug()));
-        svc.lock_addr(0x99).unwrap();
+        svc.lock(0x99).unwrap();
         let svc2 = Arc::clone(&svc);
-        let err = std::thread::spawn(move || svc2.unlock_addr(0x99).unwrap_err())
+        let err = std::thread::spawn(move || svc2.unlock(0x99).unwrap_err())
             .join()
             .unwrap();
         assert_eq!(err.category(), "wrong-owner");
-        svc.unlock_addr(0x99).unwrap();
+        svc.unlock(0x99).unwrap();
     }
 
     #[test]
@@ -1773,9 +1663,9 @@ mod tests {
     fn profile_mode_collects_latencies() {
         let svc = GlsService::with_config(GlsConfig::profile());
         for i in 0..100 {
-            svc.lock_addr(0x200 + (i % 4)).unwrap();
+            svc.lock(0x200 + (i % 4)).unwrap();
             gls_runtime::spin_cycles(200);
-            svc.unlock_addr(0x200 + (i % 4)).unwrap();
+            svc.unlock(0x200 + (i % 4)).unwrap();
         }
         let report = svc.profile_report();
         assert_eq!(report.len(), 4);
@@ -1801,9 +1691,9 @@ mod tests {
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
                     while !stop.load(Ordering::Relaxed) {
-                        svc.lock_addr(0xabc).unwrap();
+                        svc.lock(0xabc).unwrap();
                         gls_runtime::spin_cycles(400);
-                        svc.unlock_addr(0xabc).unwrap();
+                        svc.unlock(0xabc).unwrap();
                     }
                 })
             })
@@ -1853,22 +1743,22 @@ mod tests {
     fn rw_guards_release_on_drop() {
         let svc = GlsService::new();
         {
-            let _r1 = svc.read_guard_addr(0x500).unwrap();
-            let _r2 = svc.read_guard_addr(0x500).unwrap();
-            assert!(!svc.try_write_lock_addr(0x500).unwrap());
+            let _r1 = svc.read_guard(0x500).unwrap();
+            let _r2 = svc.read_guard(0x500).unwrap();
+            assert!(!svc.try_write_lock(0x500).unwrap());
         }
         {
-            let _w = svc.write_guard_addr(0x500).unwrap();
-            assert!(!svc.try_read_lock_addr(0x500).unwrap());
+            let _w = svc.write_guard(0x500).unwrap();
+            assert!(!svc.try_read_lock(0x500).unwrap());
         }
-        assert!(svc.try_write_lock_addr(0x500).unwrap());
-        svc.write_unlock_addr(0x500).unwrap();
+        assert!(svc.try_write_lock(0x500).unwrap());
+        svc.write_unlock(0x500).unwrap();
     }
 
     #[test]
     fn rw_read_unlock_of_unknown_address_reports_uninitialized() {
         let svc = GlsService::new();
-        let err = svc.read_unlock_addr(0x7777).unwrap_err();
+        let err = svc.read_unlock(0x7777).unwrap_err();
         assert_eq!(err.category(), "uninitialized-lock");
     }
 
@@ -1876,13 +1766,13 @@ mod tests {
     fn profile_mode_reports_rw_entries() {
         let svc = GlsService::with_config(GlsConfig::profile());
         for _ in 0..50 {
-            svc.read_lock_addr(0x600).unwrap();
-            svc.read_unlock_addr(0x600).unwrap();
+            svc.read_lock(0x600).unwrap();
+            svc.read_unlock(0x600).unwrap();
         }
         for _ in 0..10 {
-            svc.write_lock_addr(0x600).unwrap();
+            svc.write_lock(0x600).unwrap();
             gls_runtime::spin_cycles(200);
-            svc.write_unlock_addr(0x600).unwrap();
+            svc.write_unlock(0x600).unwrap();
         }
         let report = svc.profile_report();
         let rw = report
@@ -1898,24 +1788,24 @@ mod tests {
     #[test]
     fn debug_mode_detects_rw_misuse() {
         let svc = GlsService::with_config(GlsConfig::debug());
-        svc.read_lock_addr(0x700).unwrap();
+        svc.read_lock(0x700).unwrap();
         // Recursive read is flagged: rw entries are writer-preferring, so a
         // second read hold can self-deadlock behind a waiting writer.
-        let err = svc.read_lock_addr(0x700).unwrap_err();
+        let err = svc.read_lock(0x700).unwrap_err();
         assert_eq!(err.category(), "double-lock");
-        svc.read_unlock_addr(0x700).unwrap();
+        svc.read_unlock(0x700).unwrap();
         // Releasing shared access nobody holds.
-        let err = svc.read_unlock_addr(0x700).unwrap_err();
+        let err = svc.read_unlock(0x700).unwrap_err();
         assert_eq!(err.category(), "release-free-lock");
         // A thread that holds nothing cannot release another's read hold.
         let svc = Arc::new(svc);
-        svc.read_lock_addr(0x700).unwrap();
+        svc.read_lock(0x700).unwrap();
         let svc2 = Arc::clone(&svc);
-        let err = std::thread::spawn(move || svc2.read_unlock_addr(0x700).unwrap_err())
+        let err = std::thread::spawn(move || svc2.read_unlock(0x700).unwrap_err())
             .join()
             .unwrap();
         assert_eq!(err.category(), "wrong-owner");
-        svc.read_unlock_addr(0x700).unwrap();
+        svc.read_unlock(0x700).unwrap();
     }
 
     #[test]
@@ -1926,8 +1816,8 @@ mod tests {
                 let svc = Arc::clone(&svc);
                 std::thread::spawn(move || {
                     for _ in 0..500 {
-                        svc.read_lock_addr(0x800).unwrap();
-                        svc.read_unlock_addr(0x800).unwrap();
+                        svc.read_lock(0x800).unwrap();
+                        svc.read_unlock(0x800).unwrap();
                     }
                 })
             })
@@ -1951,9 +1841,9 @@ mod tests {
         // never one per free.
         for round in 0..1_000usize {
             let addr = 0x9000 + (round % 7) * 8;
-            svc.lock_addr(addr).unwrap();
-            svc.unlock_addr(addr).unwrap();
-            assert!(svc.free_addr(addr));
+            svc.lock(addr).unwrap();
+            svc.unlock(addr).unwrap();
+            assert!(svc.free(addr));
             assert!(
                 svc.retired_count() <= 7,
                 "lock/free churn must resurrect entries, found {} retired after round {round}",
@@ -1963,8 +1853,8 @@ mod tests {
         assert_eq!(svc.lock_count(), 0);
         // Re-creating the working set resurrects every tombstone.
         for slot in 0..7usize {
-            svc.lock_addr(0x9000 + slot * 8).unwrap();
-            svc.unlock_addr(0x9000 + slot * 8).unwrap();
+            svc.lock(0x9000 + slot * 8).unwrap();
+            svc.unlock(0x9000 + slot * 8).unwrap();
         }
         assert_eq!(svc.retired_count(), 0, "all freed entries resurrected");
         assert_eq!(svc.lock_count(), 7);
@@ -1995,7 +1885,7 @@ mod tests {
             std::thread::spawn(move || {
                 let mut frees = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    if svc.free_addr(0xF5EE) {
+                    if svc.free(0xF5EE) {
                         frees += 1;
                         freed_once.store(true, Ordering::Relaxed);
                     }
@@ -2016,10 +1906,10 @@ mod tests {
                         while i == 10_000 && !freed_once.load(Ordering::Relaxed) {
                             std::thread::yield_now();
                         }
-                        svc.lock_addr(0xF5EE).unwrap();
+                        svc.lock(0xF5EE).unwrap();
                         // SAFETY: written while holding the lock under test.
                         unsafe { *shared.0.get() += 1 };
-                        svc.unlock_addr(0xF5EE)
+                        svc.unlock(0xF5EE)
                             .expect("a racing free must never strand a holder's release");
                     }
                 })
@@ -2054,15 +1944,15 @@ mod tests {
         // its entry is still mapped, so a release reaches it; a re-create
         // resurrects that allocation; the sweep is what unmaps it.
         let svc = GlsService::new();
-        svc.lock_addr(0xAB1E).unwrap();
-        svc.unlock_addr(0xAB1E).unwrap();
+        svc.lock(0xAB1E).unwrap();
+        svc.unlock(0xAB1E).unwrap();
         let live = svc.find_entry(0xAB1E).unwrap() as *const LockEntry;
-        assert!(svc.free_addr(0xAB1E));
+        assert!(svc.free(0xAB1E));
         assert!(svc.find_entry(0xAB1E).is_none(), "reads as freed");
         assert_eq!((svc.lock_count(), svc.retired_count()), (0, 1));
         let tombstone = svc.mapped_entry(0xAB1E).expect("still mapped") as *const LockEntry;
         assert_eq!(live, tombstone, "the tombstone is the same allocation");
-        svc.lock_addr(0xAB1E).unwrap(); // resurrects
+        svc.lock(0xAB1E).unwrap(); // resurrects
         assert_eq!(
             svc.find_entry(0xAB1E).map(|e| e as *const LockEntry),
             Some(live),
@@ -2071,25 +1961,25 @@ mod tests {
         assert_eq!((svc.lock_count(), svc.retired_count()), (1, 0));
         // Freed while held: the release still lands, and the sweep leaves
         // the held tombstone alone however often it passes.
-        assert!(svc.free_addr(0xAB1E));
+        assert!(svc.free(0xAB1E));
         sweep_twice(&svc);
         sweep_twice(&svc);
         assert_eq!(
             svc.mapped_entry(0xAB1E).map(|e| e as *const LockEntry),
             Some(live)
         );
-        svc.unlock_addr(0xAB1E).unwrap();
+        svc.unlock(0xAB1E).unwrap();
         // Idle now: two passes unmap it and pool the allocation.
         sweep_twice(&svc);
         assert!(svc.mapped_entry(0xAB1E).is_none());
         assert_eq!((svc.lock_count(), svc.retired_count()), (0, 1));
         assert_eq!(
-            svc.unlock_addr(0xAB1E).unwrap_err().category(),
+            svc.unlock(0xAB1E).unwrap_err().category(),
             "uninitialized-lock"
         );
         // The next create of that kind takes it from the pool.
-        svc.lock_addr(0xCAFE).unwrap();
-        svc.unlock_addr(0xCAFE).unwrap();
+        svc.lock(0xCAFE).unwrap();
+        svc.unlock(0xCAFE).unwrap();
         assert_eq!(
             svc.find_entry(0xCAFE).map(|e| e as *const LockEntry),
             Some(live)
@@ -2105,24 +1995,24 @@ mod tests {
         let svc = GlsService::new();
         svc.lock_with(LockKind::Mcs, 0xA000).unwrap();
         svc.unlock_with(LockKind::Mcs, 0xA000).unwrap();
-        assert!(svc.free_addr(0xA000));
+        assert!(svc.free(0xA000));
         assert_eq!(svc.retired_count(), 1);
         assert_eq!(
             svc.algorithm_of(0xA000),
             None,
             "freed addresses read as gone"
         );
-        svc.lock_addr(0xA000).unwrap();
-        svc.unlock_addr(0xA000).unwrap();
+        svc.lock(0xA000).unwrap();
+        svc.unlock(0xA000).unwrap();
         assert_eq!(svc.algorithm_of(0xA000), Some(LockKind::Mcs));
         assert_eq!(svc.retired_count(), 0, "the tombstone was resurrected");
         // Once swept, the address is created afresh with the kind asked
         // for, and never from a pooled entry of another kind.
-        assert!(svc.free_addr(0xA000));
+        assert!(svc.free(0xA000));
         sweep_twice(&svc);
         assert_eq!(svc.retired_count(), 1, "the MCS entry is pooled");
-        svc.lock_addr(0xA000).unwrap();
-        svc.unlock_addr(0xA000).unwrap();
+        svc.lock(0xA000).unwrap();
+        svc.unlock(0xA000).unwrap();
         assert_eq!(svc.algorithm_of(0xA000), Some(LockKind::Glk));
         svc.lock_with(LockKind::Ticket, 0xA008).unwrap();
         svc.unlock_with(LockKind::Ticket, 0xA008).unwrap();
@@ -2137,19 +2027,19 @@ mod tests {
     fn recycled_entry_starts_with_clean_telemetry() {
         let svc = GlsService::with_config(GlsConfig::profile());
         for _ in 0..10 {
-            svc.lock_addr(0xB000).unwrap();
+            svc.lock(0xB000).unwrap();
             gls_runtime::spin_cycles(200);
-            svc.unlock_addr(0xB000).unwrap();
+            svc.unlock(0xB000).unwrap();
         }
         let old = svc.find_entry(0xB000).unwrap() as *const LockEntry;
-        assert!(svc.free_addr(0xB000));
+        assert!(svc.free(0xB000));
         // A freed address is absent from every report.
         assert!(svc.telemetry_snapshot().locks.is_empty());
         assert!(svc.profile_report().locks.is_empty());
         assert!(svc.glk_transitions().is_empty());
         assert_eq!(svc.table_stats().elements, 0);
         sweep_twice(&svc);
-        svc.lock_addr(0xB100).unwrap();
+        svc.lock(0xB100).unwrap();
         assert_eq!(
             svc.find_entry(0xB100).map(|e| e as *const LockEntry),
             Some(old),
@@ -2163,7 +2053,7 @@ mod tests {
         assert_eq!(lock.avg_cs_latency, 0.0, "no section of 0xB000 leaks in");
         assert_eq!(lock.cs_latency.count, 0);
         assert_eq!(lock.transitions, 0);
-        svc.unlock_addr(0xB100).unwrap();
+        svc.unlock(0xB100).unwrap();
     }
 
     #[test]
@@ -2176,15 +2066,15 @@ mod tests {
         // Relaxed is enough: the lock under test orders the accesses, and
         // that is the claim.
         let in_section = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        svc.lock_addr(addr).unwrap();
+        svc.lock(addr).unwrap();
         in_section.store(true, Ordering::Relaxed);
-        assert!(svc.free_addr(addr));
+        assert!(svc.free(addr));
         let contender = {
             let (svc, in_section) = (Arc::clone(&svc), Arc::clone(&in_section));
             std::thread::spawn(move || {
-                svc.lock_addr(addr).unwrap();
+                svc.lock(addr).unwrap();
                 let overlapped = in_section.load(Ordering::Relaxed);
-                svc.unlock_addr(addr).unwrap();
+                svc.unlock(addr).unwrap();
                 overlapped
             })
         };
@@ -2193,12 +2083,12 @@ mod tests {
         while svc.lock_count() == 0 {
             std::thread::yield_now();
         }
-        assert!(svc.free_addr(addr));
+        assert!(svc.free(addr));
         sweep_twice(&svc);
         sweep_twice(&svc);
         assert!(svc.mapped_entry(addr).is_some(), "held: never recycled");
         in_section.store(false, Ordering::Relaxed);
-        svc.unlock_addr(addr).expect("the holder's release lands");
+        svc.unlock(addr).expect("the holder's release lands");
         assert!(!contender.join().unwrap(), "the contender overlapped us");
     }
 
@@ -2214,9 +2104,9 @@ mod tests {
         let waiter = {
             let (svc, cv) = (Arc::clone(&svc), Arc::clone(&cv));
             std::thread::spawn(move || {
-                svc.lock_addr(addr).unwrap();
-                svc.wait_addr(&cv, addr).unwrap();
-                svc.unlock_addr(addr).unwrap();
+                svc.lock(addr).unwrap();
+                svc.wait(&cv, addr).unwrap();
+                svc.unlock(addr).unwrap();
             })
         };
         while cv.waiters() == 0 {
@@ -2224,13 +2114,13 @@ mod tests {
         }
         // Hold the mutex, then notify: the waiter must be requeued onto
         // the mutex's park address instead of waking into a block.
-        svc.lock_addr(addr).unwrap();
+        svc.lock(addr).unwrap();
         let mutex_park = svc
             .find_entry(addr)
             .unwrap()
             .park_addr()
             .expect("futex entries expose a park address");
-        assert!(svc.notify_one_addr(&cv, addr));
+        assert!(svc.notify_one(&cv, addr));
         assert_eq!(
             ParkingLot::global().parked_count(mutex_park),
             1,
@@ -2238,7 +2128,7 @@ mod tests {
         );
         assert_eq!(cv.waits(), 0, "requeued, not woken");
         // The mutex release is what wakes it.
-        svc.unlock_addr(addr).unwrap();
+        svc.unlock(addr).unwrap();
         waiter.join().unwrap();
         assert_eq!(cv.waits(), 1);
         assert_eq!(cv.notifies(), 1);
@@ -2251,26 +2141,26 @@ mod tests {
         let svc = Arc::new(GlsService::new());
         let cv = Arc::new(GlsCondvar::new());
         let addr = 0xFA11;
-        svc.lock_addr(addr).unwrap();
-        svc.unlock_addr(addr).unwrap();
+        svc.lock(addr).unwrap();
+        svc.unlock(addr).unwrap();
         assert_eq!(svc.find_entry(addr).unwrap().park_addr(), None);
         let waiter = {
             let (svc, cv) = (Arc::clone(&svc), Arc::clone(&cv));
             std::thread::spawn(move || {
-                svc.lock_addr(addr).unwrap();
-                svc.wait_addr(&cv, addr).unwrap();
-                svc.unlock_addr(addr).unwrap();
+                svc.lock(addr).unwrap();
+                svc.wait(&cv, addr).unwrap();
+                svc.unlock(addr).unwrap();
             })
         };
         while cv.waiters() == 0 {
             std::thread::yield_now();
         }
-        assert!(svc.notify_one_addr(&cv, addr));
+        assert!(svc.notify_one(&cv, addr));
         waiter.join().unwrap();
         assert_eq!(cv.waits(), 1);
         // Notifying with nobody waiting reports so.
-        assert!(!svc.notify_one_addr(&cv, addr));
-        assert_eq!(svc.notify_all_addr(&cv, addr), 0);
+        assert!(!svc.notify_one(&cv, addr));
+        assert_eq!(svc.notify_all(&cv, addr), 0);
     }
 
     #[test]
@@ -2285,23 +2175,23 @@ mod tests {
             .map(|_| {
                 let (svc, cv) = (Arc::clone(&svc), Arc::clone(&cv));
                 std::thread::spawn(move || {
-                    svc.lock_addr(addr).unwrap();
-                    svc.wait_addr(&cv, addr).unwrap();
-                    svc.unlock_addr(addr).unwrap();
+                    svc.lock(addr).unwrap();
+                    svc.wait(&cv, addr).unwrap();
+                    svc.unlock(addr).unwrap();
                 })
             })
             .collect();
         while cv.waiters() < 4 {
             std::thread::yield_now();
         }
-        svc.lock_addr(addr).unwrap();
+        svc.lock(addr).unwrap();
         let mutex_park = svc.find_entry(addr).unwrap().park_addr().unwrap();
-        assert_eq!(svc.notify_all_addr(&cv, addr), 4);
+        assert_eq!(svc.notify_all(&cv, addr), 4);
         // Held mutex: the whole broadcast morphs onto the mutex queue; no
         // thundering herd re-contends while we still hold it.
         assert_eq!(ParkingLot::global().parked_count(mutex_park), 4);
         assert_eq!(cv.waits(), 0);
-        svc.unlock_addr(addr).unwrap();
+        svc.unlock(addr).unwrap();
         for w in waiters {
             w.join().unwrap();
         }
@@ -2318,25 +2208,25 @@ mod tests {
                 .without_adaptation(),
         );
         let svc = GlsService::with_config(config);
-        svc.lock_addr(0xD100).unwrap();
-        svc.unlock_addr(0xD100).unwrap();
+        svc.lock(0xD100).unwrap();
+        svc.unlock(0xD100).unwrap();
         assert_eq!(svc.blocking_lock_count(), 1);
         // A freed (retired) lock serves no traffic: it must not keep
         // steering the Auto backend heuristic.
-        assert!(svc.free_addr(0xD100));
+        assert!(svc.free(0xD100));
         assert_eq!(
             svc.blocking_lock_count(),
             0,
             "retired blocking locks leave the population"
         );
         // Resurrection brings it back.
-        svc.lock_addr(0xD100).unwrap();
+        svc.lock(0xD100).unwrap();
         assert_eq!(
             svc.blocking_lock_count(),
             1,
             "resurrected blocking locks rejoin the population"
         );
-        svc.unlock_addr(0xD100).unwrap();
+        svc.unlock(0xD100).unwrap();
     }
 
     #[test]
@@ -2350,8 +2240,8 @@ mod tests {
     fn table_stats_reflect_lock_count() {
         let svc = GlsService::new();
         for i in 1..=50 {
-            svc.lock_addr(i * 8).unwrap();
-            svc.unlock_addr(i * 8).unwrap();
+            svc.lock(i * 8).unwrap();
+            svc.unlock(i * 8).unwrap();
         }
         let stats = svc.table_stats();
         assert_eq!(stats.elements, 50);

@@ -36,6 +36,11 @@
 //! gls.lock(&shared_config).unwrap();
 //! // ... critical section ...
 //! gls.unlock(&shared_config).unwrap();
+//!
+//! // Every method takes `impl Into<LockAddr>`: the address of an object, or
+//! // any non-zero value, as in the paper's `gls_lock(17)`.
+//! gls.lock(17usize).unwrap();
+//! gls.unlock(17usize).unwrap();
 //! ```
 //!
 //! ## Choosing algorithms explicitly
@@ -46,8 +51,9 @@
 //!
 //! let gls = GlsService::new();
 //! // A highly contended global lock: pick MCS explicitly (paper §5.1).
-//! gls.lock_with(LockKind::Mcs, 0x1000).unwrap();
-//! gls.unlock_with(LockKind::Mcs, 0x1000).unwrap();
+//! let stats = [0u64; 8];
+//! gls.lock_with(LockKind::Mcs, &stats).unwrap();
+//! gls.unlock_with(LockKind::Mcs, &stats).unwrap();
 //! ```
 //!
 //! ## Using GLK directly (no service)
@@ -75,8 +81,8 @@ pub use glk::{BlockingBackend, GlkConfig, GlkLock, GlkMode, GlkRwLock, GlkRwMode
 pub use gls::{
     aggregated_cache_stats, flush_thread_cache_stats, reset_thread_cache_stats, thread_cache_stats,
     CacheStats, DeadlockTelemetry, DeadlockTrail, GlsCondvar, GlsConfig, GlsGuard, GlsMode,
-    GlsReadGuard, GlsService, GlsWriteGuard, HistogramSummary, LockProfile, LockTelemetry,
-    ProfileReport, TelemetryPublisher, TelemetrySnapshot, WaitOutcome, CACHE_SETS, CACHE_WAYS,
+    GlsService, HistogramSummary, LockAddr, LockProfile, LockTelemetry, ProfileReport,
+    TelemetryPublisher, TelemetrySnapshot, WaitOutcome, CACHE_SETS, CACHE_WAYS,
 };
 
 // Re-export the substrate types that appear in this crate's public API so
@@ -92,14 +98,14 @@ pub use gls::debug_model;
 /// (`gls_lock`, `gls_trylock`, `gls_unlock`, `gls_free`), all operating on
 /// the process-wide default service ([`GlsService::global`]).
 pub mod api {
-    use super::{GlsError, GlsService};
+    use super::{GlsError, GlsService, LockAddr};
 
     /// Acquires the lock associated with `m` on the global service.
     ///
     /// # Errors
     ///
     /// See [`GlsService::lock`].
-    pub fn lock<T: ?Sized>(m: &T) -> Result<(), GlsError> {
+    pub fn lock(m: impl Into<LockAddr>) -> Result<(), GlsError> {
         GlsService::global().lock(m)
     }
 
@@ -108,7 +114,7 @@ pub mod api {
     /// # Errors
     ///
     /// See [`GlsService::try_lock`].
-    pub fn try_lock<T: ?Sized>(m: &T) -> Result<bool, GlsError> {
+    pub fn try_lock(m: impl Into<LockAddr>) -> Result<bool, GlsError> {
         GlsService::global().try_lock(m)
     }
 
@@ -117,12 +123,12 @@ pub mod api {
     /// # Errors
     ///
     /// See [`GlsService::unlock`].
-    pub fn unlock<T: ?Sized>(m: &T) -> Result<(), GlsError> {
+    pub fn unlock(m: impl Into<LockAddr>) -> Result<(), GlsError> {
         GlsService::global().unlock(m)
     }
 
     /// Removes the lock object associated with `m` from the global service.
-    pub fn free<T: ?Sized>(m: &T) -> bool {
+    pub fn free(m: impl Into<LockAddr>) -> bool {
         GlsService::global().free(m)
     }
 
@@ -137,6 +143,10 @@ pub mod api {
             assert!(super::try_lock(&data).unwrap());
             super::unlock(&data).unwrap();
             assert!(super::free(&data));
+            // The value form of Table 1: `gls_lock(17)`.
+            super::lock(17usize).unwrap();
+            super::unlock(17usize).unwrap();
+            assert!(super::free(17usize));
         }
     }
 }

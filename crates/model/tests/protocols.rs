@@ -315,9 +315,9 @@ fn entry_lifecycle(racing: Racing, prove_idle: bool) -> impl Fn() + Send + Sync 
         service
             .lock_with(LockKind::Futex, addr)
             .expect("create entry");
-        service.unlock_addr(addr).expect("release fresh entry");
+        service.unlock(addr).expect("release fresh entry");
         if racing == Racing::Claim {
-            assert!(service.free_addr(addr));
+            assert!(service.free(addr));
             sweep(&service);
         }
         let locker = {
@@ -331,7 +331,7 @@ fn entry_lifecycle(racing: Racing, prove_idle: bool) -> impl Fn() + Send + Sync 
                 holding.store(true, StdOrdering::Relaxed);
                 counter.bump();
                 holding.store(false, StdOrdering::Relaxed);
-                service.unlock_addr(addr).expect("racing unlock");
+                service.unlock(addr).expect("racing unlock");
             })
         };
         let freer = {
@@ -341,7 +341,7 @@ fn entry_lifecycle(racing: Racing, prove_idle: bool) -> impl Fn() + Send + Sync 
                 // either way the sweeps must not take it from under the
                 // locker, whose unlock must still reach it.
                 if racing != Racing::Claim
-                    && service.free_addr(addr)
+                    && service.free(addr)
                     && holding.load(StdOrdering::Relaxed)
                 {
                     SAW_RELEASE_AFTER_FREE.store(true, StdOrdering::Relaxed);
@@ -372,7 +372,7 @@ fn entry_lifecycle(racing: Racing, prove_idle: bool) -> impl Fn() + Send + Sync 
                 "a release landed on another entry than the one acquired"
             );
             counter.bump();
-            service.unlock_addr(addr).expect("final unlock");
+            service.unlock(addr).expect("final unlock");
         }
         assert_eq!(counter.get(), 3, "an increment was lost");
         drop(slot);
@@ -434,6 +434,113 @@ fn rediscovers_the_sweep_without_idle_proof_bug() {
     );
 }
 
+/// The guard scenario: a holder keeps its address in a [`gls::GlsGuard`]
+/// — which carries the entry it acquired and drops through it, with no
+/// lookup — while another thread frees the address, runs both sweep steps
+/// and then takes the address itself. The contender asks for another
+/// algorithm, so a sweep that (wrongly) recycled the held entry cannot hand
+/// it the same allocation back out of the pool: it maps a fresh entry and
+/// walks into the holder's critical section. With the idle proof the held
+/// tombstone stays mapped, the contender resurrects it (first creation's
+/// algorithm wins) and waits for the guard to drop.
+fn guard_across_free_and_sweep(prove_idle: bool) -> impl Fn() + Send + Sync + 'static {
+    move || {
+        let service = Arc::new(GlsService::with_config(GlsConfig {
+            initial_capacity: 1,
+            ..GlsConfig::default()
+        }));
+        let counter = Arc::new(RacyCounter::new());
+        let holding = Arc::new(AtomicBool::new(false));
+        let slot = Arc::new([0u8; 2]);
+        let addr = Arc::as_ptr(&slot) as usize;
+        let holder = {
+            let service = Arc::clone(&service);
+            let counter = Arc::clone(&counter);
+            let holding = Arc::clone(&holding);
+            thread::spawn(move || {
+                let held = service
+                    .guard_with(LockKind::Futex, addr)
+                    .expect("holder guard");
+                holding.store(true, StdOrdering::Relaxed);
+                counter.bump();
+                holding.store(false, StdOrdering::Relaxed);
+                drop(held);
+            })
+        };
+        let freer = {
+            let service = Arc::clone(&service);
+            let counter = Arc::clone(&counter);
+            thread::spawn(move || {
+                let freed = service.free(addr);
+                service.model_force_sweep(prove_idle);
+                service.model_force_sweep(prove_idle);
+                if freed && holding.load(StdOrdering::Relaxed) {
+                    SAW_SWEEP_UNDER_GUARD.store(true, StdOrdering::Relaxed);
+                }
+                let held = service
+                    .guard_with(LockKind::Mutex, addr)
+                    .expect("contender guard");
+                counter.bump();
+                drop(held);
+            })
+        };
+        holder.join().expect("holder panicked");
+        freer.join().expect("freer panicked");
+        // Whatever entries now serve the address and its neighbour (the
+        // pool's next customer) were left unlocked by the guards.
+        for addr in [addr, addr + 1] {
+            assert_eq!(
+                service.try_lock_with(LockKind::Futex, addr),
+                Ok(true),
+                "a guard's drop left an entry locked"
+            );
+            counter.bump();
+            service.unlock(addr).expect("final unlock");
+        }
+        assert_eq!(counter.get(), 4, "an increment was lost");
+        drop(slot);
+    }
+}
+
+static SAW_SWEEP_UNDER_GUARD: AtomicBool = AtomicBool::new(false);
+
+/// Property 4b — a guard's lookup-free drop is safe against the entry
+/// lifecycle: the sweep's idle proof never recycles the entry a live guard
+/// points at, so the drop releases the lock that still serves the address
+/// and nobody else gets into the critical section meanwhile. One preemption,
+/// like the whole-sequence lifecycle check above: two do not fit the budget.
+#[test]
+fn guard_survives_free_and_sweep_of_its_address() {
+    Explorer::exhaustive().preemption_bound(1).check(
+        "guard-across-free-and-sweep",
+        guard_across_free_and_sweep(true),
+    );
+    assert!(
+        SAW_SWEEP_UNDER_GUARD.load(StdOrdering::Relaxed),
+        "no execution freed and swept the address while the guard was held — \
+         the scenario no longer exercises the race"
+    );
+}
+
+/// Seeded bug, through the guard — without the idle proof the sweep
+/// recycles the entry under the live guard: the address is unmapped while
+/// held, the contender creates it afresh and both are inside the critical
+/// section (the guard's drop then lands on a recycled entry). The explorer
+/// must find it.
+#[test]
+fn rediscovers_the_sweep_without_idle_proof_bug_through_a_guard() {
+    let failure = Explorer::exhaustive()
+        .find_failure(
+            "guard-across-sweep-no-idle-proof",
+            guard_across_free_and_sweep(false),
+        )
+        .expect("the explorer must catch a sweep that recycles a guarded entry");
+    assert!(
+        matches!(failure.kind, FailureKind::Race | FailureKind::Panic),
+        "expected lost mutual exclusion under the guard, got: {failure}"
+    );
+}
+
 /// Property 5 — condvar requeue-on-notify never strands a waiter behind a
 /// free mutex. The waiter blocks on the service condvar under a futex
 /// entry; the notifier flips the predicate and notifies *while holding the
@@ -451,7 +558,7 @@ fn condvar_requeue_strands_no_waiter() {
         service
             .lock_with(LockKind::Futex, addr)
             .expect("create entry");
-        service.unlock_addr(addr).expect("release fresh entry");
+        service.unlock(addr).expect("release fresh entry");
         let waiter = {
             let service = Arc::clone(&service);
             let cv = Arc::clone(&cv);
@@ -459,9 +566,9 @@ fn condvar_requeue_strands_no_waiter() {
             thread::spawn(move || {
                 service.lock_with(LockKind::Futex, addr).expect("lock");
                 while !flag.read() {
-                    service.wait_addr(&cv, addr).expect("wait");
+                    service.wait(&cv, addr).expect("wait");
                 }
-                service.unlock_addr(addr).expect("unlock");
+                service.unlock(addr).expect("unlock");
             })
         };
         let notifier = {
@@ -474,8 +581,8 @@ fn condvar_requeue_strands_no_waiter() {
                 // Notify while holding the mutex: the waiter (if already
                 // asleep) is requeued onto the mutex word and must ride
                 // the unlock below.
-                service.notify_one_addr(&cv, addr);
-                service.unlock_addr(addr).expect("unlock");
+                service.notify_one(&cv, addr);
+                service.unlock(addr).expect("unlock");
             })
         };
         waiter.join().expect("waiter panicked");

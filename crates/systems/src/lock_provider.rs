@@ -131,7 +131,7 @@ impl LockProvider {
             LockProvider::Gls(service) => MutexImpl::Gls {
                 service: Arc::clone(service),
                 addr: fresh_addr(),
-                kind: None,
+                kind: service.config().default_kind,
             },
             LockProvider::GlsSpecialized {
                 service,
@@ -140,11 +140,11 @@ impl LockProvider {
             } => MutexImpl::Gls {
                 service: Arc::clone(service),
                 addr: fresh_addr(),
-                kind: Some(if contended {
+                kind: if contended {
                     *contended_kind
                 } else {
                     *default_kind
-                }),
+                },
             },
         };
         AppMutex { inner }
@@ -273,9 +273,9 @@ enum MutexImpl {
     Gls {
         service: Arc<GlsService>,
         addr: usize,
-        /// `None` = the service's default interface (GLK); `Some(kind)` = the
-        /// explicit per-algorithm interface.
-        kind: Option<LockKind>,
+        /// The algorithm the lock is created with: the service's default, or
+        /// the provider's choice for the lock's purpose.
+        kind: LockKind,
     },
 }
 
@@ -308,10 +308,7 @@ impl AppMutex {
                 addr,
                 kind,
             } => {
-                let _ = match kind {
-                    None => service.lock_addr(*addr),
-                    Some(k) => service.lock_with(*k, *addr),
-                };
+                let _ = service.lock_with(*kind, *addr);
             }
         }
     }
@@ -322,7 +319,7 @@ impl AppMutex {
         match &self.inner {
             MutexImpl::Raw(raw) => raw.unlock(),
             MutexImpl::Gls { service, addr, .. } => {
-                let _ = service.unlock_addr(*addr);
+                let _ = service.unlock(*addr);
             }
         }
     }
@@ -335,19 +332,31 @@ impl AppMutex {
                 service,
                 addr,
                 kind,
-            } => match kind {
-                None => service.try_lock_addr(*addr).unwrap_or(false),
-                Some(k) => service.try_lock_with(*k, *addr).unwrap_or(false),
-            },
+            } => service.try_lock_with(*kind, *addr).unwrap_or(false),
         }
     }
 
-    /// Runs `f` while holding the mutex.
+    /// Runs `f` while holding the mutex. A GLS-backed mutex is held through
+    /// the service's guard, so a panic in `f` releases it, and a debug-mode
+    /// misuse that refused the acquisition (see [`AppMutex::lock`]) is not
+    /// followed by a release of a lock this call never took.
     pub fn with<R>(&self, f: impl FnOnce() -> R) -> R {
-        self.lock();
-        let out = f();
-        self.unlock();
-        out
+        match &self.inner {
+            MutexImpl::Raw(raw) => {
+                raw.lock();
+                let out = f();
+                raw.unlock();
+                out
+            }
+            MutexImpl::Gls {
+                service,
+                addr,
+                kind,
+            } => {
+                let _held = service.guard_with(*kind, *addr);
+                f()
+            }
+        }
     }
 }
 
@@ -364,14 +373,14 @@ impl AppCondvar {
     /// caller must hold `mutex`; re-check the predicate in a loop (spurious
     /// wakeups are possible).
     ///
-    /// GLS-backed mutexes wait through [`GlsService::wait_addr`], so debug
+    /// GLS-backed mutexes wait through [`GlsService::wait`], so debug
     /// mode checks that the caller really holds the mutex (misuse is
     /// recorded in the service's issue log and the wait becomes a no-op —
     /// the "warn and continue" behaviour of every GLS-backed handle).
     pub fn wait(&self, mutex: &AppMutex) {
         match &mutex.inner {
             MutexImpl::Gls { service, addr, .. } => {
-                let _ = service.wait_addr(&self.cv, *addr);
+                let _ = service.wait(&self.cv, *addr);
             }
             MutexImpl::Raw(_) => {
                 self.cv.wait_with(|| mutex.unlock(), || mutex.lock(), None);
@@ -386,7 +395,7 @@ impl AppCondvar {
     pub fn wait_timeout(&self, mutex: &AppMutex, timeout: Duration) -> bool {
         match &mutex.inner {
             MutexImpl::Gls { service, addr, .. } => service
-                .wait_timeout_addr(&self.cv, *addr, timeout)
+                .wait_timeout(&self.cv, *addr, timeout)
                 .map(|outcome| outcome.timed_out())
                 .unwrap_or(true),
             MutexImpl::Raw(_) => {
@@ -455,12 +464,8 @@ impl AppRwLock {
                 f()
             }
             RwImpl::Gls { service, addr } => {
-                let held = service.read_lock_addr(*addr).is_ok();
-                let out = f();
-                if held {
-                    let _ = service.read_unlock_addr(*addr);
-                }
-                out
+                let _held = service.read_guard(*addr);
+                f()
             }
         }
     }
@@ -478,12 +483,8 @@ impl AppRwLock {
                 f()
             }
             RwImpl::Gls { service, addr } => {
-                let held = service.write_lock_addr(*addr).is_ok();
-                let out = f();
-                if held {
-                    let _ = service.write_unlock_addr(*addr);
-                }
-                out
+                let _held = service.write_guard(*addr);
+                f()
             }
         }
     }
@@ -570,6 +571,61 @@ mod tests {
                 provider.label()
             );
         }
+    }
+
+    #[test]
+    fn a_panic_inside_with_releases_gls_backed_locks() {
+        fn panics_inside(section: impl FnOnce()) {
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(section));
+            assert!(unwound.is_err());
+        }
+        let in_section = || -> () { std::panic::resume_unwind(Box::new("inside")) };
+        let debug = StdArc::new(GlsService::with_config(GlsConfig::debug()));
+        for provider in [
+            LockProvider::gls(),
+            LockProvider::gls_profiling(),
+            LockProvider::gls_specialized(),
+            LockProvider::Gls(debug),
+        ] {
+            let label = provider.label();
+            let service = provider.service().unwrap();
+            let m = provider.new_contended_mutex();
+            panics_inside(|| m.with(in_section));
+            assert!(m.try_lock(), "{label}: mutex released by the unwind");
+            m.unlock();
+            let rw = provider.new_rwlock();
+            let RwImpl::Gls { addr, .. } = rw.inner else {
+                panic!("{label}: rwlock must be GLS-backed");
+            };
+            panics_inside(|| rw.with_read(in_section));
+            assert_eq!(service.try_write_lock(addr), Ok(true), "{label}: read hold");
+            service.write_unlock(addr).unwrap();
+            panics_inside(|| rw.with_write(in_section));
+            assert_eq!(service.try_read_lock(addr), Ok(true), "{label}: write hold");
+            service.read_unlock(addr).unwrap();
+            assert!(
+                service.issues().is_empty(),
+                "{label}: {:?}",
+                service.issues()
+            );
+        }
+    }
+
+    #[test]
+    fn with_does_not_release_a_hold_it_was_refused() {
+        // Debug mode refuses the nested acquisition (double lock); the
+        // inner `with` must not then release the outer hold.
+        let service = StdArc::new(GlsService::with_config(GlsConfig::debug()));
+        let m = LockProvider::Gls(StdArc::clone(&service)).new_mutex();
+        m.with(|| {
+            m.with(|| ());
+            assert!(
+                !m.try_lock(),
+                "the outer hold survives the refused inner one"
+            );
+        });
+        let categories: Vec<_> = service.issues().iter().map(|i| i.category()).collect();
+        assert_eq!(categories, ["double-lock", "double-lock"]);
     }
 
     #[test]

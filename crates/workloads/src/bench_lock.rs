@@ -80,20 +80,14 @@ impl fmt::Debug for GlsBenchLock {
 
 impl BenchLock for GlsBenchLock {
     fn acquire(&self) {
-        if self.kind == LockKind::Glk {
-            self.service
-                .lock_addr(self.addr)
-                .expect("GLS lock cannot fail in normal mode");
-        } else {
-            self.service
-                .lock_with(self.kind, self.addr)
-                .expect("GLS lock cannot fail in normal mode");
-        }
+        self.service
+            .lock_with(self.kind, self.addr)
+            .expect("GLS lock cannot fail in normal mode");
     }
 
     fn release(&self) {
         self.service
-            .unlock_addr(self.addr)
+            .unlock(self.addr)
             .expect("GLS unlock of a held lock cannot fail");
     }
 

@@ -115,25 +115,25 @@ pub fn run(service: &Arc<GlsService>, config: &PcConfig) -> PcResult {
                 let addr = GlsService::address_of(shared.as_ref());
                 for i in 0..items {
                     let value = (p as u64) << 32 | i;
-                    service.lock_addr(addr).expect("producer lock");
+                    service.lock(addr).expect("producer lock");
                     // SAFETY: the GLS mutex for `addr` is held.
                     while unsafe { (*shared.state.get()).queue.len() } >= capacity {
-                        service.wait_addr(&not_full, addr).expect("not_full wait");
+                        service.wait(&not_full, addr).expect("not_full wait");
                     }
                     unsafe { (*shared.state.get()).queue.push_back(value) };
-                    service.unlock_addr(addr).expect("producer unlock");
+                    service.unlock(addr).expect("producer unlock");
                     not_empty.notify_one();
                 }
                 // Retire: the last producer out wakes every consumer so the
                 // "no more items coming" predicate is re-checked everywhere.
-                service.lock_addr(addr).expect("producer retire lock");
+                service.lock(addr).expect("producer retire lock");
                 let last = {
                     // SAFETY: the GLS mutex for `addr` is held.
                     let state = unsafe { &mut *shared.state.get() };
                     state.producers_live -= 1;
                     state.producers_live == 0
                 };
-                service.unlock_addr(addr).expect("producer retire unlock");
+                service.unlock(addr).expect("producer retire unlock");
                 if last {
                     not_empty.notify_all();
                 }
@@ -157,7 +157,7 @@ pub fn run(service: &Arc<GlsService>, config: &PcConfig) -> PcResult {
                 let mut consumed = 0u64;
                 let mut checksum = 0u64;
                 loop {
-                    service.lock_addr(addr).expect("consumer lock");
+                    service.lock(addr).expect("consumer lock");
                     let item = loop {
                         // SAFETY: the GLS mutex for `addr` is held.
                         let state = unsafe { &mut *shared.state.get() };
@@ -171,10 +171,10 @@ pub fn run(service: &Arc<GlsService>, config: &PcConfig) -> PcResult {
                         // timeout tick instead of a hang; the loop re-checks
                         // the predicate either way (spurious-wakeup safe).
                         service
-                            .wait_timeout_addr(&not_empty, addr, timeout)
+                            .wait_timeout(&not_empty, addr, timeout)
                             .expect("not_empty wait");
                     };
-                    service.unlock_addr(addr).expect("consumer unlock");
+                    service.unlock(addr).expect("consumer unlock");
                     match item {
                         Some(value) => {
                             consumed += 1;

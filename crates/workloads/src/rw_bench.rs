@@ -105,21 +105,21 @@ impl GlsRwBenchLock {
 impl RwBenchLock for GlsRwBenchLock {
     fn read_section(&self, cs: &dyn Fn()) {
         self.service
-            .read_lock_addr(self.addr)
+            .read_lock(self.addr)
             .expect("GLS read lock cannot fail in normal mode");
         cs();
         self.service
-            .read_unlock_addr(self.addr)
+            .read_unlock(self.addr)
             .expect("GLS read unlock of a held lock cannot fail");
     }
 
     fn write_section(&self, cs: &dyn Fn()) {
         self.service
-            .write_lock_addr(self.addr)
+            .write_lock(self.addr)
             .expect("GLS write lock cannot fail in normal mode");
         cs();
         self.service
-            .write_unlock_addr(self.addr)
+            .write_unlock(self.addr)
             .expect("GLS write unlock of a held lock cannot fail");
     }
 

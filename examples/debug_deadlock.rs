@@ -32,16 +32,16 @@ fn main() {
         let service = Arc::clone(&service);
         let barrier = Arc::clone(&barrier);
         thread::spawn(move || {
-            service.lock_addr(accounts_table).unwrap();
+            service.lock(accounts_table).unwrap();
             barrier.wait(); // make sure both threads hold their first lock
-            match service.lock_addr(audit_log) {
+            match service.lock(audit_log) {
                 Ok(()) => {
-                    service.unlock_addr(audit_log).unwrap();
-                    service.unlock_addr(accounts_table).unwrap();
+                    service.unlock(audit_log).unwrap();
+                    service.unlock(accounts_table).unwrap();
                     None
                 }
                 Err(issue) => {
-                    service.unlock_addr(accounts_table).unwrap();
+                    service.unlock(accounts_table).unwrap();
                     Some(issue)
                 }
             }
@@ -52,16 +52,16 @@ fn main() {
         let service = Arc::clone(&service);
         let barrier = Arc::clone(&barrier);
         thread::spawn(move || {
-            service.lock_addr(audit_log).unwrap();
+            service.lock(audit_log).unwrap();
             barrier.wait();
-            match service.lock_addr(accounts_table) {
+            match service.lock(accounts_table) {
                 Ok(()) => {
-                    service.unlock_addr(accounts_table).unwrap();
-                    service.unlock_addr(audit_log).unwrap();
+                    service.unlock(accounts_table).unwrap();
+                    service.unlock(audit_log).unwrap();
                     None
                 }
                 Err(issue) => {
-                    service.unlock_addr(audit_log).unwrap();
+                    service.unlock(audit_log).unwrap();
                     Some(issue)
                 }
             }

@@ -37,9 +37,9 @@ fn main() {
                     // same shape as a system with one hot global lock.
                     let which = if x % 10 < 6 { 0 } else { (x as usize) % LOCKS };
                     let addr = 0x5000 + which * 64;
-                    service.lock_addr(addr).unwrap();
+                    service.lock(addr).unwrap();
                     gls_runtime::spin_cycles(if which == 0 { 800 } else { 200 });
-                    service.unlock_addr(addr).unwrap();
+                    service.unlock(addr).unwrap();
                 }
             })
         })

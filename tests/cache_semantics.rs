@@ -20,15 +20,15 @@ fn multi_lock_working_set_hits_in_cache() {
     let addrs: Vec<usize> = (0..16).map(|i| 0x77_0000 + i * 64).collect();
     // Warm-up round: create the entries and populate the cache.
     for &a in &addrs {
-        svc.lock_addr(a).unwrap();
-        svc.unlock_addr(a).unwrap();
+        svc.lock(a).unwrap();
+        svc.unlock(a).unwrap();
     }
     reset_thread_cache_stats();
     let rounds = 500;
     for _ in 0..rounds {
         for &a in &addrs {
-            svc.lock_addr(a).unwrap();
-            svc.unlock_addr(a).unwrap();
+            svc.lock(a).unwrap();
+            svc.unlock(a).unwrap();
         }
     }
     let stats = thread_cache_stats();
@@ -48,14 +48,14 @@ fn free_one_address_keeps_other_cached() {
     let svc = GlsService::new();
     let (a, b) = (0x11_0000, 0x22_0000);
     for &addr in &[a, b] {
-        svc.lock_addr(addr).unwrap();
-        svc.unlock_addr(addr).unwrap();
+        svc.lock(addr).unwrap();
+        svc.unlock(addr).unwrap();
     }
     reset_thread_cache_stats();
-    assert!(svc.free_addr(b));
+    assert!(svc.free(b));
     for _ in 0..10 {
-        svc.lock_addr(a).unwrap();
-        svc.unlock_addr(a).unwrap();
+        svc.lock(a).unwrap();
+        svc.unlock(a).unwrap();
     }
     let stats = thread_cache_stats();
     assert_eq!(
@@ -73,10 +73,10 @@ fn free_invalidates_its_own_cached_mapping() {
     let svc = GlsService::new();
     let (a, b) = (0x33_0000, 0x44_0000);
     for &addr in &[a, b] {
-        svc.lock_addr(addr).unwrap();
-        svc.unlock_addr(addr).unwrap();
+        svc.lock(addr).unwrap();
+        svc.unlock(addr).unwrap();
     }
-    assert!(svc.free_addr(b));
+    assert!(svc.free(b));
     reset_thread_cache_stats();
     // find_entry must not serve the stale cached mapping for b.
     assert_eq!(svc.algorithm_of(b), None, "freed address must be gone");
@@ -97,20 +97,20 @@ fn free_invalidates_its_own_cached_mapping() {
 fn free_and_recreate_elsewhere_invalidates_stale_mapping() {
     let svc = Arc::new(GlsService::new());
     let addr = 0x55_0000usize;
-    svc.lock_addr(addr).unwrap();
-    svc.unlock_addr(addr).unwrap(); // cached here
-    assert!(svc.free_addr(addr));
+    svc.lock(addr).unwrap();
+    svc.unlock(addr).unwrap(); // cached here
+    assert!(svc.free(addr));
     let svc2 = Arc::clone(&svc);
     std::thread::spawn(move || {
-        svc2.lock_addr(addr).unwrap();
-        svc2.unlock_addr(addr).unwrap();
+        svc2.lock(addr).unwrap();
+        svc2.unlock(addr).unwrap();
     })
     .join()
     .unwrap();
     assert_eq!(svc.retired_count(), 0, "the freed entry was resurrected");
     reset_thread_cache_stats();
-    svc.lock_addr(addr).unwrap();
-    svc.unlock_addr(addr).unwrap();
+    svc.lock(addr).unwrap();
+    svc.unlock(addr).unwrap();
     let stats = thread_cache_stats();
     assert_eq!(
         stats.invalidations, 1,
@@ -138,16 +138,16 @@ fn churn_on_other_addresses_never_disturbs_a_hot_mapping() {
             let mut rounds = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 let addr = 0x88_0000 + (rounds as usize % 8) * 64;
-                svc.lock_addr(addr).unwrap();
-                svc.unlock_addr(addr).unwrap();
-                assert!(svc.free_addr(addr));
+                svc.lock(addr).unwrap();
+                svc.unlock(addr).unwrap();
+                assert!(svc.free(addr));
                 rounds += 1;
                 churned.store(rounds, Ordering::Relaxed);
             }
         })
     };
-    svc.lock_addr(hot).unwrap();
-    svc.unlock_addr(hot).unwrap(); // warm
+    svc.lock(hot).unwrap();
+    svc.unlock(hot).unwrap(); // warm
     reset_thread_cache_stats();
     // Keep hammering the hot lock until a substantial amount of churn has
     // really interleaved (on a single-core box the churner may not be
@@ -155,8 +155,8 @@ fn churn_on_other_addresses_never_disturbs_a_hot_mapping() {
     // iteration cap as a safety valve against a starved churner.
     let mut iters = 0u64;
     loop {
-        svc.lock_addr(hot).unwrap();
-        svc.unlock_addr(hot).unwrap();
+        svc.lock(hot).unwrap();
+        svc.unlock(hot).unwrap();
         iters += 1;
         if (iters >= 50_000 && churned.load(Ordering::Relaxed) >= 100) || iters >= 50_000_000 {
             break;
@@ -186,20 +186,20 @@ fn churn_on_other_addresses_never_disturbs_a_hot_mapping() {
 fn racing_free_cannot_strand_a_holder() {
     let svc = Arc::new(GlsService::new());
     let addr = 0x99_0000usize;
-    svc.lock_addr(addr).unwrap();
+    svc.lock(addr).unwrap();
     // Another thread frees the address while we hold its lock.
     let svc2 = Arc::clone(&svc);
-    std::thread::spawn(move || assert!(svc2.free_addr(addr)))
+    std::thread::spawn(move || assert!(svc2.free(addr)))
         .join()
         .unwrap();
     assert_eq!((svc.lock_count(), svc.retired_count()), (0, 1));
     assert_eq!(svc.algorithm_of(addr), None, "freed: reads as gone");
     // Originally this returned UninitializedLock and left the entry locked
     // forever; the release has to reach the freed entry.
-    svc.unlock_addr(addr).unwrap();
+    svc.unlock(addr).unwrap();
     // The resurrected entry is actually unlocked: a fresh create can take it.
-    svc.lock_addr(addr).unwrap();
-    svc.unlock_addr(addr).unwrap();
+    svc.lock(addr).unwrap();
+    svc.unlock(addr).unwrap();
     assert_eq!((svc.lock_count(), svc.retired_count()), (1, 0));
 }
 
@@ -211,8 +211,8 @@ fn disabled_lock_cache_is_fully_bypassed() {
     reset_thread_cache_stats();
     for i in 0..32usize {
         let addr = 0xAA_0000 + (i % 4) * 64;
-        svc.lock_addr(addr).unwrap();
-        svc.unlock_addr(addr).unwrap();
+        svc.lock(addr).unwrap();
+        svc.unlock(addr).unwrap();
     }
     let stats = thread_cache_stats();
     assert_eq!(stats.hits + stats.misses, 0, "no lookups may be recorded");
@@ -235,9 +235,9 @@ fn profile_report_is_exact_after_sharded_fold() {
             std::thread::spawn(move || {
                 barrier.wait();
                 for _ in 0..per_thread {
-                    svc.lock_addr(addr).unwrap();
+                    svc.lock(addr).unwrap();
                     gls_runtime::spin_cycles(50);
-                    svc.unlock_addr(addr).unwrap();
+                    svc.unlock(addr).unwrap();
                 }
             })
         })
@@ -270,9 +270,9 @@ fn profile_report_single_thread_matches_op_counts() {
     let svc = GlsService::with_config(GlsConfig::profile());
     for i in 0..120usize {
         let addr = 0xCC_0000 + (i % 3) * 64;
-        svc.lock_addr(addr).unwrap();
+        svc.lock(addr).unwrap();
         gls_runtime::spin_cycles(80);
-        svc.unlock_addr(addr).unwrap();
+        svc.unlock(addr).unwrap();
     }
     let report = svc.profile_report();
     assert_eq!(report.len(), 3);
@@ -288,9 +288,9 @@ fn profile_report_single_thread_matches_op_counts() {
 fn profile_report_counts_try_lock_acquisitions() {
     let svc = GlsService::with_config(GlsConfig::profile());
     let addr = 0xDD_0000usize;
-    assert!(svc.try_lock_addr(addr).unwrap());
-    assert!(!svc.try_lock_addr(addr).unwrap(), "second try must fail");
-    svc.unlock_addr(addr).unwrap();
+    assert!(svc.try_lock(addr).unwrap());
+    assert!(!svc.try_lock(addr).unwrap(), "second try must fail");
+    svc.unlock(addr).unwrap();
     let report = svc.profile_report();
     assert_eq!(report.locks[0].acquisitions, 1);
 }
@@ -357,13 +357,13 @@ mod churn_proptest {
                             match op {
                                 Op::LockShared(i) => {
                                     let addr = SHARED_ADDRS[i];
-                                    svc.lock_addr(addr).unwrap();
+                                    svc.lock(addr).unwrap();
                                     // Racy read-modify-write: only mutual
                                     // exclusion makes the final sum exact.
                                     let v = counters[i].load(Ordering::Relaxed);
                                     gls_runtime::spin_cycles(20);
                                     counters[i].store(v + 1, Ordering::Relaxed);
-                                    svc.unlock_addr(addr).unwrap();
+                                    svc.unlock(addr).unwrap();
                                     shared_ops += 1;
                                 }
                                 Op::TryChurn(j) => {
@@ -377,7 +377,7 @@ mod churn_proptest {
                                     }
                                 }
                                 Op::FreeChurn(j) => {
-                                    let _ = svc.free_addr(CHURN_ADDRS[j]);
+                                    let _ = svc.free(CHURN_ADDRS[j]);
                                 }
                                 Op::Observe(j) => {
                                     let _ = svc.algorithm_of(CHURN_ADDRS[j]);
@@ -399,8 +399,8 @@ mod churn_proptest {
             prop_assert!(svc.retired_count() <= CHURN_ADDRS.len());
             // Every address still works after the churn settles.
             for &addr in CHURN_ADDRS.iter().chain(SHARED_ADDRS.iter()) {
-                svc.lock_addr(addr).unwrap();
-                svc.unlock_addr(addr).unwrap();
+                svc.lock(addr).unwrap();
+                svc.unlock(addr).unwrap();
             }
         }
     }

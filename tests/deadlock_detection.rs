@@ -27,13 +27,13 @@ fn two_thread_lock_order_inversion_is_detected() {
         let svc = Arc::clone(&svc);
         let barrier = Arc::clone(&barrier);
         thread::spawn(move || {
-            svc.lock_addr(first).unwrap();
+            svc.lock(first).unwrap();
             barrier.wait();
-            let result = svc.lock_addr(second);
+            let result = svc.lock(second);
             if result.is_ok() {
-                svc.unlock_addr(second).unwrap();
+                svc.unlock(second).unwrap();
             }
-            svc.unlock_addr(first).unwrap();
+            svc.unlock(first).unwrap();
             result
         })
     };
@@ -100,13 +100,13 @@ fn three_thread_cycle_is_detected() {
         let svc = Arc::clone(&svc);
         let barrier = Arc::clone(&barrier);
         thread::spawn(move || {
-            svc.lock_addr(first).unwrap();
+            svc.lock(first).unwrap();
             barrier.wait();
-            let result = svc.lock_addr(second);
+            let result = svc.lock(second);
             if result.is_ok() {
-                svc.unlock_addr(second).unwrap();
+                svc.unlock(second).unwrap();
             }
-            svc.unlock_addr(first).unwrap();
+            svc.unlock(first).unwrap();
             result
         })
     };
@@ -142,11 +142,11 @@ fn no_false_positives_without_a_cycle() {
                     // Consistent global order (ascending addresses): no cycle.
                     let a = 0x800 + ((t + i) % 4) * 8;
                     let b = a + 64;
-                    svc.lock_addr(a).unwrap();
-                    svc.lock_addr(b).unwrap();
+                    svc.lock(a).unwrap();
+                    svc.lock(b).unwrap();
                     gls_runtime::spin_cycles(100);
-                    svc.unlock_addr(b).unwrap();
-                    svc.unlock_addr(a).unwrap();
+                    svc.unlock(b).unwrap();
+                    svc.unlock(a).unwrap();
                 }
             })
         })
@@ -168,14 +168,14 @@ fn waiting_thread_eventually_reports_even_if_owner_never_releases() {
     // keep waiting. We verify the detector stays quiet and the waiter makes
     // progress once the owner finally releases.
     let svc = debug_service(50);
-    svc.lock_addr(0xF00).unwrap();
+    svc.lock(0xF00).unwrap();
     let svc2 = Arc::clone(&svc);
-    let waiter = thread::spawn(move || svc2.lock_addr(0xF00).map(|()| svc2.unlock_addr(0xF00)));
+    let waiter = thread::spawn(move || svc2.lock(0xF00).map(|()| svc2.unlock(0xF00)));
     thread::sleep(Duration::from_millis(300));
     assert!(
         !svc.issues().iter().any(|i| i.category() == "deadlock"),
         "a single blocked thread is not a deadlock"
     );
-    svc.unlock_addr(0xF00).unwrap();
+    svc.unlock(0xF00).unwrap();
     waiter.join().unwrap().unwrap().unwrap();
 }

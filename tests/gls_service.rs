@@ -28,12 +28,12 @@ fn service_protects_disjoint_counters_per_address() {
                 for i in 0..iters {
                     let slot = (i * 7 + t) % SLOTS;
                     let addr = 0x9000 + slot * 8;
-                    svc.lock_addr(addr).unwrap();
+                    svc.lock(addr).unwrap();
                     // SAFETY: written while holding the lock under test.
                     unsafe {
                         (*slots.0.get())[slot] += 1;
                     }
-                    svc.unlock_addr(addr).unwrap();
+                    svc.unlock(addr).unwrap();
                 }
             })
         })
@@ -101,9 +101,9 @@ fn profiler_identifies_the_hot_lock() {
                     } else {
                         0x200 + (x as usize % 8) * 8
                     };
-                    svc.lock_addr(addr).unwrap();
+                    svc.lock(addr).unwrap();
                     gls_runtime::spin_cycles(300);
-                    svc.unlock_addr(addr).unwrap();
+                    svc.unlock(addr).unwrap();
                 }
             })
         })
@@ -147,13 +147,13 @@ fn trylock_contention_only_one_winner_at_a_time() {
             let acquired = Arc::clone(&acquired);
             std::thread::spawn(move || {
                 for _ in 0..30_000 {
-                    if svc.try_lock_addr(0x777).unwrap() {
+                    if svc.try_lock(0x777).unwrap() {
                         if concurrent.fetch_add(1, Ordering::AcqRel) != 0 {
                             violations.fetch_add(1, Ordering::Relaxed);
                         }
                         acquired.fetch_add(1, Ordering::Relaxed);
                         concurrent.fetch_sub(1, Ordering::AcqRel);
-                        svc.unlock_addr(0x777).unwrap();
+                        svc.unlock(0x777).unwrap();
                     }
                 }
             })
@@ -171,9 +171,9 @@ fn free_and_recreate_cycles_are_safe() {
     let svc = GlsService::new();
     for round in 0..200usize {
         let addr = 0x6000;
-        svc.lock_addr(addr).unwrap();
-        svc.unlock_addr(addr).unwrap();
-        assert!(svc.free_addr(addr), "round {round}");
+        svc.lock(addr).unwrap();
+        svc.unlock(addr).unwrap();
+        assert!(svc.free(addr), "round {round}");
         assert_eq!(svc.lock_count(), 0);
     }
 }
@@ -188,7 +188,7 @@ fn debug_mode_issue_log_accumulates_across_threads() {
             let svc = Arc::clone(&svc);
             std::thread::spawn(move || {
                 // Every thread unlocks an address it never locked.
-                let _ = svc.unlock_addr(0xdead0 + t);
+                let _ = svc.unlock(0xdead0 + t);
             })
         })
         .collect();
@@ -206,8 +206,8 @@ fn debug_mode_issue_log_accumulates_across_threads() {
 fn lock_count_matches_distinct_addresses_used() {
     let svc = GlsService::new();
     for i in 1..=500usize {
-        svc.lock_addr(i * 16).unwrap();
-        svc.unlock_addr(i * 16).unwrap();
+        svc.lock(i * 16).unwrap();
+        svc.unlock(i * 16).unwrap();
     }
     assert_eq!(svc.lock_count(), 500);
     let stats = svc.table_stats();

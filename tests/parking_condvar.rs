@@ -36,7 +36,7 @@ fn futex_locks_work_through_the_explicit_gls_interface() {
                     let addr = 0xF000 + (i % 8) * 64;
                     svc.lock_with(LockKind::Futex, addr).unwrap();
                     counter.fetch_add(1, Ordering::Relaxed);
-                    svc.unlock_addr(addr).unwrap();
+                    svc.unlock(addr).unwrap();
                 }
             })
         })
@@ -55,13 +55,13 @@ fn futex_rw_entries_share_reads_through_the_service() {
     svc.unlock_with(LockKind::FutexRw, 0xF800).unwrap();
     assert_eq!(svc.algorithm_of(0xF800), Some(LockKind::FutexRw));
     // The rw read path routes shared acquisitions to the futex rwlock.
-    svc.read_lock_addr(0xF800).unwrap();
-    svc.read_lock_addr(0xF800).unwrap();
-    assert!(!svc.try_write_lock_addr(0xF800).unwrap());
-    svc.read_unlock_addr(0xF800).unwrap();
-    svc.read_unlock_addr(0xF800).unwrap();
-    assert!(svc.try_write_lock_addr(0xF800).unwrap());
-    svc.write_unlock_addr(0xF800).unwrap();
+    svc.read_lock(0xF800).unwrap();
+    svc.read_lock(0xF800).unwrap();
+    assert!(!svc.try_write_lock(0xF800).unwrap());
+    svc.read_unlock(0xF800).unwrap();
+    svc.read_unlock(0xF800).unwrap();
+    assert!(svc.try_write_lock(0xF800).unwrap());
+    svc.write_unlock(0xF800).unwrap();
 }
 
 #[test]
@@ -87,10 +87,10 @@ fn glk_with_parking_backend_keeps_exclusion_through_the_service() {
             let value = Arc::clone(&value);
             std::thread::spawn(move || {
                 for _ in 0..5_000 {
-                    svc.lock_addr(0xAB00).unwrap();
+                    svc.lock(0xAB00).unwrap();
                     // SAFETY: written while holding the lock under test.
                     unsafe { *value.0.get() += 1 };
-                    svc.unlock_addr(0xAB00).unwrap();
+                    svc.unlock(0xAB00).unwrap();
                 }
             })
         })
@@ -139,16 +139,16 @@ fn condvar_mpmc_under_debug_mode_reports_no_false_deadlocks() {
 fn wait_timeout_expires_and_reacquires_the_mutex() {
     let svc = GlsService::new();
     let cv = GlsCondvar::new();
-    svc.lock_addr(0xCC00).unwrap();
+    svc.lock(0xCC00).unwrap();
     let start = Instant::now();
     let outcome = svc
-        .wait_timeout_addr(&cv, 0xCC00, Duration::from_millis(50))
+        .wait_timeout(&cv, 0xCC00, Duration::from_millis(50))
         .unwrap();
     assert!(outcome.timed_out());
     assert!(start.elapsed() >= Duration::from_millis(50));
     // The mutex was re-acquired on the way out.
-    assert!(!svc.try_lock_addr(0xCC00).unwrap());
-    svc.unlock_addr(0xCC00).unwrap();
+    assert!(!svc.try_lock(0xCC00).unwrap());
+    svc.unlock(0xCC00).unwrap();
     assert_eq!(cv.timeouts(), 1);
 }
 
@@ -159,7 +159,7 @@ fn debug_mode_flags_waiting_without_holding() {
     // Waiting with a mutex that was never locked is the same class of bug
     // as releasing it.
     let err = svc
-        .wait_timeout_addr(&cv, 0xDD00, Duration::from_millis(10))
+        .wait_timeout(&cv, 0xDD00, Duration::from_millis(10))
         .unwrap_err();
     assert_eq!(err.category(), "release-free-lock");
     assert!(!svc.issues().is_empty());
@@ -176,9 +176,9 @@ fn notify_one_hands_over_fifo_and_notify_all_drains() {
             let cv = Arc::clone(&cv);
             let woken = Arc::clone(&woken);
             std::thread::spawn(move || {
-                svc.lock_addr(0xEE00).unwrap();
-                svc.wait_addr(&cv, 0xEE00).unwrap();
-                svc.unlock_addr(0xEE00).unwrap();
+                svc.lock(0xEE00).unwrap();
+                svc.wait(&cv, 0xEE00).unwrap();
+                svc.unlock(0xEE00).unwrap();
                 woken.fetch_add(1, Ordering::Release);
             })
         })
@@ -252,10 +252,10 @@ fn backend_migration_under_load_loses_no_wakeups() {
             std::thread::spawn(move || {
                 for i in 0..5_000usize {
                     let addr = 0xA100 + ((t + i) % 2) * 64;
-                    svc.lock_addr(addr).unwrap();
+                    svc.lock(addr).unwrap();
                     counter.fetch_add(1, Ordering::Relaxed);
                     gls_runtime::spin_cycles(200);
-                    svc.unlock_addr(addr).unwrap();
+                    svc.unlock(addr).unwrap();
                 }
             })
         })
@@ -294,7 +294,7 @@ fn condvar_requeue_mpmc_loses_no_items() {
     let addr = 0xCAFE;
     // The mutex entry is futex-backed: notify_one_addr requeues onto it.
     svc.lock_with(LockKind::Futex, addr).unwrap();
-    svc.unlock_addr(addr).unwrap();
+    svc.unlock(addr).unwrap();
     let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
 
     let consumers: Vec<_> = (0..CONSUMERS)
@@ -308,7 +308,7 @@ fn condvar_requeue_mpmc_loses_no_items() {
             std::thread::spawn(move || {
                 let mut sum = 0u64;
                 loop {
-                    svc.lock_addr(addr).unwrap();
+                    svc.lock(addr).unwrap();
                     let item = loop {
                         // SAFETY: guarded by the GLS mutex on `addr`.
                         let q = unsafe { &mut *queue.0.get() };
@@ -318,9 +318,9 @@ fn condvar_requeue_mpmc_loses_no_items() {
                         if done.load(Ordering::Acquire) {
                             break None;
                         }
-                        svc.wait_addr(&cv, addr).unwrap();
+                        svc.wait(&cv, addr).unwrap();
                     };
-                    svc.unlock_addr(addr).unwrap();
+                    svc.unlock(addr).unwrap();
                     match item {
                         Some(v) => sum += v,
                         None => return sum,
@@ -335,13 +335,13 @@ fn condvar_requeue_mpmc_loses_no_items() {
             let (svc, cv, queue) = (Arc::clone(&svc), Arc::clone(&cv), Arc::clone(&queue));
             std::thread::spawn(move || {
                 for i in 0..PER_PRODUCER {
-                    svc.lock_addr(addr).unwrap();
+                    svc.lock(addr).unwrap();
                     // SAFETY: guarded by the GLS mutex on `addr`.
                     unsafe { (*queue.0.get()).push_back(p * PER_PRODUCER + i + 1) };
                     // Notify while holding the mutex: the waiter must be
                     // requeued onto the mutex and woken by the unlock below.
-                    svc.notify_one_addr(&cv, addr);
-                    svc.unlock_addr(addr).unwrap();
+                    svc.notify_one(&cv, addr);
+                    svc.unlock(addr).unwrap();
                 }
             })
         })
@@ -349,10 +349,10 @@ fn condvar_requeue_mpmc_loses_no_items() {
     for h in producers {
         h.join().unwrap();
     }
-    svc.lock_addr(addr).unwrap();
+    svc.lock(addr).unwrap();
     done.store(true, Ordering::Release);
-    svc.notify_all_addr(&cv, addr);
-    svc.unlock_addr(addr).unwrap();
+    svc.notify_all(&cv, addr);
+    svc.unlock(addr).unwrap();
 
     let consumed: u64 = consumers.into_iter().map(|h| h.join().unwrap()).sum();
     let n = PRODUCERS * PER_PRODUCER;
@@ -400,9 +400,9 @@ fn requeued_waiters_survive_a_backend_migration() {
         .map(|_| {
             let (svc, cv, woken) = (Arc::clone(&svc), Arc::clone(&cv), Arc::clone(&woken));
             std::thread::spawn(move || {
-                svc.lock_addr(addr).unwrap();
-                svc.wait_addr(&cv, addr).unwrap();
-                svc.unlock_addr(addr).unwrap();
+                svc.lock(addr).unwrap();
+                svc.wait(&cv, addr).unwrap();
+                svc.unlock(addr).unwrap();
                 woken.fetch_add(1, Ordering::Release);
             })
         })
@@ -412,15 +412,15 @@ fn requeued_waiters_survive_a_backend_migration() {
     }
     // Hold the (parking-backed) mutex and morph the whole broadcast onto
     // its futex word.
-    svc.lock_addr(addr).unwrap();
-    assert_eq!(svc.notify_all_addr(&cv, addr), 3);
+    svc.lock(addr).unwrap();
+    assert_eq!(svc.notify_all(&cv, addr), 3);
     // Now force the next release to migrate the backend away from the
     // parking lot: the release must broadcast, or two of the three
     // requeued waiters strand under the abandoned futex word.
     for _ in 0..4 {
         density.leave();
     }
-    svc.unlock_addr(addr).unwrap();
+    svc.unlock(addr).unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
     while woken.load(Ordering::Acquire) < 3 {
         assert!(

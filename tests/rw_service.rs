@@ -67,23 +67,23 @@ fn mixed_rw_stress_with_deadlock_detection_stays_clean() {
                         // Writer: exclusive on the outer lock, then a nested
                         // exclusive section on the inner lock (consistent
                         // order, so never a deadlock).
-                        svc.write_lock_addr(outer).unwrap();
-                        svc.write_lock_addr(inner).unwrap();
+                        svc.write_lock(outer).unwrap();
+                        svc.write_lock(inner).unwrap();
                         // SAFETY: written while holding the write lock under test.
                         unsafe {
                             (*shared.0.get()).0 += 1;
                             (*shared.0.get()).1 += 1;
                         }
-                        svc.write_unlock_addr(inner).unwrap();
-                        svc.write_unlock_addr(outer).unwrap();
+                        svc.write_unlock(inner).unwrap();
+                        svc.write_unlock(outer).unwrap();
                     } else {
                         // Reader: shared on the outer lock; the pair must
                         // never be observed torn.
-                        svc.read_lock_addr(outer).unwrap();
+                        svc.read_lock(outer).unwrap();
                         // SAFETY: read under the read lock; writers are excluded.
                         let (a, b) = unsafe { *shared.0.get() };
                         assert_eq!(a, b, "torn read under the service rw lock");
-                        svc.read_unlock_addr(outer).unwrap();
+                        svc.read_unlock(outer).unwrap();
                     }
                 }
             })
@@ -118,17 +118,17 @@ fn service_writer_completes_under_continuous_reader_churn() {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
-                    svc.read_lock_addr(addr).unwrap();
-                    svc.read_unlock_addr(addr).unwrap();
+                    svc.read_lock(addr).unwrap();
+                    svc.read_unlock(addr).unwrap();
                 }
             })
         })
         .collect();
     std::thread::sleep(Duration::from_millis(50));
     let start = Instant::now();
-    svc.write_lock_addr(addr).unwrap();
+    svc.write_lock(addr).unwrap();
     let waited = start.elapsed();
-    svc.write_unlock_addr(addr).unwrap();
+    svc.write_unlock(addr).unwrap();
     stop.store(true, Ordering::Relaxed);
     for r in readers {
         r.join().unwrap();
@@ -145,8 +145,8 @@ fn service_writer_completes_under_continuous_reader_churn() {
 #[test]
 fn debug_mode_flags_upgrade_attempts() {
     let svc = GlsService::with_config(GlsConfig::debug());
-    svc.read_lock_addr(0x44_0000).unwrap();
-    let err = svc.write_lock_addr(0x44_0000).unwrap_err();
+    svc.read_lock(0x44_0000).unwrap();
+    let err = svc.write_lock(0x44_0000).unwrap_err();
     assert_eq!(err.category(), "double-lock");
-    svc.read_unlock_addr(0x44_0000).unwrap();
+    svc.read_unlock(0x44_0000).unwrap();
 }

@@ -26,20 +26,20 @@ fn mixed_api_stress() {
                     match i % 4 {
                         0 => {
                             // RAII guard.
-                            let _g = svc.guard_addr(addr).unwrap();
+                            let _g = svc.guard(addr).unwrap();
                             successes.fetch_add(1, Ordering::Relaxed);
                         }
                         1 => {
                             // Plain lock/unlock.
-                            svc.lock_addr(addr).unwrap();
+                            svc.lock(addr).unwrap();
                             successes.fetch_add(1, Ordering::Relaxed);
-                            svc.unlock_addr(addr).unwrap();
+                            svc.unlock(addr).unwrap();
                         }
                         2 => {
                             // Trylock, possibly failing.
-                            if svc.try_lock_addr(addr).unwrap() {
+                            if svc.try_lock(addr).unwrap() {
                                 successes.fetch_add(1, Ordering::Relaxed);
-                                svc.unlock_addr(addr).unwrap();
+                                svc.unlock(addr).unwrap();
                             }
                         }
                         _ => {
@@ -81,15 +81,15 @@ fn per_thread_lock_cache_survives_interleaved_addresses() {
             let pair = Arc::clone(&pair);
             std::thread::spawn(move || {
                 for _ in 0..10_000 {
-                    svc.lock_addr(0xAAA0).unwrap();
+                    svc.lock(0xAAA0).unwrap();
                     // SAFETY: written while holding the lock under test.
                     unsafe { (*pair.0.get()).0 += 1 };
-                    svc.unlock_addr(0xAAA0).unwrap();
+                    svc.unlock(0xAAA0).unwrap();
 
-                    svc.lock_addr(0xBBB0).unwrap();
+                    svc.lock(0xBBB0).unwrap();
                     // SAFETY: written while holding the lock under test.
                     unsafe { (*pair.0.get()).1 += 1 };
-                    svc.unlock_addr(0xBBB0).unwrap();
+                    svc.unlock(0xBBB0).unwrap();
                 }
             })
         })
@@ -112,8 +112,8 @@ fn profiling_service_under_stress_reports_every_lock() {
             std::thread::spawn(move || {
                 for i in 0..5_000usize {
                     let addr = 0x3000 + ((i + t) % 10) * 8;
-                    svc.lock_addr(addr).unwrap();
-                    svc.unlock_addr(addr).unwrap();
+                    svc.lock(addr).unwrap();
+                    svc.unlock(addr).unwrap();
                 }
             })
         })
@@ -133,8 +133,8 @@ fn guards_can_be_held_across_nested_addresses() {
     let outer = 0x111_usize;
     let inner = 0x222_usize;
     for _ in 0..1_000 {
-        let _a = svc.guard_addr(outer).unwrap();
-        let _b = svc.guard_addr(inner).unwrap();
+        let _a = svc.guard(outer).unwrap();
+        let _b = svc.guard(inner).unwrap();
         // Guards drop in reverse order (inner first), which is the correct
         // nesting discipline.
     }
@@ -159,9 +159,9 @@ fn distinct_address_churn_keeps_resident_entries_bounded() {
                 let mut worst = 0;
                 for i in 0..PER_THREAD {
                     let addr = ((t * PER_THREAD + i) << 6) + 64;
-                    svc.lock_addr(addr).unwrap();
-                    svc.unlock_addr(addr).unwrap();
-                    assert!(svc.free_addr(addr));
+                    svc.lock(addr).unwrap();
+                    svc.unlock(addr).unwrap();
+                    assert!(svc.free(addr));
                     if i % 16_384 == 0 {
                         worst = worst.max(svc.lock_count() + svc.retired_count());
                     }

@@ -22,9 +22,9 @@ const CS_CYCLES: u64 = 2_000;
 fn profile_one_lock(service: &GlsService, iterations: u64) -> (u64, f64) {
     const ADDR: usize = 0xF1DE_1000;
     for _ in 0..iterations {
-        service.lock_addr(ADDR).unwrap();
+        service.lock(ADDR).unwrap();
         gls_runtime::spin_cycles(CS_CYCLES);
-        service.unlock_addr(ADDR).unwrap();
+        service.unlock(ADDR).unwrap();
     }
     let report = service.profile_report();
     let profile = report
@@ -140,8 +140,8 @@ fn snapshot_json_round_trips_counts() {
     let service = GlsService::with_config(GlsConfig::default().with_mode(GlsMode::Profile));
     for addr in [0x1000usize, 0x2000, 0x3000] {
         for _ in 0..10 {
-            service.lock_addr(addr).unwrap();
-            service.unlock_addr(addr).unwrap();
+            service.lock(addr).unwrap();
+            service.unlock(addr).unwrap();
         }
     }
     let snapshot = service.telemetry_snapshot();
@@ -189,8 +189,8 @@ fn snapshot_json_round_trips_counts() {
 #[test]
 fn publisher_delivers_snapshots_until_stopped() {
     let service = Arc::new(GlsService::new());
-    service.lock_addr(0x77).unwrap();
-    service.unlock_addr(0x77).unwrap();
+    service.lock(0x77).unwrap();
+    service.unlock(0x77).unwrap();
 
     let seen = Arc::new(AtomicBool::new(false));
     let seen2 = Arc::clone(&seen);
