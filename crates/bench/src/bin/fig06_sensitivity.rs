@@ -11,14 +11,12 @@ use std::sync::Arc;
 
 use gls::glk::{GlkConfig, GlkMode, MonitorHandle};
 use gls_bench::{banner, point_duration, repetitions};
-use gls_runtime::sysload::{SystemLoadConfig, SystemLoadMonitor};
+use gls_runtime::SystemLoadMonitor;
 use gls_workloads::report::SeriesTable;
 use gls_workloads::{make_locks, microbench, LockSetup, MicrobenchConfig};
 
 fn measure(config: GlkConfig, threads: usize) -> f64 {
-    let monitor = MonitorHandle::Custom(Arc::new(SystemLoadMonitor::manual(
-        SystemLoadConfig::default(),
-    )));
+    let monitor = MonitorHandle::Custom(Arc::new(SystemLoadMonitor::new()));
     let locks = make_locks(&LockSetup::Glk(config, monitor), 1);
     microbench::run_median(
         &locks,

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use gls_bench::{banner, point_duration, repetitions, setup_for};
 use gls_locks::LockKind;
-use gls_runtime::sysload::{SystemLoadConfig, SystemLoadMonitor};
+use gls_runtime::SystemLoadMonitor;
 use gls_workloads::report::SeriesTable;
 use gls_workloads::{make_locks, microbench, MicrobenchConfig};
 
@@ -40,7 +40,7 @@ fn main() {
         kinds.iter().map(|k| k.name().to_string()).collect(),
     );
     for (label, threads, spinners) in configs {
-        let monitor = Arc::new(SystemLoadMonitor::spawn(SystemLoadConfig::default()));
+        let monitor = Arc::new(SystemLoadMonitor::new());
         let mut absolute = Vec::new();
         for kind in kinds {
             let locks = make_locks(&setup_for(kind, &monitor), 1);

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use gls_bench::{banner, point_duration, repetitions, setup_for, thread_sweep};
 use gls_locks::LockKind;
-use gls_runtime::sysload::{SystemLoadConfig, SystemLoadMonitor};
+use gls_runtime::SystemLoadMonitor;
 use gls_workloads::report::SeriesTable;
 use gls_workloads::{make_locks, microbench, MicrobenchConfig};
 
@@ -24,7 +24,7 @@ fn main() {
         LockKind::Mutex,
         LockKind::Glk,
     ];
-    let monitor = Arc::new(SystemLoadMonitor::spawn(SystemLoadConfig::default()));
+    let monitor = Arc::new(SystemLoadMonitor::new());
 
     let mut table = SeriesTable::new(
         "Figure 8: single-lock throughput (Mops/s)",

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use gls_bench::{banner, point_duration, repetitions, setup_for, thread_sweep};
 use gls_locks::LockKind;
-use gls_runtime::sysload::{SystemLoadConfig, SystemLoadMonitor};
+use gls_runtime::SystemLoadMonitor;
 use gls_workloads::report::SeriesTable;
 use gls_workloads::{make_locks, microbench, LockSelection, MicrobenchConfig};
 
@@ -24,7 +24,7 @@ fn main() {
         LockKind::Mutex,
         LockKind::Glk,
     ];
-    let monitor = Arc::new(SystemLoadMonitor::spawn(SystemLoadConfig::default()));
+    let monitor = Arc::new(SystemLoadMonitor::new());
 
     let mut table = SeriesTable::new(
         "Figure 9: eight-lock throughput (Mops/s), zipfian alpha 0.9",

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use gls_bench::{banner, point_duration, setup_for};
 use gls_locks::LockKind;
-use gls_runtime::sysload::{SystemLoadConfig, SystemLoadMonitor};
+use gls_runtime::SystemLoadMonitor;
 use gls_workloads::make_locks;
 use gls_workloads::phases::{paper_figure10_phases, run_phases};
 use gls_workloads::report::SeriesTable;
@@ -38,7 +38,7 @@ fn main() {
     let mut averages = vec![0.0f64; kinds.len()];
     let mut per_kind_results = Vec::new();
     for kind in kinds {
-        let monitor = Arc::new(SystemLoadMonitor::spawn(SystemLoadConfig::default()));
+        let monitor = Arc::new(SystemLoadMonitor::new());
         let locks = make_locks(&setup_for(kind, &monitor), 1);
         let results = run_phases(&locks, &phases, background, Some(monitor));
         per_kind_results.push(results);

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use gls::GlsConfig;
 use gls_bench::{banner, point_duration, repetitions, setup_for};
 use gls_locks::LockKind;
-use gls_runtime::sysload::{SystemLoadConfig, SystemLoadMonitor};
+use gls_runtime::SystemLoadMonitor;
 use gls_workloads::report::SeriesTable;
 use gls_workloads::{make_locks, microbench, LockSetup, MicrobenchConfig};
 
@@ -28,7 +28,7 @@ fn main() {
     ];
     let lock_counts = [1usize, 512, 4096];
     let threads = 10.min(gls_runtime::hardware_contexts().max(2));
-    let monitor = Arc::new(SystemLoadMonitor::spawn(SystemLoadConfig::default()));
+    let monitor = Arc::new(SystemLoadMonitor::new());
 
     let mut table = SeriesTable::new(
         "Figure 12: GLS throughput / direct throughput",

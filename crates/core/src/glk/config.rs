@@ -2,7 +2,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 use gls_runtime::SystemLoadMonitor;
 
@@ -41,6 +40,27 @@ pub enum BlockingBackend {
 /// live blocking-mode locks the embedded `Mutex + Condvar` pairs (~2 cache
 /// lines each) dominate the footprint and the shared parking lot wins.
 pub const DEFAULT_BLOCKING_DENSITY_THRESHOLD: usize = 64;
+
+/// Switch ticket → mcs when the smoothed queue exceeds this value.
+pub const TICKET_TO_MCS_QUEUE: f64 = 3.0;
+/// Switch mcs → ticket when it drops below this value (the gap is the hysteresis band).
+pub const MCS_TO_TICKET_QUEUE: f64 = 2.0;
+/// Smoothing factor of the moving average over per-window average queue lengths.
+pub const EMA_ALPHA: f64 = 0.5;
+/// Locks whose smoothed queue is below this value stay in (or return to)
+/// ticket mode even under multiprogramming: "locks that face close-to-zero
+/// contention do not cause a problem on multiprogramming".
+pub const MIN_QUEUE_FOR_MUTEX: f64 = 1.5;
+/// [`SystemLoadMonitor::calm_ticks`] (100 µs each) a lock needs before it first
+/// leaves mutex mode; doubled after every departure to damp oscillation.
+pub const INITIAL_CALM_ROUNDS: u64 = 2;
+/// Upper bound for the exponentially growing calm requirement.
+pub const MAX_CALM_ROUNDS: u64 = 1 << 20;
+/// Topology-aware handoff for parking-lot releases: a futex release that hands
+/// the lock off prefers a waiter parked from the releaser's cache domain, within
+/// a bypass budget so remote waiters cannot starve (see `gls_locks::cohort`).
+/// Identical to plain FIFO handoff on single-domain machines.
+pub const COHORT_HANDOFF: bool = true;
 
 /// Live count of blocking-mode locks, shared by every lock of one scope
 /// (one [`GlsService`](crate::GlsService), or the process for standalone
@@ -145,19 +165,16 @@ impl DensityHandle {
     }
 }
 
-/// Configuration of a GLK lock.
+/// Configuration of a GLK lock: the parameters some experiment varies.
 ///
-/// The defaults are the values chosen by the paper's sensitivity analysis
-/// (§3.1) and used throughout its evaluation:
-///
-/// * adaptation every **4096** critical sections,
-/// * queue sampling every **128** critical sections (32 samples/adaptation),
-/// * ticket → mcs when the smoothed queue exceeds **3.0**,
-/// * mcs → ticket when it drops below **2.0**,
-/// * multiprogramming polled roughly every **100 µs** by the shared monitor,
-/// * locks with close-to-zero contention never switch to mutex,
-/// * exponentially more calm observations required to leave mutex mode after
-///   each bounce.
+/// Defaults are the values of the paper's sensitivity analysis (§3.1):
+/// adaptation every **4096** critical sections, queue sampling every **128**
+/// (32 samples per adaptation). The rest of §3.1 (queue thresholds, EMA
+/// factor, calm hold-off) no bench, figure, example or system model ever set
+/// differently, so those are the constants above, read directly by the locks,
+/// not fields to be covered. The paper's ~100 µs load-polling thread has no
+/// counterpart: the lock reads its [`MonitorHandle`]'s runnable registry at
+/// the adaptation tick ([`gls_runtime::sysload`] says why).
 ///
 /// # Example
 ///
@@ -175,29 +192,10 @@ pub struct GlkConfig {
     pub adaptation_period: u64,
     /// Sample the queue length every this many completed critical sections.
     pub sampling_period: u64,
-    /// Switch ticket → mcs when the smoothed queue exceeds this value.
-    pub ticket_to_mcs_queue: f64,
-    /// Switch mcs → ticket when the smoothed queue drops below this value.
-    pub mcs_to_ticket_queue: f64,
-    /// Smoothing factor of the exponential moving average over per-window
-    /// average queue lengths.
-    pub ema_alpha: f64,
-    /// Locks whose smoothed queue is below this value stay in (or return to)
-    /// ticket mode even under multiprogramming: "locks that face
-    /// close-to-zero contention do not cause a problem on multiprogramming".
-    pub min_queue_for_mutex: f64,
-    /// Initial number of calm monitor observations required before a lock may
-    /// leave mutex mode; doubled after every departure to damp oscillation.
-    pub initial_calm_rounds: u64,
-    /// Upper bound for the exponentially growing calm requirement.
-    pub max_calm_rounds: u64,
     /// The mode a fresh lock starts in.
     pub initial_mode: GlkMode,
     /// Record mode transitions so they can be inspected/printed (§4.3).
     pub record_transitions: bool,
-    /// How long the shared system-load monitor sleeps between polls (only
-    /// used when this configuration spawns its own monitor).
-    pub monitor_interval: Duration,
     /// Which blocking implementation the lock's sleeping mode uses.
     pub blocking_backend: BlockingBackend,
     /// For [`BlockingBackend::Auto`]: switch a lock's blocking state to the
@@ -207,13 +205,6 @@ pub struct GlkConfig {
     pub blocking_density_threshold: usize,
     /// The blocking-density tracker consulted by the Auto heuristic.
     pub density: DensityHandle,
-    /// Topology-aware handoff for parking-lot releases: when a futex release
-    /// hands the lock off, prefer a waiter parked from the releaser's cache
-    /// domain (bounded by the bypass budget so remote waiters cannot
-    /// starve — see `gls_locks::cohort`). On single-domain machines this is
-    /// identical to plain FIFO handoff; disable it to force strict FIFO on
-    /// multi-socket boxes too.
-    pub cohort_handoff: bool,
 }
 
 impl Default for GlkConfig {
@@ -221,19 +212,11 @@ impl Default for GlkConfig {
         Self {
             adaptation_period: 4096,
             sampling_period: 128,
-            ticket_to_mcs_queue: 3.0,
-            mcs_to_ticket_queue: 2.0,
-            ema_alpha: 0.5,
-            min_queue_for_mutex: 1.5,
-            initial_calm_rounds: 2,
-            max_calm_rounds: 1 << 20,
             initial_mode: GlkMode::Ticket,
             record_transitions: false,
-            monitor_interval: Duration::from_micros(100),
             blocking_backend: BlockingBackend::default(),
             blocking_density_threshold: DEFAULT_BLOCKING_DENSITY_THRESHOLD,
             density: DensityHandle::default(),
-            cohort_handoff: true,
         }
     }
 }
@@ -258,21 +241,6 @@ impl GlkConfig {
     pub fn with_sampling_period(mut self, period: u64) -> Self {
         assert!(period > 0, "sampling period must be positive");
         self.sampling_period = period;
-        self
-    }
-
-    /// Sets the ticket→mcs and mcs→ticket queue thresholds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `to_mcs < to_ticket` (the hysteresis band would be inverted).
-    pub fn with_queue_thresholds(mut self, to_mcs: f64, to_ticket: f64) -> Self {
-        assert!(
-            to_mcs >= to_ticket,
-            "ticket->mcs threshold must not be below mcs->ticket threshold"
-        );
-        self.ticket_to_mcs_queue = to_mcs;
-        self.mcs_to_ticket_queue = to_ticket;
         self
     }
 
@@ -315,13 +283,6 @@ impl GlkConfig {
         self
     }
 
-    /// Enables or disables topology-aware (cohort) handoff on parking-lot
-    /// releases. Enabled by default; a no-op on single-domain machines.
-    pub fn with_cohort_handoff(mut self, enabled: bool) -> Self {
-        self.cohort_handoff = enabled;
-        self
-    }
-
     /// Disables adaptation entirely: the lock stays in its initial mode.
     /// (Used by the paper's overhead experiments, Figure 7.)
     pub fn without_adaptation(mut self) -> Self {
@@ -339,12 +300,12 @@ impl GlkConfig {
 /// Which system-load monitor a GLK lock consults for multiprogramming.
 #[derive(Debug, Clone, Default)]
 pub enum MonitorHandle {
-    /// The process-wide monitor ([`SystemLoadMonitor::global`]); this is what
-    /// the paper does — one background thread shared by all GLK locks.
+    /// The process-wide monitor ([`SystemLoadMonitor::global`]): like the
+    /// paper's, one detector shared by all GLK locks.
     #[default]
     Global,
-    /// A dedicated monitor, typically a manually polled one in tests or a
-    /// per-experiment monitor in the benchmark harness.
+    /// A dedicated registry: tests and the figure harness substitute their
+    /// own so unrelated threads of the process cannot move their signal.
     Custom(Arc<SystemLoadMonitor>),
 }
 
@@ -367,8 +328,6 @@ mod tests {
         let c = GlkConfig::default();
         assert_eq!(c.adaptation_period, 4096);
         assert_eq!(c.sampling_period, 128);
-        assert_eq!(c.ticket_to_mcs_queue, 3.0);
-        assert_eq!(c.mcs_to_ticket_queue, 2.0);
         assert_eq!(c.initial_mode, GlkMode::Ticket);
         assert_eq!(c.adaptation_period / c.sampling_period, 32);
         // The blocking backend is no longer a static knob by default: Auto
@@ -378,16 +337,15 @@ mod tests {
             c.blocking_density_threshold,
             DEFAULT_BLOCKING_DENSITY_THRESHOLD
         );
-        // Topology-aware handoff is on by default (harmless single-domain).
-        assert!(c.cohort_handoff);
-    }
-
-    #[test]
-    fn cohort_handoff_is_selectable() {
-        let c = GlkConfig::default().with_cohort_handoff(false);
-        assert!(!c.cohort_handoff);
-        let c = c.with_cohort_handoff(true);
-        assert!(c.cohort_handoff);
+        // The §3.1 values that are constants rather than fields.
+        assert_eq!(TICKET_TO_MCS_QUEUE, 3.0);
+        assert_eq!(MCS_TO_TICKET_QUEUE, 2.0);
+        assert_eq!(EMA_ALPHA, 0.5);
+        assert_eq!(MIN_QUEUE_FOR_MUTEX, 1.5);
+        assert_eq!(INITIAL_CALM_ROUNDS, 2);
+        assert_eq!(MAX_CALM_ROUNDS, 1 << 20);
+        // Topology-aware handoff is on (harmless single-domain).
+        const { assert!(COHORT_HANDOFF) };
     }
 
     #[test]
@@ -427,13 +385,10 @@ mod tests {
         let c = GlkConfig::default()
             .with_adaptation_period(512)
             .with_sampling_period(16)
-            .with_queue_thresholds(5.0, 1.0)
             .with_initial_mode(GlkMode::Mcs)
             .with_transition_recording(true);
         assert_eq!(c.adaptation_period, 512);
         assert_eq!(c.sampling_period, 16);
-        assert_eq!(c.ticket_to_mcs_queue, 5.0);
-        assert_eq!(c.mcs_to_ticket_queue, 1.0);
         assert_eq!(c.initial_mode, GlkMode::Mcs);
         assert!(c.record_transitions);
     }
@@ -442,12 +397,6 @@ mod tests {
     #[should_panic(expected = "adaptation period")]
     fn zero_adaptation_period_rejected() {
         let _ = GlkConfig::default().with_adaptation_period(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "threshold")]
-    fn inverted_thresholds_rejected() {
-        let _ = GlkConfig::default().with_queue_thresholds(1.0, 3.0);
     }
 
     #[test]
@@ -460,7 +409,7 @@ mod tests {
     fn monitor_handle_resolves() {
         let global = MonitorHandle::Global;
         let _ = global.monitor();
-        let custom = MonitorHandle::Custom(Arc::new(SystemLoadMonitor::manual(Default::default())));
+        let custom = MonitorHandle::Custom(Arc::new(SystemLoadMonitor::new()));
         assert_eq!(custom.monitor().registered_runnable(), 0);
     }
 }

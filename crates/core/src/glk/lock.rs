@@ -8,6 +8,8 @@ use gls_runtime::LockStats;
 
 use super::config::{
     BlockingBackend, BlockingDensity, GlkConfig, MonitorHandle, PopulationMembership,
+    COHORT_HANDOFF, EMA_ALPHA, INITIAL_CALM_ROUNDS, MAX_CALM_ROUNDS, MCS_TO_TICKET_QUEUE,
+    MIN_QUEUE_FOR_MUTEX, TICKET_TO_MCS_QUEUE,
 };
 use super::mode::{GlkMode, ModeTransition};
 
@@ -275,20 +277,13 @@ impl AutoBlockingMutex {
     /// the one-wakeup drain chain could otherwise strand waiters queued
     /// behind them.
     pub fn unlock(&self, density: &BlockingDensity, threshold: usize) {
-        self.unlock_cohort(density, threshold, true);
-    }
-
-    /// [`unlock`](Self::unlock) with explicit control over topology-aware
-    /// handoff on the parking backend
-    /// ([`GlkConfig::cohort_handoff`](super::GlkConfig::cohort_handoff)).
-    pub fn unlock_cohort(&self, density: &BlockingDensity, threshold: usize, cohort: bool) {
         let (current, migrated) = self.core.migrate_on_release(density, threshold);
         if current != AUTO_PARKING {
             self.core.per_lock_backend().unlock();
         } else if migrated {
             self.futex.unlock_and_wake_all();
         } else {
-            self.futex.unlock_cohort(cohort);
+            self.futex.unlock_cohort(COHORT_HANDOFF);
         }
     }
 
@@ -403,12 +398,10 @@ impl BlockingMutex {
     pub(crate) fn unlock(&self, config: &GlkConfig) {
         match self {
             BlockingMutex::PerLock(l) => l.unlock(),
-            BlockingMutex::Parking(l) => l.unlock_cohort(config.cohort_handoff),
-            BlockingMutex::Auto(l) => l.unlock_cohort(
-                config.density.density(),
-                config.blocking_density_threshold,
-                config.cohort_handoff,
-            ),
+            BlockingMutex::Parking(l) => l.unlock_cohort(COHORT_HANDOFF),
+            BlockingMutex::Auto(l) => {
+                l.unlock(config.density.density(), config.blocking_density_threshold)
+            }
         }
     }
 
@@ -488,8 +481,8 @@ pub struct GlkLock {
     stats: LockStats,
     /// Exponential moving average of per-window queue lengths (f64 bits).
     ema_bits: AtomicU64,
-    /// Consecutive calm monitor observations required to leave mutex mode;
-    /// doubles after every departure (§3, "Selecting the GLK Mode").
+    /// Calm ticks (100 µs of uninterrupted calm each) required to leave mutex
+    /// mode; doubles after every departure (§3, "Selecting the GLK Mode").
     required_calm: AtomicU64,
     /// This lock's membership in the blocking-density population (exact
     /// across racing adaptation, free/resurrect and drop).
@@ -527,8 +520,8 @@ impl GlkLock {
     }
 
     /// Creates a GLK lock with a custom configuration and system-load
-    /// monitor (used by tests and by the benchmark harness, which need
-    /// deterministic multiprogramming signals).
+    /// monitor (used by tests and by the benchmark harness, which need a
+    /// runnable registry of their own).
     pub fn with_config_and_monitor(config: GlkConfig, monitor: MonitorHandle) -> Self {
         let starts_blocking = config.initial_mode == GlkMode::Mutex;
         if starts_blocking {
@@ -541,7 +534,7 @@ impl GlkLock {
             mutex: BlockingMutex::new(config.blocking_backend),
             stats: LockStats::new(),
             ema_bits: AtomicU64::new(0f64.to_bits()),
-            required_calm: AtomicU64::new(config.initial_calm_rounds),
+            required_calm: AtomicU64::new(INITIAL_CALM_ROUNDS),
             population: PopulationMembership::new(starts_blocking),
             config,
             monitor,
@@ -618,8 +611,8 @@ impl GlkLock {
     pub fn transitions(&self) -> Vec<ModeTransition> {
         self.transitions
             .lock()
-            .map(|t| t.clone())
-            .unwrap_or_default()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .clone()
     }
 
     /// Number of threads currently holding or waiting for the lock, summed
@@ -768,11 +761,10 @@ impl GlkLock {
         let smoothed = if self.stats.queue_samples() == 0 {
             previous
         } else {
-            let alpha = self.config.ema_alpha;
             if self.stats.acquisitions() <= self.config.adaptation_period {
                 window_avg
             } else {
-                alpha * window_avg + (1.0 - alpha) * previous
+                EMA_ALPHA * window_avg + (1.0 - EMA_ALPHA) * previous
             }
         };
         self.ema_bits.store(smoothed.to_bits(), Ordering::Relaxed);
@@ -792,9 +784,12 @@ impl GlkLock {
                 multiprogrammed: monitor.is_multiprogrammed(),
                 at_acquisition: acquisitions,
             };
-            if let Ok(mut log) = self.transitions.lock() {
-                log.push(transition);
-            }
+            // The log is append-only, so a panic while holding it leaves
+            // nothing half-updated: recover the guard, keep the history.
+            self.transitions
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .push(transition);
         }
         self.stats.record_transition();
         gls_runtime::flight::record(
@@ -829,7 +824,7 @@ impl GlkLock {
         // real contention; lightly contended locks should finish their
         // critical sections as fast as possible and stay ticket.
         if multiprogrammed {
-            return if smoothed >= self.config.min_queue_for_mutex {
+            return if smoothed >= MIN_QUEUE_FOR_MUTEX {
                 GlkMode::Mutex
             } else {
                 GlkMode::Ticket
@@ -837,17 +832,17 @@ impl GlkLock {
         }
 
         if current == GlkMode::Mutex {
-            // Leaving mutex mode requires an exponentially growing streak of
-            // calm observations, to avoid bouncing: blocking reduces the
+            // Leaving mutex mode requires an exponentially growing stretch of
+            // uninterrupted calm, to avoid bouncing: blocking reduces the
             // system load, which would immediately re-enable spinning, which
             // would re-trigger multiprogramming, and so on.
             let required = self.required_calm.load(Ordering::Relaxed);
             if monitor.calm_ticks() < required {
                 return GlkMode::Mutex;
             }
-            let next = (required.saturating_mul(2)).min(self.config.max_calm_rounds);
+            let next = (required.saturating_mul(2)).min(MAX_CALM_ROUNDS);
             self.required_calm.store(next, Ordering::Relaxed);
-            return if smoothed > self.config.ticket_to_mcs_queue {
+            return if smoothed > TICKET_TO_MCS_QUEUE {
                 GlkMode::Mcs
             } else {
                 GlkMode::Ticket
@@ -855,9 +850,9 @@ impl GlkLock {
         }
 
         // Spin-mode selection with hysteresis.
-        if smoothed > self.config.ticket_to_mcs_queue {
+        if smoothed > TICKET_TO_MCS_QUEUE {
             GlkMode::Mcs
-        } else if smoothed < self.config.mcs_to_ticket_queue {
+        } else if smoothed < MCS_TO_TICKET_QUEUE {
             GlkMode::Ticket
         } else {
             current
@@ -870,8 +865,9 @@ impl GlkLock {
 // real threads, not modeled ones (see clippy.toml).
 #[allow(clippy::disallowed_types, clippy::disallowed_methods)]
 mod tests {
+    use super::super::test_support::{oversubscribe, own_monitor};
     use super::*;
-    use gls_runtime::sysload::{SystemLoadConfig, SystemLoadMonitor};
+    use gls_runtime::SystemLoadMonitor;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
@@ -882,8 +878,12 @@ mod tests {
             .with_transition_recording(true)
     }
 
-    fn manual_monitor() -> Arc<SystemLoadMonitor> {
-        Arc::new(SystemLoadMonitor::manual(SystemLoadConfig::default()))
+    /// Ends an oversubscription and waits out `ticks` of calm: sleeping *at
+    /// least* that long can only make `calm_ticks() >= ticks` truer.
+    fn calm_for(monitor: &SystemLoadMonitor, ticks: u64) {
+        drop(oversubscribe(monitor));
+        std::thread::sleep(std::time::Duration::from_micros(ticks * 100));
+        assert!(monitor.calm_ticks() >= ticks);
     }
 
     #[test]
@@ -958,7 +958,7 @@ mod tests {
     fn adapts_to_mcs_under_contention() {
         let lock = Arc::new(GlkLock::with_config_and_monitor(
             fast_config(),
-            MonitorHandle::Custom(manual_monitor()),
+            MonitorHandle::Custom(own_monitor()),
         ));
         let stop = Arc::new(AtomicBool::new(false));
         let handles: Vec<_> = (0..8)
@@ -994,7 +994,7 @@ mod tests {
 
     #[test]
     fn returns_to_ticket_when_contention_drops() {
-        let monitor = manual_monitor();
+        let monitor = own_monitor();
         let lock = Arc::new(GlkLock::with_config_and_monitor(
             fast_config().with_initial_mode(GlkMode::Mcs),
             MonitorHandle::Custom(monitor),
@@ -1010,13 +1010,10 @@ mod tests {
 
     #[test]
     fn switches_to_mutex_under_multiprogramming() {
-        let monitor = manual_monitor();
+        let monitor = own_monitor();
         // Simulate oversubscription: more runnable threads than hardware
-        // contexts, then poll once so the monitor latches the state.
-        let hw = gls_runtime::hardware_contexts();
-        let guards: Vec<_> = (0..hw * 2 + 1).map(|_| monitor.runnable_guard()).collect();
-        monitor.poll_once();
-        assert!(monitor.is_multiprogrammed());
+        // contexts.
+        let guards = oversubscribe(&monitor);
 
         let lock = Arc::new(GlkLock::with_config_and_monitor(
             fast_config(),
@@ -1052,11 +1049,8 @@ mod tests {
 
     #[test]
     fn lightly_contended_locks_never_switch_to_mutex() {
-        let monitor = manual_monitor();
-        let hw = gls_runtime::hardware_contexts();
-        let _guards: Vec<_> = (0..hw * 2 + 1).map(|_| monitor.runnable_guard()).collect();
-        monitor.poll_once();
-        assert!(monitor.is_multiprogrammed());
+        let monitor = own_monitor();
+        let _guards = oversubscribe(&monitor);
 
         let lock = GlkLock::with_config_and_monitor(
             fast_config(),
@@ -1073,28 +1067,38 @@ mod tests {
 
     #[test]
     fn leaving_mutex_requires_calm_and_doubles_requirement() {
-        let monitor = manual_monitor();
+        let monitor = own_monitor();
         let lock = GlkLock::with_config_and_monitor(
             fast_config().with_initial_mode(GlkMode::Mutex),
             MonitorHandle::Custom(Arc::clone(&monitor)),
         );
-        let initial_required = lock.required_calm.load(Ordering::Relaxed);
-        // No calm ticks yet: the lock must stay in mutex mode.
+        assert_eq!(
+            lock.required_calm.load(Ordering::Relaxed),
+            INITIAL_CALM_ROUNDS
+        );
+        // Not calm enough: against a requirement no stretch of calm can
+        // meet, the lock stays in mutex mode however slowly this thread runs
+        // (an oversubscribed registry would not do here: it sends a lock
+        // this lightly contended back to ticket regardless of calm).
+        lock.required_calm.store(u64::MAX, Ordering::Relaxed);
         for _ in 0..1_000 {
             lock.lock();
             lock.unlock();
         }
         assert_eq!(lock.mode(), GlkMode::Mutex);
-        // Record plenty of calm observations, then the lock may leave.
-        for _ in 0..64 {
-            monitor.poll_once();
-        }
+        // Calm enough: the lock may leave, and the next departure costs double.
+        lock.required_calm
+            .store(INITIAL_CALM_ROUNDS, Ordering::Relaxed);
+        calm_for(&monitor, INITIAL_CALM_ROUNDS);
         for _ in 0..1_000 {
             lock.lock();
             lock.unlock();
         }
         assert_eq!(lock.mode(), GlkMode::Ticket);
-        assert!(lock.required_calm.load(Ordering::Relaxed) > initial_required);
+        assert_eq!(
+            lock.required_calm.load(Ordering::Relaxed),
+            INITIAL_CALM_ROUNDS * 2
+        );
     }
 
     #[test]
@@ -1125,11 +1129,8 @@ mod tests {
     #[test]
     fn parking_backend_switches_to_mutex_and_excludes() {
         use super::super::config::BlockingBackend;
-        let monitor = manual_monitor();
-        let hw = gls_runtime::hardware_contexts();
-        let _guards: Vec<_> = (0..hw * 2 + 1).map(|_| monitor.runnable_guard()).collect();
-        monitor.poll_once();
-        assert!(monitor.is_multiprogrammed());
+        let monitor = own_monitor();
+        let _guards = oversubscribe(&monitor);
 
         let lock = Arc::new(GlkLock::with_config_and_monitor(
             fast_config().with_blocking_backend(BlockingBackend::ParkingLot),
@@ -1141,20 +1142,37 @@ mod tests {
         // test; that exclusion is exactly what the test verifies.
         unsafe impl Sync for Shared {}
         let shared = Arc::new(Shared(std::cell::UnsafeCell::new(0)));
+        // For its first `QUEUED` sections each holder keeps the lock until
+        // two waiters stand behind it (or too few threads remain in that
+        // phase to provide them), so every queue sample of the first
+        // adaptation windows reads >= 2 whichever threads the scheduler
+        // favours; after that the threads run free, as before.
+        const QUEUED: usize = 200;
+        let queueing = Arc::new(std::sync::atomic::AtomicUsize::new(6));
         let handles: Vec<_> = (0..6)
             .map(|_| {
                 let lock = Arc::clone(&lock);
                 let shared = Arc::clone(&shared);
+                let queueing = Arc::clone(&queueing);
                 std::thread::spawn(move || {
-                    for _ in 0..10_000 {
+                    for i in 0..10_000 {
                         lock.lock();
                         // Non-atomic increment: lost updates reveal any
                         // exclusion violation across mode switches into the
                         // futex-backed mutex mode.
                         // SAFETY: written while holding the lock under test.
                         unsafe { *shared.0.get() += 1 };
+                        while i < QUEUED
+                            && lock.queue_length() < 3
+                            && queueing.load(Ordering::Relaxed) >= 3
+                        {
+                            std::thread::yield_now();
+                        }
                         gls_runtime::spin_cycles(100);
                         lock.unlock();
+                        if i + 1 == QUEUED {
+                            queueing.fetch_sub(1, Ordering::Relaxed);
+                        }
                     }
                 })
             })
@@ -1173,6 +1191,31 @@ mod tests {
             lock.smoothed_queue(),
             lock.transitions()
         );
+    }
+
+    #[test]
+    fn poisoned_transition_log_still_records_and_reads() {
+        let lock = Arc::new(GlkLock::with_config(
+            fast_config().with_initial_mode(GlkMode::Mcs),
+        ));
+        let poisoner = {
+            let lock = Arc::clone(&lock);
+            std::thread::spawn(move || {
+                let _log = lock.transitions.lock().unwrap();
+                panic!("poison the transition log");
+            })
+        };
+        assert!(poisoner.join().is_err());
+        assert!(lock.transitions.lock().is_err(), "the log is poisoned");
+        // Uncontended use drops mcs -> ticket at the first adaptation tick;
+        // the transition is recorded through the poisoned log and read back.
+        for _ in 0..fast_config().adaptation_period {
+            lock.lock();
+            lock.unlock();
+        }
+        let log = lock.transitions();
+        assert_eq!(log.len(), 1, "transitions {log:?}");
+        assert_eq!((log[0].from, log[0].to), (GlkMode::Mcs, GlkMode::Ticket));
     }
 
     #[test]
@@ -1286,7 +1329,7 @@ mod tests {
         use super::super::config::{BlockingDensity, DensityHandle};
         use std::sync::Arc;
         let density = Arc::new(BlockingDensity::new());
-        let monitor = manual_monitor();
+        let monitor = own_monitor();
         {
             let lock = GlkLock::with_config_and_monitor(
                 fast_config()
@@ -1296,9 +1339,7 @@ mod tests {
             );
             assert_eq!(density.live(), 1, "initial mutex mode counts");
             // Calm single-threaded use leaves mutex mode -> count drops.
-            for _ in 0..64 {
-                monitor.poll_once();
-            }
+            calm_for(&monitor, INITIAL_CALM_ROUNDS);
             for _ in 0..1_000 {
                 lock.lock();
                 lock.unlock();

@@ -24,7 +24,8 @@ use gls_locks::{
 use gls_runtime::LockStats;
 
 use super::config::{
-    BlockingBackend, BlockingDensity, GlkConfig, MonitorHandle, PopulationMembership,
+    BlockingBackend, BlockingDensity, GlkConfig, MonitorHandle, PopulationMembership, EMA_ALPHA,
+    INITIAL_CALM_ROUNDS, MAX_CALM_ROUNDS, MIN_QUEUE_FOR_MUTEX,
 };
 #[cfg(test)]
 use super::lock::AUTO_PER_LOCK;
@@ -366,8 +367,8 @@ pub struct GlkRwLock {
     stats: LockStats,
     /// Exponential moving average of per-window queue lengths (f64 bits).
     ema_bits: AtomicU64,
-    /// Consecutive calm monitor observations required to leave blocking
-    /// mode; doubles after every departure, as for GLK's mutex mode.
+    /// Calm ticks (100 µs of uninterrupted calm each) required to leave
+    /// blocking mode; doubles after every departure, as for GLK's mutex mode.
     required_calm: AtomicU64,
     /// Raised when the acquisition count crosses an adaptation boundary on
     /// the *read* side; the next reader to win a try-acquired write slot on
@@ -416,7 +417,7 @@ impl GlkRwLock {
             blocking: BlockingRw::new(config.blocking_backend),
             stats: LockStats::new(),
             ema_bits: AtomicU64::new(0f64.to_bits()),
-            required_calm: AtomicU64::new(config.initial_calm_rounds),
+            required_calm: AtomicU64::new(INITIAL_CALM_ROUNDS),
             adapt_pending: AtomicBool::new(false),
             population: PopulationMembership::new(false),
             config,
@@ -684,7 +685,7 @@ impl GlkRwLock {
         } else if self.stats.acquisitions() <= self.config.adaptation_period {
             window_avg
         } else {
-            self.config.ema_alpha * window_avg + (1.0 - self.config.ema_alpha) * previous
+            EMA_ALPHA * window_avg + (1.0 - EMA_ALPHA) * previous
         };
         self.ema_bits.store(smoothed.to_bits(), Ordering::Relaxed);
         self.stats.reset_queue_window();
@@ -724,7 +725,7 @@ impl GlkRwLock {
         monitor: &gls_runtime::SystemLoadMonitor,
     ) -> GlkRwMode {
         if monitor.is_multiprogrammed() {
-            return if smoothed >= self.config.min_queue_for_mutex {
+            return if smoothed >= MIN_QUEUE_FOR_MUTEX {
                 GlkRwMode::Blocking
             } else {
                 GlkRwMode::Spin
@@ -735,7 +736,7 @@ impl GlkRwLock {
             if monitor.calm_ticks() < required {
                 return GlkRwMode::Blocking;
             }
-            let next = required.saturating_mul(2).min(self.config.max_calm_rounds);
+            let next = required.saturating_mul(2).min(MAX_CALM_ROUNDS);
             self.required_calm.store(next, Ordering::Relaxed);
         }
         GlkRwMode::Spin
@@ -747,8 +748,8 @@ impl GlkRwLock {
 // real threads, not modeled ones (see clippy.toml).
 #[allow(clippy::disallowed_types, clippy::disallowed_methods)]
 mod tests {
+    use super::super::test_support::{oversubscribe, own_monitor};
     use super::*;
-    use gls_runtime::sysload::{SystemLoadConfig, SystemLoadMonitor};
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
@@ -756,10 +757,6 @@ mod tests {
         GlkConfig::default()
             .with_adaptation_period(256)
             .with_sampling_period(16)
-    }
-
-    fn manual_monitor() -> Arc<SystemLoadMonitor> {
-        Arc::new(SystemLoadMonitor::manual(SystemLoadConfig::default()))
     }
 
     #[test]
@@ -803,11 +800,8 @@ mod tests {
 
     #[test]
     fn switches_to_blocking_under_multiprogramming() {
-        let monitor = manual_monitor();
-        let hw = gls_runtime::hardware_contexts();
-        let guards: Vec<_> = (0..hw * 2 + 1).map(|_| monitor.runnable_guard()).collect();
-        monitor.poll_once();
-        assert!(monitor.is_multiprogrammed());
+        let monitor = own_monitor();
+        let guards = oversubscribe(&monitor);
 
         let lock = Arc::new(GlkRwLock::with_config_and_monitor(
             fast_config(),
@@ -857,11 +851,8 @@ mod tests {
         // oversubscribed workload never switches to the blocking rwlock.
         // The reader-side trigger (boundary flag + try-acquired write slot
         // on release) must flip it.
-        let monitor = manual_monitor();
-        let hw = gls_runtime::hardware_contexts();
-        let guards: Vec<_> = (0..hw * 2 + 1).map(|_| monitor.runnable_guard()).collect();
-        monitor.poll_once();
-        assert!(monitor.is_multiprogrammed());
+        let monitor = own_monitor();
+        let guards = oversubscribe(&monitor);
 
         let lock = Arc::new(GlkRwLock::with_config_and_monitor(
             fast_config(),
@@ -1081,7 +1072,7 @@ mod tests {
         unsafe impl Sync for Shared {}
         // Aggressive adaptation so the test exercises the transition
         // protocol; the monitor flips multiprogramming on and off.
-        let monitor = manual_monitor();
+        let monitor = own_monitor();
         let lock = Arc::new(GlkRwLock::with_config_and_monitor(
             GlkConfig::default()
                 .with_adaptation_period(64)
@@ -1093,15 +1084,11 @@ mod tests {
         let flipper = {
             let monitor = Arc::clone(&monitor);
             let stop = Arc::clone(&stop);
-            let hw = gls_runtime::hardware_contexts();
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
-                    let guards: Vec<_> =
-                        (0..hw * 2 + 1).map(|_| monitor.runnable_guard()).collect();
-                    monitor.poll_once();
+                    let guards = oversubscribe(&monitor);
                     std::thread::sleep(std::time::Duration::from_millis(5));
                     drop(guards);
-                    monitor.poll_once();
                     std::thread::sleep(std::time::Duration::from_millis(5));
                 }
             })

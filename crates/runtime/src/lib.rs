@@ -13,10 +13,12 @@
 //!   deadlock-detection machinery — [`thread_id`];
 //! * knowledge of how many **hardware contexts** the machine offers —
 //!   [`topology`];
-//! * the **system-load monitor**, the paper's background thread that detects
-//!   multiprogramming (more runnable tasks than hardware contexts) and tells
-//!   every GLK lock in the process to consider switching to its blocking
-//!   mutex mode — [`sysload`];
+//! * the **system-load monitor** that tells every GLK lock in the process
+//!   whether the machine is multiprogrammed (more runnable threads than
+//!   hardware contexts) and should switch to its blocking mutex mode. The
+//!   paper polls system-wide load from a background thread; here it is a
+//!   registry of runnable threads read at the adaptation tick, with no
+//!   thread of its own — [`sysload`];
 //! * per-lock **statistics counters** and a tiny log-scaled **histogram**
 //!   used by the GLS profiler — [`stats`] and [`histogram`];
 //! * a per-thread **flight recorder** ring of recent lock events, drained

@@ -1,97 +1,38 @@
 //! System-load monitoring: the multiprogramming detector.
 //!
-//! Queue length behind a single lock says nothing about whether the *machine*
-//! is oversubscribed — multiprogramming may be caused by other threads or
-//! other applications entirely. The paper therefore spawns, on the first GLK
-//! invocation, one **background thread shared by all GLK locks** that wakes up
-//! roughly every 100 µs, compares the number of runnable tasks to the number
-//! of hardware contexts and, when the machine is oversubscribed, raises a
-//! library-wide flag telling locks to switch to their blocking mutex mode the
-//! next time they adapt (§3).
-//!
-//! This module reproduces that component. Two load sources are supported:
-//!
-//! * [`LoadSource::ProcessRegistry`] (default): worker threads register
-//!   themselves as *runnable* through [`SystemLoadMonitor::runnable_guard`];
-//!   the monitor counts registered threads. This is deterministic and ignores
-//!   unrelated activity on a shared CI machine.
-//! * [`LoadSource::ProcStat`]: read `procs_running` from `/proc/stat`, which
-//!   is the closest portable equivalent of the paper's system-wide check and
-//!   also sees *other* processes.
-//!
-//! The hysteresis for *leaving* mutex mode (exponentially more calm rounds
-//! required after each bounce) lives in the GLK lock itself; this monitor only
-//! reports the current state plus a monotonically increasing epoch counter of
-//! "calm" observations that GLK uses for that hold-off.
+//! The paper's GLK spawns one background thread that polls, every ~100 µs,
+//! whether the system has more runnable tasks than hardware contexts (§3).
+//! This reproduction has **no such thread**: workers register as *runnable*
+//! through [`SystemLoadMonitor::runnable_guard`], and a GLK lock compares that
+//! count with [`topology::hardware_contexts`] at its adaptation tick. The
+//! registry is the only load source any experiment here uses (deterministic,
+//! blind to unrelated activity on a shared machine) and changes only when a
+//! guard is taken or dropped, so a poller recomputed a constant 10 000 times a
+//! second beside the pinned workers, yet missed any shorter oversubscription.
 
-use std::fs;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread;
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
+use std::time::Instant;
 
 use crate::topology;
 
-/// Where the monitor gets its runnable-task count from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LoadSource {
-    /// Count only threads registered through [`SystemLoadMonitor::runnable_guard`].
-    #[default]
-    ProcessRegistry,
-    /// Use the kernel's `procs_running` counter from `/proc/stat` when it is
-    /// available, falling back to the process registry otherwise.
-    ProcStat,
-    /// Take the maximum of both sources.
-    Max,
+/// Nanoseconds on one process-wide monotonic clock: stamps from any thread compare.
+fn clock_nanos() -> u64 {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
 /// A point-in-time view of the system load as seen by the monitor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SystemLoadSnapshot {
-    /// Number of runnable tasks observed.
+    /// Number of registered runnable threads.
     pub runnable_tasks: usize,
     /// Number of hardware contexts on the machine.
     pub hardware_contexts: usize,
     /// Whether the machine is currently considered multiprogrammed.
     pub multiprogrammed: bool,
-    /// Number of consecutive monitor ticks without oversubscription.
+    /// Uninterrupted calm so far, in 100 µs ticks (0 while multiprogrammed).
     pub calm_ticks: u64,
-}
-
-/// Configuration for the system-load monitor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SystemLoadConfig {
-    /// Polling period of the background thread. Paper default: ~100 µs.
-    pub poll_interval: Duration,
-    /// Load source to use.
-    pub source: LoadSource,
-    /// Extra slack: the machine counts as multiprogrammed only if
-    /// `runnable_tasks > hardware_contexts + slack`.
-    pub slack: usize,
-}
-
-impl Default for SystemLoadConfig {
-    fn default() -> Self {
-        Self {
-            poll_interval: Duration::from_micros(100),
-            source: LoadSource::default(),
-            slack: 0,
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct Shared {
-    /// Threads currently registered as runnable.
-    runnable: AtomicUsize,
-    /// Library-wide multiprogramming flag.
-    multiprogrammed: AtomicBool,
-    /// Consecutive calm (non-oversubscribed) monitor ticks.
-    calm_ticks: AtomicU64,
-    /// Total monitor ticks (diagnostics / tests).
-    ticks: AtomicU64,
-    /// Set to ask the background thread to exit.
-    shutdown: AtomicBool,
 }
 
 /// The multiprogramming detector shared by every GLK lock in the process.
@@ -106,118 +47,60 @@ struct Shared {
 /// let snap = monitor.snapshot();
 /// assert!(snap.runnable_tasks >= 1);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SystemLoadMonitor {
-    config: SystemLoadConfig,
-    shared: Arc<Shared>,
-    /// Whether a background thread was spawned for this monitor.
-    background: bool,
+    /// Threads currently registered as runnable.
+    runnable: AtomicUsize,
+    /// [`clock_nanos`] when the current calm period began: 0, the clock's epoch,
+    /// until an oversubscription has ended, then the last drop back within the
+    /// hardware contexts. Only raised (`fetch_max`): racing drops cannot rewind it.
+    calm_since: AtomicU64,
 }
 
 impl SystemLoadMonitor {
-    /// Returns the process-wide monitor, spawning its background thread on
-    /// first use (mirroring "on the first GLK invocation, a background thread
-    /// is spawned").
+    /// An empty registry: tests and the figure harness use their own to isolate their signal.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Returns the process-wide monitor every GLK lock consults by default.
     pub fn global() -> &'static SystemLoadMonitor {
         static GLOBAL: OnceLock<SystemLoadMonitor> = OnceLock::new();
-        GLOBAL.get_or_init(|| SystemLoadMonitor::spawn(SystemLoadConfig::default()))
-    }
-
-    /// Creates a monitor **without** a background thread; callers must invoke
-    /// [`SystemLoadMonitor::poll_once`] themselves. Useful for deterministic
-    /// unit tests of the adaptation logic.
-    pub fn manual(config: SystemLoadConfig) -> Self {
-        Self {
-            config,
-            shared: Arc::new(Shared::default()),
-            background: false,
-        }
-    }
-
-    /// Creates a monitor backed by a background polling thread.
-    pub fn spawn(config: SystemLoadConfig) -> Self {
-        let shared = Arc::new(Shared::default());
-        let thread_shared = Arc::clone(&shared);
-        let interval = config.poll_interval;
-        let source = config.source;
-        let slack = config.slack;
-        thread::Builder::new()
-            .name("gls-sysload-monitor".into())
-            .spawn(move || {
-                while !thread_shared.shutdown.load(Ordering::Relaxed) {
-                    Self::poll_shared(&thread_shared, source, slack);
-                    // The background sampler is wall-clock paced by design
-                    // and never runs under the model explorer.
-                    #[allow(clippy::disallowed_methods)]
-                    thread::sleep(interval);
-                }
-            })
-            .expect("failed to spawn the GLS system-load monitor thread");
-        Self {
-            config,
-            shared,
-            background: true,
-        }
-    }
-
-    /// The configuration this monitor runs with.
-    pub fn config(&self) -> SystemLoadConfig {
-        self.config
+        GLOBAL.get_or_init(SystemLoadMonitor::new)
     }
 
     /// Registers the calling thread as runnable until the returned guard is
-    /// dropped. Benchmark workers and background spinners use this so that the
-    /// default (process-registry) load source sees them.
+    /// dropped; benchmark workers and background spinners do, so GLK sees them.
     pub fn runnable_guard(&self) -> RunnableGuard<'_> {
-        self.shared.runnable.fetch_add(1, Ordering::Relaxed);
+        self.runnable.fetch_add(1, Ordering::Relaxed);
         RunnableGuard { monitor: self }
     }
 
     /// Number of currently registered runnable threads.
     pub fn registered_runnable(&self) -> usize {
-        self.shared.runnable.load(Ordering::Relaxed)
+        self.runnable.load(Ordering::Relaxed)
     }
 
-    /// Performs one polling step immediately (in addition to, or instead of,
-    /// the background thread).
-    pub fn poll_once(&self) {
-        Self::poll_shared(&self.shared, self.config.source, self.config.slack);
-    }
-
-    fn poll_shared(shared: &Shared, source: LoadSource, slack: usize) {
-        let registered = shared.runnable.load(Ordering::Relaxed);
-        let runnable = match source {
-            LoadSource::ProcessRegistry => registered,
-            LoadSource::ProcStat => procs_running().unwrap_or(registered),
-            LoadSource::Max => procs_running().unwrap_or(0).max(registered),
-        };
-        let hw = topology::hardware_contexts();
-        let over = runnable > hw + slack;
-        shared.multiprogrammed.store(over, Ordering::Relaxed);
-        if over {
-            shared.calm_ticks.store(0, Ordering::Relaxed);
-        } else {
-            shared.calm_ticks.fetch_add(1, Ordering::Relaxed);
-        }
-        shared.ticks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Whether the machine is currently considered multiprogrammed.
+    /// Whether more threads are registered runnable than there are hardware contexts.
     pub fn is_multiprogrammed(&self) -> bool {
-        self.shared.multiprogrammed.load(Ordering::Relaxed)
+        self.registered_runnable() > topology::hardware_contexts()
     }
 
-    /// Number of consecutive calm monitor ticks.
+    /// Whole 100 µs periods of uninterrupted calm so far: 0 while multiprogrammed,
+    /// non-decreasing until the next oversubscription. The unit is the paper's poll
+    /// period, so GLK's hold-off before leaving mutex mode keeps its meaning.
     pub fn calm_ticks(&self) -> u64 {
-        self.shared.calm_ticks.load(Ordering::Relaxed)
+        if self.is_multiprogrammed() {
+            return 0;
+        }
+        // A read between the un-crossing drop's decrement and its stamp sees
+        // the previous calm period's start for those few nanoseconds; it can
+        // only end a hold-off early, so the window is accepted, not locked.
+        let since = self.calm_since.load(Ordering::Relaxed);
+        clock_nanos().saturating_sub(since) / 100_000
     }
 
-    /// Total number of monitor ticks so far.
-    pub fn ticks(&self) -> u64 {
-        self.shared.ticks.load(Ordering::Relaxed)
-    }
-
-    /// A consistent snapshot of the current state.
+    /// The accessors above read together (each is its own relaxed load).
     pub fn snapshot(&self) -> SystemLoadSnapshot {
         SystemLoadSnapshot {
             runnable_tasks: self.registered_runnable(),
@@ -228,16 +111,7 @@ impl SystemLoadMonitor {
     }
 }
 
-impl Drop for SystemLoadMonitor {
-    fn drop(&mut self) {
-        if self.background {
-            self.shared.shutdown.store(true, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Guard returned by [`SystemLoadMonitor::runnable_guard`]; unregisters the
-/// thread when dropped.
+/// Unregisters the thread from its [`SystemLoadMonitor`] when dropped.
 #[derive(Debug)]
 pub struct RunnableGuard<'a> {
     monitor: &'a SystemLoadMonitor,
@@ -245,41 +119,33 @@ pub struct RunnableGuard<'a> {
 
 impl Drop for RunnableGuard<'_> {
     fn drop(&mut self) {
-        self.monitor.shared.runnable.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Reads the kernel's count of currently runnable tasks from `/proc/stat`
-/// (the `procs_running` line). Returns `None` on platforms or sandboxes where
-/// the file is unavailable.
-pub fn procs_running() -> Option<usize> {
-    let stat = fs::read_to_string("/proc/stat").ok()?;
-    for line in stat.lines() {
-        if let Some(rest) = line.strip_prefix("procs_running") {
-            return rest.trim().parse().ok();
+        let before = self.monitor.runnable.fetch_sub(1, Ordering::Relaxed);
+        // This drop un-crossed the hardware contexts: calm starts now.
+        if before == topology::hardware_contexts() + 1 {
+            let now = clock_nanos();
+            self.monitor.calm_since.fetch_max(now, Ordering::Relaxed);
         }
     }
-    None
 }
 
 #[cfg(test)]
-// Raw std sync and wall-clock sleeps are fine in stress tests: they pace
-// real threads, not modeled ones (see clippy.toml).
-#[allow(clippy::disallowed_types, clippy::disallowed_methods)]
+// Wall-clock sleeps are the point here: calm is measured in elapsed time,
+// and sleeping *at least* the required span can only make a test pass later.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
-    fn manual_monitor() -> SystemLoadMonitor {
-        SystemLoadMonitor::manual(SystemLoadConfig {
-            poll_interval: Duration::from_micros(100),
-            source: LoadSource::ProcessRegistry,
-            slack: 0,
-        })
+    /// Guards that put `m` one past the hardware contexts.
+    fn oversubscribe(m: &SystemLoadMonitor) -> Vec<RunnableGuard<'_>> {
+        (0..=topology::hardware_contexts())
+            .map(|_| m.runnable_guard())
+            .collect()
     }
 
     #[test]
     fn registry_counts_guards() {
-        let m = manual_monitor();
+        let m = SystemLoadMonitor::new();
         assert_eq!(m.registered_runnable(), 0);
         let g1 = m.runnable_guard();
         let g2 = m.runnable_guard();
@@ -292,56 +158,62 @@ mod tests {
 
     #[test]
     fn no_multiprogramming_without_oversubscription() {
-        let m = manual_monitor();
-        let _g = m.runnable_guard();
-        m.poll_once();
+        let m = SystemLoadMonitor::new();
+        let _fits: Vec<_> = (0..topology::hardware_contexts())
+            .map(|_| m.runnable_guard())
+            .collect();
         assert!(!m.is_multiprogrammed());
-        assert!(m.calm_ticks() >= 1);
     }
 
     #[test]
     fn detects_oversubscription_and_recovers() {
-        let m = manual_monitor();
-        let hw = topology::hardware_contexts();
-        let guards: Vec<_> = (0..hw * 2 + 1).map(|_| m.runnable_guard()).collect();
-        m.poll_once();
+        // The signal flips on the very guard that crosses the hardware
+        // contexts and back on the drop that un-crosses them, with no call
+        // in between: nothing samples, so nothing can lag.
+        let m = SystemLoadMonitor::new();
+        let mut guards: Vec<_> = (0..topology::hardware_contexts())
+            .map(|_| m.runnable_guard())
+            .collect();
+        assert!(!m.is_multiprogrammed(), "exactly `contexts` threads fit");
+        guards.push(m.runnable_guard());
         assert!(m.is_multiprogrammed());
         assert_eq!(m.calm_ticks(), 0);
-        drop(guards);
-        m.poll_once();
+        guards.pop();
         assert!(!m.is_multiprogrammed());
-        assert!(m.calm_ticks() >= 1);
     }
 
     #[test]
     fn calm_ticks_accumulate() {
-        let m = manual_monitor();
-        for _ in 0..5 {
-            m.poll_once();
-        }
-        assert!(m.calm_ticks() >= 5);
-        assert!(m.ticks() >= 5);
+        let m = SystemLoadMonitor::new();
+        let guards = oversubscribe(&m);
+        std::thread::sleep(Duration::from_millis(1));
+        assert_eq!(m.calm_ticks(), 0, "no calm accrues while oversubscribed");
+        drop(guards);
+        let just_after = m.calm_ticks();
+        std::thread::sleep(Duration::from_micros(500));
+        let later = m.calm_ticks();
+        assert!(
+            later >= 5,
+            "500 us of calm is at least 5 ticks, got {later}"
+        );
+        assert!(later >= just_after);
+        assert!(m.calm_ticks() >= later, "non-decreasing while calm lasts");
+        // The next oversubscription starts the count over, from a later stamp.
+        let first_stamp = m.calm_since.load(Ordering::Relaxed);
+        let guards = oversubscribe(&m);
+        assert_eq!(m.calm_ticks(), 0);
+        drop(guards);
+        assert!(m.calm_since.load(Ordering::Relaxed) > first_stamp);
     }
 
     #[test]
     fn snapshot_is_consistent_with_accessors() {
-        let m = manual_monitor();
+        let m = SystemLoadMonitor::new();
         let _g = m.runnable_guard();
-        m.poll_once();
         let s = m.snapshot();
         assert_eq!(s.runnable_tasks, m.registered_runnable());
         assert_eq!(s.multiprogrammed, m.is_multiprogrammed());
         assert_eq!(s.hardware_contexts, topology::hardware_contexts());
-    }
-
-    #[test]
-    fn background_monitor_ticks_on_its_own() {
-        let m = SystemLoadMonitor::spawn(SystemLoadConfig {
-            poll_interval: Duration::from_micros(200),
-            ..Default::default()
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(m.ticks() > 0);
     }
 
     #[test]
@@ -352,11 +224,35 @@ mod tests {
     }
 
     #[test]
-    fn procs_running_parses_when_available() {
-        // On Linux this should parse to some small number; elsewhere (or in
-        // stripped-down sandboxes) None is fine. Sanity-bound the value only.
-        if let Some(n) = procs_running() {
-            assert!(n < 1_000_000);
-        }
+    fn racing_guards_balance_and_never_stamp_the_future() {
+        // Four threads cross and un-cross the threshold concurrently (the
+        // main thread parks the count just below it): every interleaving of
+        // increments, decrements and stamps must leave the registry empty
+        // and `calm_since` at a time that has already happened.
+        let m = SystemLoadMonitor::new();
+        let base: Vec<_> = (0..topology::hardware_contexts().saturating_sub(1))
+            .map(|_| m.runnable_guard())
+            .collect();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..20_000 {
+                        let a = m.runnable_guard();
+                        let b = m.runnable_guard();
+                        drop(a);
+                        drop(b);
+                        assert!(m.calm_since.load(Ordering::Relaxed) <= clock_nanos());
+                    }
+                });
+            }
+        });
+        drop(base);
+        assert_eq!(m.registered_runnable(), 0);
+        assert!(!m.is_multiprogrammed());
+        let since = m.calm_since.load(Ordering::Relaxed);
+        assert!(since > 0, "some drop un-crossed the threshold and stamped");
+        assert!(since <= clock_nanos());
     }
 }

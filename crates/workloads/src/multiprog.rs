@@ -66,7 +66,6 @@ impl Drop for BackgroundSpinners {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gls_runtime::sysload::SystemLoadConfig;
 
     #[test]
     fn zero_spinners_is_a_noop() {
@@ -77,7 +76,7 @@ mod tests {
 
     #[test]
     fn spinners_register_with_monitor_and_unregister_on_drop() {
-        let monitor = Arc::new(SystemLoadMonitor::manual(SystemLoadConfig::default()));
+        let monitor = Arc::new(SystemLoadMonitor::new());
         let spinners = BackgroundSpinners::start(3, Some(Arc::clone(&monitor)));
         assert_eq!(spinners.len(), 3);
         // Wait for all spinners to have registered.
@@ -92,17 +91,15 @@ mod tests {
 
     #[test]
     fn enough_spinners_trigger_multiprogramming_detection() {
-        let monitor = Arc::new(SystemLoadMonitor::manual(SystemLoadConfig::default()));
+        let monitor = Arc::new(SystemLoadMonitor::new());
         let hw = gls_runtime::hardware_contexts();
         let spinners = BackgroundSpinners::start(hw + 2, Some(Arc::clone(&monitor)));
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         while monitor.registered_runnable() < hw + 2 && std::time::Instant::now() < deadline {
             std::thread::yield_now();
         }
-        monitor.poll_once();
         assert!(monitor.is_multiprogrammed());
         drop(spinners);
-        monitor.poll_once();
         assert!(!monitor.is_multiprogrammed());
     }
 }

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gls::glk::{GlkConfig, GlkLock, GlkMode, MonitorHandle};
-use gls_runtime::sysload::{SystemLoadConfig, SystemLoadMonitor};
+use gls_runtime::SystemLoadMonitor;
 
 fn fast_config() -> GlkConfig {
     GlkConfig::default()
@@ -62,7 +62,7 @@ fn single_threaded_lock_stays_in_ticket_mode() {
 
 #[test]
 fn contended_lock_adapts_to_mcs_and_back() {
-    let monitor = Arc::new(SystemLoadMonitor::manual(SystemLoadConfig::default()));
+    let monitor = Arc::new(SystemLoadMonitor::new());
     let lock = Arc::new(GlkLock::with_config_and_monitor(
         fast_config(),
         MonitorHandle::Custom(monitor),
@@ -97,10 +97,9 @@ fn contended_lock_adapts_to_mcs_and_back() {
 
 #[test]
 fn multiprogramming_moves_contended_lock_to_mutex_mode() {
-    let monitor = Arc::new(SystemLoadMonitor::manual(SystemLoadConfig::default()));
+    let monitor = Arc::new(SystemLoadMonitor::new());
     let hw = gls_runtime::hardware_contexts();
     let guards: Vec<_> = (0..hw * 2 + 4).map(|_| monitor.runnable_guard()).collect();
-    monitor.poll_once();
     assert!(monitor.is_multiprogrammed());
 
     let lock = Arc::new(GlkLock::with_config_and_monitor(

@@ -23,8 +23,8 @@ use gls::glk::{GlkConfig, GlkLock, GlkMode, MonitorHandle};
 use gls_locks::cohort::{choose_handoff, encode_token, COHORT_BYPASS_LIMIT};
 use gls_locks::futex_mutex::TOKEN_MUTEX_WAITER;
 use gls_locks::ParkingLot;
-use gls_runtime::sysload::{SystemLoadConfig, SystemLoadMonitor};
 use gls_runtime::topology;
+use gls_runtime::SystemLoadMonitor;
 
 /// Polls until `cond` holds or the deadline passes; returns whether it held.
 fn wait_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
@@ -175,12 +175,12 @@ fn cohort_handoff_prefers_local_but_admits_remote_within_bound() {
     assert_eq!(lot.parked_count(ADDR), 0);
 }
 
-/// Drives `workers` threads over one GLK lock while the main thread polls
-/// the manual monitor; returns the settled mode. `extra_load` registers
+/// Drives `workers` threads over one GLK lock until its mode settles;
+/// returns the settled mode. `extra_load` registers
 /// that many additional runnable guards, emulating the oversubscription a
 /// smaller machine would see from the same worker count.
 fn settle_glk_mode(workers: usize, extra_load: usize, pin: bool) -> GlkMode {
-    let monitor = Arc::new(SystemLoadMonitor::manual(SystemLoadConfig::default()));
+    let monitor = Arc::new(SystemLoadMonitor::new());
     let lock = Arc::new(GlkLock::with_config_and_monitor(
         GlkConfig::default()
             .with_adaptation_period(256)
@@ -218,7 +218,6 @@ fn settle_glk_mode(workers: usize, extra_load: usize, pin: bool) -> GlkMode {
         }
     };
     while !target_reached(lock.mode()) && Instant::now() < deadline {
-        monitor.poll_once();
         std::thread::sleep(Duration::from_millis(1));
     }
     let settled = lock.mode();
