@@ -6,13 +6,7 @@
 //! * `MUTEX` — per-lock parking state ([`MutexLock`]: a cache-padded
 //!   `Mutex + Condvar` pair in every lock),
 //! * `FUTEX` — the word-sized [`FutexLock`] whose waiters park in the
-//!   shared, sharded parking lot,
-//! * `AUTO` — the service-level heuristic ([`AutoBlockingMutex`]): each
-//!   lock picks (and migrates) between the two based on the live
-//!   blocking-lock count, with **no static configuration** — below the
-//!   density threshold it embeds a per-lock mutex, past it the per-lock
-//!   wait state converges to the futex word (4 B) and the embedded boxes
-//!   are never allocated, and
+//!   shared, sharded parking lot, and
 //! * `STD` — `std::sync::Mutex<()>` as the system baseline.
 //!
 //! Worker threads are **pinned round-robin** over the hardware contexts and
@@ -27,9 +21,7 @@
 //!   must really release their contexts to make progress.
 //!
 //! Reported: throughput per working-set size plus the wait-state footprint
-//! of each flavor — and, for AUTO, how much heap the heuristic actually
-//! allocated (0 past the threshold, i.e. the shared-lot footprint reached
-//! automatically). Every emitted point records the host topology
+//! of each flavor. Every emitted point records the host topology
 //! (`hardware_contexts`, `cache_domains`) and the pinning layout, so a
 //! trajectory mixing single-context CI runs and dedicated multi-core runs
 //! stays interpretable.
@@ -47,7 +39,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use gls::glk::{AutoBlockingMutex, BlockingDensity, DEFAULT_BLOCKING_DENSITY_THRESHOLD};
 use gls_bench::{banner, point_duration};
 use gls_locks::{FutexLock, MutexLock, RawLock};
 use gls_runtime::spin_cycles;
@@ -59,15 +50,6 @@ use rand::SeedableRng;
 /// One lock flavor under test.
 trait ParkBenchLock: Send + Sync + 'static {
     fn section(&self, cs_cycles: u64);
-    /// Heap bytes of wait-queue state this lock allocated (beyond its own
-    /// inline size).
-    fn wait_heap_bytes(&self) -> usize {
-        0
-    }
-    /// Whether this lock's waiters sleep in the shared parking lot.
-    fn uses_shared_lot(&self) -> bool {
-        false
-    }
 }
 
 impl ParkBenchLock for MutexLock {
@@ -84,42 +66,12 @@ impl ParkBenchLock for FutexLock {
         spin_cycles(cs_cycles);
         self.unlock();
     }
-
-    fn uses_shared_lot(&self) -> bool {
-        true
-    }
 }
 
 impl ParkBenchLock for std::sync::Mutex<()> {
     fn section(&self, cs_cycles: u64) {
         let _g = self.lock().expect("bench mutex poisoned");
         spin_cycles(cs_cycles);
-    }
-}
-
-/// The heuristic flavor: an [`AutoBlockingMutex`] plus the shared density
-/// tracker it consults (bench scaffolding — inside a `GlsService` the
-/// tracker lives in the service config, not per lock).
-struct AutoLock {
-    lock: AutoBlockingMutex,
-    density: Arc<BlockingDensity>,
-}
-
-impl ParkBenchLock for AutoLock {
-    fn section(&self, cs_cycles: u64) {
-        self.lock
-            .lock(&self.density, DEFAULT_BLOCKING_DENSITY_THRESHOLD);
-        spin_cycles(cs_cycles);
-        self.lock
-            .unlock(&self.density, DEFAULT_BLOCKING_DENSITY_THRESHOLD);
-    }
-
-    fn wait_heap_bytes(&self) -> usize {
-        self.lock.blocking_heap_bytes()
-    }
-
-    fn uses_shared_lot(&self) -> bool {
-        self.lock.uses_parking_lot() == Some(true)
     }
 }
 
@@ -130,11 +82,6 @@ struct Point {
     live_locks: usize,
     threads: usize,
     mops: f64,
-    /// Heap wait-state bytes allocated per lock (0 when the shared lot
-    /// carries the waiters).
-    heap_bytes_per_lock: f64,
-    /// Fraction of locks whose waiters sleep in the shared lot.
-    shared_lot_fraction: f64,
 }
 
 /// Runs one (series, flavor, live-lock-count) point.
@@ -176,16 +123,12 @@ fn run_point<L: ParkBenchLock>(
     std::thread::sleep(point_duration());
     stop.store(true, Ordering::Relaxed);
     let ops: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-    let heap: usize = locks.iter().map(|l| l.wait_heap_bytes()).sum();
-    let shared = locks.iter().filter(|l| l.uses_shared_lot()).count();
     Point {
         series,
         flavor,
         live_locks,
         threads,
         mops: ops as f64 / start.elapsed().as_secs_f64() / 1e6,
-        heap_bytes_per_lock: heap as f64 / live_locks as f64,
-        shared_lot_fraction: shared as f64 / live_locks as f64,
     }
 }
 
@@ -215,24 +158,18 @@ fn main() {
 
     banner(
         "Figure 16 (parking)",
-        "per-lock-condvar parking vs the shared parking lot vs the density heuristic vs std",
+        "per-lock-condvar parking vs the shared parking lot vs std",
     );
     let contexts = gls_runtime::hardware_contexts();
-    let threshold = DEFAULT_BLOCKING_DENSITY_THRESHOLD;
 
     println!(
-        "# per-lock state: MUTEX {} B | FUTEX {} B | AUTO {} B inline (+ heap below threshold) | STD {} B",
+        "# per-lock state: MUTEX {} B | FUTEX {} B | STD {} B",
         std::mem::size_of::<MutexLock>(),
         std::mem::size_of::<FutexLock>(),
-        std::mem::size_of::<AutoBlockingMutex>(),
         std::mem::size_of::<std::sync::Mutex<()>>(),
     );
-    println!("# blocking-density threshold: {threshold} live blocking locks");
 
-    let flavors = ["MUTEX", "FUTEX", "AUTO", "STD"];
-    // The 16-lock row sits below the density threshold: AUTO embeds
-    // per-lock mutexes there and switches to the shared lot for every row
-    // past the threshold — with no configuration change in between.
+    let flavors = ["MUTEX", "FUTEX", "STD"];
     let sweep: &[usize] = if smoke {
         &[16, 1_000]
     } else {
@@ -256,50 +193,27 @@ fn main() {
             flavors.iter().map(|f| f.to_string()).collect(),
         );
         for &live_locks in sweep {
-            let row: Vec<Point> = {
-                let auto_density = Arc::new(BlockingDensity::new());
-                vec![
-                    run_point(series_name, "MUTEX", MutexLock::new, live_locks, threads),
-                    run_point(series_name, "FUTEX", FutexLock::new, live_locks, threads),
-                    run_point(
-                        series_name,
-                        "AUTO",
-                        || {
-                            // Every lock in this bench is a blocking lock, so
-                            // each one joins the live blocking population (in a
-                            // GlsService this happens when a GLK lock enters
-                            // mutex mode).
-                            auto_density.enter();
-                            AutoLock {
-                                lock: AutoBlockingMutex::new(),
-                                density: Arc::clone(&auto_density),
-                            }
-                        },
-                        live_locks,
-                        threads,
-                    ),
-                    run_point(
-                        series_name,
-                        "STD",
-                        std::sync::Mutex::default,
-                        live_locks,
-                        threads,
-                    ),
-                ]
-            };
+            let row = [
+                run_point(series_name, "MUTEX", MutexLock::new, live_locks, threads),
+                run_point(series_name, "FUTEX", FutexLock::new, live_locks, threads),
+                run_point(
+                    series_name,
+                    "STD",
+                    std::sync::Mutex::default,
+                    live_locks,
+                    threads,
+                ),
+            ];
             let label = if live_locks >= 1_000 {
                 format!("{}k", live_locks / 1_000)
             } else {
                 live_locks.to_string()
             };
             table.push_row(label, row.iter().map(|p| p.mops).collect());
-            let auto = &row[2];
             println!(
-                "# [{series_name}] {live_locks} locks -> footprint: MUTEX {} kB | FUTEX {} kB | AUTO heap {:.1} B/lock, {:.0}% on the shared lot",
+                "# [{series_name}] {live_locks} locks -> footprint: MUTEX {} kB | FUTEX {} kB",
                 live_locks * std::mem::size_of::<MutexLock>() / 1024,
                 live_locks * std::mem::size_of::<FutexLock>() / 1024,
-                auto.heap_bytes_per_lock,
-                auto.shared_lot_fraction * 100.0,
             );
             points.extend(row);
         }
@@ -308,8 +222,7 @@ fn main() {
     }
     println!(
         "# FUTEX keeps per-lock wait state at one word (queues live in the shared \
-         parking lot); AUTO reaches the same footprint automatically past \
-         {threshold} live blocking locks — no static backend knob"
+         parking lot)"
     );
 
     // ------------------------------------------------------------------
@@ -320,7 +233,6 @@ fn main() {
     let _ = writeln!(json, "  \"figure\": \"fig16_parking\",");
     let _ = writeln!(json, "  \"smoke\": {smoke},");
     let _ = writeln!(json, "  {},", gls_bench::topology_json_fields());
-    let _ = writeln!(json, "  \"blocking_density_threshold\": {threshold},");
     let _ = writeln!(
         json,
         "  \"point_duration_ms\": {},",
@@ -328,10 +240,9 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"per_lock_state_bytes\": {{\"MUTEX\": {}, \"FUTEX\": {}, \"AUTO\": {}, \"STD\": {}}},",
+        "  \"per_lock_state_bytes\": {{\"MUTEX\": {}, \"FUTEX\": {}, \"STD\": {}}},",
         std::mem::size_of::<MutexLock>(),
         std::mem::size_of::<FutexLock>(),
-        std::mem::size_of::<AutoBlockingMutex>(),
         std::mem::size_of::<std::sync::Mutex<()>>(),
     );
     json.push_str("  \"points\": [\n");
@@ -339,15 +250,12 @@ fn main() {
         let _ = write!(
             json,
             "    {{\"series\": \"{}\", \"flavor\": \"{}\", \"live_locks\": {}, \
-             \"threads\": {}, \"mops_per_sec\": {:.4}, \
-             \"wait_heap_bytes_per_lock\": {:.2}, \"shared_lot_fraction\": {:.4}, {}}}",
+             \"threads\": {}, \"mops_per_sec\": {:.4}, {}}}",
             json_escape_free(p.series),
             json_escape_free(p.flavor),
             p.live_locks,
             p.threads,
             p.mops,
-            p.heap_bytes_per_lock,
-            p.shared_lot_fraction,
             gls_bench::topology_json_fields(),
         );
         json.push_str(if i + 1 == points.len() { "\n" } else { ",\n" });

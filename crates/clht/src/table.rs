@@ -5,7 +5,7 @@
 #![allow(clippy::disallowed_types)]
 
 use std::ptr;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use gls_sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 
@@ -483,16 +483,24 @@ impl std::fmt::Debug for Clht {
     }
 }
 
+impl Clht {
+    /// Hands over every retired table. The list is append-only, so a panic
+    /// while it was locked left nothing half-done: a poisoned list is
+    /// drained like any other instead of leaking its tables.
+    fn take_retired(&mut self) -> Vec<*mut Table> {
+        let retired = self.retired.get_mut();
+        std::mem::take(retired.unwrap_or_else(PoisonError::into_inner))
+    }
+}
+
 impl Drop for Clht {
     fn drop(&mut self) {
         // SAFETY: we have exclusive access; reclaim the live table and every
         // retired table.
         unsafe {
             drop(Box::from_raw(self.table.load(Ordering::Relaxed)));
-            if let Ok(mut retired) = self.retired.lock() {
-                for t in retired.drain(..) {
-                    drop(Box::from_raw(t));
-                }
+            for t in self.take_retired() {
+                drop(Box::from_raw(t));
             }
         }
     }
@@ -560,6 +568,33 @@ mod tests {
         assert!(t.stats().expansions > 0, "expected at least one expansion");
         for k in 1..=n {
             assert_eq!(t.get(k), Some(k * 10), "lost key {k}");
+        }
+    }
+
+    #[test]
+    fn poisoned_retired_list_still_gives_up_its_tables() {
+        let t = Arc::new(Clht::with_capacity(64));
+        for k in 1..=20_000usize {
+            t.put_if_absent(k, || k);
+        }
+        let expansions = t.stats().expansions;
+        assert!(expansions > 0, "expected at least one expansion");
+        let poisoner = {
+            let t = Arc::clone(&t);
+            std::thread::spawn(move || {
+                let _retired = t.retired.lock().unwrap();
+                panic!("poison the retired-table list");
+            })
+        };
+        assert!(poisoner.join().is_err());
+        assert!(t.retired.is_poisoned());
+        // What `Drop` reclaims: every table an expansion retired.
+        let mut t = Arc::try_unwrap(t).unwrap();
+        let retired = t.take_retired();
+        assert_eq!(retired.len(), expansions);
+        for table in retired {
+            // SAFETY: handed over exactly once, and `t` is exclusively ours.
+            unsafe { drop(Box::from_raw(table)) };
         }
     }
 

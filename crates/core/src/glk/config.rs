@@ -1,45 +1,33 @@
 //! GLK configuration parameters and their paper defaults.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use gls_runtime::SystemLoadMonitor;
 
 use super::mode::GlkMode;
 
 /// Which blocking implementation GLK's mutex mode (and GLK-RW's blocking
-/// mode) uses when the lock must sleep instead of spin.
+/// mode) uses when the lock must sleep instead of spin. Fixed per lock at
+/// construction: a lock blocks one way for its whole life.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BlockingBackend {
     /// A `Mutex + Condvar` pair embedded in every lock
     /// ([`MutexLock`](gls_locks::MutexLock) /
     /// [`RwMutexLock`](gls_locks::RwMutexLock)): no shared state between
-    /// locks, ~2 cache lines of per-lock wait-queue state. Fastest when a
-    /// handful of hot locks block.
+    /// locks, ~2 cache lines of per-lock wait-queue state. The paper's
+    /// layout (Fig. 3) and the default: fastest when a handful of hot locks
+    /// block (`BENCH_parking.json`, 16 live locks), which is where
+    /// contention concentrates.
+    #[default]
     PerLock,
     /// Word-sized futex locks ([`FutexLock`](gls_locks::FutexLock) /
     /// [`FutexRwLock`](gls_locks::FutexRwLock)) parked on the shared
     /// [`ParkingLot`](gls_locks::ParkingLot): one `AtomicU32` per lock, all
-    /// wait queues held centrally — the right choice when a service manages
-    /// thousands to millions of live locks.
+    /// wait queues held centrally — ahead from about a thousand live
+    /// blocking locks up, and what lets condvar `notify` requeue waiters
+    /// onto the lock word instead of waking them into it.
     ParkingLot,
-    /// Pick per lock, at runtime: each lock chooses (and **migrates**)
-    /// between the per-lock and parking-lot implementations based on the
-    /// live count of blocking-mode locks tracked by [`BlockingDensity`] —
-    /// embedded state while few locks block, the shared lot past
-    /// [`GlkConfig::blocking_density_threshold`]. Migration happens on
-    /// release, by the (momentarily exclusive) holder, with waiters of the
-    /// old backend draining themselves through the acquire-recheck-retry
-    /// protocol — never while parked threads still need the old queue. This
-    /// removes the static-knob choice entirely and is the default.
-    #[default]
-    Auto,
 }
-
-/// Default for [`GlkConfig::blocking_density_threshold`]: past this many
-/// live blocking-mode locks the embedded `Mutex + Condvar` pairs (~2 cache
-/// lines each) dominate the footprint and the shared parking lot wins.
-pub const DEFAULT_BLOCKING_DENSITY_THRESHOLD: usize = 64;
 
 /// Switch ticket → mcs when the smoothed queue exceeds this value.
 pub const TICKET_TO_MCS_QUEUE: f64 = 3.0;
@@ -61,109 +49,6 @@ pub const MAX_CALM_ROUNDS: u64 = 1 << 20;
 /// a bypass budget so remote waiters cannot starve (see `gls_locks::cohort`).
 /// Identical to plain FIFO handoff on single-domain machines.
 pub const COHORT_HANDOFF: bool = true;
-
-/// Live count of blocking-mode locks, shared by every lock of one scope
-/// (one [`GlsService`](crate::GlsService), or the process for standalone
-/// GLK locks). GLK increments it when a lock enters its mutex/blocking
-/// mode and decrements it on leaving; the [`BlockingBackend::Auto`]
-/// heuristic reads it to pick per-lock vs parking-lot blocking state.
-#[derive(Debug, Default)]
-pub struct BlockingDensity {
-    live: AtomicUsize,
-}
-
-impl BlockingDensity {
-    /// Creates a zeroed density tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of locks currently in a blocking mode.
-    pub fn live(&self) -> usize {
-        self.live.load(Ordering::Relaxed)
-    }
-
-    /// Records a lock entering blocking mode.
-    pub fn enter(&self) {
-        self.live.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a lock leaving blocking mode.
-    pub fn leave(&self) {
-        self.live.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// One lock's CAS-guarded membership in a [`BlockingDensity`] population:
-/// `enter`/`leave` pair exactly no matter how adaptation, free/resurrect
-/// and drop interleave (none of which exclude each other), so the live
-/// count can never drift or underflow.
-#[derive(Debug, Default)]
-pub(crate) struct PopulationMembership {
-    counted: std::sync::atomic::AtomicBool,
-}
-
-impl PopulationMembership {
-    /// A membership record, optionally already counted (the caller must
-    /// then have bumped the tracker itself, e.g. at lock construction).
-    pub(crate) fn new(counted: bool) -> Self {
-        Self {
-            counted: std::sync::atomic::AtomicBool::new(counted),
-        }
-    }
-
-    /// Joins `density` (at most once until the matching leave).
-    pub(crate) fn enter(&self, density: &BlockingDensity) {
-        // The load keeps the common no-op (already counted) read-only.
-        if !self.counted.load(Ordering::Acquire)
-            && self
-                .counted
-                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-        {
-            density.enter();
-        }
-    }
-
-    /// Leaves `density` (at most once per enter).
-    pub(crate) fn leave(&self, density: &BlockingDensity) {
-        // The load keeps the common no-op (not counted: every free of a
-        // spinning lock) read-only.
-        if self.counted.load(Ordering::Acquire)
-            && self
-                .counted
-                .compare_exchange(true, false, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-        {
-            density.leave();
-        }
-    }
-}
-
-/// Which [`BlockingDensity`] tracker a GLK lock reports to and the Auto
-/// backend heuristic reads.
-#[derive(Debug, Clone, Default)]
-pub enum DensityHandle {
-    /// The process-wide tracker (standalone GLK locks).
-    #[default]
-    Global,
-    /// A dedicated tracker — every [`GlsService`](crate::GlsService) wires
-    /// one in so the heuristic sees *that service's* lock population.
-    Custom(Arc<BlockingDensity>),
-}
-
-impl DensityHandle {
-    /// Resolves the handle to a tracker reference.
-    pub fn density(&self) -> &BlockingDensity {
-        match self {
-            DensityHandle::Global => {
-                static GLOBAL: OnceLock<BlockingDensity> = OnceLock::new();
-                GLOBAL.get_or_init(BlockingDensity::default)
-            }
-            DensityHandle::Custom(d) => d,
-        }
-    }
-}
 
 /// Configuration of a GLK lock: the parameters some experiment varies.
 ///
@@ -198,13 +83,6 @@ pub struct GlkConfig {
     pub record_transitions: bool,
     /// Which blocking implementation the lock's sleeping mode uses.
     pub blocking_backend: BlockingBackend,
-    /// For [`BlockingBackend::Auto`]: switch a lock's blocking state to the
-    /// shared parking lot when at least this many blocking-mode locks are
-    /// live (and back to per-lock state below half of it — the hysteresis
-    /// band damps migration churn around the threshold).
-    pub blocking_density_threshold: usize,
-    /// The blocking-density tracker consulted by the Auto heuristic.
-    pub density: DensityHandle,
 }
 
 impl Default for GlkConfig {
@@ -215,8 +93,6 @@ impl Default for GlkConfig {
             initial_mode: GlkMode::Ticket,
             record_transitions: false,
             blocking_backend: BlockingBackend::default(),
-            blocking_density_threshold: DEFAULT_BLOCKING_DENSITY_THRESHOLD,
-            density: DensityHandle::default(),
         }
     }
 }
@@ -257,29 +133,10 @@ impl GlkConfig {
     }
 
     /// Selects the blocking implementation used when the lock sleeps:
-    /// per-lock `Mutex + Condvar` state, word-sized futex locks parked on
-    /// the shared parking lot, or the density-driven [`BlockingBackend::Auto`]
-    /// (default).
+    /// per-lock `Mutex + Condvar` state (default) or word-sized futex locks
+    /// parked on the shared parking lot.
     pub fn with_blocking_backend(mut self, backend: BlockingBackend) -> Self {
         self.blocking_backend = backend;
-        self
-    }
-
-    /// Sets the live-blocking-lock count past which [`BlockingBackend::Auto`]
-    /// moves blocking state onto the shared parking lot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` is zero.
-    pub fn with_blocking_density_threshold(mut self, threshold: usize) -> Self {
-        assert!(threshold > 0, "density threshold must be positive");
-        self.blocking_density_threshold = threshold;
-        self
-    }
-
-    /// Sets the blocking-density tracker the Auto heuristic consults.
-    pub fn with_density(mut self, density: DensityHandle) -> Self {
-        self.density = density;
         self
     }
 
@@ -330,13 +187,8 @@ mod tests {
         assert_eq!(c.sampling_period, 128);
         assert_eq!(c.initial_mode, GlkMode::Ticket);
         assert_eq!(c.adaptation_period / c.sampling_period, 32);
-        // The blocking backend is no longer a static knob by default: Auto
-        // picks (and migrates) per lock based on blocking-lock density.
-        assert_eq!(c.blocking_backend, BlockingBackend::Auto);
-        assert_eq!(
-            c.blocking_density_threshold,
-            DEFAULT_BLOCKING_DENSITY_THRESHOLD
-        );
+        // Figure 3 embeds the blocking lock in the GLK structure.
+        assert_eq!(c.blocking_backend, BlockingBackend::PerLock);
         // The §3.1 values that are constants rather than fields.
         assert_eq!(TICKET_TO_MCS_QUEUE, 3.0);
         assert_eq!(MCS_TO_TICKET_QUEUE, 2.0);
@@ -354,30 +206,6 @@ mod tests {
         assert_eq!(c.blocking_backend, BlockingBackend::ParkingLot);
         let c = c.with_blocking_backend(BlockingBackend::PerLock);
         assert_eq!(c.blocking_backend, BlockingBackend::PerLock);
-    }
-
-    #[test]
-    fn density_tracker_counts_and_resolves() {
-        let density = Arc::new(BlockingDensity::new());
-        assert_eq!(density.live(), 0);
-        density.enter();
-        density.enter();
-        density.leave();
-        assert_eq!(density.live(), 1);
-        let handle = DensityHandle::Custom(Arc::clone(&density));
-        assert_eq!(handle.density().live(), 1);
-        // The global handle resolves to a process-wide singleton.
-        assert!(std::ptr::eq(
-            DensityHandle::Global.density(),
-            DensityHandle::Global.density()
-        ));
-        density.leave();
-    }
-
-    #[test]
-    #[should_panic(expected = "density threshold")]
-    fn zero_density_threshold_rejected() {
-        let _ = GlkConfig::default().with_blocking_density_threshold(0);
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //! because the registry is the only load source any experiment here uses and
 //! polling a counter that changes only on register/unregister is redundant.
 //!
+//! The mutex mode sleeps through one of two [`BlockingBackend`]s, fixed per
+//! lock at construction; [`GlkRwLock`] is the reader-writer flavour of the
+//! same machine (spin ↔ blocking), and what the two share — counters,
+//! pacing, smoothed queue, the load rule — is written once, in `adapt`.
+//!
 //! ```
 //! use gls::glk::{GlkConfig, GlkLock, GlkMode};
 //!
@@ -26,24 +31,26 @@
 //! lock.unlock();
 //! ```
 
+mod adapt;
 mod config;
 mod lock;
 mod mode;
 mod rw;
 
 pub use config::{
-    BlockingBackend, BlockingDensity, DensityHandle, GlkConfig, MonitorHandle, COHORT_HANDOFF,
-    DEFAULT_BLOCKING_DENSITY_THRESHOLD, EMA_ALPHA, INITIAL_CALM_ROUNDS, MAX_CALM_ROUNDS,
-    MCS_TO_TICKET_QUEUE, MIN_QUEUE_FOR_MUTEX, TICKET_TO_MCS_QUEUE,
+    BlockingBackend, GlkConfig, MonitorHandle, COHORT_HANDOFF, EMA_ALPHA, INITIAL_CALM_ROUNDS,
+    MAX_CALM_ROUNDS, MCS_TO_TICKET_QUEUE, MIN_QUEUE_FOR_MUTEX, TICKET_TO_MCS_QUEUE,
 };
-pub use lock::{auto_migration_stats, AutoBlockingMutex, AutoMigrationStats, GlkLock};
+pub use lock::GlkLock;
 pub use mode::{GlkMode, ModeTransition};
 pub use rw::{GlkRwLock, GlkRwMode};
 
 /// What the GLK and GLK-RW unit tests share.
 #[cfg(test)]
 mod test_support {
+    use super::config::INITIAL_CALM_ROUNDS;
     use gls_runtime::sysload::{RunnableGuard, SystemLoadMonitor};
+    use gls_sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     /// A registry of the test's own, so other tests' threads cannot move it.
@@ -58,5 +65,55 @@ mod test_support {
             .collect();
         assert!(monitor.is_multiprogrammed());
         guards
+    }
+
+    /// Ends an oversubscription and waits out `ticks` of calm: sleeping *at
+    /// least* that long can only make `calm_ticks() >= ticks` truer.
+    // A wall-clock sleep is the point: calm is measured in elapsed time.
+    #[allow(clippy::disallowed_methods)]
+    pub(crate) fn calm_for(monitor: &SystemLoadMonitor, ticks: u64) {
+        drop(oversubscribe(monitor));
+        std::thread::sleep(std::time::Duration::from_micros(ticks * 100));
+        assert!(monitor.calm_ticks() >= ticks);
+    }
+
+    /// The smoothed queue lengths a [`DecisionRow`] has a target for: none,
+    /// either side of `MIN_QUEUE_FOR_MUTEX`, inside the ticket/mcs
+    /// hysteresis band, above it.
+    pub(crate) const SMOOTHED: [f64; 5] = [0.0, 1.4, 1.5, 2.5, 3.5];
+
+    /// (current mode, multiprogrammed, calm requirement met) -> target mode
+    /// per [`SMOOTHED`] column, and whether the calm requirement doubles.
+    pub(crate) type DecisionRow<M> = (M, bool, bool, [M; 5], bool);
+
+    /// Puts `monitor` and `required_calm` into each row's situation and
+    /// holds `decide(current, smoothed)` to the row's targets.
+    pub(crate) fn check_decision_table<M: Copy + PartialEq + std::fmt::Debug>(
+        monitor: &SystemLoadMonitor,
+        required_calm: &AtomicU64,
+        table: &[DecisionRow<M>],
+        decide: impl Fn(M, f64) -> M,
+    ) {
+        for &(current, multiprogrammed, calm_met, targets, doubles) in table {
+            let _guards = if multiprogrammed {
+                oversubscribe(monitor)
+            } else {
+                calm_for(monitor, INITIAL_CALM_ROUNDS);
+                Vec::new()
+            };
+            let required = if calm_met {
+                INITIAL_CALM_ROUNDS
+            } else {
+                u64::MAX
+            };
+            for (smoothed, target) in SMOOTHED.into_iter().zip(targets) {
+                let row =
+                    format!("{current:?} @ {smoothed}: mp {multiprogrammed}, calm {calm_met}");
+                required_calm.store(required, Ordering::Relaxed);
+                assert_eq!(decide(current, smoothed), target, "{row}");
+                let next = if doubles { required * 2 } else { required };
+                assert_eq!(required_calm.load(Ordering::Relaxed), next, "{row}");
+            }
+        }
     }
 }

@@ -6,202 +6,29 @@
 //!
 //! * **spin** — the TTAS-based [`RwTtasRaw`] (the paper's pthread-rwlock
 //!   replacement, footnote 7) while the machine has spare hardware contexts;
-//! * **blocking** — the parking [`RwMutexLock`] when the system-load monitor
-//!   reports multiprogramming and the lock sees real contention, so waiters
-//!   release their contexts to the OS.
+//! * **blocking** — a parking rw lock ([`RwMutexLock`], or [`FutexRwLock`]
+//!   with the parking-lot backend) when the system-load monitor reports
+//!   multiprogramming and the lock sees real contention, so waiters release
+//!   their contexts to the OS.
 //!
 //! The acquisition protocol mirrors [`GlkLock`](crate::glk::GlkLock)
 //! (paper Figure 4): read the mode, acquire that low-level lock, re-check the
 //! mode and retry if it changed. Only a *write* holder — momentarily
 //! exclusive — folds the sampled queue lengths into the EMA and flips the
 //! mode, so adaptation is race-free; readers only bump the shared counters.
+//! No release broadcasts when the lock leaves blocking mode: condvar waiters
+//! are never requeued onto rw words (see `LockEntry::park_addr`), so every
+//! waiter is native and drains through acquire-recheck-release-retry.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use gls_locks::{
     FutexRwLock, QueueInformed, RawLock, RawRwLock, RawTryLock, RwMutexLock, RwTtasRaw,
 };
 use gls_runtime::LockStats;
 
-use super::config::{
-    BlockingBackend, BlockingDensity, GlkConfig, MonitorHandle, PopulationMembership, EMA_ALPHA,
-    INITIAL_CALM_ROUNDS, MAX_CALM_ROUNDS, MIN_QUEUE_FOR_MUTEX,
-};
-#[cfg(test)]
-use super::lock::AUTO_PER_LOCK;
-use super::lock::{decide_backend, AutoCore, AUTO_PARKING, AUTO_UNDECIDED};
-
-/// The rw counterpart of [`AutoBlockingMutex`](super::AutoBlockingMutex),
-/// sharing its [`AutoCore`] (backend selection, lazy per-lock box,
-/// migrate-on-release): migrates between an embedded [`RwMutexLock`] and
-/// the word-sized [`FutexRwLock`], driven by blocking-lock density.
-/// Backend flips happen only under a held **write** lock (momentarily
-/// exclusive, like GLK-RW's mode flips): readers pin the backend for the
-/// duration of their hold, so `read_unlock` always releases the backend
-/// the reader acquired. Write releases migrate in-line; a *released*
-/// reader that notices the density decision has flipped try-acquires the
-/// write slot of the current backend and, if it wins (momentarily
-/// exclusive), migrates there — the same trick GLK-RW's reader-side EMA
-/// adaptation uses — so a 100%-read phase no longer keeps a stale backend
-/// until the next write arrives. Unlike the mutex flavor, no broadcast is needed on
-/// migration: condvar waiters are never requeued onto rw words (see
-/// `LockEntry::park_addr`), so every futex-rw waiter is native and drains
-/// through acquire-recheck-release-retry.
-#[derive(Debug, Default)]
-struct AutoBlockingRw {
-    core: AutoCore<RwMutexLock>,
-    futex: FutexRwLock,
-}
-
-impl AutoBlockingRw {
-    fn read_lock(&self, density: &BlockingDensity, threshold: usize) {
-        loop {
-            let backend = self.core.backend_or_decide(density, threshold);
-            if backend == AUTO_PARKING {
-                self.futex.read_lock();
-            } else {
-                self.core.per_lock_backend().read_lock();
-            }
-            if self.core.backend() == backend {
-                return;
-            }
-            self.read_unlock_backend(backend);
-        }
-    }
-
-    fn try_read_lock(&self, density: &BlockingDensity, threshold: usize) -> bool {
-        loop {
-            let backend = self.core.backend_or_decide(density, threshold);
-            let acquired = if backend == AUTO_PARKING {
-                self.futex.try_read_lock()
-            } else {
-                self.core.per_lock_backend().try_read_lock()
-            };
-            if !acquired {
-                return false;
-            }
-            if self.core.backend() == backend {
-                return true;
-            }
-            self.read_unlock_backend(backend);
-        }
-    }
-
-    #[inline]
-    fn read_unlock_backend(&self, backend: u8) {
-        if backend == AUTO_PARKING {
-            self.futex.read_unlock();
-        } else {
-            self.core.per_lock_backend().read_unlock();
-        }
-    }
-
-    /// Releases shared access. A reader's hold pins the backend (flipping
-    /// requires the write lock of the current backend), so the value read
-    /// here names the backend actually held. After releasing, a reader
-    /// that notices the density decision flipped runs the migration itself
-    /// (guarded by a try-acquired write slot); without this a 100%-read
-    /// workload would keep a stale backend until the next write release.
-    fn read_unlock(&self, density: &BlockingDensity, threshold: usize) {
-        let backend = self.core.backend();
-        self.read_unlock_backend(backend);
-        if backend != AUTO_UNDECIDED && decide_backend(density, threshold, backend) != backend {
-            self.migrate_from_reader(density, threshold);
-        }
-    }
-
-    /// Runs the backend migration from the read-side release path, guarded
-    /// by a try-acquired write slot on the current backend (which makes the
-    /// caller momentarily exclusive, exactly like a write release). Losing
-    /// the race is fine: some holder is active and its release — or a later
-    /// reader's — picks the decision up.
-    #[cold]
-    fn migrate_from_reader(&self, density: &BlockingDensity, threshold: usize) {
-        let current = self.core.backend();
-        if !self.try_write_lock_backend(current) {
-            return;
-        }
-        if self.core.backend() == current {
-            let (held, _) = self.core.migrate_on_release(density, threshold);
-            debug_assert_eq!(held, current);
-            self.write_unlock_backend(held);
-        } else {
-            // The backend flipped between the load and the slot win: we
-            // hold (and must release) the stale backend, nothing to do.
-            self.write_unlock_backend(current);
-        }
-    }
-
-    fn write_lock(&self, density: &BlockingDensity, threshold: usize) {
-        loop {
-            let backend = self.core.backend_or_decide(density, threshold);
-            if backend == AUTO_PARKING {
-                self.futex.lock();
-            } else {
-                self.core.per_lock_backend().lock();
-            }
-            if self.core.backend() == backend {
-                return;
-            }
-            self.write_unlock_backend(backend);
-        }
-    }
-
-    #[inline]
-    fn try_write_lock_backend(&self, backend: u8) -> bool {
-        if backend == AUTO_PARKING {
-            self.futex.try_lock()
-        } else {
-            self.core.per_lock_backend().try_lock()
-        }
-    }
-
-    fn try_write_lock(&self, density: &BlockingDensity, threshold: usize) -> bool {
-        loop {
-            let backend = self.core.backend_or_decide(density, threshold);
-            if !self.try_write_lock_backend(backend) {
-                return false;
-            }
-            if self.core.backend() == backend {
-                return true;
-            }
-            self.write_unlock_backend(backend);
-        }
-    }
-
-    #[inline]
-    fn write_unlock_backend(&self, backend: u8) {
-        if backend == AUTO_PARKING {
-            self.futex.unlock();
-        } else {
-            self.core.per_lock_backend().unlock();
-        }
-    }
-
-    /// Releases exclusive access, migrating the backend first when the
-    /// density heuristic says so (the write holder is exclusive, so the
-    /// flip is race-free and lands before the release).
-    fn write_unlock(&self, density: &BlockingDensity, threshold: usize) {
-        let (current, _) = self.core.migrate_on_release(density, threshold);
-        self.write_unlock_backend(current);
-    }
-
-    fn is_locked(&self) -> bool {
-        self.futex.is_locked()
-            || self
-                .core
-                .per_lock_allocated()
-                .is_some_and(RwMutexLock::is_locked)
-    }
-
-    fn queue_length(&self) -> u64 {
-        self.futex.queue_length()
-            + self
-                .core
-                .per_lock_allocated()
-                .map_or(0, RwMutexLock::queue_length)
-    }
-}
+use super::adapt::{Adaptive, Load};
+use super::config::{BlockingBackend, GlkConfig, MonitorHandle};
 
 /// The low-level lock behind [`GlkRwMode::Blocking`], chosen by
 /// [`GlkConfig::blocking_backend`].
@@ -211,8 +38,6 @@ enum BlockingRw {
     PerLock(RwMutexLock),
     /// One `AtomicU32`; waiters park in [`gls_locks::ParkingLot::global`].
     Parking(FutexRwLock),
-    /// Migrates between the two based on blocking-lock density.
-    Auto(AutoBlockingRw),
 }
 
 impl BlockingRw {
@@ -220,73 +45,54 @@ impl BlockingRw {
         match backend {
             BlockingBackend::PerLock => BlockingRw::PerLock(RwMutexLock::new()),
             BlockingBackend::ParkingLot => BlockingRw::Parking(FutexRwLock::new()),
-            BlockingBackend::Auto => BlockingRw::Auto(AutoBlockingRw::default()),
         }
     }
 
     #[inline]
-    fn read_lock(&self, config: &GlkConfig) {
+    fn read_lock(&self) {
         match self {
             BlockingRw::PerLock(l) => l.read_lock(),
             BlockingRw::Parking(l) => l.read_lock(),
-            BlockingRw::Auto(l) => {
-                l.read_lock(config.density.density(), config.blocking_density_threshold)
-            }
         }
     }
 
     #[inline]
-    fn try_read_lock(&self, config: &GlkConfig) -> bool {
+    fn try_read_lock(&self) -> bool {
         match self {
             BlockingRw::PerLock(l) => l.try_read_lock(),
             BlockingRw::Parking(l) => l.try_read_lock(),
-            BlockingRw::Auto(l) => {
-                l.try_read_lock(config.density.density(), config.blocking_density_threshold)
-            }
         }
     }
 
     #[inline]
-    fn read_unlock(&self, config: &GlkConfig) {
+    fn read_unlock(&self) {
         match self {
             BlockingRw::PerLock(l) => l.read_unlock(),
             BlockingRw::Parking(l) => l.read_unlock(),
-            BlockingRw::Auto(l) => {
-                l.read_unlock(config.density.density(), config.blocking_density_threshold)
-            }
         }
     }
 
     #[inline]
-    fn write_lock(&self, config: &GlkConfig) {
+    fn write_lock(&self) {
         match self {
             BlockingRw::PerLock(l) => l.lock(),
             BlockingRw::Parking(l) => l.lock(),
-            BlockingRw::Auto(l) => {
-                l.write_lock(config.density.density(), config.blocking_density_threshold)
-            }
         }
     }
 
     #[inline]
-    fn try_write_lock(&self, config: &GlkConfig) -> bool {
+    fn try_write_lock(&self) -> bool {
         match self {
             BlockingRw::PerLock(l) => l.try_lock(),
             BlockingRw::Parking(l) => l.try_lock(),
-            BlockingRw::Auto(l) => {
-                l.try_write_lock(config.density.density(), config.blocking_density_threshold)
-            }
         }
     }
 
     #[inline]
-    fn write_unlock(&self, config: &GlkConfig) {
+    fn write_unlock(&self) {
         match self {
             BlockingRw::PerLock(l) => l.unlock(),
             BlockingRw::Parking(l) => l.unlock(),
-            BlockingRw::Auto(l) => {
-                l.write_unlock(config.density.density(), config.blocking_density_threshold)
-            }
         }
     }
 
@@ -294,7 +100,6 @@ impl BlockingRw {
         match self {
             BlockingRw::PerLock(l) => l.is_locked(),
             BlockingRw::Parking(l) => l.is_locked(),
-            BlockingRw::Auto(l) => l.is_locked(),
         }
     }
 
@@ -302,7 +107,6 @@ impl BlockingRw {
         match self {
             BlockingRw::PerLock(l) => l.queue_length(),
             BlockingRw::Parking(l) => l.queue_length(),
-            BlockingRw::Auto(l) => l.queue_length(),
         }
     }
 }
@@ -356,43 +160,25 @@ impl GlkRwMode {
 /// ```
 #[derive(Debug)]
 pub struct GlkRwLock {
-    /// Current mode (the rw counterpart of the paper's `lock_type`).
-    mode: AtomicU8,
     /// Low-level lock used in [`GlkRwMode::Spin`].
     spin: RwTtasRaw,
     /// Low-level lock used in [`GlkRwMode::Blocking`] (backend per
     /// [`GlkConfig::blocking_backend`]).
     blocking: BlockingRw,
-    /// Acquisition counts and queue samples (reads and writes combined).
-    stats: LockStats,
-    /// Exponential moving average of per-window queue lengths (f64 bits).
-    ema_bits: AtomicU64,
-    /// Calm ticks (100 µs of uninterrupted calm each) required to leave
-    /// blocking mode; doubles after every departure, as for GLK's mutex mode.
-    required_calm: AtomicU64,
+    /// The mode flag (the rw counterpart of the paper's `lock_type`), the
+    /// counters (reads and writes combined) and the policy state shared
+    /// with GLK.
+    adapt: Adaptive,
     /// Raised when the acquisition count crosses an adaptation boundary on
     /// the *read* side; the next reader to win a try-acquired write slot on
     /// release runs the adaptation check. Without this, a 100%-read
     /// workload would never adapt (only write holders fold the EMA).
     adapt_pending: AtomicBool,
-    /// This lock's membership in the blocking-density population (exact
-    /// across racing adaptation, free/resurrect and drop, as in
-    /// `GlkLock`).
-    population: PopulationMembership,
-    config: GlkConfig,
-    monitor: MonitorHandle,
 }
 
 impl Default for GlkRwLock {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl Drop for GlkRwLock {
-    fn drop(&mut self) {
-        // A lock dying in blocking mode leaves the blocking population.
-        self.leave_population();
     }
 }
 
@@ -412,68 +198,38 @@ impl GlkRwLock {
     /// monitor.
     pub fn with_config_and_monitor(config: GlkConfig, monitor: MonitorHandle) -> Self {
         Self {
-            mode: AtomicU8::new(GlkRwMode::Spin.as_raw()),
             spin: RwTtasRaw::new(),
             blocking: BlockingRw::new(config.blocking_backend),
-            stats: LockStats::new(),
-            ema_bits: AtomicU64::new(0f64.to_bits()),
-            required_calm: AtomicU64::new(INITIAL_CALM_ROUNDS),
+            adapt: Adaptive::new(GlkRwMode::Spin.as_raw(), config, monitor),
             adapt_pending: AtomicBool::new(false),
-            population: PopulationMembership::new(false),
-            config,
-            monitor,
-        }
-    }
-
-    /// Joins the blocking-density population (at most once until the
-    /// matching leave).
-    fn enter_population(&self) {
-        self.population.enter(self.config.density.density());
-    }
-
-    /// Leaves the blocking-density population (at most once per enter).
-    fn leave_population(&self) {
-        self.population.leave(self.config.density.density());
-    }
-
-    /// Called when this lock's GLS entry is freed: retired locks leave the
-    /// live blocking population the Auto backend heuristic reads.
-    pub(crate) fn note_retired(&self) {
-        self.leave_population();
-    }
-
-    /// Called when this lock's GLS entry serves an address again: a lock
-    /// that retired in blocking mode rejoins the population.
-    pub(crate) fn note_resurrected(&self) {
-        if self.mode() == GlkRwMode::Blocking {
-            self.enter_population();
         }
     }
 
     /// Called when this lock's GLS entry is recycled for another address:
     /// forgets the statistics of the old one.
     pub(crate) fn reset_telemetry(&self) {
-        self.stats.reset();
+        self.stats().reset();
     }
 
     /// The mode the lock currently operates in.
+    #[inline]
     pub fn mode(&self) -> GlkRwMode {
-        GlkRwMode::from_raw(self.mode.load(Ordering::Acquire))
+        GlkRwMode::from_raw(self.adapt.mode())
     }
 
     /// Acquisition and queuing statistics (reads and writes combined).
     pub fn stats(&self) -> &LockStats {
-        &self.stats
+        self.adapt.stats()
     }
 
     /// Number of completed acquisitions, shared and exclusive.
     pub fn acquisitions(&self) -> u64 {
-        self.stats.acquisitions()
+        self.stats().acquisitions()
     }
 
     /// Smoothed queue length currently driving adaptation decisions.
     pub fn smoothed_queue(&self) -> f64 {
-        f64::from_bits(self.ema_bits.load(Ordering::Relaxed))
+        self.adapt.smoothed_queue()
     }
 
     /// Holders plus waiters over both low-level locks: during a mode
@@ -493,7 +249,7 @@ impl GlkRwLock {
     fn read_lock_mode(&self, mode: GlkRwMode) {
         match mode {
             GlkRwMode::Spin => self.spin.read_lock(),
-            GlkRwMode::Blocking => self.blocking.read_lock(&self.config),
+            GlkRwMode::Blocking => self.blocking.read_lock(),
         }
     }
 
@@ -501,7 +257,7 @@ impl GlkRwLock {
     fn try_read_lock_mode(&self, mode: GlkRwMode) -> bool {
         match mode {
             GlkRwMode::Spin => self.spin.try_read_lock(),
-            GlkRwMode::Blocking => self.blocking.try_read_lock(&self.config),
+            GlkRwMode::Blocking => self.blocking.try_read_lock(),
         }
     }
 
@@ -509,7 +265,7 @@ impl GlkRwLock {
     fn read_unlock_mode(&self, mode: GlkRwMode) {
         match mode {
             GlkRwMode::Spin => self.spin.read_unlock(),
-            GlkRwMode::Blocking => self.blocking.read_unlock(&self.config),
+            GlkRwMode::Blocking => self.blocking.read_unlock(),
         }
     }
 
@@ -517,7 +273,7 @@ impl GlkRwLock {
     fn write_lock_mode(&self, mode: GlkRwMode) {
         match mode {
             GlkRwMode::Spin => self.spin.lock(),
-            GlkRwMode::Blocking => self.blocking.write_lock(&self.config),
+            GlkRwMode::Blocking => self.blocking.write_lock(),
         }
     }
 
@@ -525,7 +281,7 @@ impl GlkRwLock {
     fn try_write_lock_mode(&self, mode: GlkRwMode) -> bool {
         match mode {
             GlkRwMode::Spin => self.spin.try_lock(),
-            GlkRwMode::Blocking => self.blocking.try_write_lock(&self.config),
+            GlkRwMode::Blocking => self.blocking.try_write_lock(),
         }
     }
 
@@ -533,7 +289,7 @@ impl GlkRwLock {
     fn write_unlock_mode(&self, mode: GlkRwMode) {
         match mode {
             GlkRwMode::Spin => self.spin.unlock(),
-            GlkRwMode::Blocking => self.blocking.write_unlock(&self.config),
+            GlkRwMode::Blocking => self.blocking.write_unlock(),
         }
     }
 
@@ -543,9 +299,6 @@ impl GlkRwLock {
             let current = self.mode();
             self.read_lock_mode(current);
             if self.mode() == current {
-                // Readers never fold the EMA themselves (they are not
-                // exclusive); they pace the counter, sample the queue, and
-                // flag crossed adaptation boundaries for the release path.
                 self.note_read_acquisition();
                 return;
             }
@@ -587,15 +340,12 @@ impl GlkRwLock {
     }
 
     /// Statistics bookkeeping done by every successful shared acquisition.
+    /// Readers never fold the EMA themselves (they are not exclusive); they
+    /// pace the counter, sample the queue, and flag crossed adaptation
+    /// boundaries for the release path.
+    #[inline]
     fn note_read_acquisition(&self) {
-        let acquisitions = self.stats.record_acquisition();
-        if self.config.adaptation_disabled() {
-            return;
-        }
-        if acquisitions.is_multiple_of(self.config.sampling_period) {
-            self.stats.record_queue_sample(self.queue_length());
-        }
-        if acquisitions.is_multiple_of(self.config.adaptation_period) {
+        if self.adapt.pace(|| self.queue_length()).is_some() {
             self.adapt_pending.store(true, Ordering::Relaxed);
         }
     }
@@ -657,89 +407,34 @@ impl GlkRwLock {
     /// just acquired the write lock of `current` (and therefore excludes
     /// every reader and writer of that mode). Returns `true` if the mode was
     /// changed, in which case the caller must release and retry.
+    #[inline]
     fn try_adapt(&self, current: GlkRwMode) -> bool {
-        if self.config.adaptation_disabled() {
-            self.stats.record_acquisition();
-            return false;
-        }
-        let acquisitions = self.stats.record_acquisition();
-
-        if acquisitions.is_multiple_of(self.config.sampling_period) {
-            self.stats.record_queue_sample(self.queue_length());
-        }
-        if !acquisitions.is_multiple_of(self.config.adaptation_period) {
-            return false;
-        }
-        self.adapt_exclusive(current)
+        self.adapt.pace(|| self.queue_length()).is_some() && self.adapt_exclusive(current)
     }
 
-    /// Folds the sampled window into the EMA and applies the mode decision.
-    /// The caller must hold the write lock of `current` (and therefore be
-    /// exclusive), making the read-modify-write below race-free. Returns
-    /// `true` if the mode changed (the caller must release and retry).
+    /// One adaptation tick. The caller must hold the write lock of `current`
+    /// (and therefore be exclusive). Returns `true` if the mode changed (the
+    /// caller must release and retry).
+    #[cold]
     fn adapt_exclusive(&self, current: GlkRwMode) -> bool {
-        let window_avg = self.stats.average_queue();
-        let previous = self.smoothed_queue();
-        let smoothed = if self.stats.queue_samples() == 0 {
-            previous
-        } else if self.stats.acquisitions() <= self.config.adaptation_period {
-            window_avg
-        } else {
-            EMA_ALPHA * window_avg + (1.0 - EMA_ALPHA) * previous
-        };
-        self.ema_bits.store(smoothed.to_bits(), Ordering::Relaxed);
-        self.stats.reset_queue_window();
-
-        let monitor = self.monitor.monitor();
-        let target = self.decide_mode(current, smoothed, monitor);
+        let smoothed = self.adapt.fold_window();
+        let load = self.adapt.load(current == GlkRwMode::Blocking, smoothed);
+        let target = Self::decide_mode(load);
         if target == current {
             return false;
         }
-        self.stats.record_transition();
-        gls_runtime::flight::record(
-            gls_runtime::flight::FlightEventKind::ModeTransition,
-            self as *const _ as usize,
-            (u64::from(current.as_raw()) << 8) | u64::from(target.as_raw()),
-        );
-        self.mode.store(target.as_raw(), Ordering::Release);
-        // Maintain the blocking-lock density the Auto backend heuristic
-        // reads — after publishing the mode, so a racing
-        // `note_resurrected` cannot re-count a lock that is just leaving
-        // blocking mode; the CAS-guarded pairing tolerates a racing
-        // free/resurrect.
-        if target == GlkRwMode::Blocking {
-            self.enter_population();
-        } else if current == GlkRwMode::Blocking {
-            self.leave_population();
-        }
+        let lock = self as *const _ as usize;
+        self.adapt.publish(lock, current.as_raw(), target.as_raw());
         true
     }
 
-    /// The adaptation policy: blocking under multiprogramming (for locks
-    /// with real contention), spinning otherwise, with the same exponential
-    /// calm requirement GLK uses to leave mutex mode without bouncing.
-    fn decide_mode(
-        &self,
-        current: GlkRwMode,
-        smoothed: f64,
-        monitor: &gls_runtime::SystemLoadMonitor,
-    ) -> GlkRwMode {
-        if monitor.is_multiprogrammed() {
-            return if smoothed >= MIN_QUEUE_FOR_MUTEX {
-                GlkRwMode::Blocking
-            } else {
-                GlkRwMode::Spin
-            };
+    /// GLK-RW's half of the policy: with one spin mode, the load decides.
+    fn decide_mode(load: Load) -> GlkRwMode {
+        if load.block {
+            GlkRwMode::Blocking
+        } else {
+            GlkRwMode::Spin
         }
-        if current == GlkRwMode::Blocking {
-            let required = self.required_calm.load(Ordering::Relaxed);
-            if monitor.calm_ticks() < required {
-                return GlkRwMode::Blocking;
-            }
-            let next = required.saturating_mul(2).min(MAX_CALM_ROUNDS);
-            self.required_calm.store(next, Ordering::Relaxed);
-        }
-        GlkRwMode::Spin
     }
 }
 
@@ -748,15 +443,59 @@ impl GlkRwLock {
 // real threads, not modeled ones (see clippy.toml).
 #[allow(clippy::disallowed_types, clippy::disallowed_methods)]
 mod tests {
-    use super::super::test_support::{oversubscribe, own_monitor};
+    use super::super::test_support::{
+        check_decision_table, oversubscribe, own_monitor, DecisionRow,
+    };
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use gls_sync::atomic::AtomicU64;
     use std::sync::Arc;
 
     fn fast_config() -> GlkConfig {
         GlkConfig::default()
             .with_adaptation_period(256)
             .with_sampling_period(16)
+    }
+
+    /// The policy's verdict for `lock` in mode `current` at smoothed queue
+    /// `smoothed`, under its monitor's present load.
+    fn decide(lock: &GlkRwLock, current: GlkRwMode, smoothed: f64) -> GlkRwMode {
+        GlkRwLock::decide_mode(lock.adapt.load(current == GlkRwMode::Blocking, smoothed))
+    }
+
+    fn required_calm(lock: &GlkRwLock) -> &AtomicU64 {
+        lock.adapt.required_calm()
+    }
+
+    #[test]
+    fn decision_table_maps_load_and_queue_to_mode() {
+        use GlkRwMode::{Blocking as B, Spin as S};
+        #[rustfmt::skip]
+        let table: [DecisionRow<GlkRwMode>; 8] = [
+            // Multiprogramming blocks contended locks only, whatever the
+            // mode and whatever the calm requirement.
+            (S, true,  false, [S, S, B, B, B], false),
+            (S, true,  true,  [S, S, B, B, B], false),
+            (B, true,  false, [S, S, B, B, B], false),
+            (B, true,  true,  [S, S, B, B, B], false),
+            // Without multiprogramming nothing starts blocking.
+            (S, false, false, [S, S, S, S, S], false),
+            (S, false, true,  [S, S, S, S, S], false),
+            // Blocking mode holds until the calm requirement is met, then
+            // leaves and doubles the requirement.
+            (B, false, false, [B, B, B, B, B], false),
+            (B, false, true,  [S, S, S, S, S], true),
+        ];
+        let monitor = own_monitor();
+        let lock = GlkRwLock::with_config_and_monitor(
+            fast_config(),
+            MonitorHandle::Custom(Arc::clone(&monitor)),
+        );
+        check_decision_table(
+            &monitor,
+            required_calm(&lock),
+            &table,
+            |current, smoothed| decide(&lock, current, smoothed),
+        );
     }
 
     #[test]
@@ -898,170 +637,14 @@ mod tests {
         );
         assert!(matches!(lock.blocking, BlockingRw::Parking(_)));
         // Exercise the blocking lock directly through the mode dispatchers.
-        lock.blocking.read_lock(&lock.config);
-        assert!(!lock.blocking.try_write_lock(&lock.config));
-        lock.blocking.read_unlock(&lock.config);
-        lock.blocking.write_lock(&lock.config);
+        lock.blocking.read_lock();
+        assert!(!lock.blocking.try_write_lock());
+        lock.blocking.read_unlock();
+        lock.blocking.write_lock();
         assert!(lock.blocking.is_locked());
-        assert!(!lock.blocking.try_read_lock(&lock.config));
-        lock.blocking.write_unlock(&lock.config);
+        assert!(!lock.blocking.try_read_lock());
+        lock.blocking.write_unlock();
         assert_eq!(lock.blocking.queue_length(), 0);
-    }
-
-    #[test]
-    fn auto_backend_rw_roundtrip_and_migration() {
-        use super::super::config::{BlockingDensity, DensityHandle};
-        use std::sync::Arc;
-        let density = Arc::new(BlockingDensity::new());
-        let lock = GlkRwLock::with_config(
-            fast_config()
-                .with_blocking_backend(BlockingBackend::Auto)
-                .with_blocking_density_threshold(4)
-                .with_density(DensityHandle::Custom(Arc::clone(&density))),
-        );
-        let BlockingRw::Auto(auto) = &lock.blocking else {
-            panic!("Auto config must build the auto backend");
-        };
-        // Low density: the first blocking use decides per-lock state.
-        auto.read_lock(&density, 4);
-        assert_eq!(auto.core.backend(), AUTO_PER_LOCK);
-        assert!(!auto.try_write_lock(&density, 4));
-        auto.read_unlock(&density, 4);
-        // Raise the density past the threshold: the next write release
-        // migrates the backend to the parking lot...
-        for _ in 0..4 {
-            density.enter();
-        }
-        auto.write_lock(&density, 4);
-        auto.write_unlock(&density, 4);
-        assert_eq!(auto.core.backend(), AUTO_PARKING);
-        // ...and both sides keep excluding across the migration.
-        auto.write_lock(&density, 4);
-        assert!(!auto.try_read_lock(&density, 4));
-        // Dropping below half the threshold migrates back on release.
-        for _ in 0..4 {
-            density.leave();
-        }
-        auto.write_unlock(&density, 4);
-        assert_eq!(auto.core.backend(), AUTO_PER_LOCK);
-        assert!(!auto.is_locked());
-        assert_eq!(auto.queue_length(), 0);
-    }
-
-    #[test]
-    fn read_only_workload_migrates_backends_in_both_directions() {
-        // Regression test for the write-side-only migration trigger: with
-        // migration running only in `write_unlock`, a 100%-read blocking
-        // workload kept its backend until the next write arrived. A released
-        // reader that wins the momentarily-exclusive write slot must fold
-        // the density decision itself.
-        use super::super::config::{BlockingDensity, DensityHandle};
-        use std::sync::Arc;
-        let density = Arc::new(BlockingDensity::new());
-        let lock = GlkRwLock::with_config(
-            fast_config()
-                .with_blocking_backend(BlockingBackend::Auto)
-                .with_blocking_density_threshold(4)
-                .with_density(DensityHandle::Custom(Arc::clone(&density))),
-        );
-        let BlockingRw::Auto(auto) = &lock.blocking else {
-            panic!("Auto config must build the auto backend");
-        };
-        // First blocking use under low density decides per-lock state.
-        auto.read_lock(&density, 4);
-        auto.read_unlock(&density, 4);
-        assert_eq!(auto.core.backend(), AUTO_PER_LOCK);
-        // Density crosses the threshold while only readers run: the next
-        // read release must migrate to the parking lot — no writer needed.
-        for _ in 0..4 {
-            density.enter();
-        }
-        auto.read_lock(&density, 4);
-        auto.read_unlock(&density, 4);
-        assert_eq!(
-            auto.core.backend(),
-            AUTO_PARKING,
-            "read release must fold the density decision"
-        );
-        // ...and back below half the threshold, still read-only.
-        for _ in 0..4 {
-            density.leave();
-        }
-        auto.read_lock(&density, 4);
-        auto.read_unlock(&density, 4);
-        assert_eq!(
-            auto.core.backend(),
-            AUTO_PER_LOCK,
-            "read release must migrate back under the hysteresis floor"
-        );
-        // A concurrent holder suppresses the migration (the try-acquired
-        // write slot loses): the decision is simply deferred.
-        for _ in 0..4 {
-            density.enter();
-        }
-        auto.read_lock(&density, 4);
-        auto.read_lock(&density, 4);
-        auto.read_unlock(&density, 4);
-        assert_eq!(
-            auto.core.backend(),
-            AUTO_PER_LOCK,
-            "a still-held read lock defers migration"
-        );
-        auto.read_unlock(&density, 4);
-        assert_eq!(auto.core.backend(), AUTO_PARKING);
-        for _ in 0..4 {
-            density.leave();
-        }
-        assert!(!auto.is_locked());
-        assert_eq!(auto.queue_length(), 0);
-    }
-
-    #[test]
-    fn oversubscribed_read_only_churn_migrates_backends_live() {
-        // The threaded flavor of the reader-side migration fix: more reader
-        // threads than hardware contexts hammer the Auto backend while the
-        // density crosses the threshold in both directions. No writer ever
-        // runs, yet the backend must follow the decision within the deadline.
-        use super::super::config::BlockingDensity;
-        use std::sync::Arc;
-        let density = Arc::new(BlockingDensity::new());
-        let auto = Arc::new(AutoBlockingRw::default());
-        let threshold = 4;
-        let stop = Arc::new(AtomicBool::new(false));
-        let readers: Vec<_> = (0..gls_runtime::hardware_contexts() + 2)
-            .map(|_| {
-                let auto = Arc::clone(&auto);
-                let density = Arc::clone(&density);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        auto.read_lock(&density, threshold);
-                        gls_runtime::spin_cycles(200);
-                        auto.read_unlock(&density, threshold);
-                    }
-                })
-            })
-            .collect();
-        let wait_for = |target: u8, what: &str| {
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-            while auto.core.backend() != target && std::time::Instant::now() < deadline {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-            assert_eq!(auto.core.backend(), target, "{what}");
-        };
-        for _ in 0..threshold {
-            density.enter();
-        }
-        wait_for(AUTO_PARKING, "read-only churn must migrate to parking");
-        for _ in 0..threshold {
-            density.leave();
-        }
-        wait_for(AUTO_PER_LOCK, "read-only churn must migrate back");
-        stop.store(true, Ordering::Relaxed);
-        for h in readers {
-            h.join().unwrap();
-        }
-        assert!(!auto.is_locked());
     }
 
     #[test]

@@ -229,27 +229,6 @@ impl AlgorithmLock {
         }
     }
 
-    /// Tells adaptive locks their entry was freed: a retired lock leaves
-    /// the live blocking population the Auto backend heuristic reads.
-    pub(crate) fn note_retired(&self) {
-        match self {
-            AlgorithmLock::Glk(l) => l.note_retired(),
-            AlgorithmLock::Rw(l) => l.note_retired(),
-            _ => {}
-        }
-    }
-
-    /// Tells adaptive locks their entry serves an address again (a
-    /// resurrection, or a pooled entry handed to a new address): a lock
-    /// retired in a blocking mode rejoins the population.
-    pub(crate) fn note_resurrected(&self) {
-        match self {
-            AlgorithmLock::Glk(l) => l.note_resurrected(),
-            AlgorithmLock::Rw(l) => l.note_resurrected(),
-            _ => {}
-        }
-    }
-
     /// Forgets what adaptive locks recorded for the address they served
     /// (statistics, transition log) before the entry is recycled. The mode
     /// itself is kept: the next address re-adapts it like any other lock.

@@ -150,15 +150,7 @@ impl GlsService {
     }
 
     /// Creates a service with a custom configuration.
-    pub fn with_config(mut config: GlsConfig) -> Self {
-        // The blocking-backend heuristic reads the live count of *this
-        // service's* blocking-mode locks: give the service its own density
-        // tracker unless the caller wired a custom one.
-        if matches!(config.glk.density, crate::glk::DensityHandle::Global) {
-            config.glk.density = crate::glk::DensityHandle::Custom(std::sync::Arc::new(
-                crate::glk::BlockingDensity::new(),
-            ));
-        }
+    pub fn with_config(config: GlsConfig) -> Self {
         Self {
             id: NEXT_SERVICE_ID.fetch_add(1, Ordering::Relaxed),
             table: Clht::with_capacity(config.initial_capacity),
@@ -537,15 +529,7 @@ impl GlsService {
         let Some(entry) = self.table.get(addr).map(Self::entry_ref) else {
             return false;
         };
-        if !entry.retire(addr) {
-            return false;
-        }
-        // A retired lock serves no traffic: drop it from the live
-        // blocking-lock population the Auto backend heuristic reads
-        // (re-entered on resurrection; CAS-guarded against a racing
-        // holder's adaptation).
-        entry.lock.note_retired();
-        true
+        entry.retire(addr)
     }
 
     /// Called by a create that mapped a new entry: starts a sweep pass
@@ -656,15 +640,6 @@ impl GlsService {
             }
         });
         (live, tombstones)
-    }
-
-    /// Number of this service's locks currently operating in a blocking
-    /// mode (GLK mutex mode, GLK-RW blocking mode). This is the density
-    /// signal the [`BlockingBackend::Auto`](crate::glk::BlockingBackend)
-    /// heuristic reads to migrate blocking state between per-lock
-    /// `Mutex + Condvar` pairs and the shared parking lot.
-    pub fn blocking_lock_count(&self) -> usize {
-        self.config.glk.density.density().live()
     }
 
     /// Issues detected so far (debug mode).
@@ -796,7 +771,6 @@ impl GlsService {
             cache: cache::aggregated_cache_stats(),
             parking_lot: gls_locks::ParkingLot::global().stats(),
             cohort: gls_locks::cohort_stats(),
-            auto_migrations: crate::glk::auto_migration_stats(),
             glk_transitions,
             deadlock: DeadlockTelemetry {
                 candidates: self.debug.candidate_count(),
@@ -922,12 +896,7 @@ impl GlsService {
             };
             let entry = Self::entry_ref(ptr);
             match entry.make_live(addr) {
-                Liveness::Live => {}
-                Liveness::Resurrected => {
-                    // A lock that retired in a blocking mode rejoins the
-                    // live blocking population.
-                    entry.lock.note_resurrected();
-                }
+                Liveness::Live | Liveness::Resurrected => {}
                 // The table read raced a recycling: look again.
                 Liveness::Recycled => continue,
                 // A sweep pass is deciding this tombstone's fate; either
@@ -954,7 +923,6 @@ impl GlsService {
             // the entry is reachable, so it is made live first.
             let entry = Self::entry_ref(spare);
             entry.revive(addr);
-            entry.lock.note_resurrected();
             used = true;
             spare
         });
@@ -2197,36 +2165,6 @@ mod tests {
         }
         assert_eq!(cv.waits(), 4);
         assert_eq!(ParkingLot::global().parked_count(mutex_park), 0);
-    }
-
-    #[test]
-    fn freed_blocking_locks_leave_the_density_population() {
-        use crate::glk::GlkMode;
-        let config = GlsConfig::default().with_glk(
-            GlkConfig::default()
-                .with_initial_mode(GlkMode::Mutex)
-                .without_adaptation(),
-        );
-        let svc = GlsService::with_config(config);
-        svc.lock(0xD100).unwrap();
-        svc.unlock(0xD100).unwrap();
-        assert_eq!(svc.blocking_lock_count(), 1);
-        // A freed (retired) lock serves no traffic: it must not keep
-        // steering the Auto backend heuristic.
-        assert!(svc.free(0xD100));
-        assert_eq!(
-            svc.blocking_lock_count(),
-            0,
-            "retired blocking locks leave the population"
-        );
-        // Resurrection brings it back.
-        svc.lock(0xD100).unwrap();
-        assert_eq!(
-            svc.blocking_lock_count(),
-            1,
-            "resurrected blocking locks rejoin the population"
-        );
-        svc.unlock(0xD100).unwrap();
     }
 
     #[test]

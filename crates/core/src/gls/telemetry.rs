@@ -3,18 +3,18 @@
 //! A [`TelemetrySnapshot`] captures, at one moment, everything the locking
 //! middleware knows about itself: per-lock profiles with full latency
 //! *distributions* (p50/p99/p999, not just averages), lock-cache hit rates,
-//! parking-lot occupancy and growth, Auto backend migrations, cohort
-//! handoffs, GLK mode transitions and deadlock-detector activity. Snapshots
-//! are cheap (relaxed reads plus one table walk), export themselves as JSON
+//! parking-lot occupancy and growth, cohort handoffs, GLK mode transitions
+//! and deadlock-detector activity. Snapshots are cheap (relaxed reads plus
+//! one table walk), export themselves as JSON
 //! ([`TelemetrySnapshot::to_json`]) or human text (`Display`), and can be
 //! published periodically from a background thread
 //! ([`GlsService::spawn_telemetry_publisher`]).
 //!
 //! Scope: the per-lock profiles, mode-transition totals and deadlock
 //! counters are **service-scoped** (they come from this service's entries
-//! and debug state); the lock-cache aggregate, parking-lot, cohort-handoff
-//! and backend-migration counters are **process-wide** (those subsystems
-//! are shared by every service in the process). A snapshot labels itself
+//! and debug state); the lock-cache aggregate, parking-lot and cohort-handoff
+//! counters are **process-wide** (those subsystems are shared by every
+//! service in the process). A snapshot labels itself
 //! accordingly rather than pretending one service owns the whole process.
 //!
 //! [`GlsService::spawn_telemetry_publisher`]: crate::GlsService::spawn_telemetry_publisher
@@ -26,8 +26,6 @@ use std::time::Duration;
 
 use gls_locks::{CohortStats, LockKind, ParkingLotStats};
 use gls_runtime::LatencyHistogram;
-
-use crate::glk::AutoMigrationStats;
 
 use super::cache::CacheStats;
 use super::config::GlsMode;
@@ -155,8 +153,6 @@ pub struct TelemetrySnapshot {
     /// Cohort handoff/bypass counters of the word-sized locks
     /// (process-wide).
     pub cohort: CohortStats,
-    /// Auto blocking-backend migration counters (process-wide).
-    pub auto_migrations: AutoMigrationStats,
     /// Total GLK/GLK-RW mode transitions across this service's entries.
     pub glk_transitions: u64,
     /// Deadlock-detector activity (service-scoped, debug mode).
@@ -164,18 +160,17 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
-    /// Serializes the snapshot as a single JSON object (schema version 1;
+    /// Serializes the snapshot as a single JSON object (schema version 2;
     /// validated in CI by `scripts/validate_snapshot_schema.py`).
     pub fn to_json(&self) -> String {
         let locks: Vec<String> = self.locks.iter().map(LockTelemetry::to_json).collect();
         format!(
-            "{{\"version\":1,\"mode\":\"{}\",\"sampling_budget\":{},\"lock_count\":{},\
+            "{{\"version\":2,\"mode\":\"{}\",\"sampling_budget\":{},\"lock_count\":{},\
              \"retired_count\":{},\"locks\":[{}],\
              \"cache\":{{\"hits\":{},\"misses\":{},\"invalidations\":{},\"hit_rate\":{}}},\
              \"parking_lot\":{{\"buckets\":{},\"parked\":{},\"growth_events\":{},\
              \"requeued_waiters\":{}}},\
              \"cohort\":{{\"handoffs\":{},\"head_bypasses\":{}}},\
-             \"auto_migrations\":{{\"to_parking\":{},\"to_per_lock\":{}}},\
              \"glk_transitions\":{},\
              \"deadlock\":{{\"candidates\":{},\"confirmed\":{}}}}}",
             mode_str(self.mode),
@@ -196,8 +191,6 @@ impl TelemetrySnapshot {
             self.parking_lot.requeued_waiters,
             self.cohort.handoffs,
             self.cohort.head_bypasses,
-            self.auto_migrations.to_parking,
-            self.auto_migrations.to_per_lock,
             self.glk_transitions,
             self.deadlock.candidates,
             self.deadlock.confirmed
@@ -245,7 +238,7 @@ impl fmt::Display for TelemetrySnapshot {
         writeln!(
             f,
             "[GLS telemetry] parking lot: {} buckets, {} parked, {} growths, {} requeues \
-             | cohort: {} handoffs ({} bypasses) | auto migrations: {}→lot {}→per-lock \
+             | cohort: {} handoffs ({} bypasses) \
              | glk transitions: {} | deadlock: {} candidates, {} confirmed",
             self.parking_lot.buckets,
             self.parking_lot.parked,
@@ -253,8 +246,6 @@ impl fmt::Display for TelemetrySnapshot {
             self.parking_lot.requeued_waiters,
             self.cohort.handoffs,
             self.cohort.head_bypasses,
-            self.auto_migrations.to_parking,
-            self.auto_migrations.to_per_lock,
             self.glk_transitions,
             self.deadlock.candidates,
             self.deadlock.confirmed,
@@ -396,10 +387,6 @@ mod tests {
                 handoffs: 7,
                 head_bypasses: 2,
             },
-            auto_migrations: AutoMigrationStats {
-                to_parking: 1,
-                to_per_lock: 1,
-            },
             glk_transitions: 2,
             deadlock: DeadlockTelemetry {
                 candidates: 0,
@@ -412,7 +399,7 @@ mod tests {
     fn json_has_every_section() {
         let json = sample_snapshot().to_json();
         for key in [
-            "\"version\":1",
+            "\"version\":2",
             "\"mode\":\"profile\"",
             "\"sampling_budget\":5000",
             "\"locks\":[{",
@@ -421,7 +408,6 @@ mod tests {
             "\"cache\":{",
             "\"parking_lot\":{",
             "\"cohort\":{",
-            "\"auto_migrations\":{",
             "\"glk_transitions\":2",
             "\"deadlock\":{",
         ] {

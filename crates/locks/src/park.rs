@@ -314,16 +314,22 @@ impl Drop for ParkingLot {
         // appears exactly once.
         unsafe {
             drop(Box::from_raw(self.table.load(Ordering::Acquire)));
-            if let Ok(mut retired) = self.old_tables.lock() {
-                for table in retired.drain(..) {
-                    drop(Box::from_raw(table.0));
-                }
+            for table in self.take_old_tables() {
+                drop(Box::from_raw(table.0));
             }
         }
     }
 }
 
 impl ParkingLot {
+    /// Hands over every table a growth retired. The list is append-only, so
+    /// a panic while it was locked left nothing half-done: a poisoned list
+    /// is drained like any other instead of leaking its tables.
+    fn take_old_tables(&mut self) -> Vec<RetiredTable> {
+        let retired = self.old_tables.get_mut();
+        std::mem::take(retired.unwrap_or_else(std::sync::PoisonError::into_inner))
+    }
+
     /// Creates a lot with `buckets` initial wait buckets (the table grows
     /// on demand, see the module docs).
     ///
@@ -1109,6 +1115,30 @@ mod tests {
             assert!(h.join().unwrap().is_unparked());
         }
         assert_eq!(lot.stats().parked, 0);
+    }
+
+    #[test]
+    fn poisoned_retired_list_still_gives_up_its_tables() {
+        let lot = Arc::new(ParkingLot::with_buckets(1));
+        let retired = RetiredTable(Box::into_raw(BucketTable::new(1)));
+        lot.old_tables.lock().unwrap().push(retired);
+        let poisoner = {
+            let lot = Arc::clone(&lot);
+            std::thread::spawn(move || {
+                let _retired = lot.old_tables.lock().unwrap();
+                panic!("poison the retired-table list");
+            })
+        };
+        assert!(poisoner.join().is_err());
+        assert!(lot.old_tables.lock().is_err(), "the list is poisoned");
+        // What `Drop` reclaims: the table the "growth" above retired.
+        let mut lot = Arc::try_unwrap(lot).expect("sole owner");
+        let retired = lot.take_old_tables();
+        assert_eq!(retired.len(), 1);
+        for table in retired {
+            // SAFETY: handed over exactly once; nobody references the table.
+            unsafe { drop(Box::from_raw(table.0)) };
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Every test drives *real* protocol code — `FutexLock`, `FutexRwLock`,
-//! `AutoBlockingMutex`, `GlsService` — through the deterministic explorer:
+//! `GlsService`, `GlsCondvar` — through the deterministic explorer:
 //! exhaustive DFS over thread interleavings with a preemption bound, plus
 //! one seeded-random sweep. A "lost wakeup" or "stranded waiter" surfaces
 //! as a deadlock the driver detects (no runnable thread, unfinished
@@ -21,8 +21,8 @@
 //!   whose model-mode budget parks the spinner after a few iterations —
 //!   the shim that also lets the pure spin algorithms run under the
 //!   explorer (see the `spinlocks` suite);
-//! * GLS service models still pin entries to `LockKind::Futex` (or
-//!   `Mutex`) so each test exercises one protocol, not a migration;
+//! * GLS service models pin entries to `LockKind::Futex` (or `Mutex`) so
+//!   each test exercises one protocol, not GLK's mode switching;
 //! * shared mutable state lives in a [`ModelCell`], so every admission
 //!   bug is caught twice: as a lost update by the final assertion, and as
 //!   a data race by the happens-before detector, on the exact schedule
@@ -33,7 +33,6 @@
 use std::sync::atomic::{AtomicBool, Ordering as StdOrdering};
 use std::sync::Arc;
 
-use gls::glk::{AutoBlockingMutex, BlockingDensity};
 use gls::{GlsCondvar, GlsConfig, GlsService, LockKind};
 use gls_locks::cohort::COHORT_BYPASS_LIMIT;
 use gls_locks::park::DEFAULT_PARK_TOKEN;
@@ -191,86 +190,6 @@ fn futex_cohort_bypass_is_bounded() {
     );
 }
 
-/// Property 3 — the Auto backend never loses a waiter across a backend
-/// flip. Two threads fight for an [`AutoBlockingMutex`] while the root
-/// thread moves the blocking-density population across the decision
-/// threshold, so on some schedules the backend migrates per-lock ⇄ parking
-/// mid-contention. A waiter stranded on the abandoned backend is a
-/// deadlock the driver reports.
-#[test]
-fn auto_backend_migration_loses_no_waiter() {
-    static SAW_FLIP_TO_PARKING: AtomicBool = AtomicBool::new(false);
-    static SAW_FLIP_BACK: AtomicBool = AtomicBool::new(false);
-    Explorer::exhaustive().check("auto-migration", || {
-        let lock = Arc::new(AutoBlockingMutex::new());
-        let density = Arc::new(BlockingDensity::new());
-        let counter = Arc::new(RacyCounter::new());
-        const THRESHOLD: usize = 1;
-        // Pin the first decision: with the population at zero the backend
-        // decides per-lock, so any execution that *ends* on the parking
-        // backend must have migrated mid-run.
-        lock.lock(&density, THRESHOLD);
-        lock.unlock(&density, THRESHOLD);
-        assert_eq!(lock.uses_parking_lot(), Some(false));
-        let workers: Vec<_> = (0..2)
-            .map(|_| {
-                let lock = Arc::clone(&lock);
-                let density = Arc::clone(&density);
-                let counter = Arc::clone(&counter);
-                thread::spawn(move || {
-                    lock.lock(&density, THRESHOLD);
-                    counter.bump();
-                    lock.unlock(&density, THRESHOLD);
-                })
-            })
-            .collect();
-        // Racing with the workers: push the live blocking population over
-        // the threshold, so re-decisions taken during the contention above
-        // flip the backend and drain waiters off the abandoned one.
-        density.enter();
-        for worker in workers {
-            worker.join().expect("model worker panicked");
-        }
-        let migrated = lock.uses_parking_lot() == Some(true);
-        if migrated {
-            SAW_FLIP_TO_PARKING.store(true, StdOrdering::Relaxed);
-        }
-        // Phase 2 — migrate back (the direction whose release must
-        // *broadcast* to the abandoned futex queue) while one more locker
-        // races the flip.
-        density.leave();
-        let straggler = {
-            let lock = Arc::clone(&lock);
-            let density = Arc::clone(&density);
-            let counter = Arc::clone(&counter);
-            thread::spawn(move || {
-                lock.lock(&density, THRESHOLD);
-                counter.bump();
-                lock.unlock(&density, THRESHOLD);
-            })
-        };
-        lock.lock(&density, THRESHOLD);
-        lock.unlock(&density, THRESHOLD);
-        straggler.join().expect("model straggler panicked");
-        if migrated && lock.uses_parking_lot() == Some(false) {
-            SAW_FLIP_BACK.store(true, StdOrdering::Relaxed);
-        }
-        assert_eq!(counter.get(), 3, "an increment was lost across the flip");
-        assert!(!lock.is_locked(), "lock left held after drain");
-        assert_eq!(lock.queue_length(), 0, "waiters left parked after drain");
-    });
-    assert!(
-        SAW_FLIP_TO_PARKING.load(StdOrdering::Relaxed),
-        "no execution migrated per-lock → parking — the scenario no longer \
-         exercises the flip"
-    );
-    assert!(
-        SAW_FLIP_BACK.load(StdOrdering::Relaxed),
-        "no execution migrated parking → per-lock — the broadcast drain \
-         path was never exercised"
-    );
-}
-
 /// What the freeing thread of [`entry_lifecycle`] does while the locker
 /// runs; the rest of free → sweep (age) → sweep (claim) happens before or
 /// after the race, on the root thread.
@@ -382,7 +301,7 @@ fn entry_lifecycle(racing: Racing, prove_idle: bool) -> impl Fn() + Send + Sync 
 static SAW_RELEASE_AFTER_FREE: AtomicBool = AtomicBool::new(false);
 static SAW_RECYCLE: AtomicBool = AtomicBool::new(false);
 
-/// Property 4 — the entry lifecycle (free in place, resurrect, sweep,
+/// Property 3 — the entry lifecycle (free in place, resurrect, sweep,
 /// recycle) never strands a release and never lets two threads hold one
 /// address, on any interleaving of free, lock, unlock, re-create and
 /// sweep. The whole sequence racing the locker is explored with one
@@ -504,7 +423,7 @@ fn guard_across_free_and_sweep(prove_idle: bool) -> impl Fn() + Send + Sync + 's
 
 static SAW_SWEEP_UNDER_GUARD: AtomicBool = AtomicBool::new(false);
 
-/// Property 4b — a guard's lookup-free drop is safe against the entry
+/// Property 3b — a guard's lookup-free drop is safe against the entry
 /// lifecycle: the sweep's idle proof never recycles the entry a live guard
 /// points at, so the drop releases the lock that still serves the address
 /// and nobody else gets into the critical section meanwhile. One preemption,
@@ -541,7 +460,7 @@ fn rediscovers_the_sweep_without_idle_proof_bug_through_a_guard() {
     );
 }
 
-/// Property 5 — condvar requeue-on-notify never strands a waiter behind a
+/// Property 4 — condvar requeue-on-notify never strands a waiter behind a
 /// free mutex. The waiter blocks on the service condvar under a futex
 /// entry; the notifier flips the predicate and notifies *while holding the
 /// mutex*, so the waiter is requeued onto the mutex word and must be woken

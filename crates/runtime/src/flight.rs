@@ -39,9 +39,6 @@ pub enum FlightEventKind {
     /// A GLK lock changed modes. `info` packs `from` in the high byte and
     /// `to` in the low byte of the low 16 bits.
     ModeTransition = 5,
-    /// An Auto blocking backend migrated. `info` is 1 when the lock moved
-    /// onto the shared parking lot, 0 when it moved back to per-lock state.
-    BackendMigration = 6,
     /// The deadlock detector recorded a candidate cycle involving the
     /// address. `info` is the cycle length.
     DeadlockCandidate = 7,
@@ -56,7 +53,6 @@ impl FlightEventKind {
             FlightEventKind::Unpark => "unpark",
             FlightEventKind::Handoff => "handoff",
             FlightEventKind::ModeTransition => "mode_transition",
-            FlightEventKind::BackendMigration => "backend_migration",
             FlightEventKind::DeadlockCandidate => "deadlock_candidate",
         }
     }

@@ -13,7 +13,7 @@
 
 use std::cell::Cell;
 use std::collections::BinaryHeap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Maximum number of concurrently-live thread ids supported by the debug and
 /// deadlock-detection machinery.
@@ -90,8 +90,15 @@ static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
     next: 0,
 });
 
+/// Locks the registry. Every update is a single push, pop or increment, so
+/// a panic while it was held (the thread-limit assertion below) left nothing
+/// half-done: a poisoned registry keeps handing out and taking back ids.
+fn registry() -> MutexGuard<'static, Registry> {
+    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn allocate() -> ThreadId {
-    let mut reg = REGISTRY.lock().expect("thread-id registry poisoned");
+    let mut reg = registry();
     if let Some(std::cmp::Reverse(id)) = reg.free.pop() {
         return ThreadId(id);
     }
@@ -106,9 +113,7 @@ fn allocate() -> ThreadId {
 }
 
 fn release(id: ThreadId) {
-    if let Ok(mut reg) = REGISTRY.lock() {
-        reg.free.push(std::cmp::Reverse(id.0));
-    }
+    registry().free.push(std::cmp::Reverse(id.0));
 }
 
 struct Slot {
@@ -166,6 +171,21 @@ mod tests {
         for h in handles {
             let id = h.join().unwrap();
             assert!(id < MAX_THREADS);
+        }
+    }
+
+    #[test]
+    fn poisoned_registry_keeps_recycling_ids() {
+        let poisoner = std::thread::spawn(|| {
+            let _registry = REGISTRY.lock().unwrap();
+            panic!("poison the thread-id registry");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(REGISTRY.is_poisoned());
+        // More sequential threads than there are ids: each must still be
+        // handed one, which only works if each exit still returns its own.
+        for _ in 0..MAX_THREADS + 64 {
+            std::thread::spawn(ThreadId::current).join().unwrap();
         }
     }
 

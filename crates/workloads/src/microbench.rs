@@ -227,16 +227,20 @@ mod tests {
 
     #[test]
     fn multiple_locks_scale_better_than_single_lock() {
-        // With 8 uncontended locks, 4 threads should complete clearly more
-        // critical sections than with a single shared lock.
-        let single = quick(4, 1, LockKind::Ticket);
-        let many = quick(4, 64, LockKind::Ticket);
-        assert!(
-            many.total_ops as f64 > single.total_ops as f64 * 1.2,
-            "single: {}, many: {}",
-            single.total_ops,
-            many.total_ops
-        );
+        // With 64 uncontended locks, 4 threads should complete clearly more
+        // critical sections than with a single shared lock. Two 80 ms runs
+        // beside the other tests of this binary are easily disturbed (1 run
+        // in 5 on a 2-context box), so the property gets three attempts.
+        let mut attempts = Vec::new();
+        for _ in 0..3 {
+            let single = quick(4, 1, LockKind::Ticket).total_ops;
+            let many = quick(4, 64, LockKind::Ticket).total_ops;
+            if many as f64 > single as f64 * 1.2 {
+                return;
+            }
+            attempts.push((single, many));
+        }
+        panic!("(single, many) ops per attempt: {attempts:?}");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 builds offline, without serde), so CI parses a real emitted snapshot here
 and checks every field the exporter promises: the versioned envelope, the
 per-lock profiles with their latency histogram summaries, and the
-service-wide cache / parking-lot / cohort / migration / deadlock counters.
+service-wide cache / parking-lot / cohort / deadlock counters.
 A field silently dropped or renamed by a refactor fails CI instead of
 failing whoever scrapes the snapshots.
 
@@ -24,7 +24,6 @@ TOP_LEVEL = {
     "cache": dict,
     "parking_lot": dict,
     "cohort": dict,
-    "auto_migrations": dict,
     "glk_transitions": int,
     "deadlock": dict,
 }
@@ -44,7 +43,6 @@ LOCK_FIELDS = {
 CACHE_FIELDS = {"hits": int, "misses": int, "invalidations": int, "hit_rate": (int, float)}
 PARKING_FIELDS = {"buckets": int, "parked": int, "growth_events": int, "requeued_waiters": int}
 COHORT_FIELDS = {"handoffs": int, "head_bypasses": int}
-MIGRATION_FIELDS = {"to_parking": int, "to_per_lock": int}
 DEADLOCK_FIELDS = {"candidates": int, "confirmed": int}
 
 
@@ -76,8 +74,11 @@ def validate(path):
     with open(path) as f:
         doc = json.load(f)
     check_fields(doc, TOP_LEVEL, "the top level", path)
-    if doc["version"] != 1:
+    if doc["version"] != 2:
         fail(f"{path}: unknown snapshot version {doc['version']}")
+    unknown = sorted(set(doc) - set(TOP_LEVEL) - {"sampling_budget"})
+    if unknown:
+        fail(f"{path}: the top level has keys version 2 does not define: {unknown}")
     if doc["mode"] not in MODES:
         fail(f"{path}: unknown mode {doc['mode']!r}")
     budget = doc.get("sampling_budget", "MISSING")
@@ -97,7 +98,6 @@ def validate(path):
         fail(f"{path}: cache.hit_rate outside [0, 1]")
     check_fields(doc["parking_lot"], PARKING_FIELDS, "parking_lot", path)
     check_fields(doc["cohort"], COHORT_FIELDS, "cohort", path)
-    check_fields(doc["auto_migrations"], MIGRATION_FIELDS, "auto_migrations", path)
     check_fields(doc["deadlock"], DEADLOCK_FIELDS, "deadlock", path)
     print(f"{path}: OK ({doc['lock_count']} locks, mode={doc['mode']})")
 

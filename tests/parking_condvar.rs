@@ -205,75 +205,6 @@ fn notify_one_hands_over_fifo_and_notify_all_drains() {
 }
 
 #[test]
-fn backend_migration_under_load_loses_no_wakeups() {
-    // Tentpole stress: flip the blocking backend PerLock <-> ParkingLot
-    // *while* threads hold and wait on the locks. The service runs every
-    // lock in mutex mode (initial mode, adaptation off) with the Auto
-    // backend and a tiny density threshold; a churn thread oscillates the
-    // density across the threshold so every release is a migration
-    // opportunity. Waiters parked on the old backend must drain through
-    // the acquire-recheck-retry protocol: the exact final counter proves
-    // no double-admission (double-unpark) and the test completing proves
-    // no lost wakeup.
-    use gls::glk::{DensityHandle, GlkMode};
-    let config = GlsConfig::default().with_glk(
-        GlkConfig::default()
-            .with_initial_mode(GlkMode::Mutex)
-            .without_adaptation()
-            .with_blocking_backend(BlockingBackend::Auto)
-            .with_blocking_density_threshold(4),
-    );
-    let svc = Arc::new(GlsService::with_config(config));
-    let density = match &svc.config().glk.density {
-        DensityHandle::Custom(d) => Arc::clone(d),
-        DensityHandle::Global => panic!("services wire their own density tracker"),
-    };
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let churn = {
-        let stop = Arc::clone(&stop);
-        let density = Arc::clone(&density);
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                for _ in 0..8 {
-                    density.enter();
-                }
-                std::thread::yield_now();
-                for _ in 0..8 {
-                    density.leave();
-                }
-            }
-        })
-    };
-    let counter = Arc::new(AtomicU64::new(0));
-    let workers: Vec<_> = (0..6)
-        .map(|t| {
-            let svc = Arc::clone(&svc);
-            let counter = Arc::clone(&counter);
-            std::thread::spawn(move || {
-                for i in 0..5_000usize {
-                    let addr = 0xA100 + ((t + i) % 2) * 64;
-                    svc.lock(addr).unwrap();
-                    counter.fetch_add(1, Ordering::Relaxed);
-                    gls_runtime::spin_cycles(200);
-                    svc.unlock(addr).unwrap();
-                }
-            })
-        })
-        .collect();
-    for h in workers {
-        h.join().unwrap();
-    }
-    stop.store(true, Ordering::Relaxed);
-    churn.join().unwrap();
-    assert_eq!(counter.load(Ordering::Relaxed), 30_000);
-    assert_eq!(
-        svc.blocking_lock_count(),
-        2,
-        "both mutex-mode locks count as live blocking locks"
-    );
-}
-
-#[test]
 fn condvar_requeue_mpmc_loses_no_items() {
     // Requeue-on-notify correctness under MPMC churn: producers notify
     // while *holding* the futex-backed mutex (so every notify takes the
@@ -365,38 +296,35 @@ fn condvar_requeue_mpmc_loses_no_items() {
 }
 
 #[test]
-fn requeued_waiters_survive_a_backend_migration() {
-    // Regression for the requeue/migration interaction: condvar waiters
-    // requeued onto a futex-backed mutex never re-release the futex word,
-    // so a release that migrates the blocking backend away from the
-    // parking lot must *broadcast* to the old queue — with a one-wakeup
-    // release, everyone queued behind the first requeued waiter would
-    // sleep forever.
-    use gls::glk::{DensityHandle, GlkMode};
-    let config = GlsConfig::default().with_glk(
-        GlkConfig::default()
-            .with_initial_mode(GlkMode::Mutex)
-            .without_adaptation()
-            .with_blocking_backend(BlockingBackend::Auto)
-            // Threshold 4: 4 manual entries + the lock itself put the
-            // first use past it (parking backend); dropping back to 1
-            // live lock falls below the x1/2 hysteresis (1*2 < 4), so the
-            // release after the drop really migrates.
-            .with_blocking_density_threshold(4),
-    );
+fn requeued_waiters_survive_glk_leaving_mutex_mode() {
+    // Regression for the requeue/mode-switch interaction: condvar waiters
+    // requeued onto a futex-backed mutex never re-release the futex word
+    // (they re-acquire through GLK's *current* mode), so the release of the
+    // acquisition that moves GLK out of mutex mode must *broadcast* to the
+    // word's queue — with a one-wakeup release, everyone queued behind the
+    // next waiter would sleep under a word nobody releases again.
+    use gls::glk::{GlkMode, MonitorHandle, INITIAL_CALM_ROUNDS};
+    const WAITERS: u64 = 3;
+    // Each waiter's first acquisition, the notifier's, then the first
+    // requeued waiter's re-acquisition: that one is the adaptation tick.
+    const TICK: u64 = WAITERS + 2;
+    // A registry of the test's own: nobody registers, so it stays calm.
+    let monitor = Arc::new(gls_runtime::SystemLoadMonitor::new());
+    let config = GlsConfig::default()
+        .with_monitor(MonitorHandle::Custom(Arc::clone(&monitor)))
+        .with_glk(
+            GlkConfig::default()
+                .with_initial_mode(GlkMode::Mutex)
+                .with_adaptation_period(TICK)
+                .with_sampling_period(1)
+                .with_transition_recording(true)
+                .with_blocking_backend(BlockingBackend::ParkingLot),
+        );
     let svc = Arc::new(GlsService::with_config(config));
-    let density = match &svc.config().glk.density {
-        DensityHandle::Custom(d) => Arc::clone(d),
-        DensityHandle::Global => panic!("services wire their own density tracker"),
-    };
-    // Past the threshold before first use: the lock decides PARKING.
-    for _ in 0..4 {
-        density.enter();
-    }
     let cv = Arc::new(GlsCondvar::new());
     let addr = 0x9A7E;
     let woken = Arc::new(AtomicU64::new(0));
-    let waiters: Vec<_> = (0..3)
+    let waiters: Vec<_> = (0..WAITERS)
         .map(|_| {
             let (svc, cv, woken) = (Arc::clone(&svc), Arc::clone(&cv), Arc::clone(&woken));
             std::thread::spawn(move || {
@@ -407,26 +335,26 @@ fn requeued_waiters_survive_a_backend_migration() {
             })
         })
         .collect();
-    while cv.waiters() < 3 {
+    while cv.waiters() < WAITERS {
         std::thread::yield_now();
     }
     // Hold the (parking-backed) mutex and morph the whole broadcast onto
     // its futex word.
     svc.lock(addr).unwrap();
-    assert_eq!(svc.notify_all(&cv, addr), 3);
-    // Now force the next release to migrate the backend away from the
-    // parking lot: the release must broadcast, or two of the three
-    // requeued waiters strand under the abandoned futex word.
-    for _ in 0..4 {
-        density.leave();
+    assert_eq!(svc.notify_all(&cv, addr) as u64, WAITERS);
+    // Leaving mutex mode takes this much uninterrupted calm.
+    while monitor.calm_ticks() < INITIAL_CALM_ROUNDS {
+        std::thread::sleep(Duration::from_micros(100));
     }
+    // This release wakes one requeued waiter; its re-acquisition adapts
+    // mutex -> ticket, and the release of *that* stale hold must broadcast,
+    // or the other two strand under the abandoned futex word.
     svc.unlock(addr).unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
-    while woken.load(Ordering::Acquire) < 3 {
+    while woken.load(Ordering::Acquire) < WAITERS {
         assert!(
             Instant::now() < deadline,
-            "requeued waiters stranded across the backend migration \
-             ({} of 3 woke)",
+            "requeued waiters stranded when GLK left mutex mode ({} of {WAITERS} woke)",
             woken.load(Ordering::Acquire)
         );
         std::thread::sleep(Duration::from_millis(1));
@@ -434,4 +362,10 @@ fn requeued_waiters_survive_a_backend_migration() {
     for h in waiters {
         h.join().unwrap();
     }
+    let (_, transitions) = &svc.glk_transitions()[0];
+    assert_eq!(
+        (transitions[0].from, transitions[0].at_acquisition),
+        (GlkMode::Mutex, TICK),
+        "the first requeued waiter's re-acquisition left mutex mode"
+    );
 }

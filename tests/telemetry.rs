@@ -171,7 +171,7 @@ fn snapshot_json_round_trips_counts() {
     assert!(!in_string, "unterminated string");
 
     // The counters written into the JSON match the snapshot struct.
-    assert_eq!(json_u64(&json, "version"), 1);
+    assert_eq!(json_u64(&json, "version"), 2);
     assert_eq!(json_u64(&json, "lock_count"), snapshot.lock_count as u64);
     assert_eq!(json_u64(&json, "lock_count"), 3);
     assert_eq!(json_u64(&json, "glk_transitions"), snapshot.glk_transitions);
