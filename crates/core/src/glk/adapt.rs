@@ -1,9 +1,20 @@
 //! The adaptation machine GLK and GLK-RW share (§3, "Selecting the GLK
-//! Mode"): the mode flag, the acquisition and queue counters, their pacing,
-//! the smoothed queue, the load side of the policy and the publication of a
-//! transition. What differs between the two flavours — which low-level locks
-//! a mode stands for, which spin mode a queue length asks for, who is
-//! exclusive enough to run a tick — stays with the locks.
+//! Mode"): the mode flag, the queue counters, the pacing of samples and
+//! ticks, the smoothed queue, the load side of the policy and the
+//! publication of a transition. What differs between the two flavours —
+//! which low-level locks a mode stands for, which spin mode a queue length
+//! asks for, who is exclusive enough to run a tick, and where the number of
+//! an acquisition comes from — stays with the locks.
+//!
+//! The machine does not count acquisitions; it paces off a sequence number
+//! the caller hands it. GLK in ticket mode hands it the ticket the holder
+//! was served: the ticket lock already counts its acquisitions (§3,
+//! "Measuring Contention", is the same argument for its queue length), and
+//! a counter of GLK's own would be one more cache line every holder pulls
+//! over from the previous one. Between two queue samples, a ticket-mode
+//! acquisition therefore writes nothing but the ticket lock's line. In MCS
+//! and mutex mode the exclusive holder counts with a plain load and store;
+//! GLK-RW's readers are concurrent and count with an RMW.
 
 use gls_sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
@@ -31,8 +42,9 @@ pub(crate) struct Adaptive {
     /// Current mode (the paper's `lock_type`).
     mode: AtomicU8,
     /// `num_acquired` / `queue_total` and friends, on a line of their own:
-    /// every holder writes it, while every arrival reads the mode and the
-    /// periods beside it.
+    /// holders write it (at every acquisition outside GLK's ticket mode, at
+    /// samples in it), while every arrival reads the mode and the periods
+    /// beside it.
     stats: CachePadded<LockStats>,
     /// Exponential moving average of per-window queue lengths (f64 bits).
     ema_bits: AtomicU64,
@@ -40,6 +52,10 @@ pub(crate) struct Adaptive {
     /// blocking mode; doubles after every departure.
     required_calm: AtomicU64,
     config: GlkConfig,
+    /// Every adaptation boundary is a sampling boundary too (the adaptation
+    /// period is a multiple of the sampling period, as the paper's 4096 and
+    /// 128 are), so pacing off a sampling boundary needs no second division.
+    ticks_on_samples: bool,
     monitor: MonitorHandle,
 }
 
@@ -50,6 +66,9 @@ impl Adaptive {
             stats: CachePadded::new(LockStats::new()),
             ema_bits: AtomicU64::new(0f64.to_bits()),
             required_calm: AtomicU64::new(INITIAL_CALM_ROUNDS),
+            ticks_on_samples: config
+                .adaptation_period
+                .is_multiple_of(config.sampling_period),
             config,
             monitor,
         }
@@ -68,30 +87,40 @@ impl Adaptive {
         &self.stats
     }
 
+    /// Forgets the counters and the smoothed queue (entry recycle); the
+    /// mode stays, and the first window folded after this starts the EMA.
+    pub(crate) fn reset(&self) {
+        self.stats.reset();
+        self.ema_bits.store(0f64.to_bits(), Ordering::Relaxed);
+    }
+
     /// Smoothed queue length currently driving adaptation decisions.
     pub(crate) fn smoothed_queue(&self) -> f64 {
         f64::from_bits(self.ema_bits.load(Ordering::Relaxed))
     }
 
-    /// Counts one completed acquisition and, every
-    /// [`GlkConfig::sampling_period`] of them (paper: 128), samples
-    /// `queue_length`. Returns the acquisition count when it lands on an
-    /// adaptation boundary (paper: every 4096), which some exclusive holder
-    /// must answer with a tick: [`Self::fold_window`], [`Self::load`] and,
-    /// if the mode moves, [`Self::publish`].
+    /// Paces the completed acquisition numbered `seq`: every
+    /// [`GlkConfig::sampling_period`] numbers (paper: 128) it samples
+    /// `queue_length`. Returns whether `seq` lands on an adaptation boundary
+    /// (paper: every 4096), which some exclusive holder must answer with a
+    /// tick: [`Self::fold_window`], [`Self::load`] and, if the mode moves,
+    /// [`Self::publish`].
+    ///
+    /// The numbers need not start at the lock's first acquisition nor run
+    /// on across mode changes; a wrap of the counter they come from, at
+    /// any period that does not divide its range, makes one window
+    /// irregular.
     #[inline]
-    pub(crate) fn pace(&self, queue_length: impl FnOnce() -> u64) -> Option<u64> {
+    pub(crate) fn pace(&self, seq: u64, queue_length: impl FnOnce() -> u64) -> bool {
         if self.config.adaptation_disabled() {
-            self.stats.record_acquisition();
-            return None;
+            return false;
         }
-        let acquisitions = self.stats.record_acquisition();
-        if acquisitions.is_multiple_of(self.config.sampling_period) {
+        if seq.is_multiple_of(self.config.sampling_period) {
             self.stats.record_queue_sample(queue_length());
+        } else if self.ticks_on_samples {
+            return false;
         }
-        acquisitions
-            .is_multiple_of(self.config.adaptation_period)
-            .then_some(acquisitions)
+        seq.is_multiple_of(self.config.adaptation_period)
     }
 
     /// Folds this window's average queuing into the EMA, resets the window
@@ -102,7 +131,10 @@ impl Adaptive {
         let previous = self.smoothed_queue();
         let smoothed = if self.stats.queue_samples() == 0 {
             previous
-        } else if self.stats.acquisitions() <= self.config.adaptation_period {
+        } else if previous == 0.0 {
+            // Nothing folded yet (a holder's sample counts the holder, so a
+            // folded window never averages 0): the EMA starts at the
+            // window's average rather than halfway up from zero.
             window_avg
         } else {
             EMA_ALPHA * window_avg + (1.0 - EMA_ALPHA) * previous

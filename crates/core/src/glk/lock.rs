@@ -1,5 +1,6 @@
 //! The GLK lock: structure, acquisition protocol and spin-mode policy.
 
+use gls_sync::atomic::{AtomicU64, Ordering};
 use gls_sync::sync::Mutex as StdMutex;
 
 use gls_locks::{FutexLock, McsLock, MutexLock, QueueInformed, RawLock, RawTryLock, TicketLock};
@@ -91,6 +92,15 @@ impl BlockingMutex {
     }
 }
 
+/// How a hold numbers its acquisition for the pacing step.
+#[derive(Clone, Copy)]
+enum Turn {
+    /// Ticket mode: the ticket the hold was served.
+    Ticket(u32),
+    /// MCS or mutex mode: the holder counts itself.
+    Counted,
+}
+
 /// The generic lock (GLK): a lock that adapts between ticket, MCS and mutex
 /// modes based on observed contention and system load.
 ///
@@ -98,7 +108,9 @@ impl BlockingMutex {
 /// low-level lock objects and the statistics counters — and the acquisition
 /// protocol mirrors Figure 4: read the mode, acquire that low-level lock,
 /// re-check the mode (restarting if it changed), and give the now-holder a
-/// chance to adapt.
+/// chance to adapt. In ticket mode the paper's `num_acquired` is the ticket
+/// lock's own ticket counter, so a ticket-mode acquisition writes no line
+/// but the ticket lock's between two queue samples.
 ///
 /// # Example
 ///
@@ -120,8 +132,14 @@ pub struct GlkLock {
     /// [`GlkConfig::blocking_backend`]).
     mutex: BlockingMutex,
     /// The `lock_type` flag, the counters and the policy state shared with
-    /// GLK-RW.
+    /// GLK-RW. Its acquisition counter counts the MCS- and mutex-mode holds
+    /// only.
     adapt: Adaptive,
+    /// The ticket word at the last telemetry reset, less 2³² for every wrap
+    /// of the word since: `ticket − ticket_base` is the number of tickets
+    /// drawn since that reset, in full. Written by the holder that draws
+    /// ticket `u32::MAX` and by `reset_telemetry`, never on the fast path.
+    ticket_base: AtomicU64,
     /// Recorded transitions (only populated when
     /// [`GlkConfig::record_transitions`] is set).
     transitions: StdMutex<Vec<ModeTransition>>,
@@ -154,14 +172,18 @@ impl GlkLock {
             mcs: McsLock::new(),
             mutex: BlockingMutex::new(config.blocking_backend),
             adapt: Adaptive::new(config.initial_mode.as_raw(), config, monitor),
+            ticket_base: AtomicU64::new(0),
             transitions: StdMutex::new(Vec::new()),
         }
     }
 
-    /// Called when this lock's GLS entry is recycled for another address:
-    /// forgets the statistics and the transition log of the old one.
+    /// Called when this lock's GLS entry is recycled for another address,
+    /// by a caller that holds the lock: forgets the statistics and the
+    /// transition log of the old one, and counts acquisitions from zero.
     pub(crate) fn reset_telemetry(&self) {
-        self.stats().reset();
+        self.adapt.reset();
+        self.ticket_base
+            .store(u64::from(self.ticket.counters().0), Ordering::Relaxed);
         if self.config().record_transitions {
             self.transitions
                 .lock()
@@ -181,14 +203,27 @@ impl GlkLock {
         self.adapt.config()
     }
 
-    /// Acquisition and queuing statistics.
+    /// Queuing statistics and transition count. Its acquisition counter
+    /// holds the MCS- and mutex-mode acquisitions only; the total is
+    /// [`Self::acquisitions`].
     pub fn stats(&self) -> &LockStats {
         self.adapt.stats()
     }
 
-    /// Number of completed acquisitions (the paper's `num_acquired`).
+    /// Number of completed acquisitions since creation or entry recycle
+    /// (the paper's `num_acquired`): the tickets drawn plus the MCS- and
+    /// mutex-mode holds. Exact while the lock is idle; while it is held,
+    /// waiters that drew a ticket count already. An acquisition whose hold
+    /// changed the mode counts twice (the hold, then the retry), and so
+    /// does one that drew a ticket and found the mode changed under it.
     pub fn acquisitions(&self) -> u64 {
-        self.stats().acquisitions()
+        self.acquisitions_with(self.ticket.counters().0)
+    }
+
+    /// [`Self::acquisitions`] with the ticket word at `drawn`.
+    fn acquisitions_with(&self, drawn: u32) -> u64 {
+        let tickets = u64::from(drawn).wrapping_sub(self.ticket_base.load(Ordering::Relaxed));
+        tickets.wrapping_add(self.stats().acquisitions())
     }
 
     /// Smoothed queue length currently driving adaptation decisions.
@@ -214,21 +249,36 @@ impl GlkLock {
     }
 
     #[inline]
-    fn lock_mode(&self, mode: GlkMode) {
+    fn lock_mode(&self, mode: GlkMode) -> Turn {
         match mode {
-            GlkMode::Ticket => self.ticket.lock(),
+            GlkMode::Ticket => return self.served(self.ticket.acquire()),
             GlkMode::Mcs => self.mcs.lock(),
             GlkMode::Mutex => self.mutex.lock(),
         }
+        Turn::Counted
     }
 
     #[inline]
-    fn try_lock_mode(&self, mode: GlkMode) -> bool {
-        match mode {
-            GlkMode::Ticket => self.ticket.try_lock(),
+    fn try_lock_mode(&self, mode: GlkMode) -> Option<Turn> {
+        let acquired = match mode {
+            GlkMode::Ticket => return self.ticket.try_acquire().map(|t| self.served(t)),
             GlkMode::Mcs => self.mcs.try_lock(),
             GlkMode::Mutex => self.mutex.try_lock(),
+        };
+        acquired.then_some(Turn::Counted)
+    }
+
+    /// The turn of a hold served `ticket`, whatever the mode turns out to
+    /// be: drawing ticket `u32::MAX` wrapped the ticket word, so its holder
+    /// (ticket holders are serialized) moves the base down by 2³².
+    #[inline]
+    fn served(&self, ticket: u32) -> Turn {
+        if ticket == u32::MAX {
+            let base = self.ticket_base.load(Ordering::Relaxed);
+            self.ticket_base
+                .store(base.wrapping_sub(1 << 32), Ordering::Relaxed);
         }
+        Turn::Ticket(ticket)
     }
 
     #[inline]
@@ -274,14 +324,16 @@ impl GlkLock {
     pub fn lock(&self) {
         loop {
             let current = self.mode();
-            self.lock_mode(current);
+            let turn = self.lock_mode(current);
             // Line 15 of Figure 4: if the mode is unchanged and no adaptation
             // was performed, we hold the lock; otherwise release the
             // low-level lock (possibly of the old mode) and retry.
-            if self.mode() == current && !self.try_adapt(current) {
+            if self.mode() == current && !self.try_adapt(current, turn) {
                 return;
             }
             self.release_stale_mode(current);
+            #[cfg(gls_model)]
+            model::after_stale_release(|from, to| self.publish(from, to));
         }
     }
 
@@ -289,13 +341,15 @@ impl GlkLock {
     pub fn try_lock(&self) -> bool {
         loop {
             let current = self.mode();
-            if !self.try_lock_mode(current) {
+            let Some(turn) = self.try_lock_mode(current) else {
                 return false;
-            }
-            if self.mode() == current && !self.try_adapt(current) {
+            };
+            if self.mode() == current && !self.try_adapt(current, turn) {
                 return true;
             }
             self.release_stale_mode(current);
+            #[cfg(gls_model)]
+            model::after_stale_release(|from, to| self.publish(from, to));
         }
     }
 
@@ -321,21 +375,27 @@ impl GlkLock {
     /// just acquired low-level lock `current`. Returns `true` if the mode was
     /// changed (in which case the caller must release and retry).
     #[inline]
-    fn try_adapt(&self, current: GlkMode) -> bool {
+    fn try_adapt(&self, current: GlkMode, turn: Turn) -> bool {
+        let seq = match turn {
+            // The ticket numbers the acquisition: nothing to write.
+            Turn::Ticket(ticket) => u64::from(ticket.wrapping_add(1)),
+            // Holds that passed the mode re-check in MCS or mutex mode
+            // exclude each other (a mode changes only under its holder, and
+            // before the release), so the counter has one writer at a time.
+            Turn::Counted => self.stats().record_exclusive_acquisition(),
+        };
         // The sample sums all three low-level queues, not just the current
         // mode's: right after a mode switch the waiters of the previous mode
         // drain out of its queue one by one, and counting only the new lock
         // would undercount contention during that migration — the EMA would
         // collapse and bounce the mode straight back (most visible when
         // context switches are slow relative to the adaptation period).
-        self.adapt
-            .pace(|| self.queue_length())
-            .is_some_and(|acquisitions| self.adapt_exclusive(current, acquisitions))
+        self.adapt.pace(seq, || self.queue_length()) && self.adapt_exclusive(current, turn)
     }
 
     /// One adaptation tick, run by the holder of low-level lock `current`.
     #[cold]
-    fn adapt_exclusive(&self, current: GlkMode, acquisitions: u64) -> bool {
+    fn adapt_exclusive(&self, current: GlkMode, turn: Turn) -> bool {
         let smoothed = self.adapt.fold_window();
         let load = self.adapt.load(current == GlkMode::Mutex, smoothed);
         let target = Self::decide_mode(current, smoothed, load);
@@ -343,12 +403,16 @@ impl GlkLock {
             return false;
         }
         if self.config().record_transitions {
+            let drawn = match turn {
+                Turn::Ticket(ticket) => ticket.wrapping_add(1),
+                Turn::Counted => self.ticket.counters().0,
+            };
             let transition = ModeTransition {
                 from: current,
                 to: target,
                 smoothed_queue: smoothed,
                 multiprogrammed: load.multiprogrammed,
-                at_acquisition: acquisitions,
+                at_acquisition: self.acquisitions_with(drawn),
             };
             // The log is append-only, so a panic while holding it leaves
             // nothing half-updated: recover the guard, keep the history.
@@ -357,9 +421,19 @@ impl GlkLock {
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .push(transition);
         }
-        let lock = self as *const _ as usize;
-        self.adapt.publish(lock, current.as_raw(), target.as_raw());
+        #[cfg(gls_model)]
+        if model::hold_back(current, target) {
+            return true;
+        }
+        self.publish(current, target);
         true
+    }
+
+    /// Publishes the transition `from` → `to`; the caller holds the
+    /// low-level lock of `from` and releases it afterwards.
+    fn publish(&self, from: GlkMode, to: GlkMode) {
+        let lock = self as *const _ as usize;
+        self.adapt.publish(lock, from.as_raw(), to.as_raw());
     }
 
     /// GLK's half of the policy (§3, "Selecting the GLK Mode"): which of the
@@ -385,6 +459,77 @@ impl GlkLock {
     }
 }
 
+/// Model-checker hooks for the Figure-4 protocol: a seeded bug and a
+/// coverage count. Compiled only under `--cfg gls_model`.
+#[cfg(gls_model)]
+pub(crate) mod model {
+    use std::cell::Cell;
+
+    use super::GlkMode;
+
+    // Per thread: a vthread is an OS thread, and an exploration's threads
+    // must not see another test's settings or counts.
+    thread_local! {
+        /// Whether this thread's ticks publish after the release.
+        static LATE: Cell<bool> = const { Cell::new(false) };
+        /// The transition this thread's last tick decided, and whether it
+        /// was held back, until the stale-mode release that follows it.
+        static TICK: Cell<Option<(GlkMode, GlkMode, bool)>> = const { Cell::new(None) };
+        static STALE_RETRIES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Seeds, on the calling thread, the bug Figure 4's order prevents: a
+    /// tick publishes the new mode only *after* releasing the old mode's
+    /// lock. A thread queued on that lock then takes it, re-checks, still
+    /// finds the old mode and enters beside the adapter, which retries in
+    /// the new mode.
+    pub fn model_publish_after_release(enabled: bool) {
+        LATE.set(enabled);
+    }
+
+    /// Acquisitions by the calling thread that found the mode changed under
+    /// them and retried (not counting retries after the thread's own tick).
+    pub fn model_stale_retries() -> u64 {
+        STALE_RETRIES.get()
+    }
+
+    /// A tick about to publish `from` → `to`: whether to hold it back.
+    pub(super) fn hold_back(from: GlkMode, to: GlkMode) -> bool {
+        let late = LATE.get();
+        TICK.set(Some((from, to, late)));
+        late
+    }
+
+    /// After a stale-mode release: publishes a held-back tick, or counts a
+    /// stale retry if this thread ran no tick.
+    pub(super) fn after_stale_release(publish: impl FnOnce(GlkMode, GlkMode)) {
+        match TICK.take() {
+            Some((from, to, true)) => publish(from, to),
+            Some(_) => {}
+            None => STALE_RETRIES.set(STALE_RETRIES.get() + 1),
+        }
+    }
+}
+
+#[cfg(test)]
+impl GlkLock {
+    /// A lock whose ticket lock hands out `next` first, as if that many
+    /// ticket-mode acquisitions had come and gone.
+    fn with_next_ticket(mut self, next: u32) -> Self {
+        self.ticket = TicketLock::starting_at(next);
+        self
+    }
+
+    /// Moves the lock to `to` the way a tick does: a hold in the current
+    /// mode publishes the change, then releases the stale mode.
+    fn force_mode(&self, to: GlkMode) {
+        self.lock();
+        let from = self.mode();
+        self.publish(from, to);
+        self.release_stale_mode(from);
+    }
+}
+
 #[cfg(test)]
 // Raw std sync and wall-clock sleeps are fine in stress tests: they pace
 // real threads, not modeled ones (see clippy.toml).
@@ -395,7 +540,6 @@ mod tests {
         calm_for, check_decision_table, oversubscribe, own_monitor, DecisionRow,
     };
     use super::*;
-    use gls_sync::atomic::{AtomicU64, Ordering};
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
@@ -467,6 +611,105 @@ mod tests {
             GlkMode::Ticket,
             "uncontended lock must stay ticket"
         );
+    }
+
+    #[test]
+    fn counts_a_try_lock_mix_exactly_in_every_mode() {
+        for mode in GlkMode::ALL {
+            let lock = GlkLock::with_config(
+                GlkConfig::default()
+                    .with_initial_mode(mode)
+                    .without_adaptation(),
+            );
+            for i in 0..300 {
+                if i % 3 == 0 {
+                    assert!(lock.try_lock(), "{mode}");
+                    assert!(!lock.try_lock(), "{mode}: a failed try counts nothing");
+                } else {
+                    lock.lock();
+                }
+                lock.unlock();
+            }
+            assert_eq!(lock.acquisitions(), 300, "{mode}");
+        }
+    }
+
+    #[test]
+    fn ticket_mode_acquisitions_write_no_counter() {
+        let lock = GlkLock::new();
+        for _ in 0..1_000 {
+            lock.lock();
+            lock.unlock();
+        }
+        assert_eq!(lock.acquisitions(), 1_000);
+        assert_eq!(lock.stats().acquisitions(), 0, "the ticket counted them");
+    }
+
+    #[test]
+    fn counts_exactly_across_a_ticket_mcs_ticket_round_trip() {
+        let lock = GlkLock::with_config(GlkConfig::default().without_adaptation());
+        let pairs = |n: u64| {
+            for _ in 0..n {
+                lock.lock();
+                lock.unlock();
+            }
+        };
+        pairs(10);
+        lock.force_mode(GlkMode::Mcs);
+        assert_eq!(lock.acquisitions(), 11);
+        pairs(20);
+        assert_eq!(lock.acquisitions(), 31);
+        lock.force_mode(GlkMode::Ticket);
+        assert_eq!(lock.mode(), GlkMode::Ticket);
+        pairs(30);
+        // Each forced hold is one acquisition, like a tick's.
+        assert_eq!(lock.acquisitions(), 62);
+        assert_eq!(lock.stats().acquisitions(), 21, "the MCS holds");
+    }
+
+    #[test]
+    fn counts_exactly_across_the_ticket_wrap() {
+        let lock = GlkLock::new().with_next_ticket(u32::MAX - 2);
+        let before = lock.acquisitions();
+        assert_eq!(before, u64::from(u32::MAX - 2));
+        for _ in 0..5 {
+            lock.lock();
+            lock.unlock();
+        }
+        assert!(lock.try_lock());
+        lock.unlock();
+        assert_eq!(lock.acquisitions(), before + 6);
+        assert_eq!(lock.ticket.counters(), (3, 3), "the word wrapped");
+        // A reset past the wrap counts from zero again.
+        lock.reset_telemetry();
+        lock.lock();
+        lock.unlock();
+        assert_eq!(lock.acquisitions(), 1);
+    }
+
+    #[test]
+    fn records_the_acquisition_a_transition_happened_at() {
+        let lock = GlkLock::with_config(
+            fast_config()
+                .with_initial_mode(GlkMode::Mcs)
+                .with_adaptation_period(100)
+                .with_sampling_period(10),
+        );
+        // Uncontended MCS drops to ticket at the first tick.
+        for _ in 0..150 {
+            lock.lock();
+            lock.unlock();
+        }
+        let log = lock.transitions();
+        assert_eq!(log.len(), 1, "transitions {log:?}");
+        assert_eq!((log[0].to, log[0].at_acquisition), (GlkMode::Ticket, 100));
+        // The tick's hold retried in ticket mode.
+        assert_eq!(lock.acquisitions(), 151);
+    }
+
+    #[test]
+    fn glk_lock_stays_seven_cache_lines() {
+        assert_eq!(std::mem::size_of::<GlkLock>(), 448);
     }
 
     #[test]

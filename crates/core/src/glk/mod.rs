@@ -18,8 +18,17 @@
 //!
 //! The mutex mode sleeps through one of two [`BlockingBackend`]s, fixed per
 //! lock at construction; [`GlkRwLock`] is the reader-writer flavour of the
-//! same machine (spin ↔ blocking), and what the two share — counters,
+//! same machine (spin ↔ blocking), and what the two share — queue counters,
 //! pacing, smoothed queue, the load rule — is written once, in `adapt`.
+//!
+//! In ticket mode the ticket is the acquisition counter: a holder paces
+//! sampling and adaptation off the ticket it was served, so between two
+//! queue samples a ticket-mode acquisition writes only the ticket lock's
+//! own line. A separate counter would be a second line every holder pulls
+//! over from the previous holder, and that pull was most of GLK's handoff
+//! cost over a bare ticket lock. In MCS and mutex mode the holder counts
+//! with a plain load and store; only GLK-RW, whose readers are concurrent,
+//! counts with an atomic read-modify-write.
 //!
 //! ```
 //! use gls::glk::{GlkConfig, GlkLock, GlkMode};
@@ -41,6 +50,8 @@ pub use config::{
     BlockingBackend, GlkConfig, MonitorHandle, COHORT_HANDOFF, EMA_ALPHA, INITIAL_CALM_ROUNDS,
     MAX_CALM_ROUNDS, MCS_TO_TICKET_QUEUE, MIN_QUEUE_FOR_MUTEX, TICKET_TO_MCS_QUEUE,
 };
+#[cfg(gls_model)]
+pub use lock::model::{model_publish_after_release, model_stale_retries};
 pub use lock::GlkLock;
 pub use mode::{GlkMode, ModeTransition};
 pub use rw::{GlkRwLock, GlkRwMode};

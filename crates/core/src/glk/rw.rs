@@ -208,7 +208,7 @@ impl GlkRwLock {
     /// Called when this lock's GLS entry is recycled for another address:
     /// forgets the statistics of the old one.
     pub(crate) fn reset_telemetry(&self) {
-        self.stats().reset();
+        self.adapt.reset();
     }
 
     /// The mode the lock currently operates in.
@@ -341,11 +341,12 @@ impl GlkRwLock {
 
     /// Statistics bookkeeping done by every successful shared acquisition.
     /// Readers never fold the EMA themselves (they are not exclusive); they
-    /// pace the counter, sample the queue, and flag crossed adaptation
-    /// boundaries for the release path.
+    /// count (concurrently, hence the RMW), sample the queue, and flag
+    /// crossed adaptation boundaries for the release path.
     #[inline]
     fn note_read_acquisition(&self) {
-        if self.adapt.pace(|| self.queue_length()).is_some() {
+        let seq = self.stats().record_acquisition();
+        if self.adapt.pace(seq, || self.queue_length()) {
             self.adapt_pending.store(true, Ordering::Relaxed);
         }
     }
@@ -409,7 +410,9 @@ impl GlkRwLock {
     /// changed, in which case the caller must release and retry.
     #[inline]
     fn try_adapt(&self, current: GlkRwMode) -> bool {
-        self.adapt.pace(|| self.queue_length()).is_some() && self.adapt_exclusive(current)
+        // Readers share the counter, so writers count with the RMW too.
+        let seq = self.stats().record_acquisition();
+        self.adapt.pace(seq, || self.queue_length()) && self.adapt_exclusive(current)
     }
 
     /// One adaptation tick. The caller must hold the write lock of `current`

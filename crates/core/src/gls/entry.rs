@@ -276,10 +276,12 @@ pub(crate) enum Liveness {
 
 /// A lock object plus the metadata GLS keeps about it (ownership for the
 /// debug mode, latency/queuing statistics for the profiler).
-// repr(C): the declaration order is the layout. `addr`, `epoch` and the
-// head of `lock` (discriminant + lock word) share the entry's first
-// cacheline, so a cached hit's epoch validation and the identity check
-// after an acquisition touch memory the lock operation pulls in anyway.
+// repr(C): the declaration order is the layout. `addr`, `epoch` and
+// `acquired_at` share the entry's first cacheline; `lock` starts on the
+// second (GLK's lines are 64-byte aligned), so a cached hit's epoch
+// validation and the identity check after an acquisition read a line of
+// their own. Every arrival shares that line read-only; only free, sweep,
+// recycle and profile-mode stamps write it.
 #[repr(C)]
 #[derive(Debug)]
 pub(crate) struct LockEntry {
@@ -606,6 +608,16 @@ mod tests {
             assert!(!lock.try_lock(), "{kind} try_lock on held lock");
             lock.unlock();
         }
+    }
+
+    #[test]
+    fn header_and_lock_sit_on_separate_cachelines() {
+        use std::mem::{offset_of, size_of};
+        assert_eq!(offset_of!(LockEntry, addr), 0);
+        assert_eq!(offset_of!(LockEntry, epoch), 8);
+        assert_eq!(offset_of!(LockEntry, acquired_at), 16);
+        assert_eq!(offset_of!(LockEntry, lock), 64, "a line of its own");
+        assert_eq!(size_of::<LockEntry>(), 640);
     }
 
     #[test]

@@ -2022,6 +2022,18 @@ mod tests {
         assert_eq!(lock.cs_latency.count, 0);
         assert_eq!(lock.transitions, 0);
         svc.unlock(0xB100).unwrap();
+        // GLK's own count, read off the ticket word, was rebased too: the
+        // ten holds of 0xB000 and the sweep's idle proof are gone.
+        let glk = svc
+            .find_entry(0xB100)
+            .and_then(|e| e.lock.as_glk())
+            .unwrap();
+        assert_eq!(glk.acquisitions(), 1);
+        for _ in 0..4 {
+            svc.lock(0xB100).unwrap();
+            svc.unlock(0xB100).unwrap();
+        }
+        assert_eq!(glk.acquisitions(), 5);
     }
 
     #[test]

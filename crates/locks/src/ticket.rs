@@ -5,7 +5,9 @@
 //! counters: `ticket` (next ticket to hand out) and `owner` (ticket currently
 //! being served). The difference between them is exactly the amount of
 //! queuing behind the lock — the statistic GLK's adaptation feeds on — so the
-//! lock provides it "by design", for free.
+//! lock provides it "by design", for free. The ticket a holder was served
+//! numbers its acquisition, so the lock counts its acquisitions for free as
+//! well ([`TicketLock::acquire`]).
 
 use gls_sync::atomic::{AtomicU32, Ordering};
 
@@ -45,6 +47,50 @@ impl TicketLock {
         Self::default()
     }
 
+    /// Creates an unlocked ticket lock whose next ticket is `first`, as if
+    /// `first` acquisitions had come and gone (tests reach the counters'
+    /// wrap with it).
+    pub fn starting_at(first: u32) -> Self {
+        let lock = Self::new();
+        lock.state.ticket.store(first, Ordering::Relaxed);
+        lock.state.owner.store(first, Ordering::Relaxed);
+        lock
+    }
+
+    /// Acquires the lock and returns the ticket it was served: the count,
+    /// modulo 2³², of the acquisitions that drew a ticket before this one.
+    /// GLK paces its adaptation with it instead of counting on a line of
+    /// its own.
+    #[inline]
+    pub fn acquire(&self) -> u32 {
+        let my_ticket = self.state.ticket.fetch_add(1, Ordering::Relaxed);
+        // Spin until it is our turn. Acquire on the load that observes our
+        // ticket so the critical section cannot float above it.
+        let mut wait = SpinWait::new();
+        while self.state.owner.load(Ordering::Acquire) != my_ticket {
+            wait.spin();
+        }
+        my_ticket
+    }
+
+    /// Acquires the lock if nobody holds or waits for it, returning the
+    /// ticket served (see [`Self::acquire`]).
+    #[inline]
+    pub fn try_acquire(&self) -> Option<u32> {
+        let owner = self.state.owner.load(Ordering::Relaxed);
+        // Succeed only if no one holds or waits: ticket == owner, and we can
+        // atomically grab that ticket.
+        self.state
+            .ticket
+            .compare_exchange(
+                owner,
+                owner.wrapping_add(1),
+                Ordering::Acquire,
+                Ordering::Relaxed,
+            )
+            .ok()
+    }
+
     /// Returns `(ticket, owner)` as they stood at one instant; used by
     /// tests and by GLK's statistics. `owner` is read before and after
     /// `ticket` and the pair is kept only if it did not move: a release
@@ -70,13 +116,7 @@ impl RawLock for TicketLock {
 
     #[inline]
     fn lock(&self) {
-        let my_ticket = self.state.ticket.fetch_add(1, Ordering::Relaxed);
-        // Spin until it is our turn. Acquire on the load that observes our
-        // ticket so the critical section cannot float above it.
-        let mut wait = SpinWait::new();
-        while self.state.owner.load(Ordering::Acquire) != my_ticket {
-            wait.spin();
-        }
+        self.acquire();
     }
 
     #[inline]
@@ -97,18 +137,7 @@ impl RawLock for TicketLock {
 impl RawTryLock for TicketLock {
     #[inline]
     fn try_lock(&self) -> bool {
-        let owner = self.state.owner.load(Ordering::Relaxed);
-        // Succeed only if no one holds or waits: ticket == owner, and we can
-        // atomically grab that ticket.
-        self.state
-            .ticket
-            .compare_exchange(
-                owner,
-                owner.wrapping_add(1),
-                Ordering::Acquire,
-                Ordering::Relaxed,
-            )
-            .is_ok()
+        self.try_acquire().is_some()
     }
 }
 
@@ -237,13 +266,24 @@ mod tests {
 
     #[test]
     fn counters_wrap_safely() {
-        let lock = TicketLock::new();
-        lock.state.ticket.store(u32::MAX, Ordering::Relaxed);
-        lock.state.owner.store(u32::MAX, Ordering::Relaxed);
+        let lock = TicketLock::starting_at(u32::MAX);
         lock.lock();
         assert_eq!(lock.queue_length(), 1);
         lock.unlock();
         assert_eq!(lock.queue_length(), 0);
         assert!(!lock.is_locked());
+    }
+
+    #[test]
+    fn acquisitions_return_the_ticket_served() {
+        let lock = TicketLock::starting_at(u32::MAX - 1);
+        assert_eq!(lock.acquire(), u32::MAX - 1);
+        assert_eq!(lock.try_acquire(), None, "held");
+        lock.unlock();
+        assert_eq!(lock.try_acquire(), Some(u32::MAX));
+        lock.unlock();
+        assert_eq!(lock.acquire(), 0, "the ticket wraps");
+        lock.unlock();
+        assert_eq!(lock.counters(), (1, 1));
     }
 }

@@ -22,7 +22,8 @@
 //!   the shim that also lets the pure spin algorithms run under the
 //!   explorer (see the `spinlocks` suite);
 //! * GLS service models pin entries to `LockKind::Futex` (or `Mutex`) so
-//!   each test exercises one protocol, not GLK's mode switching;
+//!   each test exercises one protocol, except the GLK scenario, whose
+//!   protocol *is* the mode switch;
 //! * shared mutable state lives in a [`ModelCell`], so every admission
 //!   bug is caught twice: as a lost update by the final assertion, and as
 //!   a data race by the happens-before detector, on the exact schedule
@@ -652,6 +653,99 @@ fn rediscovers_the_writer_wake_streak_bug() {
     Explorer::exhaustive()
         .cleanup(|| ParkingLot::global().model_purge())
         .check("rw-streak-release", scenario(false));
+}
+
+/// The GLK scenario (paper Figure 4): the service's default GLK lock starts
+/// in MCS mode with a tick every second acquisition and a queue sample at
+/// every one. The root's acquisition creates the entry (the first); the
+/// first of two workers to acquire runs the tick, which finds a queue of
+/// at most 1.5 and flips MCS → ticket — while the other worker may already
+/// be queued on the MCS lock, or holding it the moment it is released.
+/// That worker must find the mode changed, release and retry in ticket
+/// mode. `late` seeds the bug on both workers: the tick publishes the new
+/// mode only after releasing the MCS lock.
+fn glk_mode_switch(late: bool) -> impl Fn() + Send + Sync + 'static {
+    use gls::glk::{model_publish_after_release, model_stale_retries, GlkConfig, GlkMode};
+    move || {
+        let service = Arc::new(GlsService::with_config(
+            GlsConfig {
+                initial_capacity: 1,
+                ..GlsConfig::default()
+            }
+            .with_glk(
+                GlkConfig::default()
+                    .with_adaptation_period(2)
+                    .with_sampling_period(1)
+                    .with_initial_mode(GlkMode::Mcs),
+            ),
+        ));
+        let counter = Arc::new(RacyCounter::new());
+        let slot = Arc::new(0u8);
+        let addr = Arc::as_ptr(&slot) as usize;
+        service
+            .lock_with(LockKind::Glk, addr)
+            .expect("create entry");
+        service.unlock(addr).expect("release fresh entry");
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let service = Arc::clone(&service);
+                let counter = Arc::clone(&counter);
+                thread::spawn(move || {
+                    model_publish_after_release(late);
+                    let retries = model_stale_retries();
+                    service.lock_with(LockKind::Glk, addr).expect("lock");
+                    if !late && model_stale_retries() > retries {
+                        SAW_STALE_RETRY.store(true, StdOrdering::Relaxed);
+                    }
+                    counter.bump();
+                    service.unlock(addr).expect("unlock");
+                })
+            })
+            .collect();
+        for worker in workers {
+            worker.join().expect("model worker panicked");
+        }
+        assert_eq!(counter.get(), 2, "an increment was lost under the lock");
+        assert_eq!(
+            service.try_lock_with(LockKind::Glk, addr),
+            Ok(true),
+            "a release landed on another mode's lock than the one held"
+        );
+        service.unlock(addr).expect("final unlock");
+        drop(slot);
+    }
+}
+
+static SAW_STALE_RETRY: AtomicBool = AtomicBool::new(false);
+
+/// Property 5 — GLK's mode switch keeps mutual exclusion: the adapter
+/// publishes the new mode before releasing the old mode's lock, so a thread
+/// that acquires the old lock after the release re-checks, sees the change
+/// and retries (the coverage flag proves some schedule did), and nobody
+/// holds the old and the new lock at once.
+#[test]
+fn glk_mode_switch_keeps_exclusion() {
+    Explorer::exhaustive().check("glk-mode-switch", glk_mode_switch(false));
+    assert!(
+        SAW_STALE_RETRY.load(StdOrdering::Relaxed),
+        "no execution had a thread find the mode changed under it — the \
+         scenario no longer exercises the stale-mode retry"
+    );
+}
+
+/// Seeded bug — publishing the new mode after releasing the old mode's
+/// lock lets a queued thread take the old lock, re-check against the old
+/// mode and enter beside the adapter, which re-acquires in the new mode.
+/// The explorer must find the two holders.
+#[test]
+fn rediscovers_the_publish_after_release_bug() {
+    let failure = Explorer::exhaustive()
+        .find_failure("glk-publish-after-release", glk_mode_switch(true))
+        .expect("the explorer must catch a mode published after the release");
+    assert!(
+        matches!(failure.kind, FailureKind::Race | FailureKind::Panic),
+        "expected lost mutual exclusion, got: {failure}"
+    );
 }
 
 /// Seeded random sweep — long, non-exhaustive schedules over the futex

@@ -45,6 +45,16 @@ impl LockStats {
         self.acquisitions.fetch_add(1, Ordering::Relaxed) + 1
     }
 
+    /// [`record_acquisition`](Self::record_acquisition) for a caller that
+    /// is the counter's only writer at the time — the exclusive holder of a
+    /// lock only whose holders count: a load and a store, no RMW.
+    #[inline]
+    pub fn record_exclusive_acquisition(&self) -> u64 {
+        let acquisitions = self.acquisitions.load(Ordering::Relaxed) + 1;
+        self.acquisitions.store(acquisitions, Ordering::Relaxed);
+        acquisitions
+    }
+
     /// Total completed acquisitions.
     #[inline]
     pub fn acquisitions(&self) -> u64 {
@@ -174,7 +184,8 @@ mod tests {
         let s = LockStats::new();
         assert_eq!(s.record_acquisition(), 1);
         assert_eq!(s.record_acquisition(), 2);
-        assert_eq!(s.acquisitions(), 2);
+        assert_eq!(s.record_exclusive_acquisition(), 3);
+        assert_eq!(s.acquisitions(), 3);
     }
 
     #[test]
