@@ -189,6 +189,10 @@ impl Adaptive {
         self.mode.store(to, Ordering::Release);
     }
 
+    /// Where the mode flag sits: every arrival reads its line.
+    #[cfg(test)]
+    pub(crate) const MODE_OFFSET: usize = std::mem::offset_of!(Adaptive, mode);
+
     #[cfg(test)]
     pub(crate) fn required_calm(&self) -> &AtomicU64 {
         &self.required_calm

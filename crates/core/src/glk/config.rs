@@ -6,29 +6,6 @@ use gls_runtime::SystemLoadMonitor;
 
 use super::mode::GlkMode;
 
-/// Which blocking implementation GLK's mutex mode (and GLK-RW's blocking
-/// mode) uses when the lock must sleep instead of spin. Fixed per lock at
-/// construction: a lock blocks one way for its whole life.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BlockingBackend {
-    /// A `Mutex + Condvar` pair embedded in every lock
-    /// ([`MutexLock`](gls_locks::MutexLock) /
-    /// [`RwMutexLock`](gls_locks::RwMutexLock)): no shared state between
-    /// locks, ~2 cache lines of per-lock wait-queue state. The paper's
-    /// layout (Fig. 3) and the default: fastest when a handful of hot locks
-    /// block (`BENCH_parking.json`, 16 live locks), which is where
-    /// contention concentrates.
-    #[default]
-    PerLock,
-    /// Word-sized futex locks ([`FutexLock`](gls_locks::FutexLock) /
-    /// [`FutexRwLock`](gls_locks::FutexRwLock)) parked on the shared
-    /// [`ParkingLot`](gls_locks::ParkingLot): one `AtomicU32` per lock, all
-    /// wait queues held centrally — ahead from about a thousand live
-    /// blocking locks up, and what lets condvar `notify` requeue waiters
-    /// onto the lock word instead of waking them into it.
-    ParkingLot,
-}
-
 /// Switch ticket → mcs when the smoothed queue exceeds this value.
 pub const TICKET_TO_MCS_QUEUE: f64 = 3.0;
 /// Switch mcs → ticket when it drops below this value (the gap is the hysteresis band).
@@ -44,11 +21,6 @@ pub const MIN_QUEUE_FOR_MUTEX: f64 = 1.5;
 pub const INITIAL_CALM_ROUNDS: u64 = 2;
 /// Upper bound for the exponentially growing calm requirement.
 pub const MAX_CALM_ROUNDS: u64 = 1 << 20;
-/// Topology-aware handoff for parking-lot releases: a futex release that hands
-/// the lock off prefers a waiter parked from the releaser's cache domain, within
-/// a bypass budget so remote waiters cannot starve (see `gls_locks::cohort`).
-/// Identical to plain FIFO handoff on single-domain machines.
-pub const COHORT_HANDOFF: bool = true;
 
 /// Configuration of a GLK lock: the parameters some experiment varies.
 ///
@@ -81,8 +53,6 @@ pub struct GlkConfig {
     pub initial_mode: GlkMode,
     /// Record mode transitions so they can be inspected/printed (§4.3).
     pub record_transitions: bool,
-    /// Which blocking implementation the lock's sleeping mode uses.
-    pub blocking_backend: BlockingBackend,
 }
 
 impl Default for GlkConfig {
@@ -92,7 +62,6 @@ impl Default for GlkConfig {
             sampling_period: 128,
             initial_mode: GlkMode::Ticket,
             record_transitions: false,
-            blocking_backend: BlockingBackend::default(),
         }
     }
 }
@@ -129,14 +98,6 @@ impl GlkConfig {
     /// Enables or disables transition recording.
     pub fn with_transition_recording(mut self, enabled: bool) -> Self {
         self.record_transitions = enabled;
-        self
-    }
-
-    /// Selects the blocking implementation used when the lock sleeps:
-    /// per-lock `Mutex + Condvar` state (default) or word-sized futex locks
-    /// parked on the shared parking lot.
-    pub fn with_blocking_backend(mut self, backend: BlockingBackend) -> Self {
-        self.blocking_backend = backend;
         self
     }
 
@@ -187,8 +148,6 @@ mod tests {
         assert_eq!(c.sampling_period, 128);
         assert_eq!(c.initial_mode, GlkMode::Ticket);
         assert_eq!(c.adaptation_period / c.sampling_period, 32);
-        // Figure 3 embeds the blocking lock in the GLK structure.
-        assert_eq!(c.blocking_backend, BlockingBackend::PerLock);
         // The §3.1 values that are constants rather than fields.
         assert_eq!(TICKET_TO_MCS_QUEUE, 3.0);
         assert_eq!(MCS_TO_TICKET_QUEUE, 2.0);
@@ -196,16 +155,6 @@ mod tests {
         assert_eq!(MIN_QUEUE_FOR_MUTEX, 1.5);
         assert_eq!(INITIAL_CALM_ROUNDS, 2);
         assert_eq!(MAX_CALM_ROUNDS, 1 << 20);
-        // Topology-aware handoff is on (harmless single-domain).
-        const { assert!(COHORT_HANDOFF) };
-    }
-
-    #[test]
-    fn blocking_backend_is_selectable() {
-        let c = GlkConfig::default().with_blocking_backend(BlockingBackend::ParkingLot);
-        assert_eq!(c.blocking_backend, BlockingBackend::ParkingLot);
-        let c = c.with_blocking_backend(BlockingBackend::PerLock);
-        assert_eq!(c.blocking_backend, BlockingBackend::PerLock);
     }
 
     #[test]

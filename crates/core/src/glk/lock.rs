@@ -3,94 +3,12 @@
 use gls_sync::atomic::{AtomicU64, Ordering};
 use gls_sync::sync::Mutex as StdMutex;
 
-use gls_locks::{FutexLock, McsLock, MutexLock, QueueInformed, RawLock, RawTryLock, TicketLock};
+use gls_locks::{FutexLock, McsLock, QueueInformed, RawLock, RawTryLock, TicketLock};
 use gls_runtime::LockStats;
 
 use super::adapt::{Adaptive, Load};
-use super::config::{
-    BlockingBackend, GlkConfig, MonitorHandle, COHORT_HANDOFF, MCS_TO_TICKET_QUEUE,
-    TICKET_TO_MCS_QUEUE,
-};
+use super::config::{GlkConfig, MonitorHandle, MCS_TO_TICKET_QUEUE, TICKET_TO_MCS_QUEUE};
 use super::mode::{GlkMode, ModeTransition};
-
-/// The low-level lock behind [`GlkMode::Mutex`], chosen by
-/// [`GlkConfig::blocking_backend`]: per-lock parking state, or a word-sized
-/// futex lock sleeping in the shared parking lot.
-#[derive(Debug)]
-pub(crate) enum BlockingMutex {
-    /// `Mutex + Condvar` pair embedded in the lock.
-    PerLock(MutexLock),
-    /// One `AtomicU32`; waiters park in [`gls_locks::ParkingLot::global`].
-    Parking(FutexLock),
-}
-
-impl BlockingMutex {
-    pub(crate) fn new(backend: BlockingBackend) -> Self {
-        match backend {
-            BlockingBackend::PerLock => BlockingMutex::PerLock(MutexLock::new()),
-            BlockingBackend::ParkingLot => BlockingMutex::Parking(FutexLock::new()),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn lock(&self) {
-        match self {
-            BlockingMutex::PerLock(l) => l.lock(),
-            BlockingMutex::Parking(l) => l.lock(),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn try_lock(&self) -> bool {
-        match self {
-            BlockingMutex::PerLock(l) => l.try_lock(),
-            BlockingMutex::Parking(l) => l.try_lock(),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn unlock(&self) {
-        match self {
-            BlockingMutex::PerLock(l) => l.unlock(),
-            BlockingMutex::Parking(l) => l.unlock_cohort(COHORT_HANDOFF),
-        }
-    }
-
-    /// Releases a mutex-mode hold after GLK moved away from mutex mode:
-    /// futex-backed queues are broadcast-drained (they may hold requeued
-    /// condvar waiters that would break the one-wakeup drain chain, and
-    /// there may never be another release of this word), per-lock queues
-    /// drain normally (condvar waiters are never requeued onto them).
-    pub(crate) fn unlock_stale(&self) {
-        match self {
-            BlockingMutex::PerLock(l) => l.unlock(),
-            BlockingMutex::Parking(l) => l.unlock_and_wake_all(),
-        }
-    }
-
-    pub(crate) fn is_locked(&self) -> bool {
-        match self {
-            BlockingMutex::PerLock(l) => l.is_locked(),
-            BlockingMutex::Parking(l) => l.is_locked(),
-        }
-    }
-
-    pub(crate) fn queue_length(&self) -> u64 {
-        match self {
-            BlockingMutex::PerLock(l) => l.queue_length(),
-            BlockingMutex::Parking(l) => l.queue_length(),
-        }
-    }
-
-    /// The address a condvar waiter can be requeued onto, when the lock's
-    /// blocking path runs through the shared parking lot.
-    pub(crate) fn park_addr(&self) -> Option<usize> {
-        match self {
-            BlockingMutex::PerLock(_) => None,
-            BlockingMutex::Parking(l) => Some(l.park_addr()),
-        }
-    }
-}
 
 /// How a hold numbers its acquisition for the pacing step.
 #[derive(Clone, Copy)]
@@ -128,13 +46,15 @@ pub struct GlkLock {
     ticket: TicketLock,
     /// Low-level lock used in [`GlkMode::Mcs`].
     mcs: McsLock,
-    /// Low-level lock used in [`GlkMode::Mutex`] (backend per
-    /// [`GlkConfig::blocking_backend`]).
-    mutex: BlockingMutex,
     /// The `lock_type` flag, the counters and the policy state shared with
     /// GLK-RW. Its acquisition counter counts the MCS- and mutex-mode holds
     /// only.
     adapt: Adaptive,
+    /// Low-level lock used in [`GlkMode::Mutex`]: one word, whose waiters
+    /// sleep in the shared parking lot. It shares the cold line of
+    /// `ticket_base` and `transitions`, off the ticket lock's line and the
+    /// mode's, so ticket-mode handoffs never pull it along.
+    mutex: FutexLock,
     /// The ticket word at the last telemetry reset, less 2³² for every wrap
     /// of the word since: `ticket − ticket_base` is the number of tickets
     /// drawn since that reset, in full. Written by the holder that draws
@@ -170,8 +90,8 @@ impl GlkLock {
         Self {
             ticket: TicketLock::new(),
             mcs: McsLock::new(),
-            mutex: BlockingMutex::new(config.blocking_backend),
             adapt: Adaptive::new(config.initial_mode.as_raw(), config, monitor),
+            mutex: FutexLock::new(),
             ticket_base: AtomicU64::new(0),
             transitions: StdMutex::new(Vec::new()),
         }
@@ -291,31 +211,27 @@ impl GlkLock {
     }
 
     /// The parking-lot address this lock's blocking waiters sleep under,
-    /// when the lock currently blocks through the shared lot (used by
-    /// condvar requeue-on-notify; `None` in spin modes or with per-lock
-    /// blocking state). The answer is inherently racy — the mode can
-    /// change right after — which is safe because the requeue machinery
-    /// only commits when the target word is observably held (see
+    /// while the lock is in mutex mode (used by condvar requeue-on-notify;
+    /// `None` in the spin modes). The answer is inherently racy — the mode
+    /// can change right after — which is safe because the requeue
+    /// machinery only commits when the target word is observably held (see
     /// [`gls_locks::futex_mutex::prepare_direct_requeue`]).
     pub(crate) fn blocking_park_addr(&self) -> Option<usize> {
-        if self.mode() != GlkMode::Mutex {
-            return None;
-        }
-        self.mutex.park_addr()
+        (self.mode() == GlkMode::Mutex).then(|| self.mutex.park_addr())
     }
 
     /// Releases the low-level lock of a mode this thread acquired but will
     /// not keep (the mode changed under it, or its own adaptation flipped
-    /// it). When the stale mode is mutex with a futex-backed queue, the
-    /// release broadcasts: the queue may hold condvar waiters requeued
-    /// onto the futex word, which re-acquire through the *current* mode
-    /// and never re-release the word — the ordinary one-wakeup drain chain
-    /// would strand everyone parked behind them, and with the lock leaving
-    /// mutex mode there may never be another release of that word.
+    /// it). When the stale mode is mutex, the release broadcasts: the
+    /// word's queue may hold condvar waiters requeued onto it, which
+    /// re-acquire through the *current* mode and never re-release the word
+    /// — the ordinary one-wakeup drain chain would strand everyone parked
+    /// behind them, and with the lock leaving mutex mode there may never be
+    /// another release of that word.
     #[inline]
     fn release_stale_mode(&self, stale: GlkMode) {
         match stale {
-            GlkMode::Mutex => self.mutex.unlock_stale(),
+            GlkMode::Mutex => self.mutex.unlock_and_wake_all(),
             other => self.unlock_mode(other),
         }
     }
@@ -708,8 +624,19 @@ mod tests {
     }
 
     #[test]
-    fn glk_lock_stays_seven_cache_lines() {
-        assert_eq!(std::mem::size_of::<GlkLock>(), 448);
+    fn glk_lock_stays_five_cache_lines() {
+        assert_eq!(std::mem::size_of::<GlkLock>(), 320);
+    }
+
+    #[test]
+    fn the_futex_word_sits_on_the_cold_line() {
+        use std::mem::offset_of;
+        let line = |offset: usize| offset / 64;
+        let mutex = line(offset_of!(GlkLock, mutex));
+        assert_ne!(mutex, line(offset_of!(GlkLock, ticket)), "ticket line");
+        let mode = offset_of!(GlkLock, adapt) + Adaptive::MODE_OFFSET;
+        assert_ne!(mutex, line(mode), "mode line");
+        assert_eq!(mutex, line(offset_of!(GlkLock, ticket_base)), "cold line");
     }
 
     #[test]
@@ -937,15 +864,13 @@ mod tests {
 
     #[test]
     fn parking_backend_switches_to_mutex_and_excludes() {
-        use super::super::config::BlockingBackend;
         let monitor = own_monitor();
         let _guards = oversubscribe(&monitor);
 
         let lock = Arc::new(GlkLock::with_config_and_monitor(
-            fast_config().with_blocking_backend(BlockingBackend::ParkingLot),
+            fast_config(),
             MonitorHandle::Custom(Arc::clone(&monitor)),
         ));
-        assert!(matches!(lock.mutex, BlockingMutex::Parking(_)));
         struct Shared(std::cell::UnsafeCell<u64>);
         // SAFETY: the cell is only touched while holding the lock under
         // test; that exclusion is exactly what the test verifies.

@@ -16,10 +16,13 @@
 //! because the registry is the only load source any experiment here uses and
 //! polling a counter that changes only on register/unregister is redundant.
 //!
-//! The mutex mode sleeps through one of two [`BlockingBackend`]s, fixed per
-//! lock at construction; [`GlkRwLock`] is the reader-writer flavour of the
-//! same machine (spin ↔ blocking), and what the two share — queue counters,
-//! pacing, smoothed queue, the load rule — is written once, in `adapt`.
+//! The mutex mode sleeps on one 4-byte word, a
+//! [`FutexLock`](gls_locks::FutexLock) whose waiters park in the shared
+//! [`ParkingLot`](gls_locks::ParkingLot), so condvar `notify` can requeue
+//! waiters onto it. [`GlkRwLock`] is the reader-writer flavour of the same
+//! machine (spin ↔ blocking on a [`FutexRwLock`](gls_locks::FutexRwLock)),
+//! and what the two share — queue counters, pacing, smoothed queue, the
+//! load rule — is written once, in `adapt`.
 //!
 //! In ticket mode the ticket is the acquisition counter: a holder paces
 //! sampling and adaptation off the ticket it was served, so between two
@@ -47,8 +50,8 @@ mod mode;
 mod rw;
 
 pub use config::{
-    BlockingBackend, GlkConfig, MonitorHandle, COHORT_HANDOFF, EMA_ALPHA, INITIAL_CALM_ROUNDS,
-    MAX_CALM_ROUNDS, MCS_TO_TICKET_QUEUE, MIN_QUEUE_FOR_MUTEX, TICKET_TO_MCS_QUEUE,
+    GlkConfig, MonitorHandle, EMA_ALPHA, INITIAL_CALM_ROUNDS, MAX_CALM_ROUNDS, MCS_TO_TICKET_QUEUE,
+    MIN_QUEUE_FOR_MUTEX, TICKET_TO_MCS_QUEUE,
 };
 #[cfg(gls_model)]
 pub use lock::model::{model_publish_after_release, model_stale_retries};

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use gls_locks::LockKind;
-
 /// The mode a GLK lock currently operates in.
 ///
 /// * [`GlkMode::Ticket`] — low contention: behave as a simple, fair spinlock.
@@ -51,15 +49,6 @@ impl GlkMode {
             GlkMode::Ticket => "ticket",
             GlkMode::Mcs => "mcs",
             GlkMode::Mutex => "mutex",
-        }
-    }
-
-    /// The concrete lock algorithm this mode corresponds to.
-    pub fn lock_kind(self) -> LockKind {
-        match self {
-            GlkMode::Ticket => LockKind::Ticket,
-            GlkMode::Mcs => LockKind::Mcs,
-            GlkMode::Mutex => LockKind::Mutex,
         }
     }
 }
@@ -113,13 +102,6 @@ mod tests {
         assert_eq!(GlkMode::Ticket.to_string(), "ticket");
         assert_eq!(GlkMode::Mcs.to_string(), "mcs");
         assert_eq!(GlkMode::Mutex.to_string(), "mutex");
-    }
-
-    #[test]
-    fn lock_kind_mapping() {
-        assert_eq!(GlkMode::Ticket.lock_kind(), LockKind::Ticket);
-        assert_eq!(GlkMode::Mcs.lock_kind(), LockKind::Mcs);
-        assert_eq!(GlkMode::Mutex.lock_kind(), LockKind::Mutex);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //!
 //! * **spin** — the TTAS-based [`RwTtasRaw`] (the paper's pthread-rwlock
 //!   replacement, footnote 7) while the machine has spare hardware contexts;
-//! * **blocking** — a parking rw lock ([`RwMutexLock`], or [`FutexRwLock`]
-//!   with the parking-lot backend) when the system-load monitor reports
+//! * **blocking** — the word-sized [`FutexRwLock`], whose waiters park in
+//!   the shared parking lot, when the system-load monitor reports
 //!   multiprogramming and the lock sees real contention, so waiters release
 //!   their contexts to the OS.
 //!
@@ -22,94 +22,11 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use gls_locks::{
-    FutexRwLock, QueueInformed, RawLock, RawRwLock, RawTryLock, RwMutexLock, RwTtasRaw,
-};
+use gls_locks::{FutexRwLock, QueueInformed, RawLock, RawRwLock, RawTryLock, RwTtasRaw};
 use gls_runtime::LockStats;
 
 use super::adapt::{Adaptive, Load};
-use super::config::{BlockingBackend, GlkConfig, MonitorHandle};
-
-/// The low-level lock behind [`GlkRwMode::Blocking`], chosen by
-/// [`GlkConfig::blocking_backend`].
-#[derive(Debug)]
-enum BlockingRw {
-    /// Per-lock `Mutex + Condvar` parking state.
-    PerLock(RwMutexLock),
-    /// One `AtomicU32`; waiters park in [`gls_locks::ParkingLot::global`].
-    Parking(FutexRwLock),
-}
-
-impl BlockingRw {
-    fn new(backend: BlockingBackend) -> Self {
-        match backend {
-            BlockingBackend::PerLock => BlockingRw::PerLock(RwMutexLock::new()),
-            BlockingBackend::ParkingLot => BlockingRw::Parking(FutexRwLock::new()),
-        }
-    }
-
-    #[inline]
-    fn read_lock(&self) {
-        match self {
-            BlockingRw::PerLock(l) => l.read_lock(),
-            BlockingRw::Parking(l) => l.read_lock(),
-        }
-    }
-
-    #[inline]
-    fn try_read_lock(&self) -> bool {
-        match self {
-            BlockingRw::PerLock(l) => l.try_read_lock(),
-            BlockingRw::Parking(l) => l.try_read_lock(),
-        }
-    }
-
-    #[inline]
-    fn read_unlock(&self) {
-        match self {
-            BlockingRw::PerLock(l) => l.read_unlock(),
-            BlockingRw::Parking(l) => l.read_unlock(),
-        }
-    }
-
-    #[inline]
-    fn write_lock(&self) {
-        match self {
-            BlockingRw::PerLock(l) => l.lock(),
-            BlockingRw::Parking(l) => l.lock(),
-        }
-    }
-
-    #[inline]
-    fn try_write_lock(&self) -> bool {
-        match self {
-            BlockingRw::PerLock(l) => l.try_lock(),
-            BlockingRw::Parking(l) => l.try_lock(),
-        }
-    }
-
-    #[inline]
-    fn write_unlock(&self) {
-        match self {
-            BlockingRw::PerLock(l) => l.unlock(),
-            BlockingRw::Parking(l) => l.unlock(),
-        }
-    }
-
-    fn is_locked(&self) -> bool {
-        match self {
-            BlockingRw::PerLock(l) => l.is_locked(),
-            BlockingRw::Parking(l) => l.is_locked(),
-        }
-    }
-
-    fn queue_length(&self) -> u64 {
-        match self {
-            BlockingRw::PerLock(l) => l.queue_length(),
-            BlockingRw::Parking(l) => l.queue_length(),
-        }
-    }
-}
+use super::config::{GlkConfig, MonitorHandle};
 
 /// The two operating modes of [`GlkRwLock`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,13 +79,14 @@ impl GlkRwMode {
 pub struct GlkRwLock {
     /// Low-level lock used in [`GlkRwMode::Spin`].
     spin: RwTtasRaw,
-    /// Low-level lock used in [`GlkRwMode::Blocking`] (backend per
-    /// [`GlkConfig::blocking_backend`]).
-    blocking: BlockingRw,
     /// The mode flag (the rw counterpart of the paper's `lock_type`), the
     /// counters (reads and writes combined) and the policy state shared
     /// with GLK.
     adapt: Adaptive,
+    /// Low-level lock used in [`GlkRwMode::Blocking`]: one word, whose
+    /// waiters sleep in the shared parking lot. It shares the last line
+    /// with `adapt_pending`, off the spin lock's line and the mode's.
+    blocking: FutexRwLock,
     /// Raised when the acquisition count crosses an adaptation boundary on
     /// the *read* side; the next reader to win a try-acquired write slot on
     /// release runs the adaptation check. Without this, a 100%-read
@@ -199,8 +117,8 @@ impl GlkRwLock {
     pub fn with_config_and_monitor(config: GlkConfig, monitor: MonitorHandle) -> Self {
         Self {
             spin: RwTtasRaw::new(),
-            blocking: BlockingRw::new(config.blocking_backend),
             adapt: Adaptive::new(GlkRwMode::Spin.as_raw(), config, monitor),
+            blocking: FutexRwLock::new(),
             adapt_pending: AtomicBool::new(false),
         }
     }
@@ -634,12 +552,8 @@ mod tests {
 
     #[test]
     fn parking_backend_serves_blocking_mode() {
-        use super::super::config::BlockingBackend;
-        let lock = GlkRwLock::with_config(
-            fast_config().with_blocking_backend(BlockingBackend::ParkingLot),
-        );
-        assert!(matches!(lock.blocking, BlockingRw::Parking(_)));
-        // Exercise the blocking lock directly through the mode dispatchers.
+        let lock = GlkRwLock::with_config(fast_config());
+        // Exercise the blocking lock directly.
         lock.blocking.read_lock();
         assert!(!lock.blocking.try_write_lock());
         lock.blocking.read_unlock();
@@ -648,6 +562,19 @@ mod tests {
         assert!(!lock.blocking.try_read_lock());
         lock.blocking.write_unlock();
         assert_eq!(lock.blocking.queue_length(), 0);
+    }
+
+    #[test]
+    fn glk_rw_lock_is_four_cache_lines_with_the_futex_word_on_the_last() {
+        use std::mem::{offset_of, size_of};
+        assert_eq!(size_of::<GlkRwLock>(), 256);
+        let line = |offset: usize| offset / 64;
+        let blocking = line(offset_of!(GlkRwLock, blocking));
+        assert_ne!(blocking, line(offset_of!(GlkRwLock, spin)), "spin line");
+        let mode = offset_of!(GlkRwLock, adapt) + Adaptive::MODE_OFFSET;
+        assert_ne!(blocking, line(mode), "mode line");
+        let pending = line(offset_of!(GlkRwLock, adapt_pending));
+        assert_eq!(blocking, pending, "last line");
     }
 
     #[test]

@@ -209,9 +209,8 @@ impl GlsCondvar {
     /// `revalidate` runs under the bucket locks, just before the requeue
     /// commits: it must re-check that `mutex_park_addr` is *still* the
     /// address the mutex's release path will unpark (an adaptive mutex may
-    /// have migrated its blocking backend, or left its blocking mode,
-    /// since the caller resolved the address). On `false` the waiter is
-    /// woken instead of requeued.
+    /// have left its blocking mode since the caller resolved the address).
+    /// On `false` the waiter is woken instead of requeued.
     ///
     /// # Safety
     ///
@@ -271,9 +270,9 @@ impl GlsCondvar {
             mutex_park_addr,
             || {
                 // The mutex may have stopped parking under this address
-                // (backend migration, mode change) since the caller
-                // resolved it: wake everyone instead of requeueing onto a
-                // word whose release path no longer runs.
+                // (GLK left mutex mode) since the caller resolved it: wake
+                // everyone instead of requeueing onto a word whose release
+                // path no longer runs.
                 if !revalidate() {
                     return (usize::MAX, 0);
                 }

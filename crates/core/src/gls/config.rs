@@ -144,12 +144,6 @@ impl GlsConfig {
         self
     }
 
-    /// Disables sampling again: every acquisition is measured.
-    pub fn with_full_measurement(mut self) -> Self {
-        self.sampling_budget = None;
-        self
-    }
-
     /// Whether ownership tracking is enabled.
     pub fn tracks_ownership(&self) -> bool {
         self.mode == GlsMode::Debug

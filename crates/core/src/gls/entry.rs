@@ -217,8 +217,9 @@ impl AlgorithmLock {
 
     /// The parking-lot address this lock's blocking waiters sleep under,
     /// when the lock currently blocks through the shared parking lot:
-    /// always for futex entries, for GLK entries while their mutex mode
-    /// runs on a parking backend, `None` otherwise. Condvar
+    /// always for futex entries, for GLK entries while they are in mutex
+    /// mode, `None` otherwise (spinning GLK, the other algorithms, and the
+    /// rw entries, whose words take no requeued waiters). Condvar
     /// requeue-on-notify moves waiters onto this address instead of waking
     /// them into a block on the mutex; a `None` falls back to plain wakeup.
     pub(crate) fn park_addr(&self) -> Option<usize> {
@@ -263,10 +264,9 @@ mod state {
 /// What [`LockEntry::make_live`] found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Liveness {
-    /// The entry is live for the address.
+    /// The entry is live for the address (possibly resurrected by this
+    /// call from a tombstone of it).
     Live,
-    /// The entry was a tombstone of the address and this call resurrected it.
-    Resurrected,
     /// The sweeper holds the entry; it will either put it back as a
     /// tombstone or unmap it, shortly.
     Claimed,
@@ -422,7 +422,7 @@ impl LockEntry {
                         .compare_exchange(epoch, live, Ordering::AcqRel, Ordering::Relaxed)
                         .is_ok()
                     {
-                        return Liveness::Resurrected;
+                        return Liveness::Live;
                     }
                 }
             }
@@ -617,7 +617,7 @@ mod tests {
         assert_eq!(offset_of!(LockEntry, epoch), 8);
         assert_eq!(offset_of!(LockEntry, acquired_at), 16);
         assert_eq!(offset_of!(LockEntry, lock), 64, "a line of its own");
-        assert_eq!(size_of::<LockEntry>(), 640);
+        assert_eq!(size_of::<LockEntry>(), 576);
     }
 
     #[test]
@@ -710,13 +710,17 @@ mod tests {
         assert!(LockEntry::epoch_is_live(born));
         assert!(entry.retire(0x2000));
         assert!(!entry.retire(0x2000), "one free claims a live cycle");
-        assert!(!LockEntry::epoch_is_live(entry.epoch()));
-        assert_eq!(entry.make_live(0x2000), Liveness::Resurrected);
+        let retired = entry.epoch();
+        assert!(!LockEntry::epoch_is_live(retired));
         assert_eq!(entry.make_live(0x2000), Liveness::Live);
+        let resurrected = entry.epoch();
+        assert!(LockEntry::epoch_is_live(resurrected), "resurrected");
+        assert!(resurrected > retired);
+        assert_eq!(entry.make_live(0x2000), Liveness::Live);
+        assert_eq!(entry.epoch(), resurrected, "a live entry is left alone");
         assert_eq!(entry.make_live(0x2008), Liveness::Recycled);
-        assert!(LockEntry::epoch_is_live(entry.epoch()));
         assert!(
-            entry.epoch() > born,
+            resurrected > born,
             "a free/recreate cycle must change the epoch a cache slot stored"
         );
     }
@@ -728,7 +732,9 @@ mod tests {
         assert!(entry.retire(0x2000));
         assert!(!entry.age(), "the first pass only ages a tombstone");
         // Touched between two passes: the tombstone is fresh again.
-        assert_eq!(entry.make_live(0x2000), Liveness::Resurrected);
+        let retired = entry.epoch();
+        assert_eq!(entry.make_live(0x2000), Liveness::Live);
+        assert!(LockEntry::epoch_is_live(entry.epoch()) && entry.epoch() > retired);
         assert!(entry.retire(0x2000));
         assert!(!entry.age());
         assert!(entry.age(), "the second untouched pass claims it");

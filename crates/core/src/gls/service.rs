@@ -462,8 +462,8 @@ impl GlsService {
     /// associated with `m` when that mutex currently blocks through the
     /// shared parking lot and is held: the waiter then skips the
     /// wake-then-block hop and is woken straight by the mutex's release.
-    /// Falls back to a plain [`GlsCondvar::notify_one`] for mutexes with
-    /// per-lock blocking state (nothing to requeue onto) or a free mutex
+    /// Falls back to a plain [`GlsCondvar::notify_one`] for mutexes that do
+    /// not sleep on a futex word (nothing to requeue onto) or a free mutex
     /// (the waiter can take it immediately). Returns whether a waiter was
     /// notified.
     pub fn notify_one(&self, cv: &GlsCondvar, m: impl Into<LockAddr>) -> bool {
@@ -474,7 +474,7 @@ impl GlsService {
             // `entry_ref`), so the word outlives the call. The
             // revalidation (under the bucket locks) re-resolves the park
             // address so a waiter is never requeued onto a word the mutex
-            // stopped parking under (backend migration, mode change).
+            // stopped parking under (GLK left mutex mode).
             Some(target) => unsafe {
                 cv.notify_one_requeue(target, || self.park_target(addr) == Some(target))
             },
@@ -896,7 +896,7 @@ impl GlsService {
             };
             let entry = Self::entry_ref(ptr);
             match entry.make_live(addr) {
-                Liveness::Live | Liveness::Resurrected => {}
+                Liveness::Live => {}
                 // The table read raced a recycling: look again.
                 Liveness::Recycled => continue,
                 // A sweep pass is deciding this tombstone's fate; either
@@ -2145,38 +2145,51 @@ mod tests {
 
     #[test]
     fn notify_all_morphs_the_broadcast_onto_the_mutex() {
+        use crate::glk::GlkMode;
         use gls_locks::ParkingLot;
-        let svc = Arc::new(GlsService::new());
-        let cv = Arc::new(GlsCondvar::new());
-        let addr = 0xB0CA;
-        svc.lock_with(LockKind::Futex, addr).unwrap();
-        svc.unlock_with(LockKind::Futex, addr).unwrap();
-        let waiters: Vec<_> = (0..4)
-            .map(|_| {
-                let (svc, cv) = (Arc::clone(&svc), Arc::clone(&cv));
-                std::thread::spawn(move || {
-                    svc.lock(addr).unwrap();
-                    svc.wait(&cv, addr).unwrap();
-                    svc.unlock(addr).unwrap();
+        // A futex entry, and a default-kind GLK entry held in mutex mode:
+        // both sleep on a futex word, so both take the broadcast onto it.
+        let futex = GlsService::new();
+        futex.lock_with(LockKind::Futex, 0xB0CA).unwrap();
+        futex.unlock_with(LockKind::Futex, 0xB0CA).unwrap();
+        let glk = GlsService::with_config(
+            GlsConfig::default().with_glk(
+                GlkConfig::default()
+                    .with_initial_mode(GlkMode::Mutex)
+                    .without_adaptation(),
+            ),
+        );
+        for (svc, addr) in [(futex, 0xB0CA), (glk, 0xB0CB)] {
+            let svc = Arc::new(svc);
+            let cv = Arc::new(GlsCondvar::new());
+            let waiters: Vec<_> = (0..4)
+                .map(|_| {
+                    let (svc, cv) = (Arc::clone(&svc), Arc::clone(&cv));
+                    std::thread::spawn(move || {
+                        svc.lock(addr).unwrap();
+                        svc.wait(&cv, addr).unwrap();
+                        svc.unlock(addr).unwrap();
+                    })
                 })
-            })
-            .collect();
-        while cv.waiters() < 4 {
-            std::thread::yield_now();
+                .collect();
+            while cv.waiters() < 4 {
+                std::thread::yield_now();
+            }
+            svc.lock(addr).unwrap();
+            let entry = svc.find_entry(addr).unwrap();
+            let mutex_park = entry.park_addr().expect("the entry sleeps on a word");
+            assert_eq!(svc.notify_all(&cv, addr), 4, "{:?}", entry.lock.kind());
+            // Held mutex: the whole broadcast morphs onto the mutex queue;
+            // no thundering herd re-contends while we still hold it.
+            assert_eq!(ParkingLot::global().parked_count(mutex_park), 4);
+            assert_eq!(cv.waits(), 0);
+            svc.unlock(addr).unwrap();
+            for w in waiters {
+                w.join().unwrap();
+            }
+            assert_eq!(cv.waits(), 4);
+            assert_eq!(ParkingLot::global().parked_count(mutex_park), 0);
         }
-        svc.lock(addr).unwrap();
-        let mutex_park = svc.find_entry(addr).unwrap().park_addr().unwrap();
-        assert_eq!(svc.notify_all(&cv, addr), 4);
-        // Held mutex: the whole broadcast morphs onto the mutex queue; no
-        // thundering herd re-contends while we still hold it.
-        assert_eq!(ParkingLot::global().parked_count(mutex_park), 4);
-        assert_eq!(cv.waits(), 0);
-        svc.unlock(addr).unwrap();
-        for w in waiters {
-            w.join().unwrap();
-        }
-        assert_eq!(cv.waits(), 4);
-        assert_eq!(ParkingLot::global().parked_count(mutex_park), 0);
     }
 
     #[test]

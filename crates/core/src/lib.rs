@@ -77,7 +77,7 @@ pub mod glk;
 pub mod gls;
 
 pub use error::GlsError;
-pub use glk::{BlockingBackend, GlkConfig, GlkLock, GlkMode, GlkRwLock, GlkRwMode, ModeTransition};
+pub use glk::{GlkConfig, GlkLock, GlkMode, GlkRwLock, GlkRwMode, ModeTransition};
 pub use gls::{
     aggregated_cache_stats, flush_thread_cache_stats, reset_thread_cache_stats, thread_cache_stats,
     CacheStats, DeadlockTelemetry, DeadlockTrail, GlsCondvar, GlsConfig, GlsGuard, GlsMode,

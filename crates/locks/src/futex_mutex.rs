@@ -142,9 +142,9 @@ impl FutexLock {
 
     /// Releases the lock and wakes **every** parked waiter instead of one.
     ///
-    /// For a holder that is about to stop serving this word — a blocking
-    /// -backend migration, or GLK leaving mutex mode — the ordinary
-    /// one-waiter wake chain is not enough: it relies on each woken waiter
+    /// For a holder that is about to stop serving this word — GLK leaving
+    /// mutex mode — the ordinary one-waiter wake chain is not enough: it
+    /// relies on each woken waiter
     /// re-acquiring and re-releasing this word, which a condvar waiter that
     /// was requeued here does not do (it re-acquires through whatever now
     /// serves the lock). Waking everyone lets each waiter re-examine the
@@ -258,7 +258,7 @@ impl FutexLock {
     }
 
     #[cold]
-    fn unlock_slow(&self, cohort: bool) {
+    fn unlock_slow(&self) {
         // The parked bit is set: wake a waiter. Only the holder writes the
         // streak and bypass bits, so reading them outside the bucket lock is
         // race-free. The state store happens in the callback, under the
@@ -274,22 +274,17 @@ impl FutexLock {
             self.addr(),
             |tokens| {
                 let choice = if handoff_due {
-                    // Streak exhausted: hand the lock over. With cohort
-                    // handoff a same-domain waiter may be preferred over a
-                    // remote queue head, within the bypass budget; without
-                    // it the head is served (the single-domain policy).
+                    // Streak exhausted: hand the lock over. A same-domain
+                    // waiter may be preferred over a remote queue head,
+                    // within the bypass budget (cohort handoff; on a
+                    // single-domain machine the head is always served).
                     // Requeued condvar waiters (kind 0) always get an
                     // ordinary wake — they would not understand a handoff.
-                    let releaser_domain = if cohort {
-                        gls_runtime::topology::current_domain()
-                    } else {
-                        usize::MAX // matches no stamped domain: head wins
-                    };
                     choose_handoff(
                         tokens,
                         TOKEN_MUTEX_WAITER,
-                        releaser_domain,
-                        if cohort { bypass } else { COHORT_BYPASS_LIMIT },
+                        gls_runtime::topology::current_domain(),
+                        bypass,
                         COHORT_BYPASS_LIMIT,
                     )?
                 } else {
@@ -365,22 +360,6 @@ impl FutexLock {
             );
         }
     }
-
-    /// Releases the lock, choosing the handoff policy explicitly: with
-    /// `cohort` set, handoffs prefer a waiter parked from the releaser's
-    /// cache domain (bounded by [`COHORT_BYPASS_LIMIT`] consecutive
-    /// bypasses); without it, handoffs always serve the queue head.
-    /// [`RawLock::unlock`] is `unlock_cohort(true)`.
-    #[inline]
-    pub fn unlock_cohort(&self, cohort: bool) {
-        if self
-            .state
-            .compare_exchange(LOCKED, 0, Ordering::Release, Ordering::Relaxed)
-            .is_err()
-        {
-            self.unlock_slow(cohort);
-        }
-    }
 }
 
 /// Part of condvar requeue-on-notify: under the parking-lot bucket lock of
@@ -446,9 +425,18 @@ impl RawLock for FutexLock {
         }
     }
 
+    /// Releases the lock. A release that hands the lock over prefers a
+    /// waiter parked from the releaser's cache domain, bounded by
+    /// [`COHORT_BYPASS_LIMIT`] consecutive bypasses of the queue head.
     #[inline]
     fn unlock(&self) {
-        self.unlock_cohort(true);
+        if self
+            .state
+            .compare_exchange(LOCKED, 0, Ordering::Release, Ordering::Relaxed)
+            .is_err()
+        {
+            self.unlock_slow();
+        }
     }
 
     fn is_locked(&self) -> bool {

@@ -8,7 +8,7 @@
 //! [`QueueInformed`] extension that exposes the queue length needed by GLK's
 //! contention statistics. Reader-writer locking (Kyoto Cabinet, SQLite —
 //! §5.2) is covered by the [`RawRwLock`] trait with a spinning
-//! ([`RwTtasRaw`]) and a blocking/parking ([`RwMutexLock`]) implementation,
+//! ([`RwTtasRaw`]) and a blocking/parking ([`FutexRwLock`]) implementation,
 //! both writer-preferring via a writer-intent bit so reader streams cannot
 //! starve writers.
 //!
@@ -60,7 +60,6 @@ pub mod park;
 #[cfg(test)]
 mod proptests;
 pub mod raw;
-pub mod rw_mutex;
 pub mod rwlock;
 pub mod spin_wait;
 pub mod tas;
@@ -80,7 +79,6 @@ pub use mcs::McsLock;
 pub use mutex::MutexLock;
 pub use park::{ParkResult, ParkingLot, ParkingLotStats, RequeueResult, UnparkResult};
 pub use raw::{QueueInformed, RawLock, RawRwLock, RawTryLock};
-pub use rw_mutex::RwMutexLock;
 pub use rwlock::{RwTtasLock, RwTtasRaw, RwTtasReadGuard, RwTtasWriteGuard};
 pub use spin_wait::SpinWait;
 pub use tas::TasLock;

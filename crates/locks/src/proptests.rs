@@ -7,8 +7,8 @@
 
 use proptest::prelude::*;
 
+use crate::futex_rwlock::FutexRwLock;
 use crate::raw::{QueueInformed, RawLock, RawRwLock, RawTryLock};
-use crate::rw_mutex::RwMutexLock;
 use crate::rwlock::RwTtasLock;
 
 /// One step of the single-threaded model: acquire or release shared or
@@ -174,11 +174,11 @@ proptest! {
         }
     }
 
-    /// The blocking rw mutex against the same model, through the raw
+    /// The blocking futex rwlock against the same model, through the raw
     /// interface (manual lock/unlock pairing instead of guards).
     #[test]
-    fn rw_mutex_matches_model(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-        let lock = RwMutexLock::new();
+    fn futex_rw_matches_model(ops in proptest::collection::vec(op_strategy(), 1..200)) {
+        let lock = FutexRwLock::new();
         let mut readers = 0u32;
         let mut writer = false;
         for op in ops {

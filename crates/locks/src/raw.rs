@@ -104,8 +104,8 @@ pub(crate) fn assert_send_sync<T: Send + Sync>() {}
 mod tests {
     use super::*;
     use crate::{
-        ClhLock, FutexLock, FutexRwLock, McsLock, MutexLock, RwMutexLock, RwTtasRaw, TasLock,
-        TicketLock, TtasLock,
+        ClhLock, FutexLock, FutexRwLock, McsLock, MutexLock, RwTtasRaw, TasLock, TicketLock,
+        TtasLock,
     };
 
     #[test]
@@ -119,7 +119,6 @@ mod tests {
         assert_send_sync::<FutexLock>();
         assert_send_sync::<FutexRwLock>();
         assert_send_sync::<RwTtasRaw>();
-        assert_send_sync::<RwMutexLock>();
     }
 
     #[test]
@@ -134,7 +133,6 @@ mod tests {
             FutexLock::NAME,
             FutexRwLock::NAME,
             RwTtasRaw::NAME,
-            RwMutexLock::NAME,
         ];
         for (i, a) in names.iter().enumerate() {
             for b in names.iter().skip(i + 1) {

@@ -153,7 +153,7 @@ fn futex_cohort_bypass_is_bounded() {
                     gls_runtime::topology::set_model_domain(Some(domain));
                     lock.lock();
                     counter.bump();
-                    lock.unlock_cohort(true);
+                    lock.unlock();
                 })
             })
             .collect();
@@ -162,11 +162,11 @@ fn futex_cohort_bypass_is_bounded() {
             thread::spawn(move || {
                 gls_runtime::topology::set_model_domain(Some(0));
                 if lock.try_lock() {
-                    lock.unlock_cohort(true);
+                    lock.unlock();
                 }
             })
         };
-        lock.unlock_cohort(true);
+        lock.unlock();
         for parker in parkers {
             parker.join().expect("model parker panicked");
         }

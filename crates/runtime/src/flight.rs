@@ -1,8 +1,8 @@
 //! Per-thread lock-event flight recorder.
 //!
 //! A fixed-size ring buffer of the most recent lock events on each thread:
-//! slow-path acquisitions, park/unpark, handoffs, GLK mode transitions,
-//! blocking-backend migrations and deadlock candidates. Recording is a few
+//! slow-path acquisitions, park/unpark, handoffs, GLK mode transitions and
+//! deadlock candidates. Recording is a few
 //! plain stores into thread-local memory (no atomics, no allocation, no
 //! branches beyond the ring index mask), so the recorder can stay on in
 //! production builds; the cost is only paid on paths that are already slow

@@ -11,7 +11,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gls::glk::BlockingBackend;
 use gls::{GlkConfig, GlsCondvar, GlsConfig, GlsMode, GlsService};
 use gls_locks::{FutexLock, FutexRwLock, LockKind};
 
@@ -66,14 +65,13 @@ fn futex_rw_entries_share_reads_through_the_service() {
 
 #[test]
 fn glk_with_parking_backend_keeps_exclusion_through_the_service() {
-    // The default GLK interface with the parking-lot blocking backend:
-    // word-sized mutex mode behind the full service machinery.
+    // The default GLK interface, whose mutex mode is a futex word, behind
+    // the full service machinery.
     let svc = Arc::new(GlsService::with_config(
         GlsConfig::default().with_glk(
             GlkConfig::default()
                 .with_adaptation_period(128)
-                .with_sampling_period(16)
-                .with_blocking_backend(BlockingBackend::ParkingLot),
+                .with_sampling_period(16),
         ),
     ));
     struct Cell(std::cell::UnsafeCell<u64>);
@@ -317,8 +315,7 @@ fn requeued_waiters_survive_glk_leaving_mutex_mode() {
                 .with_initial_mode(GlkMode::Mutex)
                 .with_adaptation_period(TICK)
                 .with_sampling_period(1)
-                .with_transition_recording(true)
-                .with_blocking_backend(BlockingBackend::ParkingLot),
+                .with_transition_recording(true),
         );
     let svc = Arc::new(GlsService::with_config(config));
     let cv = Arc::new(GlsCondvar::new());
@@ -338,8 +335,7 @@ fn requeued_waiters_survive_glk_leaving_mutex_mode() {
     while cv.waiters() < WAITERS {
         std::thread::yield_now();
     }
-    // Hold the (parking-backed) mutex and morph the whole broadcast onto
-    // its futex word.
+    // Hold the mutex and morph the whole broadcast onto its futex word.
     svc.lock(addr).unwrap();
     assert_eq!(svc.notify_all(&cv, addr) as u64, WAITERS);
     // Leaving mutex mode takes this much uninterrupted calm.
