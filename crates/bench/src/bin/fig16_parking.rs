@@ -22,7 +22,7 @@
 //!
 //! Reported: throughput per working-set size plus the wait-state footprint
 //! of each flavor. Every emitted point records the host topology
-//! (`hardware_contexts`, `cache_domains`) and the pinning layout, so a
+//! (`hardware_contexts`) and the pinning layout, so a
 //! trajectory mixing single-context CI runs and dedicated multi-core runs
 //! stays interpretable.
 //!

@@ -37,7 +37,7 @@
 //! Besides the human-readable tables, the harness writes machine-readable
 //! `BENCH_fastpath.json` (override with `--out PATH`) so the repository
 //! accumulates a fast-path perf trajectory PR over PR; every point carries
-//! the host topology (`hardware_contexts`, `cache_domains`) and pinning
+//! the host topology (`hardware_contexts`) and pinning
 //! layout so runs from different machines stay comparable. `--smoke`
 //! shrinks the sweep for CI.
 

@@ -78,15 +78,14 @@ pub fn pin_policy() -> &'static str {
 }
 
 /// The topology fields every emitted benchmark point must carry (see the
-/// CI schema check): how many hardware contexts and cache domains the host
-/// had at measurement time and how the workers were placed on them. A
-/// trajectory point without these is uninterpretable — a single-context
-/// smoke run and a 48-context dedicated box would be indistinguishable.
+/// CI schema check): how many hardware contexts the host had at
+/// measurement time and how the workers were placed on them. A trajectory
+/// point without these is uninterpretable — a single-context smoke run and
+/// a 48-context dedicated box would be indistinguishable.
 pub fn topology_json_fields() -> String {
     format!(
-        "\"hardware_contexts\": {}, \"cache_domains\": {}, \"pin_policy\": \"{}\", \"pinned\": {}",
+        "\"hardware_contexts\": {}, \"pin_policy\": \"{}\", \"pinned\": {}",
         gls_runtime::hardware_contexts(),
-        gls_runtime::cache_domains().len(),
         pin_policy(),
         pinning_effective(),
     )
@@ -113,9 +112,8 @@ pub fn banner(figure: &str, description: &str) {
     println!("# ================================================================");
     println!("# {figure}: {description}");
     println!(
-        "# host: {} hardware contexts in {} cache domain(s) | workers {} | point duration: {:?} | reps: {}",
+        "# host: {} hardware contexts | workers {} | point duration: {:?} | reps: {}",
         gls_runtime::hardware_contexts(),
-        gls_runtime::cache_domains().len(),
         pin_policy(),
         point_duration(),
         repetitions()
@@ -148,12 +146,7 @@ mod tests {
     #[test]
     fn topology_fields_carry_the_required_keys() {
         let fields = topology_json_fields();
-        for key in [
-            "\"hardware_contexts\":",
-            "\"cache_domains\":",
-            "\"pin_policy\":",
-            "\"pinned\":",
-        ] {
+        for key in ["\"hardware_contexts\":", "\"pin_policy\":", "\"pinned\":"] {
             assert!(fields.contains(key), "missing {key} in {fields}");
         }
         // The fragment must be embeddable in a JSON object as-is.

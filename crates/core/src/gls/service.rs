@@ -726,7 +726,7 @@ impl GlsService {
     }
 
     /// Captures a [`TelemetrySnapshot`]: per-lock profiles with latency
-    /// distributions, cache/parking/cohort/migration counters and
+    /// distributions, cache/parking/mode-transition counters and
     /// deadlock-detector activity. Cheap enough to call periodically — one
     /// table walk plus relaxed counter reads; concurrent updates may or may
     /// not be included (the same racy-snapshot semantics every report here
@@ -770,7 +770,6 @@ impl GlsService {
             locks,
             cache: cache::aggregated_cache_stats(),
             parking_lot: gls_locks::ParkingLot::global().stats(),
-            cohort: gls_locks::cohort_stats(),
             glk_transitions,
             deadlock: DeadlockTelemetry {
                 candidates: self.debug.candidate_count(),

@@ -3,19 +3,18 @@
 //! A [`TelemetrySnapshot`] captures, at one moment, everything the locking
 //! middleware knows about itself: per-lock profiles with full latency
 //! *distributions* (p50/p99/p999, not just averages), lock-cache hit rates,
-//! parking-lot occupancy and growth, cohort handoffs, GLK mode transitions
-//! and deadlock-detector activity. Snapshots are cheap (relaxed reads plus
-//! one table walk), export themselves as JSON
-//! ([`TelemetrySnapshot::to_json`]) or human text (`Display`), and can be
-//! published periodically from a background thread
-//! ([`GlsService::spawn_telemetry_publisher`]).
+//! parking-lot occupancy and growth, GLK mode transitions and
+//! deadlock-detector activity. Snapshots are cheap (relaxed reads plus one
+//! table walk), export themselves as JSON ([`TelemetrySnapshot::to_json`])
+//! or human text (`Display`), and can be published periodically from a
+//! background thread ([`GlsService::spawn_telemetry_publisher`]).
 //!
 //! Scope: the per-lock profiles, mode-transition totals and deadlock
 //! counters are **service-scoped** (they come from this service's entries
-//! and debug state); the lock-cache aggregate, parking-lot and cohort-handoff
-//! counters are **process-wide** (those subsystems are shared by every
-//! service in the process). A snapshot labels itself
-//! accordingly rather than pretending one service owns the whole process.
+//! and debug state); the lock-cache aggregate and parking-lot counters are
+//! **process-wide** (those subsystems are shared by every service in the
+//! process). A snapshot labels itself accordingly rather than pretending
+//! one service owns the whole process.
 //!
 //! [`GlsService::spawn_telemetry_publisher`]: crate::GlsService::spawn_telemetry_publisher
 
@@ -24,7 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use gls_locks::{CohortStats, LockKind, ParkingLotStats};
+use gls_locks::{LockKind, ParkingLotStats};
 use gls_runtime::LatencyHistogram;
 
 use super::cache::CacheStats;
@@ -150,9 +149,6 @@ pub struct TelemetrySnapshot {
     pub cache: CacheStats,
     /// Shared parking-lot occupancy and growth (process-wide).
     pub parking_lot: ParkingLotStats,
-    /// Cohort handoff/bypass counters of the word-sized locks
-    /// (process-wide).
-    pub cohort: CohortStats,
     /// Total GLK/GLK-RW mode transitions across this service's entries.
     pub glk_transitions: u64,
     /// Deadlock-detector activity (service-scoped, debug mode).
@@ -160,17 +156,16 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
-    /// Serializes the snapshot as a single JSON object (schema version 2;
+    /// Serializes the snapshot as a single JSON object (schema version 3;
     /// validated in CI by `scripts/validate_snapshot_schema.py`).
     pub fn to_json(&self) -> String {
         let locks: Vec<String> = self.locks.iter().map(LockTelemetry::to_json).collect();
         format!(
-            "{{\"version\":2,\"mode\":\"{}\",\"sampling_budget\":{},\"lock_count\":{},\
+            "{{\"version\":3,\"mode\":\"{}\",\"sampling_budget\":{},\"lock_count\":{},\
              \"retired_count\":{},\"locks\":[{}],\
              \"cache\":{{\"hits\":{},\"misses\":{},\"invalidations\":{},\"hit_rate\":{}}},\
              \"parking_lot\":{{\"buckets\":{},\"parked\":{},\"growth_events\":{},\
              \"requeued_waiters\":{}}},\
-             \"cohort\":{{\"handoffs\":{},\"head_bypasses\":{}}},\
              \"glk_transitions\":{},\
              \"deadlock\":{{\"candidates\":{},\"confirmed\":{}}}}}",
             mode_str(self.mode),
@@ -189,8 +184,6 @@ impl TelemetrySnapshot {
             self.parking_lot.parked,
             self.parking_lot.growth_events,
             self.parking_lot.requeued_waiters,
-            self.cohort.handoffs,
-            self.cohort.head_bypasses,
             self.glk_transitions,
             self.deadlock.candidates,
             self.deadlock.confirmed
@@ -238,14 +231,11 @@ impl fmt::Display for TelemetrySnapshot {
         writeln!(
             f,
             "[GLS telemetry] parking lot: {} buckets, {} parked, {} growths, {} requeues \
-             | cohort: {} handoffs ({} bypasses) \
              | glk transitions: {} | deadlock: {} candidates, {} confirmed",
             self.parking_lot.buckets,
             self.parking_lot.parked,
             self.parking_lot.growth_events,
             self.parking_lot.requeued_waiters,
-            self.cohort.handoffs,
-            self.cohort.head_bypasses,
             self.glk_transitions,
             self.deadlock.candidates,
             self.deadlock.confirmed,
@@ -383,10 +373,6 @@ mod tests {
                 growth_events: 1,
                 requeued_waiters: 4,
             },
-            cohort: CohortStats {
-                handoffs: 7,
-                head_bypasses: 2,
-            },
             glk_transitions: 2,
             deadlock: DeadlockTelemetry {
                 candidates: 0,
@@ -399,7 +385,7 @@ mod tests {
     fn json_has_every_section() {
         let json = sample_snapshot().to_json();
         for key in [
-            "\"version\":2",
+            "\"version\":3",
             "\"mode\":\"profile\"",
             "\"sampling_budget\":5000",
             "\"locks\":[{",
@@ -407,7 +393,6 @@ mod tests {
             "\"p999\":",
             "\"cache\":{",
             "\"parking_lot\":{",
-            "\"cohort\":{",
             "\"glk_transitions\":2",
             "\"deadlock\":{",
         ] {

@@ -11,20 +11,21 @@
 //! The acquisition protocol is spin-then-park: a bounded
 //! [`SpinWait`] phase (blocking through the lot costs far more than a short
 //! critical section), then the waiter raises the `PARKED` bit and parks.
-//! Waiters wake in FIFO order ([`ParkingLot::unpark_one`]) and normally
-//! re-contend with arriving threads (barging), like a futex mutex — but the
-//! bypass is **bounded**: the lock word counts consecutive contended
-//! wakeups, and once the streak reaches [`HANDOFF_WAKEUPS`] the release
-//! passes ownership *directly* to the woken waiter (a handoff unpark
-//! token; the `LOCKED` bit never clears, so bargers cannot steal the slot).
-//! A parked waiter can therefore be bypassed at most a bounded number of
-//! times before it is served. Strict FIFO admission remains the domain of
-//! ticket/MCS/CLH.
+//! Every contended release wakes the queue head — the longest-parked
+//! waiter, through [`ParkingLot::unpark_one_with`], one allocation-free
+//! walk of its bucket. The woken waiter normally re-contends with arriving
+//! threads (barging), like a futex mutex — but the bypass is **bounded**:
+//! the lock word counts consecutive contended wakeups, and once the streak
+//! reaches [`HANDOFF_WAKEUPS`] the release passes ownership *directly* to
+//! the head (a handoff unpark token; the `LOCKED` bit never clears, so
+//! bargers cannot steal the slot). A parked waiter can therefore be
+//! bypassed at most a bounded number of times before it is served. Strict
+//! FIFO admission remains the domain of ticket/MCS/CLH.
 
+use gls_runtime::flight::{self, FlightEventKind};
 use gls_sync::atomic::{AtomicU32, Ordering};
 
-use crate::cohort::{choose_handoff, encode_token, COHORT_BYPASS_LIMIT};
-use crate::park::{ParkingLot, DEFAULT_UNPARK_TOKEN};
+use crate::park::{ParkResult, ParkingLot, DEFAULT_UNPARK_TOKEN};
 use crate::raw::{QueueInformed, RawLock, RawTryLock};
 use crate::spin_wait::SpinWait;
 
@@ -37,12 +38,6 @@ const PARKED: u32 = 2;
 /// uncontended release always leaves the word at 0.
 const STREAK_SHIFT: u32 = 2;
 const STREAK_MASK: u32 = 0b111 << STREAK_SHIFT;
-/// Bits counting consecutive cohort handoffs that bypassed the queue head
-/// in favour of a same-cache-domain waiter (see [`crate::cohort`]). Written
-/// under the same holder-only discipline as the streak bits; bounded by
-/// [`COHORT_BYPASS_LIMIT`] so a remote queue head cannot starve.
-const BYPASS_SHIFT: u32 = 5;
-const BYPASS_MASK: u32 = 0b111 << BYPASS_SHIFT;
 
 /// After this many consecutive contended wakeups the release hands the lock
 /// directly to the woken waiter instead of letting it re-contend. Bounds
@@ -55,12 +50,10 @@ pub const HANDOFF_WAKEUPS: u32 = 4;
 #[cfg(gls_model)]
 pub const HANDOFF_WAKEUPS: u32 = 2;
 
-/// Park-token kind tagging a native mutex waiter (distinct from
+/// Park token of a native mutex waiter (distinct from
 /// [`DEFAULT_PARK_TOKEN`](crate::park::DEFAULT_PARK_TOKEN), which tags
 /// condvar waiters requeued onto the mutex — those must never receive a
-/// handoff token they would not understand). Native waiters stamp their
-/// cache domain into the token above the kind bits
-/// ([`crate::cohort::encode_token`]).
+/// handoff token they would not understand).
 pub const TOKEN_MUTEX_WAITER: usize = 2;
 
 /// Unpark token meaning "the lock is yours": the releaser kept `LOCKED`
@@ -95,16 +88,6 @@ const SPIN_ATTEMPTS: u32 = 1;
 #[derive(Debug, Default)]
 pub struct FutexLock {
     state: AtomicU32,
-    /// Model-only observables (raw std atomics so they add no scheduling
-    /// points; both only written under the bucket lock): the current and
-    /// the maximum run of *consecutive* handoffs that bypassed the queue
-    /// head for a same-domain waiter. [`choose_handoff`] serves the head
-    /// once the persisted budget is spent, so the maximum can never exceed
-    /// [`COHORT_BYPASS_LIMIT`] — the property the cohort model test checks.
-    #[cfg(gls_model)]
-    consec_head_bypasses: std::sync::atomic::AtomicU32,
-    #[cfg(gls_model)]
-    max_head_bypasses: std::sync::atomic::AtomicU32,
 }
 
 impl FutexLock {
@@ -112,18 +95,7 @@ impl FutexLock {
     pub const fn new() -> Self {
         Self {
             state: AtomicU32::new(0),
-            #[cfg(gls_model)]
-            consec_head_bypasses: std::sync::atomic::AtomicU32::new(0),
-            #[cfg(gls_model)]
-            max_head_bypasses: std::sync::atomic::AtomicU32::new(0),
         }
-    }
-
-    /// Longest observed run of consecutive head-bypassing cohort handoffs.
-    #[cfg(gls_model)]
-    pub fn model_max_consecutive_head_bypasses(&self) -> u32 {
-        self.max_head_bypasses
-            .load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// The parking-lot key: the address of the lock word.
@@ -180,11 +152,7 @@ impl FutexLock {
 
     #[cold]
     fn lock_slow(&self) {
-        gls_runtime::flight::record(
-            gls_runtime::flight::FlightEventKind::SlowPathAcquire,
-            self.addr(),
-            0,
-        );
+        flight::record(FlightEventKind::SlowPathAcquire, self.addr(), 0);
         let lot = ParkingLot::global();
         let mut wait = SpinWait::new();
         let mut spins = 0u32;
@@ -231,14 +199,9 @@ impl FutexLock {
             // Sleep until a release hands the parked bit to us. The
             // validation re-check runs under the bucket lock, closing the
             // race with a release that ran between our load and the park.
-            // The park token carries our cache domain so a handoff release
-            // can prefer a same-domain waiter (cohort handoff).
             let result = lot.park(
                 self.addr(),
-                encode_token(
-                    TOKEN_MUTEX_WAITER,
-                    Some(gls_runtime::topology::current_domain()),
-                ),
+                TOKEN_MUTEX_WAITER,
                 || {
                     let s = self.state.load(Ordering::Relaxed);
                     s & (LOCKED | PARKED) == LOCKED | PARKED
@@ -248,7 +211,7 @@ impl FutexLock {
             );
             // A handoff wake means the releaser kept LOCKED set on our
             // behalf: the lock is ours, no re-contention.
-            if result == crate::park::ParkResult::Unparked(HANDOFF_UNPARK_TOKEN) {
+            if result == ParkResult::Unparked(HANDOFF_UNPARK_TOKEN) {
                 return;
             }
             // Woken normally (or the state changed): retry from the top.
@@ -259,53 +222,26 @@ impl FutexLock {
 
     #[cold]
     fn unlock_slow(&self) {
-        // The parked bit is set: wake a waiter. Only the holder writes the
-        // streak and bypass bits, so reading them outside the bucket lock is
+        // The parked bit is set: wake the queue head. Only the holder writes
+        // the streak bits, so reading them outside the bucket lock is
         // race-free. The state store happens in the callback, under the
         // bucket lock, so a thread concurrently validating its park sees a
         // consistent word.
-        let word = self.state.load(Ordering::Relaxed);
-        let streak = (word & STREAK_MASK) >> STREAK_SHIFT;
-        let bypass = (word & BYPASS_MASK) >> BYPASS_SHIFT;
+        let streak = (self.state.load(Ordering::Relaxed) & STREAK_MASK) >> STREAK_SHIFT;
         let handoff_due = streak + 1 >= HANDOFF_WAKEUPS;
         let handoff = std::cell::Cell::new(false);
-        let bypassed = std::cell::Cell::new(false);
-        ParkingLot::global().unpark_choose_with(
+        ParkingLot::global().unpark_one_with(
             self.addr(),
-            |tokens| {
-                let choice = if handoff_due {
-                    // Streak exhausted: hand the lock over. A same-domain
-                    // waiter may be preferred over a remote queue head,
-                    // within the bypass budget (cohort handoff; on a
-                    // single-domain machine the head is always served).
-                    // Requeued condvar waiters (kind 0) always get an
-                    // ordinary wake — they would not understand a handoff.
-                    choose_handoff(
-                        tokens,
-                        TOKEN_MUTEX_WAITER,
-                        gls_runtime::topology::current_domain(),
-                        bypass,
-                        COHORT_BYPASS_LIMIT,
-                    )?
-                } else {
-                    // Streak still building: ordinary FIFO wake-and-recontend.
-                    if tokens.is_empty() {
-                        return None;
-                    }
-                    crate::cohort::HandoffChoice {
-                        index: 0,
-                        handoff: false,
-                        bypassed_head: false,
-                    }
-                };
-                handoff.set(choice.handoff);
-                bypassed.set(choice.bypassed_head);
-                let unpark_token = if choice.handoff {
+            |park_token| {
+                // Streak exhausted: hand the lock to the head — unless it is
+                // a requeued condvar waiter, which would not understand a
+                // handoff and gets an ordinary wake instead.
+                if handoff_due && park_token == TOKEN_MUTEX_WAITER {
+                    handoff.set(true);
                     HANDOFF_UNPARK_TOKEN
                 } else {
                     DEFAULT_UNPARK_TOKEN
-                };
-                Some((choice.index, unpark_token))
+                }
             },
             |result| {
                 let state = if result.unparked == 0 {
@@ -315,49 +251,22 @@ impl FutexLock {
                 } else if handoff.get() {
                     // Ownership transfers to the woken waiter: LOCKED stays
                     // set so bargers cannot steal the slot; streak resets.
-                    // The bypass counter advances when the head was
-                    // bypassed for a local waiter and resets when the head
-                    // was served, bounding consecutive bypasses.
-                    let next_bypass = if bypassed.get() {
-                        (bypass + 1).min(BYPASS_MASK >> BYPASS_SHIFT)
-                    } else {
-                        0
-                    };
-                    #[cfg(gls_model)]
-                    {
-                        use std::sync::atomic::Ordering::Relaxed;
-                        if bypassed.get() {
-                            let run = self.consec_head_bypasses.fetch_add(1, Relaxed) + 1;
-                            self.max_head_bypasses.fetch_max(run, Relaxed);
-                        } else {
-                            self.consec_head_bypasses.store(0, Relaxed);
-                        }
-                    }
-                    LOCKED
-                        | if result.have_more { PARKED } else { 0 }
-                        | (next_bypass << BYPASS_SHIFT)
+                    LOCKED | if result.have_more { PARKED } else { 0 }
                 } else if result.have_more {
                     // Contended wakeup with waiters remaining: release and
-                    // advance the streak (saturating at the mask); the
-                    // bypass history survives until the next handoff.
+                    // advance the streak (saturating at the mask).
                     let next = (streak + 1).min(STREAK_MASK >> STREAK_SHIFT);
-                    PARKED | (next << STREAK_SHIFT) | (bypass << BYPASS_SHIFT)
+                    PARKED | (next << STREAK_SHIFT)
                 } else {
                     0
                 };
                 self.state.store(state, Ordering::Release);
             },
         );
-        // Telemetry outside the bucket critical section: a direct handoff
-        // happened iff the choose closure picked one (it only runs when a
-        // waiter was actually woken).
+        // Outside the bucket critical section: `handoff` is set only when a
+        // waiter was actually woken with the handoff token.
         if handoff.get() {
-            crate::telemetry::note_handoff(bypassed.get());
-            gls_runtime::flight::record(
-                gls_runtime::flight::FlightEventKind::Handoff,
-                self.addr(),
-                u64::from(bypassed.get()),
-            );
+            flight::record(FlightEventKind::Handoff, self.addr(), 0);
         }
     }
 }
@@ -425,9 +334,10 @@ impl RawLock for FutexLock {
         }
     }
 
-    /// Releases the lock. A release that hands the lock over prefers a
-    /// waiter parked from the releaser's cache domain, bounded by
-    /// [`COHORT_BYPASS_LIMIT`] consecutive bypasses of the queue head.
+    /// Releases the lock. With waiters parked, the release wakes the queue
+    /// head; every [`HANDOFF_WAKEUPS`]-th consecutive contended release
+    /// hands the lock to that head directly instead of letting it
+    /// re-contend.
     #[inline]
     fn unlock(&self) {
         if self
@@ -675,6 +585,38 @@ mod tests {
         // the word back to zero.
         lock.unlock();
         assert_eq!(lock.state.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn due_handoff_goes_only_to_a_native_queue_head() {
+        // One waiter parks under the lock's address with a chosen token, and
+        // the holder's release finds the streak due. A requeued condvar
+        // waiter (DEFAULT_PARK_TOKEN) at the head gets an ordinary wake and
+        // the word clears; a native waiter gets the handoff token and the
+        // word keeps LOCKED on its behalf.
+        use crate::park::DEFAULT_PARK_TOKEN;
+        for (park_token, unpark_token, word_after) in [
+            (DEFAULT_PARK_TOKEN, DEFAULT_UNPARK_TOKEN, 0),
+            (TOKEN_MUTEX_WAITER, HANDOFF_UNPARK_TOKEN, LOCKED),
+        ] {
+            let lock = Arc::new(FutexLock::new());
+            lock.state.store(
+                LOCKED | PARKED | ((HANDOFF_WAKEUPS - 1) << STREAK_SHIFT),
+                Ordering::Relaxed,
+            );
+            let waiter = {
+                let lock = Arc::clone(&lock);
+                std::thread::spawn(move || {
+                    ParkingLot::global().park(lock.park_addr(), park_token, || true, || {}, None)
+                })
+            };
+            while ParkingLot::global().parked_count(lock.park_addr()) == 0 {
+                std::thread::yield_now();
+            }
+            lock.unlock();
+            assert_eq!(waiter.join().unwrap(), ParkResult::Unparked(unpark_token));
+            assert_eq!(lock.state.load(Ordering::Relaxed), word_after);
+        }
     }
 
     #[test]

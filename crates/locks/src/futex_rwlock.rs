@@ -21,10 +21,10 @@
 //! counts consecutive contended wakeups and once the streak reaches
 //! [`HANDOFF_WAKEUPS`] the release *hands over* instead — a parked writer
 //! receives the word with `WRITER` pre-set (bargers cannot steal the slot),
-//! or, when no writer is parked, the whole parked reader cohort is woken
+//! or, when no writer is parked, the whole parked reader batch is woken
 //! with their read slots pre-charged into the reader count. Without this, a
 //! parked writer can be bypassed indefinitely by barging writers (readers
-//! are already fenced off by the intent bit), and a parked reader cohort
+//! are already fenced off by the intent bit), and a parked reader batch
 //! can starve under writer churn: each wake loses the race to the next
 //! writer's intent bit and re-parks, forever.
 
@@ -271,7 +271,7 @@ impl FutexRwLock {
     /// the streak bits, and once the streak reaches [`HANDOFF_WAKEUPS`] the
     /// wake becomes a *handoff* — the word is updated on the wakee's behalf
     /// (WRITER pre-set for a writer; read slots pre-charged for the reader
-    /// cohort) before the wake, under the bucket lock, so bargers cannot
+    /// batch) before the wake, under the bucket lock, so bargers cannot
     /// steal the slot. The commit must CAS-verify the word is actually
     /// grantable *now*: this path is reached from `read_unlock` after the
     /// count already dropped, so a barger may have acquired in between — in
@@ -353,7 +353,7 @@ impl FutexRwLock {
                         .map(|i| (i, DEFAULT_UNPARK_TOKEN))
                         .collect();
                 }
-                // Reader-cohort handoff: pre-charge every woken reader's
+                // Reader-batch handoff: pre-charge every woken reader's
                 // slot into the count, provided no writer holds or wants
                 // the lock (admitting readers past an intent bit would
                 // starve the spinning writer that raised it).
@@ -428,7 +428,7 @@ impl FutexRwLock {
 
     /// The release policy this lock shipped with *before* the handoff
     /// streak existed: always wake the first parked writer (else the
-    /// reader cohort) with an ordinary token and let it re-contend. The
+    /// reader batch) with an ordinary token and let it re-contend. The
     /// regression model test drives this to show the explorer finds the
     /// unbounded-bypass schedule the streak was added to kill.
     pub fn model_write_unlock_pre_handoff(&self) {
@@ -784,10 +784,10 @@ mod tests {
     }
 
     #[test]
-    fn parked_reader_cohort_is_admitted_under_writer_churn() {
-        // The reader-side fairness bound: a cohort of parked readers under
+    fn parked_reader_batch_is_admitted_under_writer_churn() {
+        // The reader-side fairness bound: a batch of parked readers under
         // continuous writer churn must all be admitted within a bounded
-        // number of wakeups. The cohort handoff pre-charges their read
+        // number of wakeups. The batch handoff pre-charges their read
         // slots into the count, so a woken reader cannot lose the race to
         // the next writer's intent bit and re-park forever.
         use std::sync::atomic::AtomicUsize;

@@ -49,7 +49,6 @@
 
 pub mod cache_padded;
 pub mod clh;
-pub mod cohort;
 pub mod futex_mutex;
 pub mod futex_rwlock;
 pub mod kind;
@@ -63,7 +62,6 @@ pub mod raw;
 pub mod rwlock;
 pub mod spin_wait;
 pub mod tas;
-pub mod telemetry;
 #[cfg(test)]
 pub(crate) mod test_support;
 pub mod ticket;
@@ -82,6 +80,5 @@ pub use raw::{QueueInformed, RawLock, RawRwLock, RawTryLock};
 pub use rwlock::{RwTtasLock, RwTtasRaw, RwTtasReadGuard, RwTtasWriteGuard};
 pub use spin_wait::SpinWait;
 pub use tas::TasLock;
-pub use telemetry::{cohort_stats, CohortStats};
 pub use ticket::TicketLock;
 pub use ttas::TtasLock;

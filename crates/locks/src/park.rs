@@ -563,13 +563,15 @@ impl ParkingLot {
     /// Like [`ParkingLot::unpark_one`], but the unpark token is computed
     /// from the woken waiter's **park token**, under the bucket lock.
     ///
-    /// This is what lets a lock hand ownership directly to its own waiters
-    /// (a handoff unpark token) while waiters of a different kind that were
+    /// This is the handoff primitive: a releasing holder passes ownership
+    /// directly to the queue head (a handoff unpark token) when the head is
+    /// one of its own waiters, while waiters of a different kind that were
     /// requeued onto the same address (e.g. condvar waiters moved onto a
     /// mutex by requeue-on-notify) are recognizable by their park token and
     /// woken with ordinary release semantics instead — a handoff token
     /// delivered to a thread that does not understand it would strand the
-    /// lock in a held-by-nobody state.
+    /// lock in a held-by-nobody state. `token_for` runs only when a waiter
+    /// is dequeued, before `callback`.
     pub fn unpark_one_with(
         &self,
         addr: usize,
@@ -587,66 +589,6 @@ impl ParkingLot {
                 let token = token_for(waiter.park_token);
                 (waiter.parker, token)
             });
-            if woken.is_some() {
-                self.parked.fetch_sub(1, Ordering::Relaxed);
-            }
-            result = UnparkResult {
-                unparked: usize::from(woken.is_some()),
-                have_more: queue.iter().any(|w| w.addr == addr),
-            };
-            callback(&result);
-        }
-        if let Some((parker, token)) = woken {
-            parker.unpark(token);
-        }
-        result
-    }
-
-    /// Wakes one caller-chosen waiter on `addr`, not necessarily the
-    /// longest-parked one.
-    ///
-    /// `choose` receives the park tokens of every waiter on `addr` in FIFO
-    /// order and returns `(index, unpark_token)` for the waiter to wake, or
-    /// `None` to wake nobody (an out-of-range index also wakes nobody).
-    /// Both `choose` and `callback` run under the bucket lock, so the
-    /// decision is atomic with park validation and with the lock-word
-    /// update in `callback`.
-    ///
-    /// This is the primitive behind topology-aware (cohort) handoff: a
-    /// releasing holder inspects the domains stamped in the park tokens and
-    /// hands the lock to a same-cache-domain waiter — bounded by a bypass
-    /// budget the policy enforces — instead of strictly the queue head.
-    /// [`ParkingLot::unpark_one_with`] is the `choose = head` special case.
-    pub fn unpark_choose_with(
-        &self,
-        addr: usize,
-        choose: impl FnOnce(&[usize]) -> Option<(usize, usize)>,
-        callback: impl FnOnce(&UnparkResult),
-    ) -> UnparkResult {
-        let mut woken: Option<(Arc<Parker>, usize)> = None;
-        let result;
-        {
-            let mut queue = self.queue_of(addr);
-            let tokens: Vec<usize> = queue
-                .iter()
-                .filter(|w| w.addr == addr)
-                .map(|w| w.park_token)
-                .collect();
-            if let Some((chosen, unpark_token)) = choose(&tokens) {
-                // Map the per-address position back to a queue position.
-                let mut matching = 0usize;
-                for (queue_index, waiter) in queue.iter().enumerate() {
-                    if waiter.addr != addr {
-                        continue;
-                    }
-                    if matching == chosen {
-                        let waiter = queue.remove(queue_index);
-                        woken = Some((waiter.parker, unpark_token));
-                        break;
-                    }
-                    matching += 1;
-                }
-            }
             if woken.is_some() {
                 self.parked.fetch_sub(1, Ordering::Relaxed);
             }
@@ -771,7 +713,7 @@ impl ParkingLot {
     ///
     /// Reader-writer handoff needs this: one release may wake a parked
     /// writer with a "the write lock is yours" token while a later release
-    /// wakes a cohort of readers with "a read slot is pre-charged for you" —
+    /// wakes a batch of readers with "a read slot is pre-charged for you" —
     /// and requeued condvar waiters sharing the address must still receive
     /// a token they understand.
     pub fn unpark_select_with(
@@ -1100,10 +1042,21 @@ mod tests {
         // table: the table must double and the growth must be counted.
         let order = Arc::new(Mutex::new(Vec::new()));
         let handles = park_squad(&lot, 0x500, GROW_LOAD_FACTOR + 2, &order);
-        let grown = lot.stats();
-        assert_eq!(grown.parked, GROW_LOAD_FACTOR + 2);
-        assert!(grown.growth_events >= 1, "growth must be counted");
-        assert!(grown.buckets > 1, "table must have grown");
+        assert_eq!(lot.stats().parked, GROW_LOAD_FACTOR + 2);
+        // `park_squad` returns once the last waiter is enqueued, but the
+        // growth runs after that, on a parker thread: poll for it.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let grown = lot.stats();
+            if grown.growth_events >= 1 && grown.buckets > 1 {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "table must have grown and counted it: {grown:?}"
+            );
+            std::thread::yield_now();
+        }
         // Requeue one waiter onto another address without waking it.
         let moved = lot.unpark_requeue(0x500, 0x600, 0, 1, DEFAULT_UNPARK_TOKEN, |_| {});
         assert_eq!(moved.requeued, 1);

@@ -35,7 +35,6 @@ use std::sync::atomic::{AtomicBool, Ordering as StdOrdering};
 use std::sync::Arc;
 
 use gls::{GlsCondvar, GlsConfig, GlsService, LockKind};
-use gls_locks::cohort::COHORT_BYPASS_LIMIT;
 use gls_locks::park::DEFAULT_PARK_TOKEN;
 use gls_locks::{
     FutexLock, FutexRwLock, ParkResult, ParkingLot, QueueInformed, RawLock, RawRwLock, RawTryLock,
@@ -119,76 +118,6 @@ fn futex_lock_mutual_exclusion_and_no_lost_wakeups() {
         assert!(!lock.is_locked(), "lock word left locked after drain");
         assert_eq!(lock.queue_length(), 0, "waiters left parked after drain");
     });
-}
-
-/// Property 2 — cohort handoff never bypasses the queue head more than
-/// `COHORT_BYPASS_LIMIT` times in a row, across every interleaving of a
-/// topology where bypassing is reachable: a remote waiter at the head of
-/// the queue and a same-domain waiter behind it at handoff time.
-///
-/// The scenario needs four threads because a bypass needs history: an
-/// ordinary wake must first advance the streak (H's release), a thief from
-/// the local domain (E) must then hold the lock while the woken local
-/// waiter re-parks *behind* the remote one, and E's release is the handoff
-/// that may bypass. The coverage flag proves the bypass branch actually
-/// ran in at least one execution.
-#[test]
-fn futex_cohort_bypass_is_bounded() {
-    static SAW_BYPASS: AtomicBool = AtomicBool::new(false);
-    Explorer::exhaustive().check("futex-cohort", || {
-        let lock = Arc::new(FutexLock::new());
-        let counter = Arc::new(RacyCounter::new());
-        // The root holds the lock while the two parkers queue up: its
-        // release is the ordinary wake that builds the streak. The thief
-        // never parks — a single try-lock in the wake window is enough to
-        // reach the re-park-behind-the-remote shape on some schedule.
-        gls_runtime::topology::set_model_domain(Some(0));
-        lock.lock();
-        let parkers: Vec<_> = [0usize, 1] // local, then remote
-            .into_iter()
-            .map(|domain| {
-                let lock = Arc::clone(&lock);
-                let counter = Arc::clone(&counter);
-                thread::spawn(move || {
-                    gls_runtime::topology::set_model_domain(Some(domain));
-                    lock.lock();
-                    counter.bump();
-                    lock.unlock();
-                })
-            })
-            .collect();
-        let thief = {
-            let lock = Arc::clone(&lock);
-            thread::spawn(move || {
-                gls_runtime::topology::set_model_domain(Some(0));
-                if lock.try_lock() {
-                    lock.unlock();
-                }
-            })
-        };
-        lock.unlock();
-        for parker in parkers {
-            parker.join().expect("model parker panicked");
-        }
-        thief.join().expect("model thief panicked");
-        assert_eq!(counter.get(), 2, "an increment was lost under the lock");
-        assert!(!lock.is_locked(), "lock word left locked after drain");
-        assert_eq!(lock.queue_length(), 0, "waiters left parked after drain");
-        let run = lock.model_max_consecutive_head_bypasses();
-        assert!(
-            run <= COHORT_BYPASS_LIMIT,
-            "cohort handoff bypassed the queue head {run} times in a row \
-             (limit {COHORT_BYPASS_LIMIT})"
-        );
-        if run > 0 {
-            SAW_BYPASS.store(true, StdOrdering::Relaxed);
-        }
-    });
-    assert!(
-        SAW_BYPASS.load(StdOrdering::Relaxed),
-        "no execution reached a head bypass — the scenario no longer \
-         exercises the cohort policy"
-    );
 }
 
 /// What the freeing thread of [`entry_lifecycle`] does while the locker
@@ -749,9 +678,11 @@ fn rediscovers_the_publish_after_release_bug() {
 }
 
 /// Seeded random sweep — long, non-exhaustive schedules over the futex
-/// mutex model. `GLS_MODEL_ITERS` scales the iteration count (CI's
-/// release lane runs 10 000); `GLS_MODEL_SEED` replays one failing seed
-/// printed by a previous run.
+/// mutex model. A fourth thread makes one `try_lock` attempt, so a barging
+/// `try_lock` races the wake and handoff paths (a handoff keeps `LOCKED`
+/// set, so it must fail there). `GLS_MODEL_ITERS` scales the iteration count
+/// (CI's release lane runs 10 000); `GLS_MODEL_SEED` replays one failing
+/// seed printed by a previous run.
 #[test]
 fn random_sweep_futex_mutex() {
     Explorer::random_from_env(2_000).check("futex-mutex-random", || {
@@ -770,10 +701,27 @@ fn random_sweep_futex_mutex() {
                 })
             })
             .collect();
+        let barger = {
+            let lock = Arc::clone(&lock);
+            let counter = Arc::clone(&counter);
+            thread::spawn(move || {
+                let acquired = lock.try_lock();
+                if acquired {
+                    counter.bump();
+                    lock.unlock();
+                }
+                acquired
+            })
+        };
         for worker in workers {
             worker.join().expect("model worker panicked");
         }
-        assert_eq!(counter.get(), 6, "an increment was lost under the lock");
+        let barged = barger.join().expect("model barger panicked");
+        assert_eq!(
+            counter.get(),
+            6 + u64::from(barged),
+            "an increment was lost under the lock"
+        );
         assert!(!lock.is_locked(), "lock word left locked after drain");
         assert_eq!(lock.queue_length(), 0, "waiters left parked after drain");
     });

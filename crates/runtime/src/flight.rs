@@ -33,8 +33,8 @@ pub enum FlightEventKind {
     Park = 2,
     /// The thread was unparked. `info` is the unpark token it woke with.
     Unpark = 3,
-    /// A release handed the lock directly to a waiter. `info` is 1 when the
-    /// queue head was bypassed for a same-domain waiter, 0 otherwise.
+    /// A release handed the lock directly to the queue head. `info` is
+    /// unused (0).
     Handoff = 4,
     /// A GLK lock changed modes. `info` packs `from` in the high byte and
     /// `to` in the low byte of the low 16 bits.
@@ -199,7 +199,7 @@ mod tests {
     #[test]
     fn snapshot_does_not_clear() {
         let _ = drain();
-        record(FlightEventKind::Handoff, 0x30, 1);
+        record(FlightEventKind::Handoff, 0x30, 0);
         assert_eq!(snapshot().len(), 1);
         assert_eq!(snapshot().len(), 1);
         assert_eq!(drain().len(), 1);

@@ -56,4 +56,4 @@ pub use histogram::{AtomicLatencyHistogram, LatencyHistogram};
 pub use stats::LockStats;
 pub use sysload::{SystemLoadMonitor, SystemLoadSnapshot};
 pub use thread_id::ThreadId;
-pub use topology::{cache_domains, current_domain, domain_of, hardware_contexts, pin_to};
+pub use topology::{hardware_contexts, pin_to};

@@ -1,5 +1,5 @@
-//! Hardware-context topology information: context counts, thread pinning and
-//! cache-domain grouping.
+//! Hardware-context topology information: context counts and thread
+//! pinning.
 //!
 //! GLK's multiprogramming detector compares the number of runnable tasks to
 //! the number of available hardware contexts (§3, "Measuring Contention").
@@ -7,20 +7,10 @@
 //! experiments can emulate a smaller machine (e.g. the paper's 20- and
 //! 48-context Xeons) without changing code.
 //!
-//! Beyond the passive count, the module exposes an *active* topology API:
-//!
-//! * [`pin_to`] pins the calling thread to one hardware context
-//!   (`sched_setaffinity` on Linux, a no-op elsewhere), so benchmarks can
-//!   measure genuine multi-core behaviour instead of whatever placement the
-//!   scheduler happens to pick;
-//! * [`cache_domains`] groups contexts that share a last-level cache, and
-//!   [`domain_of`] / [`current_domain`] answer "which cohort is this thread
-//!   in?" — the input to the topology-aware (cohort) handoff policy in
-//!   `gls_locks`.
-//!
-//! Domains are deliberately read once and cached: the handoff fast path asks
-//! for the current thread's domain on every park, so the answer must be a
-//! thread-local load, not a sysfs parse.
+//! Beyond the passive count, [`pin_to`] pins the calling thread to one
+//! hardware context (`sched_setaffinity` on Linux, a no-op elsewhere), so
+//! benchmarks can measure genuine multi-core behaviour instead of whatever
+//! placement the scheduler happens to pick.
 
 use std::cell::Cell;
 use std::sync::OnceLock;
@@ -29,15 +19,6 @@ use std::sync::OnceLock;
 /// contexts. Useful for reproducing multiprogramming behaviour on machines
 /// with a different core count than the paper's.
 pub const HW_CONTEXTS_ENV: &str = "GLS_HW_CONTEXTS";
-
-/// Environment variable that overrides the detected cache-domain layout.
-///
-/// Format: `|`-separated groups of comma/range context lists, e.g.
-/// `"0-3|4-7"` describes two domains of four contexts each. Contexts not
-/// mentioned fall into an implicit trailing domain. This exists so the
-/// cohort-handoff policy can be tested deterministically on any machine,
-/// including single-core CI runners.
-pub const CACHE_DOMAINS_ENV: &str = "GLS_CACHE_DOMAINS";
 
 /// Returns the number of hardware contexts (logical CPUs) available to this
 /// process.
@@ -105,21 +86,6 @@ pub fn sweep(factor: f64) -> Vec<usize> {
 thread_local! {
     /// The context this thread was last pinned to via [`pin_to`], if any.
     static PINNED_CONTEXT: Cell<Option<usize>> = const { Cell::new(None) };
-    /// Cached cache-domain of this thread (`usize::MAX` = not yet computed).
-    static THREAD_DOMAIN: Cell<usize> = const { Cell::new(usize::MAX) };
-    /// Model-build override: a virtual thread's declared cache domain.
-    #[cfg(gls_model)]
-    static MODEL_DOMAIN: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// Declares the calling thread's cache domain for the model build: the
-/// concurrency explorer's virtual threads all run wherever the OS puts
-/// them, so cohort policies would see one domain and never branch. Tests
-/// assign domains explicitly instead, keeping schedules hardware
-/// -independent. `None` removes the override.
-#[cfg(gls_model)]
-pub fn set_model_domain(domain: Option<usize>) {
-    MODEL_DOMAIN.with(|d| d.set(domain));
 }
 
 /// Pins the calling thread to hardware context `ctx`.
@@ -129,13 +95,9 @@ pub fn set_model_domain(domain: Option<usize>) {
 /// `ctx` is outside the process's cpuset) this returns `false` and the
 /// thread keeps its previous placement; callers must treat pinning as
 /// best-effort.
-///
-/// On success the thread's cached cache-domain ([`current_domain`]) is
-/// updated to `domain_of(ctx)`.
 pub fn pin_to(ctx: usize) -> bool {
     if sched_setaffinity_single(ctx) {
         PINNED_CONTEXT.with(|c| c.set(Some(ctx)));
-        THREAD_DOMAIN.with(|d| d.set(domain_of(ctx)));
         true
     } else {
         false
@@ -284,212 +246,6 @@ fn getcpu() -> Option<usize> {
     None
 }
 
-// ---------------------------------------------------------------------------
-// Cache domains
-// ---------------------------------------------------------------------------
-
-/// Groups of hardware contexts that share a last-level cache.
-///
-/// Resolution order:
-/// 1. the [`CACHE_DOMAINS_ENV`] environment variable, if set and parseable;
-/// 2. sysfs (`/sys/devices/system/cpu/cpuN/cache/index*/shared_cpu_list`,
-///    highest cache level present) on Linux;
-/// 3. a single domain containing every context.
-///
-/// Every context in `0..hardware_contexts()` appears in exactly one domain.
-/// The result is computed once and cached for the lifetime of the process.
-pub fn cache_domains() -> &'static [Vec<usize>] {
-    static CACHED: OnceLock<Vec<Vec<usize>>> = OnceLock::new();
-    CACHED.get_or_init(detect_cache_domains)
-}
-
-/// Number of cache domains ([`cache_domains`]`.len()`).
-pub fn domain_count() -> usize {
-    cache_domains().len()
-}
-
-/// The index (into [`cache_domains`]) of the domain containing context
-/// `ctx`. Contexts outside the detected topology map to domain 0.
-pub fn domain_of(ctx: usize) -> usize {
-    for (i, dom) in cache_domains().iter().enumerate() {
-        if dom.contains(&ctx) {
-            return i;
-        }
-    }
-    0
-}
-
-/// The cache domain of the calling thread.
-///
-/// Uses the pinned context if [`pin_to`] succeeded on this thread, else the
-/// context reported by the platform ([`current_context`]), else domain 0.
-/// The answer is cached per thread (and refreshed by [`pin_to`]) so it is
-/// cheap enough for lock release paths.
-pub fn current_domain() -> usize {
-    #[cfg(gls_model)]
-    if let Some(domain) = MODEL_DOMAIN.with(|d| d.get()) {
-        return domain;
-    }
-    THREAD_DOMAIN.with(|d| {
-        let cached = d.get();
-        if cached != usize::MAX {
-            return cached;
-        }
-        let ctx = pinned_context().or_else(current_context).unwrap_or(0);
-        let dom = domain_of(ctx);
-        d.set(dom);
-        dom
-    })
-}
-
-fn detect_cache_domains() -> Vec<Vec<usize>> {
-    let n = hardware_contexts();
-    if let Ok(spec) = std::env::var(CACHE_DOMAINS_ENV) {
-        if let Some(domains) = parse_domain_spec(&spec, n) {
-            return domains;
-        }
-    }
-    #[cfg(target_os = "linux")]
-    if let Some(domains) = sysfs_cache_domains(n) {
-        return domains;
-    }
-    vec![(0..n).collect()]
-}
-
-/// Parses a domain spec like `"0-3|4-7"` or `"0,2|1,3"`. Returns `None` if
-/// nothing parses. Contexts `< n` not mentioned join a trailing domain.
-fn parse_domain_spec(spec: &str, n: usize) -> Option<Vec<Vec<usize>>> {
-    let mut domains: Vec<Vec<usize>> = Vec::new();
-    let mut seen = vec![false; n.max(1)];
-    for group in spec.split('|') {
-        let mut dom = Vec::new();
-        for part in group.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            if let Some((lo, hi)) = part.split_once('-') {
-                let lo = lo.trim().parse::<usize>().ok()?;
-                let hi = hi.trim().parse::<usize>().ok()?;
-                if lo > hi {
-                    return None;
-                }
-                for c in lo..=hi {
-                    dom.push(c);
-                }
-            } else {
-                dom.push(part.parse::<usize>().ok()?);
-            }
-        }
-        for &c in &dom {
-            if c < seen.len() {
-                seen[c] = true;
-            }
-        }
-        if !dom.is_empty() {
-            domains.push(dom);
-        }
-    }
-    if domains.is_empty() {
-        return None;
-    }
-    let leftover: Vec<usize> = (0..n).filter(|&c| !seen[c]).collect();
-    if !leftover.is_empty() {
-        domains.push(leftover);
-    }
-    Some(domains)
-}
-
-/// Reads the last-level-cache sharing lists from sysfs. Returns `None` if
-/// sysfs is unreadable (containers often mask it) or describes nothing.
-#[cfg(target_os = "linux")]
-fn sysfs_cache_domains(n: usize) -> Option<Vec<Vec<usize>>> {
-    let mut domain_of_ctx: Vec<Option<usize>> = vec![None; n];
-    let mut domains: Vec<Vec<usize>> = Vec::new();
-    let mut keys: Vec<String> = Vec::new();
-    for ctx in 0..n {
-        if domain_of_ctx[ctx].is_some() {
-            continue;
-        }
-        let base = format!("/sys/devices/system/cpu/cpu{ctx}/cache");
-        // Highest index = outermost (last-level) cache.
-        let mut best: Option<String> = None;
-        for index in (0..8).rev() {
-            let path = format!("{base}/index{index}/shared_cpu_list");
-            if let Ok(list) = std::fs::read_to_string(&path) {
-                best = Some(list.trim().to_string());
-                break;
-            }
-        }
-        let list = best?;
-        let members = parse_cpu_list(&list)?;
-        let dom = match keys.iter().position(|k| *k == list) {
-            Some(i) => i,
-            None => {
-                keys.push(list);
-                domains.push(Vec::new());
-                domains.len() - 1
-            }
-        };
-        for &m in &members {
-            if m < n && domain_of_ctx[m].is_none() {
-                domain_of_ctx[m] = Some(dom);
-                domains[dom].push(m);
-            }
-        }
-        if domain_of_ctx[ctx].is_none() {
-            domain_of_ctx[ctx] = Some(dom);
-            domains[dom].push(ctx);
-        }
-    }
-    // Contexts sysfs didn't cover (e.g. GLS_HW_CONTEXTS > real cpus) join
-    // the last domain.
-    let stragglers: Vec<usize> = (0..n).filter(|&c| domain_of_ctx[c].is_none()).collect();
-    if !stragglers.is_empty() {
-        if domains.is_empty() {
-            domains.push(stragglers);
-        } else {
-            let last = domains.len() - 1;
-            domains[last].extend(stragglers);
-        }
-    }
-    domains.retain(|d| !d.is_empty());
-    if domains.is_empty() {
-        None
-    } else {
-        Some(domains)
-    }
-}
-
-/// Parses a kernel cpu list like `"0-3,8,10-11"`.
-#[cfg(target_os = "linux")]
-fn parse_cpu_list(list: &str) -> Option<Vec<usize>> {
-    let mut out = Vec::new();
-    for part in list.trim().split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        if let Some((lo, hi)) = part.split_once('-') {
-            let lo = lo.trim().parse::<usize>().ok()?;
-            let hi = hi.trim().parse::<usize>().ok()?;
-            if lo > hi {
-                return None;
-            }
-            for c in lo..=hi {
-                out.push(c);
-            }
-        } else {
-            out.push(part.parse::<usize>().ok()?);
-        }
-    }
-    if out.is_empty() {
-        None
-    } else {
-        Some(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -522,42 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_domains_cover_every_context() {
-        let n = hardware_contexts();
-        let domains = cache_domains();
-        assert!(!domains.is_empty());
-        let mut covered = vec![false; n];
-        for dom in domains {
-            for &c in dom {
-                if c < n {
-                    assert!(!covered[c], "context {c} in two domains");
-                    covered[c] = true;
-                }
-            }
-        }
-        assert!(covered.iter().all(|&c| c), "some context in no domain");
-    }
-
-    #[test]
-    fn domain_of_is_consistent_with_cache_domains() {
-        for (i, dom) in cache_domains().iter().enumerate() {
-            for &c in dom {
-                assert_eq!(domain_of(c), i);
-            }
-        }
-    }
-
-    #[test]
-    fn parse_domain_spec_ranges_and_leftovers() {
-        let d = parse_domain_spec("0-1|2", 4).unwrap();
-        assert_eq!(d, vec![vec![0, 1], vec![2], vec![3]]);
-        let d = parse_domain_spec("0,2|1,3", 4).unwrap();
-        assert_eq!(d, vec![vec![0, 2], vec![1, 3]]);
-        assert!(parse_domain_spec("garbage", 4).is_none());
-        assert!(parse_domain_spec("", 4).is_none());
-    }
-
-    #[test]
     fn pin_to_roundtrip_or_unsupported() {
         if !pinning_supported() {
             assert!(!pin_to(0));
@@ -571,15 +291,6 @@ mod tests {
             if let Some(ctx) = current_context() {
                 assert_eq!(ctx, 0);
             }
-            assert_eq!(current_domain(), domain_of(0));
         }
-    }
-
-    #[test]
-    fn current_domain_is_stable() {
-        let a = current_domain();
-        let b = current_domain();
-        assert_eq!(a, b);
-        assert!(a < domain_count());
     }
 }

@@ -2,7 +2,7 @@
 """Validate the schema of the BENCH_*.json benchmark artifacts.
 
 Every artifact — and every *point* inside it — must record the host
-topology (`hardware_contexts`, `cache_domains`) and the worker placement
+topology (`hardware_contexts`) and the worker placement
 (`pin_policy`, `pinned`). A trajectory point without these fields is
 uninterpretable: a single-context CI smoke run and a 48-context dedicated
 box would be indistinguishable, which is exactly the measurement bug this
@@ -14,7 +14,7 @@ Usage: validate_bench_schema.py FILE.json [FILE.json ...]
 import json
 import sys
 
-TOPOLOGY_FIELDS = ("hardware_contexts", "cache_domains", "pin_policy", "pinned")
+TOPOLOGY_FIELDS = ("hardware_contexts", "pin_policy", "pinned")
 POINT_ARRAYS = ("points", "private_locks_ns_per_op", "shared_lock_mops")
 PIN_POLICIES = ("round_robin", "unpinned")
 
@@ -30,8 +30,6 @@ def check_topology(owner, obj, path):
             fail(f"{path}: {owner} is missing {key!r}")
     if not isinstance(obj["hardware_contexts"], int) or obj["hardware_contexts"] < 1:
         fail(f"{path}: {owner} has a bogus hardware_contexts value")
-    if not isinstance(obj["cache_domains"], int) or obj["cache_domains"] < 1:
-        fail(f"{path}: {owner} has a bogus cache_domains value")
     if obj["pin_policy"] not in PIN_POLICIES:
         fail(f"{path}: {owner} has unknown pin_policy {obj['pin_policy']!r}")
     if not isinstance(obj["pinned"], bool):

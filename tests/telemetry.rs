@@ -6,10 +6,10 @@
 #![allow(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-use gls::{GlsConfig, GlsMode, GlsService};
+use gls::{GlsConfig, GlsMode, GlsService, LockTelemetry};
 use gls_runtime::flight::{self, FlightEventKind, RING_CAPACITY};
 
 /// Cycles spun inside the measured critical section. Large enough that the
@@ -17,22 +17,53 @@ use gls_runtime::flight::{self, FlightEventKind, RING_CAPACITY};
 /// run-to-run drift would otherwise swamp a 10% fidelity comparison.
 const CS_CYCLES: u64 = 2_000;
 
-/// Profiles `iterations` lock/unlock pairs of one address on one thread and
-/// returns `(acquisitions, avg_cs_latency)` for that lock.
-fn profile_one_lock(service: &GlsService, iterations: u64) -> (u64, f64) {
-    const ADDR: usize = 0xF1DE_1000;
+/// The one address the profiling tests hammer.
+const ADDR: usize = 0xF1DE_1000;
+
+/// Held by each test that hammers [`ADDR`], so they take turns on the CPUs:
+/// a preemption inside a measured critical section adds a whole timeslice
+/// (millions of cycles) to one sample, which swamps a 1-in-N average.
+static HAMMERING: Mutex<()> = Mutex::new(());
+
+/// Runs `iterations` lock/unlock pairs of [`ADDR`] on the calling thread.
+fn hammer(service: &GlsService, iterations: u64) {
     for _ in 0..iterations {
         service.lock(ADDR).unwrap();
         gls_runtime::spin_cycles(CS_CYCLES);
         service.unlock(ADDR).unwrap();
     }
-    let report = service.profile_report();
-    let profile = report
+}
+
+/// [`ADDR`]'s entry in the service's telemetry snapshot, once it exists.
+fn telemetry_of(service: &GlsService) -> Option<LockTelemetry> {
+    service
+        .telemetry_snapshot()
         .locks
-        .iter()
+        .into_iter()
         .find(|l| l.addr == ADDR)
-        .expect("the profiled lock must appear in the report");
-    (profile.acquisitions, profile.avg_cs_latency)
+}
+
+/// `(measured sections, their total cycles)` of [`ADDR`]; zeros before the
+/// first acquisition.
+fn cs_totals(service: &GlsService) -> (u64, f64) {
+    telemetry_of(service).map_or((0, 0.0), |l| {
+        let cs = l.cs_latency;
+        (cs.count, cs.mean * cs.count as f64)
+    })
+}
+
+/// Runs one chunk of `iterations` pairs and returns the average measured
+/// critical section of that chunk alone.
+fn chunk_avg_cs(service: &GlsService, iterations: u64) -> f64 {
+    let (count_before, total_before) = cs_totals(service);
+    hammer(service, iterations);
+    let (count, total) = cs_totals(service);
+    (total - total_before) / (count - count_before) as f64
+}
+
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
 }
 
 #[test]
@@ -40,30 +71,47 @@ fn sampled_averages_track_full_measurement() {
     // Enough iterations for the sampler to pass dozens of adaptation
     // windows (4096 acquisitions each) and settle on a stride.
     const ITERATIONS: u64 = 150_000;
+    // The two services run in alternating chunks on this one thread, so
+    // load and clock drift hit both measurements alike instead of only
+    // whichever runs first. Each side is judged by its median chunk: a
+    // preemption inside one measured section inflates only its chunk.
+    const CHUNKS: u64 = 10;
+    let _turn = HAMMERING.lock().unwrap_or_else(PoisonError::into_inner);
 
-    // Throwaway warmup so both measured runs see a warm code path and a
-    // steady clock, not a cold-start first run vs a warm second.
+    // Throwaway warmup so both measured services see a warm code path and
+    // a steady clock.
     let warmup = GlsService::with_config(GlsConfig::default().with_mode(GlsMode::Profile));
-    let _ = profile_one_lock(&warmup, 20_000);
+    hammer(&warmup, 20_000);
 
     let full = GlsService::with_config(GlsConfig::default().with_mode(GlsMode::Profile));
-    let (full_count, full_avg) = profile_one_lock(&full, ITERATIONS);
-
     let sampled = GlsService::with_config(
         GlsConfig::default()
             .with_mode(GlsMode::Profile)
             .with_sampling(20_000),
     );
-    let (sampled_count, sampled_avg) = profile_one_lock(&sampled, ITERATIONS);
+    let (mut full_chunks, mut sampled_chunks) = (Vec::new(), Vec::new());
+    for _ in 0..CHUNKS {
+        full_chunks.push(chunk_avg_cs(&full, ITERATIONS / CHUNKS));
+        sampled_chunks.push(chunk_avg_cs(&sampled, ITERATIONS / CHUNKS));
+    }
 
     // Acquisition counts are exact in both modes: sampling thins the
     // measurement, never the counting.
-    assert_eq!(full_count, ITERATIONS);
-    assert_eq!(sampled_count, ITERATIONS);
+    for service in [&full, &sampled] {
+        let lock = telemetry_of(service).expect("the profiled lock must appear");
+        assert_eq!(lock.acquisitions, ITERATIONS);
+    }
+    // The 1-in-N path, whose bias this test exists for, must actually run.
+    let (measured, _) = cs_totals(&sampled);
+    assert!(
+        measured < ITERATIONS / 2,
+        "the sampler measured {measured} of {ITERATIONS} sections: it never thinned"
+    );
 
     // The sampled average critical-section latency must track the full
     // measurement within 10%, plus a small absolute floor so cycle-counter
     // jitter cannot fail the test spuriously.
+    let (full_avg, sampled_avg) = (median(full_chunks), median(sampled_chunks));
     assert!(full_avg > 0.0, "full measurement must observe the CS");
     assert!(sampled_avg > 0.0, "sampling must still observe the CS");
     let tolerance = full_avg * 0.10 + 100.0;
@@ -80,20 +128,15 @@ fn sampling_measures_fewer_acquisitions_than_full_mode() {
     // latency histogram records far fewer samples than acquisitions while
     // the acquisition count stays exact.
     const ITERATIONS: u64 = 100_000;
+    let _turn = HAMMERING.lock().unwrap_or_else(PoisonError::into_inner);
     let service = GlsService::with_config(
         GlsConfig::default()
             .with_mode(GlsMode::Profile)
             .with_sampling(1_000),
     );
-    let (count, _) = profile_one_lock(&service, ITERATIONS);
-    assert_eq!(count, ITERATIONS);
-
-    let snapshot = service.telemetry_snapshot();
-    let lock = snapshot
-        .locks
-        .iter()
-        .find(|l| l.acquisitions == ITERATIONS)
-        .expect("the hammered lock must appear in the snapshot");
+    hammer(&service, ITERATIONS);
+    let lock = telemetry_of(&service).expect("the hammered lock must appear in the snapshot");
+    assert_eq!(lock.acquisitions, ITERATIONS);
     assert!(
         lock.cs_latency.count < ITERATIONS / 2,
         "a 1k/s budget must thin measurement well below half ({} of {})",
@@ -171,7 +214,7 @@ fn snapshot_json_round_trips_counts() {
     assert!(!in_string, "unterminated string");
 
     // The counters written into the JSON match the snapshot struct.
-    assert_eq!(json_u64(&json, "version"), 2);
+    assert_eq!(json_u64(&json, "version"), 3);
     assert_eq!(json_u64(&json, "lock_count"), snapshot.lock_count as u64);
     assert_eq!(json_u64(&json, "lock_count"), 3);
     assert_eq!(json_u64(&json, "glk_transitions"), snapshot.glk_transitions);
