@@ -9,7 +9,7 @@ use std::sync::{Mutex, PoisonError};
 
 use gls_sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 
-use gls_locks::{MutexLock, RawLock};
+use gls_locks::{FutexLock, RawLock};
 
 use crate::bucket::{Bucket, EMPTY_KEY, ENTRIES_PER_BUCKET};
 
@@ -122,7 +122,7 @@ pub struct ClhtStats {
 /// See the [crate-level documentation](crate) for the design and an example.
 pub struct Clht {
     table: AtomicPtr<Table>,
-    resize_lock: MutexLock,
+    resize_lock: FutexLock,
     /// Tables replaced by resizes; kept alive so concurrent wait-free readers
     /// never observe freed memory, reclaimed on drop.
     retired: Mutex<Vec<*mut Table>>,
@@ -148,7 +148,7 @@ impl Clht {
             .max(DEFAULT_BUCKETS);
         Self {
             table: AtomicPtr::new(Box::into_raw(Table::with_buckets(buckets))),
-            resize_lock: MutexLock::new(),
+            resize_lock: FutexLock::new(),
             retired: Mutex::new(Vec::new()),
             expansions: AtomicUsize::new(0),
         }
@@ -445,7 +445,7 @@ impl Clht {
         assert!(buckets.is_power_of_two());
         Self {
             table: AtomicPtr::new(Box::into_raw(Table::with_buckets(buckets))),
-            resize_lock: MutexLock::new(),
+            resize_lock: FutexLock::new(),
             retired: Mutex::new(Vec::new()),
             expansions: AtomicUsize::new(0),
         }

@@ -773,14 +773,18 @@ mod tests {
             })
             .collect();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while lock.mode() != GlkMode::Mutex && std::time::Instant::now() < deadline {
+        let mut mode = lock.mode();
+        while mode != GlkMode::Mutex && std::time::Instant::now() < deadline {
             std::thread::sleep(std::time::Duration::from_millis(10));
+            mode = lock.mode();
         }
         stop.store(true, Ordering::Relaxed);
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(lock.mode(), GlkMode::Mutex);
+        // Judge the mode seen under contention: as the workers stop, the
+        // queue drains and a lightly contended lock may go back to ticket.
+        assert_eq!(mode, GlkMode::Mutex);
         drop(guards);
     }
 

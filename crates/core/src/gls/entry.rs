@@ -4,8 +4,8 @@ use gls_sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use gls_locks::{
-    ClhLock, FutexLock, FutexRwLock, LockKind, McsLock, MutexLock, QueueInformed, RawLock,
-    RawRwLock, RawTryLock, TasLock, TicketLock, TtasLock,
+    ClhLock, FutexLock, FutexRwLock, LockKind, McsLock, QueueInformed, RawLock, RawRwLock,
+    RawTryLock, TasLock, TicketLock, TtasLock,
 };
 use gls_runtime::{LockStats, ThreadId};
 
@@ -55,10 +55,8 @@ pub(crate) enum AlgorithmLock {
     Mcs(McsLock),
     /// CLH queue lock.
     Clh(ClhLock),
-    /// Blocking mutex.
-    Mutex(MutexLock),
     /// Word-sized blocking mutex parked on the shared parking lot.
-    Futex(FutexLock),
+    Mutex(FutexLock),
     /// Word-sized blocking reader-writer lock parked on the shared parking
     /// lot (exclusive `lock`/`unlock` calls acquire write access).
     FutexRw(FutexRwLock),
@@ -79,8 +77,7 @@ impl AlgorithmLock {
             LockKind::Ticket => AlgorithmLock::Ticket(TicketLock::new()),
             LockKind::Mcs => AlgorithmLock::Mcs(McsLock::new()),
             LockKind::Clh => AlgorithmLock::Clh(ClhLock::new()),
-            LockKind::Mutex => AlgorithmLock::Mutex(MutexLock::new()),
-            LockKind::Futex => AlgorithmLock::Futex(FutexLock::new()),
+            LockKind::Mutex => AlgorithmLock::Mutex(FutexLock::new()),
             LockKind::FutexRw => AlgorithmLock::FutexRw(FutexRwLock::new()),
             LockKind::Rw => AlgorithmLock::Rw(GlkRwLock::with_config_and_monitor(
                 glk_config.clone(),
@@ -98,7 +95,6 @@ impl AlgorithmLock {
             AlgorithmLock::Mcs(_) => LockKind::Mcs,
             AlgorithmLock::Clh(_) => LockKind::Clh,
             AlgorithmLock::Mutex(_) => LockKind::Mutex,
-            AlgorithmLock::Futex(_) => LockKind::Futex,
             AlgorithmLock::FutexRw(_) => LockKind::FutexRw,
             AlgorithmLock::Rw(_) => LockKind::Rw,
         }
@@ -113,7 +109,6 @@ impl AlgorithmLock {
             AlgorithmLock::Mcs(l) => l.lock(),
             AlgorithmLock::Clh(l) => l.lock(),
             AlgorithmLock::Mutex(l) => l.lock(),
-            AlgorithmLock::Futex(l) => l.lock(),
             AlgorithmLock::FutexRw(l) => l.lock(),
             AlgorithmLock::Rw(l) => l.write_lock(),
         }
@@ -128,7 +123,6 @@ impl AlgorithmLock {
             AlgorithmLock::Mcs(l) => l.try_lock(),
             AlgorithmLock::Clh(l) => l.try_lock(),
             AlgorithmLock::Mutex(l) => l.try_lock(),
-            AlgorithmLock::Futex(l) => l.try_lock(),
             AlgorithmLock::FutexRw(l) => l.try_lock(),
             AlgorithmLock::Rw(l) => l.try_write_lock(),
         }
@@ -143,7 +137,6 @@ impl AlgorithmLock {
             AlgorithmLock::Mcs(l) => l.unlock(),
             AlgorithmLock::Clh(l) => l.unlock(),
             AlgorithmLock::Mutex(l) => l.unlock(),
-            AlgorithmLock::Futex(l) => l.unlock(),
             AlgorithmLock::FutexRw(l) => l.unlock(),
             AlgorithmLock::Rw(l) => l.write_unlock(),
         }
@@ -190,7 +183,6 @@ impl AlgorithmLock {
             AlgorithmLock::Mcs(l) => l.queue_length(),
             AlgorithmLock::Clh(l) => l.queue_length(),
             AlgorithmLock::Mutex(l) => l.queue_length(),
-            AlgorithmLock::Futex(l) => l.queue_length(),
             AlgorithmLock::FutexRw(l) => l.queue_length(),
             AlgorithmLock::Rw(l) => l.queue_length(),
         }
@@ -217,14 +209,14 @@ impl AlgorithmLock {
 
     /// The parking-lot address this lock's blocking waiters sleep under,
     /// when the lock currently blocks through the shared parking lot:
-    /// always for futex entries, for GLK entries while they are in mutex
+    /// always for MUTEX entries, for GLK entries while they are in mutex
     /// mode, `None` otherwise (spinning GLK, the other algorithms, and the
     /// rw entries, whose words take no requeued waiters). Condvar
     /// requeue-on-notify moves waiters onto this address instead of waking
     /// them into a block on the mutex; a `None` falls back to plain wakeup.
     pub(crate) fn park_addr(&self) -> Option<usize> {
         match self {
-            AlgorithmLock::Futex(l) => Some(l.park_addr()),
+            AlgorithmLock::Mutex(l) => Some(l.park_addr()),
             AlgorithmLock::Glk(l) => l.blocking_park_addr(),
             _ => None,
         }

@@ -2077,9 +2077,9 @@ mod tests {
         let svc = Arc::new(GlsService::new());
         let cv = Arc::new(GlsCondvar::new());
         let addr = 0xC0DE;
-        // Create a futex-backed mutex entry (always exposes a park address).
-        svc.lock_with(LockKind::Futex, addr).unwrap();
-        svc.unlock_with(LockKind::Futex, addr).unwrap();
+        // Create a MUTEX entry (always exposes a park address).
+        svc.lock_with(LockKind::Mutex, addr).unwrap();
+        svc.unlock_with(LockKind::Mutex, addr).unwrap();
         let waiter = {
             let (svc, cv) = (Arc::clone(&svc), Arc::clone(&cv));
             std::thread::spawn(move || {
@@ -2098,7 +2098,7 @@ mod tests {
             .find_entry(addr)
             .unwrap()
             .park_addr()
-            .expect("futex entries expose a park address");
+            .expect("MUTEX entries expose a park address");
         assert!(svc.notify_one(&cv, addr));
         assert_eq!(
             ParkingLot::global().parked_count(mutex_park),
@@ -2146,11 +2146,11 @@ mod tests {
     fn notify_all_morphs_the_broadcast_onto_the_mutex() {
         use crate::glk::GlkMode;
         use gls_locks::ParkingLot;
-        // A futex entry, and a default-kind GLK entry held in mutex mode:
+        // A MUTEX entry, and a default-kind GLK entry held in mutex mode:
         // both sleep on a futex word, so both take the broadcast onto it.
-        let futex = GlsService::new();
-        futex.lock_with(LockKind::Futex, 0xB0CA).unwrap();
-        futex.unlock_with(LockKind::Futex, 0xB0CA).unwrap();
+        let mutex = GlsService::new();
+        mutex.lock_with(LockKind::Mutex, 0xB0CA).unwrap();
+        mutex.unlock_with(LockKind::Mutex, 0xB0CA).unwrap();
         let glk = GlsService::with_config(
             GlsConfig::default().with_glk(
                 GlkConfig::default()
@@ -2158,7 +2158,7 @@ mod tests {
                     .without_adaptation(),
             ),
         );
-        for (svc, addr) in [(futex, 0xB0CA), (glk, 0xB0CB)] {
+        for (svc, addr) in [(mutex, 0xB0CA), (glk, 0xB0CB)] {
             let svc = Arc::new(svc);
             let cv = Arc::new(GlsCondvar::new());
             let waiters: Vec<_> = (0..4)

@@ -1,12 +1,12 @@
-//! Word-sized blocking mutex parked on the shared parking lot.
+//! Word-sized blocking mutex parked on the shared parking lot: the paper's
+//! MUTEX ([`LockKind::Mutex`](crate::LockKind::Mutex)).
 //!
-//! [`MutexLock`](crate::MutexLock) embeds a full `Mutex + Condvar` pair per
-//! lock — two cache lines of state for every lock the middleware manages.
-//! [`FutexLock`] is the space-efficient alternative the paper's middleware
-//! needs at scale: the entire lock is **one `AtomicU32`** (asserted by a
-//! size test), and all wait-queue state lives in the central
+//! Like glibc's `pthread_mutex`, the entire lock is **one `AtomicU32`**
+//! (asserted by a size test); all wait-queue state lives in the central
 //! [`ParkingLot`], keyed by the lock's address — the futex idiom, in
-//! userspace.
+//! userspace. That is what lets the middleware keep any number of live
+//! blocking locks, and what lets GLK's mutex mode and a condvar's
+//! requeue-on-notify share one park address.
 //!
 //! The acquisition protocol is spin-then-park: a bounded
 //! [`SpinWait`] phase (blocking through the lot costs far more than a short

@@ -25,11 +25,10 @@ pub enum LockKind {
     Mcs,
     /// CLH queue lock.
     Clh,
-    /// Blocking mutex (spin-then-block).
+    /// Blocking mutex: a word-sized spin-then-park lock
+    /// ([`FutexLock`](crate::FutexLock), one `AtomicU32` of per-lock state)
+    /// whose waiters sleep in the shared parking lot.
     Mutex,
-    /// Word-sized blocking mutex parked on the shared parking lot
-    /// (spin-then-park; one `AtomicU32` of per-lock state).
-    Futex,
     /// Word-sized blocking reader-writer lock parked on the shared parking
     /// lot. Exclusive (`lock`) calls on such an entry acquire write access.
     FutexRw,
@@ -43,26 +42,24 @@ pub enum LockKind {
 
 impl LockKind {
     /// All concrete (non-adaptive) algorithms.
-    pub const CONCRETE: [LockKind; 8] = [
+    pub const CONCRETE: [LockKind; 7] = [
         LockKind::Tas,
         LockKind::Ttas,
         LockKind::Ticket,
         LockKind::Mcs,
         LockKind::Clh,
         LockKind::Mutex,
-        LockKind::Futex,
         LockKind::FutexRw,
     ];
 
     /// All algorithms, including the adaptive GLK and GLK-RW.
-    pub const ALL: [LockKind; 10] = [
+    pub const ALL: [LockKind; 9] = [
         LockKind::Tas,
         LockKind::Ttas,
         LockKind::Ticket,
         LockKind::Mcs,
         LockKind::Clh,
         LockKind::Mutex,
-        LockKind::Futex,
         LockKind::FutexRw,
         LockKind::Glk,
         LockKind::Rw,
@@ -77,7 +74,6 @@ impl LockKind {
             LockKind::Mcs => "MCS",
             LockKind::Clh => "CLH",
             LockKind::Mutex => "MUTEX",
-            LockKind::Futex => "FUTEX",
             LockKind::FutexRw => "FUTEX-RW",
             LockKind::Glk => "GLK",
             LockKind::Rw => "RW",
@@ -86,7 +82,7 @@ impl LockKind {
 
     /// Whether this algorithm busy-waits (as opposed to blocking).
     pub fn is_spinning(self) -> bool {
-        !matches!(self, LockKind::Mutex | LockKind::Futex | LockKind::FutexRw)
+        !matches!(self, LockKind::Mutex | LockKind::FutexRw)
     }
 
     /// Whether this algorithm hands out the lock in FIFO order.
@@ -126,7 +122,6 @@ impl FromStr for LockKind {
             "mcs" => Ok(LockKind::Mcs),
             "clh" => Ok(LockKind::Clh),
             "mutex" | "pthread" => Ok(LockKind::Mutex),
-            "futex" => Ok(LockKind::Futex),
             "futex-rw" | "futex_rw" | "futexrw" => Ok(LockKind::FutexRw),
             "glk" | "adaptive" => Ok(LockKind::Glk),
             "rw" | "rwlock" => Ok(LockKind::Rw),
@@ -159,9 +154,8 @@ mod tests {
         assert!(LockKind::Mcs.is_fair());
         assert!(!LockKind::Tas.is_fair());
         assert!(!LockKind::Mutex.is_spinning());
-        assert!(!LockKind::Futex.is_spinning());
         assert!(!LockKind::FutexRw.is_spinning());
-        assert!(!LockKind::Futex.is_fair(), "futex waiters barge");
+        assert!(!LockKind::Mutex.is_fair(), "mutex waiters barge");
         assert!(LockKind::Glk.is_spinning());
     }
 
@@ -169,7 +163,7 @@ mod tests {
     fn concrete_excludes_adaptive_kinds() {
         assert!(!LockKind::CONCRETE.contains(&LockKind::Glk));
         assert!(!LockKind::CONCRETE.contains(&LockKind::Rw));
-        assert!(LockKind::CONCRETE.contains(&LockKind::Futex));
+        assert!(LockKind::CONCRETE.contains(&LockKind::Mutex));
         assert!(LockKind::CONCRETE.contains(&LockKind::FutexRw));
         assert!(LockKind::ALL.contains(&LockKind::Glk));
         assert!(LockKind::ALL.contains(&LockKind::Rw));

@@ -3,13 +3,14 @@
 //! The paper's middleware (GLS) and adaptive lock (GLK) are built from a set
 //! of classic lock algorithms (§2): simple spinlocks (test-and-set,
 //! test-and-test-and-set, ticket), queue-based spinlocks (MCS, CLH) and a
-//! blocking mutex with a bounded busy-wait phase. This crate implements all
-//! of them behind two small traits, [`RawLock`] and [`RawTryLock`], plus a
-//! [`QueueInformed`] extension that exposes the queue length needed by GLK's
-//! contention statistics. Reader-writer locking (Kyoto Cabinet, SQLite —
-//! §5.2) is covered by the [`RawRwLock`] trait with a spinning
-//! ([`RwTtasRaw`]) and a blocking/parking ([`FutexRwLock`]) implementation,
-//! both writer-preferring via a writer-intent bit so reader streams cannot
+//! blocking mutex with a bounded busy-wait phase ([`FutexLock`], the paper's
+//! MUTEX). This crate implements all of them behind two small traits,
+//! [`RawLock`] and [`RawTryLock`], plus a [`QueueInformed`] extension that
+//! exposes the queue length needed by GLK's contention statistics.
+//! Reader-writer locking (Kyoto Cabinet, SQLite — §5.2) is covered by the
+//! [`RawRwLock`] trait with a spinning ([`RwTtasRaw`]) and a
+//! blocking/parking ([`FutexRwLock`]) implementation, both
+//! writer-preferring via a writer-intent bit so reader streams cannot
 //! starve writers.
 //!
 //! Blocking at scale is served by the address-keyed **parking lot** ([`park`]):
@@ -54,7 +55,6 @@ pub mod futex_rwlock;
 pub mod kind;
 pub mod lock;
 pub mod mcs;
-pub mod mutex;
 pub mod park;
 #[cfg(test)]
 mod proptests;
@@ -74,7 +74,6 @@ pub use futex_rwlock::FutexRwLock;
 pub use kind::LockKind;
 pub use lock::{Lock, LockGuard};
 pub use mcs::McsLock;
-pub use mutex::MutexLock;
 pub use park::{ParkResult, ParkingLot, ParkingLotStats, RequeueResult, UnparkResult};
 pub use raw::{QueueInformed, RawLock, RawRwLock, RawTryLock};
 pub use rwlock::{RwTtasLock, RwTtasRaw, RwTtasReadGuard, RwTtasWriteGuard};

@@ -8,7 +8,7 @@
 use std::cell::UnsafeCell;
 use std::fmt;
 
-use crate::mutex::MutexLock;
+use crate::futex_mutex::FutexLock;
 use crate::raw::{RawLock, RawTryLock};
 
 /// A value of type `T` protected by a raw lock of type `R`.
@@ -26,7 +26,7 @@ use crate::raw::{RawLock, RawTryLock};
 /// assert_eq!(counter.into_inner(), 1);
 /// ```
 #[derive(Default)]
-pub struct Lock<T, R: RawLock = MutexLock> {
+pub struct Lock<T, R: RawLock = FutexLock> {
     raw: R,
     data: UnsafeCell<T>,
 }
@@ -201,6 +201,6 @@ mod tests {
         hammer::<crate::TicketLock>();
         hammer::<crate::McsLock>();
         hammer::<crate::ClhLock>();
-        hammer::<crate::MutexLock>();
+        hammer::<crate::FutexLock>();
     }
 }

@@ -1,11 +1,11 @@
 //! The address-keyed parking lot: central wait queues for word-sized locks.
 //!
 //! The paper's blocking locks need a way to put waiters to sleep and wake
-//! them on release. Embedding a `Mutex + Condvar` pair in every lock (as
-//! [`MutexLock`](crate::MutexLock) does) makes each lock ~2 cache lines —
-//! fine for a handful of hot locks, prohibitive for the address-keyed
-//! middleware whose whole point is that *any* of millions of addresses can
-//! be a lock. The parking lot inverts the layout, futex-style: lock state
+//! them on release. Embedding a `Mutex + Condvar` pair in every lock would
+//! make each lock ~2 cache lines — fine for a handful of hot locks,
+//! prohibitive for the address-keyed middleware whose whole point is that
+//! *any* of millions of addresses can be a lock. The parking lot inverts
+//! the layout, futex-style: lock state
 //! shrinks to a single word, and all wait-queue state lives centrally in a
 //! sharded hash table of buckets keyed by the lock's address. Threads that
 //! must block **park** themselves in the bucket for their lock's address;

@@ -104,8 +104,7 @@ pub(crate) fn assert_send_sync<T: Send + Sync>() {}
 mod tests {
     use super::*;
     use crate::{
-        ClhLock, FutexLock, FutexRwLock, McsLock, MutexLock, RwTtasRaw, TasLock, TicketLock,
-        TtasLock,
+        ClhLock, FutexLock, FutexRwLock, McsLock, RwTtasRaw, TasLock, TicketLock, TtasLock,
     };
 
     #[test]
@@ -115,7 +114,6 @@ mod tests {
         assert_send_sync::<TicketLock>();
         assert_send_sync::<McsLock>();
         assert_send_sync::<ClhLock>();
-        assert_send_sync::<MutexLock>();
         assert_send_sync::<FutexLock>();
         assert_send_sync::<FutexRwLock>();
         assert_send_sync::<RwTtasRaw>();
@@ -129,7 +127,6 @@ mod tests {
             TicketLock::NAME,
             McsLock::NAME,
             ClhLock::NAME,
-            MutexLock::NAME,
             FutexLock::NAME,
             FutexRwLock::NAME,
             RwTtasRaw::NAME,

@@ -73,7 +73,7 @@ impl SpinWait {
 
     /// Waits one round without ever yielding: the delay grows exponentially
     /// and then stays at the `2^SPIN_ROUNDS`-pause cap. For spin-then-park
-    /// locks ([`MutexLock`](crate::MutexLock)) whose bounded spin phase must
+    /// locks ([`FutexLock`](crate::FutexLock)) whose bounded spin phase must
     /// not donate its timeslice — the fallback there is sleeping, not
     /// yielding.
     #[inline]

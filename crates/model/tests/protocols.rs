@@ -21,8 +21,8 @@
 //!   whose model-mode budget parks the spinner after a few iterations —
 //!   the shim that also lets the pure spin algorithms run under the
 //!   explorer (see the `spinlocks` suite);
-//! * GLS service models pin entries to `LockKind::Futex` (or `Mutex`) so
-//!   each test exercises one protocol, except the GLK scenario, whose
+//! * GLS service models pin entries to `LockKind::Mutex` (the futex word)
+//!   so each test exercises one protocol, except the GLK scenario, whose
 //!   protocol *is* the mode switch;
 //! * shared mutable state lives in a [`ModelCell`], so every admission
 //!   bug is caught twice: as a lost update by the final assertion, and as
@@ -162,7 +162,7 @@ fn entry_lifecycle(racing: Racing, prove_idle: bool) -> impl Fn() + Send + Sync 
         // Materialize the entry with an explicitly blocking algorithm:
         // GLS service models pin entries to one protocol.
         service
-            .lock_with(LockKind::Futex, addr)
+            .lock_with(LockKind::Mutex, addr)
             .expect("create entry");
         service.unlock(addr).expect("release fresh entry");
         if racing == Racing::Claim {
@@ -175,7 +175,7 @@ fn entry_lifecycle(racing: Racing, prove_idle: bool) -> impl Fn() + Send + Sync 
             let holding = Arc::clone(&holding);
             thread::spawn(move || {
                 service
-                    .lock_with(LockKind::Futex, addr)
+                    .lock_with(LockKind::Mutex, addr)
                     .expect("racing lock");
                 holding.store(true, StdOrdering::Relaxed);
                 counter.bump();
@@ -216,7 +216,7 @@ fn entry_lifecycle(racing: Racing, prove_idle: bool) -> impl Fn() + Send + Sync 
         // takes the recycled entry if the sweeps got that far.
         for addr in [addr, addr + 1] {
             assert_eq!(
-                service.try_lock_with(LockKind::Futex, addr),
+                service.try_lock_with(LockKind::Mutex, addr),
                 Ok(true),
                 "a release landed on another entry than the one acquired"
             );
@@ -287,9 +287,10 @@ fn rediscovers_the_sweep_without_idle_proof_bug() {
 /// — which carries the entry it acquired and drops through it, with no
 /// lookup — while another thread frees the address, runs both sweep steps
 /// and then takes the address itself. The contender asks for another
-/// algorithm, so a sweep that (wrongly) recycled the held entry cannot hand
-/// it the same allocation back out of the pool: it maps a fresh entry and
-/// walks into the holder's critical section. With the idle proof the held
+/// algorithm (FUTEX-RW, which blocks like the holder's MUTEX, so it has no
+/// spin budget), so a sweep that (wrongly) recycled the held entry cannot
+/// hand it the same allocation back out of the pool: it maps a fresh entry
+/// and walks into the holder's critical section. With the idle proof the held
 /// tombstone stays mapped, the contender resurrects it (first creation's
 /// algorithm wins) and waits for the guard to drop.
 fn guard_across_free_and_sweep(prove_idle: bool) -> impl Fn() + Send + Sync + 'static {
@@ -308,7 +309,7 @@ fn guard_across_free_and_sweep(prove_idle: bool) -> impl Fn() + Send + Sync + 's
             let holding = Arc::clone(&holding);
             thread::spawn(move || {
                 let held = service
-                    .guard_with(LockKind::Futex, addr)
+                    .guard_with(LockKind::Mutex, addr)
                     .expect("holder guard");
                 holding.store(true, StdOrdering::Relaxed);
                 counter.bump();
@@ -327,7 +328,7 @@ fn guard_across_free_and_sweep(prove_idle: bool) -> impl Fn() + Send + Sync + 's
                     SAW_SWEEP_UNDER_GUARD.store(true, StdOrdering::Relaxed);
                 }
                 let held = service
-                    .guard_with(LockKind::Mutex, addr)
+                    .guard_with(LockKind::FutexRw, addr)
                     .expect("contender guard");
                 counter.bump();
                 drop(held);
@@ -339,7 +340,7 @@ fn guard_across_free_and_sweep(prove_idle: bool) -> impl Fn() + Send + Sync + 's
         // pool's next customer) were left unlocked by the guards.
         for addr in [addr, addr + 1] {
             assert_eq!(
-                service.try_lock_with(LockKind::Futex, addr),
+                service.try_lock_with(LockKind::Mutex, addr),
                 Ok(true),
                 "a guard's drop left an entry locked"
             );
@@ -391,7 +392,7 @@ fn rediscovers_the_sweep_without_idle_proof_bug_through_a_guard() {
 }
 
 /// Property 4 — condvar requeue-on-notify never strands a waiter behind a
-/// free mutex. The waiter blocks on the service condvar under a futex
+/// free mutex. The waiter blocks on the service condvar under a MUTEX
 /// entry; the notifier flips the predicate and notifies *while holding the
 /// mutex*, so the waiter is requeued onto the mutex word and must be woken
 /// by the notifier's unlock on every schedule. A requeue onto a word
@@ -405,7 +406,7 @@ fn condvar_requeue_strands_no_waiter() {
         let slot = Arc::new(0u8);
         let addr = Arc::as_ptr(&slot) as usize;
         service
-            .lock_with(LockKind::Futex, addr)
+            .lock_with(LockKind::Mutex, addr)
             .expect("create entry");
         service.unlock(addr).expect("release fresh entry");
         let waiter = {
@@ -413,7 +414,7 @@ fn condvar_requeue_strands_no_waiter() {
             let cv = Arc::clone(&cv);
             let flag = Arc::clone(&flag);
             thread::spawn(move || {
-                service.lock_with(LockKind::Futex, addr).expect("lock");
+                service.lock_with(LockKind::Mutex, addr).expect("lock");
                 while !flag.read() {
                     service.wait(&cv, addr).expect("wait");
                 }
@@ -425,7 +426,7 @@ fn condvar_requeue_strands_no_waiter() {
             let cv = Arc::clone(&cv);
             let flag = Arc::clone(&flag);
             thread::spawn(move || {
-                service.lock_with(LockKind::Futex, addr).expect("lock");
+                service.lock_with(LockKind::Mutex, addr).expect("lock");
                 flag.set();
                 // Notify while holding the mutex: the waiter (if already
                 // asleep) is requeued onto the mutex word and must ride

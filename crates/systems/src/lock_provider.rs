@@ -16,7 +16,7 @@ use std::time::Duration;
 use gls::glk::{GlkConfig, GlkLock, MonitorHandle};
 use gls::{GlsCondvar, GlsConfig, GlsService, WaitOutcome};
 use gls_locks::{
-    ClhLock, LockKind, McsLock, MutexLock, RawLock, RawTryLock, RwTtasLock, TasLock, TicketLock,
+    ClhLock, FutexLock, LockKind, McsLock, RawLock, RawTryLock, RwTtasLock, TasLock, TicketLock,
     TtasLock,
 };
 
@@ -65,7 +65,8 @@ impl fmt::Debug for LockProvider {
 }
 
 impl LockProvider {
-    /// Baseline provider: the systems' default blocking mutex.
+    /// Baseline provider: the systems' default blocking mutex, MUTEX — a
+    /// futex word ([`FutexLock`]), like glibc's `pthread_mutex`.
     pub fn mutex() -> Self {
         LockProvider::Direct(LockKind::Mutex)
     }
@@ -244,8 +245,7 @@ fn make_raw(kind: LockKind) -> Arc<dyn RawFacade> {
         LockKind::Ticket => Arc::new(Raw(TicketLock::new())),
         LockKind::Mcs => Arc::new(Raw(McsLock::new())),
         LockKind::Clh => Arc::new(Raw(ClhLock::new())),
-        LockKind::Mutex => Arc::new(Raw(MutexLock::new())),
-        LockKind::Futex => Arc::new(Raw(gls_locks::FutexLock::new())),
+        LockKind::Mutex => Arc::new(Raw(FutexLock::new())),
         LockKind::FutexRw => Arc::new(Raw(gls_locks::FutexRwLock::new())),
         LockKind::Glk => Arc::new(GlkRaw(GlkLock::new())),
         // A direct RW provider hands out the adaptive rwlock used in

@@ -15,7 +15,7 @@ import json
 import sys
 
 TOPOLOGY_FIELDS = ("hardware_contexts", "pin_policy", "pinned")
-POINT_ARRAYS = ("points", "private_locks_ns_per_op", "shared_lock_mops")
+POINT_ARRAYS = ("private_locks_ns_per_op", "shared_lock_mops")
 PIN_POLICIES = ("round_robin", "unpinned")
 
 

@@ -33,7 +33,7 @@ fn futex_locks_work_through_the_explicit_gls_interface() {
             std::thread::spawn(move || {
                 for i in 0..5_000usize {
                     let addr = 0xF000 + (i % 8) * 64;
-                    svc.lock_with(LockKind::Futex, addr).unwrap();
+                    svc.lock_with(LockKind::Mutex, addr).unwrap();
                     counter.fetch_add(1, Ordering::Relaxed);
                     svc.unlock(addr).unwrap();
                 }
@@ -44,7 +44,7 @@ fn futex_locks_work_through_the_explicit_gls_interface() {
         h.join().unwrap();
     }
     assert_eq!(counter.load(Ordering::Relaxed), 30_000);
-    assert_eq!(svc.algorithm_of(0xF000), Some(LockKind::Futex));
+    assert_eq!(svc.algorithm_of(0xF000), Some(LockKind::Mutex));
 }
 
 #[test]
@@ -221,8 +221,8 @@ fn condvar_requeue_mpmc_loses_no_items() {
     let cv = Arc::new(GlsCondvar::new());
     let queue = Arc::new(Queue(std::cell::UnsafeCell::new(Default::default())));
     let addr = 0xCAFE;
-    // The mutex entry is futex-backed: notify_one_addr requeues onto it.
-    svc.lock_with(LockKind::Futex, addr).unwrap();
+    // A MUTEX entry sleeps on a futex word: notify_one requeues onto it.
+    svc.lock_with(LockKind::Mutex, addr).unwrap();
     svc.unlock(addr).unwrap();
     let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
 
