@@ -1,7 +1,7 @@
 //! Shared helpers for the figure-reproduction binaries.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! (see `DESIGN.md` for the full index) and prints a tab-separated
+//! (see the README for the full index) and prints a tab-separated
 //! [`SeriesTable`](gls_workloads::report::SeriesTable). Durations are scaled
 //! by the `GLS_BENCH_MS` environment variable so the full harness can run
 //! quickly in CI (default 300 ms per data point) or with paper-like lengths
@@ -47,15 +47,6 @@ pub fn thread_sweep() -> Vec<usize> {
     gls_runtime::topology::sweep(1.25)
 }
 
-/// Pins the calling worker thread round-robin over the hardware contexts
-/// (worker `index` goes to context `index % hardware_contexts()`); returns
-/// whether the kernel accepted the affinity mask. Every measurement thread
-/// in the harness calls this so data points are taken from a *known*
-/// placement instead of wherever the scheduler happened to put the workers.
-pub fn pin_worker(index: usize) -> bool {
-    gls_runtime::topology::pin_worker(index)
-}
-
 /// Whether pinning actually works on this host (probed once, on a throwaway
 /// thread so the caller's affinity is untouched). False on non-Linux
 /// platforms and in sandboxes that deny `sched_setaffinity`.
@@ -68,27 +59,13 @@ pub fn pinning_effective() -> bool {
     })
 }
 
-/// The pinning policy name recorded in benchmark artifacts.
+/// The pinning policy name printed in every figure's banner.
 pub fn pin_policy() -> &'static str {
     if pinning_effective() {
         "round_robin"
     } else {
         "unpinned"
     }
-}
-
-/// The topology fields every emitted benchmark point must carry (see the
-/// CI schema check): how many hardware contexts the host had at
-/// measurement time and how the workers were placed on them. A trajectory
-/// point without these is uninterpretable — a single-context smoke run and
-/// a 48-context dedicated box would be indistinguishable.
-pub fn topology_json_fields() -> String {
-    format!(
-        "\"hardware_contexts\": {}, \"pin_policy\": \"{}\", \"pinned\": {}",
-        gls_runtime::hardware_contexts(),
-        pin_policy(),
-        pinning_effective(),
-    )
 }
 
 /// Builds the [`LockSetup`] for one algorithm column of a figure.
@@ -144,23 +121,14 @@ mod tests {
     }
 
     #[test]
-    fn topology_fields_carry_the_required_keys() {
-        let fields = topology_json_fields();
-        for key in ["\"hardware_contexts\":", "\"pin_policy\":", "\"pinned\":"] {
-            assert!(fields.contains(key), "missing {key} in {fields}");
-        }
-        // The fragment must be embeddable in a JSON object as-is.
-        let object = format!("{{{fields}}}");
-        assert!(object.starts_with('{') && object.ends_with('}'));
-    }
-
-    #[test]
     fn pin_policy_matches_probe() {
         let effective = pinning_effective();
         assert_eq!(pin_policy() == "round_robin", effective);
         if effective {
             // Pinning works on this host: a worker pin must succeed too.
-            assert!(std::thread::spawn(|| pin_worker(0)).join().unwrap());
+            assert!(std::thread::spawn(|| gls_runtime::topology::pin_worker(0))
+                .join()
+                .unwrap());
         }
     }
 }

@@ -47,10 +47,10 @@ pub struct GlsConfig {
     pub deadlock_check_after: Duration,
     /// Initial capacity (number of lock objects) of the address → lock table.
     pub initial_capacity: usize,
-    /// Whether the per-thread set-associative lock cache accelerates the
+    /// Whether the per-thread direct-mapped lock cache accelerates the
     /// address → entry mapping (on by default). Turning it off sends every
     /// operation through the CLHT — useful for measuring what the cache
-    /// buys (see the `fig17_fastpath` benchmark), not for production.
+    /// buys (the benchmark's `cache.saving_ns.*` rungs), not for production.
     pub lock_cache: bool,
     /// The system-load monitor used by GLK entries.
     pub monitor: MonitorHandle,

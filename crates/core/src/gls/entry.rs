@@ -236,8 +236,8 @@ impl AlgorithmLock {
 
 /// Lifecycle state of a [`LockEntry`], kept in the low bits of its epoch
 /// word; the bits above count transitions, so **every** transition makes
-/// the word strictly larger and a value a thread-cache slot stored can
-/// never come back. `free` takes LIVE to RETIRED; a sweep pass takes
+/// the word strictly larger and a value a thread once read can never come
+/// back. `free` takes LIVE to RETIRED; a sweep pass takes
 /// RETIRED to AGED and AGED to CLAIMED; a `lock` takes either kind of
 /// tombstone back to LIVE; a claimed entry goes back to RETIRED (somebody
 /// holds it) or into the pool, and from there to LIVE for its next address.
@@ -270,7 +270,7 @@ pub(crate) enum Liveness {
 /// debug mode, latency/queuing statistics for the profiler).
 // repr(C): the declaration order is the layout. `addr`, `epoch` and
 // `acquired_at` share the entry's first cacheline; `lock` starts on the
-// second (GLK's lines are 64-byte aligned), so a cached hit's epoch
+// second (GLK's lines are 64-byte aligned), so a cached hit's liveness
 // validation and the identity check after an acquisition read a line of
 // their own. Every arrival shares that line read-only; only free, sweep,
 // recycle and profile-mode stamps write it.
@@ -284,9 +284,10 @@ pub(crate) struct LockEntry {
     /// acquiring the lock. Written only while the entry is `CLAIMED`.
     addr: AtomicUsize,
     /// Lifecycle word: [`state`] in the low two bits, a transition count
-    /// above. Every free, resurrection, sweep step and reuse changes the
-    /// value a per-thread cache slot stored — the cached mapping for this
-    /// one address self-invalidates, and no other address is touched.
+    /// above. A per-thread cache slot mapping this entry hits only while
+    /// the state is live (and `addr` is the slot's), so a free, a sweep
+    /// step or a reuse invalidates the mappings of this one address, and no
+    /// other address is touched.
     epoch: AtomicU64,
     /// Cycle stamp of the in-flight acquisition (0 = none; profile mode).
     /// Deliberately *not* sharded: it is written once per acquisition by
@@ -713,7 +714,7 @@ mod tests {
         assert_eq!(entry.make_live(0x2008), Liveness::Recycled);
         assert!(
             resurrected > born,
-            "a free/recreate cycle must change the epoch a cache slot stored"
+            "a free/recreate cycle must move the epoch strictly forward"
         );
     }
 

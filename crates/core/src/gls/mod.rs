@@ -3,12 +3,12 @@
 //! GLS hides lock declaration, allocation, initialization and algorithm
 //! selection behind a classic lock/unlock interface keyed by **any address**:
 //! the service maps the address to a lock object through a CLHT hash table,
-//! accelerated by a per-thread set-associative lock cache with precise
-//! (per-entry epoch) invalidation. On top of that mapping, GLS provides a
-//! debug mode that detects the common locking bugs (uninitialized locks,
-//! double locking, releasing a free lock, releasing another thread's lock,
-//! deadlocks) and a profiler mode that reports per-lock contention and
-//! latency through per-thread stat shards.
+//! accelerated by a per-thread direct-mapped lock cache whose hits are
+//! checked against the entry itself (live, and still serving the address).
+//! On top of that mapping, GLS provides a debug mode that detects the common
+//! locking bugs (uninitialized locks, double locking, releasing a free lock,
+//! releasing another thread's lock, deadlocks) and a profiler mode that
+//! reports per-lock contention and latency through per-thread stat shards.
 
 mod addr;
 mod cache;
@@ -37,16 +37,15 @@ fn relock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 pub use addr::LockAddr;
-pub use cache::{
-    aggregated_cache_stats, flush_thread_cache_stats, reset_thread_cache_stats, thread_cache_stats,
-    CacheStats, CACHE_SETS, CACHE_WAYS,
-};
+pub use cache::{thread_cache_stats, CacheStats, CACHE_SLOTS};
 pub use condvar::{GlsCondvar, WaitOutcome};
 pub use config::{GlsConfig, GlsMode};
 #[cfg(gls_model)]
 pub use debug::model as debug_model;
 pub use debug::DeadlockTrail;
 pub use profiler::{LockProfile, ProfileReport};
+#[cfg(gls_model)]
+pub use service::model::model_hit_checks_addr_only;
 pub use service::{GlsGuard, GlsService};
 pub use telemetry::{
     DeadlockTelemetry, HistogramSummary, LockTelemetry, TelemetryPublisher, TelemetrySnapshot,

@@ -520,8 +520,8 @@ impl GlsService {
     /// holder caught by the racing free still finds the entry for its
     /// `unlock`, and a re-creating `lock` resurrects the same allocation
     /// with one CAS — a release is never stranded and mutual exclusion
-    /// survives the free by construction. The epoch change invalidates
-    /// exactly the per-thread cache slots holding this mapping; every other
+    /// survives the free by construction. A tombstone fails the validation
+    /// of every per-thread cache slot holding this mapping; every other
     /// address's cached mapping stays hot. Tombstones are reclaimed by the
     /// sweep that later creates run between them (see `sweep_slice`).
     pub fn free(&self, m: impl Into<LockAddr>) -> bool {
@@ -645,16 +645,6 @@ impl GlsService {
     /// Issues detected so far (debug mode).
     pub fn issues(&self) -> Vec<GlsError> {
         self.debug.issues()
-    }
-
-    /// Total candidate deadlock cycles produced by debug-mode detection
-    /// walks so far — confirmed *and* phantom. A high rate with an empty
-    /// issue log means the workload keeps assembling phantom cycles
-    /// (adversarial churn) and paying confirmation waits; the coalescing of
-    /// same-cycle confirmations bounds each cycle's cost at one grace
-    /// period regardless of this rate.
-    pub fn deadlock_candidates(&self) -> u64 {
-        self.debug.candidate_count()
     }
 
     /// Clears the recorded issues.
@@ -810,44 +800,45 @@ impl GlsService {
         // retires it in place, the sweep recycles it for another address,
         // neither deallocates — and is freed only when the service drops.
         // Whether it is still the entry *of the address it was looked up
-        // for* is checked separately: by epoch on a cache hit, by `addr()`
-        // after acquiring.
+        // for* is checked separately: by liveness and `addr()` on a cache
+        // hit, by `addr()` after acquiring.
         // SAFETY: by the above, any pointer obtained from the table, the
         // pool or a thread cache is a valid `LockEntry` for the service
         // lifetime, which outlives every `&self` borrow handing it out.
         unsafe { &*(ptr as *const LockEntry) }
     }
 
-    /// Probes the calling thread's lock cache for `addr`. A candidate slot
-    /// is validated against the entry's **own** epoch word, read at hit
-    /// time: the token travels with the entry, so a free, a resurrection
-    /// or a reuse for another address all invalidate the slot. The whole
-    /// hit path is load → compare → deref → load → compare — no atomic
-    /// read-modify-write, no shared store. (A recycling that slips in
-    /// after the validation is caught by the check after the acquisition.)
+    /// Probes the calling thread's lock cache for `addr`. A matching slot
+    /// is accepted only if its entry is live for `addr` right now — the
+    /// entry's own state, read at hit time: a tombstone misses (the table
+    /// path resurrects it), an entry recycled for another address misses,
+    /// and an entry freed and resurrected since the slot was stored is
+    /// still the address's mapping and hits. The whole hit path is load →
+    /// compare → deref → load → load — no atomic read-modify-write, no
+    /// shared store. (A recycling that slips in after the validation is
+    /// caught by the check after the acquisition.)
     #[inline]
     fn cache_probe(&self, addr: usize) -> Option<&LockEntry> {
         if !self.config.lock_cache {
             return None;
         }
-        cache::lookup(self.id, addr, |ptr, cached_epoch| {
-            Self::entry_ref(ptr).epoch() == cached_epoch
+        cache::lookup(self.id, addr, |ptr| {
+            let entry = Self::entry_ref(ptr);
+            #[cfg(gls_model)]
+            if model::hit_checks_addr_only() {
+                return entry.addr() == addr;
+            }
+            entry.is_live_for(addr)
         })
         .map(Self::entry_ref)
     }
 
-    /// Caches `addr → entry`, stamping the epoch observed *after* the entry
-    /// was obtained from the table. Nothing is cached unless that epoch is
-    /// live and the entry still serves `addr`: a slot must never hold a
-    /// mapping that was already stale when it was stored.
+    /// Caches `addr → entry`. A mapping that is stale by the time it is
+    /// stored is harmless: every hit is validated again.
     #[inline]
     fn cache_insert(&self, addr: usize, entry: &LockEntry) {
-        if !self.config.lock_cache {
-            return;
-        }
-        let epoch = entry.epoch();
-        if LockEntry::epoch_is_live(epoch) && entry.addr() == addr {
-            cache::store(self.id, addr, entry as *const LockEntry as usize, epoch);
+        if self.config.lock_cache {
+            cache::store(self.id, addr, entry as *const LockEntry as usize);
         }
     }
 
@@ -1257,6 +1248,31 @@ impl GlsService {
     /// — so the model suite can prove the explorer finds it.
     pub fn model_force_sweep(&self, prove_idle: bool) {
         self.sweep(0, usize::MAX, prove_idle);
+    }
+}
+
+/// Model-checker hook for the cached hit path: a seeded validation bug.
+/// Compiled only under `--cfg gls_model`.
+#[cfg(gls_model)]
+pub(crate) mod model {
+    use std::cell::Cell;
+
+    // Per thread: a vthread is an OS thread, and an exploration's threads
+    // must not see another test's settings.
+    thread_local! {
+        static ADDR_ONLY: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Seeds, on the calling thread, a cache hit validated by `addr()`
+    /// alone: a slot whose entry was freed still hits, so a `lock` takes
+    /// the tombstone without resurrecting it, and the sweep later recycles
+    /// an address that was locked after its free.
+    pub fn model_hit_checks_addr_only(seeded: bool) {
+        ADDR_ONLY.with(|c| c.set(seeded));
+    }
+
+    pub(super) fn hit_checks_addr_only() -> bool {
+        ADDR_ONLY.with(Cell::get)
     }
 }
 

@@ -145,7 +145,7 @@ pub struct TelemetrySnapshot {
     /// Per-lock telemetry, most contended first (service-scoped).
     pub locks: Vec<LockTelemetry>,
     /// Lock-cache counters aggregated across threads (process-wide; exited
-    /// or explicitly flushed threads plus the calling thread).
+    /// threads plus the calling thread).
     pub cache: CacheStats,
     /// Shared parking-lot occupancy and growth (process-wide).
     pub parking_lot: ParkingLotStats,

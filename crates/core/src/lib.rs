@@ -79,20 +79,19 @@ pub mod gls;
 pub use error::GlsError;
 pub use glk::{GlkConfig, GlkLock, GlkMode, GlkRwLock, GlkRwMode, ModeTransition};
 pub use gls::{
-    aggregated_cache_stats, flush_thread_cache_stats, reset_thread_cache_stats, thread_cache_stats,
-    CacheStats, DeadlockTelemetry, DeadlockTrail, GlsCondvar, GlsConfig, GlsGuard, GlsMode,
-    GlsService, HistogramSummary, LockAddr, LockProfile, LockTelemetry, ProfileReport,
-    TelemetryPublisher, TelemetrySnapshot, WaitOutcome, CACHE_SETS, CACHE_WAYS,
+    thread_cache_stats, CacheStats, DeadlockTelemetry, DeadlockTrail, GlsCondvar, GlsConfig,
+    GlsGuard, GlsMode, GlsService, HistogramSummary, LockAddr, LockProfile, LockTelemetry,
+    ProfileReport, TelemetryPublisher, TelemetrySnapshot, WaitOutcome, CACHE_SLOTS,
 };
 
 // Re-export the substrate types that appear in this crate's public API so
 // downstream users need only one dependency.
 pub use gls_locks::LockKind;
 
-// The deadlock detector's protocol steps, re-exposed for the model tests
-// in `crates/model/tests` (the service drives them in production).
+// The deadlock detector's protocol steps and the seeded cache-hit bug,
+// re-exposed for the model tests in `crates/model/tests`.
 #[cfg(gls_model)]
-pub use gls::debug_model;
+pub use gls::{debug_model, model_hit_checks_addr_only};
 
 /// Convenience free functions mirroring the C interface of Table 1
 /// (`gls_lock`, `gls_trylock`, `gls_unlock`, `gls_free`), all operating on

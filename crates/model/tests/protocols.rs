@@ -12,8 +12,8 @@
 //! one seeded-random sweep. A "lost wakeup" or "stranded waiter" surfaces
 //! as a deadlock the driver detects (no runnable thread, unfinished
 //! threads); safety violations surface as assertion panics inside the
-//! model. The two `rediscovers_*` tests re-introduce bugs this repository
-//! actually shipped and fixed, and check the explorer finds them.
+//! model. The `rediscovers_*` tests re-seed protocol bugs (most of them
+//! shipped here once and fixed) and check the explorer finds them.
 //!
 //! Test-design rules (the explorer makes these hard requirements):
 //! * orchestration prefers blocking primitives (park, condvar, join);
@@ -34,13 +34,16 @@
 use std::sync::atomic::{AtomicBool, Ordering as StdOrdering};
 use std::sync::Arc;
 
-use gls::{GlsCondvar, GlsConfig, GlsService, LockKind};
+use gls::{
+    model_hit_checks_addr_only, thread_cache_stats, GlsCondvar, GlsConfig, GlsService, LockKind,
+};
 use gls_locks::park::DEFAULT_PARK_TOKEN;
 use gls_locks::{
     FutexLock, FutexRwLock, ParkResult, ParkingLot, QueueInformed, RawLock, RawRwLock, RawTryLock,
 };
 use gls_model::{Explorer, FailureKind};
 use gls_sync::cell::ModelCell;
+use gls_sync::sync::{Condvar, Mutex};
 use gls_sync::thread;
 
 /// A counter the model threads mutate through raw, unsynchronized writes.
@@ -120,30 +123,90 @@ fn futex_lock_mutual_exclusion_and_no_lost_wakeups() {
     });
 }
 
+/// How a warm locker of [`entry_lifecycle`] hands the start of the race
+/// to the root, on one model mutex and condvar: the locker reports its
+/// cache warm and waits, inside one critical section, until the root has
+/// spawned the freer and lets it go. Each side waits blocked, not
+/// runnable, so the handshake leaves the race the preemptions a cold
+/// locker has.
+#[derive(Default)]
+struct Handshake {
+    phase: Mutex<u8>,
+    changed: Condvar,
+}
+
+impl Handshake {
+    const WARM: u8 = 1;
+    const GO: u8 = 2;
+
+    /// The locker's side: reports warm, then waits for the go.
+    fn warm_then_wait(&self) {
+        let mut phase = self.phase.lock().unwrap();
+        *phase = Self::WARM;
+        self.changed.notify_all();
+        while *phase != Self::GO {
+            phase = self.changed.wait(phase).unwrap();
+        }
+    }
+
+    /// The root's side: waits for warm, runs `spawn`, then gives the go.
+    fn go_once_warm<T>(&self, spawn: impl FnOnce() -> T) -> T {
+        let mut phase = self.phase.lock().unwrap();
+        while *phase != Self::WARM {
+            phase = self.changed.wait(phase).unwrap();
+        }
+        let spawned = spawn();
+        *phase = Self::GO;
+        self.changed.notify_all();
+        spawned
+    }
+}
+
 /// What the freeing thread of [`entry_lifecycle`] does while the locker
 /// runs; the rest of free → sweep (age) → sweep (claim) happens before or
-/// after the race, on the root thread.
+/// after the race.
 #[derive(Clone, Copy, PartialEq)]
 enum Racing {
     /// `free` and both sweeps.
     FreeAndSweeps,
     /// Only `free`.
     Free,
-    /// Only the claiming sweep, of an address freed and aged beforehand.
+    /// Only the claiming sweep, of an address freed and aged beforehand;
+    /// with a warm locker, then a create of the next address, which takes
+    /// the recycled entry if the sweep got that far.
     Claim,
+}
+
+/// A bug [`entry_lifecycle`] re-seeds, so the explorer can prove it finds
+/// it.
+#[derive(Clone, Copy, PartialEq)]
+enum Seeded {
+    /// The protocol as shipped.
+    Nothing,
+    /// The sweep recycles claimed tombstones without proving them idle.
+    SweepWithoutIdleProof,
+    /// The locker's cache hits are checked by `addr()` alone, so a stale
+    /// slot hands it a tombstone it locks without resurrecting.
+    HitCheckedByAddrOnly,
 }
 
 /// The entry-lifecycle scenario: everything that can happen to one
 /// address at once. A locker acquires (creating, resurrecting or waiting
 /// out a sweep, depending on where the freer stands), bumps a counter and
 /// releases; a freer frees the address and sweeps twice (age, then claim,
-/// prove idle, unmap, recycle — or, with `prove_idle` off, the seeded bug:
-/// recycle without looking). Every call must return `Ok`, the counter must
-/// see no race, and whatever entry ends up serving the address — or,
-/// recycled, the next address — must be left unlocked: a release that
-/// landed on another entry than the one acquired leaves that one held
-/// forever.
-fn entry_lifecycle(racing: Racing, prove_idle: bool) -> impl Fn() + Send + Sync + 'static {
+/// prove idle, unmap, recycle). With `warm`, the locker creates the entry
+/// itself, so its racing `lock` starts from its own cache slot — hitting,
+/// or finding the slot stale and falling back to the table — instead of
+/// from an empty cache. Every call must return `Ok`, the counter must see
+/// no race, a lock that follows the free must leave the address live, and
+/// whatever entry ends up serving the address — or, recycled, the next
+/// address — must be left unlocked: a release that landed on another entry
+/// than the one acquired leaves that one held forever.
+fn entry_lifecycle(
+    racing: Racing,
+    warm: bool,
+    seeded: Seeded,
+) -> impl Fn() + Send + Sync + 'static {
     move || {
         // The smallest table: the sweeps walk all of it, and every slot
         // they read is a scheduling point.
@@ -151,60 +214,111 @@ fn entry_lifecycle(racing: Racing, prove_idle: bool) -> impl Fn() + Send + Sync 
             initial_capacity: 1,
             ..GlsConfig::default()
         }));
+        let prove_idle = seeded != Seeded::SweepWithoutIdleProof;
         let sweep = move |service: &GlsService| service.model_force_sweep(prove_idle);
         let counter = Arc::new(RacyCounter::new());
-        // Whether the locker is inside its critical section. A plain std
-        // atomic: bookkeeping for the coverage assertion, invisible to the
-        // explorer.
+        // Whether the locker is inside its critical section, and whether
+        // the address was freed. Plain std atomics: bookkeeping for the
+        // assertions, invisible to the explorer.
         let holding = Arc::new(AtomicBool::new(false));
+        let freed = Arc::new(AtomicBool::new(false));
         let slot = Arc::new([0u8; 2]);
         let addr = Arc::as_ptr(&slot) as usize;
-        // Materialize the entry with an explicitly blocking algorithm:
-        // GLS service models pin entries to one protocol.
-        service
-            .lock_with(LockKind::Mutex, addr)
-            .expect("create entry");
-        service.unlock(addr).expect("release fresh entry");
-        if racing == Racing::Claim {
-            assert!(service.free(addr));
-            sweep(&service);
+        // Everything before the race. The entry gets an explicitly blocking
+        // algorithm: GLS service models pin entries to one protocol.
+        let prepare = move |service: &GlsService, freed: &AtomicBool| {
+            service
+                .lock_with(LockKind::Mutex, addr)
+                .expect("create entry");
+            service.unlock(addr).expect("release fresh entry");
+            if racing == Racing::Claim {
+                assert!(service.free(addr));
+                freed.store(true, StdOrdering::Relaxed);
+                sweep(service);
+            }
+        };
+        if !warm {
+            prepare(&service, &freed);
         }
+        // A warm locker prepares on its own thread, so the slot is its own.
+        // The root spawns the freer only once the locker is warm, and lets
+        // the locker go right before blocking on the join: as in the cold
+        // runs, both sides start the race with the root blocked, so which
+        // one runs first costs no preemption.
+        let handshake = Arc::new(Handshake::default());
         let locker = {
             let service = Arc::clone(&service);
             let counter = Arc::clone(&counter);
             let holding = Arc::clone(&holding);
+            let freed = Arc::clone(&freed);
+            let handshake = Arc::clone(&handshake);
             thread::spawn(move || {
+                model_hit_checks_addr_only(seeded == Seeded::HitCheckedByAddrOnly);
+                if warm {
+                    prepare(&service, &freed);
+                    handshake.warm_then_wait();
+                }
+                let freed_before_lock = freed.load(StdOrdering::Relaxed);
+                let invalidations = thread_cache_stats().invalidations;
                 service
                     .lock_with(LockKind::Mutex, addr)
                     .expect("racing lock");
+                if thread_cache_stats().invalidations > invalidations {
+                    SAW_STALE_SLOT.store(true, StdOrdering::Relaxed);
+                }
                 holding.store(true, StdOrdering::Relaxed);
                 counter.bump();
                 holding.store(false, StdOrdering::Relaxed);
                 service.unlock(addr).expect("racing unlock");
+                freed_before_lock
             })
         };
-        let freer = {
+        let spawn_freer = {
             let service = Arc::clone(&service);
-            thread::spawn(move || {
-                // Finds the entry live (or resurrected by the locker);
-                // either way the sweeps must not take it from under the
-                // locker, whose unlock must still reach it.
-                if racing != Racing::Claim
-                    && service.free(addr)
-                    && holding.load(StdOrdering::Relaxed)
-                {
-                    SAW_RELEASE_AFTER_FREE.store(true, StdOrdering::Relaxed);
-                }
-                if racing != Racing::Free {
-                    sweep(&service);
-                }
-                if racing == Racing::FreeAndSweeps {
-                    sweep(&service);
-                }
-            })
+            let freed = Arc::clone(&freed);
+            move || {
+                thread::spawn(move || {
+                    // Finds the entry live (or resurrected by the locker);
+                    // either way the sweeps must not take it from under the
+                    // locker, whose unlock must still reach it.
+                    if racing != Racing::Claim && service.free(addr) {
+                        freed.store(true, StdOrdering::Relaxed);
+                        if holding.load(StdOrdering::Relaxed) {
+                            SAW_RELEASE_AFTER_FREE.store(true, StdOrdering::Relaxed);
+                        }
+                    }
+                    if racing != Racing::Free {
+                        sweep(&service);
+                    }
+                    if racing == Racing::FreeAndSweeps {
+                        sweep(&service);
+                    }
+                    // Only a warm locker's slot can still name the entry once
+                    // it serves the next address.
+                    if racing == Racing::Claim && warm {
+                        service
+                            .lock_with(LockKind::Mutex, addr + 1)
+                            .expect("next address");
+                        service.unlock(addr + 1).expect("next address unlock");
+                    }
+                })
+            }
         };
-        locker.join().expect("locker panicked");
+        let freer = if warm {
+            handshake.go_once_warm(spawn_freer)
+        } else {
+            spawn_freer()
+        };
+        let freed_before_lock = locker.join().expect("locker panicked");
         freer.join().expect("freer panicked");
+        if freed_before_lock {
+            // Nothing frees the address again: the lock re-created it.
+            assert_eq!(
+                service.lock_count(),
+                1 + usize::from(racing == Racing::Claim && warm),
+                "a lock after the free left the address freed"
+            );
+        }
         if service.lock_count() == 0 && service.retired_count() == 1 {
             SAW_RECYCLE.store(true, StdOrdering::Relaxed);
         }
@@ -230,26 +344,39 @@ fn entry_lifecycle(racing: Racing, prove_idle: bool) -> impl Fn() + Send + Sync 
 
 static SAW_RELEASE_AFTER_FREE: AtomicBool = AtomicBool::new(false);
 static SAW_RECYCLE: AtomicBool = AtomicBool::new(false);
+static SAW_STALE_SLOT: AtomicBool = AtomicBool::new(false);
 
 /// Property 3 — the entry lifecycle (free in place, resurrect, sweep,
 /// recycle) never strands a release and never lets two threads hold one
 /// address, on any interleaving of free, lock, unlock, re-create and
-/// sweep. The whole sequence racing the locker is explored with one
-/// preemption — a locker stalled anywhere while the entry is freed, aged,
-/// claimed and recycled under it, and every other way of pausing one side
-/// once — and each half of it (the free; the claiming sweep) with two,
-/// which is what fits the runtime budget.
+/// sweep, and a lock that starts from a warm cached slot never takes a
+/// freed entry for a live one. Each scenario runs with a cold and a warm
+/// locker cache. The whole sequence racing the locker is explored with one
+/// preemption — a locker stalled anywhere while the entry is
+/// freed, aged, claimed and recycled under it, and every other way of
+/// pausing one side once — and each half of it (the free; the claiming
+/// sweep) with two, which is what fits the runtime budget; the warm claim,
+/// which adds the next address's create, with one.
 #[test]
 fn entry_lifecycle_keeps_exclusion_across_free_and_sweep() {
-    Explorer::exhaustive().preemption_bound(1).check(
-        "entry-lifecycle",
-        entry_lifecycle(Racing::FreeAndSweeps, true),
-    );
-    Explorer::exhaustive().check("entry-lifecycle-free", entry_lifecycle(Racing::Free, true));
-    Explorer::exhaustive().check(
-        "entry-lifecycle-claim",
-        entry_lifecycle(Racing::Claim, true),
-    );
+    for (warm, cache) in [(false, ""), (true, "-warm")] {
+        Explorer::exhaustive().preemption_bound(1).check(
+            &format!("entry-lifecycle{cache}"),
+            entry_lifecycle(Racing::FreeAndSweeps, warm, Seeded::Nothing),
+        );
+        Explorer::exhaustive().check(
+            &format!("entry-lifecycle-free{cache}"),
+            entry_lifecycle(Racing::Free, warm, Seeded::Nothing),
+        );
+        // A warm claim also races the next address's create, which with
+        // two preemptions outgrows the budget.
+        Explorer::exhaustive()
+            .preemption_bound(if warm { 1 } else { 2 })
+            .check(
+                &format!("entry-lifecycle-claim{cache}"),
+                entry_lifecycle(Racing::Claim, warm, Seeded::Nothing),
+            );
+    }
     assert!(
         SAW_RELEASE_AFTER_FREE.load(StdOrdering::Relaxed),
         "no execution released a lock that was freed while held — the \
@@ -259,6 +386,11 @@ fn entry_lifecycle_keeps_exclusion_across_free_and_sweep() {
         SAW_RECYCLE.load(StdOrdering::Relaxed),
         "no execution swept the freed entry into the pool — the scenario \
          no longer exercises reclamation"
+    );
+    assert!(
+        SAW_STALE_SLOT.load(StdOrdering::Relaxed),
+        "no execution had the locker's cached slot fail validation — the \
+         scenario no longer exercises the cached hit path"
     );
 }
 
@@ -271,7 +403,7 @@ fn rediscovers_the_sweep_without_idle_proof_bug() {
     let failure = Explorer::exhaustive()
         .find_failure(
             "entry-lifecycle-no-idle-proof",
-            entry_lifecycle(Racing::FreeAndSweeps, false),
+            entry_lifecycle(Racing::FreeAndSweeps, false, Seeded::SweepWithoutIdleProof),
         )
         .expect("the explorer must catch a sweep that recycles a held entry");
     assert!(
@@ -280,6 +412,24 @@ fn rediscovers_the_sweep_without_idle_proof_bug() {
             FailureKind::Race | FailureKind::Panic | FailureKind::Deadlock
         ),
         "expected lost mutual exclusion or a misdirected release, got: {failure}"
+    );
+}
+
+/// Seeded bug — a cache hit checked by `addr()` alone accepts the
+/// tombstone a `free` left in the slot: the locker takes it without
+/// resurrecting it, so a lock that came after the free leaves the address
+/// freed (and the sweep free to recycle it). The explorer must find it.
+#[test]
+fn rediscovers_the_addr_only_cache_hit_bug() {
+    let failure = Explorer::exhaustive()
+        .find_failure(
+            "entry-lifecycle-addr-only-hit",
+            entry_lifecycle(Racing::Free, true, Seeded::HitCheckedByAddrOnly),
+        )
+        .expect("the explorer must catch a cache hit on a tombstone");
+    assert!(
+        matches!(failure.kind, FailureKind::Panic),
+        "expected a lock that left its address freed, got: {failure}"
     );
 }
 

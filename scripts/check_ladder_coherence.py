@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Fail unless the rungs of one `--ladder` run (stdin) are coherent:
-locks.ticket_pair_ns < glk.pair_ns < service.pair_ns, and the RAII guard
-costs at most 5 ns more than lock + unlock. Rungs are interleaved, so these
-differences are the steady part of a run (benchmark/README.md).
+locks.ticket_pair_ns < glk.pair_ns < service.pair_ns, the RAII guard
+costs at most 5 ns more than lock + unlock, and the thread cache costs at
+most 2 ns (a noise margin: it should save time) at both 8 and 128 addresses
+per thread. Rungs are interleaved, so these differences are the steady part
+of a run (benchmark/README.md).
 
 With two workers or more (the `workers=` field of the ladder's header), GLK
 must also hand over within twice a bare ticket lock's handoff: in ticket
@@ -20,6 +22,8 @@ checks = {
     "locks.ticket_pair_ns < glk.pair_ns": r["locks.ticket_pair_ns"] < r["glk.pair_ns"],
     "glk.pair_ns < service.pair_ns": r["glk.pair_ns"] < r["service.pair_ns"],
     "service.guard_pair_ns <= service.pair_ns + 5": r["service.guard_pair_ns"] <= r["service.pair_ns"] + 5,
+    "cache.saving_ns.ws8 >= -2": r["cache.saving_ns.ws8"] >= -2,
+    "cache.saving_ns.ws128 >= -2": r["cache.saving_ns.ws128"] >= -2,
 }
 handoff = "glk.handoff_ns <= 2 * locks.ticket_handoff_ns"
 if workers >= 2:

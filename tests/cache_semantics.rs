@@ -1,29 +1,39 @@
-//! Cache-semantics suite: the per-thread set-associative lock cache, its
-//! precise (per-entry epoch) invalidation protocol, the free/recreate
-//! machinery behind it, and the equivalence of profile reports after the
-//! sharded-stats fold.
+//! Cache-semantics suite: the per-thread direct-mapped lock cache, the
+//! validation of every hit against the entry's own state, the
+//! free/recreate machinery behind it, and the equivalence of profile
+//! reports after the sharded-stats fold.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
-use gls::{
-    reset_thread_cache_stats, thread_cache_stats, GlsConfig, GlsService, LockKind, CACHE_SETS,
-    CACHE_WAYS,
-};
+use gls::{thread_cache_stats, CacheStats, GlsConfig, GlsService, LockKind};
 
-/// A multi-lock working set within the cache capacity never misses after
+/// The calling thread's cache counter changes since `before`.
+fn since(before: CacheStats) -> CacheStats {
+    let now = thread_cache_stats();
+    CacheStats {
+        hits: now.hits - before.hits,
+        misses: now.misses - before.misses,
+        invalidations: now.invalidations - before.invalidations,
+    }
+}
+
+/// A multi-lock working set in distinct cache slots never misses after
 /// warm-up. This is the workload the single-entry cache thrashed on: with
 /// two or more locks per thread it missed on *every* acquisition.
 #[test]
 fn multi_lock_working_set_hits_in_cache() {
     let svc = GlsService::new();
+    // 16 consecutive 64-byte-spaced addresses: the cache's Fibonacci hash
+    // spreads them over distinct slots, and a direct-mapped cache holds one
+    // mapping per slot.
     let addrs: Vec<usize> = (0..16).map(|i| 0x77_0000 + i * 64).collect();
     // Warm-up round: create the entries and populate the cache.
     for &a in &addrs {
         svc.lock(a).unwrap();
         svc.unlock(a).unwrap();
     }
-    reset_thread_cache_stats();
+    let before = thread_cache_stats();
     let rounds = 500;
     for _ in 0..rounds {
         for &a in &addrs {
@@ -31,12 +41,9 @@ fn multi_lock_working_set_hits_in_cache() {
             svc.unlock(a).unwrap();
         }
     }
-    let stats = thread_cache_stats();
-    // Each lock+unlock performs two lookups. A 16-address working set fits
-    // the CACHE_SETS × CACHE_WAYS geometry unless the (deterministic)
-    // address hash crowds more than CACHE_WAYS of them into one set; these
-    // addresses spread cleanly, so every lookup after warm-up hits.
-    assert!(addrs.len() <= CACHE_SETS * CACHE_WAYS);
+    let stats = since(before);
+    // Each lock+unlock performs two lookups, and every one after warm-up
+    // hits.
     assert_eq!(stats.misses, 0, "working set within capacity must not miss");
     assert_eq!(stats.hits, rounds * 2 * addrs.len() as u64);
 }
@@ -51,13 +58,13 @@ fn free_one_address_keeps_other_cached() {
         svc.lock(addr).unwrap();
         svc.unlock(addr).unwrap();
     }
-    reset_thread_cache_stats();
+    let before = thread_cache_stats();
     assert!(svc.free(b));
     for _ in 0..10 {
         svc.lock(a).unwrap();
         svc.unlock(a).unwrap();
     }
-    let stats = thread_cache_stats();
+    let stats = since(before);
     assert_eq!(
         stats.misses, 0,
         "freeing B evicted A's cached mapping — invalidation is not precise"
@@ -66,8 +73,9 @@ fn free_one_address_keeps_other_cached() {
     assert_eq!(stats.hits, 20);
 }
 
-/// The freed address itself must stop hitting: its cached slot fails epoch
-/// validation on the next probe, on the thread that cached it.
+/// The freed address itself must stop hitting: its cached slot now maps a
+/// tombstone, which fails validation on the next probe, on the thread that
+/// cached it.
 #[test]
 fn free_invalidates_its_own_cached_mapping() {
     let svc = GlsService::new();
@@ -77,24 +85,48 @@ fn free_invalidates_its_own_cached_mapping() {
         svc.unlock(addr).unwrap();
     }
     assert!(svc.free(b));
-    reset_thread_cache_stats();
+    let before = thread_cache_stats();
     // find_entry must not serve the stale cached mapping for b.
     assert_eq!(svc.algorithm_of(b), None, "freed address must be gone");
-    let stats = thread_cache_stats();
     assert_eq!(
-        stats.invalidations, 1,
+        since(before).invalidations,
+        1,
         "the stale slot was self-invalidated"
     );
     // …while a is untouched.
     assert_eq!(svc.algorithm_of(a), Some(LockKind::Glk));
-    assert_eq!(thread_cache_stats().hits, 1);
+    assert_eq!(since(before).hits, 1);
 }
 
-/// A free + recreate performed by *another* thread changes the entry's
-/// epoch, so this thread's stale slot fails validation even though address
-/// and entry pointer are identical again (the allocation is resurrected).
+/// While `addr` is held on this thread, another thread cannot take it;
+/// after the release it can.
+fn assert_lock_excludes(svc: &Arc<GlsService>, addr: usize) {
+    let try_elsewhere = || {
+        let svc = Arc::clone(svc);
+        std::thread::spawn(move || {
+            let taken = svc.try_lock(addr).unwrap();
+            if taken {
+                svc.unlock(addr).unwrap();
+            }
+            taken
+        })
+        .join()
+        .unwrap()
+    };
+    svc.lock(addr).unwrap();
+    assert!(!try_elsewhere(), "a held lock must exclude other threads");
+    svc.unlock(addr).unwrap();
+    assert!(try_elsewhere(), "a released lock must be free");
+}
+
+/// A slot that outlived a free and a re-create on *another* thread is
+/// validated against what the entry is now. Resurrected in place, the entry
+/// is still the address's mapping, so the slot hits. Swept and recycled for
+/// another address, it is not, so the slot misses and counts one
+/// invalidation.
 #[test]
-fn free_and_recreate_elsewhere_invalidates_stale_mapping() {
+fn free_and_recreate_elsewhere_revalidates_stale_mapping() {
+    // Resurrected: same address, same allocation, live again.
     let svc = Arc::new(GlsService::new());
     let addr = 0x55_0000usize;
     svc.lock(addr).unwrap();
@@ -108,15 +140,49 @@ fn free_and_recreate_elsewhere_invalidates_stale_mapping() {
     .join()
     .unwrap();
     assert_eq!(svc.retired_count(), 0, "the freed entry was resurrected");
-    reset_thread_cache_stats();
+    let before = thread_cache_stats();
     svc.lock(addr).unwrap();
     svc.unlock(addr).unwrap();
-    let stats = thread_cache_stats();
+    let stats = since(before);
     assert_eq!(
-        stats.invalidations, 1,
-        "the resurrected entry's epoch must differ from the cached one"
+        (stats.hits, stats.misses, stats.invalidations),
+        (2, 0, 0),
+        "a resurrected entry still serves its address: the old slot hits"
     );
-    assert_eq!(stats.hits, 1, "the re-cached mapping hits again (unlock)");
+    assert_lock_excludes(&svc, addr);
+
+    // Recycled: another thread creates fresh addresses until the sweep has
+    // claimed the freed entry and a create has taken it from the pool.
+    let svc = Arc::new(GlsService::new());
+    let addr = 0x56_0000usize;
+    svc.lock(addr).unwrap();
+    svc.unlock(addr).unwrap(); // cached here
+    assert!(svc.free(addr));
+    let svc2 = Arc::clone(&svc);
+    std::thread::spawn(move || {
+        for i in 1..=1_000_000usize {
+            let other = 0x1000_0000 + i * 64;
+            svc2.lock(other).unwrap();
+            svc2.unlock(other).unwrap();
+            if i % 64 == 0 && svc2.retired_count() == 0 {
+                return;
+            }
+        }
+        panic!("the sweep never recycled the freed entry");
+    })
+    .join()
+    .unwrap();
+    let before = thread_cache_stats();
+    svc.lock(addr).unwrap();
+    svc.unlock(addr).unwrap();
+    let stats = since(before);
+    assert_eq!(
+        (stats.hits, stats.misses, stats.invalidations),
+        (1, 1, 1),
+        "an entry recycled for another address must miss (the unlock hits \
+         the fresh mapping)"
+    );
+    assert_lock_excludes(&svc, addr);
 }
 
 /// Concurrent version of precise invalidation: one thread's hot lock stays
@@ -148,7 +214,7 @@ fn churn_on_other_addresses_never_disturbs_a_hot_mapping() {
     };
     svc.lock(hot).unwrap();
     svc.unlock(hot).unwrap(); // warm
-    reset_thread_cache_stats();
+    let before = thread_cache_stats();
     // Keep hammering the hot lock until a substantial amount of churn has
     // really interleaved (on a single-core box the churner may not be
     // scheduled at all for the first millisecond), with a generous
@@ -162,7 +228,7 @@ fn churn_on_other_addresses_never_disturbs_a_hot_mapping() {
             break;
         }
     }
-    let stats = thread_cache_stats();
+    let stats = since(before);
     stop.store(true, Ordering::Relaxed);
     churner.join().unwrap();
     let churn_rounds = churned.load(Ordering::Relaxed);
@@ -208,13 +274,13 @@ fn racing_free_cannot_strand_a_holder() {
 #[test]
 fn disabled_lock_cache_is_fully_bypassed() {
     let svc = GlsService::with_config(GlsConfig::default().with_lock_cache(false));
-    reset_thread_cache_stats();
+    let before = thread_cache_stats();
     for i in 0..32usize {
         let addr = 0xAA_0000 + (i % 4) * 64;
         svc.lock(addr).unwrap();
         svc.unlock(addr).unwrap();
     }
-    let stats = thread_cache_stats();
+    let stats = since(before);
     assert_eq!(stats.hits + stats.misses, 0, "no lookups may be recorded");
 }
 

@@ -121,14 +121,18 @@ fn multiprogramming_moves_contended_lock_to_mutex_mode() {
         })
         .collect();
     let deadline = Instant::now() + Duration::from_secs(15);
-    while lock.mode() != GlkMode::Mutex && Instant::now() < deadline {
+    let mut mode = lock.mode();
+    while mode != GlkMode::Mutex && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
+        mode = lock.mode();
     }
     stop.store(true, Ordering::Relaxed);
     for h in handles {
         h.join().unwrap();
     }
-    assert_eq!(lock.mode(), GlkMode::Mutex);
+    // Judge the mode seen under contention: as the workers stop, the queue
+    // drains and a lightly contended lock may go back to ticket.
+    assert_eq!(mode, GlkMode::Mutex);
     drop(guards);
 }
 
