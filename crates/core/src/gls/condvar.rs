@@ -173,7 +173,7 @@ impl GlsCondvar {
     /// Wakes the longest-waiting thread, if any; returns whether one was
     /// woken.
     pub fn notify_one(&self) -> bool {
-        let result = ParkingLot::global().unpark_one(self.addr(), DEFAULT_UNPARK_TOKEN, |_| {});
+        let result = ParkingLot::global().unpark_one(self.addr(), |_| DEFAULT_UNPARK_TOKEN, |_| {});
         if result.unparked > 0 {
             self.notifies.fetch_add(1, Ordering::Relaxed);
         }
@@ -223,7 +223,7 @@ impl GlsCondvar {
         mutex_park_addr: usize,
         revalidate: impl FnOnce() -> bool,
     ) -> bool {
-        let result = ParkingLot::global().unpark_requeue_with(
+        let result = ParkingLot::global().unpark_requeue(
             self.addr(),
             mutex_park_addr,
             || {
@@ -265,7 +265,7 @@ impl GlsCondvar {
         revalidate: impl FnOnce() -> bool,
     ) -> usize {
         let mutex_held = std::cell::Cell::new(false);
-        let result = ParkingLot::global().unpark_requeue_with(
+        let result = ParkingLot::global().unpark_requeue(
             self.addr(),
             mutex_park_addr,
             || {

@@ -17,7 +17,6 @@ mod config;
 mod debug;
 mod entry;
 mod holders;
-mod profiler;
 mod sampler;
 mod service;
 mod shards;
@@ -43,7 +42,6 @@ pub use config::{GlsConfig, GlsMode};
 #[cfg(gls_model)]
 pub use debug::model as debug_model;
 pub use debug::DeadlockTrail;
-pub use profiler::{LockProfile, ProfileReport};
 #[cfg(gls_model)]
 pub use service::model::model_hit_checks_addr_only;
 pub use service::{GlsGuard, GlsService};

@@ -18,7 +18,6 @@ use super::condvar::{GlsCondvar, WaitOutcome};
 use super::config::{GlsConfig, GlsMode};
 use super::debug::{DeadlockTrail, DebugState};
 use super::entry::{AlgorithmLock, Hold, Liveness, LockEntry, Wait};
-use super::profiler::{LockProfile, ProfileReport};
 use super::sampler;
 use super::telemetry::{
     DeadlockTelemetry, HistogramSummary, LockTelemetry, TelemetryPublisher, TelemetrySnapshot,
@@ -48,7 +47,7 @@ static NEXT_SERVICE_ID: AtomicU64 = AtomicU64::new(1);
 /// | Explicit | [`lock_with`](Self::lock_with), [`try_lock_with`](Self::try_lock_with), [`unlock_with`](Self::unlock_with), [`guard_with`](Self::guard_with) | caller-chosen [`LockKind`] |
 /// | Reader-writer | [`read_lock`](Self::read_lock), [`write_lock`](Self::write_lock), [`try_read_lock`](Self::try_read_lock), [`try_write_lock`](Self::try_write_lock), [`read_unlock`](Self::read_unlock), [`write_unlock`](Self::write_unlock), [`read_guard`](Self::read_guard), [`write_guard`](Self::write_guard) | GLK-RW (adaptive rw) |
 /// | Condition variables | [`wait`](Self::wait), [`wait_timeout`](Self::wait_timeout) with a [`GlsCondvar`] | any mutex entry |
-/// | Management | [`free`](Self::free), [`lock_count`](Self::lock_count), [`issues`](Self::issues), [`profile_report`](Self::profile_report) | — |
+/// | Management | [`free`](Self::free), [`lock_count`](Self::lock_count), [`issues`](Self::issues), [`telemetry_snapshot`](Self::telemetry_snapshot) | — |
 ///
 /// The rw interface shares everything the mutex interface has: address-based
 /// mapping, the per-thread lock cache, profiling (queue/latency statistics)
@@ -673,26 +672,6 @@ impl GlsService {
         });
     }
 
-    /// Builds a profiler report over every lock object (meaningful when the
-    /// service runs in [`GlsMode::Profile`]).
-    pub fn profile_report(&self) -> ProfileReport {
-        let mut locks = Vec::new();
-        self.for_each_live(|entry| {
-            // Fold the per-thread stat shards (profile mode) and the base
-            // stats (debug mode) into one profile per lock.
-            let totals = entry.profile_totals();
-            locks.push(LockProfile {
-                addr: entry.addr(),
-                algorithm: entry.lock.kind(),
-                acquisitions: totals.acquisitions,
-                avg_queue: totals.avg_queue(),
-                avg_lock_latency: totals.avg_lock_latency(),
-                avg_cs_latency: totals.avg_cs_latency(),
-            });
-        });
-        ProfileReport::new(locks)
-    }
-
     /// Collects the GLK mode transitions of every adaptive lock (only
     /// populated when the GLK configuration enables transition recording).
     pub fn glk_transitions(&self) -> Vec<(usize, Vec<ModeTransition>)> {
@@ -716,8 +695,9 @@ impl GlsService {
     }
 
     /// Captures a [`TelemetrySnapshot`]: per-lock profiles with latency
-    /// distributions, cache/parking/mode-transition counters and
-    /// deadlock-detector activity. Cheap enough to call periodically — one
+    /// distributions (most contended first; meaningful when the service
+    /// runs in [`GlsMode::Profile`]), cache/parking/mode-transition counters
+    /// and deadlock-detector activity. Cheap enough to call periodically — one
     /// table walk plus relaxed counter reads; concurrent updates may or may
     /// not be included (the same racy-snapshot semantics every report here
     /// has).
@@ -783,11 +763,6 @@ impl GlsService {
     /// The lock algorithm currently associated with `addr`, if any.
     pub fn algorithm_of(&self, addr: impl Into<LockAddr>) -> Option<LockKind> {
         self.find_entry(addr.into().0).map(|e| e.lock.kind())
-    }
-
-    /// The thread currently recorded as owner of `addr` (debug mode only).
-    pub fn owner_of(&self, addr: impl Into<LockAddr>) -> Option<ThreadId> {
-        self.find_entry(addr.into().0).and_then(|e| e.owner())
     }
 
     // ------------------------------------------------------------------
@@ -1650,12 +1625,16 @@ mod tests {
             gls_runtime::spin_cycles(200);
             svc.unlock(0x200 + (i % 4)).unwrap();
         }
-        let report = svc.profile_report();
-        assert_eq!(report.len(), 4);
-        for lock in &report.locks {
+        let locks = svc.telemetry_snapshot().locks;
+        assert_eq!(locks.len(), 4);
+        for lock in &locks {
             assert!(lock.acquisitions >= 25);
             assert!(lock.avg_cs_latency > 0.0, "cs latency should be recorded");
         }
+        assert!(
+            locks.windows(2).all(|w| w[0].avg_queue >= w[1].avg_queue),
+            "most contended first"
+        );
     }
 
     #[test]
@@ -1757,12 +1736,12 @@ mod tests {
             gls_runtime::spin_cycles(200);
             svc.write_unlock(0x600).unwrap();
         }
-        let report = svc.profile_report();
-        let rw = report
+        let snapshot = svc.telemetry_snapshot();
+        let rw = snapshot
             .locks
             .iter()
             .find(|l| l.addr == 0x600)
-            .expect("rw entry must appear in the profiler report");
+            .expect("rw entry must appear in the snapshot");
         assert_eq!(rw.algorithm, LockKind::Rw);
         assert_eq!(rw.acquisitions, 60);
         assert!(rw.avg_cs_latency > 0.0, "write sections are timed");
@@ -2018,7 +1997,6 @@ mod tests {
         assert!(svc.free(0xB000));
         // A freed address is absent from every report.
         assert!(svc.telemetry_snapshot().locks.is_empty());
-        assert!(svc.profile_report().locks.is_empty());
         assert!(svc.glk_transitions().is_empty());
         assert_eq!(svc.table_stats().elements, 0);
         sweep_twice(&svc);

@@ -3,7 +3,7 @@
 //! A [`TelemetrySnapshot`] captures, at one moment, everything the locking
 //! middleware knows about itself: per-lock profiles with full latency
 //! *distributions* (p50/p99/p999, not just averages), lock-cache hit rates,
-//! parking-lot occupancy and growth, GLK mode transitions and
+//! parking-lot occupancy and requeues, GLK mode transitions and
 //! deadlock-detector activity. Snapshots are cheap (relaxed reads plus one
 //! table walk), export themselves as JSON ([`TelemetrySnapshot::to_json`])
 //! or human text (`Display`), and can be published periodically from a
@@ -76,8 +76,13 @@ impl HistogramSummary {
     }
 }
 
-/// Telemetry for one lock object: the averages the profiler always had,
-/// plus the latency distributions and the adaptive-mode transition count.
+/// Telemetry for one lock object: the profiler's averages, the latency
+/// distributions and the adaptive-mode transition count. Its `Display` is
+/// the paper's §4.3 profiler line:
+///
+/// ```text
+/// [GLS] queue: 4.50 | l-lat: 13963 | cs-lat: 2848 @ (0x7fe6318eb4e0:GLK)
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct LockTelemetry {
     /// The address this lock was created for.
@@ -98,6 +103,16 @@ pub struct LockTelemetry {
     pub cs_latency: HistogramSummary,
     /// Mode transitions this lock performed (adaptive entries only).
     pub transitions: u64,
+}
+
+impl fmt::Display for LockTelemetry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "[GLS] queue: {:.2} | l-lat: {:.0} | cs-lat: {:.0} @ ({:#x}:{})",
+            self.avg_queue, self.avg_lock_latency, self.avg_cs_latency, self.addr, self.algorithm
+        )
+    }
 }
 
 impl LockTelemetry {
@@ -147,7 +162,7 @@ pub struct TelemetrySnapshot {
     /// Lock-cache counters aggregated across threads (process-wide; exited
     /// threads plus the calling thread).
     pub cache: CacheStats,
-    /// Shared parking-lot occupancy and growth (process-wide).
+    /// Shared parking-lot occupancy and requeues (process-wide).
     pub parking_lot: ParkingLotStats,
     /// Total GLK/GLK-RW mode transitions across this service's entries.
     pub glk_transitions: u64,
@@ -230,11 +245,10 @@ impl fmt::Display for TelemetrySnapshot {
         )?;
         writeln!(
             f,
-            "[GLS telemetry] parking lot: {} buckets, {} parked, {} growths, {} requeues \
+            "[GLS telemetry] parking lot: {} buckets, {} parked, {} requeues \
              | glk transitions: {} | deadlock: {} candidates, {} confirmed",
             self.parking_lot.buckets,
             self.parking_lot.parked,
-            self.parking_lot.growth_events,
             self.parking_lot.requeued_waiters,
             self.glk_transitions,
             self.deadlock.candidates,
@@ -243,20 +257,14 @@ impl fmt::Display for TelemetrySnapshot {
         for lock in &self.locks {
             writeln!(
                 f,
-                "[GLS telemetry]   queue: {:.2} | l-lat: {:.0} (p50 {} p99 {} p999 {}) | \
-                 cs-lat: {:.0} (p50 {} p99 {} p999 {}) | acq: {} @ ({:#x}:{})",
-                lock.avg_queue,
-                lock.avg_lock_latency,
+                "{lock} | acq: {} | l-lat p50/p99/p999: {}/{}/{} | cs-lat p50/p99/p999: {}/{}/{}",
+                lock.acquisitions,
                 lock.lock_latency.p50,
                 lock.lock_latency.p99,
                 lock.lock_latency.p999,
-                lock.avg_cs_latency,
                 lock.cs_latency.p50,
                 lock.cs_latency.p99,
                 lock.cs_latency.p999,
-                lock.acquisitions,
-                lock.addr,
-                lock.algorithm,
             )?;
         }
         Ok(())
@@ -370,7 +378,7 @@ mod tests {
             parking_lot: ParkingLotStats {
                 buckets: 32,
                 parked: 3,
-                growth_events: 1,
+                growth_events: 0,
                 requeued_waiters: 4,
             },
             glk_transitions: 2,
@@ -417,11 +425,28 @@ mod tests {
     }
 
     #[test]
+    fn display_matches_paper_shape() {
+        let mut lock = sample_snapshot().locks.remove(0);
+        lock.addr = 0x7fe6318eb660;
+        lock.avg_queue = 0.03;
+        lock.avg_lock_latency = 96.0;
+        lock.avg_cs_latency = 194.0;
+        assert_eq!(
+            lock.to_string(),
+            "[GLS] queue: 0.03 | l-lat: 96 | cs-lat: 194 @ (0x7fe6318eb660:GLK)"
+        );
+    }
+
+    #[test]
     fn display_is_human_readable() {
         let text = sample_snapshot().to_string();
         assert!(text.contains("mode=profile"));
         assert!(text.contains("sampling=5000/s"));
         assert!(text.contains("p99"));
         assert!(text.contains("0x1000"));
+        // Two header lines, then one paper-shaped line per lock.
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3);
+        assert!(lines[2].starts_with("[GLS] queue: 1.50 |"), "{}", lines[2]);
     }
 }

@@ -80,8 +80,8 @@ pub use error::GlsError;
 pub use glk::{GlkConfig, GlkLock, GlkMode, GlkRwLock, GlkRwMode, ModeTransition};
 pub use gls::{
     thread_cache_stats, CacheStats, DeadlockTelemetry, DeadlockTrail, GlsCondvar, GlsConfig,
-    GlsGuard, GlsMode, GlsService, HistogramSummary, LockAddr, LockProfile, LockTelemetry,
-    ProfileReport, TelemetryPublisher, TelemetrySnapshot, WaitOutcome, CACHE_SLOTS,
+    GlsGuard, GlsMode, GlsService, HistogramSummary, LockAddr, LockTelemetry, TelemetryPublisher,
+    TelemetrySnapshot, WaitOutcome, CACHE_SLOTS,
 };
 
 // Re-export the substrate types that appear in this crate's public API so

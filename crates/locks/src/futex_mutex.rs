@@ -12,7 +12,7 @@
 //! [`SpinWait`] phase (blocking through the lot costs far more than a short
 //! critical section), then the waiter raises the `PARKED` bit and parks.
 //! Every contended release wakes the queue head — the longest-parked
-//! waiter, through [`ParkingLot::unpark_one_with`], one allocation-free
+//! waiter, through [`ParkingLot::unpark_one`], one allocation-free
 //! walk of its bucket. The woken waiter normally re-contends with arriving
 //! threads (barging), like a futex mutex — but the bypass is **bounded**:
 //! the lock word counts consecutive contended wakeups, and once the streak
@@ -140,7 +140,7 @@ impl FutexLock {
     #[cfg(gls_model)]
     pub fn model_unlock_and_wake_one(&self) {
         self.state.store(0, Ordering::Release);
-        ParkingLot::global().unpark_one(self.addr(), DEFAULT_UNPARK_TOKEN, |_| {});
+        ParkingLot::global().unpark_one(self.addr(), |_| DEFAULT_UNPARK_TOKEN, |_| {});
     }
 
     #[inline]
@@ -230,7 +230,7 @@ impl FutexLock {
         let streak = (self.state.load(Ordering::Relaxed) & STREAK_MASK) >> STREAK_SHIFT;
         let handoff_due = streak + 1 >= HANDOFF_WAKEUPS;
         let handoff = std::cell::Cell::new(false);
-        ParkingLot::global().unpark_one_with(
+        ParkingLot::global().unpark_one(
             self.addr(),
             |park_token| {
                 // Streak exhausted: hand the lock to the head — unless it is
@@ -283,7 +283,7 @@ impl FutexLock {
 ///
 /// `addr` must be the address of the `AtomicU32` state word of a live
 /// [`FutexLock`], and the caller must hold the parking-lot bucket lock of
-/// `addr` (e.g. inside [`ParkingLot::unpark_requeue_with`]'s decide
+/// `addr` (e.g. inside [`ParkingLot::unpark_requeue`]'s decide
 /// closure) so the decision is atomic with park validation and with the
 /// release path's state store.
 pub unsafe fn prepare_direct_requeue(addr: usize) -> bool {

@@ -9,7 +9,7 @@
 //! density is the point.
 //!
 //! Readers and writers park on the same address with distinct park tokens;
-//! release uses [`ParkingLot::unpark_select_with`] to wake **the first
+//! release uses [`ParkingLot::unpark_select`] to wake **the first
 //! parked writer if one exists, else every parked reader** — decided under
 //! the bucket lock, atomically with the parked-bit update, so the decision
 //! cannot race with newly parking waiters. Waking readers past a parked
@@ -280,7 +280,7 @@ impl FutexRwLock {
     #[cold]
     fn unpark_waiters(&self) {
         let lot = ParkingLot::global();
-        lot.unpark_select_with(
+        lot.unpark_select(
             self.addr(),
             |tokens| {
                 // Everything below runs under the bucket lock: the streak
@@ -443,7 +443,7 @@ impl FutexRwLock {
         if prev & PARKED == 0 {
             return;
         }
-        ParkingLot::global().unpark_select_with(
+        ParkingLot::global().unpark_select(
             self.addr(),
             |tokens| {
                 if let Some(index) = tokens.iter().position(|&t| t == TOKEN_WRITER) {

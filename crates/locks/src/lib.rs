@@ -14,7 +14,7 @@
 //! starve writers.
 //!
 //! Blocking at scale is served by the address-keyed **parking lot** ([`park`]):
-//! a global sharded table of FIFO wait buckets that holds all wait-queue
+//! a global fixed table of FIFO wait buckets that holds all wait-queue
 //! state centrally, so the word-sized [`FutexLock`] and [`FutexRwLock`]
 //! need only a single `AtomicU32` of per-lock state — the layout that lets
 //! a production system keep hundreds of thousands of live blocking locks.

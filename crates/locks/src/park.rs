@@ -7,16 +7,17 @@
 //! *any* of millions of addresses can be a lock. The parking lot inverts
 //! the layout, futex-style: lock state
 //! shrinks to a single word, and all wait-queue state lives centrally in a
-//! sharded hash table of buckets keyed by the lock's address. Threads that
+//! fixed table of buckets keyed by the lock's address. Threads that
 //! must block **park** themselves in the bucket for their lock's address;
 //! releasing threads **unpark** them from the same bucket.
 //!
 //! # Memory layout
 //!
 //! * One global table ([`ParkingLot::global`]) of [`BUCKETS`] cache-padded
-//!   buckets, each a mutex-protected FIFO queue of waiters. Lock addresses
-//!   hash onto buckets; distinct locks may share a bucket (waiters carry
-//!   their address, so sharing only contends the bucket mutex).
+//!   buckets, allocated once and never resized, each a mutex-protected FIFO
+//!   queue of waiters. Lock addresses hash onto buckets; distinct locks may
+//!   share a bucket (waiters carry their address, so sharing only contends
+//!   the bucket mutex).
 //! * One parker (a `Mutex<bool>` + `Condvar` signal cell) per **thread**,
 //!   lazily created and reused for every park on any address. Space is
 //!   therefore O(threads + buckets), independent of the number of locks —
@@ -38,47 +39,28 @@
 //!   with respect to enqueueing, which is what closes the classic
 //!   lost-wakeup races without a per-lock mutex.
 //!
-//! [`park_timeout`](ParkingLot::park) (via the `timeout` parameter),
+//! There is one wake function per verb: [`unpark_one`](ParkingLot::unpark_one)
+//! (the queue head), [`unpark_all`](ParkingLot::unpark_all),
+//! [`unpark_select`](ParkingLot::unpark_select) (a caller-chosen subset,
+//! e.g. "first writer or else all readers") and
 //! [`unpark_requeue`](ParkingLot::unpark_requeue) (move waiters to another
-//! address without waking them) and [`unpark_select`](ParkingLot::unpark_select)
-//! (wake a caller-chosen subset, e.g. "first writer or else all readers")
-//! round out the primitive set condition variables and reader-writer locks
-//! are built from.
-//!
-//! # Growth
-//!
-//! The bucket table **grows** — CLHT-style, off the hot path — when the
-//! number of parked waiters crosses [`GROW_LOAD_FACTOR`] per bucket: a
-//! parking (already-slow) thread builds a doubled table, locks every old
-//! bucket, moves the waiters over (per-address FIFO order is preserved:
-//! all waiters of one address live in one bucket and are appended in
-//! order), publishes the new table and retires the old one. Every bucket
-//! acquisition re-checks the published table pointer after locking, so an
-//! operation that raced the swap simply retries against the new table.
-//! Old tables are retained until the lot is dropped (doubling keeps the
-//! total retained memory below one current-table size), so references to
-//! buckets never dangle. Unpark and timeout paths never grow.
+//! address without waking them). With [`park`](ParkingLot::park)'s
+//! optional timeout they are the primitive set the futex mutex, the futex
+//! reader-writer lock and the condition variables are built from.
 
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use gls_sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use gls_sync::atomic::{AtomicUsize, Ordering};
 use gls_sync::sync::{Condvar, Mutex, MutexGuard};
 
 use crate::cache_padded::CachePadded;
 
-/// Initial number of buckets in the global parking lot (a power of two).
-/// 64 buckets of one cache line each keep the starting table at 4 kB; the
-/// table grows when the parked population outgrows it (see module docs).
-pub const BUCKETS: usize = 64;
-
-/// The table grows when more than this many waiters are parked per bucket.
-pub const GROW_LOAD_FACTOR: usize = 3;
-
-/// Upper bound on the bucket count (64k cache-padded buckets ≈ 4 MB): far
-/// beyond any realistic simultaneously-parked population, and a hard stop
-/// for pathological growth.
-const MAX_BUCKETS: usize = 1 << 16;
+/// Number of buckets in the global parking lot (a power of two). 64
+/// buckets of one cache line each keep the table at 4 kB. Model builds use
+/// one bucket, as CLHT does, so an exploration's schedule space does not
+/// depend on which buckets the heap addresses happen to hash to.
+pub const BUCKETS: usize = if cfg!(gls_model) { 1 } else { 64 };
 
 /// Park token used by callers that do not need to distinguish waiters.
 pub const DEFAULT_PARK_TOKEN: usize = 0;
@@ -127,14 +109,15 @@ pub struct RequeueResult {
 
 /// A cheap point-in-time view of a [`ParkingLot`]'s internals, for
 /// telemetry snapshots: no bucket lock is taken, every field is a relaxed
-/// counter read (plus the published table's length).
+/// counter read (plus the table's length).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParkingLotStats {
-    /// Buckets in the currently published table.
+    /// Buckets in the table.
     pub buckets: usize,
     /// Waiters currently parked, over all addresses.
     pub parked: usize,
-    /// Times the bucket table grew (doubled) since the lot was created.
+    /// Always 0: the table never grows. Kept only because the benchmark
+    /// reads it as `park.growth_events` and snapshot schema v3 lists it.
     pub growth_events: u64,
     /// Waiters moved between addresses without waking (condvar
     /// requeue-on-notify traffic) since the lot was created.
@@ -234,70 +217,15 @@ struct Bucket {
     queue: Mutex<Vec<Waiter>>,
 }
 
-/// One published generation of the bucket table.
-#[derive(Debug)]
-struct BucketTable {
-    buckets: Box<[CachePadded<Bucket>]>,
-}
-
-impl BucketTable {
-    fn new(buckets: usize) -> Box<Self> {
-        assert!(
-            buckets.is_power_of_two(),
-            "bucket count must be a power of two"
-        );
-        Box::new(Self {
-            buckets: (0..buckets).map(|_| CachePadded::default()).collect(),
-        })
-    }
-
-    fn bucket_index(&self, addr: usize) -> usize {
-        // Fibonacci hashing spreads the (cache-line-aligned, low-entropy)
-        // lock addresses over the buckets via the product's high bits.
-        let hash = addr.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let bits = self.buckets.len().trailing_zeros();
-        if bits == 0 {
-            0
-        } else {
-            hash >> (usize::BITS - bits)
-        }
-    }
-
-    fn bucket_of(&self, addr: usize) -> &Bucket {
-        &self.buckets[self.bucket_index(addr)]
-    }
-}
-
-/// A table retired by growth. Kept as a raw pointer (not a `Box`) because
-/// threads that raced the swap may still hold references into it until
-/// their retry; the allocation is freed only when the lot drops.
-#[derive(Debug)]
-struct RetiredTable(*mut BucketTable);
-
-// SAFETY: the pointer is only dereferenced (to free it) from the lot's
-// Drop, which holds `&mut self`.
-unsafe impl Send for RetiredTable {}
-
-/// The sharded table of wait buckets. Use [`ParkingLot::global`] in
-/// production; dedicated instances exist for tests.
+/// The table of wait buckets. Use [`ParkingLot::global`] in production;
+/// dedicated instances exist for tests.
 #[derive(Debug)]
 pub struct ParkingLot {
-    /// The current bucket table, swapped atomically on growth.
-    table: AtomicPtr<BucketTable>,
-    /// Tables replaced by growth, retained until the lot drops so bucket
-    /// references held across a swap never dangle. Doubling growth keeps
-    /// the total retained memory below one current-table size.
-    old_tables: Mutex<Vec<RetiredTable>>,
+    buckets: Box<[CachePadded<Bucket>]>,
     /// Number of waiters currently parked, maintained under bucket locks.
-    /// Drives the growth trigger and `total_parked`.
     parked: AtomicUsize,
-    /// Serializes growth; `try_lock` keeps concurrent parkers from piling
-    /// up behind one grower.
-    grow_lock: Mutex<()>,
-    /// Completed table growths (raw std atomics: pure telemetry, kept
-    /// invisible to the model explorer's scheduling points).
-    growth_events: std::sync::atomic::AtomicU64,
-    /// Waiters moved by requeue primitives without being woken.
+    /// Waiters moved by requeue without being woken (raw std atomic: pure
+    /// telemetry, kept invisible to the model explorer's scheduling points).
     requeues: std::sync::atomic::AtomicU64,
 }
 
@@ -307,42 +235,21 @@ impl Default for ParkingLot {
     }
 }
 
-impl Drop for ParkingLot {
-    fn drop(&mut self) {
-        // SAFETY: `&mut self` guarantees no thread holds bucket references;
-        // every pointer (current + retired) came from Box::into_raw and
-        // appears exactly once.
-        unsafe {
-            drop(Box::from_raw(self.table.load(Ordering::Acquire)));
-            for table in self.take_old_tables() {
-                drop(Box::from_raw(table.0));
-            }
-        }
-    }
-}
-
 impl ParkingLot {
-    /// Hands over every table a growth retired. The list is append-only, so
-    /// a panic while it was locked left nothing half-done: a poisoned list
-    /// is drained like any other instead of leaking its tables.
-    fn take_old_tables(&mut self) -> Vec<RetiredTable> {
-        let retired = self.old_tables.get_mut();
-        std::mem::take(retired.unwrap_or_else(std::sync::PoisonError::into_inner))
-    }
-
-    /// Creates a lot with `buckets` initial wait buckets (the table grows
-    /// on demand, see the module docs).
+    /// Creates a lot with `buckets` wait buckets. Tests use small dedicated
+    /// lots to force distinct addresses to collide on one bucket.
     ///
     /// # Panics
     ///
     /// Panics if `buckets` is not a power of two.
     pub fn with_buckets(buckets: usize) -> Self {
+        assert!(
+            buckets.is_power_of_two(),
+            "bucket count must be a power of two"
+        );
         Self {
-            table: AtomicPtr::new(Box::into_raw(BucketTable::new(buckets))),
-            old_tables: Mutex::new(Vec::new()),
+            buckets: (0..buckets).map(|_| CachePadded::default()).collect(),
             parked: AtomicUsize::new(0),
-            grow_lock: Mutex::new(()),
-            growth_events: std::sync::atomic::AtomicU64::new(0),
             requeues: std::sync::atomic::AtomicU64::new(0),
         }
     }
@@ -353,106 +260,25 @@ impl ParkingLot {
         GLOBAL.get_or_init(ParkingLot::default)
     }
 
-    /// The currently published table. The reference stays valid for the
-    /// lot's lifetime: replaced tables are retained in `old_tables`, never
-    /// freed while the lot lives.
-    fn current(&self) -> (&BucketTable, *mut BucketTable) {
-        let ptr = self.table.load(Ordering::Acquire);
-        // SAFETY: tables are only freed when the lot is dropped.
-        (unsafe { &*ptr }, ptr)
-    }
-
-    /// Number of buckets in the current table (diagnostics and tests).
+    /// Number of buckets in the table (diagnostics and tests).
     pub fn buckets(&self) -> usize {
-        self.current().0.buckets.len()
+        self.buckets.len()
     }
 
-    /// Locks the bucket of `addr` in the current table. Re-checks the
-    /// published table pointer after acquiring: a growth that swapped the
-    /// table mid-acquisition would otherwise leave this operation mutating
-    /// a drained bucket.
-    fn queue_of(&self, addr: usize) -> MutexGuard<'_, Vec<Waiter>> {
-        loop {
-            let (table, ptr) = self.current();
-            let guard = table
-                .bucket_of(addr)
-                .queue
-                .lock()
-                .expect("parking-lot bucket poisoned");
-            if self.table.load(Ordering::Acquire) == ptr {
-                return guard;
-            }
-        }
-    }
-
-    /// Grows the bucket table when the parked population exceeds
-    /// [`GROW_LOAD_FACTOR`] waiters per bucket. Called from the park path
-    /// only — a thread about to sleep is off the hot path by definition;
-    /// unpark and timeout paths never grow.
-    fn maybe_grow(&self) {
-        if self.parked.load(Ordering::Relaxed) <= self.buckets() * GROW_LOAD_FACTOR
-            || self.buckets() >= MAX_BUCKETS
-        {
-            return;
-        }
-        // One grower at a time; concurrent parkers skip rather than queue.
-        let Ok(_grow) = self.grow_lock.try_lock() else {
-            return;
+    fn bucket_of(&self, addr: usize) -> &Bucket {
+        // Fibonacci hashing spreads the (cache-line-aligned, low-entropy)
+        // lock addresses over the buckets via the product's high bits.
+        let bits = self.buckets.len().trailing_zeros();
+        let index = if bits == 0 {
+            0
+        } else {
+            addr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (usize::BITS - bits)
         };
-        let (old_table, old_ptr) = self.current();
-        // Re-check under the grow lock (another grower may have finished).
-        let parked = self.parked.load(Ordering::Relaxed);
-        let mut target = old_table.buckets.len();
-        while parked > target * GROW_LOAD_FACTOR && target < MAX_BUCKETS {
-            target *= 2;
-        }
-        if target == old_table.buckets.len() {
-            return;
-        }
-        let mut new_table = BucketTable::new(target);
-        // Lock every old bucket (in index order: the only multi-bucket
-        // acquirers are this loop and `lock_pair`, which orders by address,
-        // so there is no lock-order cycle — `lock_pair` holds at most two
-        // and both orders are consistent per table generation). Holding all
-        // of them freezes the old table: every other operation either
-        // finished before we got its bucket or blocks until the swap below
-        // and then retries against the new table.
-        let mut guards: Vec<MutexGuard<'_, Vec<Waiter>>> = old_table
-            .buckets
-            .iter()
-            .map(|b| b.queue.lock().expect("parking-lot bucket poisoned"))
-            .collect();
-        for old_queue in guards.iter_mut() {
-            // Per-address FIFO order is preserved: all waiters of one
-            // address share an old bucket and are appended in order to one
-            // new bucket. The new table is private until published (we own
-            // the box), so its queues are reached through `get_mut` with
-            // no locking — this loop runs while every old bucket lock is
-            // held, stalling all parking traffic, so it must be as short
-            // as possible.
-            for waiter in old_queue.drain(..) {
-                let index = new_table.bucket_index(waiter.addr);
-                new_table.buckets[index]
-                    .queue
-                    .get_mut()
-                    .expect("parking-lot bucket poisoned")
-                    .push(waiter);
-            }
-        }
-        // Publish while still holding every old bucket guard: a thread
-        // blocked on an old bucket mutex wakes only after the drop below,
-        // re-checks the pointer, and retries against the new table.
-        self.table
-            .store(Box::into_raw(new_table), Ordering::Release);
-        drop(guards);
-        // Retain the old table: threads may still hold references into it
-        // (blocked on a bucket mutex, mid-retry). Freed on lot drop.
-        self.old_tables
-            .lock()
-            .expect("parking-lot retired list poisoned")
-            .push(RetiredTable(old_ptr));
-        self.growth_events
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        &self.buckets[index]
+    }
+
+    fn queue_of(&self, addr: usize) -> MutexGuard<'_, Vec<Waiter>> {
+        lock(self.bucket_of(addr))
     }
 
     /// Parks the calling thread on `addr` until an unpark primitive wakes it
@@ -466,8 +292,9 @@ impl ParkingLot {
     /// a condition variable releases its mutex, guaranteeing any notifier
     /// that acquires that mutex afterwards finds the waiter already queued.
     ///
-    /// `park_token` is visible to [`ParkingLot::unpark_select`] filters
-    /// (e.g. to distinguish reader from writer waiters).
+    /// `park_token` is visible to [`ParkingLot::unpark_select`] and
+    /// [`ParkingLot::unpark_one`] (e.g. to distinguish reader from writer
+    /// waiters).
     pub fn park(
         &self,
         addr: usize,
@@ -491,11 +318,6 @@ impl ParkingLot {
             self.parked.fetch_add(1, Ordering::Relaxed);
         }
         before_sleep();
-        // Grow the bucket table here if the parked population outgrew it:
-        // this thread is about to sleep, so it is off the hot path by
-        // definition, and the user-visible release (`before_sleep`) already
-        // ran, so notifiers are not delayed by a growth.
-        self.maybe_grow();
         // The thread is committed to sleeping: note it in the flight
         // recorder (a couple of thread-local stores, nothing shared).
         gls_runtime::flight::record(
@@ -507,7 +329,7 @@ impl ParkingLot {
             None => ParkResult::Unparked(parker.park()),
             Some(timeout) => match parker.park_timeout(timeout) {
                 Some(token) => ParkResult::Unparked(token),
-                None => self.cancel_park(&parker),
+                None => self.cancel_park(&parker, addr),
             },
         };
         if let ParkResult::Unparked(token) = result {
@@ -521,11 +343,18 @@ impl ParkingLot {
     }
 
     /// Removes a timed-out waiter from whichever bucket it lives in now
-    /// (requeues may have moved it), or consumes the in-flight wake if an
-    /// unparker got to it first.
-    fn cancel_park(&self, parker: &Arc<Parker>) -> ParkResult {
+    /// (requeues may have moved it off the address it parked on), or
+    /// consumes the in-flight wake if an unparker got to it first. Only the
+    /// model build's seeded bug reads `_parked_on`.
+    fn cancel_park(&self, parker: &Arc<Parker>, _parked_on: usize) -> ParkResult {
         loop {
             let addr = parker.addr.load(Ordering::Acquire);
+            #[cfg(gls_model)]
+            let addr = if model::cancel_trusts_park_addr() {
+                _parked_on
+            } else {
+                addr
+            };
             let mut queue = self.queue_of(addr);
             if let Some(index) = queue
                 .iter()
@@ -546,24 +375,15 @@ impl ParkingLot {
         }
     }
 
-    /// Wakes the longest-parked waiter on `addr`, if any. `callback` runs
-    /// while the bucket is still locked, after the waiter was dequeued —
-    /// update the lock word there (e.g. clear a parked bit when
+    /// Wakes the longest-parked waiter on `addr`, if any. Its unpark token
+    /// is computed from its **park token** by `token_for`, and `callback`
+    /// runs after it, both while the bucket is still locked — update the
+    /// lock word in `callback` (e.g. clear a parked bit when
     /// [`UnparkResult::have_more`] is `false`) to stay atomic with respect
-    /// to concurrent `park` validation.
-    pub fn unpark_one(
-        &self,
-        addr: usize,
-        unpark_token: usize,
-        callback: impl FnOnce(&UnparkResult),
-    ) -> UnparkResult {
-        self.unpark_one_with(addr, |_| unpark_token, callback)
-    }
-
-    /// Like [`ParkingLot::unpark_one`], but the unpark token is computed
-    /// from the woken waiter's **park token**, under the bucket lock.
+    /// to concurrent `park` validation. Wakers with nothing to pass use
+    /// `|_| DEFAULT_UNPARK_TOKEN`.
     ///
-    /// This is the handoff primitive: a releasing holder passes ownership
+    /// `token_for` is the handoff hook: a releasing holder passes ownership
     /// directly to the queue head (a handoff unpark token) when the head is
     /// one of its own waiters, while waiters of a different kind that were
     /// requeued onto the same address (e.g. condvar waiters moved onto a
@@ -571,8 +391,8 @@ impl ParkingLot {
     /// woken with ordinary release semantics instead — a handoff token
     /// delivered to a thread that does not understand it would strand the
     /// lock in a held-by-nobody state. `token_for` runs only when a waiter
-    /// is dequeued, before `callback`.
-    pub fn unpark_one_with(
+    /// is dequeued.
+    pub fn unpark_one(
         &self,
         addr: usize,
         token_for: impl FnOnce(usize) -> usize,
@@ -626,97 +446,25 @@ impl ParkingLot {
         woken.len()
     }
 
-    /// Wakes the longest-parked waiter that parked with `preferred_token`,
-    /// or — when none did — every waiter on `addr`, in FIFO order.
-    ///
-    /// This is the writer-preferring rw release policy ("first parked
-    /// writer, else all readers") as a single primitive: the decision, the
-    /// dequeues and the `callback` all happen under one bucket lock, atomic
-    /// with park validation, and the bucket critical section allocates at
-    /// most the woken list (nothing at all on the single-waiter path).
-    pub fn unpark_preferred(
-        &self,
-        addr: usize,
-        preferred_token: usize,
-        unpark_token: usize,
-        callback: impl FnOnce(&UnparkResult),
-    ) -> UnparkResult {
-        let mut woken: Vec<Arc<Parker>> = Vec::new();
-        let mut preferred: Option<Arc<Parker>> = None;
-        let result;
-        {
-            let mut queue = self.queue_of(addr);
-            if let Some(index) = queue
-                .iter()
-                .position(|w| w.addr == addr && w.park_token == preferred_token)
-            {
-                preferred = Some(queue.remove(index).parker);
-            } else {
-                queue.retain(|w| {
-                    if w.addr == addr {
-                        woken.push(Arc::clone(&w.parker));
-                        false
-                    } else {
-                        true
-                    }
-                });
-            }
-            result = UnparkResult {
-                unparked: usize::from(preferred.is_some()) + woken.len(),
-                have_more: queue.iter().any(|w| w.addr == addr),
-            };
-            self.parked.fetch_sub(result.unparked, Ordering::Relaxed);
-            callback(&result);
-        }
-        if let Some(parker) = preferred {
-            parker.unpark(unpark_token);
-        }
-        for parker in &woken {
-            parker.unpark(unpark_token);
-        }
-        result
-    }
-
-    /// Wakes a caller-selected subset of the waiters parked on `addr`.
+    /// Wakes a caller-selected subset of the waiters parked on `addr`, each
+    /// with its own unpark token.
     ///
     /// `select` receives the park tokens of every waiter on `addr` in FIFO
-    /// order and returns the indices to wake (out-of-range indices are
-    /// ignored; wakeups preserve FIFO order regardless of the order of the
-    /// returned indices). Both `select` and `callback` run under the bucket
-    /// lock; the actual wakeups happen after it is released.
+    /// order and returns `(index, unpark_token)` pairs to wake
+    /// (out-of-range indices are ignored; wakeups preserve FIFO order
+    /// regardless of the order of the returned pairs). Both `select` and
+    /// `callback` run under the bucket lock; the actual wakeups happen after
+    /// it is released.
     ///
     /// This is the primitive behind writer-preferring rw wakeup ("wake the
     /// first parked writer, else all readers") where the decision must be
     /// atomic with parked-bit maintenance — two separate `unpark_one` /
     /// `unpark_all` calls would race with new waiters parking in between.
+    /// Per-waiter tokens let one release wake a parked writer with "the
+    /// write lock is yours" while a later one wakes a batch of readers with
+    /// "a read slot is pre-charged for you" — and requeued condvar waiters
+    /// sharing the address still receive a token they understand.
     pub fn unpark_select(
-        &self,
-        addr: usize,
-        select: impl FnOnce(&[usize]) -> Vec<usize>,
-        unpark_token: usize,
-        callback: impl FnOnce(&UnparkResult),
-    ) -> UnparkResult {
-        self.unpark_select_with(
-            addr,
-            |tokens| {
-                select(tokens)
-                    .into_iter()
-                    .map(|i| (i, unpark_token))
-                    .collect()
-            },
-            callback,
-        )
-    }
-
-    /// Like [`ParkingLot::unpark_select`], but each selected waiter gets its
-    /// own unpark token: `select` returns `(index, unpark_token)` pairs.
-    ///
-    /// Reader-writer handoff needs this: one release may wake a parked
-    /// writer with a "the write lock is yours" token while a later release
-    /// wakes a batch of readers with "a read slot is pre-charged for you" —
-    /// and requeued condvar waiters sharing the address must still receive
-    /// a token they understand.
-    pub fn unpark_select_with(
         &self,
         addr: usize,
         select: impl FnOnce(&[usize]) -> Vec<(usize, usize)>,
@@ -767,34 +515,16 @@ impl ParkingLot {
     /// Wakes up to `max_unpark` waiters of `from` and moves up to
     /// `max_requeue` of the remaining ones onto `to` without waking them
     /// (they wake on a future unpark of `to`, FIFO behind its existing
-    /// waiters). `callback` runs while both buckets are locked.
-    pub fn unpark_requeue(
-        &self,
-        from: usize,
-        to: usize,
-        max_unpark: usize,
-        max_requeue: usize,
-        unpark_token: usize,
-        callback: impl FnOnce(&RequeueResult),
-    ) -> RequeueResult {
-        self.unpark_requeue_with(
-            from,
-            to,
-            || (max_unpark, max_requeue),
-            unpark_token,
-            callback,
-        )
-    }
-
-    /// Like [`ParkingLot::unpark_requeue`], but the `(max_unpark,
-    /// max_requeue)` split is decided by `decide`, which runs **under both
-    /// bucket locks** — atomically with park validation on either address.
+    /// waiters). The `(max_unpark, max_requeue)` split is decided by
+    /// `decide`, which runs **under both bucket locks** — atomically with
+    /// park validation on either address — and only when `from` has a
+    /// waiter. `callback` runs while both buckets are still locked.
     ///
     /// This is the primitive behind condvar requeue-on-notify: the decision
     /// "requeue onto the mutex vs wake now" must inspect (and update) the
     /// mutex word with no window for the mutex to be released in between,
     /// or a requeued waiter could sleep on a mutex nobody holds.
-    pub fn unpark_requeue_with(
+    pub fn unpark_requeue(
         &self,
         from: usize,
         to: usize,
@@ -858,10 +588,10 @@ impl ParkingLot {
         result
     }
 
-    /// Locks the buckets of `from` and `to` in a deadlock-free order within
-    /// one table generation, retrying if a growth swapped the table while
-    /// acquiring. Returns `(from_queue, Some(to_queue))`, or `(queue, None)`
-    /// when both addresses share a bucket.
+    /// Locks the buckets of `from` and `to` in address order, so two
+    /// requeues in opposite directions cannot deadlock. Returns
+    /// `(from_queue, Some(to_queue))`, or `(queue, None)` when both
+    /// addresses share a bucket.
     #[allow(clippy::type_complexity)]
     fn lock_pair(
         &self,
@@ -871,29 +601,16 @@ impl ParkingLot {
         MutexGuard<'_, Vec<Waiter>>,
         Option<MutexGuard<'_, Vec<Waiter>>>,
     ) {
-        loop {
-            let (table, ptr) = self.current();
-            let from_bucket = table.bucket_of(from);
-            let to_bucket = table.bucket_of(to);
-            fn lock(b: &Bucket) -> MutexGuard<'_, Vec<Waiter>> {
-                b.queue.lock().expect("parking-lot bucket poisoned")
-            }
-            let (first, second) = if std::ptr::eq(from_bucket, to_bucket) {
-                (lock(from_bucket), None)
-            } else if (from_bucket as *const Bucket as usize)
-                < (to_bucket as *const Bucket as usize)
-            {
-                let first = lock(from_bucket);
-                let second = lock(to_bucket);
-                (first, Some(second))
-            } else {
-                let second = lock(to_bucket);
-                let first = lock(from_bucket);
-                (first, Some(second))
-            };
-            if self.table.load(Ordering::Acquire) == ptr {
-                return (first, second);
-            }
+        let from_bucket = self.bucket_of(from);
+        let to_bucket = self.bucket_of(to);
+        if std::ptr::eq(from_bucket, to_bucket) {
+            (lock(from_bucket), None)
+        } else if (from_bucket as *const Bucket) < (to_bucket as *const Bucket) {
+            let first = lock(from_bucket);
+            (first, Some(lock(to_bucket)))
+        } else {
+            let second = lock(to_bucket);
+            (lock(from_bucket), Some(second))
         }
     }
 
@@ -913,16 +630,14 @@ impl ParkingLot {
     }
 
     /// A point-in-time [`ParkingLotStats`] view: bucket count, parked
-    /// population, completed growths and requeued waiters. Racy by design —
-    /// every field is a relaxed counter read, so snapshotting never touches
-    /// a bucket lock.
+    /// population and requeued waiters. Racy by design — every field is a
+    /// relaxed counter read, so snapshotting never touches a bucket lock.
     pub fn stats(&self) -> ParkingLotStats {
-        use std::sync::atomic::Ordering::Relaxed;
         ParkingLotStats {
             buckets: self.buckets(),
             parked: self.total_parked(),
-            growth_events: self.growth_events.load(Relaxed),
-            requeued_waiters: self.requeues.load(Relaxed),
+            growth_events: 0,
+            requeued_waiters: self.requeues.load(std::sync::atomic::Ordering::Relaxed),
         }
     }
 
@@ -935,14 +650,42 @@ impl ParkingLot {
     /// thread is alive.
     #[cfg(gls_model)]
     pub fn model_purge(&self) {
-        let (table, _) = self.current();
         let mut removed = 0usize;
-        for bucket in table.buckets.iter() {
-            let mut queue = bucket.queue.lock().expect("parking-lot bucket poisoned");
+        for bucket in self.buckets.iter() {
+            let mut queue = lock(bucket);
             removed += queue.len();
             queue.clear();
         }
         self.parked.fetch_sub(removed, Ordering::Relaxed);
+    }
+}
+
+fn lock(bucket: &Bucket) -> MutexGuard<'_, Vec<Waiter>> {
+    bucket.queue.lock().expect("parking-lot bucket poisoned")
+}
+
+/// Seeded bugs for the model explorer. Compiled only under
+/// `--cfg gls_model`.
+#[cfg(gls_model)]
+pub mod model {
+    use std::cell::Cell;
+
+    // Per thread: a vthread is an OS thread, and an exploration's threads
+    // must not see another test's settings.
+    thread_local! {
+        static TRUST_PARK_ADDR: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Seeds, on the calling thread, a timed-out park that searches for
+    /// itself under the address it parked on instead of the one its parker
+    /// records now. Once a requeue has moved the waiter, that address never
+    /// holds it and never changes, so the cancel loops forever.
+    pub fn model_cancel_trusts_park_addr(seeded: bool) {
+        TRUST_PARK_ADDR.set(seeded);
+    }
+
+    pub(super) fn cancel_trusts_park_addr() -> bool {
+        TRUST_PARK_ADDR.get()
     }
 }
 
@@ -1004,7 +747,7 @@ mod tests {
         let handles = park_squad(&lot, 0x100, 3, &order);
         for _ in 0..3 {
             let before = order.lock().unwrap().len();
-            let result = lot.unpark_one(0x100, DEFAULT_UNPARK_TOKEN, |_| {});
+            let result = lot.unpark_one(0x100, |_| DEFAULT_UNPARK_TOKEN, |_| {});
             assert_eq!(result.unparked, 1);
             while order.lock().unwrap().len() == before {
                 std::thread::yield_now();
@@ -1031,36 +774,26 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_growth_and_requeues() {
+    fn stats_count_requeued_waiters() {
         let lot = Arc::new(ParkingLot::with_buckets(1));
         let fresh = lot.stats();
         assert_eq!(fresh.buckets, 1);
         assert_eq!(fresh.parked, 0);
-        assert_eq!(fresh.growth_events, 0);
         assert_eq!(fresh.requeued_waiters, 0);
-        // Park enough waiters to cross GROW_LOAD_FACTOR on the 1-bucket
-        // table: the table must double and the growth must be counted.
         let order = Arc::new(Mutex::new(Vec::new()));
-        let handles = park_squad(&lot, 0x500, GROW_LOAD_FACTOR + 2, &order);
-        assert_eq!(lot.stats().parked, GROW_LOAD_FACTOR + 2);
-        // `park_squad` returns once the last waiter is enqueued, but the
-        // growth runs after that, on a parker thread: poll for it.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let grown = lot.stats();
-            if grown.growth_events >= 1 && grown.buckets > 1 {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "table must have grown and counted it: {grown:?}"
-            );
-            std::thread::yield_now();
-        }
+        let handles = park_squad(&lot, 0x500, 3, &order);
+        assert_eq!(lot.stats().parked, 3);
         // Requeue one waiter onto another address without waking it.
-        let moved = lot.unpark_requeue(0x500, 0x600, 0, 1, DEFAULT_UNPARK_TOKEN, |_| {});
+        let moved = lot.unpark_requeue(0x500, 0x600, || (0, 1), DEFAULT_UNPARK_TOKEN, |_| {});
         assert_eq!(moved.requeued, 1);
-        assert_eq!(lot.stats().requeued_waiters, 1);
+        let stats = lot.stats();
+        assert_eq!(stats.requeued_waiters, 1);
+        assert_eq!(stats.parked, 3, "a requeue wakes nobody");
+        assert_eq!(
+            (stats.buckets, stats.growth_events),
+            (1, 0),
+            "the table is fixed"
+        );
         // Drain everyone.
         lot.unpark_all(0x500, DEFAULT_UNPARK_TOKEN);
         lot.unpark_all(0x600, DEFAULT_UNPARK_TOKEN);
@@ -1068,30 +801,6 @@ mod tests {
             assert!(h.join().unwrap().is_unparked());
         }
         assert_eq!(lot.stats().parked, 0);
-    }
-
-    #[test]
-    fn poisoned_retired_list_still_gives_up_its_tables() {
-        let lot = Arc::new(ParkingLot::with_buckets(1));
-        let retired = RetiredTable(Box::into_raw(BucketTable::new(1)));
-        lot.old_tables.lock().unwrap().push(retired);
-        let poisoner = {
-            let lot = Arc::clone(&lot);
-            std::thread::spawn(move || {
-                let _retired = lot.old_tables.lock().unwrap();
-                panic!("poison the retired-table list");
-            })
-        };
-        assert!(poisoner.join().is_err());
-        assert!(lot.old_tables.lock().is_err(), "the list is poisoned");
-        // What `Drop` reclaims: the table the "growth" above retired.
-        let mut lot = Arc::try_unwrap(lot).expect("sole owner");
-        let retired = lot.take_old_tables();
-        assert_eq!(retired.len(), 1);
-        for table in retired {
-            // SAFETY: handed over exactly once; nobody references the table.
-            unsafe { drop(Box::from_raw(table.0)) };
-        }
     }
 
     #[test]
@@ -1128,10 +837,14 @@ mod tests {
         while lot.parked_count(0x500) == 0 {
             std::thread::yield_now();
         }
-        lot.unpark_one(0x500, 42, |result| {
-            assert_eq!(result.unparked, 1);
-            assert!(!result.have_more);
-        });
+        lot.unpark_one(
+            0x500,
+            |_| 42,
+            |result| {
+                assert_eq!(result.unparked, 1);
+                assert!(!result.have_more);
+            },
+        );
         assert_eq!(handle.join().unwrap(), ParkResult::Unparked(42));
     }
 
@@ -1141,10 +854,16 @@ mod tests {
         let order = Arc::new(Mutex::new(Vec::new()));
         let handles = park_squad(&lot, 0x600, 3, &order);
         // Wake one, requeue the other two onto 0x700.
-        let result = lot.unpark_requeue(0x600, 0x700, 1, usize::MAX, DEFAULT_UNPARK_TOKEN, |r| {
-            assert_eq!(r.unparked, 1);
-            assert_eq!(r.requeued, 2);
-        });
+        let result = lot.unpark_requeue(
+            0x600,
+            0x700,
+            || (1, usize::MAX),
+            DEFAULT_UNPARK_TOKEN,
+            |r| {
+                assert_eq!(r.unparked, 1);
+                assert_eq!(r.requeued, 2);
+            },
+        );
         assert_eq!(result.unparked, 1);
         assert_eq!(result.requeued, 2);
         assert_eq!(lot.parked_count(0x600), 0);
@@ -1187,7 +906,13 @@ mod tests {
         while lot.parked_count(0x800) == 0 {
             std::thread::yield_now();
         }
-        lot.unpark_requeue(0x800, 0x900, 0, usize::MAX, DEFAULT_UNPARK_TOKEN, |_| {});
+        lot.unpark_requeue(
+            0x800,
+            0x900,
+            || (0, usize::MAX),
+            DEFAULT_UNPARK_TOKEN,
+            |_| {},
+        );
         assert_eq!(lot.parked_count(0x900), 1);
         assert_eq!(handle.join().unwrap(), ParkResult::TimedOut);
         assert_eq!(lot.total_parked(), 0);
@@ -1204,9 +929,8 @@ mod tests {
             0xA00,
             |tokens| {
                 assert_eq!(tokens, &[0, 1, 2]);
-                vec![1]
+                vec![(1, DEFAULT_UNPARK_TOKEN)]
             },
-            DEFAULT_UNPARK_TOKEN,
             |r| {
                 assert_eq!(r.unparked, 1);
                 assert!(r.have_more);
@@ -1221,33 +945,6 @@ mod tests {
         for h in handles {
             assert!(h.join().unwrap().is_unparked());
         }
-    }
-
-    #[test]
-    fn unpark_preferred_wakes_tagged_waiter_else_everyone() {
-        // Tokens [0, 1, 0]: preferring token 1 wakes only the middle
-        // waiter; a second call (no tagged waiter left) wakes the rest.
-        let lot = Arc::new(ParkingLot::with_buckets(4));
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let handles = park_squad(&lot, 0xB00, 3, &order);
-        let result = lot.unpark_preferred(0xB00, 1, DEFAULT_UNPARK_TOKEN, |r| {
-            assert_eq!(r.unparked, 1);
-            assert!(r.have_more);
-        });
-        assert_eq!(result.unparked, 1);
-        while order.lock().unwrap().is_empty() {
-            std::thread::yield_now();
-        }
-        assert_eq!(*order.lock().unwrap(), vec![1], "the tagged waiter woke");
-        let rest = lot.unpark_preferred(0xB00, 1, DEFAULT_UNPARK_TOKEN, |r| {
-            assert_eq!(r.unparked, 2);
-            assert!(!r.have_more);
-        });
-        assert_eq!(rest.unparked, 2);
-        for h in handles {
-            assert!(h.join().unwrap().is_unparked());
-        }
-        assert_eq!(lot.total_parked(), 0);
     }
 
     #[test]
@@ -1288,71 +985,30 @@ mod tests {
     }
 
     #[test]
-    fn global_lot_is_a_singleton() {
-        assert!(std::ptr::eq(ParkingLot::global(), ParkingLot::global()));
-    }
-
-    #[test]
-    fn table_grows_under_parked_load_and_waiters_survive() {
-        // 2 initial buckets, GROW_LOAD_FACTOR waiters per bucket: parking 24
-        // threads on 24 distinct addresses must grow the table, and every
-        // waiter must remain reachable (unparkable) afterwards.
-        let lot = Arc::new(ParkingLot::with_buckets(2));
-        let n = 24usize;
-        let handles: Vec<_> = (0..n)
-            .map(|i| {
-                let lot = Arc::clone(&lot);
-                std::thread::spawn(move || {
-                    lot.park(0x1000 + i * 64, DEFAULT_PARK_TOKEN, || true, || {}, None)
-                })
-            })
-            .collect();
-        while lot.total_parked() < n {
-            std::thread::yield_now();
-        }
-        // Growth triggers on the next park once the load threshold is
-        // crossed; at 24 parked the 2-bucket table must have grown.
-        assert!(
-            lot.buckets() > 2,
-            "table should have grown (buckets = {})",
-            lot.buckets()
-        );
-        for i in 0..n {
-            assert_eq!(lot.parked_count(0x1000 + i * 64), 1, "waiter {i} survives");
-            assert_eq!(lot.unpark_all(0x1000 + i * 64, 9), 1);
-        }
-        for h in handles {
-            assert_eq!(h.join().unwrap(), ParkResult::Unparked(9));
-        }
-        assert_eq!(lot.total_parked(), 0);
-    }
-
-    #[test]
-    fn growth_preserves_fifo_order_per_address() {
+    fn shared_bucket_preserves_fifo_order_per_address() {
+        // One bucket: three FIFO waiters on one address are queued among
+        // waiters on other addresses, which parked before and after them.
         let lot = Arc::new(ParkingLot::with_buckets(1));
         let order = Arc::new(Mutex::new(Vec::new()));
-        // Three FIFO waiters on one address...
-        let fifo = park_squad(&lot, 0xF1F0, 3, &order);
-        // ...then enough waiters elsewhere to force a growth past them.
-        let filler: Vec<_> = (0..8)
-            .map(|i| {
-                let lot = Arc::clone(&lot);
-                std::thread::spawn(move || {
-                    lot.park(0x2000 + i * 64, DEFAULT_PARK_TOKEN, || true, || {}, None)
-                })
+        let park_filler = |i: usize| {
+            let lot = Arc::clone(&lot);
+            std::thread::spawn(move || {
+                lot.park(0x2000 + i * 64, DEFAULT_PARK_TOKEN, || true, || {}, None)
             })
-            .collect();
+        };
+        let mut filler: Vec<_> = (0..4).map(park_filler).collect();
+        while lot.total_parked() < 4 {
+            std::thread::yield_now();
+        }
+        let fifo = park_squad(&lot, 0xF1F0, 3, &order);
+        filler.extend((4..8).map(park_filler));
         while lot.total_parked() < 11 {
             std::thread::yield_now();
         }
-        assert!(lot.buckets() > 1, "growth should have happened");
         for _ in 0..3 {
             let before = order.lock().unwrap().len();
-            assert_eq!(
-                lot.unpark_one(0xF1F0, DEFAULT_UNPARK_TOKEN, |_| {})
-                    .unparked,
-                1
-            );
+            let result = lot.unpark_one(0xF1F0, |_| DEFAULT_UNPARK_TOKEN, |_| {});
+            assert_eq!(result.unparked, 1);
             while order.lock().unwrap().len() == before {
                 std::thread::yield_now();
             }
@@ -1360,15 +1016,21 @@ mod tests {
         assert_eq!(
             *order.lock().unwrap(),
             vec![0, 1, 2],
-            "FIFO order survives the table growth"
+            "FIFO order per address in a shared bucket"
         );
         for i in 0..8 {
-            lot.unpark_all(0x2000 + i * 64, DEFAULT_UNPARK_TOKEN);
+            assert_eq!(lot.unpark_all(0x2000 + i * 64, DEFAULT_UNPARK_TOKEN), 1);
         }
         for h in fifo.into_iter().chain(filler) {
             assert!(h.join().unwrap().is_unparked());
         }
         assert_eq!(lot.total_parked(), 0);
+    }
+
+    #[test]
+    fn global_lot_is_a_singleton() {
+        assert!(std::ptr::eq(ParkingLot::global(), ParkingLot::global()));
+        assert_eq!(ParkingLot::global().buckets(), BUCKETS);
     }
 
     #[test]
@@ -1385,7 +1047,7 @@ mod tests {
         }
         // Decide to requeue instead of waking.
         let result =
-            lot.unpark_requeue_with(0x10, 0x20, || (0, usize::MAX), DEFAULT_UNPARK_TOKEN, |_| {});
+            lot.unpark_requeue(0x10, 0x20, || (0, usize::MAX), DEFAULT_UNPARK_TOKEN, |_| {});
         assert_eq!(result.unparked, 0);
         assert_eq!(result.requeued, 1);
         assert_eq!(lot.parked_count(0x20), 1);

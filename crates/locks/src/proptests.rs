@@ -95,13 +95,13 @@ proptest! {
                     }
                 }
                 ParkOp::UnparkOne(addr) => {
-                    lot.unpark_one(addr, DEFAULT_UNPARK_TOKEN, |_| {});
+                    lot.unpark_one(addr, |_| DEFAULT_UNPARK_TOKEN, |_| {});
                 }
                 ParkOp::UnparkAll(addr) => {
                     lot.unpark_all(addr, DEFAULT_UNPARK_TOKEN);
                 }
                 ParkOp::Requeue(from, to) => {
-                    lot.unpark_requeue(from, to, 0, usize::MAX, DEFAULT_UNPARK_TOKEN, |_| {});
+                    lot.unpark_requeue(from, to, || (0, usize::MAX), DEFAULT_UNPARK_TOKEN, |_| {});
                 }
             }
         }

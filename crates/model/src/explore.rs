@@ -417,7 +417,7 @@ impl Policy for DfsPolicy {
             if node.choices != choices {
                 // Replay divergence: the schedule prefix produced a
                 // different choice set than last time (cross-execution
-                // global state such as parking-table growth can do this).
+                // global state can do this).
                 // Truncate the recorded subtree and restart it rather than
                 // failing the whole exploration; the worst case is some
                 // schedules being revisited.

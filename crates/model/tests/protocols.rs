@@ -591,6 +591,104 @@ fn condvar_requeue_strands_no_waiter() {
     });
 }
 
+/// A timed park racing a requeue (the condvar `wait_timeout` path): W
+/// parks on `A` with a timeout; R requeues `A` → `B`, then wakes the head
+/// of `B`. The explorer decides whether and when W's timeout fires, so W
+/// may time out before the requeue, between the requeue and the wake, or
+/// not at all. On every schedule W is woken iff R's wake counted it, the
+/// lot drains, and neither queue keeps W. `dedicated` runs it on a
+/// two-bucket lot where `A` and `B` hash to different buckets, so the
+/// requeue takes two bucket locks (the global lot has one bucket in model
+/// builds). `seeded` makes W's cancel search the address it parked on
+/// instead of the one its parker records.
+fn timed_park_vs_requeue(dedicated: bool, seeded: bool) -> impl Fn() + Send + Sync + 'static {
+    use gls_locks::park::model::model_cancel_trusts_park_addr;
+    use gls_locks::park::DEFAULT_UNPARK_TOKEN;
+    // Buckets 0 and 1 of a two-bucket lot (the top bit of the Fibonacci
+    // hash).
+    const A: usize = 0x1000;
+    const B: usize = 0x2000;
+    const WAKE: usize = 7;
+    fn lot(own: &Option<Arc<ParkingLot>>) -> &ParkingLot {
+        match own {
+            Some(lot) => lot,
+            None => ParkingLot::global(),
+        }
+    }
+    move || {
+        let own = dedicated.then(|| Arc::new(ParkingLot::with_buckets(2)));
+        let waiter = {
+            let own = own.clone();
+            thread::spawn(move || {
+                model_cancel_trusts_park_addr(seeded);
+                lot(&own).park(
+                    A,
+                    DEFAULT_PARK_TOKEN,
+                    || true,
+                    || {},
+                    Some(std::time::Duration::from_secs(1)),
+                )
+            })
+        };
+        let requeuer = {
+            let own = own.clone();
+            thread::spawn(move || {
+                let lot = lot(&own);
+                lot.unpark_requeue(A, B, || (0, usize::MAX), DEFAULT_UNPARK_TOKEN, |_| {});
+                lot.unpark_one(B, |_| WAKE, |_| {}).unparked
+            })
+        };
+        let parked = waiter.join().expect("waiter panicked");
+        let woken = requeuer.join().expect("requeuer panicked");
+        match parked {
+            ParkResult::Unparked(token) => {
+                assert_eq!((woken, token), (1, WAKE), "W woke without R's wake")
+            }
+            ParkResult::TimedOut => assert_eq!(woken, 0, "R's wake counted a timed-out W"),
+            ParkResult::Invalid => unreachable!("validation always passes"),
+        }
+        let lot = lot(&own);
+        assert_eq!(lot.total_parked(), 0, "the lot did not drain");
+        assert_eq!(
+            lot.parked_count(A) + lot.parked_count(B),
+            0,
+            "a queue kept W"
+        );
+    }
+}
+
+#[test]
+fn timed_park_racing_a_requeue_is_woken_or_times_out_cleanly() {
+    Explorer::exhaustive()
+        .cleanup(|| ParkingLot::global().model_purge())
+        .check("timed-park-requeue", timed_park_vs_requeue(false, false));
+    Explorer::exhaustive().check(
+        "timed-park-requeue-2-buckets",
+        timed_park_vs_requeue(true, false),
+    );
+}
+
+/// Seeded bug — a timed-out waiter that searches the address it parked on
+/// never finds itself once a requeue moved it, and never leaves its
+/// cancel loop. The explorer must find that on both lots.
+#[test]
+fn rediscovers_the_cancel_trusting_its_park_address_bug() {
+    for (dedicated, lot) in [(false, "global"), (true, "2-bucket")] {
+        let failure = Explorer::exhaustive()
+            .cleanup(|| ParkingLot::global().model_purge())
+            .find_failure(
+                &format!("timed-park-requeue-trusting-cancel-{lot}"),
+                timed_park_vs_requeue(dedicated, true),
+            )
+            .expect("the explorer must catch the cancel that searches the wrong address");
+        assert_eq!(
+            failure.kind,
+            FailureKind::StepLimit,
+            "expected the cancel loop to spin forever, got: {failure}"
+        );
+    }
+}
+
 /// Regression (PR 5) — a release that abandons a futex word must
 /// *broadcast*. The one-wake variant this repository originally shipped
 /// relied on each woken waiter re-acquiring and re-releasing the word, but

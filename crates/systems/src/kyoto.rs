@@ -441,15 +441,14 @@ mod tests {
             },
         );
         assert!(result.operations > 0);
-        let report = provider.service().unwrap().profile_report();
-        let rw_entries: Vec<_> = report
-            .locks
+        let locks = provider.service().unwrap().telemetry_snapshot().locks;
+        let rw_entries: Vec<_> = locks
             .iter()
             .filter(|l| l.algorithm == LockKind::Rw)
             .collect();
         assert!(
             !rw_entries.is_empty(),
-            "the global rwlock must be profiled through GLS: {report:?}"
+            "the global rwlock must be profiled through GLS: {locks:?}"
         );
         assert!(
             rw_entries.iter().any(|l| l.acquisitions > 0),

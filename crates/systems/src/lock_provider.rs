@@ -86,7 +86,7 @@ impl LockProvider {
 
     /// GLS provider whose service runs in profiler mode, so every mutex and
     /// rwlock the system creates shows up in
-    /// [`GlsService::profile_report`] with queue and latency statistics.
+    /// [`GlsService::telemetry_snapshot`] with queue and latency statistics.
     pub fn gls_profiling() -> Self {
         LockProvider::Gls(Arc::new(GlsService::with_config(GlsConfig::profile())))
     }
@@ -687,20 +687,18 @@ mod tests {
             rw.with_write(|| ());
             m.with(|| ());
         }
-        let report = provider.service().unwrap().profile_report();
+        let locks = provider.service().unwrap().telemetry_snapshot().locks;
         assert!(
-            report
-                .locks
+            locks
                 .iter()
                 .any(|l| l.algorithm == LockKind::Rw && l.acquisitions == 40),
-            "profiler report must show the rw lock entry: {report:?}"
+            "the snapshot must show the rw lock entry: {locks:?}"
         );
         assert!(
-            report
-                .locks
+            locks
                 .iter()
                 .any(|l| l.algorithm != LockKind::Rw && l.acquisitions == 20),
-            "profiler report must show the mutex entry: {report:?}"
+            "the snapshot must show the mutex entry: {locks:?}"
         );
     }
 

@@ -356,16 +356,15 @@ mod tests {
             },
         );
         assert!(result.operations > 0);
-        let report = provider.service().unwrap().profile_report();
-        let rw_acquisitions: u64 = report
-            .locks
+        let locks = provider.service().unwrap().telemetry_snapshot().locks;
+        let rw_acquisitions: u64 = locks
             .iter()
             .filter(|l| l.algorithm == gls_locks::LockKind::Rw)
             .map(|l| l.acquisitions)
             .sum();
         assert!(
             rw_acquisitions > 0,
-            "page-group rwlocks must be profiled through GLS: {report:?}"
+            "page-group rwlocks must be profiled through GLS: {locks:?}"
         );
     }
 

@@ -281,8 +281,8 @@ mod tests {
         let service = Arc::new(GlsService::with_config(GlsConfig::profile()));
         let result = run(&service, &quick());
         assert_eq!(result.consumed, 4_000);
-        let report = service.profile_report();
-        assert_eq!(report.len(), 1, "one mutex entry behind the queue");
-        assert!(report.locks[0].acquisitions > 0);
+        let locks = service.telemetry_snapshot().locks;
+        assert_eq!(locks.len(), 1, "one mutex entry behind the queue");
+        assert!(locks[0].acquisitions > 0);
     }
 }

@@ -96,7 +96,7 @@ impl GlsRwBenchLock {
         }
     }
 
-    /// The backing service (e.g. to pull a profiler report after a run).
+    /// The backing service (e.g. to take a telemetry snapshot after a run).
     pub fn service(&self) -> &Arc<GlsService> {
         &self.service
     }
@@ -318,10 +318,10 @@ mod tests {
             },
         );
         assert!(result.total_ops() > 0);
-        let report = lock.service().profile_report();
-        assert_eq!(report.len(), 1, "one rw lock entry must be profiled");
-        assert_eq!(report.locks[0].algorithm, gls::LockKind::Rw);
-        assert!(report.locks[0].acquisitions > 0);
+        let locks = lock.service().telemetry_snapshot().locks;
+        assert_eq!(locks.len(), 1, "one rw lock entry must be profiled");
+        assert_eq!(locks[0].algorithm, gls::LockKind::Rw);
+        assert!(locks[0].acquisitions > 0);
     }
 
     #[test]

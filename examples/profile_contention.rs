@@ -1,10 +1,11 @@
 //! Finding contended locks with the GLS profiler mode (§4.3).
 //!
 //! A skewed workload hammers one of eight locks far more than the others
-//! (like a global stats lock in a real system). The profiler report makes the
-//! bottleneck obvious: it shows per-lock queuing, lock-acquisition latency
-//! and critical-section latency, sorted by contention — exactly the output
-//! the paper uses to re-engineer Memcached's locking.
+//! (like a global stats lock in a real system). The telemetry snapshot's
+//! per-lock lines make the bottleneck obvious: they show per-lock queuing,
+//! lock-acquisition latency and critical-section latency, sorted by
+//! contention — exactly the output the paper uses to re-engineer Memcached's
+//! locking.
 //!
 //! Run with:
 //!
@@ -48,11 +49,13 @@ fn main() {
         h.join().unwrap();
     }
 
-    let report = service.profile_report();
+    let locks = service.telemetry_snapshot().locks;
     println!("profile_contention: per-lock report (most contended first)\n");
-    print!("{report}");
+    for lock in &locks {
+        println!("{lock}");
+    }
 
-    let hot: Vec<_> = report.contended(1.0).collect();
+    let hot: Vec<_> = locks.iter().filter(|l| l.avg_queue > 1.0).collect();
     println!("\nlikely bottlenecks (avg queue > 1.0): {}", hot.len());
     for lock in hot {
         println!(

@@ -285,7 +285,7 @@ fn disabled_lock_cache_is_fully_bypassed() {
 }
 
 /// Profile mode must lose no sample to the sharded fold: with T threads
-/// doing exactly N acquisitions each on one lock, the folded report shows
+/// doing exactly N acquisitions each on one lock, the folded snapshot shows
 /// exactly T × N acquisitions, and the latency averages are populated.
 #[test]
 fn profile_report_is_exact_after_sharded_fold() {
@@ -311,12 +311,11 @@ fn profile_report_is_exact_after_sharded_fold() {
     for h in handles {
         h.join().unwrap();
     }
-    let report = svc.profile_report();
-    let lock = report
-        .locks
+    let locks = svc.telemetry_snapshot().locks;
+    let lock = locks
         .iter()
         .find(|l| l.addr == addr)
-        .expect("profiled lock must appear in the report");
+        .expect("profiled lock must appear in the snapshot");
     assert_eq!(
         lock.acquisitions,
         threads as u64 * per_thread,
@@ -330,7 +329,7 @@ fn profile_report_is_exact_after_sharded_fold() {
 }
 
 /// Single-threaded profile determinism: every sample lands in one shard and
-/// the report matches the op counts exactly, like the unsharded profiler.
+/// the snapshot matches the op counts exactly, like the unsharded profiler.
 #[test]
 fn profile_report_single_thread_matches_op_counts() {
     let svc = GlsService::with_config(GlsConfig::profile());
@@ -340,9 +339,9 @@ fn profile_report_single_thread_matches_op_counts() {
         gls_runtime::spin_cycles(80);
         svc.unlock(addr).unwrap();
     }
-    let report = svc.profile_report();
-    assert_eq!(report.len(), 3);
-    for lock in &report.locks {
+    let locks = svc.telemetry_snapshot().locks;
+    assert_eq!(locks.len(), 3);
+    for lock in &locks {
         assert_eq!(lock.acquisitions, 40);
         assert!(lock.avg_lock_latency > 0.0);
         assert!(lock.avg_cs_latency > 0.0);
@@ -357,8 +356,8 @@ fn profile_report_counts_try_lock_acquisitions() {
     assert!(svc.try_lock(addr).unwrap());
     assert!(!svc.try_lock(addr).unwrap(), "second try must fail");
     svc.unlock(addr).unwrap();
-    let report = svc.profile_report();
-    assert_eq!(report.locks[0].acquisitions, 1);
+    let locks = svc.telemetry_snapshot().locks;
+    assert_eq!(locks[0].acquisitions, 1);
 }
 
 mod churn_proptest {

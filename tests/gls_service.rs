@@ -111,21 +111,17 @@ fn profiler_identifies_the_hot_lock() {
     for h in handles {
         h.join().unwrap();
     }
-    let report = svc.profile_report();
-    assert!(report.len() >= 2);
+    let locks = svc.telemetry_snapshot().locks;
+    assert!(locks.len() >= 2);
     // The skewed lock must dominate by traffic; with short runs on a noisy
     // machine a cold lock can occasionally edge ahead on the *average* queue
     // metric, so the traffic count is the robust signal to check.
-    let hot = report
-        .locks
+    let hot = locks
         .iter()
         .find(|l| l.addr == 0x100)
         .expect("hot lock must be profiled");
     assert!(
-        report
-            .locks
-            .iter()
-            .all(|l| l.acquisitions <= hot.acquisitions),
+        locks.iter().all(|l| l.acquisitions <= hot.acquisitions),
         "the skewed lock must have the most acquisitions"
     );
     assert!(hot.acquisitions > 0);

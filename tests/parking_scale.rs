@@ -1,7 +1,7 @@
-//! Scale test for the growable parking-lot bucket table: thousands of
-//! simultaneously *contended* locks (each with a parked waiter) must grow
-//! the table off the hot path so they stop colliding on the initial 64
-//! bucket mutexes, and every waiter must survive the table swaps.
+//! Collision stress for the fixed parking-lot bucket table: thousands of
+//! simultaneously *contended* locks (each with a parked waiter) share the
+//! 64 bucket mutexes, and every waiter must still be found under its own
+//! address and woken.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -10,11 +10,11 @@ use gls_locks::park::DEFAULT_PARK_TOKEN;
 use gls_locks::{FutexLock, ParkingLot, QueueInformed, RawLock};
 
 #[test]
-fn four_thousand_contended_locks_grow_the_table() {
-    // A dedicated lot starting at the production size (64 buckets). Each
-    // thread parks under a distinct address — the "one contended lock with
-    // one parked waiter" shape — with small stacks so >4k OS threads stay
-    // cheap.
+fn four_thousand_waiters_share_a_fixed_table_and_all_wake() {
+    // A dedicated lot of the production size (64 buckets). Each thread
+    // parks under a distinct address — the "one contended lock with one
+    // parked waiter" shape — with small stacks so >4k OS threads stay
+    // cheap. About 65 waiters end up in every bucket.
     const LOCKS: usize = 4_200;
     let lot = Arc::new(ParkingLot::with_buckets(64));
     let parked = Arc::new(AtomicUsize::new(0));
@@ -45,16 +45,8 @@ fn four_thousand_contended_locks_grow_the_table() {
         std::thread::yield_now();
     }
     assert_eq!(lot.total_parked(), LOCKS);
-    // 4200 parked waiters over a load factor of 3 demand >= 2048 buckets;
-    // the initial table had 64.
-    assert!(
-        lot.buckets() >= 2048,
-        "the table must have grown for {} contended locks (buckets = {})",
-        LOCKS,
-        lot.buckets()
-    );
-    // Every waiter is still reachable under its own address after the
-    // growth (no waiter was lost in a table swap)...
+    // Every waiter is reachable under its own address despite sharing a
+    // bucket with ~65 others...
     for i in (0..LOCKS).step_by(97) {
         assert_eq!(lot.parked_count(0x10_0000 + i * 64), 1);
     }
@@ -69,10 +61,10 @@ fn four_thousand_contended_locks_grow_the_table() {
 }
 
 #[test]
-fn global_lot_growth_is_transparent_to_futex_locks() {
-    // Drive enough simultaneously-contended futex locks through the
-    // *global* lot to cross its growth threshold; lock operations (and
-    // their queue_length accounting) must be oblivious to the table swap.
+fn global_lot_serves_hundreds_of_contended_futex_locks() {
+    // Drive more simultaneously-contended futex locks through the *global*
+    // lot than it has buckets; lock operations (and their queue_length
+    // accounting) must be oblivious to the collisions.
     const LOCKS: usize = 256;
     let locks: Arc<Vec<FutexLock>> = Arc::new((0..LOCKS).map(|_| FutexLock::new()).collect());
     for lock in locks.iter() {
@@ -97,8 +89,8 @@ fn global_lot_growth_is_transparent_to_futex_locks() {
         }
     }
     assert!(
-        ParkingLot::global().buckets() > 64,
-        "256 contended locks push the global lot past its initial table"
+        ParkingLot::global().total_parked() >= LOCKS,
+        "every contended lock has a waiter asleep in the global lot"
     );
     for lock in locks.iter() {
         lock.unlock();

@@ -121,9 +121,9 @@ fn profiling_service_under_stress_reports_every_lock() {
     for h in handles {
         h.join().unwrap();
     }
-    let report = svc.profile_report();
-    assert_eq!(report.len(), 10);
-    let total: u64 = report.locks.iter().map(|l| l.acquisitions).sum();
+    let locks = svc.telemetry_snapshot().locks;
+    assert_eq!(locks.len(), 10);
+    let total: u64 = locks.iter().map(|l| l.acquisitions).sum();
     assert_eq!(total, 30_000);
 }
 
