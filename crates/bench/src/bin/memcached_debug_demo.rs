@@ -6,11 +6,12 @@
 //! (an uninitialized `stats_lock` and an already-free
 //! `slabs_rebalance_lock`), and nothing else.
 //!
-//! While the workload runs, a background telemetry publisher prints a
+//! While the workload runs, a thread of the demo's own prints a
 //! [`gls::TelemetrySnapshot`] every 100 ms — the always-on observability
 //! view of the same run. `--snapshot-json PATH` additionally writes the
 //! final snapshot as JSON so CI can validate it against the snapshot schema.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -18,6 +19,19 @@ use gls::{GlsConfig, GlsService};
 use gls_bench::banner;
 use gls_systems::memcached::{self, MemcachedConfig};
 use gls_systems::LockProvider;
+
+/// Prints a telemetry snapshot every 100 ms until `done` is set.
+// A wall-clock period is the point of a periodic report.
+#[allow(clippy::disallowed_methods)]
+fn print_snapshots(service: &GlsService, done: &AtomicBool) {
+    loop {
+        std::thread::sleep(Duration::from_millis(100));
+        if done.load(Ordering::Acquire) {
+            return;
+        }
+        println!("{}", service.telemetry_snapshot());
+    }
+}
 
 fn main() {
     let mut snapshot_json: Option<String> = None;
@@ -47,12 +61,13 @@ fn main() {
 
     // Periodic observability: print a telemetry snapshot while the workload
     // runs, exactly as a long-lived server would.
-    let publisher = service.spawn_telemetry_publisher(Duration::from_millis(100), |snapshot| {
-        println!("{snapshot}");
+    let done = AtomicBool::new(false);
+    let result = std::thread::scope(|s| {
+        s.spawn(|| print_snapshots(&service, &done));
+        let result = memcached::run(&provider, &config);
+        done.store(true, Ordering::Release);
+        result
     });
-
-    let result = memcached::run(&provider, &config);
-    publisher.stop();
     println!(
         "# workload finished: {} operations in {:?}",
         result.operations, result.elapsed

@@ -3,13 +3,15 @@
 use std::fmt;
 
 use gls_locks::LockKind;
-use gls_runtime::ThreadId;
+use gls_runtime::{FlightEvent, ThreadId};
 
 /// A lock-related correctness issue detected by GLS (§4.2 of the paper).
 ///
 /// In normal mode the service never returns these; in debug mode each
 /// detected issue is both returned to the caller and appended to the
-/// service's issue log ([`crate::GlsService::issues`]).
+/// service's issue log ([`crate::GlsService::issues`]). A confirmed
+/// [`GlsError::Deadlock`] carries the confirming thread's flight-recorder
+/// trail, so the `Err` and the logged issue are the one record of it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GlsError {
     /// An unlock was attempted on an address that was never locked
@@ -44,6 +46,10 @@ pub enum GlsError {
         /// The cycle, as `(thread, address the thread waits on)` pairs,
         /// starting and ending with the detecting thread.
         cycle: Vec<(ThreadId, usize)>,
+        /// The detecting thread's flight-recorder events leading up to the
+        /// confirmation (slow-path acquisitions, parks, handoffs, mode
+        /// transitions …), oldest first.
+        trail: Vec<FlightEvent>,
     },
     /// An address created through one explicit algorithm interface was later
     /// used through a different one.
@@ -67,7 +73,7 @@ impl GlsError {
             | GlsError::ReleaseFreeLock { addr }
             | GlsError::WrongOwner { addr, .. }
             | GlsError::AlgorithmMismatch { addr, .. } => *addr,
-            GlsError::Deadlock { cycle } => cycle.first().map(|(_, a)| *a).unwrap_or(0),
+            GlsError::Deadlock { cycle, .. } => cycle.first().map(|(_, a)| *a).unwrap_or(0),
         }
     }
 
@@ -107,7 +113,7 @@ impl fmt::Display for GlsError {
                 f,
                 "[GLS]WARNING> UNLOCK {addr:#x} - Owned by {owner}, released by {caller}"
             ),
-            GlsError::Deadlock { cycle } => {
+            GlsError::Deadlock { cycle, .. } => {
                 write!(f, "[GLS]WARNING> DEADLOCK ")?;
                 if let Some((_, first)) = cycle.first() {
                     write!(f, "{first:#x} ")?;
@@ -154,6 +160,7 @@ mod tests {
                 (ThreadId::from_raw(9), 0x1acfff4),
                 (ThreadId::from_raw(2), 0x1ad0010),
             ],
+            trail: vec![],
         };
         let s = e.to_string();
         assert!(s.contains("DEADLOCK"));
@@ -175,7 +182,10 @@ mod tests {
                 owner: ThreadId::from_raw(0),
                 caller: ThreadId::from_raw(1),
             },
-            GlsError::Deadlock { cycle: vec![] },
+            GlsError::Deadlock {
+                cycle: vec![],
+                trail: vec![],
+            },
             GlsError::AlgorithmMismatch {
                 addr: 1,
                 created: LockKind::Glk,
@@ -191,6 +201,13 @@ mod tests {
     #[test]
     fn addr_accessor() {
         assert_eq!(GlsError::ReleaseFreeLock { addr: 7 }.addr(), 7);
-        assert_eq!(GlsError::Deadlock { cycle: vec![] }.addr(), 0);
+        assert_eq!(
+            GlsError::Deadlock {
+                cycle: vec![],
+                trail: vec![],
+            }
+            .addr(),
+            0
+        );
     }
 }

@@ -2,8 +2,6 @@
 
 use std::time::Duration;
 
-use gls_locks::LockKind;
-
 use crate::glk::{GlkConfig, MonitorHandle};
 
 /// Operating mode of a [`GlsService`](crate::GlsService).
@@ -34,9 +32,6 @@ pub enum GlsMode {
 pub struct GlsConfig {
     /// Operating mode.
     pub mode: GlsMode,
-    /// Algorithm used by the default `lock` interface. The paper's default is
-    /// GLK; the explicit interfaces override this per call.
-    pub default_kind: LockKind,
     /// Configuration handed to every GLK lock created by this service.
     pub glk: GlkConfig,
     /// Grace period before a suspected deadlock is confirmed (debug mode).
@@ -69,7 +64,6 @@ impl Default for GlsConfig {
     fn default() -> Self {
         Self {
             mode: GlsMode::Normal,
-            default_kind: LockKind::Glk,
             glk: GlkConfig::default(),
             deadlock_check_after: Duration::from_secs(1),
             initial_capacity: 192,
@@ -95,12 +89,6 @@ impl GlsConfig {
     /// Shorthand for `with_mode(GlsMode::Profile)`.
     pub fn profile() -> Self {
         Self::default().with_mode(GlsMode::Profile)
-    }
-
-    /// Sets the algorithm used by the default `lock` interface.
-    pub fn with_default_kind(mut self, kind: LockKind) -> Self {
-        self.default_kind = kind;
-        self
     }
 
     /// Sets the GLK configuration used for adaptive entries.
@@ -163,7 +151,6 @@ mod tests {
     fn defaults_use_glk_and_normal_mode() {
         let c = GlsConfig::default();
         assert_eq!(c.mode, GlsMode::Normal);
-        assert_eq!(c.default_kind, LockKind::Glk);
         assert_eq!(c.deadlock_check_after, Duration::from_secs(1));
         assert!(c.lock_cache, "the lock cache is on by default");
         assert!(!c.tracks_ownership());
@@ -184,10 +171,7 @@ mod tests {
 
     #[test]
     fn builders_apply() {
-        let c = GlsConfig::default()
-            .with_default_kind(LockKind::Ticket)
-            .with_deadlock_check_after(Duration::from_millis(100));
-        assert_eq!(c.default_kind, LockKind::Ticket);
+        let c = GlsConfig::default().with_deadlock_check_after(Duration::from_millis(100));
         assert_eq!(c.deadlock_check_after, Duration::from_millis(100));
     }
 }

@@ -19,8 +19,8 @@
 //! with weaker orderings both could miss and the deadlock would go
 //! unreported.
 
-// The issue log, confirmation deadlines and flight-recorder trails are
-// cold reporting bookkeeping, kept on raw std sync (see clippy.toml). The
+// The issue log and confirmation deadlines are cold reporting
+// bookkeeping, kept on raw std sync (see clippy.toml). The
 // protocol state itself — waiting records and epochs — goes through the
 // gls_sync facade so the model explorer can schedule around every
 // publish/walk/confirm step.
@@ -34,26 +34,11 @@ use gls_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use gls_runtime::flight::{self, FlightEventKind};
 use gls_runtime::thread_id::MAX_THREADS;
-use gls_runtime::{FlightEvent, ThreadId};
+use gls_runtime::ThreadId;
 
 use super::entry::Wait;
 use super::relock;
 use crate::error::GlsError;
-
-/// The flight-recorder trail dumped when the deadlock detector confirmed a
-/// cycle: the confirming thread's most recent lock events (slow-path
-/// acquisitions, parks, handoffs, mode transitions …), turning "we
-/// deadlocked" into a replayable event sequence. Collected automatically;
-/// retrieve via [`GlsService::deadlock_trails`](crate::GlsService::deadlock_trails).
-#[derive(Debug, Clone)]
-pub struct DeadlockTrail {
-    /// The thread that confirmed the cycle (whose ring was dumped).
-    pub thread: ThreadId,
-    /// The confirmed waits-for cycle, as reported in the issue.
-    pub cycle: Vec<(ThreadId, usize)>,
-    /// The thread's retained flight events, oldest first.
-    pub events: Vec<FlightEvent>,
-}
 
 /// A candidate deadlock: the waits-for cycle plus the epoch at which every
 /// participating thread's waiting record was observed. Confirmation requires
@@ -118,8 +103,6 @@ pub(crate) struct DebugState {
     /// re-detections under churn) confirm in one period of wall time
     /// instead of stacking them.
     confirmations: StdMutex<HashMap<u64, Instant>>,
-    /// Flight-recorder trails of confirmed deadlocks, in confirmation order.
-    trails: StdMutex<Vec<DeadlockTrail>>,
 }
 
 impl DebugState {
@@ -130,18 +113,7 @@ impl DebugState {
             issues: StdMutex::new(Vec::new()),
             candidates: AtomicU64::new(0),
             confirmations: StdMutex::new(HashMap::new()),
-            trails: StdMutex::new(Vec::new()),
         }
-    }
-
-    /// Stores the flight-recorder trail of a just-confirmed deadlock.
-    pub(crate) fn record_trail(&self, trail: DeadlockTrail) {
-        relock(&self.trails).push(trail);
-    }
-
-    /// A snapshot of the trails dumped by confirmed deadlocks so far.
-    pub(crate) fn trails(&self) -> Vec<DeadlockTrail> {
-        relock(&self.trails).clone()
     }
 
     /// Total candidate cycles produced so far (the candidate-rate counter).
@@ -283,9 +255,10 @@ impl DebugState {
         }
     }
 
-    /// Records a confirmed deadlock: dumps `me`'s flight-recorder trail —
-    /// the events leading up to a confirmed deadlock are exactly what an
-    /// operator needs to replay how it formed — and logs the issue.
+    /// Records a confirmed deadlock: the issue carries `me`'s
+    /// flight-recorder trail — the events leading up to a confirmed
+    /// deadlock are exactly what an operator needs to replay how it formed
+    /// — and is dumped to stderr, logged and returned.
     fn report_deadlock(
         &self,
         me: ThreadId,
@@ -293,18 +266,14 @@ impl DebugState {
         cycle: Vec<(ThreadId, usize)>,
     ) -> GlsError {
         flight::record(FlightEventKind::DeadlockCandidate, addr, cycle.len() as u64);
-        let trail = DeadlockTrail {
-            thread: me,
-            cycle: cycle.clone(),
-            events: flight::drain(),
-        };
+        let trail = flight::drain();
         eprintln!(
             "[GLS] confirmed deadlock ({} threads); dumping {} flight events of thread {}",
             cycle.len().saturating_sub(1),
-            trail.events.len(),
+            trail.len(),
             me.as_u32(),
         );
-        for event in &trail.events {
+        for event in &trail {
             eprintln!(
                 "[GLS]   {} addr={:#x} info={} at={}",
                 event.kind.as_str(),
@@ -313,8 +282,7 @@ impl DebugState {
                 event.at,
             );
         }
-        self.record_trail(trail);
-        let issue = GlsError::Deadlock { cycle };
+        let issue = GlsError::Deadlock { cycle, trail };
         self.record(issue.clone());
         issue
     }
@@ -601,18 +569,11 @@ mod tests {
         }
         let d = DebugState::new();
         poison(&d.issues);
-        poison(&d.trails);
         poison(&d.confirmations);
         d.record(GlsError::ReleaseFreeLock { addr: 0x1 });
         assert_eq!(d.issues().len(), 1);
         d.clear_issues();
         assert!(d.issues().is_empty());
-        d.record_trail(DeadlockTrail {
-            thread: tid(1),
-            cycle: Vec::new(),
-            events: Vec::new(),
-        });
-        assert_eq!(d.trails().len(), 1);
         // The shared confirmation deadline survives too: the second
         // detector of a cycle waits out the remainder, not a fresh period.
         let map = owners(&[(0xa, 1), (0xb, 0)]);

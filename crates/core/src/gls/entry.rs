@@ -7,7 +7,7 @@ use gls_locks::{
     ClhLock, FutexLock, FutexRwLock, LockKind, McsLock, QueueInformed, RawLock, RawRwLock,
     RawTryLock, TasLock, TicketLock, TtasLock,
 };
-use gls_runtime::{LockStats, ThreadId};
+use gls_runtime::ThreadId;
 
 use super::holders::HolderSet;
 use super::shards::{ProfileShards, ProfileTotals};
@@ -313,9 +313,9 @@ pub(crate) struct LockEntry {
     /// allocated lazily on the first profiled call so the ~1 KiB footprint
     /// is only paid by entries a profiling service actually touches.
     profile: OnceLock<Box<ProfileShards>>,
-    /// Base statistics: debug mode records acquisitions here; profile mode
-    /// writes the sharded slots instead and reports fold both.
-    pub(crate) stats: LockStats,
+    /// Acquisitions counted by debug mode (profile mode counts in the
+    /// sharded slots instead; reports fold both).
+    debug_acquisitions: AtomicU64,
 }
 
 impl LockEntry {
@@ -329,7 +329,7 @@ impl LockEntry {
             owner: AtomicU32::new(0),
             readers: OnceLock::new(),
             profile: OnceLock::new(),
-            stats: LockStats::new(),
+            debug_acquisitions: AtomicU64::new(0),
         }
     }
 
@@ -460,7 +460,7 @@ impl LockEntry {
         if let Some(profile) = self.profile.get() {
             profile.reset();
         }
-        self.stats.reset();
+        self.debug_acquisitions.store(0, Ordering::Relaxed);
         self.lock.reset_telemetry();
     }
 
@@ -548,21 +548,20 @@ impl LockEntry {
         self.lock.park_addr()
     }
 
-    /// Folds the sharded profile statistics and the base `LockStats` (debug
-    /// mode writes the latter) into one set of totals for reporting.
+    /// Counts one acquisition made in debug mode.
+    pub(crate) fn record_debug_acquisition(&self) {
+        self.debug_acquisitions.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Folds the sharded profile statistics and the debug-mode acquisition
+    /// count into one set of totals for reporting.
     pub(crate) fn profile_totals(&self) -> ProfileTotals {
         let mut totals = self
             .profile
             .get()
             .map(|shards| shards.totals())
             .unwrap_or_default();
-        totals.acquisitions += self.stats.acquisitions();
-        totals.queue_total += self.stats.queue_total();
-        totals.queue_samples += self.stats.queue_samples();
-        totals.lock_latency_total += self.stats.lock_latency_total();
-        totals.lock_latency_samples += self.stats.lock_latency_samples();
-        totals.cs_latency_total += self.stats.cs_latency_total();
-        totals.cs_latency_samples += self.stats.cs_latency_samples();
+        totals.acquisitions += self.debug_acquisitions.load(Ordering::Relaxed);
         totals
     }
 }
@@ -610,7 +609,7 @@ mod tests {
         assert_eq!(offset_of!(LockEntry, epoch), 8);
         assert_eq!(offset_of!(LockEntry, acquired_at), 16);
         assert_eq!(offset_of!(LockEntry, lock), 64, "a line of its own");
-        assert_eq!(size_of::<LockEntry>(), 576);
+        assert_eq!(size_of::<LockEntry>(), 512);
     }
 
     #[test]
@@ -738,7 +737,7 @@ mod tests {
         assert!(!entry.age());
         assert!(entry.age());
         let claimed = entry.epoch();
-        entry.stats.record_acquisition();
+        entry.record_debug_acquisition();
         entry.set_owner(ThreadId::current());
         entry.recycle();
         assert_eq!(entry.addr(), 0);
@@ -761,8 +760,8 @@ mod tests {
         slot.record_lock_latency(40);
         slot.record_cs_latency(100);
         slot.record_queue_sample(3);
-        // Debug mode writes the base stats; reports must fold both.
-        entry.stats.record_acquisition();
+        // Debug mode counts on the entry; reports must fold both.
+        entry.record_debug_acquisition();
         let totals = entry.profile_totals();
         assert_eq!(totals.acquisitions, 2);
         assert!((totals.avg_lock_latency() - 40.0).abs() < 1e-9);

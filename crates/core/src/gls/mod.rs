@@ -41,10 +41,7 @@ pub use condvar::{GlsCondvar, WaitOutcome};
 pub use config::{GlsConfig, GlsMode};
 #[cfg(gls_model)]
 pub use debug::model as debug_model;
-pub use debug::DeadlockTrail;
 #[cfg(gls_model)]
 pub use service::model::model_hit_checks_addr_only;
 pub use service::{GlsGuard, GlsService};
-pub use telemetry::{
-    DeadlockTelemetry, HistogramSummary, LockTelemetry, TelemetryPublisher, TelemetrySnapshot,
-};
+pub use telemetry::{DeadlockTelemetry, HistogramSummary, LockTelemetry, TelemetrySnapshot};

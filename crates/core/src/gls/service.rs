@@ -2,7 +2,7 @@
 
 use gls_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use gls_sync::sync::{Mutex as StdMutex, MutexGuard};
-use std::sync::{Arc, OnceLock, PoisonError};
+use std::sync::{OnceLock, PoisonError};
 use std::time::Duration;
 
 use gls_clht::{Clht, ClhtStats};
@@ -16,12 +16,10 @@ use super::addr::LockAddr;
 use super::cache;
 use super::condvar::{GlsCondvar, WaitOutcome};
 use super::config::{GlsConfig, GlsMode};
-use super::debug::{DeadlockTrail, DebugState};
+use super::debug::DebugState;
 use super::entry::{AlgorithmLock, Hold, Liveness, LockEntry, Wait};
 use super::sampler;
-use super::telemetry::{
-    DeadlockTelemetry, HistogramSummary, LockTelemetry, TelemetryPublisher, TelemetrySnapshot,
-};
+use super::telemetry::{DeadlockTelemetry, HistogramSummary, LockTelemetry, TelemetrySnapshot};
 
 /// Monotonic id generator so per-thread lock caches can tell services apart.
 static NEXT_SERVICE_ID: AtomicU64 = AtomicU64::new(1);
@@ -186,8 +184,8 @@ impl GlsService {
 
     /// Acquires the lock associated with `m` — the address of an object
     /// (`gls.lock(&x)`) or any non-zero value (`gls.lock(17usize)`) —
-    /// creating it on first use with the service's default algorithm (GLK
-    /// unless reconfigured).
+    /// creating it on first use as a GLK lock (paper Table 1's default
+    /// interface).
     ///
     /// # Errors
     ///
@@ -195,7 +193,7 @@ impl GlsService {
     /// without acquiring. In normal and profile mode this never fails.
     #[inline]
     pub fn lock(&self, m: impl Into<LockAddr>) -> Result<(), GlsError> {
-        self.lock_with(self.config.default_kind, m)
+        self.lock_with(LockKind::Glk, m)
     }
 
     /// Attempts to acquire the lock associated with `m` without waiting.
@@ -205,7 +203,7 @@ impl GlsService {
     /// In debug mode, returns the detected issue (e.g. double locking).
     #[inline]
     pub fn try_lock(&self, m: impl Into<LockAddr>) -> Result<bool, GlsError> {
-        self.try_lock_with(self.config.default_kind, m)
+        self.try_lock_with(LockKind::Glk, m)
     }
 
     /// Releases the lock associated with `m`.
@@ -274,7 +272,7 @@ impl GlsService {
     /// Same as [`GlsService::lock`].
     #[inline]
     pub fn guard(&self, m: impl Into<LockAddr>) -> Result<GlsGuard<'_>, GlsError> {
-        self.guard_with(self.config.default_kind, m)
+        self.guard_with(LockKind::Glk, m)
     }
 
     /// [`GlsService::guard`] through the explicit interface: the lock is
@@ -687,13 +685,6 @@ impl GlsService {
         out
     }
 
-    /// Flight-recorder trails dumped by confirmed deadlocks (debug mode):
-    /// one per confirmed cycle, holding the confirming thread's most recent
-    /// lock events. Empty until a deadlock has been confirmed.
-    pub fn deadlock_trails(&self) -> Vec<DeadlockTrail> {
-        self.debug.trails()
-    }
-
     /// Captures a [`TelemetrySnapshot`]: per-lock profiles with latency
     /// distributions (most contended first; meaningful when the service
     /// runs in [`GlsMode::Profile`]), cache/parking/mode-transition counters
@@ -746,18 +737,6 @@ impl GlsService {
                 confirmed,
             },
         }
-    }
-
-    /// Spawns a background thread that publishes a fresh
-    /// [`TelemetrySnapshot`] to `sink` every `interval`. The returned
-    /// handle stops and joins the thread when dropped (or via
-    /// [`TelemetryPublisher::stop`]).
-    pub fn spawn_telemetry_publisher(
-        self: &Arc<Self>,
-        interval: Duration,
-        sink: impl FnMut(&TelemetrySnapshot) + Send + 'static,
-    ) -> TelemetryPublisher {
-        TelemetryPublisher::spawn(Arc::clone(self), interval, sink)
     }
 
     /// The lock algorithm currently associated with `addr`, if any.
@@ -1171,7 +1150,7 @@ impl GlsService {
                 Hold::Shared => entry.add_reader(me),
                 Hold::Exclusive => entry.set_owner(me),
             }
-            entry.stats.record_acquisition();
+            entry.record_debug_acquisition();
         };
         if wait == Wait::Try {
             let acquired = lock(Wait::Try);

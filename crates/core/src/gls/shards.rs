@@ -1,8 +1,8 @@
 //! Sharded per-entry profiling statistics.
 //!
 //! Profile mode records a queue sample, an acquisition latency and a
-//! critical-section latency on *every* lock call. With one shared
-//! `LockStats` per entry that is five read-modify-writes on one cacheline —
+//! critical-section latency on *every* lock call. With one shared set of
+//! counters per entry that is five read-modify-writes on one cacheline —
 //! contended acquirers of the same lock serialize on the stat line before
 //! they even reach the lock word, which is precisely the overhead a
 //! profiler must not add. [`ProfileShards`] splits the counters into
@@ -187,8 +187,8 @@ impl ProfileShards {
     }
 }
 
-/// Folded profiling counters of one entry (shards + the entry's base
-/// `LockStats`, which debug mode still writes).
+/// Folded profiling counters of one entry (shards + the entry's debug-mode
+/// acquisition count).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ProfileTotals {
     pub(crate) acquisitions: u64,

@@ -6,8 +6,9 @@
 //! parking-lot occupancy and requeues, GLK mode transitions and
 //! deadlock-detector activity. Snapshots are cheap (relaxed reads plus one
 //! table walk), export themselves as JSON ([`TelemetrySnapshot::to_json`])
-//! or human text (`Display`), and can be published periodically from a
-//! background thread ([`GlsService::spawn_telemetry_publisher`]).
+//! or human text (`Display`). The library starts no thread: a caller that
+//! wants periodic snapshots calls [`GlsService::telemetry_snapshot`] from a
+//! loop of its own.
 //!
 //! Scope: the per-lock profiles, mode-transition totals and deadlock
 //! counters are **service-scoped** (they come from this service's entries
@@ -16,12 +17,9 @@
 //! process). A snapshot labels itself accordingly rather than pretending
 //! one service owns the whole process.
 //!
-//! [`GlsService::spawn_telemetry_publisher`]: crate::GlsService::spawn_telemetry_publisher
+//! [`GlsService::telemetry_snapshot`]: crate::GlsService::telemetry_snapshot
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
 
 use gls_locks::{LockKind, ParkingLotStats};
 use gls_runtime::LatencyHistogram;
@@ -268,76 +266,6 @@ impl fmt::Display for TelemetrySnapshot {
             )?;
         }
         Ok(())
-    }
-}
-
-/// Handle to a background telemetry publisher thread
-/// ([`GlsService::spawn_telemetry_publisher`]). Dropping the handle stops
-/// the thread and joins it.
-///
-/// [`GlsService::spawn_telemetry_publisher`]: crate::GlsService::spawn_telemetry_publisher
-#[derive(Debug)]
-pub struct TelemetryPublisher {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl TelemetryPublisher {
-    pub(crate) fn spawn(
-        service: Arc<crate::GlsService>,
-        interval: Duration,
-        mut sink: impl FnMut(&TelemetrySnapshot) + Send + 'static,
-    ) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("gls-telemetry".into())
-            .spawn(move || {
-                // Sleep in short slices so a stop request is honored
-                // promptly even under long publish intervals. Plain sleep
-                // (not gls_sync): the publisher is telemetry, outside the
-                // lock protocols the model explorer checks.
-                const SLICE: Duration = Duration::from_millis(20);
-                loop {
-                    let mut remaining = interval;
-                    while !remaining.is_zero() {
-                        if stop_flag.load(Ordering::Acquire) {
-                            return;
-                        }
-                        let nap = remaining.min(SLICE);
-                        #[allow(clippy::disallowed_methods)]
-                        std::thread::sleep(nap);
-                        remaining = remaining.saturating_sub(nap);
-                    }
-                    if stop_flag.load(Ordering::Acquire) {
-                        return;
-                    }
-                    sink(&service.telemetry_snapshot());
-                }
-            })
-            .expect("spawning the telemetry publisher thread");
-        Self {
-            stop,
-            handle: Some(handle),
-        }
-    }
-
-    /// Stops the publisher and joins its thread.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for TelemetryPublisher {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 

@@ -79,9 +79,9 @@ pub mod gls;
 pub use error::GlsError;
 pub use glk::{GlkConfig, GlkLock, GlkMode, GlkRwLock, GlkRwMode, ModeTransition};
 pub use gls::{
-    thread_cache_stats, CacheStats, DeadlockTelemetry, DeadlockTrail, GlsCondvar, GlsConfig,
-    GlsGuard, GlsMode, GlsService, HistogramSummary, LockAddr, LockTelemetry, TelemetryPublisher,
-    TelemetrySnapshot, WaitOutcome, CACHE_SLOTS,
+    thread_cache_stats, CacheStats, DeadlockTelemetry, GlsCondvar, GlsConfig, GlsGuard, GlsMode,
+    GlsService, HistogramSummary, LockAddr, LockTelemetry, TelemetrySnapshot, WaitOutcome,
+    CACHE_SLOTS,
 };
 
 // Re-export the substrate types that appear in this crate's public API so

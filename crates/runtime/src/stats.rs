@@ -1,15 +1,14 @@
-//! Per-lock statistics counters shared by GLK adaptation and the GLS profiler.
+//! GLK's per-lock counters.
 //!
 //! The GLK structure (paper Fig. 3) carries two counters — `num_acquired`
 //! (completed critical sections) and `queue_total` (accumulated queuing behind
 //! the lock) — which together yield the average queuing used by the
-//! adaptation policy. The GLS profiler (§4.3) additionally reports per-lock
-//! lock-acquisition latency and critical-section duration.
+//! adaptation policy, plus the count of mode transitions it performed.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Lock-local statistics, updated by lock holders and read by the adaptation
-/// logic and the profiler.
+/// logic.
 ///
 /// All fields are plain atomics with relaxed ordering: the values feed
 /// heuristics, not correctness-critical decisions, exactly as in the paper.
@@ -21,14 +20,6 @@ pub struct LockStats {
     queue_total: AtomicU64,
     /// Number of queue-length samples contributing to `queue_total`.
     queue_samples: AtomicU64,
-    /// Sum of lock-acquisition latencies in cycles (profiler).
-    lock_latency_total: AtomicU64,
-    /// Number of latency samples.
-    lock_latency_samples: AtomicU64,
-    /// Sum of critical-section durations in cycles (profiler).
-    cs_latency_total: AtomicU64,
-    /// Number of critical-section samples.
-    cs_latency_samples: AtomicU64,
     /// Number of mode transitions performed (GLK diagnostics).
     transitions: AtomicU64,
 }
@@ -97,60 +88,6 @@ impl LockStats {
         self.queue_samples.store(0, Ordering::Relaxed);
     }
 
-    /// Records a lock-acquisition latency sample (profiler).
-    #[inline]
-    pub fn record_lock_latency(&self, cycles: u64) {
-        self.lock_latency_total.fetch_add(cycles, Ordering::Relaxed);
-        self.lock_latency_samples.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Sum of lock-acquisition latency samples, in cycles.
-    pub fn lock_latency_total(&self) -> u64 {
-        self.lock_latency_total.load(Ordering::Relaxed)
-    }
-
-    /// Number of lock-acquisition latency samples recorded.
-    pub fn lock_latency_samples(&self) -> u64 {
-        self.lock_latency_samples.load(Ordering::Relaxed)
-    }
-
-    /// Average lock-acquisition latency in cycles.
-    pub fn average_lock_latency(&self) -> f64 {
-        let n = self.lock_latency_samples.load(Ordering::Relaxed);
-        if n == 0 {
-            0.0
-        } else {
-            self.lock_latency_total.load(Ordering::Relaxed) as f64 / n as f64
-        }
-    }
-
-    /// Records a critical-section duration sample (profiler).
-    #[inline]
-    pub fn record_cs_latency(&self, cycles: u64) {
-        self.cs_latency_total.fetch_add(cycles, Ordering::Relaxed);
-        self.cs_latency_samples.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Sum of critical-section duration samples, in cycles.
-    pub fn cs_latency_total(&self) -> u64 {
-        self.cs_latency_total.load(Ordering::Relaxed)
-    }
-
-    /// Number of critical-section samples recorded.
-    pub fn cs_latency_samples(&self) -> u64 {
-        self.cs_latency_samples.load(Ordering::Relaxed)
-    }
-
-    /// Average critical-section duration in cycles.
-    pub fn average_cs_latency(&self) -> f64 {
-        let n = self.cs_latency_samples.load(Ordering::Relaxed);
-        if n == 0 {
-            0.0
-        } else {
-            self.cs_latency_total.load(Ordering::Relaxed) as f64 / n as f64
-        }
-    }
-
     /// Records one GLK mode transition.
     #[inline]
     pub fn record_transition(&self) {
@@ -167,10 +104,6 @@ impl LockStats {
         self.acquisitions.store(0, Ordering::Relaxed);
         self.queue_total.store(0, Ordering::Relaxed);
         self.queue_samples.store(0, Ordering::Relaxed);
-        self.lock_latency_total.store(0, Ordering::Relaxed);
-        self.lock_latency_samples.store(0, Ordering::Relaxed);
-        self.cs_latency_total.store(0, Ordering::Relaxed);
-        self.cs_latency_samples.store(0, Ordering::Relaxed);
         self.transitions.store(0, Ordering::Relaxed);
     }
 }
@@ -202,16 +135,6 @@ mod tests {
     }
 
     #[test]
-    fn latencies_average_correctly() {
-        let s = LockStats::new();
-        s.record_lock_latency(100);
-        s.record_lock_latency(300);
-        s.record_cs_latency(50);
-        assert!((s.average_lock_latency() - 200.0).abs() < 1e-9);
-        assert!((s.average_cs_latency() - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn transitions_and_reset() {
         let s = LockStats::new();
         s.record_transition();
@@ -221,7 +144,6 @@ mod tests {
         s.reset();
         assert_eq!(s.transitions(), 0);
         assert_eq!(s.acquisitions(), 0);
-        assert_eq!(s.average_lock_latency(), 0.0);
     }
 
     #[test]

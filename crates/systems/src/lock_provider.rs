@@ -132,7 +132,7 @@ impl LockProvider {
             LockProvider::Gls(service) => MutexImpl::Gls {
                 service: Arc::clone(service),
                 addr: fresh_addr(),
-                kind: service.config().default_kind,
+                kind: LockKind::Glk,
             },
             LockProvider::GlsSpecialized {
                 service,

@@ -6,18 +6,14 @@ reproduction derives the same signal from its runnable registry instead
 (crates/runtime/src/sysload.rs), so a process that links the library
 runs exactly the threads its own code starts. This check keeps it that
 way: non-test code of the library crates may not contain
-`thread::spawn` or `thread::Builder` outside the allowlist below.
+`thread::spawn` or `thread::Builder` at all. There is no allowlist: a
+caller that wants a background thread starts it itself.
 
 Non-test code is everything outside a `#[cfg(test)] mod ... { }` block
 (rustfmt puts the block's closing brace at the `mod` line's indentation,
 which is how its end is found), with `//` comments — doc comments
 included — stripped, and the `#[cfg(test)]`-only files listed in
 TEST_ONLY_FILES skipped whole.
-
-Every allowlist entry carries a written reason and is checked for
-drift: an entry whose file is missing, that no longer spawns, or whose
-reason is empty fails the run, so an exemption cannot outlive the code
-it excuses.
 
 Usage: check_no_library_threads.py [ROOT]
 """
@@ -40,14 +36,6 @@ LIBRARY_SRC_DIRS = [
 TEST_ONLY_FILES = {
     "crates/locks/src/test_support.rs",
     "crates/locks/src/proptests.rs",
-}
-
-# file (relative to repo root) -> why a library thread is justified there
-ALLOWLIST = {
-    "crates/core/src/gls/telemetry.rs": (
-        "TelemetryPublisher: opt-in — the thread exists only after a caller "
-        "constructs a publisher, and is stopped and joined when it drops"
-    ),
 }
 
 SPAWN = re.compile(r"\bthread::(spawn|Builder)\b")
@@ -95,38 +83,23 @@ def spawn_sites(path):
 def main():
     root = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else ".").resolve()
     violations = []
-    drift = []
-    for rel, reason in sorted(ALLOWLIST.items()):
-        path = root / rel
-        if not reason.strip():
-            drift.append(f"{rel}: allowlisted without a reason")
-        if not path.is_file():
-            drift.append(f"{rel}: allowlisted but the file does not exist")
-        elif not spawn_sites(path):
-            drift.append(f"{rel}: allowlisted but spawns no thread — drop the entry")
     for src in LIBRARY_SRC_DIRS:
         for path in sorted((root / src).rglob("*.rs")):
             rel = str(path.relative_to(root))
-            if rel in TEST_ONLY_FILES or rel in ALLOWLIST:
+            if rel in TEST_ONLY_FILES:
                 continue
             for lineno, code in spawn_sites(path):
                 violations.append(f"{rel}:{lineno}: {code}")
-    if drift:
-        print("Allowlist drift (see scripts/check_no_library_threads.py):")
-        for d in drift:
-            print(f"  {d}")
     if violations:
         print("Thread started by library code (see scripts/check_no_library_threads.py):")
         for v in violations:
             print(f"  {v}")
         print(
             f"\n{len(violations)} violation(s). Derive the value where it is "
-            "read, let the caller own the thread, or allowlist the file "
-            "with a written reason."
+            "read, or let the caller own the thread."
         )
-    if drift or violations:
         return 1
-    print(f"check_no_library_threads: OK ({len(ALLOWLIST)} allowlisted file)")
+    print("check_no_library_threads: OK")
     return 0
 
 

@@ -49,39 +49,34 @@ fn two_thread_lock_order_inversion_is_detected() {
         !deadlocks.is_empty(),
         "lock-order inversion must be detected"
     );
+    let logged = svc.issues();
     for issue in deadlocks {
         match issue {
-            GlsError::Deadlock { cycle } => {
+            GlsError::Deadlock { cycle, trail } => {
                 assert!(cycle.len() >= 2);
                 // The cycle must mention both addresses.
                 let addrs: Vec<usize> = cycle.iter().map(|(_, a)| *a).collect();
                 assert!(addrs.contains(&addr_a) || addrs.contains(&addr_b));
+                // The confirming thread's flight-recorder trail travels in
+                // the issue and records the deadlock candidate itself.
+                assert!(
+                    !trail.is_empty(),
+                    "a confirmed deadlock must carry a flight-recorder trail"
+                );
+                assert!(
+                    trail.iter().any(
+                        |e| e.kind == gls_runtime::FlightEventKind::DeadlockCandidate
+                            && (e.addr == addr_a || e.addr == addr_b)
+                    ),
+                    "the trail must record the deadlock candidate event: {trail:?}"
+                );
             }
             other => panic!("expected a deadlock report, got {other:?}"),
         }
-    }
-    // The service log has the same information.
-    assert!(svc.issues().iter().any(|i| i.category() == "deadlock"));
-
-    // The confirming thread dumped its flight recorder: the trail must be
-    // non-empty and end with the deadlock-candidate event itself.
-    let trails = svc.deadlock_trails();
-    assert!(
-        !trails.is_empty(),
-        "a confirmed deadlock must leave a flight-recorder trail"
-    );
-    for trail in &trails {
-        assert!(trail.cycle.len() >= 2);
+        // The service log holds the very issue the caller was handed.
         assert!(
-            !trail.events.is_empty(),
-            "the dumped flight-recorder trail must be non-empty"
-        );
-        assert!(
-            trail
-                .events
-                .iter()
-                .any(|e| e.kind == gls_runtime::FlightEventKind::DeadlockCandidate),
-            "the trail must record the deadlock candidate event"
+            logged.contains(issue),
+            "the returned deadlock must be the logged one"
         );
     }
 

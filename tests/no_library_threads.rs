@@ -3,8 +3,7 @@
 //! by a background monitor (see `gls_runtime::sysload`).
 //!
 //! A test binary of its own on purpose: the check reads the thread list of
-//! the whole process, and other suites start the opt-in `gls-telemetry`
-//! publisher.
+//! the whole process, and other suites start threads of their own.
 
 #![cfg(target_os = "linux")]
 
