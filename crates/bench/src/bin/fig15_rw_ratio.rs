@@ -2,12 +2,12 @@
 //!
 //! One shared rw lock, rising read percentage, comparing the raw TTAS-based
 //! rwlock (the paper's pthread-rwlock replacement, §5.2 footnote 7), the
-//! same traffic routed through the GLS service rw interface, and
-//! `std::sync::RwLock` as the system baseline. Expected shape: all three
-//! scale up as the mix approaches 100% reads; GLS-rw tracks the raw lock
-//! with a small constant mapping overhead (the Figure 11/12 story, now for
-//! rw traffic); writers keep completing at every ratio thanks to the
-//! writer-intent bit.
+//! same traffic routed through the GLS service rw interface (a word-sized
+//! futex rwlock per address), and `std::sync::RwLock` as the system
+//! baseline. Expected shape: all three scale up as the mix approaches 100%
+//! reads; GLS-rw tracks the raw lock with a small constant mapping overhead
+//! (the Figure 11/12 story, now for rw traffic); writers keep completing at
+//! every ratio thanks to the writer-intent bit.
 
 use gls::GlsConfig;
 use gls_bench::{banner, point_duration};
@@ -51,5 +51,5 @@ fn main() {
         table.push_row(format!("{read_percent}%"), row);
     }
     table.print();
-    println!("# GLS(RW) pays the address->lock mapping on top of RW-TTAS; writers complete at every ratio (writer-intent bit)");
+    println!("# GLS(RW) pays the address->lock mapping on top of a futex rwlock; writers complete at every ratio (writer-intent bit)");
 }

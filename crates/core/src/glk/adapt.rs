@@ -1,10 +1,8 @@
-//! The adaptation machine GLK and GLK-RW share (§3, "Selecting the GLK
-//! Mode"): the mode flag, the queue counters, the pacing of samples and
-//! ticks, the smoothed queue, the load side of the policy and the
-//! publication of a transition. What differs between the two flavours —
-//! which low-level locks a mode stands for, which spin mode a queue length
-//! asks for, who is exclusive enough to run a tick, and where the number of
-//! an acquisition comes from — stays with the locks.
+//! GLK's adaptation machine (§3, "Selecting the GLK Mode"): the mode flag,
+//! the queue counters, the pacing of samples and ticks, the smoothed queue,
+//! the load side of the policy and the publication of a transition. Which
+//! low-level lock a mode stands for, which spin mode a queue length asks
+//! for and where the number of an acquisition comes from stay with the lock.
 //!
 //! The machine does not count acquisitions; it paces off a sequence number
 //! the caller hands it. GLK in ticket mode hands it the ticket the holder
@@ -13,8 +11,7 @@
 //! a counter of GLK's own would be one more cache line every holder pulls
 //! over from the previous one. Between two queue samples, a ticket-mode
 //! acquisition therefore writes nothing but the ticket lock's line. In MCS
-//! and mutex mode the exclusive holder counts with a plain load and store;
-//! GLK-RW's readers are concurrent and count with an RMW.
+//! and mutex mode the exclusive holder counts with a plain load and store.
 
 use gls_sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
@@ -25,6 +22,7 @@ use gls_runtime::LockStats;
 use super::config::{
     GlkConfig, MonitorHandle, EMA_ALPHA, INITIAL_CALM_ROUNDS, MAX_CALM_ROUNDS, MIN_QUEUE_FOR_MUTEX,
 };
+use super::mode::GlkMode;
 
 /// What the system load asks of a lock at one adaptation tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,8 +33,7 @@ pub(crate) struct Load {
     pub(crate) block: bool,
 }
 
-/// The adaptive state of one lock; each flavour gives the raw mode values
-/// their meaning.
+/// The adaptive state of one GLK lock.
 #[derive(Debug)]
 pub(crate) struct Adaptive {
     /// Current mode (the paper's `lock_type`).
@@ -60,9 +57,9 @@ pub(crate) struct Adaptive {
 }
 
 impl Adaptive {
-    pub(crate) fn new(initial_mode: u8, config: GlkConfig, monitor: MonitorHandle) -> Self {
+    pub(crate) fn new(config: GlkConfig, monitor: MonitorHandle) -> Self {
         Self {
-            mode: AtomicU8::new(initial_mode),
+            mode: AtomicU8::new(config.initial_mode.as_raw()),
             stats: CachePadded::new(LockStats::new()),
             ema_bits: AtomicU64::new(0f64.to_bits()),
             required_calm: AtomicU64::new(INITIAL_CALM_ROUNDS),
@@ -75,8 +72,8 @@ impl Adaptive {
     }
 
     #[inline]
-    pub(crate) fn mode(&self) -> u8 {
-        self.mode.load(Ordering::Acquire)
+    pub(crate) fn mode(&self) -> GlkMode {
+        GlkMode::from_raw(self.mode.load(Ordering::Acquire))
     }
 
     pub(crate) fn config(&self) -> &GlkConfig {
@@ -144,9 +141,8 @@ impl Adaptive {
         smoothed
     }
 
-    /// The load side of the policy, for a lock whose blocking mode is
-    /// (`blocking`) or is not the current one.
-    pub(crate) fn load(&self, blocking: bool, smoothed: f64) -> Load {
+    /// The load side of the policy, for a lock in mode `current`.
+    pub(crate) fn load(&self, current: GlkMode, smoothed: f64) -> Load {
         let monitor = self.monitor.monitor();
         // Multiprogramming forces the blocking mode — but only for locks
         // that see real contention; lightly contended locks should finish
@@ -158,7 +154,7 @@ impl Adaptive {
             };
         }
         let mut block = false;
-        if blocking {
+        if current == GlkMode::Mutex {
             // Leaving the blocking mode requires an exponentially growing
             // stretch of uninterrupted calm, to avoid bouncing: blocking
             // reduces the system load, which would immediately re-enable
@@ -179,8 +175,9 @@ impl Adaptive {
     /// Publishes the transition `from` → `to` of the lock at address `lock`.
     /// Only the exclusive holder calls this, *before* releasing the
     /// low-level lock of `from`, so every later acquirer sees the new mode.
-    pub(crate) fn publish(&self, lock: usize, from: u8, to: u8) {
+    pub(crate) fn publish(&self, lock: usize, from: GlkMode, to: GlkMode) {
         self.stats.record_transition();
+        let (from, to) = (from.as_raw(), to.as_raw());
         flight::record(
             FlightEventKind::ModeTransition,
             lock,

@@ -46,9 +46,8 @@ pub struct GlkLock {
     ticket: TicketLock,
     /// Low-level lock used in [`GlkMode::Mcs`].
     mcs: McsLock,
-    /// The `lock_type` flag, the counters and the policy state shared with
-    /// GLK-RW. Its acquisition counter counts the MCS- and mutex-mode holds
-    /// only.
+    /// The `lock_type` flag, the counters and the policy state. Its
+    /// acquisition counter counts the MCS- and mutex-mode holds only.
     adapt: Adaptive,
     /// Low-level lock used in [`GlkMode::Mutex`]: one word, whose waiters
     /// sleep in the shared parking lot. It shares the cold line of
@@ -90,7 +89,7 @@ impl GlkLock {
         Self {
             ticket: TicketLock::new(),
             mcs: McsLock::new(),
-            adapt: Adaptive::new(config.initial_mode.as_raw(), config, monitor),
+            adapt: Adaptive::new(config, monitor),
             mutex: FutexLock::new(),
             ticket_base: AtomicU64::new(0),
             transitions: StdMutex::new(Vec::new()),
@@ -115,7 +114,7 @@ impl GlkLock {
     /// The mode the lock currently operates in.
     #[inline]
     pub fn mode(&self) -> GlkMode {
-        GlkMode::from_raw(self.adapt.mode())
+        self.adapt.mode()
     }
 
     /// The configuration this lock runs with.
@@ -313,7 +312,7 @@ impl GlkLock {
     #[cold]
     fn adapt_exclusive(&self, current: GlkMode, turn: Turn) -> bool {
         let smoothed = self.adapt.fold_window();
-        let load = self.adapt.load(current == GlkMode::Mutex, smoothed);
+        let load = self.adapt.load(current, smoothed);
         let target = Self::decide_mode(current, smoothed, load);
         if target == current {
             return false;
@@ -349,11 +348,11 @@ impl GlkLock {
     /// low-level lock of `from` and releases it afterwards.
     fn publish(&self, from: GlkMode, to: GlkMode) {
         let lock = self as *const _ as usize;
-        self.adapt.publish(lock, from.as_raw(), to.as_raw());
+        self.adapt.publish(lock, from, to);
     }
 
-    /// GLK's half of the policy (§3, "Selecting the GLK Mode"): which of the
-    /// three modes answers `load` at smoothed queue `smoothed`.
+    /// The lock's half of the policy (§3, "Selecting the GLK Mode"): which
+    /// of the three modes answers `load` at smoothed queue `smoothed`.
     fn decide_mode(current: GlkMode, smoothed: f64, load: Load) -> GlkMode {
         if load.block {
             return GlkMode::Mutex;
@@ -469,7 +468,7 @@ mod tests {
     /// The policy's verdict for `lock` in mode `current` at smoothed queue
     /// `smoothed`, under its monitor's present load.
     fn decide(lock: &GlkLock, current: GlkMode, smoothed: f64) -> GlkMode {
-        let load = lock.adapt.load(current == GlkMode::Mutex, smoothed);
+        let load = lock.adapt.load(current, smoothed);
         GlkLock::decide_mode(current, smoothed, load)
     }
 
@@ -481,7 +480,7 @@ mod tests {
     fn decision_table_maps_load_and_queue_to_mode() {
         use GlkMode::{Mcs as M, Mutex as X, Ticket as T};
         #[rustfmt::skip]
-        let table: [DecisionRow<GlkMode>; 12] = [
+        let table: [DecisionRow; 12] = [
             // Multiprogramming blocks contended locks and sends the rest to
             // ticket, whatever the mode and whatever the calm requirement.
             (T, true,  false, [T, T, X, X, X], false),

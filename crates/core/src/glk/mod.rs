@@ -19,10 +19,12 @@
 //! The mutex mode sleeps on one 4-byte word, a
 //! [`FutexLock`](gls_locks::FutexLock) whose waiters park in the shared
 //! [`ParkingLot`](gls_locks::ParkingLot), so condvar `notify` can requeue
-//! waiters onto it. [`GlkRwLock`] is the reader-writer flavour of the same
-//! machine (spin ↔ blocking on a [`FutexRwLock`](gls_locks::FutexRwLock)),
-//! and what the two share — queue counters, pacing, smoothed queue, the
-//! load rule — is written once, in `adapt`.
+//! waiters onto it. The policy state — queue counters, pacing, smoothed
+//! queue, the load rule — lives in `adapt`, the lock and its three modes in
+//! `lock`. GLK is the one adaptive lock: reader-writer entries are the
+//! word-sized [`FutexRwLock`](gls_locks::FutexRwLock), which spins and then
+//! parks on its own, as the paper substitutes a plain rwlock for the rwlocks
+//! of Kyoto and SQLite (§5.2, footnote 7).
 //!
 //! In ticket mode the ticket is the acquisition counter: a holder paces
 //! sampling and adaptation off the ticket it was served, so between two
@@ -30,8 +32,7 @@
 //! own line. A separate counter would be a second line every holder pulls
 //! over from the previous holder, and that pull was most of GLK's handoff
 //! cost over a bare ticket lock. In MCS and mutex mode the holder counts
-//! with a plain load and store; only GLK-RW, whose readers are concurrent,
-//! counts with an atomic read-modify-write.
+//! with a plain load and store.
 //!
 //! ```
 //! use gls::glk::{GlkConfig, GlkLock, GlkMode};
@@ -47,7 +48,6 @@ mod adapt;
 mod config;
 mod lock;
 mod mode;
-mod rw;
 
 pub use config::{
     GlkConfig, MonitorHandle, EMA_ALPHA, INITIAL_CALM_ROUNDS, MAX_CALM_ROUNDS, MCS_TO_TICKET_QUEUE,
@@ -57,12 +57,12 @@ pub use config::{
 pub use lock::model::{model_publish_after_release, model_stale_retries};
 pub use lock::GlkLock;
 pub use mode::{GlkMode, ModeTransition};
-pub use rw::{GlkRwLock, GlkRwMode};
 
-/// What the GLK and GLK-RW unit tests share.
+/// Load fixtures and the decision-table check of GLK's unit tests.
 #[cfg(test)]
 mod test_support {
     use super::config::INITIAL_CALM_ROUNDS;
+    use super::mode::GlkMode;
     use gls_runtime::sysload::{RunnableGuard, SystemLoadMonitor};
     use gls_sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -98,15 +98,15 @@ mod test_support {
 
     /// (current mode, multiprogrammed, calm requirement met) -> target mode
     /// per [`SMOOTHED`] column, and whether the calm requirement doubles.
-    pub(crate) type DecisionRow<M> = (M, bool, bool, [M; 5], bool);
+    pub(crate) type DecisionRow = (GlkMode, bool, bool, [GlkMode; 5], bool);
 
     /// Puts `monitor` and `required_calm` into each row's situation and
     /// holds `decide(current, smoothed)` to the row's targets.
-    pub(crate) fn check_decision_table<M: Copy + PartialEq + std::fmt::Debug>(
+    pub(crate) fn check_decision_table(
         monitor: &SystemLoadMonitor,
         required_calm: &AtomicU64,
-        table: &[DecisionRow<M>],
-        decide: impl Fn(M, f64) -> M,
+        table: &[DecisionRow],
+        decide: impl Fn(GlkMode, f64) -> GlkMode,
     ) {
         for &(current, multiprogrammed, calm_met, targets, doubles) in table {
             let _guards = if multiprogrammed {

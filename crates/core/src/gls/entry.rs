@@ -11,7 +11,7 @@ use gls_runtime::ThreadId;
 
 use super::holders::HolderSet;
 use super::shards::{ProfileShards, ProfileTotals};
-use crate::glk::{GlkConfig, GlkLock, GlkRwLock, MonitorHandle};
+use crate::glk::{GlkConfig, GlkLock, MonitorHandle};
 
 /// How an acquisition holds its entry. Entries that are not reader-writer
 /// locks serve [`Hold::Shared`] as an exclusive hold.
@@ -34,8 +34,9 @@ pub(crate) enum Wait {
 
 /// The concrete lock implementation behind a GLS entry.
 ///
-/// `gls_lock` (the default interface) creates [`AlgorithmLock::Glk`] entries;
-/// the explicit `gls_A_lock` interfaces create entries of the corresponding
+/// `gls_lock` (the default interface) creates [`AlgorithmLock::Glk`] entries,
+/// the reader-writer interface [`AlgorithmLock::FutexRw`] entries; the
+/// explicit `gls_A_lock` interfaces create entries of the corresponding
 /// algorithm (paper Table 1).
 // One entry exists per distinct lock address and lives for the lock's whole
 // lifetime, so the GLK variant's size is not worth an extra indirection on
@@ -58,11 +59,9 @@ pub(crate) enum AlgorithmLock {
     /// Word-sized blocking mutex parked on the shared parking lot.
     Mutex(FutexLock),
     /// Word-sized blocking reader-writer lock parked on the shared parking
-    /// lot (exclusive `lock`/`unlock` calls acquire write access).
+    /// lot (the entry kind behind the rw interface; exclusive
+    /// `lock`/`unlock` calls acquire write access).
     FutexRw(FutexRwLock),
-    /// Adaptive reader-writer lock (the entry kind behind the rw interface;
-    /// exclusive `lock`/`unlock` calls acquire write access).
-    Rw(GlkRwLock),
 }
 
 impl AlgorithmLock {
@@ -79,10 +78,6 @@ impl AlgorithmLock {
             LockKind::Clh => AlgorithmLock::Clh(ClhLock::new()),
             LockKind::Mutex => AlgorithmLock::Mutex(FutexLock::new()),
             LockKind::FutexRw => AlgorithmLock::FutexRw(FutexRwLock::new()),
-            LockKind::Rw => AlgorithmLock::Rw(GlkRwLock::with_config_and_monitor(
-                glk_config.clone(),
-                monitor.clone(),
-            )),
         }
     }
 
@@ -96,7 +91,6 @@ impl AlgorithmLock {
             AlgorithmLock::Clh(_) => LockKind::Clh,
             AlgorithmLock::Mutex(_) => LockKind::Mutex,
             AlgorithmLock::FutexRw(_) => LockKind::FutexRw,
-            AlgorithmLock::Rw(_) => LockKind::Rw,
         }
     }
 
@@ -110,7 +104,6 @@ impl AlgorithmLock {
             AlgorithmLock::Clh(l) => l.lock(),
             AlgorithmLock::Mutex(l) => l.lock(),
             AlgorithmLock::FutexRw(l) => l.lock(),
-            AlgorithmLock::Rw(l) => l.write_lock(),
         }
     }
 
@@ -124,7 +117,6 @@ impl AlgorithmLock {
             AlgorithmLock::Clh(l) => l.try_lock(),
             AlgorithmLock::Mutex(l) => l.try_lock(),
             AlgorithmLock::FutexRw(l) => l.try_lock(),
-            AlgorithmLock::Rw(l) => l.try_write_lock(),
         }
     }
 
@@ -138,7 +130,6 @@ impl AlgorithmLock {
             AlgorithmLock::Clh(l) => l.unlock(),
             AlgorithmLock::Mutex(l) => l.unlock(),
             AlgorithmLock::FutexRw(l) => l.unlock(),
-            AlgorithmLock::Rw(l) => l.write_unlock(),
         }
     }
 
@@ -149,9 +140,7 @@ impl AlgorithmLock {
     #[inline]
     pub(crate) fn acquire(&self, hold: Hold, wait: Wait) -> bool {
         match (self, hold, wait) {
-            (AlgorithmLock::Rw(l), Hold::Shared, Wait::Block) => l.read_lock(),
             (AlgorithmLock::FutexRw(l), Hold::Shared, Wait::Block) => l.read_lock(),
-            (AlgorithmLock::Rw(l), Hold::Shared, Wait::Try) => return l.try_read_lock(),
             (AlgorithmLock::FutexRw(l), Hold::Shared, Wait::Try) => return l.try_read_lock(),
             (_, _, Wait::Block) => self.lock(),
             (_, _, Wait::Try) => return self.try_lock(),
@@ -163,7 +152,6 @@ impl AlgorithmLock {
     #[inline]
     pub(crate) fn release(&self, hold: Hold) {
         match (self, hold) {
-            (AlgorithmLock::Rw(l), Hold::Shared) => l.read_unlock(),
             (AlgorithmLock::FutexRw(l), Hold::Shared) => l.read_unlock(),
             _ => self.unlock(),
         }
@@ -171,7 +159,7 @@ impl AlgorithmLock {
 
     /// Whether this entry is a reader-writer lock (shared holders possible).
     pub(crate) fn is_rw(&self) -> bool {
-        matches!(self, AlgorithmLock::Rw(_) | AlgorithmLock::FutexRw(_))
+        matches!(self, AlgorithmLock::FutexRw(_))
     }
 
     pub(crate) fn queue_length(&self) -> u64 {
@@ -184,18 +172,13 @@ impl AlgorithmLock {
             AlgorithmLock::Clh(l) => l.queue_length(),
             AlgorithmLock::Mutex(l) => l.queue_length(),
             AlgorithmLock::FutexRw(l) => l.queue_length(),
-            AlgorithmLock::Rw(l) => l.queue_length(),
         }
     }
 
     /// Number of mode transitions this entry's adaptive lock performed
     /// (0 for non-adaptive algorithms, which never transition).
     pub(crate) fn transition_count(&self) -> u64 {
-        match self {
-            AlgorithmLock::Glk(l) => l.stats().transitions(),
-            AlgorithmLock::Rw(l) => l.stats().transitions(),
-            _ => 0,
-        }
+        self.as_glk().map_or(0, |l| l.stats().transitions())
     }
 
     /// Access to the underlying GLK lock for entries created by the default
@@ -222,14 +205,12 @@ impl AlgorithmLock {
         }
     }
 
-    /// Forgets what adaptive locks recorded for the address they served
+    /// Forgets what a GLK lock recorded for the address it served
     /// (statistics, transition log) before the entry is recycled. The mode
     /// itself is kept: the next address re-adapts it like any other lock.
     fn reset_telemetry(&self) {
-        match self {
-            AlgorithmLock::Glk(l) => l.reset_telemetry(),
-            AlgorithmLock::Rw(l) => l.reset_telemetry(),
-            _ => {}
+        if let Some(l) = self.as_glk() {
+            l.reset_telemetry();
         }
     }
 }
@@ -609,7 +590,7 @@ mod tests {
         assert_eq!(offset_of!(LockEntry, epoch), 8);
         assert_eq!(offset_of!(LockEntry, acquired_at), 16);
         assert_eq!(offset_of!(LockEntry, lock), 64, "a line of its own");
-        assert_eq!(size_of::<LockEntry>(), 512);
+        assert_eq!(size_of::<LockEntry>(), 448);
     }
 
     #[test]
@@ -627,24 +608,6 @@ mod tests {
         assert_eq!(entry.owner(), Some(me));
         entry.clear_owner();
         assert_eq!(entry.owner(), None);
-    }
-
-    #[test]
-    fn rw_entry_supports_shared_access() {
-        let lock = make(LockKind::Rw);
-        assert!(lock.is_rw());
-        lock.acquire(Hold::Shared, Wait::Block);
-        lock.acquire(Hold::Shared, Wait::Block);
-        assert_eq!(lock.queue_length(), 2);
-        assert!(!lock.try_lock(), "readers must exclude writers");
-        lock.release(Hold::Shared);
-        lock.release(Hold::Shared);
-        assert!(lock.try_lock());
-        assert!(
-            !lock.acquire(Hold::Shared, Wait::Try),
-            "writer must exclude readers"
-        );
-        lock.unlock();
     }
 
     #[test]
@@ -679,7 +642,7 @@ mod tests {
 
     #[test]
     fn entry_reader_tracking() {
-        let entry = live_entry(0x3000, LockKind::Rw);
+        let entry = live_entry(0x3000, LockKind::FutexRw);
         let me = ThreadId::current();
         assert!(entry.holders().is_empty());
         entry.add_reader(me);
@@ -757,15 +720,11 @@ mod tests {
         assert_eq!(entry.profile_totals().acquisitions, 0);
         let slot = entry.profile_shards().slot();
         slot.record_acquisition();
-        slot.record_lock_latency(40);
-        slot.record_cs_latency(100);
         slot.record_queue_sample(3);
         // Debug mode counts on the entry; reports must fold both.
         entry.record_debug_acquisition();
         let totals = entry.profile_totals();
         assert_eq!(totals.acquisitions, 2);
-        assert!((totals.avg_lock_latency() - 40.0).abs() < 1e-9);
-        assert!((totals.avg_cs_latency() - 100.0).abs() < 1e-9);
         assert!((totals.avg_queue() - 3.0).abs() < 1e-9);
     }
 }

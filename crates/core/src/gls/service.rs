@@ -43,7 +43,7 @@ static NEXT_SERVICE_ID: AtomicU64 = AtomicU64::new(1);
 /// |---|---|---|
 /// | Default | [`lock`](Self::lock), [`try_lock`](Self::try_lock), [`unlock`](Self::unlock), [`guard`](Self::guard) | GLK (adaptive) |
 /// | Explicit | [`lock_with`](Self::lock_with), [`try_lock_with`](Self::try_lock_with), [`unlock_with`](Self::unlock_with), [`guard_with`](Self::guard_with) | caller-chosen [`LockKind`] |
-/// | Reader-writer | [`read_lock`](Self::read_lock), [`write_lock`](Self::write_lock), [`try_read_lock`](Self::try_read_lock), [`try_write_lock`](Self::try_write_lock), [`read_unlock`](Self::read_unlock), [`write_unlock`](Self::write_unlock), [`read_guard`](Self::read_guard), [`write_guard`](Self::write_guard) | GLK-RW (adaptive rw) |
+/// | Reader-writer | [`read_lock`](Self::read_lock), [`write_lock`](Self::write_lock), [`try_read_lock`](Self::try_read_lock), [`try_write_lock`](Self::try_write_lock), [`read_unlock`](Self::read_unlock), [`write_unlock`](Self::write_unlock), [`read_guard`](Self::read_guard), [`write_guard`](Self::write_guard) | [`FutexRwLock`](gls_locks::FutexRwLock) (spin, then park) |
 /// | Condition variables | [`wait`](Self::wait), [`wait_timeout`](Self::wait_timeout) with a [`GlsCondvar`] | any mutex entry |
 /// | Management | [`free`](Self::free), [`lock_count`](Self::lock_count), [`issues`](Self::issues), [`telemetry_snapshot`](Self::telemetry_snapshot) | — |
 ///
@@ -295,7 +295,7 @@ impl GlsService {
     // ------------------------------------------------------------------
 
     /// Acquires shared (read) access to the lock associated with `m`,
-    /// creating an adaptive reader-writer entry on first use.
+    /// creating a reader-writer entry on first use.
     ///
     /// # Errors
     ///
@@ -303,21 +303,21 @@ impl GlsService {
     /// without acquiring. In normal and profile mode this never fails.
     #[inline]
     pub fn read_lock(&self, m: impl Into<LockAddr>) -> Result<(), GlsError> {
-        self.acquire(m.into().0, LockKind::Rw, Hold::Shared, Wait::Block)
+        self.acquire(m.into().0, LockKind::FutexRw, Hold::Shared, Wait::Block)
             .map(drop)
     }
 
     /// Acquires exclusive (write) access to the lock associated with `m`,
-    /// creating an adaptive reader-writer entry on first use. Exclusive
+    /// creating a reader-writer entry on first use. Exclusive
     /// access on an rw entry *is* the classic lock operation, so the write
-    /// side is the explicit interface at [`LockKind::Rw`].
+    /// side is the explicit interface at [`LockKind::FutexRw`].
     ///
     /// # Errors
     ///
     /// Same as [`GlsService::read_lock`].
     #[inline]
     pub fn write_lock(&self, m: impl Into<LockAddr>) -> Result<(), GlsError> {
-        self.lock_with(LockKind::Rw, m)
+        self.lock_with(LockKind::FutexRw, m)
     }
 
     /// Attempts to acquire shared access without waiting.
@@ -327,7 +327,7 @@ impl GlsService {
     /// In debug mode, returns the detected issue (e.g. double locking).
     #[inline]
     pub fn try_read_lock(&self, m: impl Into<LockAddr>) -> Result<bool, GlsError> {
-        self.acquire(m.into().0, LockKind::Rw, Hold::Shared, Wait::Try)
+        self.acquire(m.into().0, LockKind::FutexRw, Hold::Shared, Wait::Try)
             .map(|held| held.is_some())
     }
 
@@ -338,7 +338,7 @@ impl GlsService {
     /// Same as [`GlsService::try_read_lock`].
     #[inline]
     pub fn try_write_lock(&self, m: impl Into<LockAddr>) -> Result<bool, GlsError> {
-        self.try_lock_with(LockKind::Rw, m)
+        self.try_lock_with(LockKind::FutexRw, m)
     }
 
     /// Releases shared access to the lock associated with `m`.
@@ -371,7 +371,7 @@ impl GlsService {
     /// Same as [`GlsService::read_lock`].
     #[inline]
     pub fn read_guard(&self, m: impl Into<LockAddr>) -> Result<GlsGuard<'_>, GlsError> {
-        self.hold(m.into().0, LockKind::Rw, Hold::Shared)
+        self.hold(m.into().0, LockKind::FutexRw, Hold::Shared)
     }
 
     /// Acquires exclusive access to `m` and returns a guard releasing it on
@@ -382,7 +382,7 @@ impl GlsService {
     /// Same as [`GlsService::write_lock`].
     #[inline]
     pub fn write_guard(&self, m: impl Into<LockAddr>) -> Result<GlsGuard<'_>, GlsError> {
-        self.guard_with(LockKind::Rw, m)
+        self.guard_with(LockKind::FutexRw, m)
     }
 
     // ------------------------------------------------------------------
@@ -699,15 +699,17 @@ impl GlsService {
             let totals = entry.profile_totals();
             let transitions = entry.lock.transition_count();
             glk_transitions += transitions;
+            let lock_latency = HistogramSummary::of(&entry.lock_latency_histogram());
+            let cs_latency = HistogramSummary::of(&entry.cs_latency_histogram());
             locks.push(LockTelemetry {
                 addr: entry.addr(),
                 algorithm: entry.lock.kind(),
                 acquisitions: totals.acquisitions,
                 avg_queue: totals.avg_queue(),
-                avg_lock_latency: totals.avg_lock_latency(),
-                avg_cs_latency: totals.avg_cs_latency(),
-                lock_latency: HistogramSummary::of(&entry.lock_latency_histogram()),
-                cs_latency: HistogramSummary::of(&entry.cs_latency_histogram()),
+                avg_lock_latency: lock_latency.mean,
+                avg_cs_latency: cs_latency.mean,
+                lock_latency,
+                cs_latency,
                 transitions,
             });
         });
@@ -742,6 +744,15 @@ impl GlsService {
     /// The lock algorithm currently associated with `addr`, if any.
     pub fn algorithm_of(&self, addr: impl Into<LockAddr>) -> Option<LockKind> {
         self.find_entry(addr.into().0).map(|e| e.lock.kind())
+    }
+
+    /// Holders plus waiters of the lock associated with `addr`, as its
+    /// algorithm counts them (the number GLK's adaptation samples), or
+    /// `None` if there is no lock. A blocking lock counts its parked
+    /// waiters, not the ones still spinning. Racy: for diagnostics.
+    pub fn queue_length(&self, addr: impl Into<LockAddr>) -> Option<u64> {
+        self.find_entry(addr.into().0)
+            .map(|e| e.lock.queue_length())
     }
 
     // ------------------------------------------------------------------
@@ -977,7 +988,6 @@ impl GlsService {
                         let acquired = entry.lock.acquire(hold, wait);
                         if acquired {
                             let waited = cycles::now().wrapping_sub(start);
-                            slot.record_lock_latency(waited);
                             shards.record_lock_latency_hist(waited);
                             // Fresh stamp *after* the latency bookkeeping:
                             // the critical-section measurement must not
@@ -1072,9 +1082,7 @@ impl GlsService {
                 let acquired_at = entry.take_acquired();
                 if acquired_at != 0 {
                     let held = cycles::now().wrapping_sub(acquired_at);
-                    let shards = entry.profile_shards();
-                    shards.slot().record_cs_latency(held);
-                    shards.record_cs_latency_hist(held);
+                    entry.profile_shards().record_cs_latency_hist(held);
                 }
             }
             _ => {}
@@ -1341,7 +1349,7 @@ mod tests {
                     let svc = GlsService::with_config(GlsConfig::default().with_mode(mode));
                     let addr = 0x7AB1E;
                     let entry = svc
-                        .acquire(addr, LockKind::Rw, hold, wait)
+                        .acquire(addr, LockKind::FutexRw, hold, wait)
                         .unwrap()
                         .expect("a free lock is acquired whichever way");
                     // A failed try records neither a latency nor an
@@ -1363,7 +1371,7 @@ mod tests {
                         u64::from(mode != GlsMode::Normal),
                         "{case}"
                     );
-                    assert_eq!(totals.lock_latency_samples, profiled, "{case}");
+                    assert_eq!(entry.lock_latency_histogram().count(), profiled, "{case}");
                     // Debug mode reports re-entry through a try as well.
                     if mode == GlsMode::Debug {
                         let err = svc.try_read_lock(addr).unwrap_err();
@@ -1374,7 +1382,7 @@ mod tests {
                     // exclusive profiled section is timed.
                     svc.release(entry, hold, None).unwrap();
                     assert_eq!(
-                        entry.profile_totals().cs_latency_samples,
+                        entry.cs_latency_histogram().count(),
                         if hold == Hold::Exclusive { profiled } else { 0 },
                         "{case}"
                     );
@@ -1609,6 +1617,9 @@ mod tests {
         for lock in &locks {
             assert!(lock.acquisitions >= 25);
             assert!(lock.avg_cs_latency > 0.0, "cs latency should be recorded");
+            // Each average is its distribution's mean: one home per latency.
+            assert_eq!(lock.avg_lock_latency, lock.lock_latency.mean);
+            assert_eq!(lock.avg_cs_latency, lock.cs_latency.mean);
         }
         assert!(
             locks.windows(2).all(|w| w[0].avg_queue >= w[1].avg_queue),
@@ -1676,7 +1687,7 @@ mod tests {
         svc.write_unlock(&data).unwrap();
         assert_eq!(
             svc.algorithm_of(GlsService::address_of(&data)),
-            Some(LockKind::Rw)
+            Some(LockKind::FutexRw)
         );
     }
 
@@ -1721,7 +1732,7 @@ mod tests {
             .iter()
             .find(|l| l.addr == 0x600)
             .expect("rw entry must appear in the snapshot");
-        assert_eq!(rw.algorithm, LockKind::Rw);
+        assert_eq!(rw.algorithm, LockKind::FutexRw);
         assert_eq!(rw.acquisitions, 60);
         assert!(rw.avg_cs_latency > 0.0, "write sections are timed");
     }

@@ -1,16 +1,19 @@
 //! Sharded per-entry profiling statistics.
 //!
-//! Profile mode records a queue sample, an acquisition latency and a
-//! critical-section latency on *every* lock call. With one shared set of
-//! counters per entry that is five read-modify-writes on one cacheline —
-//! contended acquirers of the same lock serialize on the stat line before
-//! they even reach the lock word, which is precisely the overhead a
-//! profiler must not add. [`ProfileShards`] splits the counters into
-//! [`PROFILE_SHARDS`] cache-padded slots selected by thread id: a thread
-//! only ever touches its own slot (collisions are possible beyond
-//! `PROFILE_SHARDS` concurrent threads, but remain correct — the slots are
-//! atomics), and [`ProfileShards::totals`] folds the slots into one
-//! [`ProfileTotals`] when a report is built.
+//! Profile mode counts *every* acquisition and, on every measured one,
+//! records a queue sample and the acquisition and critical-section
+//! latencies. With one shared set of counters per entry those are
+//! read-modify-writes on one cacheline — contended acquirers of the same
+//! lock serialize on the stat line before they even reach the lock word,
+//! which is precisely the overhead a profiler must not add.
+//! [`ProfileShards`] splits the counters into [`PROFILE_SHARDS`]
+//! cache-padded slots selected by thread id: a thread only ever touches its
+//! own slot (collisions are possible beyond `PROFILE_SHARDS` concurrent
+//! threads, but remain correct — the slots are atomics), and
+//! [`ProfileShards::totals`] folds the slots into one [`ProfileTotals`] when
+//! a report is built. Each latency has one home, a
+//! sharded histogram: its count and exact sum are the sample count and the
+//! total an average needs.
 //!
 //! The critical-section *stamp* is not sharded: it is written exactly once
 //! per acquisition by the lock holder (whose thread already owns the
@@ -41,10 +44,6 @@ pub(crate) struct ShardSlot {
     acquisitions: AtomicU64,
     queue_total: AtomicU64,
     queue_samples: AtomicU64,
-    lock_latency_total: AtomicU64,
-    lock_latency_samples: AtomicU64,
-    cs_latency_total: AtomicU64,
-    cs_latency_samples: AtomicU64,
 }
 
 const _: () = assert!(
@@ -64,28 +63,8 @@ impl ShardSlot {
         self.queue_samples.fetch_add(1, Ordering::Relaxed);
     }
 
-    #[inline]
-    pub(crate) fn record_lock_latency(&self, cycles: u64) {
-        self.lock_latency_total.fetch_add(cycles, Ordering::Relaxed);
-        self.lock_latency_samples.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn record_cs_latency(&self, cycles: u64) {
-        self.cs_latency_total.fetch_add(cycles, Ordering::Relaxed);
-        self.cs_latency_samples.fetch_add(1, Ordering::Relaxed);
-    }
-
     fn reset(&self) {
-        for counter in [
-            &self.acquisitions,
-            &self.queue_total,
-            &self.queue_samples,
-            &self.lock_latency_total,
-            &self.lock_latency_samples,
-            &self.cs_latency_total,
-            &self.cs_latency_samples,
-        ] {
+        for counter in [&self.acquisitions, &self.queue_total, &self.queue_samples] {
             counter.store(0, Ordering::Relaxed);
         }
     }
@@ -178,10 +157,6 @@ impl ProfileShards {
             totals.acquisitions += slot.acquisitions.load(Ordering::Relaxed);
             totals.queue_total += slot.queue_total.load(Ordering::Relaxed);
             totals.queue_samples += slot.queue_samples.load(Ordering::Relaxed);
-            totals.lock_latency_total += slot.lock_latency_total.load(Ordering::Relaxed);
-            totals.lock_latency_samples += slot.lock_latency_samples.load(Ordering::Relaxed);
-            totals.cs_latency_total += slot.cs_latency_total.load(Ordering::Relaxed);
-            totals.cs_latency_samples += slot.cs_latency_samples.load(Ordering::Relaxed);
         }
         totals
     }
@@ -194,31 +169,15 @@ pub(crate) struct ProfileTotals {
     pub(crate) acquisitions: u64,
     pub(crate) queue_total: u64,
     pub(crate) queue_samples: u64,
-    pub(crate) lock_latency_total: u64,
-    pub(crate) lock_latency_samples: u64,
-    pub(crate) cs_latency_total: u64,
-    pub(crate) cs_latency_samples: u64,
 }
 
 impl ProfileTotals {
-    fn average(total: u64, samples: u64) -> f64 {
-        if samples == 0 {
+    pub(crate) fn avg_queue(&self) -> f64 {
+        if self.queue_samples == 0 {
             0.0
         } else {
-            total as f64 / samples as f64
+            self.queue_total as f64 / self.queue_samples as f64
         }
-    }
-
-    pub(crate) fn avg_queue(&self) -> f64 {
-        Self::average(self.queue_total, self.queue_samples)
-    }
-
-    pub(crate) fn avg_lock_latency(&self) -> f64 {
-        Self::average(self.lock_latency_total, self.lock_latency_samples)
-    }
-
-    pub(crate) fn avg_cs_latency(&self) -> f64 {
-        Self::average(self.cs_latency_total, self.cs_latency_samples)
     }
 }
 
@@ -238,8 +197,6 @@ mod tests {
                         let slot = shards.slot();
                         slot.record_acquisition();
                         slot.record_queue_sample(2);
-                        slot.record_lock_latency(10);
-                        slot.record_cs_latency(30);
                     }
                 })
             })
@@ -251,8 +208,6 @@ mod tests {
         assert_eq!(totals.acquisitions, 80_000);
         assert_eq!(totals.queue_samples, 80_000);
         assert!((totals.avg_queue() - 2.0).abs() < 1e-9);
-        assert!((totals.avg_lock_latency() - 10.0).abs() < 1e-9);
-        assert!((totals.avg_cs_latency() - 30.0).abs() < 1e-9);
     }
 
     #[test]
@@ -292,7 +247,5 @@ mod tests {
     fn empty_totals_average_to_zero() {
         let totals = ProfileShards::new().totals();
         assert_eq!(totals.avg_queue(), 0.0);
-        assert_eq!(totals.avg_lock_latency(), 0.0);
-        assert_eq!(totals.avg_cs_latency(), 0.0);
     }
 }

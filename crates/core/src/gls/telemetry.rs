@@ -91,9 +91,9 @@ pub struct LockTelemetry {
     pub acquisitions: u64,
     /// Average queuing behind the lock at (measured) acquisition time.
     pub avg_queue: f64,
-    /// Average lock-acquisition latency, in cycles.
+    /// Average lock-acquisition latency, in cycles: `lock_latency.mean`.
     pub avg_lock_latency: f64,
-    /// Average critical-section duration, in cycles.
+    /// Average critical-section duration, in cycles: `cs_latency.mean`.
     pub avg_cs_latency: f64,
     /// Acquisition-latency distribution of measured acquisitions.
     pub lock_latency: HistogramSummary,
@@ -162,7 +162,7 @@ pub struct TelemetrySnapshot {
     pub cache: CacheStats,
     /// Shared parking-lot occupancy and requeues (process-wide).
     pub parking_lot: ParkingLotStats,
-    /// Total GLK/GLK-RW mode transitions across this service's entries.
+    /// Total GLK mode transitions across this service's entries.
     pub glk_transitions: u64,
     /// Deadlock-detector activity (service-scoped, debug mode).
     pub deadlock: DeadlockTelemetry,

@@ -17,8 +17,9 @@
 //!   programmers never declare, allocate, initialize or destroy locks. The
 //!   default interface uses GLK; explicit interfaces expose TAS, TTAS,
 //!   ticket, MCS, CLH and mutex locks, and a reader-writer interface
-//!   (`read_lock`/`write_lock` + guards) backed by the adaptive
-//!   [`GlkRwLock`]. A debug mode detects the classic locking bugs (including
+//!   (`read_lock`/`write_lock` + guards) backed by the word-sized
+//!   [`FutexRwLock`](gls_locks::FutexRwLock), which spins and then parks.
+//!   A debug mode detects the classic locking bugs (including
 //!   runtime deadlock detection that understands shared holders) and a
 //!   profiler mode reports per-lock contention and latencies.
 //!
@@ -77,7 +78,7 @@ pub mod glk;
 pub mod gls;
 
 pub use error::GlsError;
-pub use glk::{GlkConfig, GlkLock, GlkMode, GlkRwLock, GlkRwMode, ModeTransition};
+pub use glk::{GlkConfig, GlkLock, GlkMode, ModeTransition};
 pub use gls::{
     thread_cache_stats, CacheStats, DeadlockTelemetry, GlsCondvar, GlsConfig, GlsGuard, GlsMode,
     GlsService, HistogramSummary, LockAddr, LockTelemetry, TelemetrySnapshot, WaitOutcome,

@@ -29,15 +29,13 @@ pub enum LockKind {
     /// ([`FutexLock`](crate::FutexLock), one `AtomicU32` of per-lock state)
     /// whose waiters sleep in the shared parking lot.
     Mutex,
-    /// Word-sized blocking reader-writer lock parked on the shared parking
-    /// lot. Exclusive (`lock`) calls on such an entry acquire write access.
+    /// Word-sized reader-writer lock ([`FutexRwLock`](crate::FutexRwLock))
+    /// that spins, then parks on the shared parking lot: the entry kind
+    /// behind GLS's reader-writer interface. Exclusive (`lock`) calls on
+    /// such an entry acquire write access.
     FutexRw,
     /// The adaptive generic lock (GLK).
     Glk,
-    /// The adaptive reader-writer lock (GLK-RW): spinning TTAS-rw normally,
-    /// blocking rw mutex under multiprogramming. Exclusive (`lock`) calls on
-    /// such an entry acquire write access.
-    Rw,
 }
 
 impl LockKind {
@@ -52,8 +50,8 @@ impl LockKind {
         LockKind::FutexRw,
     ];
 
-    /// All algorithms, including the adaptive GLK and GLK-RW.
-    pub const ALL: [LockKind; 9] = [
+    /// All algorithms, including the adaptive GLK.
+    pub const ALL: [LockKind; 8] = [
         LockKind::Tas,
         LockKind::Ttas,
         LockKind::Ticket,
@@ -62,7 +60,6 @@ impl LockKind {
         LockKind::Mutex,
         LockKind::FutexRw,
         LockKind::Glk,
-        LockKind::Rw,
     ];
 
     /// Upper-case display name matching the paper's figures.
@@ -76,7 +73,6 @@ impl LockKind {
             LockKind::Mutex => "MUTEX",
             LockKind::FutexRw => "FUTEX-RW",
             LockKind::Glk => "GLK",
-            LockKind::Rw => "RW",
         }
     }
 
@@ -124,7 +120,6 @@ impl FromStr for LockKind {
             "mutex" | "pthread" => Ok(LockKind::Mutex),
             "futex-rw" | "futex_rw" | "futexrw" => Ok(LockKind::FutexRw),
             "glk" | "adaptive" => Ok(LockKind::Glk),
-            "rw" | "rwlock" => Ok(LockKind::Rw),
             _ => Err(ParseLockKindError { input: s.into() }),
         }
     }
@@ -162,10 +157,8 @@ mod tests {
     #[test]
     fn concrete_excludes_adaptive_kinds() {
         assert!(!LockKind::CONCRETE.contains(&LockKind::Glk));
-        assert!(!LockKind::CONCRETE.contains(&LockKind::Rw));
         assert!(LockKind::CONCRETE.contains(&LockKind::Mutex));
         assert!(LockKind::CONCRETE.contains(&LockKind::FutexRw));
         assert!(LockKind::ALL.contains(&LockKind::Glk));
-        assert!(LockKind::ALL.contains(&LockKind::Rw));
     }
 }

@@ -7,8 +7,6 @@
 //! * a cheap way to measure short durations in **CPU cycles** and to busy-wait
 //!   for a given number of cycles (critical-section simulation, latency
 //!   measurements) — [`cycles`];
-//! * an **exponential moving average** used to smooth the per-lock queuing
-//!   statistics that drive adaptation — [`ema`];
 //! * small, dense, reusable **thread identifiers** used by the debug and
 //!   deadlock-detection machinery — [`thread_id`];
 //! * knowledge of how many **hardware contexts** the machine offers —
@@ -41,7 +39,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod cycles;
-pub mod ema;
 pub mod flight;
 pub mod histogram;
 pub mod stats;
@@ -50,10 +47,9 @@ pub mod thread_id;
 pub mod topology;
 
 pub use cycles::{now as cycles_now, spin_for as spin_cycles};
-pub use ema::Ema;
 pub use flight::{FlightEvent, FlightEventKind};
 pub use histogram::{AtomicLatencyHistogram, LatencyHistogram};
 pub use stats::LockStats;
-pub use sysload::{SystemLoadMonitor, SystemLoadSnapshot};
+pub use sysload::SystemLoadMonitor;
 pub use thread_id::ThreadId;
 pub use topology::{hardware_contexts, pin_to};

@@ -30,15 +30,10 @@ impl LockStats {
         Self::default()
     }
 
-    /// Records one completed acquisition and returns the *new* total.
-    #[inline]
-    pub fn record_acquisition(&self) -> u64 {
-        self.acquisitions.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// [`record_acquisition`](Self::record_acquisition) for a caller that
-    /// is the counter's only writer at the time — the exclusive holder of a
-    /// lock only whose holders count: a load and a store, no RMW.
+    /// Records one completed acquisition and returns the *new* total. The
+    /// caller is the counter's only writer at the time — the exclusive
+    /// holder of a lock only whose holders count — so this is a load and a
+    /// store, no RMW.
     #[inline]
     pub fn record_exclusive_acquisition(&self) -> u64 {
         let acquisitions = self.acquisitions.load(Ordering::Relaxed) + 1;
@@ -115,10 +110,9 @@ mod tests {
     #[test]
     fn acquisitions_count_up() {
         let s = LockStats::new();
-        assert_eq!(s.record_acquisition(), 1);
-        assert_eq!(s.record_acquisition(), 2);
-        assert_eq!(s.record_exclusive_acquisition(), 3);
-        assert_eq!(s.acquisitions(), 3);
+        assert_eq!(s.record_exclusive_acquisition(), 1);
+        assert_eq!(s.record_exclusive_acquisition(), 2);
+        assert_eq!(s.acquisitions(), 2);
     }
 
     #[test]
@@ -139,7 +133,7 @@ mod tests {
         let s = LockStats::new();
         s.record_transition();
         s.record_transition();
-        s.record_acquisition();
+        s.record_exclusive_acquisition();
         assert_eq!(s.transitions(), 2);
         s.reset();
         assert_eq!(s.transitions(), 0);
@@ -154,7 +148,8 @@ mod tests {
                 let s = std::sync::Arc::clone(&s);
                 std::thread::spawn(move || {
                     for _ in 0..10_000 {
-                        s.record_acquisition();
+                        s.record_queue_sample(1);
+                        s.record_transition();
                     }
                 })
             })
@@ -162,6 +157,8 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(s.acquisitions(), 80_000);
+        assert_eq!(s.queue_samples(), 80_000);
+        assert_eq!(s.queue_total(), 80_000);
+        assert_eq!(s.transitions(), 80_000);
     }
 }

@@ -22,19 +22,6 @@ fn clock_nanos() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-/// A point-in-time view of the system load as seen by the monitor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SystemLoadSnapshot {
-    /// Number of registered runnable threads.
-    pub runnable_tasks: usize,
-    /// Number of hardware contexts on the machine.
-    pub hardware_contexts: usize,
-    /// Whether the machine is currently considered multiprogrammed.
-    pub multiprogrammed: bool,
-    /// Uninterrupted calm so far, in 100 µs ticks (0 while multiprogrammed).
-    pub calm_ticks: u64,
-}
-
 /// The multiprogramming detector shared by every GLK lock in the process.
 ///
 /// # Example
@@ -44,8 +31,7 @@ pub struct SystemLoadSnapshot {
 ///
 /// let monitor = SystemLoadMonitor::global();
 /// let _guard = monitor.runnable_guard(); // this thread counts as runnable
-/// let snap = monitor.snapshot();
-/// assert!(snap.runnable_tasks >= 1);
+/// assert!(monitor.registered_runnable() >= 1);
 /// ```
 #[derive(Debug, Default)]
 pub struct SystemLoadMonitor {
@@ -98,16 +84,6 @@ impl SystemLoadMonitor {
         // only end a hold-off early, so the window is accepted, not locked.
         let since = self.calm_since.load(Ordering::Relaxed);
         clock_nanos().saturating_sub(since) / 100_000
-    }
-
-    /// The accessors above read together (each is its own relaxed load).
-    pub fn snapshot(&self) -> SystemLoadSnapshot {
-        SystemLoadSnapshot {
-            runnable_tasks: self.registered_runnable(),
-            hardware_contexts: topology::hardware_contexts(),
-            multiprogrammed: self.is_multiprogrammed(),
-            calm_ticks: self.calm_ticks(),
-        }
     }
 }
 
@@ -204,16 +180,6 @@ mod tests {
         assert_eq!(m.calm_ticks(), 0);
         drop(guards);
         assert!(m.calm_since.load(Ordering::Relaxed) > first_stamp);
-    }
-
-    #[test]
-    fn snapshot_is_consistent_with_accessors() {
-        let m = SystemLoadMonitor::new();
-        let _g = m.runnable_guard();
-        let s = m.snapshot();
-        assert_eq!(s.runnable_tasks, m.registered_runnable());
-        assert_eq!(s.multiprogrammed, m.is_multiprogrammed());
-        assert_eq!(s.hardware_contexts, topology::hardware_contexts());
     }
 
     #[test]

@@ -444,7 +444,7 @@ mod tests {
         let locks = provider.service().unwrap().telemetry_snapshot().locks;
         let rw_entries: Vec<_> = locks
             .iter()
-            .filter(|l| l.algorithm == LockKind::Rw)
+            .filter(|l| l.algorithm == LockKind::FutexRw)
             .collect();
         assert!(
             !rw_entries.is_empty(),

@@ -156,7 +156,8 @@ impl LockProvider {
     /// * The MUTEX baseline uses the standard blocking rwlock.
     /// * The GLS providers route it through the shared [`GlsService`] rw
     ///   interface, so Kyoto/SQLite rw traffic gets address mapping,
-    ///   profiling, debug checking and GLK-RW adaptivity like every mutex.
+    ///   profiling and debug checking like every mutex, on a futex rwlock
+    ///   that spins and then parks.
     /// * Every other provider uses the TTAS-based rwlock the paper
     ///   substitutes for `pthread_rwlock` (§5.2, footnote 7) directly.
     // The MUTEX baseline's contract is "whatever the system gives you",
@@ -248,23 +249,6 @@ fn make_raw(kind: LockKind) -> Arc<dyn RawFacade> {
         LockKind::Mutex => Arc::new(Raw(FutexLock::new())),
         LockKind::FutexRw => Arc::new(Raw(gls_locks::FutexRwLock::new())),
         LockKind::Glk => Arc::new(GlkRaw(GlkLock::new())),
-        // A direct RW provider hands out the adaptive rwlock used in
-        // exclusive (write) mode.
-        LockKind::Rw => Arc::new(GlkRwRaw(gls::glk::GlkRwLock::new())),
-    }
-}
-
-struct GlkRwRaw(gls::glk::GlkRwLock);
-
-impl RawFacade for GlkRwRaw {
-    fn lock(&self) {
-        self.0.write_lock()
-    }
-    fn unlock(&self) {
-        self.0.write_unlock()
-    }
-    fn try_lock(&self) -> bool {
-        self.0.try_write_lock()
     }
 }
 
@@ -665,7 +649,7 @@ mod tests {
                 RwImpl::Gls { addr, .. } => *addr,
                 _ => panic!("{}: rwlock must be GLS-backed", provider.label()),
             };
-            assert_eq!(service.algorithm_of(addr), Some(LockKind::Rw));
+            assert_eq!(service.algorithm_of(addr), Some(LockKind::FutexRw));
         }
     }
 
@@ -691,13 +675,13 @@ mod tests {
         assert!(
             locks
                 .iter()
-                .any(|l| l.algorithm == LockKind::Rw && l.acquisitions == 40),
+                .any(|l| l.algorithm == LockKind::FutexRw && l.acquisitions == 40),
             "the snapshot must show the rw lock entry: {locks:?}"
         );
         assert!(
             locks
                 .iter()
-                .any(|l| l.algorithm != LockKind::Rw && l.acquisitions == 20),
+                .any(|l| l.algorithm != LockKind::FutexRw && l.acquisitions == 20),
             "the snapshot must show the mutex entry: {locks:?}"
         );
     }

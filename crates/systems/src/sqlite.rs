@@ -359,7 +359,7 @@ mod tests {
         let locks = provider.service().unwrap().telemetry_snapshot().locks;
         let rw_acquisitions: u64 = locks
             .iter()
-            .filter(|l| l.algorithm == gls_locks::LockKind::Rw)
+            .filter(|l| l.algorithm == gls_locks::LockKind::FutexRw)
             .map(|l| l.acquisitions)
             .sum();
         assert!(

@@ -113,24 +113,7 @@ impl BenchLock for GlsBenchLock {
             LockKind::Ttas => "GLS(TTAS)",
             LockKind::Clh => "GLS(CLH)",
             LockKind::FutexRw => "GLS(FUTEX-RW)",
-            LockKind::Rw => "GLS(RW)",
         }
-    }
-}
-
-/// The adaptive reader-writer lock measured as a plain mutex (exclusive
-/// mode), so rw entries can ride the same single-lock figures.
-struct RwAsMutex(gls::glk::GlkRwLock);
-
-impl BenchLock for RwAsMutex {
-    fn acquire(&self) {
-        self.0.write_lock()
-    }
-    fn release(&self) {
-        self.0.write_unlock()
-    }
-    fn label(&self) -> &'static str {
-        "RW"
     }
 }
 
@@ -219,7 +202,6 @@ fn make_direct(kind: LockKind) -> Arc<dyn BenchLock> {
         LockKind::Mutex => Arc::new(CachePadded::new(FutexLock::new())),
         LockKind::FutexRw => Arc::new(FutexRwAsMutex(gls_locks::FutexRwLock::new())),
         LockKind::Glk => Arc::new(GlkLock::new()),
-        LockKind::Rw => Arc::new(RwAsMutex(gls::glk::GlkRwLock::new())),
     }
 }
 

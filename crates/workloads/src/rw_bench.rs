@@ -6,8 +6,9 @@
 //! at 0% it degenerates to a mutex, and the region in between exposes both
 //! reader-side overhead and writer starvation. This module sweeps that axis
 //! over one shared lock for three implementations: the raw TTAS rwlock, the
-//! same lock reached through the GLS service (address mapping + lock cache +
-//! adaptivity), and [`std::sync::RwLock`] as the system baseline.
+//! GLS service's rw interface (address mapping + lock cache in front of a
+//! word-sized futex rwlock), and [`std::sync::RwLock`] as the system
+//! baseline.
 
 // Workload think-time is modeled as real wall-clock sleeps by design
 // (see clippy.toml).
@@ -73,7 +74,7 @@ impl RwBenchLock for std::sync::RwLock<()> {
 }
 
 /// A reader-writer lock reached through the GLS service rw interface: every
-/// section pays the address → lock mapping and gets profiling/adaptivity.
+/// section pays the address → lock mapping and gets profiling.
 pub struct GlsRwBenchLock {
     service: Arc<GlsService>,
     addr: usize,
@@ -133,7 +134,7 @@ impl RwBenchLock for GlsRwBenchLock {
 pub enum RwLockSetup {
     /// The raw TTAS rwlock, used directly.
     Ttas,
-    /// The TTAS rwlock reached through a GLS service.
+    /// The GLS service's rw interface (a futex rwlock per address).
     Gls(GlsConfig),
     /// `std::sync::RwLock` as the system baseline.
     Std,
@@ -320,7 +321,7 @@ mod tests {
         assert!(result.total_ops() > 0);
         let locks = lock.service().telemetry_snapshot().locks;
         assert_eq!(locks.len(), 1, "one rw lock entry must be profiled");
-        assert_eq!(locks[0].algorithm, gls::LockKind::Rw);
+        assert_eq!(locks[0].algorithm, gls::LockKind::FutexRw);
         assert!(locks[0].acquisitions > 0);
     }
 

@@ -1,6 +1,7 @@
 //! Reader-writer locking through the GLS service: sharing semantics, data
 //! consistency under mixed reader/writer stress with deadlock detection
-//! enabled, and writer liveness under continuous reader churn.
+//! enabled, writer liveness under continuous reader churn, and readers
+//! parking behind a writer.
 
 // Integration stress tests drive real OS threads on wall-clock time;
 // raw std sync and sleeps are the point here (see clippy.toml).
@@ -34,8 +35,37 @@ fn rw_guards_share_and_exclude_through_the_service() {
     }
     assert_eq!(
         svc.algorithm_of(GlsService::address_of(&table)),
-        Some(LockKind::Rw)
+        Some(LockKind::FutexRw)
     );
+}
+
+/// A reader blocked behind a held write lock parks on the entry's word
+/// (nothing spins through a long write section), and `write_unlock` admits
+/// it. The signal is the lock's own queue length — holders plus parked
+/// waiters, not the ones still spinning — so threads other tests park
+/// elsewhere cannot move it.
+#[test]
+fn reader_behind_a_writer_parks_and_write_unlock_admits_it() {
+    let svc = GlsService::new();
+    let addr = 0x55_0000_usize;
+    svc.write_lock(addr).unwrap();
+    assert_eq!(svc.queue_length(addr), Some(1), "the writer alone");
+    std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            svc.read_lock(addr).unwrap();
+            let holders = svc.queue_length(addr);
+            svc.read_unlock(addr).unwrap();
+            holders
+        });
+        let parked = (0..100_000).any(|_| {
+            std::thread::sleep(Duration::from_micros(100));
+            svc.queue_length(addr) == Some(2)
+        });
+        svc.write_unlock(addr).unwrap();
+        assert!(parked, "the reader never parked");
+        assert_eq!(reader.join().unwrap(), Some(1), "the admitted reader alone");
+    });
+    assert_eq!(svc.queue_length(addr), Some(0));
 }
 
 /// The acceptance scenario of the rw subsystem: many readers and writers
