@@ -9,6 +9,16 @@
 //! acquires the mutex afterwards is guaranteed to find it), sleeps, and
 //! re-acquires the mutex before returning.
 //!
+//! # No waiter, no lot
+//!
+//! The condvar's one word is its waiter count, never lower than the number
+//! of threads queued under its address: a waiter counts itself under the
+//! bucket lock before it enqueues, so before it releases the mutex, and
+//! uncounts itself once its park returns, however the park ended. A notify
+//! that reads 0 returns at once, with no entry lookup and no bucket lock.
+//! A relaxed load is enough: the notifier took the mutex the waiter
+//! released (or changed the predicate under it), so it sees the count.
+//!
 //! # Debug-mode integration
 //!
 //! A condvar wait must not confuse the deadlock detector. Two properties
@@ -27,11 +37,11 @@
 //! notification (e.g. after [`GlsCondvar::notify_all`] raced with a
 //! predicate change). Always wait in a loop re-checking the predicate.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use gls_locks::park::{DEFAULT_PARK_TOKEN, DEFAULT_UNPARK_TOKEN};
 use gls_locks::{ParkResult, ParkingLot};
+use gls_sync::atomic::{AtomicU64, Ordering};
 
 /// How a condvar wait ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,8 +64,8 @@ impl WaitOutcome {
 ///
 /// The condvar itself carries no wait-queue state — like
 /// [`FutexLock`](gls_locks::FutexLock), its identity is its address — only
-/// diagnostic counters. Pair it with a GLS-managed mutex through
-/// [`GlsService::wait`](super::GlsService::wait) /
+/// its [waiter count](GlsCondvar::waiters). Pair it with a GLS-managed
+/// mutex through [`GlsService::wait`](super::GlsService::wait) /
 /// [`GlsService::wait_timeout`](super::GlsService::wait_timeout), or with
 /// any lock at all through [`GlsCondvar::wait_with`].
 ///
@@ -89,14 +99,8 @@ impl WaitOutcome {
 /// ```
 #[derive(Debug, Default)]
 pub struct GlsCondvar {
-    /// Threads currently parked on this condvar.
+    /// See [`GlsCondvar::waiters`].
     waiters: AtomicU64,
-    /// Completed waits (diagnostics; surfaced next to profiler reports).
-    waits: AtomicU64,
-    /// Waits that ended by timeout.
-    timeouts: AtomicU64,
-    /// Notifications delivered to at least one waiter.
-    notifies: AtomicU64,
 }
 
 impl GlsCondvar {
@@ -110,25 +114,17 @@ impl GlsCondvar {
         self as *const GlsCondvar as usize
     }
 
-    /// Number of threads currently parked on this condvar (racy;
-    /// diagnostics and tests).
+    /// Threads inside a wait on this condvar, from just before they enqueue
+    /// until their park returns: never lower than the number queued under
+    /// the condvar's address, so at 0 a notify has nobody to wake.
     pub fn waiters(&self) -> u64 {
         self.waiters.load(Ordering::Relaxed)
     }
 
-    /// Completed waits so far.
-    pub fn waits(&self) -> u64 {
-        self.waits.load(Ordering::Relaxed)
-    }
-
-    /// Waits that ended by timeout so far.
-    pub fn timeouts(&self) -> u64 {
-        self.timeouts.load(Ordering::Relaxed)
-    }
-
-    /// Notifications that woke at least one waiter.
-    pub fn notifies(&self) -> u64 {
-        self.notifies.load(Ordering::Relaxed)
+    /// Every notify checks this first and, finding no waiter, returns.
+    #[inline]
+    pub(crate) fn has_waiters(&self) -> bool {
+        self.waiters() != 0
     }
 
     /// The low-level wait: enqueue under the condvar's address, run
@@ -138,7 +134,8 @@ impl GlsCondvar {
     /// This is what [`GlsService::wait`](super::GlsService::wait) and the
     /// system harnesses build on; use it directly when the associated mutex
     /// is not GLS-managed (any `unlock`/`relock` pair works — the condvar
-    /// only needs the release to happen after the enqueue).
+    /// only needs the release to happen after the enqueue, and a notifier
+    /// to change the predicate under that lock).
     pub fn wait_with(
         &self,
         unlock: impl FnOnce(),
@@ -149,23 +146,27 @@ impl GlsCondvar {
             self.addr(),
             DEFAULT_PARK_TOKEN,
             || {
-                // Counted under the bucket lock, atomically with the
-                // enqueue: once `waiters()` reports this thread, a
-                // notification is guaranteed to find it parked.
+                #[cfg(gls_model)]
+                if super::service::model::count_waiter_after_release() {
+                    return true;
+                }
+                // Counted before the enqueue, so before `unlock`.
                 self.waiters.fetch_add(1, Ordering::Relaxed);
                 true
             },
-            unlock,
+            || {
+                unlock();
+                #[cfg(gls_model)]
+                if super::service::model::count_waiter_after_release() {
+                    self.waiters.fetch_add(1, Ordering::Relaxed);
+                }
+            },
             timeout,
         );
         self.waiters.fetch_sub(1, Ordering::Relaxed);
-        self.waits.fetch_add(1, Ordering::Relaxed);
         relock();
         match result {
-            ParkResult::TimedOut => {
-                self.timeouts.fetch_add(1, Ordering::Relaxed);
-                WaitOutcome::TimedOut
-            }
+            ParkResult::TimedOut => WaitOutcome::TimedOut,
             _ => WaitOutcome::Notified,
         }
     }
@@ -173,20 +174,19 @@ impl GlsCondvar {
     /// Wakes the longest-waiting thread, if any; returns whether one was
     /// woken.
     pub fn notify_one(&self) -> bool {
-        let result = ParkingLot::global().unpark_one(self.addr(), |_| DEFAULT_UNPARK_TOKEN, |_| {});
-        if result.unparked > 0 {
-            self.notifies.fetch_add(1, Ordering::Relaxed);
+        if !self.has_waiters() {
+            return false;
         }
+        let result = ParkingLot::global().unpark_one(self.addr(), |_| DEFAULT_UNPARK_TOKEN, |_| {});
         result.unparked > 0
     }
 
     /// Wakes every waiting thread; returns how many were woken.
     pub fn notify_all(&self) -> usize {
-        let woken = ParkingLot::global().unpark_all(self.addr(), DEFAULT_UNPARK_TOKEN);
-        if woken > 0 {
-            self.notifies.fetch_add(1, Ordering::Relaxed);
+        if !self.has_waiters() {
+            return 0;
         }
-        woken
+        ParkingLot::global().unpark_all(self.addr(), DEFAULT_UNPARK_TOKEN)
     }
 
     /// Notifies the longest-waiting thread, **requeueing** it onto
@@ -223,6 +223,9 @@ impl GlsCondvar {
         mutex_park_addr: usize,
         revalidate: impl FnOnce() -> bool,
     ) -> bool {
+        if !self.has_waiters() {
+            return false;
+        }
         let result = ParkingLot::global().unpark_requeue(
             self.addr(),
             mutex_park_addr,
@@ -241,11 +244,7 @@ impl GlsCondvar {
             DEFAULT_UNPARK_TOKEN,
             |_| {},
         );
-        let notified = result.unparked + result.requeued > 0;
-        if notified {
-            self.notifies.fetch_add(1, Ordering::Relaxed);
-        }
-        notified
+        result.unparked + result.requeued > 0
     }
 
     /// Notifies every waiting thread, requeueing them onto
@@ -264,6 +263,9 @@ impl GlsCondvar {
         mutex_park_addr: usize,
         revalidate: impl FnOnce() -> bool,
     ) -> usize {
+        if !self.has_waiters() {
+            return 0;
+        }
         let mutex_held = std::cell::Cell::new(false);
         let result = ParkingLot::global().unpark_requeue(
             self.addr(),
@@ -302,11 +304,7 @@ impl GlsCondvar {
                 }
             },
         );
-        let notified = result.unparked + result.requeued;
-        if notified > 0 {
-            self.notifies.fetch_add(1, Ordering::Relaxed);
-        }
-        notified
+        result.unparked + result.requeued
     }
 }
 
@@ -346,8 +344,6 @@ mod tests {
         *mutex.lock().unwrap() = true;
         assert!(cv.notify_one());
         waiter.join().unwrap();
-        assert_eq!(cv.waits(), 1);
-        assert_eq!(cv.notifies(), 1);
         assert_eq!(cv.waiters(), 0);
     }
 
@@ -357,15 +353,17 @@ mod tests {
         let relocked = AtomicBool::new(false);
         let start = Instant::now();
         let outcome = cv.wait_with(
-            || {},
-            || relocked.store(true, Ordering::Relaxed),
+            || assert_eq!(cv.waiters(), 1, "counted before the release"),
+            || {
+                assert_eq!(cv.waiters(), 0, "uncounted before the relock");
+                relocked.store(true, Ordering::Relaxed);
+            },
             Some(Duration::from_millis(40)),
         );
         assert!(outcome.timed_out());
         assert!(start.elapsed() >= Duration::from_millis(40));
         assert!(relocked.load(Ordering::Relaxed), "relock runs on timeout");
-        assert_eq!(cv.timeouts(), 1);
-        assert_eq!(cv.waiters(), 0);
+        assert_eq!(cv.waiters(), 0, "a timed-out waiter uncounts itself");
     }
 
     #[test]
@@ -373,7 +371,15 @@ mod tests {
         let cv = GlsCondvar::new();
         assert!(!cv.notify_one());
         assert_eq!(cv.notify_all(), 0);
-        assert_eq!(cv.notifies(), 0);
+        let word = gls_locks::FutexLock::new();
+        // SAFETY: `word` is a live futex word that outlives both calls.
+        unsafe {
+            assert!(!cv.notify_one_requeue(word.park_addr(), || unreachable!()));
+            assert_eq!(
+                cv.notify_all_requeue(word.park_addr(), || unreachable!()),
+                0
+            );
+        }
     }
 
     #[test]

@@ -42,6 +42,6 @@ pub use config::{GlsConfig, GlsMode};
 #[cfg(gls_model)]
 pub use debug::model as debug_model;
 #[cfg(gls_model)]
-pub use service::model::model_hit_checks_addr_only;
+pub use service::model::{model_count_waiter_after_release, model_hit_checks_addr_only};
 pub use service::{GlsGuard, GlsService};
 pub use telemetry::{DeadlockTelemetry, HistogramSummary, LockTelemetry, TelemetrySnapshot};

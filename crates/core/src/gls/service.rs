@@ -463,7 +463,13 @@ impl GlsService {
     /// not sleep on a futex word (nothing to requeue onto) or a free mutex
     /// (the waiter can take it immediately). Returns whether a waiter was
     /// notified.
+    ///
+    /// With no waiter on `cv` it returns `false` at once, before any entry
+    /// lookup or parking-lot access (see [`GlsCondvar::waiters`]).
     pub fn notify_one(&self, cv: &GlsCondvar, m: impl Into<LockAddr>) -> bool {
+        if !cv.has_waiters() {
+            return false;
+        }
         let addr = m.into().0;
         match self.park_target(addr) {
             // SAFETY: the park address belongs to this entry's futex word;
@@ -489,8 +495,11 @@ impl GlsService {
     /// associated with `m` when it is futex-backed (wait-morphing
     /// broadcast: the mutex's successive releases wake them one at a time,
     /// with no thundering herd re-contending the mutex). Returns how many
-    /// waiters were notified.
+    /// waiters were notified (0 at once when `cv` has none).
     pub fn notify_all(&self, cv: &GlsCondvar, m: impl Into<LockAddr>) -> usize {
+        if !cv.has_waiters() {
+            return 0;
+        }
         let addr = m.into().0;
         match self.park_target(addr) {
             // SAFETY: as in `notify_one` — the futex word lives as long as
@@ -1213,8 +1222,8 @@ impl GlsService {
     }
 }
 
-/// Model-checker hook for the cached hit path: a seeded validation bug.
-/// Compiled only under `--cfg gls_model`.
+/// Model-checker hooks for the cached hit path and the condvar's waiter
+/// count: seeded bugs. Compiled only under `--cfg gls_model`.
 #[cfg(gls_model)]
 pub(crate) mod model {
     use std::cell::Cell;
@@ -1223,6 +1232,7 @@ pub(crate) mod model {
     // must not see another test's settings.
     thread_local! {
         static ADDR_ONLY: Cell<bool> = const { Cell::new(false) };
+        static COUNT_LATE: Cell<bool> = const { Cell::new(false) };
     }
 
     /// Seeds, on the calling thread, a cache hit validated by `addr()`
@@ -1235,6 +1245,17 @@ pub(crate) mod model {
 
     pub(super) fn hit_checks_addr_only() -> bool {
         ADDR_ONLY.with(Cell::get)
+    }
+
+    /// Seeds, on the calling thread, a condvar waiter that counts itself
+    /// only after it released the mutex: a notifier that takes the mutex in
+    /// between reads no waiter and leaves this one asleep.
+    pub fn model_count_waiter_after_release(seeded: bool) {
+        COUNT_LATE.with(|c| c.set(seeded));
+    }
+
+    pub(in crate::gls) fn count_waiter_after_release() -> bool {
+        COUNT_LATE.with(Cell::get)
     }
 }
 
@@ -2089,12 +2110,12 @@ mod tests {
             1,
             "the waiter sleeps under the mutex address now"
         );
-        assert_eq!(cv.waits(), 0, "requeued, not woken");
+        assert_eq!(cv.waiters(), 1, "requeued, still inside its wait");
         // The mutex release is what wakes it.
         svc.unlock(addr).unwrap();
         waiter.join().unwrap();
-        assert_eq!(cv.waits(), 1);
-        assert_eq!(cv.notifies(), 1);
+        assert_eq!(cv.waiters(), 0);
+        assert_eq!(ParkingLot::global().parked_count(mutex_park), 0);
     }
 
     #[test]
@@ -2120,7 +2141,7 @@ mod tests {
         }
         assert!(svc.notify_one(&cv, addr));
         waiter.join().unwrap();
-        assert_eq!(cv.waits(), 1);
+        assert_eq!(cv.waiters(), 0);
         // Notifying with nobody waiting reports so.
         assert!(!svc.notify_one(&cv, addr));
         assert_eq!(svc.notify_all(&cv, addr), 0);
@@ -2165,12 +2186,11 @@ mod tests {
             // Held mutex: the whole broadcast morphs onto the mutex queue;
             // no thundering herd re-contends while we still hold it.
             assert_eq!(ParkingLot::global().parked_count(mutex_park), 4);
-            assert_eq!(cv.waits(), 0);
             svc.unlock(addr).unwrap();
             for w in waiters {
                 w.join().unwrap();
             }
-            assert_eq!(cv.waits(), 4);
+            assert_eq!(cv.waiters(), 0);
             assert_eq!(ParkingLot::global().parked_count(mutex_park), 0);
         }
     }

@@ -89,10 +89,10 @@ pub use gls::{
 // downstream users need only one dependency.
 pub use gls_locks::LockKind;
 
-// The deadlock detector's protocol steps and the seeded cache-hit bug,
-// re-exposed for the model tests in `crates/model/tests`.
+// The deadlock detector's protocol steps and the seeded cache-hit and
+// condvar-count bugs, re-exposed for the model tests in `crates/model/tests`.
 #[cfg(gls_model)]
-pub use gls::{debug_model, model_hit_checks_addr_only};
+pub use gls::{debug_model, model_count_waiter_after_release, model_hit_checks_addr_only};
 
 /// Convenience free functions mirroring the C interface of Table 1
 /// (`gls_lock`, `gls_trylock`, `gls_unlock`, `gls_free`), all operating on

@@ -22,8 +22,9 @@
 //!   the shim that also lets the pure spin algorithms run under the
 //!   explorer (see the `spinlocks` suite);
 //! * GLS service models pin entries to `LockKind::Mutex` (the futex word)
-//!   so each test exercises one protocol, except the GLK scenario, whose
-//!   protocol *is* the mode switch;
+//!   so each test exercises one protocol, except two GLK scenarios: the
+//!   mode switch, whose protocol *is* GLK, and the condvar fast path,
+//!   which wants a mutex with no park address;
 //! * shared mutable state lives in a [`ModelCell`], so every admission
 //!   bug is caught twice: as a lost update by the final assertion, and as
 //!   a data race by the happens-before detector, on the exact schedule
@@ -35,7 +36,8 @@ use std::sync::atomic::{AtomicBool, Ordering as StdOrdering};
 use std::sync::Arc;
 
 use gls::{
-    model_hit_checks_addr_only, thread_cache_stats, GlsCondvar, GlsConfig, GlsService, LockKind,
+    model_count_waiter_after_release, model_hit_checks_addr_only, thread_cache_stats, GlsCondvar,
+    GlsConfig, GlsService, LockKind,
 };
 use gls_locks::park::DEFAULT_PARK_TOKEN;
 use gls_locks::{
@@ -541,30 +543,30 @@ fn rediscovers_the_sweep_without_idle_proof_bug_through_a_guard() {
     );
 }
 
-/// Property 4 — condvar requeue-on-notify never strands a waiter behind a
-/// free mutex. The waiter blocks on the service condvar under a MUTEX
-/// entry; the notifier flips the predicate and notifies *while holding the
-/// mutex*, so the waiter is requeued onto the mutex word and must be woken
-/// by the notifier's unlock on every schedule. A requeue onto a word
-/// nobody releases again would deadlock.
-#[test]
-fn condvar_requeue_strands_no_waiter() {
-    Explorer::exhaustive().check("condvar-requeue", || {
+/// The condvar scenario: a waiter waits on the service condvar in a
+/// predicate loop under a `kind` entry; the notifier flips the predicate
+/// and notifies *while holding the mutex*. Every schedule must end with
+/// both threads joined: a waiter nobody wakes is a deadlock. `seeded` makes
+/// the waiter count itself only after it released the mutex.
+fn condvar_notify_under_the_mutex(
+    kind: LockKind,
+    seeded: bool,
+) -> impl Fn() + Send + Sync + 'static {
+    move || {
         let service = Arc::new(GlsService::new());
         let cv = Arc::new(GlsCondvar::new());
         let flag = Arc::new(SharedFlag::new());
         let slot = Arc::new(0u8);
         let addr = Arc::as_ptr(&slot) as usize;
-        service
-            .lock_with(LockKind::Mutex, addr)
-            .expect("create entry");
+        service.lock_with(kind, addr).expect("create entry");
         service.unlock(addr).expect("release fresh entry");
         let waiter = {
             let service = Arc::clone(&service);
             let cv = Arc::clone(&cv);
             let flag = Arc::clone(&flag);
             thread::spawn(move || {
-                service.lock_with(LockKind::Mutex, addr).expect("lock");
+                model_count_waiter_after_release(seeded);
+                service.lock_with(kind, addr).expect("lock");
                 while !flag.read() {
                     service.wait(&cv, addr).expect("wait");
                 }
@@ -576,19 +578,75 @@ fn condvar_requeue_strands_no_waiter() {
             let cv = Arc::clone(&cv);
             let flag = Arc::clone(&flag);
             thread::spawn(move || {
-                service.lock_with(LockKind::Mutex, addr).expect("lock");
+                service.lock_with(kind, addr).expect("lock");
                 flag.set();
-                // Notify while holding the mutex: the waiter (if already
-                // asleep) is requeued onto the mutex word and must ride
-                // the unlock below.
-                service.notify_one(&cv, addr);
+                let woke = service.notify_one(&cv, addr);
+                if kind == LockKind::Glk && !seeded {
+                    SAW_NOTIFY[usize::from(woke)].store(true, StdOrdering::Relaxed);
+                }
                 service.unlock(addr).expect("unlock");
             })
         };
         waiter.join().expect("waiter panicked");
         notifier.join().expect("notifier panicked");
         drop(slot);
-    });
+    }
+}
+
+/// Whether some GLK schedule's notify found nobody (`[0]`) and some woke
+/// the waiter (`[1]`).
+static SAW_NOTIFY: [AtomicBool; 2] = [AtomicBool::new(false), AtomicBool::new(false)];
+
+/// Property 4 — condvar requeue-on-notify never strands a waiter behind a
+/// free mutex. Under a MUTEX entry a waiter already asleep when the
+/// notifier (holding the mutex) notifies is requeued onto the mutex word
+/// and must be woken by the notifier's unlock on every schedule. A requeue
+/// onto a word nobody releases again would deadlock.
+#[test]
+fn condvar_requeue_strands_no_waiter() {
+    Explorer::exhaustive().check(
+        "condvar-requeue",
+        condvar_notify_under_the_mutex(LockKind::Mutex, false),
+    );
+}
+
+/// Property 4b — a notify that reads no waiter loses no wakeup. Under a
+/// default GLK entry (ticket mode: no park address, so a notify that finds
+/// a waiter takes the plain wake) the notifier's `notify_one` skips the
+/// lot whenever the condvar's count is 0; the waiter counts itself before
+/// it releases the mutex, so on every schedule it is either counted (and
+/// woken) or has not yet read the predicate.
+#[test]
+fn condvar_no_waiter_fast_path_loses_no_wakeup() {
+    Explorer::exhaustive().check(
+        "condvar-no-waiter-fast-path",
+        condvar_notify_under_the_mutex(LockKind::Glk, false),
+    );
+    assert!(
+        SAW_NOTIFY.iter().all(|saw| saw.load(StdOrdering::Relaxed)),
+        "no execution had the notify both find nobody and wake the waiter — \
+         the scenario no longer exercises both paths"
+    );
+}
+
+/// Seeded bug — a waiter that counts itself only after releasing the mutex
+/// leaves a window in which it is queued but not counted: a notifier that
+/// takes the mutex there reads 0, skips the lot, and the waiter sleeps
+/// forever. The explorer must find that lost wakeup.
+#[test]
+fn rediscovers_the_waiter_counted_after_release_bug() {
+    let failure = Explorer::exhaustive()
+        .cleanup(|| ParkingLot::global().model_purge())
+        .find_failure(
+            "condvar-count-after-release",
+            condvar_notify_under_the_mutex(LockKind::Glk, true),
+        )
+        .expect("the explorer must catch a notify that skips an uncounted waiter");
+    assert_eq!(
+        failure.kind,
+        FailureKind::Deadlock,
+        "expected a lost-wakeup deadlock, got: {failure}"
+    );
 }
 
 /// A timed park racing a requeue (the condvar `wait_timeout` path): W

@@ -400,7 +400,7 @@ impl AppCondvar {
         self.cv.notify_all()
     }
 
-    /// Number of threads currently parked on this condvar (diagnostics).
+    /// Threads inside a wait on this condvar (see [`GlsCondvar::waiters`]).
     pub fn waiters(&self) -> u64 {
         self.cv.waiters()
     }

@@ -20,6 +20,8 @@ fn futex_raw_state_is_one_word() {
     // state of the futex locks is a single AtomicU32.
     assert_eq!(std::mem::size_of::<FutexLock>(), 4);
     assert_eq!(std::mem::size_of::<FutexRwLock>(), 4);
+    // A condvar is its waiter count: the queue lives in the parking lot.
+    assert_eq!(std::mem::size_of::<GlsCondvar>(), 8);
 }
 
 #[test]
@@ -147,7 +149,7 @@ fn wait_timeout_expires_and_reacquires_the_mutex() {
     // The mutex was re-acquired on the way out.
     assert!(!svc.try_lock(0xCC00).unwrap());
     svc.unlock(0xCC00).unwrap();
-    assert_eq!(cv.timeouts(), 1);
+    assert_eq!(cv.waiters(), 0, "a timed-out waiter uncounts itself");
 }
 
 #[test]
@@ -204,11 +206,19 @@ fn notify_one_hands_over_fifo_and_notify_all_drains() {
 
 #[test]
 fn condvar_requeue_mpmc_loses_no_items() {
-    // Requeue-on-notify correctness under MPMC churn: producers notify
-    // while *holding* the futex-backed mutex (so every notify takes the
-    // requeue path and the waiter is woken by the mutex release, not the
-    // notify), consumers wait in the standard predicate loop. Every
-    // produced item must be consumed exactly once.
+    // A MUTEX entry sleeps on a futex word: notify_one requeues onto it.
+    mpmc_loses_no_items(LockKind::Mutex);
+    // A default GLK entry spins (no park address): most notifies find no
+    // waiter and return at once, the rest take the plain wake.
+    mpmc_loses_no_items(LockKind::Glk);
+}
+
+/// Condvar correctness under MPMC churn on a `kind` entry: producers notify
+/// while *holding* the mutex (so on a futex-backed mutex every notify that
+/// finds a waiter requeues it, and the mutex release wakes it), consumers
+/// wait in the standard predicate loop. Every produced item must be
+/// consumed exactly once.
+fn mpmc_loses_no_items(kind: LockKind) {
     struct Queue(std::cell::UnsafeCell<std::collections::VecDeque<u64>>);
     // SAFETY: the queue cell is only touched while holding the service
     // mutex at `addr`.
@@ -221,8 +231,7 @@ fn condvar_requeue_mpmc_loses_no_items() {
     let cv = Arc::new(GlsCondvar::new());
     let queue = Arc::new(Queue(std::cell::UnsafeCell::new(Default::default())));
     let addr = 0xCAFE;
-    // A MUTEX entry sleeps on a futex word: notify_one requeues onto it.
-    svc.lock_with(LockKind::Mutex, addr).unwrap();
+    svc.lock_with(kind, addr).unwrap();
     svc.unlock(addr).unwrap();
     let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
 
@@ -267,8 +276,8 @@ fn condvar_requeue_mpmc_loses_no_items() {
                     svc.lock(addr).unwrap();
                     // SAFETY: guarded by the GLS mutex on `addr`.
                     unsafe { (*queue.0.get()).push_back(p * PER_PRODUCER + i + 1) };
-                    // Notify while holding the mutex: the waiter must be
-                    // requeued onto the mutex and woken by the unlock below.
+                    // Notify while holding the mutex: a waiter on a futex
+                    // word is requeued onto it and woken by the unlock below.
                     svc.notify_one(&cv, addr);
                     svc.unlock(addr).unwrap();
                 }
@@ -288,7 +297,7 @@ fn condvar_requeue_mpmc_loses_no_items() {
     assert_eq!(
         consumed,
         n * (n + 1) / 2,
-        "every produced item consumed exactly once"
+        "{kind:?}: every produced item consumed exactly once"
     );
     assert_eq!(cv.waiters(), 0);
 }
