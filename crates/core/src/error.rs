@@ -9,8 +9,8 @@ use gls_runtime::{FlightEvent, ThreadId};
 ///
 /// In normal mode the service never returns these; in debug mode each
 /// detected issue is both returned to the caller and appended to the
-/// service's issue log ([`crate::GlsService::issues`]). A confirmed
-/// [`GlsError::Deadlock`] carries the confirming thread's flight-recorder
+/// service's issue log ([`crate::GlsService::issues`]). A
+/// [`GlsError::Deadlock`] carries the reporting thread's flight-recorder
 /// trail, so the `Err` and the logged issue are the one record of it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GlsError {
@@ -41,13 +41,20 @@ pub enum GlsError {
         /// The thread that attempted the release.
         caller: ThreadId,
     },
-    /// A cycle of waits-for relationships was found at runtime.
+    /// A blocking acquisition would have closed a cycle in the order in
+    /// which locks are taken, so it was reported instead of attempted (the
+    /// lock is not taken). Such a cycle can deadlock whether or not this
+    /// run hung.
     Deadlock {
-        /// The cycle, as `(thread, address the thread waits on)` pairs,
-        /// starting and ending with the detecting thread.
+        /// The cycle, as `(thread, address)` pairs: each thread took (or,
+        /// for the reporting thread, attempted) the address while holding
+        /// the address of the pair before it. It starts and ends with the
+        /// reporting thread's attempt; the pairs between are the recorded
+        /// order edges that lead from that address back to a lock the
+        /// reporting thread holds.
         cycle: Vec<(ThreadId, usize)>,
-        /// The detecting thread's flight-recorder events leading up to the
-        /// confirmation (slow-path acquisitions, parks, handoffs, mode
+        /// The reporting thread's flight-recorder events leading up to the
+        /// attempt (slow-path acquisitions, parks, handoffs, mode
         /// transitions …), oldest first.
         trail: Vec<FlightEvent>,
     },

@@ -21,15 +21,14 @@
 //!
 //! # Debug-mode integration
 //!
-//! A condvar wait must not confuse the deadlock detector. Two properties
-//! guarantee it cannot produce phantom reports:
+//! A condvar wait adds nothing to the debug mode's lock-order graph:
 //!
 //! * the mutex is released through the normal service path before the
-//!   thread sleeps, so the sleeper owns nothing while parked, and
-//! * no waits-for edge is published for the park itself — a condvar wait is
-//!   resolved by a *signal*, not by a lock release, so it does not belong in
-//!   the owner/waits-for graph. Only the re-acquisition after the wake
-//!   registers (real) waits-for edges, through the ordinary debug path.
+//!   thread sleeps, so the sleeper's held record drops it, and
+//! * the park itself records no order edge — a condvar wait is resolved by
+//!   a *signal*, not by a lock release, so it orders no locks. Only the
+//!   re-acquisition after the wake records edges, from whatever else the
+//!   thread still holds, through the ordinary debug path.
 //!
 //! # Spurious wakeups
 //!

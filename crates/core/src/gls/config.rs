@@ -1,7 +1,5 @@
 //! GLS service configuration.
 
-use std::time::Duration;
-
 use crate::glk::{GlkConfig, MonitorHandle};
 
 /// Operating mode of a [`GlsService`](crate::GlsService).
@@ -10,8 +8,9 @@ pub enum GlsMode {
     /// Plain locking service: no ownership tracking, no profiling.
     #[default]
     Normal,
-    /// Debug mode: ownership tracking, misuse detection and runtime deadlock
-    /// detection (§4.2). Adds overhead.
+    /// Debug mode: ownership tracking, misuse detection and lock-order
+    /// checking, which reports an acquisition that could deadlock before it
+    /// blocks (§4.2). Adds overhead.
     Debug,
     /// Profiler mode: per-lock queuing, acquisition latency and
     /// critical-section latency statistics (§4.3). Low overhead.
@@ -34,12 +33,6 @@ pub struct GlsConfig {
     pub mode: GlsMode,
     /// Configuration handed to every GLK lock created by this service.
     pub glk: GlkConfig,
-    /// Grace period before a suspected deadlock is confirmed (debug mode).
-    /// A thread finding a waits-for cycle as it is about to block waits this
-    /// long and re-validates every edge: real deadlocks are frozen, phantom
-    /// cycles assembled from a racy walk dissolve. Paper: "more than a
-    /// second".
-    pub deadlock_check_after: Duration,
     /// Initial capacity (number of lock objects) of the address → lock table.
     pub initial_capacity: usize,
     /// Whether the per-thread direct-mapped lock cache accelerates the
@@ -65,7 +58,6 @@ impl Default for GlsConfig {
         Self {
             mode: GlsMode::Normal,
             glk: GlkConfig::default(),
-            deadlock_check_after: Duration::from_secs(1),
             initial_capacity: 192,
             lock_cache: true,
             monitor: MonitorHandle::Global,
@@ -94,12 +86,6 @@ impl GlsConfig {
     /// Sets the GLK configuration used for adaptive entries.
     pub fn with_glk(mut self, glk: GlkConfig) -> Self {
         self.glk = glk;
-        self
-    }
-
-    /// Sets the waiting threshold that triggers deadlock detection.
-    pub fn with_deadlock_check_after(mut self, after: Duration) -> Self {
-        self.deadlock_check_after = after;
         self
     }
 
@@ -151,7 +137,6 @@ mod tests {
     fn defaults_use_glk_and_normal_mode() {
         let c = GlsConfig::default();
         assert_eq!(c.mode, GlsMode::Normal);
-        assert_eq!(c.deadlock_check_after, Duration::from_secs(1));
         assert!(c.lock_cache, "the lock cache is on by default");
         assert!(!c.tracks_ownership());
         assert!(!c.profiles());
@@ -171,7 +156,12 @@ mod tests {
 
     #[test]
     fn builders_apply() {
-        let c = GlsConfig::default().with_deadlock_check_after(Duration::from_millis(100));
-        assert_eq!(c.deadlock_check_after, Duration::from_millis(100));
+        let c = GlsConfig::default()
+            .with_lock_cache(false)
+            .with_sampling(100)
+            .with_glk(GlkConfig::default().with_sampling_period(8));
+        assert!(!c.lock_cache);
+        assert_eq!(c.sampling_budget, Some(100));
+        assert_eq!(c.glk.sampling_period, 8);
     }
 }

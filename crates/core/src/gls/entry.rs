@@ -1,15 +1,13 @@
 //! The per-address lock object stored in the GLS hash table.
 
-use gls_sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use gls_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use gls_locks::{
     ClhLock, FutexLock, FutexRwLock, LockKind, McsLock, QueueInformed, RawLock, RawRwLock,
     RawTryLock, TasLock, TicketLock, TtasLock,
 };
-use gls_runtime::ThreadId;
 
-use super::holders::HolderSet;
 use super::shards::{ProfileShards, ProfileTotals};
 use crate::glk::{GlkConfig, GlkLock, MonitorHandle};
 
@@ -247,8 +245,8 @@ pub(crate) enum Liveness {
     Recycled,
 }
 
-/// A lock object plus the metadata GLS keeps about it (ownership for the
-/// debug mode, latency/queuing statistics for the profiler).
+/// A lock object plus the metadata GLS keeps about it (latency/queuing
+/// statistics for the profiler, an acquisition count for the debug mode).
 // repr(C): the declaration order is the layout. `addr`, `epoch` and
 // `acquired_at` share the entry's first cacheline; `lock` starts on the
 // second (GLK's lines are 64-byte aligned), so a cached hit's liveness
@@ -279,17 +277,6 @@ pub(crate) struct LockEntry {
     acquired_at: AtomicU64,
     /// The lock implementation.
     pub(crate) lock: AlgorithmLock,
-    /// Owner thread id + 1, or 0 when free. Maintained only in debug mode.
-    /// SeqCst: the deadlock detector relies on every thread observing the
-    /// latest ownership and waits-for edges (see `DebugState`).
-    owner: AtomicU32,
-    /// Threads currently holding shared (read) access. Maintained only in
-    /// debug mode, for rw entries; a waiting writer waits on *all* of them.
-    /// Sharded by thread id so heavy read concurrency in debug mode does
-    /// not serialize on one mutex, and allocated lazily on the first
-    /// recorded hold so the sharded set's footprint (~0.5 kB) is only paid
-    /// by entries that actually see debug-mode shared traffic.
-    readers: OnceLock<Box<HolderSet>>,
     /// Sharded profile-mode statistics (queue/latency/critical-section),
     /// allocated lazily on the first profiled call so the ~1 KiB footprint
     /// is only paid by entries a profiling service actually touches.
@@ -307,8 +294,6 @@ impl LockEntry {
             lock,
             epoch: AtomicU64::new(state::CLAIMED),
             acquired_at: AtomicU64::new(0),
-            owner: AtomicU32::new(0),
-            readers: OnceLock::new(),
             profile: OnceLock::new(),
             debug_acquisitions: AtomicU64::new(0),
         }
@@ -434,10 +419,6 @@ impl LockEntry {
         debug_assert_eq!(self.epoch() & state::MASK, state::CLAIMED);
         self.addr.store(0, Ordering::Relaxed);
         self.acquired_at.store(0, Ordering::Relaxed);
-        self.clear_owner();
-        if let Some(readers) = self.readers.get() {
-            readers.clear();
-        }
         if let Some(profile) = self.profile.get() {
             profile.reset();
         }
@@ -452,52 +433,6 @@ impl LockEntry {
         self.addr.store(addr, Ordering::Relaxed);
         // Release: whoever observes the live epoch observes the address.
         self.epoch.fetch_add(1, Ordering::Release);
-    }
-
-    /// Records `thread` as the owner (debug mode).
-    pub(crate) fn set_owner(&self, thread: ThreadId) {
-        self.owner.store(thread.as_u32() + 1, Ordering::SeqCst);
-    }
-
-    /// Clears ownership (debug mode).
-    pub(crate) fn clear_owner(&self) {
-        self.owner.store(0, Ordering::SeqCst);
-    }
-
-    /// The current owner, if ownership tracking has recorded one.
-    pub(crate) fn owner(&self) -> Option<ThreadId> {
-        match self.owner.load(Ordering::SeqCst) {
-            0 => None,
-            raw => Some(ThreadId::from_raw(raw - 1)),
-        }
-    }
-
-    /// Records `thread` as a shared holder (debug mode, rw entries).
-    pub(crate) fn add_reader(&self, thread: ThreadId) {
-        self.readers
-            .get_or_init(|| Box::new(HolderSet::new()))
-            .add(thread);
-    }
-
-    /// Removes one shared-holder record for `thread`; returns whether one
-    /// existed (debug mode, rw entries).
-    pub(crate) fn remove_reader(&self, thread: ThreadId) -> bool {
-        self.readers.get().is_some_and(|r| r.remove(thread))
-    }
-
-    /// Whether `thread` currently holds shared access (debug mode).
-    pub(crate) fn has_reader(&self, thread: ThreadId) -> bool {
-        self.readers.get().is_some_and(|r| r.contains(thread))
-    }
-
-    /// Every thread currently holding this entry: the exclusive owner and
-    /// all shared holders. This is what a waiting writer waits on.
-    pub(crate) fn holders(&self) -> Vec<ThreadId> {
-        let mut holders = self.readers.get().map(|r| r.snapshot()).unwrap_or_default();
-        if let Some(owner) = self.owner() {
-            holders.push(owner);
-        }
-        holders
     }
 
     /// The entry's sharded profile statistics, allocating them on first use.
@@ -600,17 +535,6 @@ mod tests {
     }
 
     #[test]
-    fn entry_ownership_tracking() {
-        let entry = live_entry(0x1000, LockKind::Ticket);
-        assert_eq!(entry.owner(), None);
-        let me = ThreadId::current();
-        entry.set_owner(me);
-        assert_eq!(entry.owner(), Some(me));
-        entry.clear_owner();
-        assert_eq!(entry.owner(), None);
-    }
-
-    #[test]
     fn futex_rw_entry_supports_shared_access() {
         let lock = make(LockKind::FutexRw);
         assert!(lock.is_rw());
@@ -638,24 +562,6 @@ mod tests {
             "fallback shared access is exclusive"
         );
         lock.release(Hold::Shared);
-    }
-
-    #[test]
-    fn entry_reader_tracking() {
-        let entry = live_entry(0x3000, LockKind::FutexRw);
-        let me = ThreadId::current();
-        assert!(entry.holders().is_empty());
-        entry.add_reader(me);
-        entry.add_reader(me);
-        assert!(entry.has_reader(me));
-        assert_eq!(entry.holders().len(), 2);
-        assert!(entry.remove_reader(me));
-        assert!(entry.remove_reader(me));
-        assert!(!entry.remove_reader(me), "no shared hold left to remove");
-        assert!(!entry.has_reader(me));
-        entry.set_owner(me);
-        assert_eq!(entry.holders(), vec![me]);
-        entry.clear_owner();
     }
 
     #[test]
@@ -701,10 +607,8 @@ mod tests {
         assert!(entry.age());
         let claimed = entry.epoch();
         entry.record_debug_acquisition();
-        entry.set_owner(ThreadId::current());
         entry.recycle();
         assert_eq!(entry.addr(), 0);
-        assert_eq!(entry.owner(), None);
         assert_eq!(entry.profile_totals().acquisitions, 0);
         entry.revive(0x3000);
         assert!(entry.is_live_for(0x3000));

@@ -7,7 +7,8 @@
 //! checked against the entry itself (live, and still serving the address).
 //! On top of that mapping, GLS provides a debug mode that detects the common
 //! locking bugs (uninitialized locks, double locking, releasing a free lock,
-//! releasing another thread's lock, deadlocks) and a profiler mode that
+//! releasing another thread's lock, lock-order inversions that can deadlock)
+//! and a profiler mode that
 //! reports per-lock contention and latency through per-thread stat shards.
 
 mod addr;
@@ -16,7 +17,6 @@ mod condvar;
 mod config;
 mod debug;
 mod entry;
-mod holders;
 mod sampler;
 mod service;
 mod shards;
@@ -40,7 +40,7 @@ pub use cache::{thread_cache_stats, CacheStats, CACHE_SLOTS};
 pub use condvar::{GlsCondvar, WaitOutcome};
 pub use config::{GlsConfig, GlsMode};
 #[cfg(gls_model)]
-pub use debug::model as debug_model;
+pub use debug::model::{model_check_then_insert, ModelOrder};
 #[cfg(gls_model)]
 pub use service::model::{model_count_waiter_after_release, model_hit_checks_addr_only};
 pub use service::{GlsGuard, GlsService};

@@ -7,6 +7,7 @@ use std::time::Duration;
 
 use gls_clht::{Clht, ClhtStats};
 use gls_locks::{CachePadded, LockKind, SpinWait};
+use gls_runtime::flight::{self, FlightEventKind};
 use gls_runtime::{cycles, ThreadId};
 
 use crate::error::GlsError;
@@ -49,11 +50,11 @@ static NEXT_SERVICE_ID: AtomicU64 = AtomicU64::new(1);
 ///
 /// The rw interface shares everything the mutex interface has: address-based
 /// mapping, the per-thread lock cache, profiling (queue/latency statistics)
-/// and the debug mode — including deadlock detection that understands shared
-/// holders (a waiting writer waits on *all* current readers). Mixing the rw
-/// and mutex interfaces on one address degrades shared acquisitions of
-/// non-rw entries to exclusive ones (safe, merely pessimistic); the debug
-/// mode flags the mismatch.
+/// and the debug mode — including the lock-order check, in which a read hold
+/// orders locks like a write hold (the rw entries are writer-preferring).
+/// Mixing the rw and mutex interfaces on one address degrades shared
+/// acquisitions of non-rw entries to exclusive ones (safe, merely
+/// pessimistic); the debug mode flags the mismatch.
 ///
 /// # Example
 ///
@@ -151,8 +152,8 @@ impl GlsService {
         Self {
             id: NEXT_SERVICE_ID.fetch_add(1, Ordering::Relaxed),
             table: Clht::with_capacity(config.initial_capacity),
+            debug: DebugState::new(config.mode == GlsMode::Debug),
             config,
-            debug: DebugState::new(),
             reclaim: CachePadded::new(Reclaim {
                 sweep_at: AtomicUsize::new(MIN_SWEEP_PERIOD),
                 sweep_cursor: AtomicUsize::new(0),
@@ -189,8 +190,9 @@ impl GlsService {
     ///
     /// # Errors
     ///
-    /// In debug mode, returns the detected issue (double locking, deadlock)
-    /// without acquiring. In normal and profile mode this never fails.
+    /// In debug mode, returns the detected issue (double locking, or a
+    /// lock-order cycle this attempt would close) without acquiring. In
+    /// normal and profile mode this never fails.
     #[inline]
     pub fn lock(&self, m: impl Into<LockAddr>) -> Result<(), GlsError> {
         self.lock_with(LockKind::Glk, m)
@@ -299,8 +301,9 @@ impl GlsService {
     ///
     /// # Errors
     ///
-    /// In debug mode, returns the detected issue (double locking, deadlock)
-    /// without acquiring. In normal and profile mode this never fails.
+    /// In debug mode, returns the detected issue (double locking, or a
+    /// lock-order cycle this attempt would close) without acquiring. In
+    /// normal and profile mode this never fails.
     #[inline]
     pub fn read_lock(&self, m: impl Into<LockAddr>) -> Result<(), GlsError> {
         self.acquire(m.into().0, LockKind::FutexRw, Hold::Shared, Wait::Block)
@@ -394,11 +397,10 @@ impl GlsService {
     /// before returning. The caller must hold the mutex; always re-check
     /// the waited-on predicate in a loop (spurious wakeups are possible).
     ///
-    /// In debug mode the sleeper is invisible to the deadlock detector (it
-    /// owns nothing and publishes no waits-for edge while parked), so a
-    /// condvar wait can never produce a phantom deadlock report; only the
-    /// re-acquisition runs the ordinary deadlock-checked lock path. In
-    /// profile mode the re-acquisition is profiled like any lock call.
+    /// In debug mode the sleeper holds nothing while parked and the park adds
+    /// no lock-order edge; only the re-acquisition runs the ordinary
+    /// order-checked lock path. In profile mode the re-acquisition is
+    /// profiled like any lock call.
     ///
     /// # Errors
     ///
@@ -436,9 +438,9 @@ impl GlsService {
         // unlock must not fail, or the thread would sleep still holding the
         // mutex it promised to release.
         if self.config.mode == GlsMode::Debug {
-            let owner = self.mapped_entry(addr).and_then(|e| e.owner());
-            if owner != Some(ThreadId::current()) {
-                return Err(self.not_held(addr, owner));
+            let me = ThreadId::current();
+            if !self.debug.holds(me, addr, Hold::Exclusive) {
+                return Err(self.not_held(addr, self.debug.holder_of(me, addr)));
             }
         }
         let mut relock_result = Ok(());
@@ -530,12 +532,19 @@ impl GlsService {
     /// of every per-thread cache slot holding this mapping; every other
     /// address's cached mapping stays hot. Tombstones are reclaimed by the
     /// sweep that later creates run between them (see `sweep_slice`).
+    ///
+    /// In debug mode the freed address's lock-order edges are forgotten: a
+    /// lock re-created at the same address starts with no order.
     pub fn free(&self, m: impl Into<LockAddr>) -> bool {
         let addr = m.into().0;
         let Some(entry) = self.table.get(addr).map(Self::entry_ref) else {
             return false;
         };
-        entry.retire(addr)
+        let retired = entry.retire(addr);
+        if retired && self.config.mode == GlsMode::Debug {
+            self.debug.forget(addr);
+        }
+        retired
     }
 
     /// Called by a create that mapped a new entry: starts a sweep pass
@@ -697,10 +706,10 @@ impl GlsService {
     /// Captures a [`TelemetrySnapshot`]: per-lock profiles with latency
     /// distributions (most contended first; meaningful when the service
     /// runs in [`GlsMode::Profile`]), cache/parking/mode-transition counters
-    /// and deadlock-detector activity. Cheap enough to call periodically — one
-    /// table walk plus relaxed counter reads; concurrent updates may or may
-    /// not be included (the same racy-snapshot semantics every report here
-    /// has).
+    /// and the size of the debug mode's lock-order graph. Cheap enough to
+    /// call periodically — one table walk plus relaxed counter reads;
+    /// concurrent updates may or may not be included (the same
+    /// racy-snapshot semantics every report here has).
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
         let mut locks = Vec::new();
         let mut glk_transitions = 0;
@@ -744,7 +753,7 @@ impl GlsService {
             parking_lot: gls_locks::ParkingLot::global().stats(),
             glk_transitions,
             deadlock: DeadlockTelemetry {
-                candidates: self.debug.candidate_count(),
+                edges: self.debug.edge_count(),
                 confirmed,
             },
         }
@@ -930,18 +939,11 @@ impl GlsService {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Records `issue` in the debug-mode log and hands it back to return.
-    #[cold]
-    fn flag(&self, issue: GlsError) -> GlsError {
-        self.debug.record(issue.clone());
-        issue
-    }
-
     /// The recorded issue for releasing, or waiting with, a lock the caller
     /// does not hold: `holder` does, or nobody.
     #[cold]
     fn not_held(&self, addr: usize, holder: Option<ThreadId>) -> GlsError {
-        self.flag(match holder {
+        self.debug.flag(match holder {
             Some(owner) => GlsError::WrongOwner {
                 addr,
                 owner,
@@ -951,14 +953,15 @@ impl GlsService {
         })
     }
 
-    /// Gives back a hold on an entry that turned out to be recycled.
+    /// Gives back a hold of `addr` on an entry that turned out to be
+    /// recycled.
     #[cold]
-    fn undo_acquire(&self, entry: &LockEntry, hold: Hold) {
+    fn undo_acquire(&self, entry: &LockEntry, addr: usize, hold: Hold) {
         if self.config.mode == GlsMode::Debug {
-            match hold {
-                Hold::Shared => drop(entry.remove_reader(ThreadId::current())),
-                Hold::Exclusive => entry.clear_owner(),
-            }
+            let undone =
+                self.debug
+                    .release_hold(ThreadId::current(), addr, hold, entry.lock.is_rw());
+            debug_assert!(undone.is_ok(), "the hold was recorded as taken");
         }
         // Whatever stamp is there is this acquisition's, or an orphan.
         entry.take_acquired();
@@ -1034,7 +1037,7 @@ impl GlsService {
                 return Ok(acquired.then_some(entry));
             }
             if acquired {
-                self.undo_acquire(entry, hold);
+                self.undo_acquire(entry, addr, hold);
             }
         }
     }
@@ -1065,7 +1068,7 @@ impl GlsService {
         let Some(entry) = self.mapped_entry(addr) else {
             let issue = GlsError::UninitializedLock { addr };
             return Err(match self.config.mode {
-                GlsMode::Debug => self.flag(issue),
+                GlsMode::Debug => self.debug.flag(issue),
                 _ => issue,
             });
         };
@@ -1100,8 +1103,8 @@ impl GlsService {
         Ok(())
     }
 
-    /// Debug mode's ownership checks on a release; clears the caller's
-    /// holder record when they pass.
+    /// Debug mode's ownership check on a release: gives back the caller's
+    /// hold, or reports that it has none.
     #[cold]
     fn debug_release(
         &self,
@@ -1109,40 +1112,30 @@ impl GlsService {
         hold: Hold,
         expected_kind: Option<LockKind>,
     ) -> Result<(), GlsError> {
-        let me = ThreadId::current();
         let addr = entry.addr();
-        if hold == Hold::Shared && entry.remove_reader(me) {
-            return Ok(());
-        }
-        // What is left to release is an exclusive hold, recorded as
-        // ownership. For a shared release that is the degraded hold of a
-        // non-rw entry taken through the exclusive interface; anything else
-        // the caller does not hold.
-        let (exclusive, holder) = match hold {
-            Hold::Exclusive => (true, entry.owner()),
-            Hold::Shared => (!entry.lock.is_rw(), entry.holders().first().copied()),
-        };
-        if !(exclusive && entry.owner() == Some(me)) {
+        let released = self
+            .debug
+            .release_hold(ThreadId::current(), addr, hold, entry.lock.is_rw());
+        if let Err(holder) = released {
             return Err(self.not_held(addr, holder));
         }
         if let Some(requested) = expected_kind.filter(|&kind| kind != entry.lock.kind()) {
-            self.debug.record(GlsError::AlgorithmMismatch {
+            self.debug.flag(GlsError::AlgorithmMismatch {
                 addr,
                 created: entry.lock.kind(),
                 requested,
             });
         }
-        entry.clear_owner();
         Ok(())
     }
 
     /// The debug-mode acquisition path, for exclusive and shared requests
     /// alike; returns whether the lock was acquired (always, unless `wait`
-    /// is [`Wait::Try`]). A blocking request publishes its waits-for edge,
-    /// tries once, and on contention waits under the deadlock detector
-    /// ([`DebugState::acquire_contended`]). A [`Wait::Try`] never waits, so
-    /// it publishes no edge (and checks no algorithm): it reports re-entry,
-    /// tries once, and records the hold if it got one.
+    /// is [`Wait::Try`]). Re-entry and, for a blocking request, the lock
+    /// order are checked before the lock is touched
+    /// ([`DebugState::check_acquire`]); a [`Wait::Try`] adds no order edge
+    /// and checks no algorithm. A hold taken either way is recorded.
+    #[cold]
     fn debug_acquire(
         &self,
         entry: &LockEntry,
@@ -1152,58 +1145,32 @@ impl GlsService {
         wait: Wait,
     ) -> Result<bool, GlsError> {
         let me = ThreadId::current();
-        // Re-entry in any holder role is flagged: rw entries are
-        // writer-preferring, so even a recursive read can self-deadlock
-        // behind a writer that waits on the first read hold. Only a reader's
-        // `try_write_lock` is let through, to fail: it probes for an upgrade
-        // and cannot wait.
-        let upgrade_probe = hold == Hold::Exclusive && wait == Wait::Try;
-        if entry.owner() == Some(me) || (!upgrade_probe && entry.has_reader(me)) {
-            return Err(self.flag(GlsError::DoubleLock { addr, thread: me }));
-        }
-        let lock = |wait| entry.lock.acquire(hold, wait);
-        let record_hold = || {
-            match hold {
-                Hold::Shared => entry.add_reader(me),
-                Hold::Exclusive => entry.set_owner(me),
+        self.debug.check_acquire(me, addr, hold, wait)?;
+        let acquired = match wait {
+            Wait::Try => entry.lock.acquire(hold, Wait::Try),
+            Wait::Block => {
+                if kind != entry.lock.kind() {
+                    self.debug.flag(GlsError::AlgorithmMismatch {
+                        addr,
+                        created: entry.lock.kind(),
+                        requested: kind,
+                    });
+                }
+                if !entry.lock.acquire(hold, Wait::Try) {
+                    // Leave a trail for the flight recorder before
+                    // blocking: a later report shows which contended
+                    // acquisitions led up to it.
+                    flight::record(FlightEventKind::SlowPathAcquire, addr, 0);
+                    entry.lock.acquire(hold, Wait::Block);
+                }
+                true
             }
-            entry.record_debug_acquisition();
         };
-        if wait == Wait::Try {
-            let acquired = lock(Wait::Try);
-            if acquired {
-                record_hold();
-            }
-            return Ok(acquired);
+        if acquired {
+            self.debug.record_hold(me, addr, hold);
+            entry.record_debug_acquisition();
         }
-        if kind != entry.lock.kind() {
-            self.debug.record(GlsError::AlgorithmMismatch {
-                addr,
-                created: entry.lock.kind(),
-                requested: kind,
-            });
-        }
-        self.debug.set_waiting(me, addr);
-        if !lock(Wait::Try) {
-            let grace = self.config.deadlock_check_after;
-            self.debug
-                .acquire_contended(me, addr, grace, lock, |a| self.holders_of_uncached(a))?;
-        }
-        self.debug.clear_waiting(me);
-        record_hold();
-        Ok(true)
-    }
-
-    /// Holder lookup that bypasses the per-thread cache (the deadlock
-    /// detector inspects other threads' locks, which would otherwise evict
-    /// the caller's cached entry). Returns every holder: the exclusive owner
-    /// or, for rw entries, all shared readers.
-    fn holders_of_uncached(&self, addr: usize) -> Vec<ThreadId> {
-        match self.table.get(addr).map(Self::entry_ref) {
-            // Tombstones included: a lock freed while held is still held.
-            Some(entry) if entry.addr() == addr => entry.holders(),
-            _ => Vec::new(),
-        }
+        Ok(acquired)
     }
 }
 
@@ -1375,13 +1342,14 @@ mod tests {
                         .expect("a free lock is acquired whichever way");
                     // A failed try records neither a latency nor an
                     // acquisition; in debug mode it reports no issue and
-                    // publishes no waits-for edge (the epoch counts those).
+                    // records no hold.
                     std::thread::scope(|s| {
                         s.spawn(|| {
-                            let me = ThreadId::current();
-                            let epoch = svc.debug.epoch_of(me);
                             assert_eq!(svc.try_write_lock(addr), Ok(false), "{case}");
-                            assert_eq!(svc.debug.epoch_of(me), epoch, "{case}");
+                            if mode == GlsMode::Debug {
+                                let me = ThreadId::current();
+                                assert!(!svc.debug.holds(me, addr, Hold::Exclusive), "{case}");
+                            }
                         });
                     });
                     assert!(svc.issues().is_empty(), "{case}: {:?}", svc.issues());
@@ -1609,6 +1577,11 @@ mod tests {
             .join()
             .unwrap();
         assert_eq!(err.category(), "wrong-owner");
+        // The holder is named, found in its own thread's record.
+        match err {
+            GlsError::WrongOwner { owner, .. } => assert_eq!(owner, ThreadId::current()),
+            other => panic!("expected a wrong-owner report, got {other:?}"),
+        }
         svc.unlock(0x99).unwrap();
     }
 

@@ -3,8 +3,8 @@
 //! A [`TelemetrySnapshot`] captures, at one moment, everything the locking
 //! middleware knows about itself: per-lock profiles with full latency
 //! *distributions* (p50/p99/p999, not just averages), lock-cache hit rates,
-//! parking-lot occupancy and requeues, GLK mode transitions and
-//! deadlock-detector activity. Snapshots are cheap (relaxed reads plus one
+//! parking-lot occupancy and requeues, GLK mode transitions and the debug
+//! mode's lock-order graph. Snapshots are cheap (relaxed reads plus one
 //! table walk), export themselves as JSON ([`TelemetrySnapshot::to_json`])
 //! or human text (`Display`). The library starts no thread: a caller that
 //! wants periodic snapshots calls [`GlsService::telemetry_snapshot`] from a
@@ -132,12 +132,12 @@ impl LockTelemetry {
     }
 }
 
-/// Deadlock-detector activity (debug mode; zeros otherwise).
+/// The debug mode's lock-order checking (zeros in the other modes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeadlockTelemetry {
-    /// Candidate cycles produced by detection walks (confirmed + phantom).
-    pub candidates: u64,
-    /// Confirmed deadlocks (each dumped a flight-recorder trail).
+    /// Distinct edges in the lock-order graph: the detector's size.
+    pub edges: u64,
+    /// Reported lock-order cycles (each dumped a flight-recorder trail).
     pub confirmed: u64,
 }
 
@@ -164,7 +164,7 @@ pub struct TelemetrySnapshot {
     pub parking_lot: ParkingLotStats,
     /// Total GLK mode transitions across this service's entries.
     pub glk_transitions: u64,
-    /// Deadlock-detector activity (service-scoped, debug mode).
+    /// Lock-order checking (service-scoped, debug mode).
     pub deadlock: DeadlockTelemetry,
 }
 
@@ -180,7 +180,7 @@ impl TelemetrySnapshot {
              \"parking_lot\":{{\"buckets\":{},\"parked\":{},\"growth_events\":{},\
              \"requeued_waiters\":{}}},\
              \"glk_transitions\":{},\
-             \"deadlock\":{{\"candidates\":{},\"confirmed\":{}}}}}",
+             \"deadlock\":{{\"edges\":{},\"confirmed\":{}}}}}",
             mode_str(self.mode),
             match self.sampling_budget {
                 Some(b) => b.to_string(),
@@ -198,7 +198,7 @@ impl TelemetrySnapshot {
             self.parking_lot.growth_events,
             self.parking_lot.requeued_waiters,
             self.glk_transitions,
-            self.deadlock.candidates,
+            self.deadlock.edges,
             self.deadlock.confirmed
         )
     }
@@ -244,12 +244,12 @@ impl fmt::Display for TelemetrySnapshot {
         writeln!(
             f,
             "[GLS telemetry] parking lot: {} buckets, {} parked, {} requeues \
-             | glk transitions: {} | deadlock: {} candidates, {} confirmed",
+             | glk transitions: {} | deadlock: {} order edges, {} cycles",
             self.parking_lot.buckets,
             self.parking_lot.parked,
             self.parking_lot.requeued_waiters,
             self.glk_transitions,
-            self.deadlock.candidates,
+            self.deadlock.edges,
             self.deadlock.confirmed,
         )?;
         for lock in &self.locks {
@@ -311,7 +311,7 @@ mod tests {
             },
             glk_transitions: 2,
             deadlock: DeadlockTelemetry {
-                candidates: 0,
+                edges: 0,
                 confirmed: 0,
             },
         }

@@ -20,7 +20,7 @@
 //!   (`read_lock`/`write_lock` + guards) backed by the word-sized
 //!   [`FutexRwLock`](gls_locks::FutexRwLock), which spins and then parks.
 //!   A debug mode detects the classic locking bugs (including
-//!   runtime deadlock detection that understands shared holders) and a
+//!   lock-order inversions, reported before they can deadlock) and a
 //!   profiler mode reports per-lock contention and latencies.
 //!
 //! ## Quick start
@@ -89,10 +89,14 @@ pub use gls::{
 // downstream users need only one dependency.
 pub use gls_locks::LockKind;
 
-// The deadlock detector's protocol steps and the seeded cache-hit and
-// condvar-count bugs, re-exposed for the model tests in `crates/model/tests`.
+// The lock-order check's protocol steps and the seeded lock-order,
+// cache-hit and condvar-count bugs, re-exposed for the model tests in
+// `crates/model/tests`.
 #[cfg(gls_model)]
-pub use gls::{debug_model, model_count_waiter_after_release, model_hit_checks_addr_only};
+pub use gls::{
+    model_check_then_insert, model_count_waiter_after_release, model_hit_checks_addr_only,
+    ModelOrder,
+};
 
 /// Convenience free functions mirroring the C interface of Table 1
 /// (`gls_lock`, `gls_trylock`, `gls_unlock`, `gls_free`), all operating on

@@ -1,21 +1,20 @@
-//! Model checks for the deadlock detector's publish-edge → walk → confirm
-//! protocol.
+//! Model checks for the debug mode's lock-order check.
 //!
-//! The detector's correctness argument (waiting records published SeqCst
-//! before any walk reads them; epochs proving a participant never stopped
-//! waiting between walk and confirmation) was previously exercised only by
-//! the stress suite. Here the same `DebugState` code runs under the
-//! exhaustive explorer via the `gls::debug_model` wrappers, checking the
-//! two sides of the contract on every interleaving:
+//! A blocking acquisition in debug mode records the edge `held → wanted` in
+//! the service's lock-order graph and refuses an edge that would close a
+//! cycle: the attempt returns `GlsError::Deadlock` instead of blocking. The
+//! cycle search and the insertion run in one critical section of the graph
+//! mutex, so threads that close a cycle concurrently are serialized. Here
+//! the service's own check (`DebugState`, through `gls::ModelOrder`) runs
+//! the lock-inversion scenario under the exhaustive explorer: every vthread
+//! holds one lock and attempts the next one's, and on *every* schedule
+//! exactly one of them must report — the order cycle exists whatever the
+//! timing, and one report is what lets the others finish.
 //!
-//! * **no missed cycle** — when two threads deadlock, whichever publishes
-//!   its edge second must see the full cycle on its walk;
-//! * **no phantom confirmation** — a candidate assembled from records that
-//!   churned (the thread made progress, then re-waited) must fail
-//!   confirmation, even when it re-waited on the *same* address.
-//!
-//! The epoch-skipping confirmation bug the shipped protocol fixed is
-//! re-seeded behind `--cfg gls_model` and the explorer rediscovers it.
+//! The split protocol — search in one critical section, insert in another
+//! — is re-seeded behind `--cfg gls_model` (`gls::model_check_then_insert`)
+//! and the explorer must find the schedule in which both threads search
+//! before either inserts, so that neither reports.
 //!
 //! Run with `RUSTFLAGS="--cfg gls_model" cargo test -p gls_model --test
 //! detector`.
@@ -24,167 +23,70 @@
 
 use std::sync::Arc;
 
-use gls::debug_model::ModelDetector;
+use gls::{model_check_then_insert, GlsError, ModelOrder};
 use gls_model::{Explorer, FailureKind};
-use gls_sync::atomic::{AtomicBool, Ordering};
 use gls_sync::thread;
 
-/// Lock addresses for the two-lock AB-BA scenario. Ownership is fixed for
-/// the whole execution: thread 0 holds `LOCK_A`, thread 1 holds `LOCK_B`,
-/// and each wants the other's lock — the canonical cycle.
-const LOCK_A: usize = 0x10;
-const LOCK_B: usize = 0x20;
-
-fn abba_holders(addr: usize) -> Vec<u32> {
-    match addr {
-        LOCK_A => vec![0],
-        LOCK_B => vec![1],
-        _ => Vec::new(),
+/// `locks` vthreads; vthread `i` holds lock `i` and attempts lock `i + 1`
+/// (mod `locks`). `seeded` splits the order check in two.
+fn inversion(locks: usize, seeded: bool) -> impl Fn() + Send + Sync + 'static {
+    move || {
+        let order = Arc::new(ModelOrder::default());
+        let threads: Vec<_> = (0..locks)
+            .map(|i| {
+                let order = Arc::clone(&order);
+                let (mine, wanted) = (0x100 * (i + 1), 0x100 * ((i + 1) % locks + 1));
+                thread::spawn(move || {
+                    model_check_then_insert(seeded);
+                    order.hold(i as u32, mine);
+                    order.attempt(i as u32, wanted)
+                })
+            })
+            .collect();
+        let results: Vec<_> = threads
+            .into_iter()
+            .map(|t| t.join().expect("model locker panicked"))
+            .collect();
+        let reports = results
+            .iter()
+            .filter(|r| matches!(r, Err(GlsError::Deadlock { .. })))
+            .count();
+        assert_eq!(reports, 1, "exactly one attempt must report: {results:?}");
+        assert!(
+            results
+                .iter()
+                .all(|r| matches!(r, Ok(()) | Err(GlsError::Deadlock { .. }))),
+            "only the cycle may be reported: {results:?}"
+        );
     }
 }
 
-/// No missed cycle: both threads publish their waits-for edge and then
-/// walk. The SeqCst publish happens strictly before the walk's reads, so
-/// whichever thread publishes second is guaranteed to see both edges and
-/// close the cycle — on *every* schedule, at least one walk must succeed.
+/// AB-BA: two threads, each holding one lock and attempting the other's.
+/// Whichever inserts its edge first goes on; the other's search finds the
+/// path back, and it reports.
 #[test]
-fn concurrent_walks_never_miss_the_cycle() {
-    Explorer::exhaustive().check("detector-no-missed-cycle", || {
-        let detector = Arc::new(ModelDetector::new());
-        let walkers: Vec<_> = [(0u32, LOCK_B), (1u32, LOCK_A)]
-            .into_iter()
-            .map(|(me, wants)| {
-                let detector = Arc::clone(&detector);
-                thread::spawn(move || {
-                    detector.set_waiting(me, wants);
-                    detector.detect(me, wants, abba_holders)
-                })
-            })
-            .collect();
-        let found: Vec<_> = walkers
-            .into_iter()
-            .map(|w| w.join().expect("model walker panicked"))
-            .collect();
-        assert!(
-            found.iter().flatten().next().is_some(),
-            "a deadlocked pair walked and neither saw the cycle"
-        );
-        for candidate in found.iter().flatten() {
-            assert!(
-                candidate.involves(0) && candidate.involves(1),
-                "detected cycle omits a participant"
-            );
-        }
-    });
+fn abba_is_reported_exactly_once() {
+    Explorer::exhaustive().check("order-abba", inversion(2, false));
 }
 
-/// No phantom confirmation: after the walk captured its epochs, thread 1
-/// makes progress and re-waits on the *same* address (the nastiest churn —
-/// the waiting record looks identical). The epoch check must reject the
-/// stale candidate, and a fresh walk over the now-stable records must
-/// produce a candidate that confirms. The churn runs on a virtual thread
-/// with a flag handshake, so the explorer also drives every interleaving
-/// of the churn's SeqCst stores against the root's bounded-spin wait.
+/// The same over three locks: A → B, B → C, C → A. The last of the three
+/// to insert finds the path through the other two edges.
 #[test]
-fn confirmation_rejects_a_churned_wait() {
-    Explorer::exhaustive().check("detector-no-phantom", || {
-        let detector = Arc::new(ModelDetector::new());
-        detector.set_waiting(1, LOCK_A);
-        detector.set_waiting(0, LOCK_B);
-        let stale = detector
-            .detect(0, LOCK_B, abba_holders)
-            .expect("sequential walk must see the full cycle");
-        let churned = Arc::new(AtomicBool::new(false));
-        let churner = {
-            let detector = Arc::clone(&detector);
-            let churned = Arc::clone(&churned);
-            thread::spawn(move || {
-                // Thread 1 briefly acquired (progress!) and re-waited on
-                // the same lock: address unchanged, epoch bumped twice.
-                detector.clear_waiting(1);
-                detector.set_waiting(1, LOCK_A);
-                churned.store(true, Ordering::Release);
-            })
-        };
-        while !churned.load(Ordering::Acquire) {
-            gls_sync::hint::spin_loop();
-        }
-        assert!(
-            !detector.still_deadlocked(&stale, abba_holders),
-            "confirmed a cycle whose participant made progress mid-walk"
-        );
-        churner.join().expect("model churner panicked");
-        // The records are stable again: a fresh walk-then-confirm must
-        // still catch the (genuinely re-formed) deadlock.
-        let fresh = detector
-            .detect(0, LOCK_B, abba_holders)
-            .expect("fresh walk must see the re-formed cycle");
-        assert!(
-            detector.still_deadlocked(&fresh, abba_holders),
-            "epoch validation rejected a stable, genuine cycle"
-        );
-    });
+fn three_lock_cycle_is_reported_exactly_once() {
+    Explorer::exhaustive().check("order-three-locks", inversion(3, false));
 }
 
-/// A walk racing a retraction: while the root walks, thread 1 retracts its
-/// edge for good (it acquired the lock and moved on). Depending on the
-/// schedule the walk may or may not assemble a candidate — but whenever it
-/// does, confirmation must reject it, because the cycle no longer exists.
+/// Seeded bug — the search and the insertion in two critical sections.
+/// Both threads can search before either inserts: neither sees the other's
+/// edge, both insert, and both would block on each other's lock.
 #[test]
-fn walk_racing_a_retraction_yields_no_confirmable_candidate() {
-    Explorer::exhaustive().check("detector-walk-vs-retract", || {
-        let detector = Arc::new(ModelDetector::new());
-        detector.set_waiting(1, LOCK_A);
-        detector.set_waiting(0, LOCK_B);
-        let retractor = {
-            let detector = Arc::clone(&detector);
-            thread::spawn(move || {
-                detector.clear_waiting(1);
-            })
-        };
-        let candidate = detector.detect(0, LOCK_B, abba_holders);
-        retractor.join().expect("model retractor panicked");
-        if let Some(candidate) = candidate {
-            assert!(
-                !detector.still_deadlocked(&candidate, abba_holders),
-                "confirmed a cycle after a participant retracted its wait"
-            );
-        }
-    });
-}
-
-/// Re-seeds the historical confirmation bug: checking ownership and
-/// waiting *addresses* but not epochs. Under churn that re-waits on the
-/// same address the buggy confirmation sees records identical to the
-/// walk's and reports a phantom deadlock; the explorer must find the
-/// interleaving that exposes it (the PR-7 rediscovery bar).
-#[test]
-fn explorer_rediscovers_epoch_skipping_confirmation() {
+fn rediscovers_the_check_then_insert_bug() {
     let failure = Explorer::exhaustive()
-        .find_failure("detector-epoch-skip", || {
-            let detector = Arc::new(ModelDetector::new());
-            detector.set_waiting(1, LOCK_A);
-            detector.set_waiting(0, LOCK_B);
-            let stale = detector
-                .detect(0, LOCK_B, abba_holders)
-                .expect("sequential walk must see the full cycle");
-            let churner = {
-                let detector = Arc::clone(&detector);
-                thread::spawn(move || {
-                    detector.clear_waiting(1);
-                    detector.set_waiting(1, LOCK_A);
-                })
-            };
-            churner.join().expect("model churner panicked");
-            assert!(
-                !detector.still_deadlocked_no_epochs(&stale, abba_holders),
-                "epoch-skipping confirmation validated a churned cycle"
-            );
-        })
-        .expect("the explorer must expose the epoch-skipping bug");
+        .find_failure("order-check-then-insert", inversion(2, true))
+        .expect("the explorer must find the schedule in which neither thread reports");
     assert_eq!(
         failure.kind,
         FailureKind::Panic,
-        "expected the phantom-confirmation assertion, got: {failure}"
+        "expected the missed report, got: {failure}"
     );
 }

@@ -2,16 +2,16 @@
 //!
 //! A fixed-size ring buffer of the most recent lock events on each thread:
 //! slow-path acquisitions, park/unpark, handoffs, GLK mode transitions and
-//! deadlock candidates. Recording is a few
+//! lock-order cycles. Recording is a few
 //! plain stores into thread-local memory (no atomics, no allocation, no
 //! branches beyond the ring index mask), so the recorder can stay on in
 //! production builds; the cost is only paid on paths that are already slow
-//! (a thread about to park, a mode transition, a deadlock walk).
+//! (a thread about to park, a mode transition, a debug-mode report).
 //!
 //! The ring is drained on demand ([`drain`]) by the owning thread — most
-//! importantly by the deadlock detector, which dumps the confirming
-//! thread's trail the moment a cycle is confirmed, turning "we deadlocked"
-//! into a replayable event sequence.
+//! importantly by the debug mode's lock-order check, which dumps the
+//! reporting thread's trail the moment an attempt would close a cycle,
+//! turning "this order can deadlock" into a replayable event sequence.
 
 use std::cell::Cell;
 
@@ -39,9 +39,10 @@ pub enum FlightEventKind {
     /// A GLK lock changed modes. `info` packs `from` in the high byte and
     /// `to` in the low byte of the low 16 bits.
     ModeTransition = 5,
-    /// The deadlock detector recorded a candidate cycle involving the
-    /// address. `info` is the cycle length.
-    DeadlockCandidate = 7,
+    /// An attempt on the address would have closed a cycle in the debug
+    /// mode's lock-order graph, and was reported instead. `info` is the
+    /// length of the reported cycle.
+    LockOrderCycle = 7,
 }
 
 impl FlightEventKind {
@@ -53,7 +54,7 @@ impl FlightEventKind {
             FlightEventKind::Unpark => "unpark",
             FlightEventKind::Handoff => "handoff",
             FlightEventKind::ModeTransition => "mode_transition",
-            FlightEventKind::DeadlockCandidate => "deadlock_candidate",
+            FlightEventKind::LockOrderCycle => "lock_order_cycle",
         }
     }
 }
@@ -218,9 +219,6 @@ mod tests {
     fn kind_names_are_stable() {
         assert_eq!(FlightEventKind::Park.as_str(), "park");
         assert_eq!(FlightEventKind::ModeTransition.as_str(), "mode_transition");
-        assert_eq!(
-            FlightEventKind::DeadlockCandidate.as_str(),
-            "deadlock_candidate"
-        );
+        assert_eq!(FlightEventKind::LockOrderCycle.as_str(), "lock_order_cycle");
     }
 }

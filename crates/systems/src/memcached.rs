@@ -509,9 +509,7 @@ mod tests {
         // deadlock (phantom or otherwise), and the ownership churn of
         // wait's unlock/relock must be bug-free.
         let service = Arc::new(GlsService::with_config(
-            gls::GlsConfig::default()
-                .with_mode(gls::GlsMode::Debug)
-                .with_deadlock_check_after(Duration::from_millis(50)),
+            gls::GlsConfig::default().with_mode(gls::GlsMode::Debug),
         ));
         let provider = LockProvider::Gls(Arc::clone(&service));
         let config = MemcachedConfig {

@@ -259,12 +259,10 @@ mod tests {
     fn debug_mode_run_reports_no_issues() {
         // The acceptance-critical property: a multi-producer/multi-consumer
         // condvar pipeline under the debug mode completes with an empty
-        // issue log — sleeping waiters are invisible to the deadlock
-        // detector, so no phantom cycles appear.
+        // issue log — a sleeping waiter holds nothing and its park orders
+        // no locks.
         let service = Arc::new(GlsService::with_config(
-            GlsConfig::default()
-                .with_mode(GlsMode::Debug)
-                .with_deadlock_check_after(Duration::from_millis(50)),
+            GlsConfig::default().with_mode(GlsMode::Debug),
         ));
         let config = quick();
         let result = run(&service, &config);

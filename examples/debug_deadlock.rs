@@ -1,9 +1,11 @@
 //! Detecting a deadlock at runtime with the GLS debug mode (§4.2).
 //!
 //! Two worker threads acquire the same two resources in opposite order — the
-//! textbook lock-ordering bug. With GLS in debug mode, the stuck thread
-//! notices it has been waiting too long, walks the owner/waits-for chain,
-//! finds the cycle and reports it instead of hanging forever.
+//! textbook lock-ordering bug. With GLS in debug mode, every blocking
+//! acquisition records the order in which it takes locks; the second thread
+//! to attempt its lock would close a cycle in that order, so it gets the
+//! report instead of blocking, backs off, and the other thread finishes.
+//! Exactly one thread reports, on every run, with no timeout involved.
 //!
 //! Run with:
 //!
@@ -13,14 +15,11 @@
 
 use std::sync::{Arc, Barrier};
 use std::thread;
-use std::time::Duration;
 
 use gls::{GlsConfig, GlsService};
 
 fn main() {
-    let service = Arc::new(GlsService::with_config(
-        GlsConfig::debug().with_deadlock_check_after(Duration::from_millis(200)),
-    ));
+    let service = Arc::new(GlsService::with_config(GlsConfig::debug()));
 
     // Two shared resources; as usual with GLS, no lock objects in sight.
     let accounts_table = 0xA000_usize;
@@ -84,8 +83,9 @@ fn main() {
     for issue in service.issues() {
         println!("  [{}] {}", issue.category(), issue);
     }
-    assert!(
-        !reports.is_empty(),
-        "the deadlock should have been detected by at least one thread"
+    assert_eq!(
+        reports.len(),
+        1,
+        "the inversion must be reported to exactly one thread"
     );
 }

@@ -8,12 +8,12 @@ impossible to read off the code. Every atomic in the lock crates is
 expected to name the edge it implements (Acquire/Release/AcqRel) or to
 be explicitly order-free (Relaxed).
 
-The deadlock detector is the deliberate exception: its waits-for
-bookkeeping relies on a total order over edge stores from *different*
-threads (two threads closing a cycle must each see the other's edge —
-see the module docs of `crates/core/src/gls/debug.rs`), which is
-precisely the guarantee only SeqCst gives. Those modules are allowlisted
-below, each with the reason recorded here.
+Two files are the exceptions, each with its reason recorded below: the
+CLHT resize flag, whose publication must be totally ordered against the
+bucket in-progress bits of concurrent helpers, and the model explorer's
+ordering classifier, which implements every C11 ordering rather than
+picking one. The debug mode's deadlock check needs none: its lock-order
+graph is checked and extended under one mutex.
 
 Any other `SeqCst` in workspace Rust sources fails CI. To add one,
 either fix the ordering (usual case) or add the file to ALLOWLIST with a
@@ -30,14 +30,6 @@ import sys
 
 # file (relative to repo root) -> why SeqCst is the correct order there
 ALLOWLIST = {
-    "crates/core/src/gls/debug.rs": (
-        "waits-for edges: threads racing to close a cycle must agree on a "
-        "single total order of edge stores, or both can miss the cycle"
-    ),
-    "crates/core/src/gls/entry.rs": (
-        "owner word: the detector's owner walk pairs with debug.rs edge "
-        "stores and needs the same total order (see entry.rs owner docs)"
-    ),
     "crates/clht/src/table.rs": (
         "resizing flag: publication must be totally ordered against bucket "
         "in-progress bits across helper threads during a resize"

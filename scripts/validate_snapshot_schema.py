@@ -41,7 +41,7 @@ LOCK_FIELDS = {
 }
 CACHE_FIELDS = {"hits": int, "misses": int, "invalidations": int, "hit_rate": (int, float)}
 PARKING_FIELDS = {"buckets": int, "parked": int, "growth_events": int, "requeued_waiters": int}
-DEADLOCK_FIELDS = {"candidates": int, "confirmed": int}
+DEADLOCK_FIELDS = {"edges": int, "confirmed": int}
 
 
 def fail(message):

@@ -69,10 +69,10 @@ fn reader_behind_a_writer_parks_and_write_unlock_admits_it() {
 }
 
 /// The acceptance scenario of the rw subsystem: many readers and writers
-/// mixing through a debug-mode service (ownership tracking, shared-holder
-/// tracking and deadlock detection all enabled), with the data itself
-/// checked for torn reads. A second address is always locked after the
-/// first, so the detector sees real nesting but no cycle.
+/// mixing through a debug-mode service (ownership tracking and the
+/// lock-order check both enabled), with the data itself checked for torn
+/// reads. A second address is always locked after the first, so the order
+/// graph sees real nesting but no cycle.
 #[test]
 fn mixed_rw_stress_with_deadlock_detection_stays_clean() {
     struct Shared(std::cell::UnsafeCell<(u64, u64)>);
@@ -80,9 +80,7 @@ fn mixed_rw_stress_with_deadlock_detection_stays_clean() {
     // that exclusion is exactly what the test verifies.
     unsafe impl Sync for Shared {}
 
-    let svc = Arc::new(GlsService::with_config(
-        GlsConfig::debug().with_deadlock_check_after(Duration::from_millis(100)),
-    ));
+    let svc = Arc::new(GlsService::with_config(GlsConfig::debug()));
     let shared = Arc::new(Shared(std::cell::UnsafeCell::new((0, 0))));
     let outer = 0x11_0000_usize;
     let inner = 0x22_0000_usize;
