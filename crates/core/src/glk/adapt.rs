@@ -172,18 +172,23 @@ impl Adaptive {
         }
     }
 
-    /// Publishes the transition `from` → `to` of the lock at address `lock`.
-    /// Only the exclusive holder calls this, *before* releasing the
-    /// low-level lock of `from`, so every later acquirer sees the new mode.
-    pub(crate) fn publish(&self, lock: usize, from: GlkMode, to: GlkMode) {
+    /// Publishes the transition `from` → `to` of the lock at address `lock`,
+    /// decided at smoothed queue `smoothed` with the system `multiprogrammed`
+    /// or not: the flight event carries that reason (§4.3). Only the
+    /// exclusive holder calls this, *before* releasing the low-level lock of
+    /// `from`, so every later acquirer sees the new mode.
+    pub(crate) fn publish(
+        &self,
+        lock: usize,
+        from: GlkMode,
+        to: GlkMode,
+        smoothed: f64,
+        multiprogrammed: bool,
+    ) {
         self.stats.record_transition();
-        let (from, to) = (from.as_raw(), to.as_raw());
-        flight::record(
-            FlightEventKind::ModeTransition,
-            lock,
-            (u64::from(from) << 8) | u64::from(to),
-        );
-        self.mode.store(to, Ordering::Release);
+        let info = transition_info(from, to, smoothed, multiprogrammed);
+        flight::record(FlightEventKind::ModeTransition, lock, info);
+        self.mode.store(to.as_raw(), Ordering::Release);
     }
 
     /// Where the mode flag sits: every arrival reads its line.
@@ -193,5 +198,53 @@ impl Adaptive {
     #[cfg(test)]
     pub(crate) fn required_calm(&self) -> &AtomicU64 {
         &self.required_calm
+    }
+}
+
+/// The smoothed queue's fixed-point scale in a transition's flight event.
+const QUEUE_SCALE: f64 = 256.0;
+
+/// A transition's flight-event `info`, packed as
+/// [`FlightEventKind::ModeTransition`] documents.
+fn transition_info(from: GlkMode, to: GlkMode, smoothed: f64, multiprogrammed: bool) -> u64 {
+    // `as` saturates: a queue beyond the field reads as its maximum.
+    let queue = (smoothed * QUEUE_SCALE) as u32;
+    (u64::from(queue) << 32)
+        | (u64::from(multiprogrammed) << 16)
+        | (u64::from(from.as_raw()) << 8)
+        | u64::from(to.as_raw())
+}
+
+/// Unpacks [`transition_info`]: from, to, multiprogrammed, smoothed queue.
+#[cfg(test)]
+pub(crate) fn decode_transition(info: u64) -> (GlkMode, GlkMode, bool, f64) {
+    let mode = |shift: u64| GlkMode::from_raw((info >> shift) as u8);
+    let queue = f64::from((info >> 32) as u32) / QUEUE_SCALE;
+    (mode(8), mode(0), info & (1 << 16) != 0, queue)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn transition_info_round_trips() {
+        for from in GlkMode::ALL {
+            for to in GlkMode::ALL {
+                for multiprogrammed in [false, true] {
+                    for smoothed in [0.0, 1.5, 3.25, 1e6] {
+                        let info = transition_info(from, to, smoothed, multiprogrammed);
+                        let decoded = (from, to, multiprogrammed, smoothed);
+                        assert_eq!(decode_transition(info), decoded);
+                    }
+                }
+            }
+        }
+        // The low 16 bits keep their old meaning: from in the high byte.
+        let info = transition_info(GlkMode::Mcs, GlkMode::Mutex, 9.0, true);
+        assert_eq!(info & 0xffff, 0x0102);
+        // A queue past the field saturates instead of wrapping.
+        let huge = transition_info(GlkMode::Ticket, GlkMode::Mcs, 1e12, false);
+        assert_eq!(decode_transition(huge).3, f64::from(u32::MAX) / QUEUE_SCALE);
     }
 }

@@ -51,8 +51,6 @@ pub struct GlkConfig {
     pub sampling_period: u64,
     /// The mode a fresh lock starts in.
     pub initial_mode: GlkMode,
-    /// Record mode transitions so they can be inspected/printed (§4.3).
-    pub record_transitions: bool,
 }
 
 impl Default for GlkConfig {
@@ -61,7 +59,6 @@ impl Default for GlkConfig {
             adaptation_period: 4096,
             sampling_period: 128,
             initial_mode: GlkMode::Ticket,
-            record_transitions: false,
         }
     }
 }
@@ -92,12 +89,6 @@ impl GlkConfig {
     /// Sets the initial mode of the lock.
     pub fn with_initial_mode(mut self, mode: GlkMode) -> Self {
         self.initial_mode = mode;
-        self
-    }
-
-    /// Enables or disables transition recording.
-    pub fn with_transition_recording(mut self, enabled: bool) -> Self {
-        self.record_transitions = enabled;
         self
     }
 
@@ -162,12 +153,10 @@ mod tests {
         let c = GlkConfig::default()
             .with_adaptation_period(512)
             .with_sampling_period(16)
-            .with_initial_mode(GlkMode::Mcs)
-            .with_transition_recording(true);
+            .with_initial_mode(GlkMode::Mcs);
         assert_eq!(c.adaptation_period, 512);
         assert_eq!(c.sampling_period, 16);
         assert_eq!(c.initial_mode, GlkMode::Mcs);
-        assert!(c.record_transitions);
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! The GLK lock: structure, acquisition protocol and spin-mode policy.
 
 use gls_sync::atomic::{AtomicU64, Ordering};
-use gls_sync::sync::Mutex as StdMutex;
 
 use gls_locks::{FutexLock, McsLock, QueueInformed, RawLock, RawTryLock, TicketLock};
 use gls_runtime::LockStats;
 
 use super::adapt::{Adaptive, Load};
 use super::config::{GlkConfig, MonitorHandle, MCS_TO_TICKET_QUEUE, TICKET_TO_MCS_QUEUE};
-use super::mode::{GlkMode, ModeTransition};
+use super::mode::GlkMode;
 
 /// How a hold numbers its acquisition for the pacing step.
 #[derive(Clone, Copy)]
@@ -51,17 +50,14 @@ pub struct GlkLock {
     adapt: Adaptive,
     /// Low-level lock used in [`GlkMode::Mutex`]: one word, whose waiters
     /// sleep in the shared parking lot. It shares the cold line of
-    /// `ticket_base` and `transitions`, off the ticket lock's line and the
-    /// mode's, so ticket-mode handoffs never pull it along.
+    /// `ticket_base`, off the ticket lock's line and the mode's, so
+    /// ticket-mode handoffs never pull it along.
     mutex: FutexLock,
     /// The ticket word at the last telemetry reset, less 2³² for every wrap
     /// of the word since: `ticket − ticket_base` is the number of tickets
     /// drawn since that reset, in full. Written by the holder that draws
     /// ticket `u32::MAX` and by `reset_telemetry`, never on the fast path.
     ticket_base: AtomicU64,
-    /// Recorded transitions (only populated when
-    /// [`GlkConfig::record_transitions`] is set).
-    transitions: StdMutex<Vec<ModeTransition>>,
 }
 
 impl Default for GlkLock {
@@ -92,23 +88,16 @@ impl GlkLock {
             adapt: Adaptive::new(config, monitor),
             mutex: FutexLock::new(),
             ticket_base: AtomicU64::new(0),
-            transitions: StdMutex::new(Vec::new()),
         }
     }
 
     /// Called when this lock's GLS entry is recycled for another address,
-    /// by a caller that holds the lock: forgets the statistics and the
-    /// transition log of the old one, and counts acquisitions from zero.
+    /// by a caller that holds the lock: forgets the statistics of the old
+    /// one, and counts acquisitions from zero.
     pub(crate) fn reset_telemetry(&self) {
         self.adapt.reset();
         self.ticket_base
             .store(u64::from(self.ticket.counters().0), Ordering::Relaxed);
-        if self.config().record_transitions {
-            self.transitions
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .clear();
-        }
     }
 
     /// The mode the lock currently operates in.
@@ -136,27 +125,14 @@ impl GlkLock {
     /// changed the mode counts twice (the hold, then the retry), and so
     /// does one that drew a ticket and found the mode changed under it.
     pub fn acquisitions(&self) -> u64 {
-        self.acquisitions_with(self.ticket.counters().0)
-    }
-
-    /// [`Self::acquisitions`] with the ticket word at `drawn`.
-    fn acquisitions_with(&self, drawn: u32) -> u64 {
-        let tickets = u64::from(drawn).wrapping_sub(self.ticket_base.load(Ordering::Relaxed));
+        let drawn = u64::from(self.ticket.counters().0);
+        let tickets = drawn.wrapping_sub(self.ticket_base.load(Ordering::Relaxed));
         tickets.wrapping_add(self.stats().acquisitions())
     }
 
     /// Smoothed queue length currently driving adaptation decisions.
     pub fn smoothed_queue(&self) -> f64 {
         self.adapt.smoothed_queue()
-    }
-
-    /// Mode transitions recorded so far (empty unless
-    /// [`GlkConfig::record_transitions`] is enabled).
-    pub fn transitions(&self) -> Vec<ModeTransition> {
-        self.transitions
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
     }
 
     /// Number of threads currently holding or waiting for the lock, summed
@@ -248,7 +224,7 @@ impl GlkLock {
             }
             self.release_stale_mode(current);
             #[cfg(gls_model)]
-            model::after_stale_release(|from, to| self.publish(from, to));
+            model::after_stale_release(|(from, to, queue, mp)| self.publish(from, to, queue, mp));
         }
     }
 
@@ -264,7 +240,7 @@ impl GlkLock {
             }
             self.release_stale_mode(current);
             #[cfg(gls_model)]
-            model::after_stale_release(|from, to| self.publish(from, to));
+            model::after_stale_release(|(from, to, queue, mp)| self.publish(from, to, queue, mp));
         }
     }
 
@@ -305,50 +281,32 @@ impl GlkLock {
         // would undercount contention during that migration — the EMA would
         // collapse and bounce the mode straight back (most visible when
         // context switches are slow relative to the adaptation period).
-        self.adapt.pace(seq, || self.queue_length()) && self.adapt_exclusive(current, turn)
+        self.adapt.pace(seq, || self.queue_length()) && self.adapt_exclusive(current)
     }
 
     /// One adaptation tick, run by the holder of low-level lock `current`.
     #[cold]
-    fn adapt_exclusive(&self, current: GlkMode, turn: Turn) -> bool {
+    fn adapt_exclusive(&self, current: GlkMode) -> bool {
         let smoothed = self.adapt.fold_window();
         let load = self.adapt.load(current, smoothed);
         let target = Self::decide_mode(current, smoothed, load);
         if target == current {
             return false;
         }
-        if self.config().record_transitions {
-            let drawn = match turn {
-                Turn::Ticket(ticket) => ticket.wrapping_add(1),
-                Turn::Counted => self.ticket.counters().0,
-            };
-            let transition = ModeTransition {
-                from: current,
-                to: target,
-                smoothed_queue: smoothed,
-                multiprogrammed: load.multiprogrammed,
-                at_acquisition: self.acquisitions_with(drawn),
-            };
-            // The log is append-only, so a panic while holding it leaves
-            // nothing half-updated: recover the guard, keep the history.
-            self.transitions
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push(transition);
-        }
         #[cfg(gls_model)]
-        if model::hold_back(current, target) {
+        if model::hold_back((current, target, smoothed, load.multiprogrammed)) {
             return true;
         }
-        self.publish(current, target);
+        self.publish(current, target, smoothed, load.multiprogrammed);
         true
     }
 
-    /// Publishes the transition `from` → `to`; the caller holds the
-    /// low-level lock of `from` and releases it afterwards.
-    fn publish(&self, from: GlkMode, to: GlkMode) {
+    /// Publishes the transition `from` → `to` and its reason; the caller
+    /// holds the low-level lock of `from` and releases it afterwards.
+    fn publish(&self, from: GlkMode, to: GlkMode, smoothed: f64, multiprogrammed: bool) {
         let lock = self as *const _ as usize;
-        self.adapt.publish(lock, from, to);
+        self.adapt
+            .publish(lock, from, to, smoothed, multiprogrammed);
     }
 
     /// The lock's half of the policy (§3, "Selecting the GLK Mode"): which
@@ -382,6 +340,9 @@ pub(crate) mod model {
 
     use super::GlkMode;
 
+    /// A tick's decision: from, to, smoothed queue, multiprogrammed.
+    pub(super) type Transition = (GlkMode, GlkMode, f64, bool);
+
     // Per thread: a vthread is an OS thread, and an exploration's threads
     // must not see another test's settings or counts.
     thread_local! {
@@ -389,7 +350,7 @@ pub(crate) mod model {
         static LATE: Cell<bool> = const { Cell::new(false) };
         /// The transition this thread's last tick decided, and whether it
         /// was held back, until the stale-mode release that follows it.
-        static TICK: Cell<Option<(GlkMode, GlkMode, bool)>> = const { Cell::new(None) };
+        static TICK: Cell<Option<(Transition, bool)>> = const { Cell::new(None) };
         static STALE_RETRIES: Cell<u64> = const { Cell::new(0) };
     }
 
@@ -408,18 +369,18 @@ pub(crate) mod model {
         STALE_RETRIES.get()
     }
 
-    /// A tick about to publish `from` → `to`: whether to hold it back.
-    pub(super) fn hold_back(from: GlkMode, to: GlkMode) -> bool {
+    /// A tick about to publish `transition`: whether to hold it back.
+    pub(super) fn hold_back(transition: Transition) -> bool {
         let late = LATE.get();
-        TICK.set(Some((from, to, late)));
+        TICK.set(Some((transition, late)));
         late
     }
 
     /// After a stale-mode release: publishes a held-back tick, or counts a
     /// stale retry if this thread ran no tick.
-    pub(super) fn after_stale_release(publish: impl FnOnce(GlkMode, GlkMode)) {
+    pub(super) fn after_stale_release(publish: impl FnOnce(Transition)) {
         match TICK.take() {
-            Some((from, to, true)) => publish(from, to),
+            Some((transition, true)) => publish(transition),
             Some(_) => {}
             None => STALE_RETRIES.set(STALE_RETRIES.get() + 1),
         }
@@ -440,7 +401,7 @@ impl GlkLock {
     fn force_mode(&self, to: GlkMode) {
         self.lock();
         let from = self.mode();
-        self.publish(from, to);
+        self.publish(from, to, 0.0, false);
         self.release_stale_mode(from);
     }
 }
@@ -462,7 +423,6 @@ mod tests {
         GlkConfig::default()
             .with_adaptation_period(256)
             .with_sampling_period(16)
-            .with_transition_recording(true)
     }
 
     /// The policy's verdict for `lock` in mode `current` at smoothed queue
@@ -604,20 +564,38 @@ mod tests {
 
     #[test]
     fn records_the_acquisition_a_transition_happened_at() {
+        use gls_runtime::flight::{self, FlightEventKind};
+
         let lock = GlkLock::with_config(
             fast_config()
                 .with_initial_mode(GlkMode::Mcs)
                 .with_adaptation_period(100)
                 .with_sampling_period(10),
         );
-        // Uncontended MCS drops to ticket at the first tick.
-        for _ in 0..150 {
-            lock.lock();
-            lock.unlock();
-        }
-        let log = lock.transitions();
-        assert_eq!(log.len(), 1, "transitions {log:?}");
-        assert_eq!((log[0].to, log[0].at_acquisition), (GlkMode::Ticket, 100));
+        let addr = &lock as *const GlkLock as usize;
+        // The ticker is this thread, so its flight ring holds the event.
+        let transitions = || {
+            flight::snapshot()
+                .into_iter()
+                .filter(|e| e.kind == FlightEventKind::ModeTransition && e.addr == addr)
+                .map(|e| super::super::adapt::decode_transition(e.info))
+                .collect::<Vec<_>>()
+        };
+        let pairs = |n: u64| {
+            for _ in 0..n {
+                lock.lock();
+                lock.unlock();
+            }
+        };
+        let _ = flight::drain();
+        pairs(99);
+        assert!(transitions().is_empty(), "no tick before acquisition 100");
+        // Uncontended MCS drops to ticket at the first tick: each of its
+        // samples saw the holder alone, so the smoothed queue is exactly 1.
+        pairs(51);
+        let log = transitions();
+        assert_eq!(log, [(GlkMode::Mcs, GlkMode::Ticket, false, 1.0)]);
+        assert_eq!(lock.stats().transitions(), 1);
         // The tick's hold retried in ticket mode.
         assert_eq!(lock.acquisitions(), 151);
     }
@@ -725,7 +703,7 @@ mod tests {
             "8 contending threads should push GLK into mcs mode (smoothed queue {:.2})",
             lock.smoothed_queue()
         );
-        assert!(!lock.transitions().is_empty());
+        assert!(lock.stats().transitions() > 0);
     }
 
     #[test]
@@ -862,7 +840,7 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(lock.mode(), GlkMode::Mcs);
-        assert!(lock.transitions().is_empty());
+        assert_eq!(lock.stats().transitions(), 0);
     }
 
     #[test]
@@ -892,8 +870,10 @@ mod tests {
                 let shared = Arc::clone(&shared);
                 let queueing = Arc::clone(&queueing);
                 std::thread::spawn(move || {
+                    let mut held_in_mutex_mode = false;
                     for i in 0..10_000 {
                         lock.lock();
+                        held_in_mutex_mode |= lock.mode() == GlkMode::Mutex;
                         // Non-atomic increment: lost updates reveal any
                         // exclusion violation across mode switches into the
                         // futex-backed mutex mode.
@@ -911,48 +891,23 @@ mod tests {
                             queueing.fetch_sub(1, Ordering::Relaxed);
                         }
                     }
+                    held_in_mutex_mode
                 })
             })
             .collect();
+        let mut visited_mutex = false;
         for h in handles {
-            h.join().unwrap();
+            visited_mutex |= h.join().unwrap();
         }
         // SAFETY: all worker threads are joined; nothing races this read.
         assert_eq!(unsafe { *shared.0.get() }, 60_000);
         assert!(
-            lock.transitions()
-                .iter()
-                .any(|t| t.to == GlkMode::Mutex || t.from == GlkMode::Mutex),
+            visited_mutex && lock.stats().transitions() > 0,
             "multiprogrammed contended lock should have visited mutex mode \
-             (smoothed queue {:.2}, transitions {:?})",
+             (smoothed queue {:.2}, transitions {})",
             lock.smoothed_queue(),
-            lock.transitions()
+            lock.stats().transitions()
         );
-    }
-
-    #[test]
-    fn poisoned_transition_log_still_records_and_reads() {
-        let lock = Arc::new(GlkLock::with_config(
-            fast_config().with_initial_mode(GlkMode::Mcs),
-        ));
-        let poisoner = {
-            let lock = Arc::clone(&lock);
-            std::thread::spawn(move || {
-                let _log = lock.transitions.lock().unwrap();
-                panic!("poison the transition log");
-            })
-        };
-        assert!(poisoner.join().is_err());
-        assert!(lock.transitions.lock().is_err(), "the log is poisoned");
-        // Uncontended use drops mcs -> ticket at the first adaptation tick;
-        // the transition is recorded through the poisoned log and read back.
-        for _ in 0..fast_config().adaptation_period {
-            lock.lock();
-            lock.unlock();
-        }
-        let log = lock.transitions();
-        assert_eq!(log.len(), 1, "transitions {log:?}");
-        assert_eq!((log[0].from, log[0].to), (GlkMode::Mcs, GlkMode::Ticket));
     }
 
     #[test]

@@ -37,11 +37,15 @@
 //! ```
 //! use gls::glk::{GlkConfig, GlkLock, GlkMode};
 //!
-//! let lock = GlkLock::with_config(GlkConfig::default().with_transition_recording(true));
-//! lock.lock();
-//! // single-threaded: GLK stays in its fast ticket mode
+//! let lock = GlkLock::with_config(GlkConfig::default().with_adaptation_period(256));
+//! for _ in 0..1_000 {
+//!     lock.lock();
+//!     lock.unlock();
+//! }
+//! // single-threaded: GLK stays in its fast ticket mode, and every mode
+//! // change it makes is counted here and recorded in the flight ring
 //! assert_eq!(lock.mode(), GlkMode::Ticket);
-//! lock.unlock();
+//! assert_eq!(lock.stats().transitions(), 0);
 //! ```
 
 mod adapt;
@@ -56,7 +60,7 @@ pub use config::{
 #[cfg(gls_model)]
 pub use lock::model::{model_publish_after_release, model_stale_retries};
 pub use lock::GlkLock;
-pub use mode::{GlkMode, ModeTransition};
+pub use mode::GlkMode;
 
 /// Load fixtures and the decision-table check of GLK's unit tests.
 #[cfg(test)]

@@ -43,7 +43,7 @@ impl GlkMode {
         self as u8
     }
 
-    /// Display name used in transition reports (matches the paper's figures).
+    /// Display name (matches the paper's figures).
     pub fn name(self) -> &'static str {
         match self {
             GlkMode::Ticket => "ticket",
@@ -56,33 +56,6 @@ impl GlkMode {
 impl fmt::Display for GlkMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// A single mode transition, as reported by the GLK transition log (§4.3:
-/// "GLK can be configured to print the mode transitions that it performs, as
-/// well as the reason behind each transition").
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModeTransition {
-    /// Mode before the transition.
-    pub from: GlkMode,
-    /// Mode after the transition.
-    pub to: GlkMode,
-    /// Smoothed queue length that informed the decision.
-    pub smoothed_queue: f64,
-    /// Whether the system was multiprogrammed at decision time.
-    pub multiprogrammed: bool,
-    /// Number of acquisitions completed when the transition happened.
-    pub at_acquisition: u64,
-}
-
-impl fmt::Display for ModeTransition {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "[GLK] {} -> {} (queue: {:.2}, multiprog: {}, acq: {})",
-            self.from, self.to, self.smoothed_queue, self.multiprogrammed, self.at_acquisition
-        )
     }
 }
 
@@ -102,19 +75,5 @@ mod tests {
         assert_eq!(GlkMode::Ticket.to_string(), "ticket");
         assert_eq!(GlkMode::Mcs.to_string(), "mcs");
         assert_eq!(GlkMode::Mutex.to_string(), "mutex");
-    }
-
-    #[test]
-    fn transition_display_mentions_modes() {
-        let t = ModeTransition {
-            from: GlkMode::Ticket,
-            to: GlkMode::Mcs,
-            smoothed_queue: 4.2,
-            multiprogrammed: false,
-            at_acquisition: 4096,
-        };
-        let s = t.to_string();
-        assert!(s.contains("ticket -> mcs"));
-        assert!(s.contains("4.2"));
     }
 }

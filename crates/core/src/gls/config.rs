@@ -117,16 +117,6 @@ impl GlsConfig {
         self.sampling_budget = Some(budget);
         self
     }
-
-    /// Whether ownership tracking is enabled.
-    pub fn tracks_ownership(&self) -> bool {
-        self.mode == GlsMode::Debug
-    }
-
-    /// Whether profiling is enabled.
-    pub fn profiles(&self) -> bool {
-        self.mode == GlsMode::Profile
-    }
 }
 
 #[cfg(test)]
@@ -138,8 +128,6 @@ mod tests {
         let c = GlsConfig::default();
         assert_eq!(c.mode, GlsMode::Normal);
         assert!(c.lock_cache, "the lock cache is on by default");
-        assert!(!c.tracks_ownership());
-        assert!(!c.profiles());
     }
 
     #[test]
@@ -150,8 +138,8 @@ mod tests {
 
     #[test]
     fn mode_shorthands() {
-        assert!(GlsConfig::debug().tracks_ownership());
-        assert!(GlsConfig::profile().profiles());
+        assert_eq!(GlsConfig::debug().mode, GlsMode::Debug);
+        assert_eq!(GlsConfig::profile().mode, GlsMode::Profile);
     }
 
     #[test]

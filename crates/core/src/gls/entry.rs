@@ -180,7 +180,7 @@ impl AlgorithmLock {
     }
 
     /// Access to the underlying GLK lock for entries created by the default
-    /// interface (used by the transition log and tests).
+    /// interface (used by the transition count and tests).
     pub(crate) fn as_glk(&self) -> Option<&GlkLock> {
         match self {
             AlgorithmLock::Glk(l) => Some(l),
@@ -204,7 +204,7 @@ impl AlgorithmLock {
     }
 
     /// Forgets what a GLK lock recorded for the address it served
-    /// (statistics, transition log) before the entry is recycled. The mode
+    /// (its statistics) before the entry is recycled. The mode
     /// itself is kept: the next address re-adapts it like any other lock.
     fn reset_telemetry(&self) {
         if let Some(l) = self.as_glk() {

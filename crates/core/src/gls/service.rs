@@ -11,7 +11,6 @@ use gls_runtime::flight::{self, FlightEventKind};
 use gls_runtime::{cycles, ThreadId};
 
 use crate::error::GlsError;
-use crate::glk::ModeTransition;
 
 use super::addr::LockAddr;
 use super::cache;
@@ -688,21 +687,6 @@ impl GlsService {
         });
     }
 
-    /// Collects the GLK mode transitions of every adaptive lock (only
-    /// populated when the GLK configuration enables transition recording).
-    pub fn glk_transitions(&self) -> Vec<(usize, Vec<ModeTransition>)> {
-        let mut out = Vec::new();
-        self.for_each_live(|entry| {
-            if let Some(glk) = entry.lock.as_glk() {
-                let transitions = glk.transitions();
-                if !transitions.is_empty() {
-                    out.push((entry.addr(), transitions));
-                }
-            }
-        });
-        out
-    }
-
     /// Captures a [`TelemetrySnapshot`]: per-lock profiles with latency
     /// distributions (most contended first; meaningful when the service
     /// runs in [`GlsMode::Profile`]), cache/parking/mode-transition counters
@@ -724,8 +708,6 @@ impl GlsService {
                 algorithm: entry.lock.kind(),
                 acquisitions: totals.acquisitions,
                 avg_queue: totals.avg_queue(),
-                avg_lock_latency: lock_latency.mean,
-                avg_cs_latency: cs_latency.mean,
                 lock_latency,
                 cs_latency,
                 transitions,
@@ -1610,10 +1592,7 @@ mod tests {
         assert_eq!(locks.len(), 4);
         for lock in &locks {
             assert!(lock.acquisitions >= 25);
-            assert!(lock.avg_cs_latency > 0.0, "cs latency should be recorded");
-            // Each average is its distribution's mean: one home per latency.
-            assert_eq!(lock.avg_lock_latency, lock.lock_latency.mean);
-            assert_eq!(lock.avg_cs_latency, lock.cs_latency.mean);
+            assert!(lock.cs_latency.mean > 0.0, "cs latency should be recorded");
         }
         assert!(
             locks.windows(2).all(|w| w[0].avg_queue >= w[1].avg_queue),
@@ -1626,8 +1605,7 @@ mod tests {
         let config = GlsConfig::default().with_glk(
             GlkConfig::default()
                 .with_adaptation_period(128)
-                .with_sampling_period(8)
-                .with_transition_recording(true),
+                .with_sampling_period(8),
         );
         let svc = Arc::new(GlsService::with_config(config));
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -1645,18 +1623,20 @@ mod tests {
             })
             .collect();
         let deadline = Instant::now() + std::time::Duration::from_secs(10);
-        while svc.glk_transitions().is_empty() && Instant::now() < deadline {
+        while svc.telemetry_snapshot().glk_transitions == 0 && Instant::now() < deadline {
             std::thread::sleep(std::time::Duration::from_millis(20));
         }
         stop.store(true, Ordering::Relaxed);
         for h in handles {
             h.join().unwrap();
         }
-        let transitions = svc.glk_transitions();
+        let snapshot = svc.telemetry_snapshot();
         assert!(
-            !transitions.is_empty(),
+            snapshot.glk_transitions > 0,
             "contended GLK lock should have adapted at least once"
         );
+        // The total is the sum of the one lock's own count.
+        assert_eq!(snapshot.locks[0].transitions, snapshot.glk_transitions);
     }
 
     #[test]
@@ -1728,7 +1708,7 @@ mod tests {
             .expect("rw entry must appear in the snapshot");
         assert_eq!(rw.algorithm, LockKind::FutexRw);
         assert_eq!(rw.acquisitions, 60);
-        assert!(rw.avg_cs_latency > 0.0, "write sections are timed");
+        assert!(rw.cs_latency.mean > 0.0, "write sections are timed");
     }
 
     #[test]
@@ -1981,7 +1961,7 @@ mod tests {
         assert!(svc.free(0xB000));
         // A freed address is absent from every report.
         assert!(svc.telemetry_snapshot().locks.is_empty());
-        assert!(svc.glk_transitions().is_empty());
+        assert_eq!(svc.telemetry_snapshot().glk_transitions, 0);
         assert_eq!(svc.table_stats().elements, 0);
         sweep_twice(&svc);
         svc.lock(0xB100).unwrap();
@@ -1995,7 +1975,7 @@ mod tests {
             panic!("one live lock, got {:?}", snapshot.locks);
         };
         assert_eq!((lock.addr, lock.acquisitions), (0xB100, 1));
-        assert_eq!(lock.avg_cs_latency, 0.0, "no section of 0xB000 leaks in");
+        assert_eq!(lock.cs_latency.mean, 0.0, "no section of 0xB000 leaks in");
         assert_eq!(lock.cs_latency.count, 0);
         assert_eq!(lock.transitions, 0);
         svc.unlock(0xB100).unwrap();

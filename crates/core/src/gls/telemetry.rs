@@ -74,9 +74,10 @@ impl HistogramSummary {
     }
 }
 
-/// Telemetry for one lock object: the profiler's averages, the latency
+/// Telemetry for one lock object: the profiler's queue average, the latency
 /// distributions and the adaptive-mode transition count. Its `Display` is
-/// the paper's §4.3 profiler line:
+/// the paper's §4.3 profiler line, whose latencies are the distributions'
+/// means:
 ///
 /// ```text
 /// [GLS] queue: 4.50 | l-lat: 13963 | cs-lat: 2848 @ (0x7fe6318eb4e0:GLK)
@@ -91,10 +92,6 @@ pub struct LockTelemetry {
     pub acquisitions: u64,
     /// Average queuing behind the lock at (measured) acquisition time.
     pub avg_queue: f64,
-    /// Average lock-acquisition latency, in cycles: `lock_latency.mean`.
-    pub avg_lock_latency: f64,
-    /// Average critical-section duration, in cycles: `cs_latency.mean`.
-    pub avg_cs_latency: f64,
     /// Acquisition-latency distribution of measured acquisitions.
     pub lock_latency: HistogramSummary,
     /// Critical-section-latency distribution of measured sections.
@@ -108,7 +105,7 @@ impl fmt::Display for LockTelemetry {
         write!(
             f,
             "[GLS] queue: {:.2} | l-lat: {:.0} | cs-lat: {:.0} @ ({:#x}:{})",
-            self.avg_queue, self.avg_lock_latency, self.avg_cs_latency, self.addr, self.algorithm
+            self.avg_queue, self.lock_latency.mean, self.cs_latency.mean, self.addr, self.algorithm
         )
     }
 }
@@ -117,14 +114,11 @@ impl LockTelemetry {
     fn to_json(&self) -> String {
         format!(
             "{{\"addr\":{},\"algorithm\":\"{}\",\"acquisitions\":{},\"avg_queue\":{},\
-             \"avg_lock_latency\":{},\"avg_cs_latency\":{},\"lock_latency\":{},\
-             \"cs_latency\":{},\"transitions\":{}}}",
+             \"lock_latency\":{},\"cs_latency\":{},\"transitions\":{}}}",
             self.addr,
             self.algorithm,
             self.acquisitions,
             json_f64(self.avg_queue),
-            json_f64(self.avg_lock_latency),
-            json_f64(self.avg_cs_latency),
             self.lock_latency.to_json(),
             self.cs_latency.to_json(),
             self.transitions
@@ -284,8 +278,6 @@ mod tests {
                 algorithm: LockKind::Glk,
                 acquisitions: 42,
                 avg_queue: 1.5,
-                avg_lock_latency: 100.0,
-                avg_cs_latency: 200.0,
                 lock_latency: HistogramSummary {
                     count: 42,
                     mean: 100.0,
@@ -347,7 +339,7 @@ mod tests {
     fn json_guards_non_finite_floats() {
         let mut snap = sample_snapshot();
         snap.locks[0].avg_queue = f64::NAN;
-        snap.locks[0].avg_lock_latency = f64::INFINITY;
+        snap.locks[0].lock_latency.mean = f64::INFINITY;
         let json = snap.to_json();
         assert!(!json.contains("NaN") && !json.contains("inf"), "{json}");
     }
@@ -357,8 +349,8 @@ mod tests {
         let mut lock = sample_snapshot().locks.remove(0);
         lock.addr = 0x7fe6318eb660;
         lock.avg_queue = 0.03;
-        lock.avg_lock_latency = 96.0;
-        lock.avg_cs_latency = 194.0;
+        lock.lock_latency.mean = 96.0;
+        lock.cs_latency.mean = 194.0;
         assert_eq!(
             lock.to_string(),
             "[GLS] queue: 0.03 | l-lat: 96 | cs-lat: 194 @ (0x7fe6318eb660:GLK)"

@@ -78,7 +78,7 @@ pub mod glk;
 pub mod gls;
 
 pub use error::GlsError;
-pub use glk::{GlkConfig, GlkLock, GlkMode, ModeTransition};
+pub use glk::{GlkConfig, GlkLock, GlkMode};
 pub use gls::{
     thread_cache_stats, CacheStats, DeadlockTelemetry, GlsCondvar, GlsConfig, GlsGuard, GlsMode,
     GlsService, HistogramSummary, LockAddr, LockTelemetry, TelemetrySnapshot, WaitOutcome,
@@ -97,60 +97,3 @@ pub use gls::{
     model_check_then_insert, model_count_waiter_after_release, model_hit_checks_addr_only,
     ModelOrder,
 };
-
-/// Convenience free functions mirroring the C interface of Table 1
-/// (`gls_lock`, `gls_trylock`, `gls_unlock`, `gls_free`), all operating on
-/// the process-wide default service ([`GlsService::global`]).
-pub mod api {
-    use super::{GlsError, GlsService, LockAddr};
-
-    /// Acquires the lock associated with `m` on the global service.
-    ///
-    /// # Errors
-    ///
-    /// See [`GlsService::lock`].
-    pub fn lock(m: impl Into<LockAddr>) -> Result<(), GlsError> {
-        GlsService::global().lock(m)
-    }
-
-    /// Attempts to acquire the lock associated with `m` on the global service.
-    ///
-    /// # Errors
-    ///
-    /// See [`GlsService::try_lock`].
-    pub fn try_lock(m: impl Into<LockAddr>) -> Result<bool, GlsError> {
-        GlsService::global().try_lock(m)
-    }
-
-    /// Releases the lock associated with `m` on the global service.
-    ///
-    /// # Errors
-    ///
-    /// See [`GlsService::unlock`].
-    pub fn unlock(m: impl Into<LockAddr>) -> Result<(), GlsError> {
-        GlsService::global().unlock(m)
-    }
-
-    /// Removes the lock object associated with `m` from the global service.
-    pub fn free(m: impl Into<LockAddr>) -> bool {
-        GlsService::global().free(m)
-    }
-
-    #[cfg(test)]
-    mod tests {
-        #[test]
-        fn global_api_roundtrip() {
-            let data = vec![1, 2, 3];
-            super::lock(&data).unwrap();
-            assert!(!super::try_lock(&data).unwrap());
-            super::unlock(&data).unwrap();
-            assert!(super::try_lock(&data).unwrap());
-            super::unlock(&data).unwrap();
-            assert!(super::free(&data));
-            // The value form of Table 1: `gls_lock(17)`.
-            super::lock(17usize).unwrap();
-            super::unlock(17usize).unwrap();
-            assert!(super::free(17usize));
-        }
-    }
-}

@@ -154,8 +154,6 @@ impl Drop for ClhLock {
 }
 
 impl RawLock for ClhLock {
-    const NAME: &'static str = "CLH";
-
     #[inline]
     fn lock(&self) {
         self.state.queued.fetch_add(1, Ordering::Relaxed);

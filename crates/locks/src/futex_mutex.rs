@@ -325,8 +325,6 @@ pub unsafe fn mark_parked_for_requeue(addr: usize) {
 }
 
 impl RawLock for FutexLock {
-    const NAME: &'static str = "FUTEX";
-
     #[inline]
     fn lock(&self) {
         if !self.try_acquire_fast() {

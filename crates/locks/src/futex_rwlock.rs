@@ -513,8 +513,6 @@ impl RawRwLock for FutexRwLock {
 }
 
 impl RawLock for FutexRwLock {
-    const NAME: &'static str = "FUTEX-RW";
-
     /// Acquires exclusive (write) access.
     #[inline]
     fn lock(&self) {

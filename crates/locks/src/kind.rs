@@ -39,17 +39,6 @@ pub enum LockKind {
 }
 
 impl LockKind {
-    /// All concrete (non-adaptive) algorithms.
-    pub const CONCRETE: [LockKind; 7] = [
-        LockKind::Tas,
-        LockKind::Ttas,
-        LockKind::Ticket,
-        LockKind::Mcs,
-        LockKind::Clh,
-        LockKind::Mutex,
-        LockKind::FutexRw,
-    ];
-
     /// All algorithms, including the adaptive GLK.
     pub const ALL: [LockKind; 8] = [
         LockKind::Tas,
@@ -74,16 +63,6 @@ impl LockKind {
             LockKind::FutexRw => "FUTEX-RW",
             LockKind::Glk => "GLK",
         }
-    }
-
-    /// Whether this algorithm busy-waits (as opposed to blocking).
-    pub fn is_spinning(self) -> bool {
-        !matches!(self, LockKind::Mutex | LockKind::FutexRw)
-    }
-
-    /// Whether this algorithm hands out the lock in FIFO order.
-    pub fn is_fair(self) -> bool {
-        matches!(self, LockKind::Ticket | LockKind::Mcs | LockKind::Clh)
     }
 }
 
@@ -141,24 +120,5 @@ mod tests {
     fn parse_rejects_unknown() {
         let err = "spinny".parse::<LockKind>().unwrap_err();
         assert!(err.to_string().contains("spinny"));
-    }
-
-    #[test]
-    fn fairness_and_spinning_classification() {
-        assert!(LockKind::Ticket.is_fair());
-        assert!(LockKind::Mcs.is_fair());
-        assert!(!LockKind::Tas.is_fair());
-        assert!(!LockKind::Mutex.is_spinning());
-        assert!(!LockKind::FutexRw.is_spinning());
-        assert!(!LockKind::Mutex.is_fair(), "mutex waiters barge");
-        assert!(LockKind::Glk.is_spinning());
-    }
-
-    #[test]
-    fn concrete_excludes_adaptive_kinds() {
-        assert!(!LockKind::CONCRETE.contains(&LockKind::Glk));
-        assert!(LockKind::CONCRETE.contains(&LockKind::Mutex));
-        assert!(LockKind::CONCRETE.contains(&LockKind::FutexRw));
-        assert!(LockKind::ALL.contains(&LockKind::Glk));
     }
 }

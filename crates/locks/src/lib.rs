@@ -34,16 +34,6 @@
 //! // ... critical section ...
 //! lock.unlock();
 //! ```
-//!
-//! For lock-protects-data usage, wrap any algorithm in [`Lock`]:
-//!
-//! ```
-//! use gls_locks::{Lock, McsLock};
-//!
-//! let counter: Lock<u64, McsLock> = Lock::new(0);
-//! *counter.lock() += 1;
-//! assert_eq!(*counter.lock(), 1);
-//! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -53,7 +43,6 @@ pub mod clh;
 pub mod futex_mutex;
 pub mod futex_rwlock;
 pub mod kind;
-pub mod lock;
 pub mod mcs;
 pub mod park;
 #[cfg(test)]
@@ -72,7 +61,6 @@ pub use clh::ClhLock;
 pub use futex_mutex::FutexLock;
 pub use futex_rwlock::FutexRwLock;
 pub use kind::LockKind;
-pub use lock::{Lock, LockGuard};
 pub use mcs::McsLock;
 pub use park::{ParkResult, ParkingLot, ParkingLotStats, RequeueResult, UnparkResult};
 pub use raw::{QueueInformed, RawLock, RawRwLock, RawTryLock};

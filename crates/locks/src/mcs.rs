@@ -20,7 +20,7 @@
 //! Instead of walking the queue to count waiters (which the paper does only
 //! at a low sampling rate because it violates the "one thread per node"
 //! design goal), the lock maintains an exact holder+waiter counter updated at
-//! enqueue/release; see DESIGN.md for the substitution rationale.
+//! enqueue/release.
 
 // The process-wide node spill list is init-once bookkeeping on the cold
 // thread-exit path, deliberately invisible to the model explorer
@@ -146,29 +146,9 @@ impl McsLock {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Counts the nodes currently linked in the queue by traversing it from
-    /// the owner, as the paper's sampling does. Bounded by `limit`.
-    ///
-    /// This is inherently racy (the queue changes underfoot) and intended
-    /// only for infrequent statistics sampling by the lock holder.
-    pub fn traverse_queue(&self, limit: usize) -> usize {
-        let mut count = 0;
-        let mut node = self.state.owner_node.load(Ordering::Acquire);
-        while !node.is_null() && count < limit {
-            count += 1;
-            // SAFETY: nodes are never deallocated while the process lives
-            // (they are pooled/spilled), so the pointer is always readable;
-            // the value may be stale, which is acceptable for sampling.
-            node = unsafe { (*node).next.load(Ordering::Acquire) };
-        }
-        count
-    }
 }
 
 impl RawLock for McsLock {
-    const NAME: &'static str = "MCS";
-
     #[inline]
     fn lock(&self) {
         self.state.queued.fetch_add(1, Ordering::Relaxed);
@@ -350,27 +330,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(lock.queue_length(), 0);
-    }
-
-    #[test]
-    fn traverse_queue_sees_holder_and_waiters() {
-        let lock = Arc::new(McsLock::new());
-        lock.lock();
-        assert_eq!(lock.traverse_queue(16), 1);
-        let l = Arc::clone(&lock);
-        let waiter = std::thread::spawn(move || {
-            l.lock();
-            l.unlock();
-        });
-        while lock.queue_length() < 2 {
-            std::hint::spin_loop();
-        }
-        // The waiter may not have linked itself yet, so allow 1 or 2 but
-        // never more.
-        let seen = lock.traverse_queue(16);
-        assert!((1..=2).contains(&seen), "unexpected traversal count {seen}");
-        lock.unlock();
-        waiter.join().unwrap();
     }
 
     #[test]

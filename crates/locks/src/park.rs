@@ -80,14 +80,6 @@ pub enum ParkResult {
     TimedOut,
 }
 
-impl ParkResult {
-    /// Whether the thread was woken by an unpark (as opposed to timing out
-    /// or failing validation).
-    pub fn is_unparked(self) -> bool {
-        matches!(self, ParkResult::Unparked(_))
-    }
-}
-
 /// What an unpark primitive did, observed by its callback while the bucket
 /// is still locked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -754,7 +746,7 @@ mod tests {
             }
         }
         for h in handles {
-            assert!(h.join().unwrap().is_unparked());
+            assert!(matches!(h.join().unwrap(), ParkResult::Unparked(_)));
         }
         assert_eq!(*order.lock().unwrap(), vec![0, 1, 2], "FIFO wake order");
         assert_eq!(lot.total_parked(), 0);
@@ -798,7 +790,7 @@ mod tests {
         lot.unpark_all(0x500, DEFAULT_UNPARK_TOKEN);
         lot.unpark_all(0x600, DEFAULT_UNPARK_TOKEN);
         for h in handles {
-            assert!(h.join().unwrap().is_unparked());
+            assert!(matches!(h.join().unwrap(), ParkResult::Unparked(_)));
         }
         assert_eq!(lot.stats().parked, 0);
     }
@@ -878,7 +870,7 @@ mod tests {
         // The requeued waiters wake on the target address.
         assert_eq!(lot.unpark_all(0x700, DEFAULT_UNPARK_TOKEN), 2);
         for h in handles {
-            assert!(h.join().unwrap().is_unparked());
+            assert!(matches!(h.join().unwrap(), ParkResult::Unparked(_)));
         }
         let mut woken = order.lock().unwrap().clone();
         woken.sort_unstable();
@@ -943,7 +935,7 @@ mod tests {
         assert_eq!(*order.lock().unwrap(), vec![1], "the tagged waiter woke");
         assert_eq!(lot.unpark_all(0xA00, DEFAULT_UNPARK_TOKEN), 2);
         for h in handles {
-            assert!(h.join().unwrap().is_unparked());
+            assert!(matches!(h.join().unwrap(), ParkResult::Unparked(_)));
         }
     }
 
@@ -980,7 +972,7 @@ mod tests {
         assert_eq!(lot.parked_count(0x20), 1, "other address undisturbed");
         assert_eq!(lot.unpark_all(0x20, DEFAULT_UNPARK_TOKEN), 1);
         for h in handles {
-            assert!(h.join().unwrap().is_unparked());
+            assert!(matches!(h.join().unwrap(), ParkResult::Unparked(_)));
         }
     }
 
@@ -1022,7 +1014,7 @@ mod tests {
             assert_eq!(lot.unpark_all(0x2000 + i * 64, DEFAULT_UNPARK_TOKEN), 1);
         }
         for h in fifo.into_iter().chain(filler) {
-            assert!(h.join().unwrap().is_unparked());
+            assert!(matches!(h.join().unwrap(), ParkResult::Unparked(_)));
         }
         assert_eq!(lot.total_parked(), 0);
     }
@@ -1052,6 +1044,6 @@ mod tests {
         assert_eq!(result.requeued, 1);
         assert_eq!(lot.parked_count(0x20), 1);
         assert_eq!(lot.unpark_all(0x20, DEFAULT_UNPARK_TOKEN), 1);
-        assert!(handle.join().unwrap().is_unparked());
+        assert!(matches!(handle.join().unwrap(), ParkResult::Unparked(_)));
     }
 }

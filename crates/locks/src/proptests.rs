@@ -1,15 +1,15 @@
 //! Model-based property tests for the reader-writer locks: under any
-//! sequence of guard acquisitions and releases, a writer and a reader must
-//! never be admitted concurrently, and the lock's reader count must always
-//! equal the number of live read guards. Plus a liveness/leak property for
+//! sequence of shared and exclusive acquisitions and releases, a writer and
+//! a reader must never be admitted concurrently, and the lock's reader
+//! count must always equal the number of readers admitted. Plus a liveness/leak property for
 //! the parking lot: any randomized sequence of park/unpark/requeue
 //! operations must leave every wait bucket empty once the dust settles.
 
 use proptest::prelude::*;
 
 use crate::futex_rwlock::FutexRwLock;
-use crate::raw::{QueueInformed, RawLock, RawRwLock, RawTryLock};
-use crate::rwlock::RwTtasLock;
+use crate::raw::{QueueInformed, RawRwLock};
+use crate::rwlock::RwTtasRaw;
 
 /// One step of the single-threaded model: acquire or release shared or
 /// exclusive access through the non-blocking interface.
@@ -19,6 +19,52 @@ enum Op {
     DropRead,
     TryWrite,
     DropWrite,
+}
+
+/// Runs `ops` on `lock` through the raw interface against a count of
+/// readers and a writer flag: reader count and writer state track the model
+/// exactly, writer and readers never coexist, and try operations succeed
+/// precisely when the model says they may (single-threaded, so no writer
+/// intent is ever pending).
+fn check_rw_model<L: RawRwLock + QueueInformed>(
+    lock: &L,
+    ops: &[Op],
+    reader_count: fn(&L) -> u32,
+    is_write_locked: fn(&L) -> bool,
+) -> Result<(), TestCaseError> {
+    let mut readers = 0u32;
+    let mut writer = false;
+    for &op in ops {
+        match op {
+            Op::TryRead => {
+                let admitted = lock.try_read_lock();
+                prop_assert_eq!(admitted, !writer);
+                readers += u32::from(admitted);
+            }
+            Op::DropRead => {
+                if readers > 0 {
+                    lock.read_unlock();
+                    readers -= 1;
+                }
+            }
+            Op::TryWrite => {
+                let admitted = lock.try_lock();
+                prop_assert_eq!(admitted, !writer && readers == 0);
+                writer |= admitted;
+            }
+            Op::DropWrite => {
+                if writer {
+                    lock.unlock();
+                    writer = false;
+                }
+            }
+        }
+        prop_assert_eq!(reader_count(lock), readers);
+        prop_assert_eq!(is_write_locked(lock), writer);
+        prop_assert_eq!(lock.is_locked(), writer || readers > 0);
+        prop_assert_eq!(lock.queue_length(), u64::from(readers) + u64::from(writer));
+    }
+    Ok(())
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -126,92 +172,17 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The data-carrying TTAS rwlock against a guard-counting model: reader
-    /// count tracks live guards exactly, writer and readers never coexist,
-    /// and try operations succeed precisely when the model says they may.
+    /// The spinning TTAS rwlock against the model.
     #[test]
-    fn ttas_guards_match_model(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-        let lock = RwTtasLock::new(0u64);
-        let mut read_guards = Vec::new();
-        let mut write_guard = None;
-        for op in ops {
-            match op {
-                Op::TryRead => {
-                    let admitted = lock.try_read();
-                    // Single-threaded: no pending writer intent, so a read
-                    // is admitted iff no write guard is live.
-                    prop_assert_eq!(admitted.is_some(), write_guard.is_none());
-                    read_guards.extend(admitted);
-                }
-                Op::DropRead => {
-                    read_guards.pop();
-                }
-                Op::TryWrite => {
-                    let admitted = lock.try_write();
-                    prop_assert_eq!(
-                        admitted.is_some(),
-                        write_guard.is_none() && read_guards.is_empty()
-                    );
-                    if let Some(g) = admitted {
-                        write_guard = Some(g);
-                    }
-                }
-                Op::DropWrite => {
-                    write_guard = None;
-                }
-            }
-            // Invariants after every step.
-            prop_assert_eq!(lock.reader_count() as usize, read_guards.len());
-            prop_assert_eq!(lock.is_write_locked(), write_guard.is_some());
-            prop_assert!(
-                !(lock.is_write_locked() && lock.reader_count() > 0),
-                "writer and readers admitted concurrently"
-            );
-            prop_assert_eq!(
-                lock.queue_length() as usize,
-                read_guards.len() + usize::from(write_guard.is_some())
-            );
-        }
+    fn ttas_rw_matches_model(ops in proptest::collection::vec(op_strategy(), 1..200)) {
+        let lock = RwTtasRaw::new();
+        check_rw_model(&lock, &ops, RwTtasRaw::reader_count, RwTtasRaw::is_write_locked)?;
     }
 
-    /// The blocking futex rwlock against the same model, through the raw
-    /// interface (manual lock/unlock pairing instead of guards).
+    /// The blocking futex rwlock against the same model.
     #[test]
     fn futex_rw_matches_model(ops in proptest::collection::vec(op_strategy(), 1..200)) {
         let lock = FutexRwLock::new();
-        let mut readers = 0u32;
-        let mut writer = false;
-        for op in ops {
-            match op {
-                Op::TryRead => {
-                    let admitted = lock.try_read_lock();
-                    prop_assert_eq!(admitted, !writer);
-                    if admitted {
-                        readers += 1;
-                    }
-                }
-                Op::DropRead => {
-                    if readers > 0 {
-                        lock.read_unlock();
-                        readers -= 1;
-                    }
-                }
-                Op::TryWrite => {
-                    let admitted = lock.try_lock();
-                    prop_assert_eq!(admitted, !writer && readers == 0);
-                    writer |= admitted;
-                }
-                Op::DropWrite => {
-                    if writer {
-                        lock.unlock();
-                        writer = false;
-                    }
-                }
-            }
-            prop_assert_eq!(lock.reader_count(), readers);
-            prop_assert_eq!(lock.is_write_locked(), writer);
-            prop_assert_eq!(lock.is_locked(), writer || readers > 0);
-            prop_assert_eq!(lock.queue_length(), u64::from(readers) + u64::from(writer));
-        }
+        check_rw_model(&lock, &ops, FutexRwLock::reader_count, FutexRwLock::is_write_locked)?;
     }
 }

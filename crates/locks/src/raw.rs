@@ -13,9 +13,6 @@
 /// crate (they are checked or tolerated), but they break mutual exclusion —
 /// exactly the class of bug the GLS debug mode (§4.2) exists to detect.
 pub trait RawLock: Send + Sync + Default {
-    /// Human-readable algorithm name (e.g. `"TICKET"`), used in reports.
-    const NAME: &'static str;
-
     /// Acquires the lock, blocking (spinning or sleeping) until it is held.
     fn lock(&self);
 
@@ -117,24 +114,5 @@ mod tests {
         assert_send_sync::<FutexLock>();
         assert_send_sync::<FutexRwLock>();
         assert_send_sync::<RwTtasRaw>();
-    }
-
-    #[test]
-    fn names_are_distinct() {
-        let names = [
-            TasLock::NAME,
-            TtasLock::NAME,
-            TicketLock::NAME,
-            McsLock::NAME,
-            ClhLock::NAME,
-            FutexLock::NAME,
-            FutexRwLock::NAME,
-            RwTtasRaw::NAME,
-        ];
-        for (i, a) in names.iter().enumerate() {
-            for b in names.iter().skip(i + 1) {
-                assert_ne!(a, b);
-            }
-        }
     }
 }

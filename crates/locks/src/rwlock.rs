@@ -138,8 +138,6 @@ impl RawRwLock for RwTtasRaw {
 }
 
 impl RawLock for RwTtasRaw {
-    const NAME: &'static str = "RW-TTAS";
-
     /// Acquires exclusive (write) access.
     fn lock(&self) {
         self.state.queued.fetch_add(1, Ordering::Relaxed);
@@ -253,26 +251,11 @@ impl<T> RwTtasLock<T> {
         RwTtasReadGuard { lock: self }
     }
 
-    /// Attempts to acquire shared access without waiting. Fails while a
-    /// writer holds the lock or has announced intent.
-    pub fn try_read(&self) -> Option<RwTtasReadGuard<'_, T>> {
-        // `then` (not `then_some`): constructing a guard eagerly would run
-        // its release on the failure path via Drop.
-        self.raw
-            .try_read_lock()
-            .then(|| RwTtasReadGuard { lock: self })
-    }
-
     /// Acquires exclusive (write) access, spinning until all readers and any
     /// writer have left.
     pub fn write(&self) -> RwTtasWriteGuard<'_, T> {
         self.raw.lock();
         RwTtasWriteGuard { lock: self }
-    }
-
-    /// Attempts to acquire exclusive access without waiting.
-    pub fn try_write(&self) -> Option<RwTtasWriteGuard<'_, T>> {
-        self.raw.try_lock().then(|| RwTtasWriteGuard { lock: self })
     }
 
     /// Whether a writer currently holds the lock.
@@ -371,10 +354,10 @@ mod tests {
         let r1 = lock.read();
         let r2 = lock.read();
         assert_eq!(lock.reader_count(), 2);
-        assert!(lock.try_write().is_none());
+        assert!(!lock.raw.try_lock());
         drop(r1);
         drop(r2);
-        assert!(lock.try_write().is_some());
+        assert!(lock.raw.try_lock());
     }
 
     #[test]
@@ -382,9 +365,9 @@ mod tests {
         let lock = RwTtasLock::new(0u64);
         let w = lock.write();
         assert!(lock.is_write_locked());
-        assert!(lock.try_read().is_none());
+        assert!(!lock.raw.try_read_lock());
         drop(w);
-        assert!(lock.try_read().is_some());
+        assert!(lock.raw.try_read_lock());
     }
 
     #[test]
@@ -440,7 +423,7 @@ mod tests {
         while !lock.raw.writer_pending() {
             std::hint::spin_loop();
         }
-        assert!(lock.try_read().is_none(), "intent bit must repel readers");
+        assert!(!lock.raw.try_read_lock(), "intent bit must repel readers");
         drop(r);
         writer.join().unwrap();
         assert_eq!(*lock.read(), 1);

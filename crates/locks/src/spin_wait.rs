@@ -23,7 +23,7 @@
 /// for _ in 0..3 {
 ///     wait.spin(); // cheap pause-based spinning at first
 /// }
-/// assert!(!wait.is_yielding());
+/// wait.reset(); // after a successful acquisition
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SpinWait {
@@ -86,11 +86,6 @@ impl SpinWait {
         }
     }
 
-    /// Whether the spin budget is exhausted and further waits yield.
-    pub fn is_yielding(&self) -> bool {
-        self.round >= Self::SPIN_ROUNDS
-    }
-
     /// Restarts the spin phase (call after a successful acquisition).
     pub fn reset(&mut self) {
         self.round = 0;
@@ -101,18 +96,23 @@ impl SpinWait {
 mod tests {
     use super::*;
 
+    /// Whether the spin budget is exhausted and further waits yield.
+    fn is_yielding(w: &SpinWait) -> bool {
+        w.round >= SpinWait::SPIN_ROUNDS
+    }
+
     #[test]
     fn spins_before_yielding() {
         let mut w = SpinWait::new();
         for _ in 0..SpinWait::SPIN_ROUNDS {
-            assert!(!w.is_yielding());
+            assert!(!is_yielding(&w));
             w.spin();
         }
-        assert!(w.is_yielding());
+        assert!(is_yielding(&w));
         // Further rounds stay in the yielding regime without panicking.
         w.spin();
         w.spin();
-        assert!(w.is_yielding());
+        assert!(is_yielding(&w));
     }
 
     #[test]
@@ -122,7 +122,7 @@ mod tests {
             w.spin();
         }
         w.reset();
-        assert!(!w.is_yielding());
+        assert!(!is_yielding(&w));
     }
 
     #[test]
@@ -133,7 +133,7 @@ mod tests {
         }
         // The counter saturates at the cap; subsequent rounds keep spinning
         // at the maximum delay (no panic, no overflow).
-        assert!(w.is_yielding());
+        assert!(is_yielding(&w));
         w.spin_bounded();
     }
 }

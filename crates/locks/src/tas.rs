@@ -43,8 +43,6 @@ impl TasLock {
 }
 
 impl RawLock for TasLock {
-    const NAME: &'static str = "TAS";
-
     #[inline]
     fn lock(&self) {
         self.state.queued.fetch_add(1, Ordering::Relaxed);

@@ -48,6 +48,6 @@ pub fn check_mutual_exclusion<R: RawLock + 'static>(threads: usize, iters: u64) 
         threads as u64 * iters,
         "{} lost updates: mutual exclusion violated by {}",
         threads as u64 * iters - total,
-        R::NAME
+        std::any::type_name::<R>()
     );
 }

@@ -112,8 +112,6 @@ impl TicketLock {
 }
 
 impl RawLock for TicketLock {
-    const NAME: &'static str = "TICKET";
-
     #[inline]
     fn lock(&self) {
         self.acquire();

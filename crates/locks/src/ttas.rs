@@ -42,8 +42,6 @@ impl TtasLock {
 }
 
 impl RawLock for TtasLock {
-    const NAME: &'static str = "TTAS";
-
     #[inline]
     fn lock(&self) {
         self.state.queued.fetch_add(1, Ordering::Relaxed);

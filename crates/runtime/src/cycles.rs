@@ -83,11 +83,6 @@ fn calibrate() -> f64 {
     }
 }
 
-/// Converts a duration to (approximate) cycles using the calibrated frequency.
-pub fn duration_to_cycles(d: Duration) -> u64 {
-    (d.as_nanos() as f64 * cycles_per_nanosecond()) as u64
-}
-
 /// Converts a cycle count to an (approximate) duration.
 pub fn cycles_to_duration(cycles: u64) -> Duration {
     let nanos = cycles as f64 / cycles_per_nanosecond();
@@ -115,23 +110,6 @@ pub fn spin_for(cycles: u64) {
     }
 }
 
-/// Measures the number of cycles taken by `f` and returns `(result, cycles)`.
-///
-/// # Example
-///
-/// ```
-/// let (sum, cycles) = gls_runtime::cycles::measure(|| (0..100u64).sum::<u64>());
-/// assert_eq!(sum, 4950);
-/// let _ = cycles;
-/// ```
-#[inline]
-pub fn measure<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let start = now();
-    let out = f();
-    let end = now();
-    (out, end.wrapping_sub(start))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,15 +125,20 @@ mod tests {
 
     #[test]
     fn spin_for_zero_is_noop() {
-        let (_, cycles) = measure(|| spin_for(0));
+        let start = now();
+        spin_for(0);
+        let cycles = now().wrapping_sub(start);
         // An empty spin should be far below a millisecond worth of cycles.
-        assert!(cycles < duration_to_cycles(Duration::from_millis(1)).max(1_000_000));
+        let millisecond = 1e6 * cycles_per_nanosecond();
+        assert!((cycles as f64) < millisecond.max(1e6));
     }
 
     #[test]
     fn spin_for_waits_at_least_requested() {
         let want = 10_000;
-        let (_, took) = measure(|| spin_for(want));
+        let start = now();
+        spin_for(want);
+        let took = now().wrapping_sub(start);
         assert!(
             took >= want,
             "spun for {took} cycles, wanted at least {want}"
@@ -172,17 +155,9 @@ mod tests {
 
     #[test]
     fn duration_cycle_roundtrip_is_close() {
-        let d = Duration::from_micros(500);
-        let c = duration_to_cycles(d);
-        let back = cycles_to_duration(c);
-        let diff = back.as_nanos().abs_diff(d.as_nanos());
-        assert!(diff < 50_000, "round trip drifted by {diff} ns");
-    }
-
-    #[test]
-    fn measure_returns_value() {
-        let (v, c) = measure(|| 42);
-        assert_eq!(v, 42);
-        let _ = c;
+        let cycles = (500_000.0 * cycles_per_nanosecond()) as u64;
+        let back = cycles_to_duration(cycles);
+        let diff = back.as_nanos().abs_diff(500_000);
+        assert!(diff < 50_000, "500 µs came back as {back:?}");
     }
 }

@@ -36,8 +36,15 @@ pub enum FlightEventKind {
     /// A release handed the lock directly to the queue head. `info` is
     /// unused (0).
     Handoff = 4,
-    /// A GLK lock changed modes. `info` packs `from` in the high byte and
-    /// `to` in the low byte of the low 16 bits.
+    /// A GLK lock changed modes, and why (the paper's §4.3 transition
+    /// report). `info` packs, from the lowest bit up:
+    ///
+    /// * bits 0–7: the new mode, and bits 8–15: the old one (GLK's mode
+    ///   discriminants: 0 ticket, 1 mcs, 2 mutex);
+    /// * bit 16: whether more threads were runnable than hardware contexts;
+    /// * bits 32–63: the smoothed queue length that decided the move, in
+    ///   fixed point with 8 fractional bits (1/256ths of a waiter),
+    ///   saturating at the field's maximum.
     ModeTransition = 5,
     /// An attempt on the address would have closed a cycle in the debug
     /// mode's lock-order graph, and was reported instead. `info` is the

@@ -64,17 +64,6 @@ impl LatencyHistogram {
         self.max = self.max.max(value);
     }
 
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += *b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
@@ -297,18 +286,6 @@ mod tests {
         assert_eq!(LatencyHistogram::bucket_index(3), 1);
         assert_eq!(LatencyHistogram::bucket_index(4), 2);
         assert_eq!(LatencyHistogram::bucket_index(u64::MAX), BUCKETS - 1);
-    }
-
-    #[test]
-    fn merge_combines_counts_and_extremes() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        a.record(10);
-        b.record(1000);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.min(), 10);
-        assert_eq!(a.max(), 1000);
     }
 
     #[test]

@@ -3,49 +3,22 @@
 //!
 //! GLK's multiprogramming detector compares the number of runnable tasks to
 //! the number of available hardware contexts (§3, "Measuring Contention").
-//! This module provides the latter, with an environment-variable override so
-//! experiments can emulate a smaller machine (e.g. the paper's 20- and
-//! 48-context Xeons) without changing code.
+//! This module provides the latter: what the operating system reports, with
+//! nothing in the process able to redefine it.
 //!
 //! Beyond the passive count, [`pin_to`] pins the calling thread to one
 //! hardware context (`sched_setaffinity` on Linux, a no-op elsewhere), so
 //! benchmarks can measure genuine multi-core behaviour instead of whatever
 //! placement the scheduler happens to pick.
 
-use std::cell::Cell;
 use std::sync::OnceLock;
 
-/// Environment variable that overrides the detected number of hardware
-/// contexts. Useful for reproducing multiprogramming behaviour on machines
-/// with a different core count than the paper's.
-pub const HW_CONTEXTS_ENV: &str = "GLS_HW_CONTEXTS";
-
 /// Returns the number of hardware contexts (logical CPUs) available to this
-/// process.
-///
-/// Resolution order:
-/// 1. the [`HW_CONTEXTS_ENV`] environment variable, if set and parseable;
-/// 2. [`std::thread::available_parallelism`];
-/// 3. a conservative fallback of `1`.
-///
-/// The value is computed once and cached for the lifetime of the process.
+/// process: [`std::thread::available_parallelism`], or `1` where it cannot
+/// tell. Computed once and cached for the lifetime of the process.
 pub fn hardware_contexts() -> usize {
     static CACHED: OnceLock<usize> = OnceLock::new();
-    *CACHED.get_or_init(detect)
-}
-
-/// Detects the hardware context count without caching (used by tests).
-pub fn detect() -> usize {
-    if let Ok(v) = std::env::var(HW_CONTEXTS_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    *CACHED.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// A suggested thread-count sweep for contention experiments: 1, 2, 3, ... up
@@ -83,11 +56,6 @@ pub fn sweep(factor: f64) -> Vec<usize> {
 // Thread pinning
 // ---------------------------------------------------------------------------
 
-thread_local! {
-    /// The context this thread was last pinned to via [`pin_to`], if any.
-    static PINNED_CONTEXT: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
 /// Pins the calling thread to hardware context `ctx`.
 ///
 /// Returns `true` if the kernel accepted the affinity change. On platforms
@@ -96,12 +64,7 @@ thread_local! {
 /// thread keeps its previous placement; callers must treat pinning as
 /// best-effort.
 pub fn pin_to(ctx: usize) -> bool {
-    if sched_setaffinity_single(ctx) {
-        PINNED_CONTEXT.with(|c| c.set(Some(ctx)));
-        true
-    } else {
-        false
-    }
+    sched_setaffinity_single(ctx)
 }
 
 /// Pins the calling thread round-robin over the hardware contexts: worker
@@ -109,12 +72,6 @@ pub fn pin_to(ctx: usize) -> bool {
 /// placement used by every measurement driver in the harness.
 pub fn pin_worker(index: usize) -> bool {
     pin_to(index % hardware_contexts())
-}
-
-/// The context the calling thread was last successfully pinned to via
-/// [`pin_to`], if any. This does not query the kernel; it records intent.
-pub fn pinned_context() -> Option<usize> {
-    PINNED_CONTEXT.with(|c| c.get())
 }
 
 /// The hardware context the calling thread is executing on right now, if the
@@ -259,11 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn detect_is_positive() {
-        assert!(detect() >= 1);
-    }
-
-    #[test]
     fn sweep_is_sorted_and_starts_at_one() {
         let s = sweep(1.25);
         assert_eq!(s[0], 1);
@@ -287,7 +239,6 @@ mod tests {
         // includes cpu 0; if the cpuset excludes it, pin_to reports false
         // rather than lying.
         if pin_to(0) {
-            assert_eq!(pinned_context(), Some(0));
             if let Some(ctx) = current_context() {
                 assert_eq!(ctx, 0);
             }

@@ -20,8 +20,6 @@ pub trait BenchLock: Send + Sync {
     fn acquire(&self);
     /// Releases the lock.
     fn release(&self);
-    /// Display label for reports.
-    fn label(&self) -> &'static str;
 }
 
 macro_rules! impl_bench_for_raw {
@@ -32,9 +30,6 @@ macro_rules! impl_bench_for_raw {
             }
             fn release(&self) {
                 RawLock::unlock(self)
-            }
-            fn label(&self) -> &'static str {
-                <$ty as RawLock>::NAME
             }
         }
     };
@@ -55,9 +50,6 @@ impl BenchLock for CachePadded<FutexLock> {
     fn release(&self) {
         RawLock::unlock(&**self)
     }
-    fn label(&self) -> &'static str {
-        FutexLock::NAME
-    }
 }
 
 impl BenchLock for GlkLock {
@@ -66,9 +58,6 @@ impl BenchLock for GlkLock {
     }
     fn release(&self) {
         self.unlock()
-    }
-    fn label(&self) -> &'static str {
-        "GLK"
     }
 }
 
@@ -102,19 +91,6 @@ impl BenchLock for GlsBenchLock {
             .unlock(self.addr)
             .expect("GLS unlock of a held lock cannot fail");
     }
-
-    fn label(&self) -> &'static str {
-        match self.kind {
-            LockKind::Glk => "GLS(GLK)",
-            LockKind::Ticket => "GLS(TICKET)",
-            LockKind::Mcs => "GLS(MCS)",
-            LockKind::Mutex => "GLS(MUTEX)",
-            LockKind::Tas => "GLS(TAS)",
-            LockKind::Ttas => "GLS(TTAS)",
-            LockKind::Clh => "GLS(CLH)",
-            LockKind::FutexRw => "GLS(FUTEX-RW)",
-        }
-    }
 }
 
 /// The futex rwlock measured as a plain mutex (exclusive mode).
@@ -126,9 +102,6 @@ impl BenchLock for FutexRwAsMutex {
     }
     fn release(&self) {
         RawLock::unlock(&self.0)
-    }
-    fn label(&self) -> &'static str {
-        <gls_locks::FutexRwLock as RawLock>::NAME
     }
 }
 
@@ -233,7 +206,6 @@ mod tests {
         for lock in &locks {
             lock.acquire();
             lock.release();
-            assert_eq!(lock.label(), "GLS(TICKET)");
         }
     }
 
@@ -259,7 +231,6 @@ mod tests {
         for lock in &locks {
             lock.acquire();
             lock.release();
-            assert_eq!(lock.label(), "GLK");
         }
     }
 }

@@ -22,9 +22,7 @@
 //! * [`latency`] — single-thread lock/unlock latency probes for Figure 11;
 //! * [`report`] — plain-text tables/series printed by the harness binaries;
 //! * [`rw_bench`] — the read-ratio sweep over reader-writer locks
-//!   (raw TTAS-rw vs GLS-rw vs `std::sync::RwLock`);
-//! * [`pc_bench`] — a producer/consumer pipeline over a GLS mutex and
-//!   [`GlsCondvar`](gls::GlsCondvar)s, exercising the condvar interface.
+//!   (raw TTAS-rw vs GLS-rw vs `std::sync::RwLock`).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -34,7 +32,6 @@ pub mod crosspoint;
 pub mod latency;
 pub mod microbench;
 pub mod multiprog;
-pub mod pc_bench;
 pub mod phases;
 pub mod report;
 pub mod rw_bench;
@@ -42,7 +39,6 @@ pub mod zipf;
 
 pub use bench_lock::{make_locks, BenchLock, LockSetup};
 pub use microbench::{LockSelection, MicrobenchConfig, MicrobenchResult};
-pub use pc_bench::{PcConfig, PcResult};
 pub use phases::{Phase, PhaseResult};
 pub use rw_bench::{RwBenchLock, RwLockSetup, RwSweepConfig, RwSweepResult};
 pub use zipf::Zipfian;

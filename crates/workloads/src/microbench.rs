@@ -241,9 +241,6 @@ mod tests {
         fn release(&self) {
             gls_locks::RawLock::unlock(&self.lock)
         }
-        fn label(&self) -> &'static str {
-            "COUNTING"
-        }
     }
 
     #[test]

@@ -9,9 +9,6 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use gls_runtime::SystemLoadMonitor;
 
 use crate::bench_lock::BenchLock;
@@ -38,25 +35,6 @@ pub struct PhaseResult {
     pub total_ops: u64,
     /// Throughput in Mops/s.
     pub mops: f64,
-}
-
-/// Generates a random phase schedule in the shape of the paper's Figure 10:
-/// `count` phases, each with 1..=`max_threads` worker threads and a
-/// critical-section length drawn from 300..1050 cycles.
-pub fn random_phases(
-    count: usize,
-    max_threads: usize,
-    duration: Duration,
-    seed: u64,
-) -> Vec<Phase> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..count)
-        .map(|_| Phase {
-            threads: rng.gen_range(1..=max_threads.max(1)),
-            cs_cycles: rng.gen_range(300..1050),
-            duration,
-        })
-        .collect()
 }
 
 /// The exact phase parameters printed on top of the paper's Figure 10
@@ -125,23 +103,6 @@ mod tests {
         assert_eq!(phases[0].cs_cycles, 971);
         assert_eq!(phases[3].threads, 2);
         assert_eq!(phases[10].threads, 24);
-    }
-
-    #[test]
-    fn random_phases_respect_bounds() {
-        let phases = random_phases(20, 24, Duration::from_millis(10), 7);
-        assert_eq!(phases.len(), 20);
-        for p in &phases {
-            assert!(p.threads >= 1 && p.threads <= 24);
-            assert!(p.cs_cycles >= 300 && p.cs_cycles < 1050);
-        }
-    }
-
-    #[test]
-    fn random_phases_are_reproducible_by_seed() {
-        let a = random_phases(10, 16, Duration::from_millis(10), 99);
-        let b = random_phases(10, 16, Duration::from_millis(10), 99);
-        assert_eq!(a, b);
     }
 
     #[test]

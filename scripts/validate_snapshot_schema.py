@@ -7,7 +7,8 @@ and checks every field the exporter promises: the versioned envelope, the
 per-lock profiles with their latency histogram summaries, and the
 service-wide cache / parking-lot / deadlock counters.
 A field silently dropped or renamed by a refactor fails CI instead of
-failing whoever scrapes the snapshots.
+failing whoever scrapes the snapshots, and so does a key version 3 does not
+define, in every object: a deleted field cannot come back unnoticed.
 
 Usage: validate_snapshot_schema.py FILE.json [FILE.json ...]
 """
@@ -33,8 +34,6 @@ LOCK_FIELDS = {
     "algorithm": str,
     "acquisitions": int,
     "avg_queue": (int, float),
-    "avg_lock_latency": (int, float),
-    "avg_cs_latency": (int, float),
     "lock_latency": dict,
     "cs_latency": dict,
     "transitions": int,
@@ -49,7 +48,10 @@ def fail(message):
     sys.exit(1)
 
 
-def check_fields(obj, spec, where, path):
+def check_fields(obj, spec, where, path, optional=()):
+    unknown = sorted(set(obj) - set(spec) - set(optional))
+    if unknown:
+        fail(f"{path}: {where} has keys version 3 does not define: {unknown}")
     for key, types in spec.items():
         if key not in obj:
             fail(f"{path}: {where} is missing {key!r}")
@@ -71,12 +73,9 @@ def check_histogram(hist, where, path):
 def validate(path):
     with open(path) as f:
         doc = json.load(f)
-    check_fields(doc, TOP_LEVEL, "the top level", path)
+    check_fields(doc, TOP_LEVEL, "the top level", path, optional=("sampling_budget",))
     if doc["version"] != 3:
         fail(f"{path}: unknown snapshot version {doc['version']}")
-    unknown = sorted(set(doc) - set(TOP_LEVEL) - {"sampling_budget"})
-    if unknown:
-        fail(f"{path}: the top level has keys version 3 does not define: {unknown}")
     if doc["mode"] not in MODES:
         fail(f"{path}: unknown mode {doc['mode']!r}")
     budget = doc.get("sampling_budget", "MISSING")

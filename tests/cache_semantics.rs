@@ -321,9 +321,9 @@ fn profile_report_is_exact_after_sharded_fold() {
         threads as u64 * per_thread,
         "the sharded fold must not lose acquisitions"
     );
-    assert!(lock.avg_lock_latency > 0.0);
+    assert!(lock.lock_latency.mean > 0.0);
     assert!(
-        lock.avg_cs_latency > 0.0,
+        lock.cs_latency.mean > 0.0,
         "cs sections are timed via shards"
     );
 }
@@ -343,8 +343,8 @@ fn profile_report_single_thread_matches_op_counts() {
     assert_eq!(locks.len(), 3);
     for lock in &locks {
         assert_eq!(lock.acquisitions, 40);
-        assert!(lock.avg_lock_latency > 0.0);
-        assert!(lock.avg_cs_latency > 0.0);
+        assert!(lock.lock_latency.mean > 0.0);
+        assert!(lock.cs_latency.mean > 0.0);
     }
 }
 

@@ -17,7 +17,6 @@ fn fast_config() -> GlkConfig {
     GlkConfig::default()
         .with_adaptation_period(256)
         .with_sampling_period(16)
-        .with_transition_recording(true)
 }
 
 fn run_contended(lock: &Arc<GlkLock>, threads: usize, cs_cycles: u64, duration: Duration) -> u64 {
@@ -57,7 +56,7 @@ fn single_threaded_lock_stays_in_ticket_mode() {
     }
     assert_eq!(lock.mode(), GlkMode::Ticket);
     assert_eq!(lock.acquisitions(), 10_000);
-    assert!(lock.transitions().is_empty());
+    assert_eq!(lock.stats().transitions(), 0);
 }
 
 #[test]
@@ -85,14 +84,8 @@ fn contended_lock_adapts_to_mcs_and_back() {
     }
     assert_eq!(lock.mode(), GlkMode::Ticket);
 
-    // The transition log must show both directions.
-    let transitions = lock.transitions();
-    assert!(transitions
-        .iter()
-        .any(|t| t.from == GlkMode::Ticket && t.to == GlkMode::Mcs));
-    assert!(transitions
-        .iter()
-        .any(|t| t.from == GlkMode::Mcs && t.to == GlkMode::Ticket));
+    // Both directions were counted.
+    assert!(lock.stats().transitions() >= 2);
 }
 
 #[test]

@@ -125,7 +125,7 @@ fn profiler_identifies_the_hot_lock() {
         "the skewed lock must have the most acquisitions"
     );
     assert!(hot.acquisitions > 0);
-    assert!(hot.avg_cs_latency > 0.0);
+    assert!(hot.cs_latency.mean > 0.0);
     assert!(hot.avg_queue >= 0.0);
 }
 

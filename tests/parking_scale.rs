@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use gls_locks::park::DEFAULT_PARK_TOKEN;
-use gls_locks::{FutexLock, ParkingLot, QueueInformed, RawLock};
+use gls_locks::{FutexLock, ParkResult, ParkingLot, QueueInformed, RawLock};
 
 #[test]
 fn four_thousand_waiters_share_a_fixed_table_and_all_wake() {
@@ -55,7 +55,7 @@ fn four_thousand_waiters_share_a_fixed_table_and_all_wake() {
         assert_eq!(lot.unpark_all(0x10_0000 + i * 64, 7), 1);
     }
     for h in handles {
-        assert!(h.join().unwrap().is_unparked());
+        assert!(matches!(h.join().unwrap(), ParkResult::Unparked(_)));
     }
     assert_eq!(lot.total_parked(), 0);
 }

@@ -28,18 +28,17 @@ fn pinning_round_trips_through_the_kernel_or_skips() {
         if !topology::pin_to(0) {
             return None;
         }
-        let first = (topology::pinned_context(), topology::current_context());
+        let first = topology::current_context();
         let last_ctx = gls_runtime::hardware_contexts() - 1;
         if !topology::pin_to(last_ctx) {
             return None;
         }
-        let last = (topology::pinned_context(), topology::current_context());
-        Some((first, last_ctx, last))
+        Some((first, last_ctx, topology::current_context()))
     })
     .join()
     .expect("pinning probe thread");
 
-    let Some((first, last_ctx, (pinned, current))) = outcome else {
+    let Some((first, last_ctx, current)) = outcome else {
         eprintln!("skipping: thread pinning is not available on this host");
         assert!(
             !topology::pinning_supported() || !gls_bench::pinning_effective(),
@@ -47,14 +46,12 @@ fn pinning_round_trips_through_the_kernel_or_skips() {
         );
         return;
     };
-    // Pinned to context 0: intent recorded, and the kernel (where getcpu is
-    // available) must actually run the thread there.
-    assert_eq!(first.0, Some(0));
-    if let Some(ctx) = first.1 {
+    // Pinned to context 0: the kernel (where getcpu is available) must
+    // actually run the thread there.
+    if let Some(ctx) = first {
         assert_eq!(ctx, 0, "pinned to 0 but running on {ctx}");
     }
-    // Re-pinned to the last context: everything moves consistently.
-    assert_eq!(pinned, Some(last_ctx));
+    // Re-pinned to the last context: the thread moves with it.
     if let Some(ctx) = current {
         assert_eq!(ctx, last_ctx, "pinned to {last_ctx} but running on {ctx}");
     }
