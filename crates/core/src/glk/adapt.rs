@@ -76,10 +76,6 @@ impl Adaptive {
         GlkMode::from_raw(self.mode.load(Ordering::Acquire))
     }
 
-    pub(crate) fn config(&self) -> &GlkConfig {
-        &self.config
-    }
-
     pub(crate) fn stats(&self) -> &LockStats {
         &self.stats
     }

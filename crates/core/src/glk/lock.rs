@@ -106,11 +106,6 @@ impl GlkLock {
         self.adapt.mode()
     }
 
-    /// The configuration this lock runs with.
-    pub fn config(&self) -> &GlkConfig {
-        self.adapt.config()
-    }
-
     /// Queuing statistics and transition count. Its acquisition counter
     /// holds the MCS- and mutex-mode acquisitions only; the total is
     /// [`Self::acquisitions`].

@@ -76,8 +76,7 @@ impl WaitOutcome {
 ///
 /// let service = Arc::new(GlsService::new());
 /// let ready = Arc::new(GlsCondvar::new());
-/// let flag = 0u32; // the mutex identity (any address works)
-/// let addr = GlsService::address_of(&flag);
+/// let addr = 0x1000usize; // the mutex identity (any address or value)
 ///
 /// let waiter = {
 ///     let (service, ready) = (Arc::clone(&service), Arc::clone(&ready));

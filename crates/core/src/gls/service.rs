@@ -2,7 +2,7 @@
 
 use gls_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use gls_sync::sync::{Mutex as StdMutex, MutexGuard};
-use std::sync::{OnceLock, PoisonError};
+use std::sync::PoisonError;
 use std::time::Duration;
 
 use gls_clht::{Clht, ClhtStats};
@@ -162,20 +162,9 @@ impl GlsService {
         }
     }
 
-    /// The process-wide default service used by the free-function interface.
-    pub fn global() -> &'static GlsService {
-        static GLOBAL: OnceLock<GlsService> = OnceLock::new();
-        GLOBAL.get_or_init(GlsService::new)
-    }
-
     /// The configuration this service runs with.
     pub fn config(&self) -> &GlsConfig {
         &self.config
-    }
-
-    /// Converts a reference into the address key GLS uses internally.
-    pub fn address_of<T: ?Sized>(m: &T) -> usize {
-        LockAddr::from(m).0
     }
 
     // ------------------------------------------------------------------
@@ -1464,7 +1453,7 @@ mod tests {
         let svc = GlsService::new();
         let data = [0u8; 3];
         let held = svc.read_guard(&data).unwrap();
-        assert_eq!(held.addr(), GlsService::address_of(&data));
+        assert_eq!(held.addr(), data.as_ptr() as usize);
         assert_eq!(svc.guard(17usize).unwrap().addr(), 17);
         // Carrying the entry must not cost the guard its thread-safety.
         fn sendable<T: Send + Sync>(_: &T) {}
@@ -1659,10 +1648,7 @@ mod tests {
             "writer excludes readers"
         );
         svc.write_unlock(&data).unwrap();
-        assert_eq!(
-            svc.algorithm_of(GlsService::address_of(&data)),
-            Some(LockKind::FutexRw)
-        );
+        assert_eq!(svc.algorithm_of(&data), Some(LockKind::FutexRw));
     }
 
     #[test]
@@ -2146,13 +2132,6 @@ mod tests {
             assert_eq!(cv.waiters(), 0);
             assert_eq!(ParkingLot::global().parked_count(mutex_park), 0);
         }
-    }
-
-    #[test]
-    fn global_service_is_singleton() {
-        let a = GlsService::global() as *const _;
-        let b = GlsService::global() as *const _;
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! ```
 //! use gls::GlsService;
 //!
-//! // One service for the whole application (or use GlsService::global()).
+//! // One service for the whole application.
 //! let gls = GlsService::new();
 //!
 //! // Any object can be used as a lock, with no declaration or initialization.

@@ -2,10 +2,8 @@
 //!
 //! The paper's methodology pads every lock to 64 bytes (one cache line) "for
 //! fairness and for avoiding false cache-line sharing" (§3.2). [`CachePadded`]
-//! aligns and pads its contents to [`CACHE_LINE_BYTES`].
-
-/// Size of a cache line on the paper's target platforms (x86-64).
-pub const CACHE_LINE_BYTES: usize = 64;
+//! aligns and pads its contents to 64 bytes, the cache line of the paper's
+//! x86-64 platforms.
 
 /// Pads and aligns `T` to a cache-line boundary.
 ///
@@ -28,11 +26,6 @@ impl<T> CachePadded<T> {
     /// Wraps `value` in a cache-line-aligned container.
     pub const fn new(value: T) -> Self {
         Self { value }
-    }
-
-    /// Consumes the wrapper and returns the inner value.
-    pub fn into_inner(self) -> T {
-        self.value
     }
 }
 
@@ -62,8 +55,8 @@ mod tests {
 
     #[test]
     fn alignment_is_a_cache_line() {
-        assert_eq!(std::mem::align_of::<CachePadded<u8>>(), CACHE_LINE_BYTES);
-        assert!(std::mem::size_of::<CachePadded<u8>>() >= CACHE_LINE_BYTES);
+        assert_eq!(std::mem::align_of::<CachePadded<u8>>(), 64);
+        assert!(std::mem::size_of::<CachePadded<u8>>() >= 64);
     }
 
     #[test]
@@ -71,7 +64,7 @@ mod tests {
         let mut p = CachePadded::new(5u32);
         assert_eq!(*p, 5);
         *p = 7;
-        assert_eq!(p.into_inner(), 7);
+        assert_eq!(*p, 7);
     }
 
     #[test]

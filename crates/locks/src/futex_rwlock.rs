@@ -119,11 +119,6 @@ impl FutexRwLock {
         self.state.load(Ordering::Relaxed) & READERS
     }
 
-    /// Whether a writer has announced intent (is waiting to acquire).
-    pub fn writer_pending(&self) -> bool {
-        self.state.load(Ordering::Relaxed) & INTENT != 0
-    }
-
     /// The parking-lot key: the address of the lock word.
     #[inline]
     fn addr(&self) -> usize {

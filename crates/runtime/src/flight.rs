@@ -117,12 +117,6 @@ pub fn record(kind: FlightEventKind, addr: usize, info: u64) {
     });
 }
 
-/// Total number of events ever recorded on the calling thread (including
-/// ones already overwritten or drained).
-pub fn recorded() -> u64 {
-    RING.with(|ring| ring.head.get())
-}
-
 /// Removes and returns the calling thread's retained events, oldest first
 /// (at most [`RING_CAPACITY`] of them).
 pub fn drain() -> Vec<FlightEvent> {
@@ -183,6 +177,7 @@ mod tests {
     #[test]
     fn ring_wraps_and_keeps_the_most_recent_events() {
         let _ = drain();
+        let recorded = || RING.with(|ring| ring.head.get());
         let before = recorded();
         let extra = 10u64;
         for i in 0..(RING_CAPACITY as u64 + extra) {

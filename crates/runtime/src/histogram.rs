@@ -236,13 +236,6 @@ impl AtomicLatencyHistogram {
         target.min = target.min.min(self.min.load(Ordering::Relaxed));
         target.max = target.max.max(self.max.load(Ordering::Relaxed));
     }
-
-    /// A point-in-time copy as a plain [`LatencyHistogram`].
-    pub fn snapshot(&self) -> LatencyHistogram {
-        let mut out = LatencyHistogram::new();
-        self.fold_into(&mut out);
-        out
-    }
 }
 
 impl Default for AtomicLatencyHistogram {
@@ -314,7 +307,8 @@ mod tests {
             atomic.record(v);
             plain.record(v);
         }
-        let snap = atomic.snapshot();
+        let mut snap = LatencyHistogram::new();
+        atomic.fold_into(&mut snap);
         assert_eq!(snap.count(), plain.count());
         assert_eq!(snap.min(), plain.min());
         assert_eq!(snap.max(), plain.max());
@@ -358,7 +352,9 @@ mod tests {
             handle.join().unwrap();
         }
         assert_eq!(h.count(), 40_000);
-        assert_eq!(h.snapshot().count(), 40_000);
+        let mut folded = LatencyHistogram::new();
+        h.fold_into(&mut folded);
+        assert_eq!(folded.count(), 40_000);
     }
 
     #[test]

@@ -69,13 +69,6 @@ impl LockStats {
         self.queue_samples.load(Ordering::Relaxed)
     }
 
-    /// Sum of queue-length samples (the numerator of [`average_queue`]).
-    ///
-    /// [`average_queue`]: Self::average_queue
-    pub fn queue_total(&self) -> u64 {
-        self.queue_total.load(Ordering::Relaxed)
-    }
-
     /// Resets the queue statistics (done after each adaptation decision so
     /// the next decision sees a fresh window).
     pub fn reset_queue_window(&self) {
@@ -158,7 +151,7 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(s.queue_samples(), 80_000);
-        assert_eq!(s.queue_total(), 80_000);
+        assert_eq!(s.average_queue(), 1.0);
         assert_eq!(s.transitions(), 80_000);
     }
 }

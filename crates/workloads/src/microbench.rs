@@ -90,11 +90,6 @@ impl MicrobenchResult {
     pub fn mops(&self) -> f64 {
         self.total_ops as f64 / self.elapsed.as_secs_f64() / 1e6
     }
-
-    /// Throughput in operations per second.
-    pub fn ops_per_sec(&self) -> f64 {
-        self.total_ops as f64 / self.elapsed.as_secs_f64()
-    }
 }
 
 /// Runs one microbenchmark over the given lock objects.

@@ -42,16 +42,6 @@ impl BackgroundSpinners {
             .collect();
         Self { stop, handles }
     }
-
-    /// Number of spinner threads running.
-    pub fn len(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Whether no spinners were started.
-    pub fn is_empty(&self) -> bool {
-        self.handles.is_empty()
-    }
 }
 
 impl Drop for BackgroundSpinners {
@@ -70,15 +60,14 @@ mod tests {
     #[test]
     fn zero_spinners_is_a_noop() {
         let s = BackgroundSpinners::start(0, None);
-        assert!(s.is_empty());
-        assert_eq!(s.len(), 0);
+        assert!(s.handles.is_empty());
     }
 
     #[test]
     fn spinners_register_with_monitor_and_unregister_on_drop() {
         let monitor = Arc::new(SystemLoadMonitor::new());
         let spinners = BackgroundSpinners::start(3, Some(Arc::clone(&monitor)));
-        assert_eq!(spinners.len(), 3);
+        assert_eq!(spinners.handles.len(), 3);
         // Wait for all spinners to have registered.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         while monitor.registered_runnable() < 3 && std::time::Instant::now() < deadline {

@@ -42,26 +42,6 @@ impl SeriesTable {
         self.rows.push((x.into(), values));
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Column labels.
-    pub fn columns(&self) -> &[String] {
-        &self.columns
-    }
-
-    /// Raw access to the rows (used by tests and summarizers).
-    pub fn rows(&self) -> &[(String, Vec<f64>)] {
-        &self.rows
-    }
-
     /// Renders the table as tab-separated text with a `#`-prefixed title.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -148,8 +128,7 @@ mod tests {
         assert!(s.starts_with("# Figure X"));
         assert!(s.contains("threads\tTICKET\tMCS\tMUTEX"));
         assert!(s.contains("10\t1.0000\t2.0000\t0.5000"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(s.lines().count(), 4, "title, header and two rows");
     }
 
     #[test]

@@ -22,8 +22,6 @@ use rand::Rng;
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(42);
 /// let sample = zipf.sample(&mut rng);
 /// assert!(sample < 8);
-/// // Rank 0 must be the most likely outcome.
-/// assert!(zipf.probability(0) > zipf.probability(7));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Zipfian {
@@ -61,27 +59,6 @@ impl Zipfian {
         Self { cdf }
     }
 
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Whether the distribution is over zero elements (never true).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
-    /// Probability mass of element `rank`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rank` is out of range.
-    pub fn probability(&self, rank: usize) -> f64 {
-        let upper = self.cdf[rank];
-        let lower = if rank == 0 { 0.0 } else { self.cdf[rank - 1] };
-        upper - lower
-    }
-
     /// Draws one element.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen_range(0.0..1.0);
@@ -100,6 +77,14 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::SeedableRng;
+
+    impl Zipfian {
+        /// Probability mass of element `rank`: the step of the CDF there.
+        fn probability(&self, rank: usize) -> f64 {
+            let lower = if rank == 0 { 0.0 } else { self.cdf[rank - 1] };
+            self.cdf[rank] - lower
+        }
+    }
 
     #[test]
     fn uniform_when_alpha_zero() {

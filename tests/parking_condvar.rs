@@ -129,7 +129,7 @@ fn run_pipeline(
         not_empty: GlsCondvar::new(),
         not_full: GlsCondvar::new(),
     });
-    let addr = GlsService::address_of(pipe.as_ref());
+    let addr = Arc::as_ptr(&pipe) as usize;
     let producer_threads: Vec<_> = (0..producers)
         .map(|p| {
             let (svc, pipe) = (Arc::clone(svc), Arc::clone(&pipe));

@@ -33,10 +33,7 @@ fn rw_guards_share_and_exclude_through_the_service() {
             "a writer must exclude readers"
         );
     }
-    assert_eq!(
-        svc.algorithm_of(GlsService::address_of(&table)),
-        Some(LockKind::FutexRw)
-    );
+    assert_eq!(svc.algorithm_of(&table), Some(LockKind::FutexRw));
 }
 
 /// A reader blocked behind a held write lock parks on the entry's word
