@@ -197,39 +197,55 @@ fn run_pipeline(
         .fold((0, 0), |(c, s), (dc, ds)| (c + dc, s.wrapping_add(ds)))
 }
 
-/// Multi-producer/multi-consumer condvar pipelines in every service mode.
-/// Sleeping condvar waiters hold nothing and their parks order no locks,
-/// so the debug mode must stay silent.
+/// Runs one pipeline of `producers` x `consumers` under `mode` and checks
+/// that every item arrives exactly once and that the debug mode stays
+/// silent: sleeping condvar waiters hold nothing and their parks order no
+/// locks. Returns the service for mode-specific checks.
+fn check_pipeline(mode: GlsMode, shape: (u64, usize, usize, u64)) -> Arc<GlsService> {
+    let (producers, consumers, capacity, items) = shape;
+    let run = format!("{mode:?}, {producers}x{consumers}, capacity {capacity}");
+    let svc = Arc::new(GlsService::with_config(
+        GlsConfig::default().with_mode(mode),
+    ));
+    let sum = (0..producers)
+        .flat_map(|p| (0..items).map(move |i| p << 32 | i))
+        .sum::<u64>();
+    assert_eq!(
+        run_pipeline(&svc, shape),
+        (producers * items, sum),
+        "{run}: every item delivered exactly once"
+    );
+    assert!(svc.issues().is_empty(), "{run}: {:?}", svc.issues());
+    svc
+}
+
 #[test]
-fn condvar_pipeline_delivers_every_item_once_in_every_mode() {
-    // Mode, then producers, consumers, capacity and items per producer.
-    let runs = [
-        (GlsMode::Normal, (2, 2, 8, 2_000)),
-        (GlsMode::Normal, (1, 4, 2, 3_000)),
-        (GlsMode::Debug, (2, 2, 8, 2_000)),
-        (GlsMode::Profile, (2, 2, 8, 2_000)),
-        (GlsMode::Debug, (3, 3, 4, 3_000)),
-    ];
-    for (mode, shape @ (producers, consumers, capacity, items)) in runs {
-        let run = format!("{mode:?}, {producers}x{consumers}, capacity {capacity}");
-        let svc = Arc::new(GlsService::with_config(
-            GlsConfig::default().with_mode(mode),
-        ));
-        let sum = (0..producers)
-            .flat_map(|p| (0..items).map(move |i| p << 32 | i))
-            .sum::<u64>();
-        assert_eq!(
-            run_pipeline(&svc, shape),
-            (producers * items, sum),
-            "{run}: every item delivered exactly once"
-        );
-        assert!(svc.issues().is_empty(), "{run}: {:?}", svc.issues());
-        if mode == GlsMode::Profile {
-            let locks = svc.telemetry_snapshot().locks;
-            assert_eq!(locks.len(), 1, "{run}: one mutex entry behind the queue");
-            assert!(locks[0].acquisitions > 0, "{run}");
-        }
-    }
+fn condvar_pipeline_delivers_every_item_exactly_once() {
+    check_pipeline(GlsMode::Normal, (2, 2, 8, 2_000));
+}
+
+#[test]
+fn condvar_pipeline_single_producer_many_consumers_drains() {
+    check_pipeline(GlsMode::Normal, (1, 4, 2, 3_000));
+}
+
+#[test]
+fn condvar_pipeline_debug_mode_reports_no_issues() {
+    check_pipeline(GlsMode::Debug, (2, 2, 8, 2_000));
+}
+
+#[test]
+fn condvar_pipeline_profile_mode_sees_the_queue_mutex() {
+    let locks = check_pipeline(GlsMode::Profile, (2, 2, 8, 2_000))
+        .telemetry_snapshot()
+        .locks;
+    assert_eq!(locks.len(), 1, "one mutex entry behind the queue");
+    assert!(locks[0].acquisitions > 0);
+}
+
+#[test]
+fn condvar_mpmc_under_debug_mode_reports_no_false_deadlocks() {
+    check_pipeline(GlsMode::Debug, (3, 3, 4, 3_000));
 }
 
 #[test]
