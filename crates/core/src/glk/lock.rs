@@ -570,7 +570,7 @@ mod tests {
         let addr = &lock as *const GlkLock as usize;
         // The ticker is this thread, so its flight ring holds the event.
         let transitions = || {
-            flight::snapshot()
+            flight::drain()
                 .into_iter()
                 .filter(|e| e.kind == FlightEventKind::ModeTransition && e.addr == addr)
                 .map(|e| super::super::adapt::decode_transition(e.info))

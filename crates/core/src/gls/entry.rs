@@ -4,8 +4,8 @@ use gls_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use gls_locks::{
-    ClhLock, FutexLock, FutexRwLock, LockKind, McsLock, QueueInformed, RawLock, RawRwLock,
-    RawTryLock, TasLock, TicketLock, TtasLock,
+    FutexLock, FutexRwLock, LockKind, McsLock, QueueInformed, RawLock, RawRwLock, RawTryLock,
+    TicketLock,
 };
 
 use super::shards::{ProfileShards, ProfileTotals};
@@ -34,8 +34,8 @@ pub(crate) enum Wait {
 ///
 /// `gls_lock` (the default interface) creates [`AlgorithmLock::Glk`] entries,
 /// the reader-writer interface [`AlgorithmLock::FutexRw`] entries; the
-/// explicit `gls_A_lock` interfaces create entries of the corresponding
-/// algorithm (paper Table 1).
+/// explicit `gls_A_lock` interfaces (`lock_with`) create TICKET, MCS or
+/// MUTEX entries, the three strategies the paper's figures compare.
 // One entry exists per distinct lock address and lives for the lock's whole
 // lifetime, so the GLK variant's size is not worth an extra indirection on
 // the acquisition fast path.
@@ -44,16 +44,10 @@ pub(crate) enum Wait {
 pub(crate) enum AlgorithmLock {
     /// Adaptive GLK lock (default).
     Glk(GlkLock),
-    /// Test-and-set spinlock.
-    Tas(TasLock),
-    /// Test-and-test-and-set spinlock.
-    Ttas(TtasLock),
     /// Ticket spinlock.
     Ticket(TicketLock),
     /// MCS queue lock.
     Mcs(McsLock),
-    /// CLH queue lock.
-    Clh(ClhLock),
     /// Word-sized blocking mutex parked on the shared parking lot.
     Mutex(FutexLock),
     /// Word-sized blocking reader-writer lock parked on the shared parking
@@ -69,11 +63,8 @@ impl AlgorithmLock {
                 glk_config.clone(),
                 monitor.clone(),
             )),
-            LockKind::Tas => AlgorithmLock::Tas(TasLock::new()),
-            LockKind::Ttas => AlgorithmLock::Ttas(TtasLock::new()),
             LockKind::Ticket => AlgorithmLock::Ticket(TicketLock::new()),
             LockKind::Mcs => AlgorithmLock::Mcs(McsLock::new()),
-            LockKind::Clh => AlgorithmLock::Clh(ClhLock::new()),
             LockKind::Mutex => AlgorithmLock::Mutex(FutexLock::new()),
             LockKind::FutexRw => AlgorithmLock::FutexRw(FutexRwLock::new()),
         }
@@ -82,11 +73,8 @@ impl AlgorithmLock {
     pub(crate) fn kind(&self) -> LockKind {
         match self {
             AlgorithmLock::Glk(_) => LockKind::Glk,
-            AlgorithmLock::Tas(_) => LockKind::Tas,
-            AlgorithmLock::Ttas(_) => LockKind::Ttas,
             AlgorithmLock::Ticket(_) => LockKind::Ticket,
             AlgorithmLock::Mcs(_) => LockKind::Mcs,
-            AlgorithmLock::Clh(_) => LockKind::Clh,
             AlgorithmLock::Mutex(_) => LockKind::Mutex,
             AlgorithmLock::FutexRw(_) => LockKind::FutexRw,
         }
@@ -95,11 +83,8 @@ impl AlgorithmLock {
     pub(crate) fn lock(&self) {
         match self {
             AlgorithmLock::Glk(l) => l.lock(),
-            AlgorithmLock::Tas(l) => l.lock(),
-            AlgorithmLock::Ttas(l) => l.lock(),
             AlgorithmLock::Ticket(l) => l.lock(),
             AlgorithmLock::Mcs(l) => l.lock(),
-            AlgorithmLock::Clh(l) => l.lock(),
             AlgorithmLock::Mutex(l) => l.lock(),
             AlgorithmLock::FutexRw(l) => l.lock(),
         }
@@ -108,11 +93,8 @@ impl AlgorithmLock {
     pub(crate) fn try_lock(&self) -> bool {
         match self {
             AlgorithmLock::Glk(l) => l.try_lock(),
-            AlgorithmLock::Tas(l) => l.try_lock(),
-            AlgorithmLock::Ttas(l) => l.try_lock(),
             AlgorithmLock::Ticket(l) => l.try_lock(),
             AlgorithmLock::Mcs(l) => l.try_lock(),
-            AlgorithmLock::Clh(l) => l.try_lock(),
             AlgorithmLock::Mutex(l) => l.try_lock(),
             AlgorithmLock::FutexRw(l) => l.try_lock(),
         }
@@ -121,11 +103,8 @@ impl AlgorithmLock {
     pub(crate) fn unlock(&self) {
         match self {
             AlgorithmLock::Glk(l) => l.unlock(),
-            AlgorithmLock::Tas(l) => l.unlock(),
-            AlgorithmLock::Ttas(l) => l.unlock(),
             AlgorithmLock::Ticket(l) => l.unlock(),
             AlgorithmLock::Mcs(l) => l.unlock(),
-            AlgorithmLock::Clh(l) => l.unlock(),
             AlgorithmLock::Mutex(l) => l.unlock(),
             AlgorithmLock::FutexRw(l) => l.unlock(),
         }
@@ -163,11 +142,8 @@ impl AlgorithmLock {
     pub(crate) fn queue_length(&self) -> u64 {
         match self {
             AlgorithmLock::Glk(l) => l.queue_length(),
-            AlgorithmLock::Tas(l) => l.queue_length(),
-            AlgorithmLock::Ttas(l) => l.queue_length(),
             AlgorithmLock::Ticket(l) => l.queue_length(),
             AlgorithmLock::Mcs(l) => l.queue_length(),
-            AlgorithmLock::Clh(l) => l.queue_length(),
             AlgorithmLock::Mutex(l) => l.queue_length(),
             AlgorithmLock::FutexRw(l) => l.queue_length(),
         }

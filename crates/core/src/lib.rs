@@ -15,9 +15,9 @@
 //! * [`gls`] — **GLS**, the *generic locking service*: a middleware that maps
 //!   any address (in fact any non-zero value) to a lock object, so
 //!   programmers never declare, allocate, initialize or destroy locks. The
-//!   default interface uses GLK; explicit interfaces expose TAS, TTAS,
-//!   ticket, MCS, CLH and mutex locks, and a reader-writer interface
-//!   (`read_lock`/`write_lock` + guards) backed by the word-sized
+//!   default interface uses GLK; explicit interfaces expose the ticket,
+//!   MCS and mutex locks the paper's figures compare, and a reader-writer
+//!   interface (`read_lock`/`write_lock` + guards) backed by the word-sized
 //!   [`FutexRwLock`](gls_locks::FutexRwLock), which spins and then parks.
 //!   A debug mode detects the classic locking bugs (including
 //!   lock-order inversions, reported before they can deadlock) and a

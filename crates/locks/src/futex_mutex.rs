@@ -20,7 +20,7 @@
 //! the head (a handoff unpark token; the `LOCKED` bit never clears, so
 //! bargers cannot steal the slot). A parked waiter can therefore be
 //! bypassed at most a bounded number of times before it is served. Strict
-//! FIFO admission remains the domain of ticket/MCS/CLH.
+//! FIFO admission remains the domain of ticket and MCS.
 
 use gls_runtime::flight::{self, FlightEventKind};
 use gls_sync::atomic::{AtomicU32, Ordering};

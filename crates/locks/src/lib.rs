@@ -1,12 +1,13 @@
 //! Lock-algorithm substrate for the "Locking Made Easy" reproduction.
 //!
-//! The paper's middleware (GLS) and adaptive lock (GLK) are built from a set
-//! of classic lock algorithms (§2): simple spinlocks (test-and-set,
-//! test-and-test-and-set, ticket), queue-based spinlocks (MCS, CLH) and a
-//! blocking mutex with a bounded busy-wait phase ([`FutexLock`], the paper's
-//! MUTEX). This crate implements all of them behind two small traits,
-//! [`RawLock`] and [`RawTryLock`], plus a [`QueueInformed`] extension that
-//! exposes the queue length needed by GLK's contention statistics.
+//! The paper's middleware (GLS) and adaptive lock (GLK) are built from the
+//! three lock strategies its figures compare (§2): a spinlock
+//! ([`TicketLock`]), a queue lock ([`McsLock`]) and a blocking mutex with a
+//! bounded busy-wait phase ([`FutexLock`], the paper's MUTEX). This crate
+//! implements them behind two small traits, [`RawLock`] and [`RawTryLock`],
+//! plus a [`QueueInformed`] extension that exposes the queue length needed
+//! by GLK's contention statistics. [`TtasLock`] is the bucket lock of the
+//! GLS hash table (CLHT) and implements [`RawLock`] only.
 //! Reader-writer locking (Kyoto Cabinet, SQLite — §5.2) is covered by the
 //! [`RawRwLock`] trait with a spinning ([`RwTtasRaw`]) and a
 //! blocking/parking ([`FutexRwLock`]) implementation, both
@@ -39,7 +40,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod cache_padded;
-pub mod clh;
 pub mod futex_mutex;
 pub mod futex_rwlock;
 pub mod kind;
@@ -50,22 +50,19 @@ mod proptests;
 pub mod raw;
 pub mod rwlock;
 pub mod spin_wait;
-pub mod tas;
 #[cfg(test)]
 pub(crate) mod test_support;
 pub mod ticket;
 pub mod ttas;
 
 pub use cache_padded::CachePadded;
-pub use clh::ClhLock;
 pub use futex_mutex::FutexLock;
 pub use futex_rwlock::FutexRwLock;
 pub use kind::LockKind;
 pub use mcs::McsLock;
 pub use park::{ParkResult, ParkingLot, ParkingLotStats, RequeueResult, UnparkResult};
 pub use raw::{QueueInformed, RawLock, RawRwLock, RawTryLock};
-pub use rwlock::{RwTtasLock, RwTtasRaw, RwTtasReadGuard, RwTtasWriteGuard};
+pub use rwlock::RwTtasRaw;
 pub use spin_wait::SpinWait;
-pub use tas::TasLock;
 pub use ticket::TicketLock;
 pub use ttas::TtasLock;

@@ -31,7 +31,7 @@
 //! * Parking is **not** admission order for the lock built on top: a woken
 //!   waiter re-contends with arriving threads (barging), exactly like a
 //!   futex-based mutex. Locks that need FIFO admission keep using the queue
-//!   locks (ticket/MCS/CLH).
+//!   locks (ticket, MCS).
 //! * The `validate` closure passed to [`ParkingLot::park`] runs under the
 //!   bucket lock, and so do the callbacks of the unpark primitives: a lock
 //!   implementation can therefore re-check its atomic word and update

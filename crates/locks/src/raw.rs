@@ -100,17 +100,13 @@ pub(crate) fn assert_send_sync<T: Send + Sync>() {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        ClhLock, FutexLock, FutexRwLock, McsLock, RwTtasRaw, TasLock, TicketLock, TtasLock,
-    };
+    use crate::{FutexLock, FutexRwLock, McsLock, RwTtasRaw, TicketLock, TtasLock};
 
     #[test]
     fn all_locks_are_send_sync() {
-        assert_send_sync::<TasLock>();
         assert_send_sync::<TtasLock>();
         assert_send_sync::<TicketLock>();
         assert_send_sync::<McsLock>();
-        assert_send_sync::<ClhLock>();
         assert_send_sync::<FutexLock>();
         assert_send_sync::<FutexRwLock>();
         assert_send_sync::<RwTtasRaw>();

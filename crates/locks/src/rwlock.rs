@@ -3,18 +3,14 @@
 //! Several of the evaluated systems (Kyoto Cabinet, SQLite) protect their
 //! main data structure with reader-writer locks. The paper overloads the
 //! `pthread` reader-writer locks "with our custom TTAS-based implementation"
-//! (§5.2, footnote 7); this module is that implementation, in two forms:
-//!
-//! * [`RwTtasRaw`] — the raw lock (no data), implementing [`RawRwLock`] so
-//!   the GLS middleware can manage it like any other algorithm;
-//! * [`RwTtasLock<T>`] — the lock carrying the data it protects, like
-//!   [`std::sync::RwLock`], built on top of the raw lock.
+//! (§5.2, footnote 7); [`RwTtasRaw`] is that implementation, a raw lock (no
+//! data) implementing [`RawRwLock`].
 //!
 //! # Writer intent
 //!
 //! A naive TTAS rwlock admits any arriving reader while the reader count is
 //! non-zero, so a continuous stream of readers starves writers indefinitely.
-//! Both locks here keep a **writer-intent bit**: the first waiting writer
+//! The lock keeps a **writer-intent bit**: the first waiting writer
 //! raises it, newly arriving readers back off while it is set, the current
 //! readers drain, and the writer gets in. The bit is cleared on write
 //! acquisition; further waiting writers re-raise it. This makes the lock
@@ -22,7 +18,6 @@
 //! locks of the evaluated systems, where writes are rare but must not be
 //! delayed unboundedly.
 
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use crate::cache_padded::CachePadded;
@@ -199,136 +194,6 @@ impl QueueInformed for RwTtasRaw {
     }
 }
 
-/// A spinning reader-writer lock protecting a value of type `T`.
-///
-/// Readers share access; a writer excludes everyone. Built on [`RwTtasRaw`],
-/// so it inherits the writer-intent fairness described in the module docs.
-///
-/// # Example
-///
-/// ```
-/// use gls_locks::RwTtasLock;
-///
-/// let lock = RwTtasLock::new(vec![1, 2, 3]);
-/// assert_eq!(lock.read().len(), 3);
-/// lock.write().push(4);
-/// assert_eq!(lock.read().len(), 4);
-/// ```
-#[derive(Debug, Default)]
-pub struct RwTtasLock<T> {
-    raw: RwTtasRaw,
-    data: UnsafeCell<T>,
-}
-
-// SAFETY: access to `data` is mediated by the reader/writer protocol of the
-// raw lock.
-unsafe impl<T: Send> Send for RwTtasLock<T> {}
-unsafe impl<T: Send + Sync> Sync for RwTtasLock<T> {}
-
-impl<T> RwTtasLock<T> {
-    /// Creates a new lock protecting `value`.
-    pub const fn new(value: T) -> Self {
-        Self {
-            raw: RwTtasRaw {
-                state: CachePadded::new(RwTtasState {
-                    word: AtomicU32::new(0),
-                    queued: AtomicU64::new(0),
-                }),
-            },
-            data: UnsafeCell::new(value),
-        }
-    }
-
-    /// Consumes the lock and returns the protected value.
-    pub fn into_inner(self) -> T {
-        self.data.into_inner()
-    }
-
-    /// Acquires shared (read) access, spinning while a writer holds — or
-    /// waits for — the lock.
-    pub fn read(&self) -> RwTtasReadGuard<'_, T> {
-        self.raw.read_lock();
-        RwTtasReadGuard { lock: self }
-    }
-
-    /// Acquires exclusive (write) access, spinning until all readers and any
-    /// writer have left.
-    pub fn write(&self) -> RwTtasWriteGuard<'_, T> {
-        self.raw.lock();
-        RwTtasWriteGuard { lock: self }
-    }
-
-    /// Whether a writer currently holds the lock.
-    pub fn is_write_locked(&self) -> bool {
-        self.raw.is_write_locked()
-    }
-
-    /// Number of readers currently holding the lock.
-    pub fn reader_count(&self) -> u32 {
-        self.raw.reader_count()
-    }
-
-    /// Holder + waiter count of the underlying raw lock.
-    pub fn queue_length(&self) -> u64 {
-        self.raw.queue_length()
-    }
-
-    /// Mutable access without locking; requires `&mut self`, so it is
-    /// statically race-free.
-    pub fn get_mut(&mut self) -> &mut T {
-        self.data.get_mut()
-    }
-}
-
-/// Shared-access guard returned by [`RwTtasLock::read`].
-#[derive(Debug)]
-pub struct RwTtasReadGuard<'a, T> {
-    lock: &'a RwTtasLock<T>,
-}
-
-impl<T> std::ops::Deref for RwTtasReadGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        // SAFETY: readers have shared access while the reader count is held.
-        unsafe { &*self.lock.data.get() }
-    }
-}
-
-impl<T> Drop for RwTtasReadGuard<'_, T> {
-    fn drop(&mut self) {
-        self.lock.raw.read_unlock();
-    }
-}
-
-/// Exclusive-access guard returned by [`RwTtasLock::write`].
-#[derive(Debug)]
-pub struct RwTtasWriteGuard<'a, T> {
-    lock: &'a RwTtasLock<T>,
-}
-
-impl<T> std::ops::Deref for RwTtasWriteGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        // SAFETY: the writer flag grants exclusive access.
-        unsafe { &*self.lock.data.get() }
-    }
-}
-
-impl<T> std::ops::DerefMut for RwTtasWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: the writer flag grants exclusive access.
-        unsafe { &mut *self.lock.data.get() }
-    }
-}
-
-impl<T> Drop for RwTtasWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        self.lock.raw.unlock();
-    }
-}
-
 #[cfg(test)]
 // Raw std sync and wall-clock sleeps are fine in stress tests: they pace
 // real threads, not modeled ones (see clippy.toml).
@@ -339,42 +204,36 @@ mod tests {
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
-    #[test]
-    fn read_write_roundtrip() {
-        let lock = RwTtasLock::new(10u64);
-        assert_eq!(*lock.read(), 10);
-        *lock.write() += 5;
-        assert_eq!(*lock.read(), 15);
-        assert_eq!(lock.into_inner(), 15);
+    /// Increments `value` with a plain load and store, under write access:
+    /// two writers inside at once would lose an update.
+    fn write_increment(lock: &RwTtasRaw, value: &AtomicU64) {
+        lock.write_lock();
+        value.store(value.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        lock.write_unlock();
     }
 
     #[test]
     fn multiple_concurrent_readers() {
-        let lock = RwTtasLock::new(0u64);
-        let r1 = lock.read();
-        let r2 = lock.read();
+        let lock = RwTtasRaw::new();
+        lock.read_lock();
+        lock.read_lock();
         assert_eq!(lock.reader_count(), 2);
-        assert!(!lock.raw.try_lock());
-        drop(r1);
-        drop(r2);
-        assert!(lock.raw.try_lock());
+        assert!(!lock.try_lock());
+        lock.read_unlock();
+        lock.read_unlock();
+        assert!(lock.try_lock());
+        lock.unlock();
     }
 
     #[test]
     fn writer_excludes_readers() {
-        let lock = RwTtasLock::new(0u64);
-        let w = lock.write();
+        let lock = RwTtasRaw::new();
+        lock.write_lock();
         assert!(lock.is_write_locked());
-        assert!(!lock.raw.try_read_lock());
-        drop(w);
-        assert!(lock.raw.try_read_lock());
-    }
-
-    #[test]
-    fn get_mut_bypasses_locking() {
-        let mut lock = RwTtasLock::new(1u64);
-        *lock.get_mut() = 9;
-        assert_eq!(*lock.read(), 9);
+        assert!(!lock.try_read_lock());
+        lock.write_unlock();
+        assert!(lock.try_read_lock());
+        lock.read_unlock();
     }
 
     #[test]
@@ -410,23 +269,23 @@ mod tests {
 
     #[test]
     fn pending_writer_blocks_new_readers() {
-        let lock = Arc::new(RwTtasLock::new(0u64));
-        let r = lock.read();
+        let lock = Arc::new(RwTtasRaw::new());
+        let value = Arc::new(AtomicU64::new(0));
+        lock.read_lock();
         let writer = {
-            let lock = Arc::clone(&lock);
-            std::thread::spawn(move || {
-                *lock.write() += 1;
-            })
+            let (lock, value) = (Arc::clone(&lock), Arc::clone(&value));
+            std::thread::spawn(move || write_increment(&lock, &value))
         };
         // Wait for the writer to announce intent, then verify that a new
         // reader backs off even though only readers hold the lock.
-        while !lock.raw.writer_pending() {
+        while !lock.writer_pending() {
             std::hint::spin_loop();
         }
-        assert!(!lock.raw.try_read_lock(), "intent bit must repel readers");
-        drop(r);
+        assert!(!lock.try_read_lock(), "intent bit must repel readers");
+        lock.read_unlock();
         writer.join().unwrap();
-        assert_eq!(*lock.read(), 1);
+        assert_eq!(value.load(Ordering::Relaxed), 1);
+        assert!(!lock.is_locked());
     }
 
     /// Regression test for the writer-starvation bug: the old `write` path
@@ -435,31 +294,30 @@ mod tests {
     /// writer never got in. With the intent bit it must acquire quickly.
     #[test]
     fn writer_completes_under_continuous_reader_churn() {
-        let lock = Arc::new(RwTtasLock::new(0u64));
+        let lock = Arc::new(RwTtasRaw::new());
         let stop = Arc::new(AtomicBool::new(false));
         let readers: Vec<_> = (0..8)
             .map(|_| {
                 let lock = Arc::clone(&lock);
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
-                    let mut sum = 0u64;
                     while !stop.load(Ordering::Relaxed) {
-                        sum = sum.wrapping_add(*lock.read());
+                        lock.read_lock();
+                        lock.read_unlock();
                     }
-                    sum
                 })
             })
             .collect();
         // Let the reader storm establish itself.
         std::thread::sleep(Duration::from_millis(50));
         let start = Instant::now();
-        *lock.write() += 1;
+        lock.write_lock();
         let waited = start.elapsed();
+        lock.write_unlock();
         stop.store(true, Ordering::Relaxed);
         for r in readers {
             r.join().unwrap();
         }
-        assert_eq!(*lock.read(), 1);
         assert!(
             waited < Duration::from_secs(10),
             "writer starved for {waited:?} under reader churn"
@@ -468,13 +326,14 @@ mod tests {
 
     #[test]
     fn concurrent_writers_do_not_lose_updates() {
-        let lock = Arc::new(RwTtasLock::new(0u64));
+        let lock = Arc::new(RwTtasRaw::new());
+        let value = Arc::new(AtomicU64::new(0));
         let handles: Vec<_> = (0..8)
             .map(|_| {
-                let lock = Arc::clone(&lock);
+                let (lock, value) = (Arc::clone(&lock), Arc::clone(&value));
                 std::thread::spawn(move || {
                     for _ in 0..10_000 {
-                        *lock.write() += 1;
+                        write_increment(&lock, &value);
                     }
                 })
             })
@@ -482,33 +341,42 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(*lock.read(), 80_000);
+        assert_eq!(value.load(Ordering::Relaxed), 80_000);
     }
 
     #[test]
     fn readers_and_writers_interleave_consistently() {
-        let lock = Arc::new(RwTtasLock::new((0u64, 0u64)));
+        let lock = Arc::new(RwTtasRaw::new());
+        let pair = Arc::new((AtomicU64::new(0), AtomicU64::new(0)));
         let writers: Vec<_> = (0..4)
             .map(|_| {
-                let lock = Arc::clone(&lock);
+                let (lock, pair) = (Arc::clone(&lock), Arc::clone(&pair));
                 std::thread::spawn(move || {
                     for _ in 0..5_000 {
-                        let mut g = lock.write();
-                        g.0 += 1;
-                        g.1 += 1;
+                        lock.write_lock();
+                        pair.0
+                            .store(pair.0.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+                        pair.1
+                            .store(pair.1.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+                        lock.write_unlock();
                     }
                 })
             })
             .collect();
         let readers: Vec<_> = (0..4)
             .map(|_| {
-                let lock = Arc::clone(&lock);
+                let (lock, pair) = (Arc::clone(&lock), Arc::clone(&pair));
                 std::thread::spawn(move || {
                     for _ in 0..5_000 {
-                        let g = lock.read();
+                        lock.read_lock();
                         // Both halves must always agree: a torn view would
                         // mean a reader overlapped a writer.
-                        assert_eq!(g.0, g.1);
+                        let (a, b) = (
+                            pair.0.load(Ordering::Relaxed),
+                            pair.1.load(Ordering::Relaxed),
+                        );
+                        lock.read_unlock();
+                        assert_eq!(a, b);
                     }
                 })
             })
@@ -516,6 +384,6 @@ mod tests {
         for h in writers.into_iter().chain(readers) {
             h.join().unwrap();
         }
-        assert_eq!(lock.read().0, 20_000);
+        assert_eq!(pair.0.load(Ordering::Relaxed), 20_000);
     }
 }

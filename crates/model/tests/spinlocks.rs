@@ -1,10 +1,10 @@
-//! Model checks for the pure spin algorithms (TAS, TTAS, ticket, MCS, CLH).
+//! Model checks for the pure spin algorithms (TTAS, ticket, MCS).
 //!
 //! These were stress-only until the bounded-spin shim: a spinning virtual
 //! thread used to hold the baton forever, so exhaustive DFS could never
 //! get past the first contended acquisition. Now `gls_sync::hint::spin_loop`
 //! parks the spinner after a small budget and any other thread's progress
-//! re-readies it, so the same five algorithms the stress suite hammers run
+//! re-readies it, so the same three algorithms the stress suite hammers run
 //! under the explorer — and, since the critical sections mutate a
 //! [`ModelCell`], under the happens-before race detector too: a lock that
 //! admitted two holders would fail as a lost increment *and* as a data
@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use gls_locks::{ClhLock, McsLock, QueueInformed, RawLock, TasLock, TicketLock, TtasLock};
+use gls_locks::{McsLock, QueueInformed, RawLock, TicketLock, TtasLock};
 use gls_model::{Explorer, FailureKind};
 use gls_sync::cell::ModelCell;
 use gls_sync::thread;
@@ -53,11 +53,6 @@ fn check_mutual_exclusion<L: RawLock + Default + Send + Sync + 'static>(name: &'
 }
 
 #[test]
-fn tas_mutual_exclusion() {
-    check_mutual_exclusion::<TasLock>("tas-mutex");
-}
-
-#[test]
 fn ttas_mutual_exclusion() {
     check_mutual_exclusion::<TtasLock>("ttas-mutex");
 }
@@ -70,11 +65,6 @@ fn ticket_mutual_exclusion() {
 #[test]
 fn mcs_mutual_exclusion() {
     check_mutual_exclusion::<McsLock>("mcs-mutex");
-}
-
-#[test]
-fn clh_mutual_exclusion() {
-    check_mutual_exclusion::<ClhLock>("clh-mutex");
 }
 
 /// FIFO admission: the root holds the lock while a waiter draws its
@@ -133,8 +123,8 @@ fn ticket_admission_is_fifo() {
 #[test]
 fn missing_lock_acquisition_is_flagged_as_a_race() {
     let failure = Explorer::exhaustive()
-        .find_failure("tas-missing-lock", || {
-            let lock = Arc::new(TasLock::new());
+        .find_failure("ttas-missing-lock", || {
+            let lock = Arc::new(TtasLock::new());
             let counter = Arc::new(ModelCell::new(0u64));
             let disciplined = {
                 let lock = Arc::clone(&lock);

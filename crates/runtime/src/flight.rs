@@ -133,23 +133,6 @@ pub fn drain() -> Vec<FlightEvent> {
     })
 }
 
-/// Copies the calling thread's retained events, oldest first, without
-/// clearing them.
-pub fn snapshot() -> Vec<FlightEvent> {
-    RING.with(|ring| {
-        let head = ring.head.get();
-        let retained = (head as usize).min(RING_CAPACITY);
-        let mut out = Vec::with_capacity(retained);
-        for n in (head - retained as u64)..head {
-            let slot = &ring.events[(n as usize) & (RING_CAPACITY - 1)];
-            if let Some(event) = slot.get() {
-                out.push(event);
-            }
-        }
-        out
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,15 +180,6 @@ mod tests {
             events[RING_CAPACITY - 1].info,
             RING_CAPACITY as u64 + extra - 1
         );
-    }
-
-    #[test]
-    fn snapshot_does_not_clear() {
-        let _ = drain();
-        record(FlightEventKind::Handoff, 0x30, 0);
-        assert_eq!(snapshot().len(), 1);
-        assert_eq!(snapshot().len(), 1);
-        assert_eq!(drain().len(), 1);
     }
 
     #[test]

@@ -354,6 +354,7 @@ pub fn run(provider: &LockProvider, config: &KyotoConfig) -> SystemResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gls::{GlsConfig, GlsService};
     use gls_locks::LockKind;
 
     #[test]
@@ -430,7 +431,7 @@ mod tests {
 
     #[test]
     fn gls_provider_profiles_kyoto_rw_traffic() {
-        let provider = LockProvider::gls_profiling();
+        let provider = LockProvider::Gls(Arc::new(GlsService::with_config(GlsConfig::profile())));
         let result = run(
             &provider,
             &KyotoConfig {

@@ -16,8 +16,7 @@ use std::time::Duration;
 use gls::glk::{GlkConfig, GlkLock, MonitorHandle};
 use gls::{GlsCondvar, GlsConfig, GlsService, WaitOutcome};
 use gls_locks::{
-    ClhLock, FutexLock, LockKind, McsLock, RawLock, RawTryLock, RwTtasLock, TasLock, TicketLock,
-    TtasLock,
+    FutexLock, LockKind, McsLock, RawLock, RawRwLock, RawTryLock, RwTtasRaw, TicketLock,
 };
 
 /// Distinct synthetic addresses handed to GLS-backed locks.
@@ -82,13 +81,6 @@ impl LockProvider {
     /// GLS provider with a fresh service using the default (GLK) algorithm.
     pub fn gls() -> Self {
         LockProvider::Gls(Arc::new(GlsService::with_config(GlsConfig::default())))
-    }
-
-    /// GLS provider whose service runs in profiler mode, so every mutex and
-    /// rwlock the system creates shows up in
-    /// [`GlsService::telemetry_snapshot`] with queue and latency statistics.
-    pub fn gls_profiling() -> Self {
-        LockProvider::Gls(Arc::new(GlsService::with_config(GlsConfig::profile())))
     }
 
     /// GLS provider with explicit per-purpose algorithms (MCS for contended
@@ -177,7 +169,7 @@ impl LockProvider {
                 }
             }
             _ => AppRwLock {
-                inner: RwImpl::Ttas(RwTtasLock::new(())),
+                inner: RwImpl::Ttas(RwTtasRaw::new()),
             },
         }
     }
@@ -239,13 +231,30 @@ impl RawFacade for GlkRaw {
     }
 }
 
+/// Releases a raw hold when dropped, so a panic inside a `with*` section
+/// unwinds through the release like a GLS guard does.
+struct Held<'a, L: ?Sized> {
+    lock: &'a L,
+    release: fn(&L),
+}
+
+impl<'a, L: ?Sized> Held<'a, L> {
+    fn new(lock: &'a L, acquire: fn(&L), release: fn(&L)) -> Self {
+        acquire(lock);
+        Held { lock, release }
+    }
+}
+
+impl<L: ?Sized> Drop for Held<'_, L> {
+    fn drop(&mut self) {
+        (self.release)(self.lock)
+    }
+}
+
 fn make_raw(kind: LockKind) -> Arc<dyn RawFacade> {
     match kind {
-        LockKind::Tas => Arc::new(Raw(TasLock::new())),
-        LockKind::Ttas => Arc::new(Raw(TtasLock::new())),
         LockKind::Ticket => Arc::new(Raw(TicketLock::new())),
         LockKind::Mcs => Arc::new(Raw(McsLock::new())),
-        LockKind::Clh => Arc::new(Raw(ClhLock::new())),
         LockKind::Mutex => Arc::new(Raw(FutexLock::new())),
         LockKind::FutexRw => Arc::new(Raw(gls_locks::FutexRwLock::new())),
         LockKind::Glk => Arc::new(GlkRaw(GlkLock::new())),
@@ -320,17 +329,15 @@ impl AppMutex {
         }
     }
 
-    /// Runs `f` while holding the mutex. A GLS-backed mutex is held through
-    /// the service's guard, so a panic in `f` releases it, and a debug-mode
-    /// misuse that refused the acquisition (see [`AppMutex::lock`]) is not
-    /// followed by a release of a lock this call never took.
+    /// Runs `f` while holding the mutex. The mutex is held through a guard,
+    /// so a panic in `f` releases it, and a debug-mode misuse that refused a
+    /// GLS-backed acquisition (see [`AppMutex::lock`]) is not followed by a
+    /// release of a lock this call never took.
     pub fn with<R>(&self, f: impl FnOnce() -> R) -> R {
         match &self.inner {
             MutexImpl::Raw(raw) => {
-                raw.lock();
-                let out = f();
-                raw.unlock();
-                out
+                let _held = Held::new(&**raw, |r| r.lock(), |r| r.unlock());
+                f()
             }
             MutexImpl::Gls {
                 service,
@@ -410,7 +417,7 @@ enum RwImpl {
     // The system-baseline arm (see `new_rwlock` and clippy.toml).
     #[allow(clippy::disallowed_types)]
     Blocking(std::sync::RwLock<()>),
-    Ttas(RwTtasLock<()>),
+    Ttas(RwTtasRaw),
     Gls {
         service: Arc<GlsService>,
         addr: usize,
@@ -444,7 +451,7 @@ impl AppRwLock {
                 f()
             }
             RwImpl::Ttas(l) => {
-                let _g = l.read();
+                let _held = Held::new(l, RwTtasRaw::read_lock, RwTtasRaw::read_unlock);
                 f()
             }
             RwImpl::Gls { service, addr } => {
@@ -463,7 +470,7 @@ impl AppRwLock {
                 f()
             }
             RwImpl::Ttas(l) => {
-                let _g = l.write();
+                let _held = Held::new(l, RwTtasRaw::write_lock, RwTtasRaw::write_unlock);
                 f()
             }
             RwImpl::Gls { service, addr } => {
@@ -494,7 +501,6 @@ mod tests {
             LockProvider::Direct(LockKind::Mutex),
             LockProvider::Direct(LockKind::Ticket),
             LockProvider::Direct(LockKind::Mcs),
-            LockProvider::Direct(LockKind::Tas),
             LockProvider::glk(),
             LockProvider::gls(),
             LockProvider::gls_specialized(),
@@ -557,41 +563,65 @@ mod tests {
         }
     }
 
+    /// Takes `rw` for writing (or reading) without waiting, then releases
+    /// it; a hold that an unwind leaked makes the attempt fail.
+    fn takeable(rw: &AppRwLock, write: bool) -> bool {
+        match (&rw.inner, write) {
+            (RwImpl::Gls { service, addr }, true) => {
+                service.try_write_lock(*addr) == Ok(true) && service.write_unlock(*addr).is_ok()
+            }
+            (RwImpl::Gls { service, addr }, false) => {
+                service.try_read_lock(*addr) == Ok(true) && service.read_unlock(*addr).is_ok()
+            }
+            (RwImpl::Ttas(l), true) => {
+                let taken = l.try_write_lock();
+                if taken {
+                    l.write_unlock();
+                }
+                taken
+            }
+            (RwImpl::Ttas(l), false) => {
+                let taken = l.try_read_lock();
+                if taken {
+                    l.read_unlock();
+                }
+                taken
+            }
+            (RwImpl::Blocking(_), _) => unreachable!("std's rwlock poisons instead"),
+        }
+    }
+
     #[test]
-    fn a_panic_inside_with_releases_gls_backed_locks() {
+    fn a_panic_inside_with_releases_locks() {
         fn panics_inside(section: impl FnOnce()) {
             let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(section));
             assert!(unwound.is_err());
         }
         let in_section = || -> () { std::panic::resume_unwind(Box::new("inside")) };
+        let profile = StdArc::new(GlsService::with_config(GlsConfig::profile()));
         let debug = StdArc::new(GlsService::with_config(GlsConfig::debug()));
         for provider in [
             LockProvider::gls(),
-            LockProvider::gls_profiling(),
+            LockProvider::Gls(profile),
             LockProvider::gls_specialized(),
             LockProvider::Gls(debug),
+            LockProvider::Direct(LockKind::Ticket),
+            LockProvider::glk(),
         ] {
             let label = provider.label();
-            let service = provider.service().unwrap();
             let m = provider.new_contended_mutex();
             panics_inside(|| m.with(in_section));
             assert!(m.try_lock(), "{label}: mutex released by the unwind");
             m.unlock();
             let rw = provider.new_rwlock();
-            let RwImpl::Gls { addr, .. } = rw.inner else {
-                panic!("{label}: rwlock must be GLS-backed");
-            };
             panics_inside(|| rw.with_read(in_section));
-            assert_eq!(service.try_write_lock(addr), Ok(true), "{label}: read hold");
-            service.write_unlock(addr).unwrap();
+            assert!(takeable(&rw, true), "{label}: read hold");
             panics_inside(|| rw.with_write(in_section));
-            assert_eq!(service.try_read_lock(addr), Ok(true), "{label}: write hold");
-            service.read_unlock(addr).unwrap();
-            assert!(
-                service.issues().is_empty(),
-                "{label}: {:?}",
-                service.issues()
-            );
+            assert!(takeable(&rw, false), "{label}: write hold");
+            if let Some(service) = provider.service() {
+                let issues = service.issues();
+                assert!(issues.is_empty(), "{label}: {issues:?}");
+            }
         }
     }
 
@@ -663,7 +693,8 @@ mod tests {
 
     #[test]
     fn profiling_provider_reports_rw_and_mutex_entries() {
-        let provider = LockProvider::gls_profiling();
+        let provider =
+            LockProvider::Gls(StdArc::new(GlsService::with_config(GlsConfig::profile())));
         let rw = provider.new_rwlock();
         let m = provider.new_mutex();
         for _ in 0..20 {

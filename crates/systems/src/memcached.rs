@@ -296,6 +296,7 @@ impl Memcached {
         })
     }
 
+    #[cfg(test)]
     /// Bytes handed out by the slab allocator.
     pub fn allocated_bytes(&self) -> u64 {
         self.allocated.load(Ordering::Relaxed)

@@ -204,6 +204,7 @@ impl MysqlEngine {
         })
     }
 
+    #[cfg(test)]
     /// Total node count (test helper; takes every page latch in order).
     pub fn node_count(&self) -> usize {
         let mut total = 0;

@@ -205,6 +205,7 @@ impl SqliteDb {
         low
     }
 
+    #[cfg(test)]
     /// Sum of all district order counters (test helper).
     pub fn total_orders(&self) -> u64 {
         (0..PAGE_GROUPS)
@@ -218,6 +219,7 @@ impl SqliteDb {
             .sum()
     }
 
+    #[cfg(test)]
     /// Total year-to-date payments across all districts (test helper).
     pub fn total_ytd(&self) -> u64 {
         (0..PAGE_GROUPS)
@@ -283,6 +285,7 @@ pub fn run(provider: &LockProvider, config: &SqliteConfig) -> SystemResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gls::{GlsConfig, GlsService};
     use gls_locks::LockKind;
 
     #[test]
@@ -347,7 +350,7 @@ mod tests {
 
     #[test]
     fn gls_provider_profiles_sqlite_page_rwlocks() {
-        let provider = LockProvider::gls_profiling();
+        let provider = LockProvider::Gls(Arc::new(GlsService::with_config(GlsConfig::profile())));
         let result = run(
             &provider,
             &SqliteConfig {

@@ -1,7 +1,7 @@
 //! A uniform facade over every lock the harness measures.
 //!
-//! The paper's figures compare TAS/TTAS/TICKET/MCS/CLH/MUTEX, GLK, and
-//! GLS-mediated locking on identical workloads. [`BenchLock`] is the small
+//! The paper's figures compare TICKET/MCS/MUTEX, GLK, and GLS-mediated
+//! locking on identical workloads. [`BenchLock`] is the small
 //! object-safe trait the microbenchmark driver uses; [`make_locks`] builds a
 //! set of lock objects for any of those setups.
 
@@ -10,9 +10,7 @@ use std::sync::Arc;
 
 use gls::glk::{GlkConfig, GlkLock, MonitorHandle};
 use gls::{GlsConfig, GlsService};
-use gls_locks::{
-    CachePadded, ClhLock, FutexLock, LockKind, McsLock, RawLock, TasLock, TicketLock, TtasLock,
-};
+use gls_locks::{CachePadded, FutexLock, LockKind, McsLock, RawLock, TicketLock};
 
 /// A lock as seen by the microbenchmark driver.
 pub trait BenchLock: Send + Sync {
@@ -35,11 +33,8 @@ macro_rules! impl_bench_for_raw {
     };
 }
 
-impl_bench_for_raw!(TasLock);
-impl_bench_for_raw!(TtasLock);
 impl_bench_for_raw!(TicketLock);
 impl_bench_for_raw!(McsLock);
-impl_bench_for_raw!(ClhLock);
 
 /// MUTEX: the futex word padded to a cache line like every other measured
 /// lock (the word alone would let neighbouring locks share a line).
@@ -121,17 +116,6 @@ pub enum LockSetup {
     },
 }
 
-impl LockSetup {
-    /// Label used in reports for this setup.
-    pub fn label(&self) -> String {
-        match self {
-            LockSetup::Direct(kind) => kind.name().to_string(),
-            LockSetup::Glk(..) => "GLK".to_string(),
-            LockSetup::Gls { kind, .. } => format!("GLS({})", kind.name()),
-        }
-    }
-}
-
 /// Builds `n` independent lock objects for the given setup.
 ///
 /// Every lock is padded/heap-allocated separately, matching the paper's
@@ -167,11 +151,8 @@ pub fn make_locks(setup: &LockSetup, n: usize) -> Vec<Arc<dyn BenchLock>> {
 
 fn make_direct(kind: LockKind) -> Arc<dyn BenchLock> {
     match kind {
-        LockKind::Tas => Arc::new(TasLock::new()),
-        LockKind::Ttas => Arc::new(TtasLock::new()),
         LockKind::Ticket => Arc::new(TicketLock::new()),
         LockKind::Mcs => Arc::new(McsLock::new()),
-        LockKind::Clh => Arc::new(ClhLock::new()),
         LockKind::Mutex => Arc::new(CachePadded::new(FutexLock::new())),
         LockKind::FutexRw => Arc::new(FutexRwAsMutex(gls_locks::FutexRwLock::new())),
         LockKind::Glk => Arc::new(GlkLock::new()),
@@ -207,19 +188,6 @@ mod tests {
             lock.acquire();
             lock.release();
         }
-    }
-
-    #[test]
-    fn labels_are_informative() {
-        assert_eq!(LockSetup::Direct(LockKind::Mcs).label(), "MCS");
-        assert_eq!(
-            LockSetup::Gls {
-                config: GlsConfig::default(),
-                kind: LockKind::Glk
-            }
-            .label(),
-            "GLS(GLK)"
-        );
     }
 
     #[test]

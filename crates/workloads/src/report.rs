@@ -65,31 +65,6 @@ impl SeriesTable {
     pub fn print(&self) {
         print!("{}", self.render());
     }
-
-    /// For each row, the value of `column` divided by the value of
-    /// `baseline_column` — the "normalized to MUTEX" presentation of
-    /// Figures 13–15.
-    pub fn normalized_to(&self, column: &str, baseline_column: &str) -> Vec<f64> {
-        let ci = self.column_index(column);
-        let bi = self.column_index(baseline_column);
-        self.rows
-            .iter()
-            .map(|(_, values)| {
-                if values[bi] == 0.0 {
-                    0.0
-                } else {
-                    values[ci] / values[bi]
-                }
-            })
-            .collect()
-    }
-
-    fn column_index(&self, name: &str) -> usize {
-        self.columns
-            .iter()
-            .position(|c| c == name)
-            .unwrap_or_else(|| panic!("unknown column {name:?}"))
-    }
 }
 
 /// Geometric-mean helper used for "Avg" columns in the system figures.
@@ -135,19 +110,6 @@ mod tests {
     #[should_panic(expected = "row width")]
     fn mismatched_row_width_rejected() {
         sample_table().push_row("2", vec![1.0]);
-    }
-
-    #[test]
-    fn normalization_divides_by_baseline() {
-        let t = sample_table();
-        let normalized = t.normalized_to("MCS", "MUTEX");
-        assert_eq!(normalized, vec![1.5, 4.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown column")]
-    fn unknown_column_panics() {
-        sample_table().normalized_to("CLH", "MUTEX");
     }
 
     #[test]

@@ -433,12 +433,17 @@ mod churn_proptest {
                                 }
                                 Op::TryChurn(j) => {
                                     let addr = CHURN_ADDRS[j];
-                                    // TTAS entries: misdirected releases in
-                                    // the (buggy-by-definition) free-while-
-                                    // held races stay benign stores.
-                                    if svc.try_lock_with(LockKind::Ttas, addr).unwrap() {
+                                    // A release always lands on the entry
+                                    // it acquired: a freed entry stays
+                                    // mapped, and the sweep proves an entry
+                                    // idle before it unmaps it
+                                    // (`release_mapped`). So the kind's
+                                    // release semantics do not matter here;
+                                    // a non-GLK kind keeps the explicit
+                                    // interface covered.
+                                    if svc.try_lock_with(LockKind::Mutex, addr).unwrap() {
                                         gls_runtime::spin_cycles(10);
-                                        svc.unlock_with(LockKind::Ttas, addr).unwrap();
+                                        svc.unlock_with(LockKind::Mutex, addr).unwrap();
                                     }
                                 }
                                 Op::FreeChurn(j) => {
