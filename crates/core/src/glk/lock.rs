@@ -180,32 +180,6 @@ impl GlkLock {
         }
     }
 
-    /// The parking-lot address this lock's blocking waiters sleep under,
-    /// while the lock is in mutex mode (used by condvar requeue-on-notify;
-    /// `None` in the spin modes). The answer is inherently racy — the mode
-    /// can change right after — which is safe because the requeue
-    /// machinery only commits when the target word is observably held (see
-    /// [`gls_locks::futex_mutex::prepare_direct_requeue`]).
-    pub(crate) fn blocking_park_addr(&self) -> Option<usize> {
-        (self.mode() == GlkMode::Mutex).then(|| self.mutex.park_addr())
-    }
-
-    /// Releases the low-level lock of a mode this thread acquired but will
-    /// not keep (the mode changed under it, or its own adaptation flipped
-    /// it). When the stale mode is mutex, the release broadcasts: the
-    /// word's queue may hold condvar waiters requeued onto it, which
-    /// re-acquire through the *current* mode and never re-release the word
-    /// — the ordinary one-wakeup drain chain would strand everyone parked
-    /// behind them, and with the lock leaving mutex mode there may never be
-    /// another release of that word.
-    #[inline]
-    fn release_stale_mode(&self, stale: GlkMode) {
-        match stale {
-            GlkMode::Mutex => self.mutex.unlock_and_wake_all(),
-            other => self.unlock_mode(other),
-        }
-    }
-
     /// Acquires the lock (paper Figure 4).
     pub fn lock(&self) {
         loop {
@@ -217,7 +191,10 @@ impl GlkLock {
             if self.mode() == current && !self.try_adapt(current, turn) {
                 return;
             }
-            self.release_stale_mode(current);
+            // A stale mode, mutex included, is released like any hold: a
+            // waiter woken from an abandoned mutex word re-checks the mode
+            // and releases the word in turn.
+            self.unlock_mode(current);
             #[cfg(gls_model)]
             model::after_stale_release(|(from, to, queue, mp)| self.publish(from, to, queue, mp));
         }
@@ -233,7 +210,7 @@ impl GlkLock {
             if self.mode() == current && !self.try_adapt(current, turn) {
                 return true;
             }
-            self.release_stale_mode(current);
+            self.unlock_mode(current);
             #[cfg(gls_model)]
             model::after_stale_release(|(from, to, queue, mp)| self.publish(from, to, queue, mp));
         }
@@ -397,7 +374,7 @@ impl GlkLock {
         self.lock();
         let from = self.mode();
         self.publish(from, to, 0.0, false);
-        self.release_stale_mode(from);
+        self.unlock_mode(from);
     }
 }
 

@@ -18,8 +18,7 @@
 //!
 //! The mutex mode sleeps on one 4-byte word, a
 //! [`FutexLock`](gls_locks::FutexLock) whose waiters park in the shared
-//! [`ParkingLot`](gls_locks::ParkingLot), so condvar `notify` can requeue
-//! waiters onto it. The policy state — queue counters, pacing, smoothed
+//! [`ParkingLot`](gls_locks::ParkingLot). The policy state — queue counters, pacing, smoothed
 //! queue, the load rule — lives in `adapt`, the lock and its three modes in
 //! `lock`. GLK is the one adaptive lock: reader-writer entries are the
 //! word-sized [`FutexRwLock`](gls_locks::FutexRwLock), which spins and then

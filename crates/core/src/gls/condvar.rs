@@ -121,7 +121,7 @@ impl GlsCondvar {
 
     /// Every notify checks this first and, finding no waiter, returns.
     #[inline]
-    pub(crate) fn has_waiters(&self) -> bool {
+    fn has_waiters(&self) -> bool {
         self.waiters() != 0
     }
 
@@ -175,7 +175,7 @@ impl GlsCondvar {
         if !self.has_waiters() {
             return false;
         }
-        let result = ParkingLot::global().unpark_one(self.addr(), |_| DEFAULT_UNPARK_TOKEN, |_| {});
+        let result = ParkingLot::global().unpark_one(self.addr(), DEFAULT_UNPARK_TOKEN, |_| {});
         result.unparked > 0
     }
 
@@ -185,124 +185,6 @@ impl GlsCondvar {
             return 0;
         }
         ParkingLot::global().unpark_all(self.addr(), DEFAULT_UNPARK_TOKEN)
-    }
-
-    /// Notifies the longest-waiting thread, **requeueing** it onto
-    /// `mutex_park_addr` — the parking address of the futex-backed mutex
-    /// associated with the wait — when that mutex is currently held,
-    /// instead of waking it only to have it immediately block on the mutex
-    /// (the wake-then-block hop). The decision is made under the parking
-    /// -lot bucket locks: if the mutex is held, its parked bit is raised
-    /// atomically with the move
-    /// ([`gls_locks::futex_mutex::prepare_direct_requeue`]), so the
-    /// holder's release is guaranteed to wake the requeued waiter; if the
-    /// mutex is free, the waiter is woken normally and acquires it without
-    /// a hop.
-    ///
-    /// Returns whether a waiter was notified (woken or requeued). Prefer
-    /// [`GlsService::notify_one`](super::GlsService::notify_one), which
-    /// resolves the right park address (and falls back to
-    /// [`GlsCondvar::notify_one`] for non-futex-backed mutexes).
-    ///
-    /// `revalidate` runs under the bucket locks, just before the requeue
-    /// commits: it must re-check that `mutex_park_addr` is *still* the
-    /// address the mutex's release path will unpark (an adaptive mutex may
-    /// have left its blocking mode since the caller resolved the address).
-    /// On `false` the waiter is woken instead of requeued.
-    ///
-    /// # Safety
-    ///
-    /// `mutex_park_addr` must be the parking address of a live
-    /// [`FutexLock`](gls_locks::FutexLock) word that remains valid for the
-    /// duration of the call (GLS lock entries are never reclaimed while
-    /// their service lives, so addresses from the entry API qualify).
-    pub unsafe fn notify_one_requeue(
-        &self,
-        mutex_park_addr: usize,
-        revalidate: impl FnOnce() -> bool,
-    ) -> bool {
-        if !self.has_waiters() {
-            return false;
-        }
-        let result = ParkingLot::global().unpark_requeue(
-            self.addr(),
-            mutex_park_addr,
-            || {
-                // SAFETY: forwarded from this function's contract; the
-                // decide closure runs under the bucket lock of
-                // `mutex_park_addr`, as `prepare_direct_requeue` requires.
-                if revalidate()
-                    && unsafe { gls_locks::futex_mutex::prepare_direct_requeue(mutex_park_addr) }
-                {
-                    (0, 1)
-                } else {
-                    (1, 0)
-                }
-            },
-            DEFAULT_UNPARK_TOKEN,
-            |_| {},
-        );
-        result.unparked + result.requeued > 0
-    }
-
-    /// Notifies every waiting thread, requeueing them onto
-    /// `mutex_park_addr` when that futex-backed mutex is held (they are
-    /// then woken one at a time by successive releases of the mutex — the
-    /// classic wait-morphing broadcast, with no thundering herd on a held
-    /// mutex). When the mutex is free, one waiter is woken to take it and
-    /// the rest are requeued behind it. Returns how many waiters were
-    /// notified (woken or requeued).
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`GlsCondvar::notify_one_requeue`].
-    pub unsafe fn notify_all_requeue(
-        &self,
-        mutex_park_addr: usize,
-        revalidate: impl FnOnce() -> bool,
-    ) -> usize {
-        if !self.has_waiters() {
-            return 0;
-        }
-        let mutex_held = std::cell::Cell::new(false);
-        let result = ParkingLot::global().unpark_requeue(
-            self.addr(),
-            mutex_park_addr,
-            || {
-                // The mutex may have stopped parking under this address
-                // (GLK left mutex mode) since the caller resolved it: wake
-                // everyone instead of requeueing onto a word whose release
-                // path no longer runs.
-                if !revalidate() {
-                    return (usize::MAX, 0);
-                }
-                // SAFETY: forwarded from this function's contract.
-                let held =
-                    unsafe { gls_locks::futex_mutex::prepare_direct_requeue(mutex_park_addr) };
-                mutex_held.set(held);
-                if held {
-                    (0, usize::MAX)
-                } else {
-                    (1, usize::MAX)
-                }
-            },
-            DEFAULT_UNPARK_TOKEN,
-            |result| {
-                // Waiters were requeued behind a *free* mutex (the one
-                // woken waiter is about to take it): raise its parked bit
-                // so every subsequent release takes the slow path and wakes
-                // the next one — without it the fast-path unlock would
-                // strand them.
-                if !mutex_held.get() && result.requeued > 0 {
-                    // SAFETY: forwarded from this function's contract; the
-                    // callback still holds the bucket locks.
-                    unsafe {
-                        gls_locks::futex_mutex::mark_parked_for_requeue(mutex_park_addr);
-                    }
-                }
-            },
-        );
-        result.unparked + result.requeued
     }
 }
 
@@ -369,15 +251,6 @@ mod tests {
         let cv = GlsCondvar::new();
         assert!(!cv.notify_one());
         assert_eq!(cv.notify_all(), 0);
-        let word = gls_locks::FutexLock::new();
-        // SAFETY: `word` is a live futex word that outlives both calls.
-        unsafe {
-            assert!(!cv.notify_one_requeue(word.park_addr(), || unreachable!()));
-            assert_eq!(
-                cv.notify_all_requeue(word.park_addr(), || unreachable!()),
-                0
-            );
-        }
     }
 
     #[test]

@@ -164,21 +164,6 @@ impl AlgorithmLock {
         }
     }
 
-    /// The parking-lot address this lock's blocking waiters sleep under,
-    /// when the lock currently blocks through the shared parking lot:
-    /// always for MUTEX entries, for GLK entries while they are in mutex
-    /// mode, `None` otherwise (spinning GLK, the other algorithms, and the
-    /// rw entries, whose words take no requeued waiters). Condvar
-    /// requeue-on-notify moves waiters onto this address instead of waking
-    /// them into a block on the mutex; a `None` falls back to plain wakeup.
-    pub(crate) fn park_addr(&self) -> Option<usize> {
-        match self {
-            AlgorithmLock::Mutex(l) => Some(l.park_addr()),
-            AlgorithmLock::Glk(l) => l.blocking_park_addr(),
-            _ => None,
-        }
-    }
-
     /// Forgets what a GLK lock recorded for the address it served
     /// (its statistics) before the entry is recycled. The mode
     /// itself is kept: the next address re-adapts it like any other lock.
@@ -432,12 +417,6 @@ impl LockEntry {
             .get()
             .map(|shards| shards.cs_latency_histogram())
             .unwrap_or_default()
-    }
-
-    /// The address a condvar waiter can be requeued onto so the mutex's own
-    /// release wakes it (see [`AlgorithmLock::park_addr`]).
-    pub(crate) fn park_addr(&self) -> Option<usize> {
-        self.lock.park_addr()
     }
 
     /// Counts one acquisition made in debug mode.

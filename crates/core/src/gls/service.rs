@@ -445,61 +445,19 @@ impl GlsService {
         relock_result.map(|()| outcome)
     }
 
-    /// Notifies one waiter of `cv`, requeueing it directly onto the mutex
-    /// associated with `m` when that mutex currently blocks through the
-    /// shared parking lot and is held: the waiter then skips the
-    /// wake-then-block hop and is woken straight by the mutex's release.
-    /// Falls back to a plain [`GlsCondvar::notify_one`] for mutexes that do
-    /// not sleep on a futex word (nothing to requeue onto) or a free mutex
-    /// (the waiter can take it immediately). Returns whether a waiter was
-    /// notified.
-    ///
-    /// With no waiter on `cv` it returns `false` at once, before any entry
-    /// lookup or parking-lot access (see [`GlsCondvar::waiters`]).
-    pub fn notify_one(&self, cv: &GlsCondvar, m: impl Into<LockAddr>) -> bool {
-        if !cv.has_waiters() {
-            return false;
-        }
-        let addr = m.into().0;
-        match self.park_target(addr) {
-            // SAFETY: the park address belongs to this entry's futex word;
-            // entry memory is type-stable while the service lives (see
-            // `entry_ref`), so the word outlives the call. The
-            // revalidation (under the bucket locks) re-resolves the park
-            // address so a waiter is never requeued onto a word the mutex
-            // stopped parking under (GLK left mutex mode).
-            Some(target) => unsafe {
-                cv.notify_one_requeue(target, || self.park_target(addr) == Some(target))
-            },
-            None => cv.notify_one(),
-        }
+    /// Wakes the longest-waiting thread of `cv`; returns whether one was
+    /// woken. The same as [`GlsCondvar::notify_one`]: the wake does not
+    /// touch the mutex `_m`, and the woken waiter re-acquires it through
+    /// the ordinary lock path. The argument names the mutex the waiters
+    /// wait under, for callers that keep the pair together.
+    pub fn notify_one(&self, cv: &GlsCondvar, _m: impl Into<LockAddr>) -> bool {
+        cv.notify_one()
     }
 
-    /// The parking-lot address the mutex of `addr` parks its waiters under
-    /// right now, if it parks them there at all.
-    fn park_target(&self, addr: usize) -> Option<usize> {
-        self.mapped_entry(addr).and_then(|e| e.park_addr())
-    }
-
-    /// Notifies every waiter of `cv`, requeueing them onto the mutex
-    /// associated with `m` when it is futex-backed (wait-morphing
-    /// broadcast: the mutex's successive releases wake them one at a time,
-    /// with no thundering herd re-contending the mutex). Returns how many
-    /// waiters were notified (0 at once when `cv` has none).
-    pub fn notify_all(&self, cv: &GlsCondvar, m: impl Into<LockAddr>) -> usize {
-        if !cv.has_waiters() {
-            return 0;
-        }
-        let addr = m.into().0;
-        match self.park_target(addr) {
-            // SAFETY: as in `notify_one` — the futex word lives as long as
-            // the service, and the revalidation closes the stale-address
-            // race.
-            Some(target) => unsafe {
-                cv.notify_all_requeue(target, || self.park_target(addr) == Some(target))
-            },
-            None => cv.notify_all(),
-        }
+    /// Wakes every waiting thread of `cv`; returns how many were woken.
+    /// Like [`GlsService::notify_one`], the wake does not touch the mutex.
+    pub fn notify_all(&self, cv: &GlsCondvar, _m: impl Into<LockAddr>) -> usize {
+        cv.notify_all()
     }
 
     // ------------------------------------------------------------------
@@ -2016,96 +1974,38 @@ mod tests {
     }
 
     #[test]
-    fn notify_one_requeues_onto_a_held_futex_mutex() {
-        use gls_locks::ParkingLot;
-        let svc = Arc::new(GlsService::new());
-        let cv = Arc::new(GlsCondvar::new());
-        let addr = 0xC0DE;
-        // Create a MUTEX entry (always exposes a park address).
-        svc.lock_with(LockKind::Mutex, addr).unwrap();
-        svc.unlock_with(LockKind::Mutex, addr).unwrap();
-        let waiter = {
-            let (svc, cv) = (Arc::clone(&svc), Arc::clone(&cv));
-            std::thread::spawn(move || {
-                svc.lock(addr).unwrap();
-                svc.wait(&cv, addr).unwrap();
-                svc.unlock(addr).unwrap();
-            })
-        };
-        while cv.waiters() == 0 {
-            std::thread::yield_now();
-        }
-        // Hold the mutex, then notify: the waiter must be requeued onto
-        // the mutex's park address instead of waking into a block.
-        svc.lock(addr).unwrap();
-        let mutex_park = svc
-            .find_entry(addr)
-            .unwrap()
-            .park_addr()
-            .expect("MUTEX entries expose a park address");
-        assert!(svc.notify_one(&cv, addr));
-        assert_eq!(
-            ParkingLot::global().parked_count(mutex_park),
-            1,
-            "the waiter sleeps under the mutex address now"
-        );
-        assert_eq!(cv.waiters(), 1, "requeued, still inside its wait");
-        // The mutex release is what wakes it.
-        svc.unlock(addr).unwrap();
-        waiter.join().unwrap();
-        assert_eq!(cv.waiters(), 0);
-        assert_eq!(ParkingLot::global().parked_count(mutex_park), 0);
-    }
-
-    #[test]
-    fn notify_falls_back_to_plain_wake_without_a_park_address() {
-        // A fresh GLK entry spins (ticket mode): no park address, so the
-        // service notify degrades to the ordinary wake path.
-        let svc = Arc::new(GlsService::new());
-        let cv = Arc::new(GlsCondvar::new());
-        let addr = 0xFA11;
-        svc.lock(addr).unwrap();
-        svc.unlock(addr).unwrap();
-        assert_eq!(svc.find_entry(addr).unwrap().park_addr(), None);
-        let waiter = {
-            let (svc, cv) = (Arc::clone(&svc), Arc::clone(&cv));
-            std::thread::spawn(move || {
-                svc.lock(addr).unwrap();
-                svc.wait(&cv, addr).unwrap();
-                svc.unlock(addr).unwrap();
-            })
-        };
-        while cv.waiters() == 0 {
-            std::thread::yield_now();
-        }
-        assert!(svc.notify_one(&cv, addr));
-        waiter.join().unwrap();
-        assert_eq!(cv.waiters(), 0);
-        // Notifying with nobody waiting reports so.
-        assert!(!svc.notify_one(&cv, addr));
-        assert_eq!(svc.notify_all(&cv, addr), 0);
-    }
-
-    #[test]
-    fn notify_all_morphs_the_broadcast_onto_the_mutex() {
+    fn notify_under_a_held_mutex_wakes_the_waiter_of_every_entry_kind() {
         use crate::glk::GlkMode;
         use gls_locks::ParkingLot;
-        // A MUTEX entry, and a default-kind GLK entry held in mutex mode:
-        // both sleep on a futex word, so both take the broadcast onto it.
-        let mutex = GlsService::new();
-        mutex.lock_with(LockKind::Mutex, 0xB0CA).unwrap();
-        mutex.unlock_with(LockKind::Mutex, 0xB0CA).unwrap();
-        let glk = GlsService::with_config(
+        // A ticket-mode GLK entry, a MUTEX entry and a GLK entry held in
+        // mutex mode: whatever the mutex, a notify takes the waiter out of
+        // the condvar's queue at once, and the waiter re-acquires the mutex
+        // through the ordinary lock path after the notifier releases it.
+        let mutex_mode = GlsService::with_config(
             GlsConfig::default().with_glk(
                 GlkConfig::default()
                     .with_initial_mode(GlkMode::Mutex)
                     .without_adaptation(),
             ),
         );
-        for (svc, addr) in [(mutex, 0xB0CA), (glk, 0xB0CB)] {
+        for (svc, kind, addr, glk_mode) in [
+            (
+                GlsService::new(),
+                LockKind::Glk,
+                0xFA11,
+                Some(GlkMode::Ticket),
+            ),
+            (GlsService::new(), LockKind::Mutex, 0xC0DE, None),
+            (mutex_mode, LockKind::Glk, 0xB0CA, Some(GlkMode::Mutex)),
+        ] {
             let svc = Arc::new(svc);
             let cv = Arc::new(GlsCondvar::new());
-            let waiters: Vec<_> = (0..4)
+            let cv_queue = Arc::as_ptr(&cv) as usize;
+            svc.lock_with(kind, addr).unwrap();
+            svc.unlock(addr).unwrap();
+            let entry = svc.find_entry(addr).unwrap();
+            assert_eq!(entry.lock.as_glk().map(|l| l.mode()), glk_mode);
+            let waiters: Vec<_> = (0..2)
                 .map(|_| {
                     let (svc, cv) = (Arc::clone(&svc), Arc::clone(&cv));
                     std::thread::spawn(move || {
@@ -2115,22 +2015,22 @@ mod tests {
                     })
                 })
                 .collect();
-            while cv.waiters() < 4 {
+            while cv.waiters() < 2 {
                 std::thread::yield_now();
             }
             svc.lock(addr).unwrap();
-            let entry = svc.find_entry(addr).unwrap();
-            let mutex_park = entry.park_addr().expect("the entry sleeps on a word");
-            assert_eq!(svc.notify_all(&cv, addr), 4, "{:?}", entry.lock.kind());
-            // Held mutex: the whole broadcast morphs onto the mutex queue;
-            // no thundering herd re-contends while we still hold it.
-            assert_eq!(ParkingLot::global().parked_count(mutex_park), 4);
+            assert!(svc.notify_one(&cv, addr), "{kind:?}");
+            assert_eq!(ParkingLot::global().parked_count(cv_queue), 1, "{kind:?}");
+            assert_eq!(svc.notify_all(&cv, addr), 1, "{kind:?}");
+            assert_eq!(ParkingLot::global().parked_count(cv_queue), 0, "{kind:?}");
             svc.unlock(addr).unwrap();
             for w in waiters {
                 w.join().unwrap();
             }
             assert_eq!(cv.waiters(), 0);
-            assert_eq!(ParkingLot::global().parked_count(mutex_park), 0);
+            // Notifying with nobody waiting reports so.
+            assert!(!svc.notify_one(&cv, addr));
+            assert_eq!(svc.notify_all(&cv, addr), 0);
         }
     }
 

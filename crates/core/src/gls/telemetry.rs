@@ -3,7 +3,7 @@
 //! A [`TelemetrySnapshot`] captures, at one moment, everything the locking
 //! middleware knows about itself: per-lock profiles with full latency
 //! *distributions* (p50/p99/p999, not just averages), lock-cache hit rates,
-//! parking-lot occupancy and requeues, GLK mode transitions and the debug
+//! parking-lot occupancy, GLK mode transitions and the debug
 //! mode's lock-order graph. Snapshots are cheap (relaxed reads plus one
 //! table walk), export themselves as JSON ([`TelemetrySnapshot::to_json`])
 //! or human text (`Display`). The library starts no thread: a caller that
@@ -154,7 +154,7 @@ pub struct TelemetrySnapshot {
     /// Lock-cache counters aggregated across threads (process-wide; exited
     /// threads plus the calling thread).
     pub cache: CacheStats,
-    /// Shared parking-lot occupancy and requeues (process-wide).
+    /// Shared parking-lot occupancy (process-wide).
     pub parking_lot: ParkingLotStats,
     /// Total GLK mode transitions across this service's entries.
     pub glk_transitions: u64,
@@ -237,11 +237,10 @@ impl fmt::Display for TelemetrySnapshot {
         )?;
         writeln!(
             f,
-            "[GLS telemetry] parking lot: {} buckets, {} parked, {} requeues \
+            "[GLS telemetry] parking lot: {} buckets, {} parked \
              | glk transitions: {} | deadlock: {} order edges, {} cycles",
             self.parking_lot.buckets,
             self.parking_lot.parked,
-            self.parking_lot.requeued_waiters,
             self.glk_transitions,
             self.deadlock.edges,
             self.deadlock.confirmed,
@@ -299,7 +298,7 @@ mod tests {
                 buckets: 32,
                 parked: 3,
                 growth_events: 0,
-                requeued_waiters: 4,
+                requeued_waiters: 0,
             },
             glk_transitions: 2,
             deadlock: DeadlockTelemetry {

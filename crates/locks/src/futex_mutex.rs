@@ -5,8 +5,7 @@
 //! (asserted by a size test); all wait-queue state lives in the central
 //! [`ParkingLot`], keyed by the lock's address — the futex idiom, in
 //! userspace. That is what lets the middleware keep any number of live
-//! blocking locks, and what lets GLK's mutex mode and a condvar's
-//! requeue-on-notify share one park address.
+//! blocking locks.
 //!
 //! The acquisition protocol is spin-then-park: a bounded
 //! [`SpinWait`] phase (blocking through the lot costs far more than a short
@@ -25,7 +24,7 @@
 use gls_runtime::flight::{self, FlightEventKind};
 use gls_sync::atomic::{AtomicU32, Ordering};
 
-use crate::park::{ParkResult, ParkingLot, DEFAULT_UNPARK_TOKEN};
+use crate::park::{ParkResult, ParkingLot, DEFAULT_PARK_TOKEN, DEFAULT_UNPARK_TOKEN};
 use crate::raw::{QueueInformed, RawLock, RawTryLock};
 use crate::spin_wait::SpinWait;
 
@@ -49,12 +48,6 @@ pub const HANDOFF_WAKEUPS: u32 = 4;
 /// Model-build value of the handoff streak bound (see above).
 #[cfg(gls_model)]
 pub const HANDOFF_WAKEUPS: u32 = 2;
-
-/// Park token of a native mutex waiter (distinct from
-/// [`DEFAULT_PARK_TOKEN`](crate::park::DEFAULT_PARK_TOKEN), which tags
-/// condvar waiters requeued onto the mutex — those must never receive a
-/// handoff token they would not understand).
-pub const TOKEN_MUTEX_WAITER: usize = 2;
 
 /// Unpark token meaning "the lock is yours": the releaser kept `LOCKED`
 /// set on the woken waiter's behalf.
@@ -102,45 +95,6 @@ impl FutexLock {
     #[inline]
     fn addr(&self) -> usize {
         &self.state as *const AtomicU32 as usize
-    }
-
-    /// The address this lock's waiters park under — the key condvar
-    /// requeue-on-notify moves waiters onto (see
-    /// [`prepare_direct_requeue`]).
-    #[inline]
-    pub fn park_addr(&self) -> usize {
-        self.addr()
-    }
-
-    /// Releases the lock and wakes **every** parked waiter instead of one.
-    ///
-    /// For a holder that is about to stop serving this word — GLK leaving
-    /// mutex mode — the ordinary one-waiter wake chain is not enough: it
-    /// relies on each woken waiter
-    /// re-acquiring and re-releasing this word, which a condvar waiter that
-    /// was requeued here does not do (it re-acquires through whatever now
-    /// serves the lock). Waking everyone lets each waiter re-examine the
-    /// world; stragglers that re-contend this word drain through the
-    /// ordinary protocol.
-    pub fn unlock_and_wake_all(&self) {
-        // Clearing the whole word (locked, parked and streak bits) before
-        // the broadcast makes concurrent park validations fail, so no new
-        // waiter can slip into the queue between the release and the wake
-        // and miss both.
-        self.state.store(0, Ordering::Release);
-        ParkingLot::global().unpark_all(self.addr(), DEFAULT_UNPARK_TOKEN);
-    }
-
-    /// The abandonment this lock shipped with *before*
-    /// [`unlock_and_wake_all`](Self::unlock_and_wake_all) existed: release
-    /// the word and wake only the queue head. A requeued condvar waiter
-    /// parked behind the head never re-releases this word, so the one-wake
-    /// chain strands everyone behind it — the regression model test drives
-    /// this to show the explorer finds that stranding as a deadlock.
-    #[cfg(gls_model)]
-    pub fn model_unlock_and_wake_one(&self) {
-        self.state.store(0, Ordering::Release);
-        ParkingLot::global().unpark_one(self.addr(), |_| DEFAULT_UNPARK_TOKEN, |_| {});
     }
 
     #[inline]
@@ -201,7 +155,7 @@ impl FutexLock {
             // race with a release that ran between our load and the park.
             let result = lot.park(
                 self.addr(),
-                TOKEN_MUTEX_WAITER,
+                DEFAULT_PARK_TOKEN,
                 || {
                     let s = self.state.load(Ordering::Relaxed);
                     s & (LOCKED | PARKED) == LOCKED | PARKED
@@ -228,100 +182,42 @@ impl FutexLock {
         // bucket lock, so a thread concurrently validating its park sees a
         // consistent word.
         let streak = (self.state.load(Ordering::Relaxed) & STREAK_MASK) >> STREAK_SHIFT;
+        // Streak exhausted: hand the lock to the head.
         let handoff_due = streak + 1 >= HANDOFF_WAKEUPS;
-        let handoff = std::cell::Cell::new(false);
-        ParkingLot::global().unpark_one(
-            self.addr(),
-            |park_token| {
-                // Streak exhausted: hand the lock to the head — unless it is
-                // a requeued condvar waiter, which would not understand a
-                // handoff and gets an ordinary wake instead.
-                if handoff_due && park_token == TOKEN_MUTEX_WAITER {
-                    handoff.set(true);
-                    HANDOFF_UNPARK_TOKEN
-                } else {
-                    DEFAULT_UNPARK_TOKEN
-                }
-            },
-            |result| {
-                let state = if result.unparked == 0 {
-                    // Nobody left (e.g. a requeued waiter timed out): plain
-                    // release, streak over.
-                    0
-                } else if handoff.get() {
-                    // Ownership transfers to the woken waiter: LOCKED stays
-                    // set so bargers cannot steal the slot; streak resets.
-                    LOCKED | if result.have_more { PARKED } else { 0 }
-                } else if result.have_more {
-                    // Contended wakeup with waiters remaining: release and
-                    // advance the streak (saturating at the mask).
-                    let next = (streak + 1).min(STREAK_MASK >> STREAK_SHIFT);
-                    PARKED | (next << STREAK_SHIFT)
-                } else {
-                    0
-                };
-                self.state.store(state, Ordering::Release);
-            },
-        );
-        // Outside the bucket critical section: `handoff` is set only when a
-        // waiter was actually woken with the handoff token.
-        if handoff.get() {
-            flight::record(FlightEventKind::Handoff, self.addr(), 0);
+        let token = if handoff_due {
+            HANDOFF_UNPARK_TOKEN
+        } else {
+            DEFAULT_UNPARK_TOKEN
+        };
+        let result = ParkingLot::global().unpark_one(self.addr(), token, |result| {
+            let state = if result.unparked == 0 {
+                // Nobody enqueued yet (the waiter that raised the parked
+                // bit fails its validation on this word): plain release,
+                // streak over.
+                0
+            } else if handoff_due {
+                // Ownership transfers to the woken waiter: LOCKED stays
+                // set so bargers cannot steal the slot; streak resets.
+                LOCKED | if result.have_more { PARKED } else { 0 }
+            } else if result.have_more {
+                // Contended wakeup with waiters remaining: release and
+                // advance the streak (saturating at the mask).
+                let next = (streak + 1).min(STREAK_MASK >> STREAK_SHIFT);
+                PARKED | (next << STREAK_SHIFT)
+            } else {
+                0
+            };
+            self.state.store(state, Ordering::Release);
+        });
+        // Outside the bucket critical section.
+        if handoff_due && result.unparked == 1 {
+            flight::record(
+                FlightEventKind::Handoff,
+                self.addr(),
+                u64::from(result.have_more),
+            );
         }
     }
-}
-
-/// Part of condvar requeue-on-notify: under the parking-lot bucket lock of
-/// `addr` — the address of a [`FutexLock`] state word — atomically raises
-/// the parked bit **iff the lock is currently held**. Returns `true` when
-/// raised (a waiter requeued onto `addr` is then guaranteed a wakeup from
-/// the holder's release, whose fast path cannot succeed with the parked bit
-/// set) or `false` when the lock is free (the caller must wake the waiter
-/// instead of requeueing it, or it could sleep on a mutex nobody holds).
-///
-/// # Safety
-///
-/// `addr` must be the address of the `AtomicU32` state word of a live
-/// [`FutexLock`], and the caller must hold the parking-lot bucket lock of
-/// `addr` (e.g. inside [`ParkingLot::unpark_requeue`]'s decide
-/// closure) so the decision is atomic with park validation and with the
-/// release path's state store.
-pub unsafe fn prepare_direct_requeue(addr: usize) -> bool {
-    // SAFETY: per the contract, `addr` points to a live AtomicU32.
-    let state = unsafe { &*(addr as *const AtomicU32) };
-    let mut s = state.load(Ordering::Relaxed);
-    loop {
-        if s & LOCKED == 0 {
-            return false;
-        }
-        if s & PARKED != 0 {
-            return true;
-        }
-        match state.compare_exchange_weak(s, s | PARKED, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return true,
-            Err(actual) => s = actual,
-        }
-    }
-}
-
-/// Companion to [`prepare_direct_requeue`] for broadcast wait-morphing:
-/// raises the parked bit **unconditionally** (even on a free lock). Used
-/// when waiters were just requeued onto `addr` behind one woken waiter that
-/// is about to acquire the mutex: every subsequent release must take the
-/// slow path and wake the next requeued waiter, even though the word was
-/// free at requeue time. A spuriously raised bit (all requeued waiters
-/// time out) self-heals: the next slow-path release finds nobody and
-/// clears it.
-///
-/// # Safety
-///
-/// Same contract as [`prepare_direct_requeue`]: `addr` must be the state
-/// word of a live [`FutexLock`] and the caller must hold its parking-lot
-/// bucket lock.
-pub unsafe fn mark_parked_for_requeue(addr: usize) {
-    // SAFETY: per the contract, `addr` points to a live AtomicU32.
-    let state = unsafe { &*(addr as *const AtomicU32) };
-    state.fetch_or(PARKED, Ordering::Relaxed);
 }
 
 impl RawLock for FutexLock {
@@ -558,63 +454,40 @@ mod tests {
     }
 
     #[test]
-    fn direct_requeue_preparation_follows_the_lock_state() {
-        let lock = FutexLock::new();
-        // Free lock: a requeue must not be prepared (the waiter would
-        // sleep on a mutex nobody will release).
-        // SAFETY: the lock word is live and the test is single-threaded, so
-        // the decision cannot race with a parker or a releaser (the reason
-        // the contract wants the bucket lock held).
-        assert!(!unsafe { prepare_direct_requeue(lock.addr()) });
-        lock.lock();
-        // Held lock: the parked bit is raised, so the eventual release
-        // cannot take the fast path and will wake the requeued waiter.
-        // SAFETY: the lock word is live and the test is single-threaded, so
-        // the decision cannot race with a parker or a releaser (the reason
-        // the contract wants the bucket lock held).
-        assert!(unsafe { prepare_direct_requeue(lock.addr()) });
-        assert_eq!(lock.state.load(Ordering::Relaxed), LOCKED | PARKED);
-        // Idempotent while held.
-        // SAFETY: the lock word is live and the test is single-threaded, so
-        // the decision cannot race with a parker or a releaser (the reason
-        // the contract wants the bucket lock held).
-        assert!(unsafe { prepare_direct_requeue(lock.addr()) });
-        // The release wakes nobody (nothing is actually parked) and heals
-        // the word back to zero.
-        lock.unlock();
-        assert_eq!(lock.state.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn due_handoff_goes_only_to_a_native_queue_head() {
-        // One waiter parks under the lock's address with a chosen token, and
-        // the holder's release finds the streak due. A requeued condvar
-        // waiter (DEFAULT_PARK_TOKEN) at the head gets an ordinary wake and
-        // the word clears; a native waiter gets the handoff token and the
-        // word keeps LOCKED on its behalf.
+    fn due_handoff_keeps_the_word_locked_for_the_queue_head() {
+        // One waiter parks under the lock's address, and the holder's
+        // release finds the streak due: the head gets the handoff token,
+        // the word keeps LOCKED on its behalf, and the handoff is recorded
+        // with nobody left parked behind the new holder.
         use crate::park::DEFAULT_PARK_TOKEN;
-        for (park_token, unpark_token, word_after) in [
-            (DEFAULT_PARK_TOKEN, DEFAULT_UNPARK_TOKEN, 0),
-            (TOKEN_MUTEX_WAITER, HANDOFF_UNPARK_TOKEN, LOCKED),
-        ] {
-            let lock = Arc::new(FutexLock::new());
-            lock.state.store(
-                LOCKED | PARKED | ((HANDOFF_WAKEUPS - 1) << STREAK_SHIFT),
-                Ordering::Relaxed,
-            );
-            let waiter = {
-                let lock = Arc::clone(&lock);
-                std::thread::spawn(move || {
-                    ParkingLot::global().park(lock.park_addr(), park_token, || true, || {}, None)
-                })
-            };
-            while ParkingLot::global().parked_count(lock.park_addr()) == 0 {
-                std::thread::yield_now();
-            }
-            lock.unlock();
-            assert_eq!(waiter.join().unwrap(), ParkResult::Unparked(unpark_token));
-            assert_eq!(lock.state.load(Ordering::Relaxed), word_after);
+        use gls_runtime::flight::{self, FlightEventKind};
+        let lock = Arc::new(FutexLock::new());
+        lock.state.store(
+            LOCKED | PARKED | ((HANDOFF_WAKEUPS - 1) << STREAK_SHIFT),
+            Ordering::Relaxed,
+        );
+        let waiter = {
+            let lock = Arc::clone(&lock);
+            std::thread::spawn(move || {
+                ParkingLot::global().park(lock.addr(), DEFAULT_PARK_TOKEN, || true, || {}, None)
+            })
+        };
+        while ParkingLot::global().parked_count(lock.addr()) == 0 {
+            std::thread::yield_now();
         }
+        let _ = flight::drain();
+        lock.unlock();
+        assert_eq!(
+            waiter.join().unwrap(),
+            ParkResult::Unparked(HANDOFF_UNPARK_TOKEN)
+        );
+        assert_eq!(lock.state.load(Ordering::Relaxed), LOCKED);
+        let handoffs: Vec<_> = flight::drain()
+            .into_iter()
+            .filter(|e| e.kind == FlightEventKind::Handoff)
+            .map(|e| (e.addr, e.info))
+            .collect();
+        assert_eq!(handoffs, [(lock.addr(), 0)], "no waiter stays parked");
     }
 
     #[test]

@@ -20,10 +20,12 @@
 //! need only a single `AtomicU32` of per-lock state — the layout that lets
 //! a production system keep hundreds of thousands of live blocking locks.
 //!
-//! All locks are padded to a cache line ([`CachePadded`]) exactly as the
-//! paper's methodology pads every lock to 64 bytes to avoid false sharing —
-//! except the futex locks, whose entire point is density; wrap them in
-//! [`CachePadded`] explicitly where padding matters more than space.
+//! The spin and queue locks are padded to a cache line ([`CachePadded`])
+//! exactly as the paper's methodology pads every lock to 64 bytes to avoid
+//! false sharing — except the futex locks, whose entire point is density
+//! (wrap them in [`CachePadded`] explicitly where padding matters more than
+//! space), and [`TtasLock`], which lives inside a cache-line-sized CLHT
+//! bucket beside the keys it guards.
 //!
 //! # Quick start
 //!
@@ -60,7 +62,7 @@ pub use futex_mutex::FutexLock;
 pub use futex_rwlock::FutexRwLock;
 pub use kind::LockKind;
 pub use mcs::McsLock;
-pub use park::{ParkResult, ParkingLot, ParkingLotStats, RequeueResult, UnparkResult};
+pub use park::{ParkResult, ParkingLot, ParkingLotStats, UnparkResult};
 pub use raw::{QueueInformed, RawLock, RawRwLock, RawTryLock};
 pub use rwlock::RwTtasRaw;
 pub use spin_wait::SpinWait;

@@ -40,13 +40,13 @@
 //!   lost-wakeup races without a per-lock mutex.
 //!
 //! There is one wake function per verb: [`unpark_one`](ParkingLot::unpark_one)
-//! (the queue head), [`unpark_all`](ParkingLot::unpark_all),
+//! (the queue head), [`unpark_all`](ParkingLot::unpark_all) and
 //! [`unpark_select`](ParkingLot::unpark_select) (a caller-chosen subset,
-//! e.g. "first writer or else all readers") and
-//! [`unpark_requeue`](ParkingLot::unpark_requeue) (move waiters to another
-//! address without waking them). With [`park`](ParkingLot::park)'s
-//! optional timeout they are the primitive set the futex mutex, the futex
-//! reader-writer lock and the condition variables are built from.
+//! e.g. "first writer or else all readers"). A waiter stays on the address
+//! it parked on until it is woken or times out. With
+//! [`park`](ParkingLot::park)'s optional timeout they are the primitive set
+//! the futex mutex, the futex reader-writer lock and the condition
+//! variables are built from.
 
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -90,15 +90,6 @@ pub struct UnparkResult {
     pub have_more: bool,
 }
 
-/// What a requeue primitive did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RequeueResult {
-    /// Number of waiters woken (up to `max_unpark`).
-    pub unparked: usize,
-    /// Number of waiters moved to the target address without waking.
-    pub requeued: usize,
-}
-
 /// A cheap point-in-time view of a [`ParkingLot`]'s internals, for
 /// telemetry snapshots: no bucket lock is taken, every field is a relaxed
 /// counter read (plus the table's length).
@@ -111,8 +102,9 @@ pub struct ParkingLotStats {
     /// Always 0: the table never grows. Kept only because the benchmark
     /// reads it as `park.growth_events` and snapshot schema v3 lists it.
     pub growth_events: u64,
-    /// Waiters moved between addresses without waking (condvar
-    /// requeue-on-notify traffic) since the lot was created.
+    /// Always 0: waiters are never moved between addresses. Kept only
+    /// because the benchmark reads it as `park.requeued_waiters` and
+    /// snapshot schema v3 lists it.
     pub requeued_waiters: u64,
 }
 
@@ -122,10 +114,6 @@ pub struct ParkingLotStats {
 struct Parker {
     state: Mutex<ParkerState>,
     condvar: Condvar,
-    /// The address this parker is currently enqueued under; maintained under
-    /// the owning bucket's lock (updated by requeue) so a timed-out thread
-    /// can find the bucket it lives in *now*.
-    addr: AtomicUsize,
 }
 
 #[derive(Debug, Default)]
@@ -138,11 +126,9 @@ impl Parker {
     /// Resets the signal before enqueueing. The park/unpark protocol pairs
     /// every enqueue with exactly one consumed signal, so none can be
     /// pending here.
-    fn prepare(&self, addr: usize) {
+    fn prepare(&self) {
         let state = self.state.lock().expect("parker poisoned");
         debug_assert!(!state.signaled, "unconsumed unpark signal");
-        drop(state);
-        self.addr.store(addr, Ordering::Release);
     }
 
     /// Blocks until signaled; returns the unpark token.
@@ -216,9 +202,6 @@ pub struct ParkingLot {
     buckets: Box<[CachePadded<Bucket>]>,
     /// Number of waiters currently parked, maintained under bucket locks.
     parked: AtomicUsize,
-    /// Waiters moved by requeue without being woken (raw std atomic: pure
-    /// telemetry, kept invisible to the model explorer's scheduling points).
-    requeues: std::sync::atomic::AtomicU64,
 }
 
 impl Default for ParkingLot {
@@ -242,7 +225,6 @@ impl ParkingLot {
         Self {
             buckets: (0..buckets).map(|_| CachePadded::default()).collect(),
             parked: AtomicUsize::new(0),
-            requeues: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
@@ -284,9 +266,8 @@ impl ParkingLot {
     /// a condition variable releases its mutex, guaranteeing any notifier
     /// that acquires that mutex afterwards finds the waiter already queued.
     ///
-    /// `park_token` is visible to [`ParkingLot::unpark_select`] and
-    /// [`ParkingLot::unpark_one`] (e.g. to distinguish reader from writer
-    /// waiters).
+    /// `park_token` is visible to [`ParkingLot::unpark_select`] (e.g. to
+    /// distinguish reader from writer waiters).
     pub fn park(
         &self,
         addr: usize,
@@ -301,7 +282,7 @@ impl ParkingLot {
             if !validate() {
                 return ParkResult::Invalid;
             }
-            parker.prepare(addr);
+            parker.prepare();
             queue.push(Waiter {
                 addr,
                 park_token,
@@ -334,73 +315,45 @@ impl ParkingLot {
         result
     }
 
-    /// Removes a timed-out waiter from whichever bucket it lives in now
-    /// (requeues may have moved it off the address it parked on), or
-    /// consumes the in-flight wake if an unparker got to it first. Only the
-    /// model build's seeded bug reads `_parked_on`.
-    fn cancel_park(&self, parker: &Arc<Parker>, _parked_on: usize) -> ParkResult {
-        loop {
-            let addr = parker.addr.load(Ordering::Acquire);
-            #[cfg(gls_model)]
-            let addr = if model::cancel_trusts_park_addr() {
-                _parked_on
-            } else {
-                addr
-            };
-            let mut queue = self.queue_of(addr);
-            if let Some(index) = queue
-                .iter()
-                .position(|w| Arc::ptr_eq(&w.parker, parker) && w.addr == addr)
-            {
-                queue.remove(index);
-                self.parked.fetch_sub(1, Ordering::Relaxed);
-                return ParkResult::TimedOut;
-            }
-            // Not in the bucket we expected. Either a requeue moved us (the
-            // recorded address changed: retry against the new bucket) or an
-            // unparker already dequeued us (the address is unchanged: the
-            // wake signal is in flight, wait for it).
-            if parker.addr.load(Ordering::Acquire) == addr {
-                drop(queue);
-                return ParkResult::Unparked(parker.park());
-            }
+    /// Removes a timed-out waiter from the bucket of the address it parked
+    /// on, or consumes the in-flight wake if an unparker dequeued it first.
+    fn cancel_park(&self, parker: &Arc<Parker>, addr: usize) -> ParkResult {
+        let mut queue = self.queue_of(addr);
+        if let Some(index) = queue.iter().position(|w| Arc::ptr_eq(&w.parker, parker)) {
+            queue.remove(index);
+            self.parked.fetch_sub(1, Ordering::Relaxed);
+            return ParkResult::TimedOut;
         }
+        drop(queue);
+        #[cfg(gls_model)]
+        if model::cancel_ignores_inflight_wake() {
+            return ParkResult::TimedOut;
+        }
+        // An unparker already dequeued us: its wake is in flight.
+        ParkResult::Unparked(parker.park())
     }
 
-    /// Wakes the longest-parked waiter on `addr`, if any. Its unpark token
-    /// is computed from its **park token** by `token_for`, and `callback`
-    /// runs after it, both while the bucket is still locked — update the
-    /// lock word in `callback` (e.g. clear a parked bit when
+    /// Wakes the longest-parked waiter on `addr`, if any, with
+    /// `unpark_token`. `callback` runs after it while the bucket is still
+    /// locked — update the lock word there (e.g. clear a parked bit when
     /// [`UnparkResult::have_more`] is `false`) to stay atomic with respect
-    /// to concurrent `park` validation. Wakers with nothing to pass use
-    /// `|_| DEFAULT_UNPARK_TOKEN`.
-    ///
-    /// `token_for` is the handoff hook: a releasing holder passes ownership
-    /// directly to the queue head (a handoff unpark token) when the head is
-    /// one of its own waiters, while waiters of a different kind that were
-    /// requeued onto the same address (e.g. condvar waiters moved onto a
-    /// mutex by requeue-on-notify) are recognizable by their park token and
-    /// woken with ordinary release semantics instead — a handoff token
-    /// delivered to a thread that does not understand it would strand the
-    /// lock in a held-by-nobody state. `token_for` runs only when a waiter
-    /// is dequeued.
+    /// to concurrent `park` validation.
     pub fn unpark_one(
         &self,
         addr: usize,
-        token_for: impl FnOnce(usize) -> usize,
+        unpark_token: usize,
         callback: impl FnOnce(&UnparkResult),
     ) -> UnparkResult {
         // Allocation-free: this runs on every contended unlock, while
         // holding a bucket lock other colliding locks contend on.
-        let woken: Option<(Arc<Parker>, usize)>;
+        let woken: Option<Arc<Parker>>;
         let result;
         {
             let mut queue = self.queue_of(addr);
-            woken = queue.iter().position(|w| w.addr == addr).map(|index| {
-                let waiter = queue.remove(index);
-                let token = token_for(waiter.park_token);
-                (waiter.parker, token)
-            });
+            woken = queue
+                .iter()
+                .position(|w| w.addr == addr)
+                .map(|index| queue.remove(index).parker);
             if woken.is_some() {
                 self.parked.fetch_sub(1, Ordering::Relaxed);
             }
@@ -410,8 +363,8 @@ impl ParkingLot {
             };
             callback(&result);
         }
-        if let Some((parker, token)) = woken {
-            parker.unpark(token);
+        if let Some(parker) = woken {
+            parker.unpark(unpark_token);
         }
         result
     }
@@ -454,8 +407,7 @@ impl ParkingLot {
     /// `unpark_all` calls would race with new waiters parking in between.
     /// Per-waiter tokens let one release wake a parked writer with "the
     /// write lock is yours" while a later one wakes a batch of readers with
-    /// "a read slot is pre-charged for you" — and requeued condvar waiters
-    /// sharing the address still receive a token they understand.
+    /// "a read slot is pre-charged for you".
     pub fn unpark_select(
         &self,
         addr: usize,
@@ -504,108 +456,6 @@ impl ParkingLot {
         result
     }
 
-    /// Wakes up to `max_unpark` waiters of `from` and moves up to
-    /// `max_requeue` of the remaining ones onto `to` without waking them
-    /// (they wake on a future unpark of `to`, FIFO behind its existing
-    /// waiters). The `(max_unpark, max_requeue)` split is decided by
-    /// `decide`, which runs **under both bucket locks** — atomically with
-    /// park validation on either address — and only when `from` has a
-    /// waiter. `callback` runs while both buckets are still locked.
-    ///
-    /// This is the primitive behind condvar requeue-on-notify: the decision
-    /// "requeue onto the mutex vs wake now" must inspect (and update) the
-    /// mutex word with no window for the mutex to be released in between,
-    /// or a requeued waiter could sleep on a mutex nobody holds.
-    pub fn unpark_requeue(
-        &self,
-        from: usize,
-        to: usize,
-        decide: impl FnOnce() -> (usize, usize),
-        unpark_token: usize,
-        callback: impl FnOnce(&RequeueResult),
-    ) -> RequeueResult {
-        let mut woken: Vec<Arc<Parker>> = Vec::new();
-        let result;
-        {
-            let (mut from_queue, mut to_queue) = self.lock_pair(from, to);
-            // Nothing to move: skip `decide` entirely, so a notify with no
-            // waiters does not disturb the target lock's state (e.g.
-            // spuriously raise a futex's parked bit, forcing its next
-            // release through the slow path).
-            let (max_unpark, max_requeue) = if from_queue.iter().any(|w| w.addr == from) {
-                decide()
-            } else {
-                (0, 0)
-            };
-            let mut moved: Vec<Waiter> = Vec::new();
-            let mut unparked = 0usize;
-            let mut requeued = 0usize;
-            let mut index = 0;
-            while index < from_queue.len() {
-                if from_queue[index].addr != from {
-                    index += 1;
-                    continue;
-                }
-                if unparked < max_unpark {
-                    woken.push(from_queue.remove(index).parker);
-                    unparked += 1;
-                } else if requeued < max_requeue {
-                    let mut waiter = from_queue.remove(index);
-                    waiter.addr = to;
-                    // Keep the parker's recorded address in sync so a timed
-                    // -out waiter searches the right bucket (both buckets
-                    // are locked here, so the update is atomic to it).
-                    waiter.parker.addr.store(to, Ordering::Release);
-                    moved.push(waiter);
-                    requeued += 1;
-                } else {
-                    break;
-                }
-            }
-            match &mut to_queue {
-                Some(queue) => queue.extend(moved),
-                None => from_queue.extend(moved),
-            }
-            result = RequeueResult { unparked, requeued };
-            self.parked.fetch_sub(result.unparked, Ordering::Relaxed);
-            if result.requeued > 0 {
-                self.requeues
-                    .fetch_add(result.requeued as u64, std::sync::atomic::Ordering::Relaxed);
-            }
-            callback(&result);
-        }
-        for parker in woken {
-            parker.unpark(unpark_token);
-        }
-        result
-    }
-
-    /// Locks the buckets of `from` and `to` in address order, so two
-    /// requeues in opposite directions cannot deadlock. Returns
-    /// `(from_queue, Some(to_queue))`, or `(queue, None)` when both
-    /// addresses share a bucket.
-    #[allow(clippy::type_complexity)]
-    fn lock_pair(
-        &self,
-        from: usize,
-        to: usize,
-    ) -> (
-        MutexGuard<'_, Vec<Waiter>>,
-        Option<MutexGuard<'_, Vec<Waiter>>>,
-    ) {
-        let from_bucket = self.bucket_of(from);
-        let to_bucket = self.bucket_of(to);
-        if std::ptr::eq(from_bucket, to_bucket) {
-            (lock(from_bucket), None)
-        } else if (from_bucket as *const Bucket) < (to_bucket as *const Bucket) {
-            let first = lock(from_bucket);
-            (first, Some(lock(to_bucket)))
-        } else {
-            let second = lock(to_bucket);
-            (lock(from_bucket), Some(second))
-        }
-    }
-
     /// Number of threads currently parked on `addr` (racy; diagnostics and
     /// queue-length reporting).
     pub fn parked_count(&self, addr: usize) -> usize {
@@ -621,15 +471,15 @@ impl ParkingLot {
         self.parked.load(Ordering::Relaxed)
     }
 
-    /// A point-in-time [`ParkingLotStats`] view: bucket count, parked
-    /// population and requeued waiters. Racy by design — every field is a
-    /// relaxed counter read, so snapshotting never touches a bucket lock.
+    /// A point-in-time [`ParkingLotStats`] view: bucket count and parked
+    /// population. Racy by design — the parked count is a relaxed counter
+    /// read, so snapshotting never touches a bucket lock.
     pub fn stats(&self) -> ParkingLotStats {
         ParkingLotStats {
             buckets: self.buckets(),
             parked: self.total_parked(),
             growth_events: 0,
-            requeued_waiters: self.requeues.load(std::sync::atomic::Ordering::Relaxed),
+            requeued_waiters: 0,
         }
     }
 
@@ -665,19 +515,19 @@ pub mod model {
     // Per thread: a vthread is an OS thread, and an exploration's threads
     // must not see another test's settings.
     thread_local! {
-        static TRUST_PARK_ADDR: Cell<bool> = const { Cell::new(false) };
+        static IGNORE_INFLIGHT_WAKE: Cell<bool> = const { Cell::new(false) };
     }
 
-    /// Seeds, on the calling thread, a timed-out park that searches for
-    /// itself under the address it parked on instead of the one its parker
-    /// records now. Once a requeue has moved the waiter, that address never
-    /// holds it and never changes, so the cancel loops forever.
-    pub fn model_cancel_trusts_park_addr(seeded: bool) {
-        TRUST_PARK_ADDR.set(seeded);
+    /// Seeds, on the calling thread, a timed-out park that reports
+    /// `TimedOut` when it does not find itself in its bucket, without
+    /// waiting for the wake the unparker that dequeued it already sent.
+    /// That unparker then counts a waiter that believes it timed out.
+    pub fn model_cancel_ignores_inflight_wake(seeded: bool) {
+        IGNORE_INFLIGHT_WAKE.set(seeded);
     }
 
-    pub(super) fn cancel_trusts_park_addr() -> bool {
-        TRUST_PARK_ADDR.get()
+    pub(super) fn cancel_ignores_inflight_wake() -> bool {
+        IGNORE_INFLIGHT_WAKE.get()
     }
 }
 
@@ -739,7 +589,7 @@ mod tests {
         let handles = park_squad(&lot, 0x100, 3, &order);
         for _ in 0..3 {
             let before = order.lock().unwrap().len();
-            let result = lot.unpark_one(0x100, |_| DEFAULT_UNPARK_TOKEN, |_| {});
+            let result = lot.unpark_one(0x100, DEFAULT_UNPARK_TOKEN, |_| {});
             assert_eq!(result.unparked, 1);
             while order.lock().unwrap().len() == before {
                 std::thread::yield_now();
@@ -766,29 +616,22 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_requeued_waiters() {
+    fn stats_count_parked_waiters() {
         let lot = Arc::new(ParkingLot::with_buckets(1));
         let fresh = lot.stats();
         assert_eq!(fresh.buckets, 1);
         assert_eq!(fresh.parked, 0);
-        assert_eq!(fresh.requeued_waiters, 0);
         let order = Arc::new(Mutex::new(Vec::new()));
         let handles = park_squad(&lot, 0x500, 3, &order);
-        assert_eq!(lot.stats().parked, 3);
-        // Requeue one waiter onto another address without waking it.
-        let moved = lot.unpark_requeue(0x500, 0x600, || (0, 1), DEFAULT_UNPARK_TOKEN, |_| {});
-        assert_eq!(moved.requeued, 1);
         let stats = lot.stats();
-        assert_eq!(stats.requeued_waiters, 1);
-        assert_eq!(stats.parked, 3, "a requeue wakes nobody");
+        assert_eq!(stats.parked, 3);
         assert_eq!(
-            (stats.buckets, stats.growth_events),
-            (1, 0),
-            "the table is fixed"
+            (stats.buckets, stats.growth_events, stats.requeued_waiters),
+            (1, 0, 0),
+            "the table is fixed and never moves a waiter"
         );
-        // Drain everyone.
+        lot.unpark_one(0x500, DEFAULT_UNPARK_TOKEN, |_| {});
         lot.unpark_all(0x500, DEFAULT_UNPARK_TOKEN);
-        lot.unpark_all(0x600, DEFAULT_UNPARK_TOKEN);
         for h in handles {
             assert!(matches!(h.join().unwrap(), ParkResult::Unparked(_)));
         }
@@ -829,85 +672,11 @@ mod tests {
         while lot.parked_count(0x500) == 0 {
             std::thread::yield_now();
         }
-        lot.unpark_one(
-            0x500,
-            |_| 42,
-            |result| {
-                assert_eq!(result.unparked, 1);
-                assert!(!result.have_more);
-            },
-        );
+        lot.unpark_one(0x500, 42, |result| {
+            assert_eq!(result.unparked, 1);
+            assert!(!result.have_more);
+        });
         assert_eq!(handle.join().unwrap(), ParkResult::Unparked(42));
-    }
-
-    #[test]
-    fn requeue_moves_waiters_to_the_target_address() {
-        let lot = Arc::new(ParkingLot::with_buckets(4));
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let handles = park_squad(&lot, 0x600, 3, &order);
-        // Wake one, requeue the other two onto 0x700.
-        let result = lot.unpark_requeue(
-            0x600,
-            0x700,
-            || (1, usize::MAX),
-            DEFAULT_UNPARK_TOKEN,
-            |r| {
-                assert_eq!(r.unparked, 1);
-                assert_eq!(r.requeued, 2);
-            },
-        );
-        assert_eq!(result.unparked, 1);
-        assert_eq!(result.requeued, 2);
-        assert_eq!(lot.parked_count(0x600), 0);
-        assert_eq!(lot.parked_count(0x700), 2);
-        // The waiter woken by the requeue was the longest-parked one.
-        while order.lock().unwrap().is_empty() {
-            std::thread::yield_now();
-        }
-        assert_eq!(*order.lock().unwrap(), vec![0]);
-        // Unparks on the original address find nobody.
-        assert_eq!(lot.unpark_all(0x600, DEFAULT_UNPARK_TOKEN), 0);
-        // The requeued waiters wake on the target address.
-        assert_eq!(lot.unpark_all(0x700, DEFAULT_UNPARK_TOKEN), 2);
-        for h in handles {
-            assert!(matches!(h.join().unwrap(), ParkResult::Unparked(_)));
-        }
-        let mut woken = order.lock().unwrap().clone();
-        woken.sort_unstable();
-        assert_eq!(woken, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn timed_park_survives_a_requeue() {
-        // A waiter parked with a timeout is requeued to another address and
-        // then times out there: it must remove itself from the bucket it
-        // lives in *now*, not the one it parked on.
-        let lot = Arc::new(ParkingLot::with_buckets(4));
-        let handle = {
-            let lot = Arc::clone(&lot);
-            std::thread::spawn(move || {
-                lot.park(
-                    0x800,
-                    DEFAULT_PARK_TOKEN,
-                    || true,
-                    || {},
-                    Some(Duration::from_millis(80)),
-                )
-            })
-        };
-        while lot.parked_count(0x800) == 0 {
-            std::thread::yield_now();
-        }
-        lot.unpark_requeue(
-            0x800,
-            0x900,
-            || (0, usize::MAX),
-            DEFAULT_UNPARK_TOKEN,
-            |_| {},
-        );
-        assert_eq!(lot.parked_count(0x900), 1);
-        assert_eq!(handle.join().unwrap(), ParkResult::TimedOut);
-        assert_eq!(lot.total_parked(), 0);
     }
 
     #[test]
@@ -999,7 +768,7 @@ mod tests {
         }
         for _ in 0..3 {
             let before = order.lock().unwrap().len();
-            let result = lot.unpark_one(0xF1F0, |_| DEFAULT_UNPARK_TOKEN, |_| {});
+            let result = lot.unpark_one(0xF1F0, DEFAULT_UNPARK_TOKEN, |_| {});
             assert_eq!(result.unparked, 1);
             while order.lock().unwrap().len() == before {
                 std::thread::yield_now();
@@ -1023,27 +792,5 @@ mod tests {
     fn global_lot_is_a_singleton() {
         assert!(std::ptr::eq(ParkingLot::global(), ParkingLot::global()));
         assert_eq!(ParkingLot::global().buckets(), BUCKETS);
-    }
-
-    #[test]
-    fn requeue_with_decides_under_the_bucket_locks() {
-        // The decide closure sees a consistent world: a waiter parked on
-        // `from` cannot be concurrently unparked while decide runs.
-        let lot = Arc::new(ParkingLot::with_buckets(4));
-        let handle = {
-            let lot = Arc::clone(&lot);
-            std::thread::spawn(move || lot.park(0x10, DEFAULT_PARK_TOKEN, || true, || {}, None))
-        };
-        while lot.parked_count(0x10) == 0 {
-            std::thread::yield_now();
-        }
-        // Decide to requeue instead of waking.
-        let result =
-            lot.unpark_requeue(0x10, 0x20, || (0, usize::MAX), DEFAULT_UNPARK_TOKEN, |_| {});
-        assert_eq!(result.unparked, 0);
-        assert_eq!(result.requeued, 1);
-        assert_eq!(lot.parked_count(0x20), 1);
-        assert_eq!(lot.unpark_all(0x20, DEFAULT_UNPARK_TOKEN), 1);
-        assert!(matches!(handle.join().unwrap(), ParkResult::Unparked(_)));
     }
 }

@@ -2,8 +2,8 @@
 //! sequence of shared and exclusive acquisitions and releases, a writer and
 //! a reader must never be admitted concurrently, and the lock's reader
 //! count must always equal the number of readers admitted. Plus a liveness/leak property for
-//! the parking lot: any randomized sequence of park/unpark/requeue
-//! operations must leave every wait bucket empty once the dust settles.
+//! the parking lot: any randomized sequence of park/unpark operations
+//! must leave every wait bucket empty once the dust settles.
 
 use proptest::prelude::*;
 
@@ -77,13 +77,12 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 /// One step of the parking-lot sequence: park a fresh thread on an address,
-/// wake one or all waiters of an address, or requeue between addresses.
+/// or wake one or all waiters of an address.
 #[derive(Debug, Clone, Copy)]
 enum ParkOp {
     Park(usize),
     UnparkOne(usize),
     UnparkAll(usize),
-    Requeue(usize, usize),
 }
 
 fn park_op_strategy() -> impl Strategy<Value = ParkOp> {
@@ -93,8 +92,7 @@ fn park_op_strategy() -> impl Strategy<Value = ParkOp> {
     prop_oneof![
         addr.clone().prop_map(ParkOp::Park),
         addr.clone().prop_map(ParkOp::UnparkOne),
-        addr.clone().prop_map(ParkOp::UnparkAll),
-        (1usize..4, 1usize..4).prop_map(|(a, b)| ParkOp::Requeue(a, b)),
+        addr.prop_map(ParkOp::UnparkAll),
     ]
 }
 
@@ -103,7 +101,7 @@ proptest! {
     // real threads and may ride out a 200 ms park timeout.
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Any sequence of park/unpark/requeue operations leaves the parking
+    /// Any sequence of park/unpark operations leaves the parking
     /// lot empty: every parked thread is eventually woken (or times out and
     /// removes itself), no waiter record leaks into any bucket, and every
     /// spawned thread observes a definite outcome.
@@ -141,13 +139,10 @@ proptest! {
                     }
                 }
                 ParkOp::UnparkOne(addr) => {
-                    lot.unpark_one(addr, |_| DEFAULT_UNPARK_TOKEN, |_| {});
+                    lot.unpark_one(addr, DEFAULT_UNPARK_TOKEN, |_| {});
                 }
                 ParkOp::UnparkAll(addr) => {
                     lot.unpark_all(addr, DEFAULT_UNPARK_TOKEN);
-                }
-                ParkOp::Requeue(from, to) => {
-                    lot.unpark_requeue(from, to, || (0, usize::MAX), DEFAULT_UNPARK_TOKEN, |_| {});
                 }
             }
         }

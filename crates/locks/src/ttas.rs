@@ -6,10 +6,13 @@
 //! the bucket lock of the GLS hash table (`gls_clht`), and the algorithm the
 //! paper uses to overload `pthread` reader-writer locks as well (§5.2,
 //! footnote 7).
+//!
+//! The lock is one byte and is not padded: a CLHT bucket is one aligned
+//! cache line that holds its lock beside its keys and values, so taking
+//! the lock brings in the line the update writes anyway.
 
 use gls_sync::atomic::{AtomicBool, Ordering};
 
-use crate::cache_padded::CachePadded;
 use crate::raw::RawLock;
 use crate::spin_wait::SpinWait;
 
@@ -26,7 +29,7 @@ use crate::spin_wait::SpinWait;
 /// ```
 #[derive(Debug, Default)]
 pub struct TtasLock {
-    locked: CachePadded<AtomicBool>,
+    locked: AtomicBool,
 }
 
 impl TtasLock {

@@ -22,9 +22,9 @@
 //!   the shim that also lets the pure spin algorithms run under the
 //!   explorer (see the `spinlocks` suite);
 //! * GLS service models pin entries to `LockKind::Mutex` (the futex word)
-//!   so each test exercises one protocol, except two GLK scenarios: the
-//!   mode switch, whose protocol *is* GLK, and the condvar fast path,
-//!   which wants a mutex with no park address;
+//!   so each test exercises one protocol, except the GLK scenarios: the
+//!   mode switches, whose protocol *is* GLK, and the condvar fast path,
+//!   which wants a mutex that spins;
 //! * shared mutable state lives in a [`ModelCell`], so every admission
 //!   bug is caught twice: as a lost update by the final assertion, and as
 //!   a data race by the happens-before detector, on the exact schedule
@@ -35,6 +35,7 @@
 use std::sync::atomic::{AtomicBool, Ordering as StdOrdering};
 use std::sync::Arc;
 
+use gls::glk::GlkMode;
 use gls::{
     model_count_waiter_after_release, model_hit_checks_addr_only, thread_cache_stats, GlsCondvar,
     GlsConfig, GlsService, LockKind,
@@ -597,22 +598,21 @@ fn condvar_notify_under_the_mutex(
 /// the waiter (`[1]`).
 static SAW_NOTIFY: [AtomicBool; 2] = [AtomicBool::new(false), AtomicBool::new(false)];
 
-/// Property 4 — condvar requeue-on-notify never strands a waiter behind a
-/// free mutex. Under a MUTEX entry a waiter already asleep when the
-/// notifier (holding the mutex) notifies is requeued onto the mutex word
-/// and must be woken by the notifier's unlock on every schedule. A requeue
-/// onto a word nobody releases again would deadlock.
+/// Property 4 — a condvar notify under a MUTEX entry strands no waiter. A
+/// waiter already asleep when the notifier (holding the mutex) notifies is
+/// woken, then blocks on the held futex word, and the notifier's unlock
+/// must wake it on every schedule: a waiter left parked on either address
+/// is a deadlock.
 #[test]
-fn condvar_requeue_strands_no_waiter() {
+fn condvar_under_a_mutex_entry_strands_no_waiter() {
     Explorer::exhaustive().check(
-        "condvar-requeue",
+        "condvar-mutex-entry",
         condvar_notify_under_the_mutex(LockKind::Mutex, false),
     );
 }
 
 /// Property 4b — a notify that reads no waiter loses no wakeup. Under a
-/// default GLK entry (ticket mode: no park address, so a notify that finds
-/// a waiter takes the plain wake) the notifier's `notify_one` skips the
+/// default GLK entry (ticket mode) the notifier's `notify_one` skips the
 /// lot whenever the condvar's count is 0; the waiter counts itself before
 /// it releases the mutex, so on every schedule it is either counted (and
 /// woken) or has not yet read the predicate.
@@ -649,55 +649,31 @@ fn rediscovers_the_waiter_counted_after_release_bug() {
     );
 }
 
-/// A timed park racing a requeue (the condvar `wait_timeout` path): W
-/// parks on `A` with a timeout; R requeues `A` → `B`, then wakes the head
-/// of `B`. The explorer decides whether and when W's timeout fires, so W
-/// may time out before the requeue, between the requeue and the wake, or
-/// not at all. On every schedule W is woken iff R's wake counted it, the
-/// lot drains, and neither queue keeps W. `dedicated` runs it on a
-/// two-bucket lot where `A` and `B` hash to different buckets, so the
-/// requeue takes two bucket locks (the global lot has one bucket in model
-/// builds). `seeded` makes W's cancel search the address it parked on
-/// instead of the one its parker records.
-fn timed_park_vs_requeue(dedicated: bool, seeded: bool) -> impl Fn() + Send + Sync + 'static {
-    use gls_locks::park::model::model_cancel_trusts_park_addr;
-    use gls_locks::park::DEFAULT_UNPARK_TOKEN;
-    // Buckets 0 and 1 of a two-bucket lot (the top bit of the Fibonacci
-    // hash).
+/// A timed park racing an unpark (the condvar `wait_timeout` path): W
+/// parks on `A` with a timeout; R wakes the head of `A`. The explorer
+/// decides whether and when W's timeout fires, so W may time out before
+/// R's wake, after R dequeued it but before the wake reached it, or not at
+/// all. On every schedule W is woken iff R's wake counted it, and the lot
+/// drains. `seeded` makes W's cancel report a timeout when it does not find
+/// itself queued, without waiting for the wake already sent to it.
+fn timed_park_vs_unpark(seeded: bool) -> impl Fn() + Send + Sync + 'static {
+    use gls_locks::park::model::model_cancel_ignores_inflight_wake;
     const A: usize = 0x1000;
-    const B: usize = 0x2000;
     const WAKE: usize = 7;
-    fn lot(own: &Option<Arc<ParkingLot>>) -> &ParkingLot {
-        match own {
-            Some(lot) => lot,
-            None => ParkingLot::global(),
-        }
-    }
     move || {
-        let own = dedicated.then(|| Arc::new(ParkingLot::with_buckets(2)));
-        let waiter = {
-            let own = own.clone();
-            thread::spawn(move || {
-                model_cancel_trusts_park_addr(seeded);
-                lot(&own).park(
-                    A,
-                    DEFAULT_PARK_TOKEN,
-                    || true,
-                    || {},
-                    Some(std::time::Duration::from_secs(1)),
-                )
-            })
-        };
-        let requeuer = {
-            let own = own.clone();
-            thread::spawn(move || {
-                let lot = lot(&own);
-                lot.unpark_requeue(A, B, || (0, usize::MAX), DEFAULT_UNPARK_TOKEN, |_| {});
-                lot.unpark_one(B, |_| WAKE, |_| {}).unparked
-            })
-        };
+        let waiter = thread::spawn(move || {
+            model_cancel_ignores_inflight_wake(seeded);
+            ParkingLot::global().park(
+                A,
+                DEFAULT_PARK_TOKEN,
+                || true,
+                || {},
+                Some(std::time::Duration::from_secs(1)),
+            )
+        });
+        let waker = thread::spawn(|| ParkingLot::global().unpark_one(A, WAKE, |_| {}).unparked);
         let parked = waiter.join().expect("waiter panicked");
-        let woken = requeuer.join().expect("requeuer panicked");
+        let woken = waker.join().expect("waker panicked");
         match parked {
             ParkResult::Unparked(token) => {
                 assert_eq!((woken, token), (1, WAKE), "W woke without R's wake")
@@ -705,114 +681,46 @@ fn timed_park_vs_requeue(dedicated: bool, seeded: bool) -> impl Fn() + Send + Sy
             ParkResult::TimedOut => assert_eq!(woken, 0, "R's wake counted a timed-out W"),
             ParkResult::Invalid => unreachable!("validation always passes"),
         }
-        let lot = lot(&own);
-        assert_eq!(lot.total_parked(), 0, "the lot did not drain");
         assert_eq!(
-            lot.parked_count(A) + lot.parked_count(B),
+            ParkingLot::global().total_parked(),
             0,
-            "a queue kept W"
+            "the lot did not drain"
         );
+        assert_eq!(ParkingLot::global().parked_count(A), 0, "the queue kept W");
     }
 }
 
 #[test]
-fn timed_park_racing_a_requeue_is_woken_or_times_out_cleanly() {
+fn timed_park_racing_an_unpark_is_woken_or_times_out_cleanly() {
     Explorer::exhaustive()
         .cleanup(|| ParkingLot::global().model_purge())
-        .check("timed-park-requeue", timed_park_vs_requeue(false, false));
-    Explorer::exhaustive().check(
-        "timed-park-requeue-2-buckets",
-        timed_park_vs_requeue(true, false),
-    );
+        .check("timed-park-unpark", timed_park_vs_unpark(false));
 }
 
-/// Seeded bug — a timed-out waiter that searches the address it parked on
-/// never finds itself once a requeue moved it, and never leaves its
-/// cancel loop. The explorer must find that on both lots.
+/// Seeded bug — a timed-out waiter that an unparker already dequeued, and
+/// that reports the timeout instead of waiting for the wake in flight,
+/// leaves the unparker counting a waiter that believes it timed out. The
+/// explorer must find that schedule.
 #[test]
-fn rediscovers_the_cancel_trusting_its_park_address_bug() {
-    for (dedicated, lot) in [(false, "global"), (true, "2-bucket")] {
-        let failure = Explorer::exhaustive()
-            .cleanup(|| ParkingLot::global().model_purge())
-            .find_failure(
-                &format!("timed-park-requeue-trusting-cancel-{lot}"),
-                timed_park_vs_requeue(dedicated, true),
-            )
-            .expect("the explorer must catch the cancel that searches the wrong address");
-        assert_eq!(
-            failure.kind,
-            FailureKind::StepLimit,
-            "expected the cancel loop to spin forever, got: {failure}"
-        );
-    }
-}
-
-/// Regression (PR 5) — a release that abandons a futex word must
-/// *broadcast*. The one-wake variant this repository originally shipped
-/// relied on each woken waiter re-acquiring and re-releasing the word, but
-/// a requeued condvar waiter re-acquires through whatever now serves the
-/// lock and never touches the abandoned word again — stranding everyone
-/// queued behind it. The explorer must rediscover that stranding as a
-/// deadlock; the shipped broadcast must pass the same model clean.
-#[test]
-fn rediscovers_the_abandoned_word_single_wake_bug() {
-    // Two parked waiters shaped like requeued condvar waiters: kind-0
-    // tokens, and — crucially — no re-release of the word when woken.
-    let scenario = |wake_all: bool| {
-        move || {
-            let lock = Arc::new(FutexLock::new());
-            let holder = {
-                let lock = Arc::clone(&lock);
-                thread::spawn(move || {
-                    lock.lock();
-                    if wake_all {
-                        lock.unlock_and_wake_all();
-                    } else {
-                        lock.model_unlock_and_wake_one();
-                    }
-                })
-            };
-            let waiters: Vec<_> = (0..2)
-                .map(|_| {
-                    let lock = Arc::clone(&lock);
-                    thread::spawn(move || {
-                        let result = ParkingLot::global().park(
-                            lock.park_addr(),
-                            DEFAULT_PARK_TOKEN,
-                            || lock.is_locked(),
-                            || {},
-                            None,
-                        );
-                        // Invalid means the word was already free when we
-                        // tried to park — a schedule with nothing to check.
-                        assert!(matches!(
-                            result,
-                            ParkResult::Unparked(_) | ParkResult::Invalid
-                        ));
-                    })
-                })
-                .collect();
-            holder.join().expect("holder panicked");
-            for waiter in waiters {
-                waiter.join().expect("waiter panicked");
-            }
-        }
-    };
-
+fn rediscovers_the_cancel_ignoring_its_inflight_wake_bug() {
     let failure = Explorer::exhaustive()
         .cleanup(|| ParkingLot::global().model_purge())
-        .find_failure("abandoned-word-single-wake", scenario(false))
-        .expect("the explorer must find the stranded waiter the single-wake release leaves");
+        .find_failure(
+            "timed-park-unpark-ignoring-wake",
+            timed_park_vs_unpark(true),
+        )
+        .expect("the explorer must catch the cancel that ignores the wake sent to it");
     assert_eq!(
         failure.kind,
-        FailureKind::Deadlock,
-        "expected a stranded-waiter deadlock, got: {failure}"
+        FailureKind::Panic,
+        "expected R's wake to count a timed-out W, got: {failure}"
     );
-
-    // The shipped fix — broadcast on abandonment — passes the same model.
-    Explorer::exhaustive()
-        .cleanup(|| ParkingLot::global().model_purge())
-        .check("abandoned-word-broadcast", scenario(true));
+    assert!(
+        failure
+            .description
+            .contains("R's wake counted a timed-out W"),
+        "expected R's wake to count a timed-out W, got: {failure}"
+    );
 }
 
 /// Regression (PR 6) — `FutexRwLock` releases must run the handoff
@@ -892,16 +800,22 @@ fn rediscovers_the_writer_wake_streak_bug() {
 }
 
 /// The GLK scenario (paper Figure 4): the service's default GLK lock starts
-/// in MCS mode with a tick every second acquisition and a queue sample at
-/// every one. The root's acquisition creates the entry (the first); the
-/// first of two workers to acquire runs the tick, which finds a queue of
-/// at most 1.5 and flips MCS → ticket — while the other worker may already
-/// be queued on the MCS lock, or holding it the moment it is released.
+/// in `initial` mode (MCS or mutex) with a tick every second acquisition
+/// and a queue sample at every one. The root's acquisition creates the
+/// entry (the first); the first of two workers to acquire runs the tick,
+/// which finds a queue of at most 1.5 and flips to ticket — while the other
+/// worker may already be queued on the old mode's lock (parked on the
+/// futex word, in mutex mode), or holding it the moment it is released.
 /// That worker must find the mode changed, release and retry in ticket
 /// mode. `late` seeds the bug on both workers: the tick publishes the new
-/// mode only after releasing the MCS lock.
-fn glk_mode_switch(late: bool) -> impl Fn() + Send + Sync + 'static {
-    use gls::glk::{model_publish_after_release, model_stale_retries, GlkConfig, GlkMode};
+/// mode only after releasing the old mode's lock.
+///
+/// Leaving mutex mode also needs calm: callers wait, before exploring,
+/// until the global load monitor has been calm for longer than a fresh
+/// lock requires, so every execution sees the same verdict.
+fn glk_mode_switch(initial: GlkMode, late: bool) -> impl Fn() + Send + Sync + 'static {
+    use gls::glk::{model_publish_after_release, model_stale_retries, GlkConfig};
+    use gls_runtime::flight::{self, FlightEventKind};
     move || {
         let service = Arc::new(GlsService::with_config(
             GlsConfig {
@@ -912,7 +826,7 @@ fn glk_mode_switch(late: bool) -> impl Fn() + Send + Sync + 'static {
                 GlkConfig::default()
                     .with_adaptation_period(2)
                     .with_sampling_period(1)
-                    .with_initial_mode(GlkMode::Mcs),
+                    .with_initial_mode(initial),
             ),
         ));
         let counter = Arc::new(RacyCounter::new());
@@ -929,9 +843,17 @@ fn glk_mode_switch(late: bool) -> impl Fn() + Send + Sync + 'static {
                 thread::spawn(move || {
                     model_publish_after_release(late);
                     let retries = model_stale_retries();
+                    let _ = flight::drain();
                     service.lock_with(LockKind::Glk, addr).expect("lock");
                     if !late && model_stale_retries() > retries {
-                        SAW_STALE_RETRY.store(true, StdOrdering::Relaxed);
+                        let parked = flight::drain()
+                            .iter()
+                            .any(|e| e.kind == FlightEventKind::Park);
+                        if initial != GlkMode::Mutex {
+                            SAW_STALE_RETRY.store(true, StdOrdering::Relaxed);
+                        } else if parked {
+                            SAW_PARKED_STALE_RETRY.store(true, StdOrdering::Relaxed);
+                        }
                     }
                     counter.bump();
                     service.unlock(addr).expect("unlock");
@@ -953,6 +875,7 @@ fn glk_mode_switch(late: bool) -> impl Fn() + Send + Sync + 'static {
 }
 
 static SAW_STALE_RETRY: AtomicBool = AtomicBool::new(false);
+static SAW_PARKED_STALE_RETRY: AtomicBool = AtomicBool::new(false);
 
 /// Property 5 — GLK's mode switch keeps mutual exclusion: the adapter
 /// publishes the new mode before releasing the old mode's lock, so a thread
@@ -961,11 +884,35 @@ static SAW_STALE_RETRY: AtomicBool = AtomicBool::new(false);
 /// holds the old and the new lock at once.
 #[test]
 fn glk_mode_switch_keeps_exclusion() {
-    Explorer::exhaustive().check("glk-mode-switch", glk_mode_switch(false));
+    Explorer::exhaustive().check("glk-mode-switch", glk_mode_switch(GlkMode::Mcs, false));
     assert!(
         SAW_STALE_RETRY.load(StdOrdering::Relaxed),
         "no execution had a thread find the mode changed under it — the \
          scenario no longer exercises the stale-mode retry"
+    );
+}
+
+/// Property 5b — GLK leaving mutex mode strands no waiter parked on the
+/// futex word: the adapter releases the abandoned word with its ordinary
+/// unlock, which wakes the parked worker; that worker finds the mode
+/// changed, releases the word in turn and retries in ticket mode. A waiter
+/// left asleep under the word is a deadlock; the coverage flag proves some
+/// schedule had the worker parked there when the mode moved.
+#[test]
+fn glk_leaving_mutex_mode_strands_no_parked_waiter() {
+    use gls::glk::INITIAL_CALM_ROUNDS;
+    use gls_runtime::SystemLoadMonitor;
+    while SystemLoadMonitor::global().calm_ticks() <= INITIAL_CALM_ROUNDS {
+        std::hint::spin_loop();
+    }
+    Explorer::exhaustive().check(
+        "glk-leave-mutex-mode",
+        glk_mode_switch(GlkMode::Mutex, false),
+    );
+    assert!(
+        SAW_PARKED_STALE_RETRY.load(StdOrdering::Relaxed),
+        "no execution had a worker parked on the futex word find the mode \
+         changed — the scenario no longer exercises the abandoned word"
     );
 }
 
@@ -976,7 +923,10 @@ fn glk_mode_switch_keeps_exclusion() {
 #[test]
 fn rediscovers_the_publish_after_release_bug() {
     let failure = Explorer::exhaustive()
-        .find_failure("glk-publish-after-release", glk_mode_switch(true))
+        .find_failure(
+            "glk-publish-after-release",
+            glk_mode_switch(GlkMode::Mcs, true),
+        )
         .expect("the explorer must catch a mode published after the release");
     assert!(
         matches!(failure.kind, FailureKind::Race | FailureKind::Panic),

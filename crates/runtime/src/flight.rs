@@ -33,8 +33,8 @@ pub enum FlightEventKind {
     Park = 2,
     /// The thread was unparked. `info` is the unpark token it woke with.
     Unpark = 3,
-    /// A release handed the lock directly to the queue head. `info` is
-    /// unused (0).
+    /// A release handed the lock directly to the queue head. `info` is 1
+    /// when other waiters stay parked behind the new holder, else 0.
     Handoff = 4,
     /// A GLK lock changed modes, and why (the paper's §4.3 transition
     /// report). `info` packs, from the lowest bit up:

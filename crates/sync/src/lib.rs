@@ -5,7 +5,7 @@
 //! same paths resolve to the instrumented types from [`gls_model`], whose
 //! every operation is a scheduling point for the deterministic concurrency
 //! explorer — which is how the protocol model tests in `crates/model/tests`
-//! drive `FutexLock`, the parking lot, condvar requeue and the entry
+//! drive `FutexLock`, the parking lot, the condvar and the entry
 //! lifecycle through exhaustively many interleavings.
 //!
 //! The build is switched by a `cfg`, not a feature, on purpose: feature

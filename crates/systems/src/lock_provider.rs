@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use std::time::Duration;
 
-use gls::glk::{GlkConfig, GlkLock, MonitorHandle};
+use gls::glk::GlkLock;
 use gls::{GlsCondvar, GlsConfig, GlsService, WaitOutcome};
 use gls_locks::{
     FutexLock, LockKind, McsLock, RawLock, RawRwLock, RawTryLock, RwTtasRaw, TicketLock,
@@ -33,13 +33,6 @@ pub enum LockProvider {
     /// algorithm X" configuration of Figures 14/15). `LockKind::Mutex` is the
     /// systems' default/baseline.
     Direct(LockKind),
-    /// GLK used directly with a custom configuration and load monitor.
-    Glk {
-        /// GLK configuration for every created lock.
-        config: GlkConfig,
-        /// System-load monitor consulted for multiprogramming.
-        monitor: MonitorHandle,
-    },
     /// Locks obtained through a shared GLS service using its default
     /// algorithm (the "GLS" rewrite of Memcached in Figure 13).
     Gls(Arc<GlsService>),
@@ -72,10 +65,7 @@ impl LockProvider {
 
     /// GLK provider with paper-default settings and the global load monitor.
     pub fn glk() -> Self {
-        LockProvider::Glk {
-            config: GlkConfig::default(),
-            monitor: MonitorHandle::Global,
-        }
+        LockProvider::Direct(LockKind::Glk)
     }
 
     /// GLS provider with a fresh service using the default (GLK) algorithm.
@@ -97,7 +87,6 @@ impl LockProvider {
     pub fn label(&self) -> String {
         match self {
             LockProvider::Direct(kind) => kind.name().to_string(),
-            LockProvider::Glk { .. } => "GLK".to_string(),
             LockProvider::Gls(_) => "GLS".to_string(),
             LockProvider::GlsSpecialized { .. } => "GLS SPECIALIZED".to_string(),
         }
@@ -118,9 +107,6 @@ impl LockProvider {
     fn make_mutex(&self, contended: bool) -> AppMutex {
         let inner = match self {
             LockProvider::Direct(kind) => MutexImpl::Raw(make_raw(*kind)),
-            LockProvider::Glk { config, monitor } => MutexImpl::Raw(Arc::new(GlkRaw(
-                GlkLock::with_config_and_monitor(config.clone(), monitor.clone()),
-            ))),
             LockProvider::Gls(service) => MutexImpl::Gls {
                 service: Arc::clone(service),
                 addr: fresh_addr(),

@@ -318,19 +318,19 @@ fn notify_one_hands_over_fifo_and_notify_all_drains() {
 }
 
 #[test]
-fn condvar_requeue_mpmc_loses_no_items() {
-    // A MUTEX entry sleeps on a futex word: notify_one requeues onto it.
+fn condvar_mpmc_loses_no_items() {
+    // A MUTEX entry: a woken consumer blocks on the futex word the
+    // producer still holds.
     mpmc_loses_no_items(LockKind::Mutex);
-    // A default GLK entry spins (no park address): most notifies find no
-    // waiter and return at once, the rest take the plain wake.
+    // A default GLK entry spins: most notifies find no waiter and return at
+    // once.
     mpmc_loses_no_items(LockKind::Glk);
 }
 
 /// Condvar correctness under MPMC churn on a `kind` entry: producers notify
-/// while *holding* the mutex (so on a futex-backed mutex every notify that
-/// finds a waiter requeues it, and the mutex release wakes it), consumers
-/// wait in the standard predicate loop. Every produced item must be
-/// consumed exactly once.
+/// while *holding* the mutex (so a woken consumer re-acquires it only after
+/// the producer's release), consumers wait in the standard predicate loop.
+/// Every produced item must be consumed exactly once.
 fn mpmc_loses_no_items(kind: LockKind) {
     struct Queue(std::cell::UnsafeCell<std::collections::VecDeque<u64>>);
     // SAFETY: the queue cell is only touched while holding the service
@@ -389,8 +389,8 @@ fn mpmc_loses_no_items(kind: LockKind) {
                     svc.lock(addr).unwrap();
                     // SAFETY: guarded by the GLS mutex on `addr`.
                     unsafe { (*queue.0.get()).push_back(p * PER_PRODUCER + i + 1) };
-                    // Notify while holding the mutex: a waiter on a futex
-                    // word is requeued onto it and woken by the unlock below.
+                    // Notify while holding the mutex: the woken waiter
+                    // takes it after the unlock below.
                     svc.notify_one(&cv, addr);
                     svc.unlock(addr).unwrap();
                 }
@@ -416,17 +416,17 @@ fn mpmc_loses_no_items(kind: LockKind) {
 }
 
 #[test]
-fn requeued_waiters_survive_glk_leaving_mutex_mode() {
-    // Regression for the requeue/mode-switch interaction: condvar waiters
-    // requeued onto a futex-backed mutex never re-release the futex word
-    // (they re-acquire through GLK's *current* mode), so the release of the
-    // acquisition that moves GLK out of mutex mode must *broadcast* to the
-    // word's queue — with a one-wakeup release, everyone queued behind the
-    // next waiter would sleep under a word nobody releases again.
+fn condvar_waiters_survive_glk_leaving_mutex_mode() {
+    // Woken condvar waiters that re-acquire a GLK mutex in mutex mode park
+    // on its futex word. The acquisition that moves GLK out of mutex mode
+    // releases that word with its ordinary unlock, which wakes one of them;
+    // each woken waiter finds the mode changed, releases the word in turn
+    // (waking the next) and retries in the new mode, so nobody strands
+    // under the abandoned word.
     use gls::glk::{GlkMode, MonitorHandle, INITIAL_CALM_ROUNDS};
     const WAITERS: u64 = 3;
     // Each waiter's first acquisition, the notifier's, then the first
-    // requeued waiter's re-acquisition: that one is the adaptation tick.
+    // woken waiter's re-acquisition: that one is the adaptation tick.
     const TICK: u64 = WAITERS + 2;
     // A registry of the test's own: nobody registers, so it stays calm.
     let monitor = Arc::new(gls_runtime::SystemLoadMonitor::new());
@@ -456,22 +456,25 @@ fn requeued_waiters_survive_glk_leaving_mutex_mode() {
     while cv.waiters() < WAITERS {
         std::thread::yield_now();
     }
-    // Hold the mutex and morph the whole broadcast onto its futex word.
+    // Hold the mutex and wake everyone: they all park on its futex word.
     svc.lock(addr).unwrap();
     assert_eq!(svc.notify_all(&cv, addr) as u64, WAITERS);
+    while svc.queue_length(addr).unwrap_or(0) < WAITERS + 1 {
+        std::thread::yield_now();
+    }
     // Leaving mutex mode takes this much uninterrupted calm.
     while monitor.calm_ticks() < INITIAL_CALM_ROUNDS {
         std::thread::sleep(Duration::from_micros(100));
     }
-    // This release wakes one requeued waiter; its re-acquisition adapts
-    // mutex -> ticket, and the release of *that* stale hold must broadcast,
-    // or the other two strand under the abandoned futex word.
+    // This release wakes one parked waiter; its re-acquisition adapts
+    // mutex -> ticket, and the release of *that* stale hold wakes the next
+    // waiter parked under the abandoned futex word.
     svc.unlock(addr).unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
     while woken.load(Ordering::Acquire) < WAITERS {
         assert!(
             Instant::now() < deadline,
-            "requeued waiters stranded when GLK left mutex mode ({} of {WAITERS} woke)",
+            "condvar waiters stranded when GLK left mutex mode ({} of {WAITERS} woke)",
             woken.load(Ordering::Acquire)
         );
         std::thread::sleep(Duration::from_millis(1));
@@ -481,6 +484,6 @@ fn requeued_waiters_survive_glk_leaving_mutex_mode() {
     }
     // 2·WAITERS + 1 acquisitions (one retried) stay below the second tick
     // at 2·TICK, so the one transition is the tick at TICK: the first
-    // requeued waiter's re-acquisition left mutex mode.
+    // woken waiter's re-acquisition left mutex mode.
     assert_eq!(svc.telemetry_snapshot().glk_transitions, 1);
 }
