@@ -8,102 +8,45 @@
 //! # Implementation notes
 //!
 //! The classic MCS interface threads a per-acquisition queue node through
-//! `lock`/`unlock`. To fit the node-less [`RawLock`] interface (which GLK and
-//! GLS need — they hand out plain `lock()`/`unlock()` calls), nodes are drawn
-//! from a per-thread pool and the lock records the owner's node in an
-//! `owner_node` field that `unlock` consults, the same technique used by the
-//! paper's C library. Nodes are recycled through the pool and spilled to a
-//! process-wide free list when a thread exits, so node memory is never
-//! returned to the allocator while the process runs; this keeps all queue
-//! traversals free of use-after-free hazards.
+//! `lock`/`unlock`. GLK and GLS hand out plain `lock()`/`unlock()` calls
+//! ([`RawLock`]), so this is the K42 variant, whose nodes live only while
+//! their threads wait:
+//!
+//! - A waiter's node is a local of its `lock` call. Once it holds the lock,
+//!   the waiter moves its successor (if any) into the lock's `next` slot and
+//!   takes its node out of `tail`, so nothing points at the node when `lock`
+//!   returns.
+//! - The holder owns no node: `tail` is null when the lock is free and
+//!   `HELD` when it is held with nobody queued, and a waiter that finds
+//!   `HELD` links itself into `next`.
+//! - `unlock` clears `next` before it admits the successor found there,
+//!   which from then on owns `next`. It needs nothing from the thread that
+//!   locked, so a lock may be released on another thread.
 //!
 //! Instead of walking the queue to count waiters (which the paper does only
 //! at a low sampling rate because it violates the "one thread per node"
 //! design goal), the lock maintains an exact holder+waiter counter updated at
 //! enqueue/release.
 
-// The process-wide node spill list is init-once bookkeeping on the cold
-// thread-exit path, deliberately invisible to the model explorer
-// (see clippy.toml).
-#![allow(clippy::disallowed_types)]
-
 use gls_sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
-use std::ptr;
-use std::sync::Mutex;
+use std::ptr::{self, NonNull};
 
 use crate::cache_padded::CachePadded;
 use crate::raw::{QueueInformed, RawLock, RawTryLock};
 use crate::spin_wait::SpinWait;
 
-/// One queue node; padded so that waiters spinning on `locked` do not share a
-/// cache line.
-#[derive(Debug)]
+/// One waiter's queue node, on the waiter's stack.
+#[derive(Debug, Default)]
 struct McsNode {
     /// True while the owning waiter must keep spinning.
     locked: AtomicBool,
     /// Next waiter in the queue, if any.
     next: AtomicPtr<McsNode>,
-    _pad: [u8; 48],
 }
 
-impl McsNode {
-    fn new() -> *mut McsNode {
-        Box::into_raw(Box::new(McsNode {
-            locked: AtomicBool::new(false),
-            next: AtomicPtr::new(ptr::null_mut()),
-            _pad: [0; 48],
-        }))
-    }
-}
-
-/// Process-wide spill list: nodes from exiting threads end up here instead of
-/// being deallocated, so raw node pointers stay valid for the process
-/// lifetime.
-static SPILL: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-
-struct NodePool {
-    nodes: Vec<*mut McsNode>,
-}
-
-impl NodePool {
-    fn acquire(&mut self) -> *mut McsNode {
-        if let Some(node) = self.nodes.pop() {
-            return node;
-        }
-        if let Ok(mut spill) = SPILL.lock() {
-            if let Some(addr) = spill.pop() {
-                return addr as *mut McsNode;
-            }
-        }
-        McsNode::new()
-    }
-
-    fn release(&mut self, node: *mut McsNode) {
-        self.nodes.push(node);
-    }
-}
-
-impl Drop for NodePool {
-    fn drop(&mut self) {
-        if let Ok(mut spill) = SPILL.lock() {
-            spill.extend(self.nodes.drain(..).map(|p| p as usize));
-        }
-        // If the spill lock is poisoned the nodes leak, which is benign.
-    }
-}
-
-thread_local! {
-    static POOL: std::cell::RefCell<NodePool> =
-        const { std::cell::RefCell::new(NodePool { nodes: Vec::new() }) };
-}
-
-fn pool_acquire() -> *mut McsNode {
-    POOL.with(|p| p.borrow_mut().acquire())
-}
-
-fn pool_release(node: *mut McsNode) {
-    POOL.with(|p| p.borrow_mut().release(node));
-}
+/// The `tail` of a lock held with nobody queued. Never dereferenced; not
+/// `&self` either, since a held lock may be moved before it is released.
+const HELD: *mut McsNode = NonNull::dangling().as_ptr();
 
 /// An MCS queue spinlock, padded to one cache line.
 ///
@@ -121,23 +64,31 @@ pub struct McsLock {
     state: CachePadded<McsState>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct McsState {
-    /// Last node in the queue (null when free and uncontended).
+    /// Last waiter's node; null when free, [`HELD`] when held with nobody
+    /// queued.
     tail: AtomicPtr<McsNode>,
-    /// Node of the current holder; consulted by `unlock`.
-    owner_node: AtomicPtr<McsNode>,
+    /// The holder's successor, once known; `unlock` admits it.
+    next: AtomicPtr<McsNode>,
     /// Exact holder+waiter count for [`QueueInformed`].
     queued: AtomicU64,
+    /// Model-only seeded bug (a raw std atomic, so it adds no scheduling
+    /// point): `unlock` wakes the successor before clearing `next`.
+    #[cfg(gls_model)]
+    wake_before_clear: std::sync::atomic::AtomicBool,
 }
 
-impl Default for McsState {
-    fn default() -> Self {
-        Self {
-            tail: AtomicPtr::new(ptr::null_mut()),
-            owner_node: AtomicPtr::new(ptr::null_mut()),
-            queued: AtomicU64::new(0),
+/// Spins until the waiter that swapped itself into `tail` behind the
+/// owner of `slot` has linked itself there, and returns it.
+fn wait_for_link(slot: &AtomicPtr<McsNode>) -> *mut McsNode {
+    let mut wait = SpinWait::new();
+    loop {
+        let next = slot.load(Ordering::Acquire);
+        if !next.is_null() {
+            return next;
         }
+        wait.spin();
     }
 }
 
@@ -146,74 +97,103 @@ impl McsLock {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Queues on a stack node behind the holder; returns holding the lock,
+    /// with the node unlinked.
+    fn lock_queued(&self) {
+        let node = McsNode::default();
+        // Explicit stores: the model explorer keys happens-before messages
+        // by address, and this stack slot may have held an earlier node.
+        node.locked.store(true, Ordering::Relaxed);
+        node.next.store(ptr::null_mut(), Ordering::Relaxed);
+        let me = ptr::from_ref(&node).cast_mut();
+        let prev = self.state.tail.swap(me, Ordering::AcqRel);
+        if !prev.is_null() {
+            let link = if prev == HELD {
+                &self.state.next
+            } else {
+                // SAFETY: `prev` is the node of the waiter queued directly
+                // before us. Its `lock` cannot return (ending the node's
+                // life) before it has read this link or moved `tail` off
+                // `prev`, and `tail` still named `prev` at our swap.
+                unsafe { &(*prev).next }
+            };
+            link.store(me, Ordering::Release);
+            let mut wait = SpinWait::new();
+            while node.locked.load(Ordering::Acquire) {
+                wait.spin();
+            }
+        }
+        // We hold the lock: hand the successor to `next` and unlink.
+        let mut succ = node.next.load(Ordering::Acquire);
+        if succ.is_null() {
+            if self
+                .state
+                .tail
+                .compare_exchange(me, HELD, Ordering::Release, Ordering::Relaxed)
+                .is_ok()
+            {
+                return;
+            }
+            succ = wait_for_link(&node.next);
+        }
+        self.state.next.store(succ, Ordering::Relaxed);
+    }
 }
 
 impl RawLock for McsLock {
     #[inline]
     fn lock(&self) {
         self.state.queued.fetch_add(1, Ordering::Relaxed);
-        let node = pool_acquire();
-        // SAFETY: `node` came from the pool and is exclusively ours until we
-        // publish it via the tail swap below.
-        unsafe {
-            (*node).locked.store(true, Ordering::Relaxed);
-            (*node).next.store(ptr::null_mut(), Ordering::Relaxed);
+        if self
+            .state
+            .tail
+            .compare_exchange(ptr::null_mut(), HELD, Ordering::Acquire, Ordering::Relaxed)
+            .is_err()
+        {
+            self.lock_queued();
         }
-        let prev = self.state.tail.swap(node, Ordering::AcqRel);
-        if !prev.is_null() {
-            // SAFETY: `prev` is the node of the thread queued directly before
-            // us; it cannot be recycled until it has observed our link and
-            // handed the lock over, and node memory is never deallocated.
-            unsafe {
-                (*prev).next.store(node, Ordering::Release);
-                let mut wait = SpinWait::new();
-                while (*node).locked.load(Ordering::Acquire) {
-                    wait.spin();
-                }
-            }
-        }
-        self.state.owner_node.store(node, Ordering::Relaxed);
     }
 
     #[inline]
     fn unlock(&self) {
-        let node = self
-            .state
-            .owner_node
-            .swap(ptr::null_mut(), Ordering::Relaxed);
-        if node.is_null() {
-            // Releasing a free lock: tolerated here; GLS debug mode reports it.
-            return;
-        }
-        // SAFETY: `node` is the holder's node; only the holder (us) touches it
-        // until we hand over or detach it, and node memory is never freed.
-        unsafe {
-            let mut next = (*node).next.load(Ordering::Acquire);
-            if next.is_null() {
-                // No known successor: try to detach the queue entirely.
-                if self
-                    .state
-                    .tail
-                    .compare_exchange(node, ptr::null_mut(), Ordering::Release, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    pool_release(node);
+        let mut succ = self.state.next.load(Ordering::Acquire);
+        if succ.is_null() {
+            let tail = self.state.tail.compare_exchange(
+                HELD,
+                ptr::null_mut(),
+                Ordering::Release,
+                Ordering::Relaxed,
+            );
+            match tail {
+                Ok(_) => {
                     self.state.queued.fetch_sub(1, Ordering::Relaxed);
                     return;
                 }
-                // A successor is in the middle of linking itself; wait for it.
-                let mut wait = SpinWait::new();
-                loop {
-                    next = (*node).next.load(Ordering::Acquire);
-                    if !next.is_null() {
-                        break;
-                    }
-                    wait.spin();
-                }
+                // Releasing a free lock: tolerated here; GLS debug mode
+                // reports it.
+                Err(tail) if tail.is_null() => return,
+                Err(_) => succ = wait_for_link(&self.state.next),
             }
-            (*next).locked.store(false, Ordering::Release);
-            pool_release(node);
         }
+        #[cfg(gls_model)]
+        if self
+            .state
+            .wake_before_clear
+            .load(std::sync::atomic::Ordering::Relaxed)
+        {
+            // SAFETY: as below, but the admitted successor may now store its
+            // own successor into `next` before the clear wipes it out.
+            unsafe { (*succ).locked.store(false, Ordering::Release) };
+            self.state.next.store(ptr::null_mut(), Ordering::Relaxed);
+            self.state.queued.fetch_sub(1, Ordering::Relaxed);
+            return;
+        }
+        // Clear before the wake: once admitted, the successor owns `next`.
+        self.state.next.store(ptr::null_mut(), Ordering::Relaxed);
+        // SAFETY: `succ` spins in `lock_queued` until this store, so its
+        // node is alive; we do not touch it after.
+        unsafe { (*succ).locked.store(false, Ordering::Release) };
         self.state.queued.fetch_sub(1, Ordering::Relaxed);
     }
 
@@ -225,37 +205,33 @@ impl RawLock for McsLock {
 impl RawTryLock for McsLock {
     #[inline]
     fn try_lock(&self) -> bool {
-        if !self.state.tail.load(Ordering::Relaxed).is_null() {
-            return false;
+        let acquired = self
+            .state
+            .tail
+            .compare_exchange(ptr::null_mut(), HELD, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok();
+        if acquired {
+            self.state.queued.fetch_add(1, Ordering::Relaxed);
         }
-        let node = pool_acquire();
-        // SAFETY: the node is exclusively ours until published.
-        unsafe {
-            (*node).locked.store(true, Ordering::Relaxed);
-            (*node).next.store(ptr::null_mut(), Ordering::Relaxed);
-        }
-        match self.state.tail.compare_exchange(
-            ptr::null_mut(),
-            node,
-            Ordering::AcqRel,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => {
-                self.state.owner_node.store(node, Ordering::Relaxed);
-                self.state.queued.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Err(_) => {
-                pool_release(node);
-                false
-            }
-        }
+        acquired
     }
 }
 
 impl QueueInformed for McsLock {
     fn queue_length(&self) -> u64 {
         self.state.queued.load(Ordering::Relaxed)
+    }
+}
+
+/// Model-build-only seeded bug for the explorer.
+#[cfg(gls_model)]
+impl McsLock {
+    /// Makes this lock's `unlock` wake the successor *before* clearing
+    /// `next`, so a late clear can wipe out the successor's own successor.
+    pub fn model_wake_before_clear(&self) {
+        self.state
+            .wake_before_clear
+            .store(true, std::sync::atomic::Ordering::Relaxed);
     }
 }
 
@@ -277,13 +253,19 @@ mod tests {
     }
 
     #[test]
-    fn repeated_acquisition_reuses_nodes() {
+    fn is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<McsLock>(), 64);
+    }
+
+    #[test]
+    fn repeated_acquisition_leaves_the_lock_free() {
         let lock = McsLock::new();
         for _ in 0..10_000 {
             lock.lock();
             lock.unlock();
         }
         assert!(!lock.is_locked());
+        assert_eq!(lock.queue_length(), 0);
     }
 
     #[test]
@@ -329,6 +311,30 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+        assert_eq!(lock.queue_length(), 0);
+    }
+
+    /// Taken on thread A, released on thread C while thread B waits: the
+    /// holder owns no node, so any thread's `unlock` admits B.
+    #[test]
+    fn release_on_a_third_thread_admits_the_queued_waiter() {
+        let lock = Arc::new(McsLock::new());
+        let l = Arc::clone(&lock);
+        std::thread::spawn(move || l.lock()).join().unwrap();
+        let l = Arc::clone(&lock);
+        let waiter = std::thread::spawn(move || {
+            l.lock();
+            l.unlock();
+        });
+        // B has found the lock held with nobody queued and linked itself
+        // into `next`.
+        while lock.state.next.load(Ordering::Relaxed).is_null() {
+            std::thread::yield_now();
+        }
+        let l = Arc::clone(&lock);
+        std::thread::spawn(move || l.unlock()).join().unwrap();
+        waiter.join().unwrap();
+        assert!(!lock.is_locked());
         assert_eq!(lock.queue_length(), 0);
     }
 

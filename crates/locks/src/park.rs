@@ -123,12 +123,15 @@ struct ParkerState {
 }
 
 impl Parker {
-    /// Resets the signal before enqueueing. The park/unpark protocol pairs
-    /// every enqueue with exactly one consumed signal, so none can be
-    /// pending here.
+    /// Checks, in debug builds, that no signal is pending before
+    /// enqueueing. The park/unpark protocol pairs every enqueue with exactly
+    /// one consumed signal, so release builds take no lock here.
     fn prepare(&self) {
-        let state = self.state.lock().expect("parker poisoned");
-        debug_assert!(!state.signaled, "unconsumed unpark signal");
+        #[cfg(debug_assertions)]
+        {
+            let state = self.state.lock().expect("parker poisoned");
+            debug_assert!(!state.signaled, "unconsumed unpark signal");
+        }
     }
 
     /// Blocks until signaled; returns the unpark token.

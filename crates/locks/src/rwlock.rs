@@ -18,10 +18,10 @@
 //! locks of the evaluated systems, where writes are rare but must not be
 //! delayed unboundedly.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use crate::cache_padded::CachePadded;
-use crate::raw::{QueueInformed, RawLock, RawRwLock, RawTryLock};
+use crate::raw::{RawLock, RawRwLock, RawTryLock};
 use crate::spin_wait::SpinWait;
 
 /// Writer-held flag (high bit).
@@ -51,15 +51,8 @@ const READERS: u32 = INTENT - 1;
 /// ```
 #[derive(Debug, Default)]
 pub struct RwTtasRaw {
-    state: CachePadded<RwTtasState>,
-}
-
-#[derive(Debug, Default)]
-struct RwTtasState {
     /// `WRITER | INTENT | reader count`.
-    word: AtomicU32,
-    /// Holders + waiters, for [`QueueInformed`].
-    queued: AtomicU64,
+    word: CachePadded<AtomicU32>,
 }
 
 impl RwTtasRaw {
@@ -70,31 +63,29 @@ impl RwTtasRaw {
 
     /// Whether a writer currently holds the lock.
     pub fn is_write_locked(&self) -> bool {
-        self.state.word.load(Ordering::Relaxed) & WRITER != 0
+        self.word.load(Ordering::Relaxed) & WRITER != 0
     }
 
     /// Number of readers currently holding the lock.
     pub fn reader_count(&self) -> u32 {
-        self.state.word.load(Ordering::Relaxed) & READERS
+        self.word.load(Ordering::Relaxed) & READERS
     }
 
     /// Whether a writer has announced intent (is waiting to acquire).
     pub fn writer_pending(&self) -> bool {
-        self.state.word.load(Ordering::Relaxed) & INTENT != 0
+        self.word.load(Ordering::Relaxed) & INTENT != 0
     }
 }
 
 impl RawRwLock for RwTtasRaw {
     fn read_lock(&self) {
-        self.state.queued.fetch_add(1, Ordering::Relaxed);
         let mut wait = SpinWait::new();
         loop {
-            let current = self.state.word.load(Ordering::Relaxed);
+            let current = self.word.load(Ordering::Relaxed);
             // Back off while a writer holds the lock *or* waits for it: the
             // intent bit is what lets writers through a reader stream.
             if current & (WRITER | INTENT) == 0
                 && self
-                    .state
                     .word
                     .compare_exchange_weak(
                         current,
@@ -111,39 +102,30 @@ impl RawRwLock for RwTtasRaw {
     }
 
     fn try_read_lock(&self) -> bool {
-        let current = self.state.word.load(Ordering::Relaxed);
+        let current = self.word.load(Ordering::Relaxed);
         if current & (WRITER | INTENT) != 0 {
             return false;
         }
-        let acquired = self
-            .state
-            .word
+        self.word
             .compare_exchange(current, current + 1, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok();
-        if acquired {
-            self.state.queued.fetch_add(1, Ordering::Relaxed);
-        }
-        acquired
+            .is_ok()
     }
 
     fn read_unlock(&self) {
-        self.state.word.fetch_sub(1, Ordering::Release);
-        self.state.queued.fetch_sub(1, Ordering::Relaxed);
+        self.word.fetch_sub(1, Ordering::Release);
     }
 }
 
 impl RawLock for RwTtasRaw {
     /// Acquires exclusive (write) access.
     fn lock(&self) {
-        self.state.queued.fetch_add(1, Ordering::Relaxed);
         let mut wait = SpinWait::new();
         loop {
-            let current = self.state.word.load(Ordering::Relaxed);
+            let current = self.word.load(Ordering::Relaxed);
             if current & (WRITER | READERS) == 0 {
                 // Free (possibly intent-marked): claim it, consuming the
                 // intent bit. Other waiting writers re-raise it below.
                 if self
-                    .state
                     .word
                     .compare_exchange_weak(current, WRITER, Ordering::Acquire, Ordering::Relaxed)
                     .is_ok()
@@ -153,7 +135,7 @@ impl RawLock for RwTtasRaw {
             } else if current & INTENT == 0 {
                 // Announce before waiting so arriving readers back off and
                 // the current readers can drain.
-                self.state.word.fetch_or(INTENT, Ordering::Relaxed);
+                self.word.fetch_or(INTENT, Ordering::Relaxed);
             }
             wait.spin();
         }
@@ -161,36 +143,23 @@ impl RawLock for RwTtasRaw {
 
     /// Releases exclusive access, preserving any other writer's intent bit.
     fn unlock(&self) {
-        self.state.word.fetch_and(!WRITER, Ordering::Release);
-        self.state.queued.fetch_sub(1, Ordering::Relaxed);
+        self.word.fetch_and(!WRITER, Ordering::Release);
     }
 
     fn is_locked(&self) -> bool {
-        self.state.word.load(Ordering::Relaxed) & (WRITER | READERS) != 0
+        self.word.load(Ordering::Relaxed) & (WRITER | READERS) != 0
     }
 }
 
 impl RawTryLock for RwTtasRaw {
     fn try_lock(&self) -> bool {
-        let current = self.state.word.load(Ordering::Relaxed);
+        let current = self.word.load(Ordering::Relaxed);
         if current & (WRITER | READERS) != 0 {
             return false;
         }
-        let acquired = self
-            .state
-            .word
+        self.word
             .compare_exchange(current, WRITER, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok();
-        if acquired {
-            self.state.queued.fetch_add(1, Ordering::Relaxed);
-        }
-        acquired
-    }
-}
-
-impl QueueInformed for RwTtasRaw {
-    fn queue_length(&self) -> u64 {
-        self.state.queued.load(Ordering::Relaxed)
+            .is_ok()
     }
 }
 
@@ -200,7 +169,7 @@ impl QueueInformed for RwTtasRaw {
 #[allow(clippy::disallowed_types, clippy::disallowed_methods)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
@@ -237,22 +206,19 @@ mod tests {
     }
 
     #[test]
-    fn raw_lock_roundtrip_and_queue() {
+    fn raw_lock_roundtrip() {
         let lock = RwTtasRaw::new();
-        assert_eq!(lock.queue_length(), 0);
         lock.read_lock();
         lock.read_lock();
-        assert_eq!(lock.queue_length(), 2);
         assert_eq!(lock.reader_count(), 2);
         assert!(!lock.try_lock());
         lock.read_unlock();
         lock.read_unlock();
         lock.lock();
         assert!(lock.is_write_locked());
-        assert_eq!(lock.queue_length(), 1);
         assert!(!lock.try_read_lock());
         lock.unlock();
-        assert_eq!(lock.queue_length(), 0);
+        assert!(!lock.is_locked());
     }
 
     #[test]
@@ -260,7 +226,7 @@ mod tests {
         let lock = RwTtasRaw::new();
         lock.lock();
         // Another writer announces while the first holds the lock.
-        lock.state.word.fetch_or(INTENT, Ordering::Relaxed);
+        lock.word.fetch_or(INTENT, Ordering::Relaxed);
         lock.unlock();
         assert!(lock.writer_pending(), "intent must survive a write unlock");
         // Readers honor the surviving intent bit.

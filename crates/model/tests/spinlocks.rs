@@ -19,17 +19,23 @@ use std::sync::Arc;
 
 use gls_locks::{McsLock, QueueInformed, RawLock, TicketLock, TtasLock};
 use gls_model::{Explorer, FailureKind};
+use gls_sync::atomic::{AtomicUsize, Ordering};
 use gls_sync::cell::ModelCell;
 use gls_sync::thread;
 
-/// Exhaustive mutual-exclusion check: two threads increment a plain value
-/// under the lock. Any schedule admitting two holders loses an increment
+/// A model body: `threads` threads increment a plain value under a lock
+/// from `make`, then the root checks the count, that the lock is free and
+/// `drained`. Any schedule admitting two holders loses an increment
 /// (assertion) or, more precisely, races on the cell (race detector).
-fn check_mutual_exclusion<L: RawLock + Default + Send + Sync + 'static>(name: &'static str) {
-    Explorer::exhaustive().check(name, || {
-        let lock = Arc::new(L::default());
-        let counter = Arc::new(ModelCell::new(0u64));
-        let workers: Vec<_> = (0..2)
+fn increments_under<L: RawLock + Send + Sync + 'static>(
+    threads: usize,
+    make: fn() -> L,
+    drained: fn(&L),
+) -> impl Fn() + Send + Sync + 'static {
+    move || {
+        let lock = Arc::new(make());
+        let counter = Arc::new(ModelCell::new(0usize));
+        let workers: Vec<_> = (0..threads)
             .map(|_| {
                 let lock = Arc::clone(&lock);
                 let counter = Arc::clone(&counter);
@@ -47,9 +53,15 @@ fn check_mutual_exclusion<L: RawLock + Default + Send + Sync + 'static>(name: &'
         }
         // SAFETY: every writer has joined.
         let total = counter.with(|p| unsafe { *p });
-        assert_eq!(total, 2, "an increment was lost under the lock");
+        assert_eq!(total, threads, "an increment was lost under the lock");
         assert!(!lock.is_locked(), "lock left held after drain");
-    });
+        drained(&lock);
+    }
+}
+
+/// Exhaustive mutual-exclusion check with two threads.
+fn check_mutual_exclusion<L: RawLock + Default + Send + Sync + 'static>(name: &'static str) {
+    Explorer::exhaustive().check(name, increments_under(2, L::default, |_| {}));
 }
 
 #[test]
@@ -65,6 +77,93 @@ fn ticket_mutual_exclusion() {
 #[test]
 fn mcs_mutual_exclusion() {
     check_mutual_exclusion::<McsLock>("mcs-mutex");
+}
+
+/// Three threads through one MCS lock: every queue shape a holder can
+/// leave (no successor, a linked one, one still linking behind `HELD` or
+/// behind a node), and the holder+waiter count back at 0 after the drain.
+///
+/// Seeded random sweep rather than exhaustive DFS: the exhaustive tree
+/// takes about 31 s in a debug build on a 2-context x86-64 machine, over
+/// half the 60 s model budget on its own, while a fixed-seed
+/// 2000-schedule sweep covers the three-deep queue many times over in a
+/// few seconds and replays bit-for-bit.
+#[test]
+fn mcs_three_threads_keep_exclusion_and_drain_the_count() {
+    Explorer::random(2_000, 0x3c5).check(
+        "mcs-3-threads",
+        increments_under(3, McsLock::new, |lock| {
+            assert_eq!(lock.queue_length(), 0, "queue count left non-zero");
+        }),
+    );
+}
+
+/// Three workers take the lock in turn, and each releases only once the
+/// previous holder's `unlock` has returned, so no `unlock` can read a
+/// `next` that an earlier one has yet to clear. The root checks the count
+/// and that the lock ended free.
+///
+/// The relay is what keeps the seeded bug reportable: with two plain
+/// threads its one failing schedule has the successor's `unlock` read the
+/// stale `next` naming its own node, and write into its `lock` frame after
+/// that frame has returned, which can kill the test binary instead of
+/// failing the exploration.
+fn mcs_relay(seeded: bool) -> impl Fn() + Send + Sync + 'static {
+    move || {
+        let lock = Arc::new(McsLock::new());
+        if seeded {
+            lock.model_wake_before_clear();
+        }
+        let turns = Arc::new(ModelCell::new(0usize));
+        let released = Arc::new(AtomicUsize::new(0));
+        let workers: Vec<_> = (0..3)
+            .map(|_| {
+                let (lock, turns, released) =
+                    (Arc::clone(&lock), Arc::clone(&turns), Arc::clone(&released));
+                thread::spawn(move || {
+                    lock.lock();
+                    // SAFETY: serialized by the lock under test.
+                    let turn = turns.with_mut(|p| unsafe {
+                        *p += 1;
+                        *p - 1
+                    });
+                    while released.load(Ordering::Acquire) != turn {
+                        gls_sync::hint::spin_loop();
+                    }
+                    lock.unlock();
+                    released.fetch_add(1, Ordering::Release);
+                })
+            })
+            .collect();
+        for worker in workers {
+            worker.join().expect("model worker panicked");
+        }
+        // SAFETY: every writer has joined.
+        assert_eq!(turns.with(|p| unsafe { *p }), 3, "a turn was lost");
+        assert!(!lock.is_locked(), "lock left held after drain");
+    }
+}
+
+/// Seeded bug — an `unlock` that wakes the successor before clearing
+/// `next` races the successor, which owns `next` once admitted: a
+/// successor that found a waiter linked behind it stores that waiter in
+/// `next`, the late clear wipes it out, and the waiter is never woken. It
+/// and the releasing successor spin (and yield) forever, which the
+/// explorer reports as a step-limit livelock. The explorer must find that
+/// schedule, and the shipped order must pass the same relay.
+#[test]
+fn rediscovers_the_mcs_wake_before_clear_bug() {
+    let failure = Explorer::exhaustive()
+        .find_failure("mcs-wake-before-clear", mcs_relay(true))
+        .expect("the explorer must catch the wake before the clear");
+    assert_eq!(
+        failure.kind,
+        FailureKind::StepLimit,
+        "expected the queued waiter stranded, got: {failure}"
+    );
+    // Exhaustively the shipped relay overruns the 60 s budget (three
+    // spinning threads); a seeded sweep covers it.
+    Explorer::random(2_000, 0xc1ea7).check("mcs-clear-before-wake", mcs_relay(false));
 }
 
 /// FIFO admission: the root holds the lock while a waiter draws its
